@@ -134,4 +134,12 @@ cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 echo "== jsonck: emitted results parse back through ib_runtime::json =="
 cargo run -q --release --offline -p bench --bin jsonck -- BENCH_*.json
 
+echo "== benchmark package (builds against the workspace, smoke set runs clean) =="
+# benchmark/ is frozen between [benchmark] PRs but calls library names
+# directly (probes, the traced fabric loop), so a deletion in crates/ can
+# break it without touching it. The run exits non-zero on any failed
+# operation.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
 echo "CI OK"

@@ -450,8 +450,7 @@ fn main() {
     // size the one-shot arms hand the vector kernels the whole message
     // contiguously while streaming absorbs it as header fragments, so
     // the fixed incremental-state cost is measured against a ~30 ns tag:
-    // the bar there bounds that constant (the batched x4/admit_many
-    // path, not streaming, is the small-packet line-rate story).
+    // the bar there bounds that constant.
     for alg in AuthAlgorithm::ALL {
         for &size in &SIZES {
             let bar = if size <= 64 {
@@ -502,10 +501,10 @@ fn main() {
         "CRC-32 @ 4 KiB: dispatched kernel {crc_speedup:.2}x scalar, need >= {crc_bar}x"
     );
     // The scalar NH loop auto-vectorizes well, so the single-buffer
-    // margin is modest; the deployed small/mid-packet datapath is the
-    // 4-packet lockstep lane (`tag32_x4`, what `admit_many` batches
-    // into), which also pipelines the four nonce pads through AES. The
-    // gate takes the best dispatched lane per packet.
+    // margin is modest; the 4-packet lockstep lane (`Umac::tag32_x4`, a
+    // Table-4 arm only — the receive path verifies one packet at a time)
+    // also pipelines the four nonce pads through AES. The gate takes the
+    // best dispatched lane per packet.
     let umac_speedup = speedup_lane("umac", 1024, 1, 1.0).max(speedup_lane("umac", 1024, 2, 4.0));
     assert!(
         umac_speedup >= umac_bar,

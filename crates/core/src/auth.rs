@@ -89,19 +89,6 @@ pub struct Authenticator {
     /// `RefCell` keeps `compute_tag`/`verify_packet` callable through
     /// `&self` (the engine is per-node, never shared across threads).
     mac_cache: RefCell<Vec<((AuthAlgorithm, SecretKey), AnyMac)>>,
-    /// Reused scratch for [`Self::verify_batch`].
-    batch: RefCell<BatchScratch>,
-}
-
-/// Scratch buffers the batch verifier reuses across calls, so the steady
-/// state allocates nothing.
-struct BatchScratch {
-    /// Packets deferred to the multi-buffer UMAC kernel: `(batch index,
-    /// resolved secret)`.
-    umac: Vec<(usize, SecretKey)>,
-    /// Contiguous ICRC-message images for one 4-lane MAC call (the
-    /// lockstep NH kernel needs each message in one slice).
-    msgs: [Vec<u8>; 4],
 }
 
 impl Authenticator {
@@ -117,10 +104,6 @@ impl Authenticator {
             algorithm,
             scope,
             mac_cache: RefCell::new(Vec::new()),
-            batch: RefCell::new(BatchScratch {
-                umac: Vec::new(),
-                msgs: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            }),
         }
     }
 
@@ -290,105 +273,6 @@ impl Authenticator {
             Ok(())
         } else {
             Err(AuthError::BadTag)
-        }
-    }
-
-    /// Verify a batch of received packets in one dispatch, writing one
-    /// verdict per packet (positionally) into `out` — semantically
-    /// identical to calling [`Self::verify_packet`] on each packet in
-    /// order. Packets sharing a UMAC secret are MAC'd four at a time
-    /// through the lockstep NH kernel ([`AnyMac::tag32_x4`]); everything
-    /// else takes the per-packet streaming path. `out` is cleared first;
-    /// all scratch is reused, so the steady state allocates nothing.
-    pub fn verify_batch<P: std::borrow::Borrow<Packet>>(
-        &self,
-        packets: &[P],
-        out: &mut Vec<Result<(), AuthError>>,
-    ) {
-        out.clear();
-        let mut batch = self.batch.borrow_mut();
-        let batch = &mut *batch;
-        batch.umac.clear();
-        for (i, packet) in packets.iter().enumerate() {
-            let packet = packet.borrow();
-            let selector = packet.bth.resv8a;
-            let Some(algorithm) = AuthAlgorithm::from_selector(selector) else {
-                out.push(Err(AuthError::UnknownSelector(selector)));
-                continue;
-            };
-            if algorithm == AuthAlgorithm::Icrc {
-                out.push(if packet.icrc_ok() {
-                    Ok(())
-                } else {
-                    Err(AuthError::BadIcrc)
-                });
-                continue;
-            }
-            match self.verify_secret_for(packet) {
-                Err(e) => out.push(Err(e)),
-                Ok(secret) if algorithm == AuthAlgorithm::Umac32 => {
-                    // Deferred to the multi-buffer drain below; the
-                    // placeholder is overwritten there.
-                    batch.umac.push((i, secret));
-                    out.push(Ok(()));
-                }
-                Ok(secret) => {
-                    let tag = self.with_mac(algorithm, secret, |mac| Self::stream_tag(mac, packet));
-                    out.push(if (tag ^ packet.icrc) == 0 {
-                        Ok(())
-                    } else {
-                        Err(AuthError::BadTag)
-                    });
-                }
-            }
-        }
-        // Drain deferred UMAC packets: runs of four sharing one secret go
-        // through the 4-lane kernel, stragglers through the streaming path
-        // (bit-identical either way — the lockstep kernel is exact).
-        let mut d = 0;
-        while d < batch.umac.len() {
-            let secret = batch.umac[d].1;
-            let mut run = 1;
-            while run < 4 && d + run < batch.umac.len() && batch.umac[d + run].1 == secret {
-                run += 1;
-            }
-            if run == 4 {
-                let mut nonces = [0u64; 4];
-                for j in 0..4 {
-                    let packet = packets[batch.umac[d + j].0].borrow();
-                    nonces[j] = Self::nonce(packet);
-                    packet.icrc_message_into(&mut batch.msgs[j]);
-                }
-                let msgs = [
-                    &batch.msgs[0][..],
-                    &batch.msgs[1][..],
-                    &batch.msgs[2][..],
-                    &batch.msgs[3][..],
-                ];
-                let tags = self.with_mac(AuthAlgorithm::Umac32, secret, |mac| {
-                    mac.tag32_x4(nonces, msgs)
-                });
-                for (j, tag) in tags.iter().enumerate() {
-                    let i = batch.umac[d + j].0;
-                    out[i] = if (tag ^ packets[i].borrow().icrc) == 0 {
-                        Ok(())
-                    } else {
-                        Err(AuthError::BadTag)
-                    };
-                }
-            } else {
-                for &(i, secret) in &batch.umac[d..d + run] {
-                    let tag = self.with_mac(AuthAlgorithm::Umac32, secret, |mac| {
-                        Self::stream_tag(mac, packets[i].borrow())
-                    });
-                    out[i] = if (tag ^ packets[i].borrow().icrc) == 0 {
-                        Ok(())
-                    } else {
-                        Err(AuthError::BadTag)
-                    };
-                }
-            }
-            d += run;
         }
     }
 }
@@ -575,40 +459,6 @@ mod tests {
             receiver
                 .verify_packet(&pkt)
                 .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
-        }
-    }
-
-    #[test]
-    fn verify_batch_matches_sequential_verdicts() {
-        // Mixed batch: good packets, a tampered one, an unknown selector, a
-        // legacy plain-ICRC packet, and a batch size that exercises both the
-        // 4-lane kernel and the straggler path.
-        for alg in &AuthAlgorithm::ALL[1..] {
-            let pkey = PKey(0x8001);
-            let secret = SecretKey::from_seed(55);
-            let mut sender = Authenticator::new(*alg, KeyScope::Partition);
-            sender.keys.install_partition_secret(pkey, secret);
-            let mut receiver = Authenticator::new(*alg, KeyScope::Partition);
-            receiver.keys.install_partition_secret(pkey, secret);
-
-            let mut packets = Vec::new();
-            for psn in 0..11u32 {
-                let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), psn, b"batched traffic");
-                sender.tag_packet(&mut pkt).unwrap();
-                packets.push(pkt);
-            }
-            packets[3].payload[0] ^= 1; // tamper (MAC must catch it)
-            packets[3].vcrc = packets[3].compute_vcrc();
-            packets[6].set_auth_tag(0x77, 0); // unknown selector
-            packets[8] = ud_packet(pkey, QKey(7), Qpn(3), 8, b"legacy"); // selector 0
-
-            let refs: Vec<&Packet> = packets.iter().collect();
-            let mut batch = Vec::new();
-            receiver.verify_batch(&refs, &mut batch);
-            let sequential: Vec<_> = refs.iter().map(|p| receiver.verify_packet(p)).collect();
-            assert_eq!(batch, sequential, "{alg:?}");
-            assert!(batch[3].is_err() && batch[6].is_err(), "{alg:?}");
-            assert!(batch[0].is_ok() && batch[8].is_ok(), "{alg:?}");
         }
     }
 

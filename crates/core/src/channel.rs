@@ -145,10 +145,6 @@ pub struct SecureChannel {
     pending_retire: Vec<(u64, KeyEpoch)>,
     /// Admission counters, readable at any time.
     pub stats: ChannelStats,
-    /// Reused integrity-verdict scratch for [`Self::admit_many`].
-    precheck: Vec<Result<(), ChannelError>>,
-    /// Reused authenticator-verdict scratch for [`Self::admit_many`].
-    auth_verdicts: Vec<Result<(), AuthError>>,
 }
 
 impl SecureChannel {
@@ -176,8 +172,6 @@ impl SecureChannel {
             epoch_grace: 0,
             pending_retire: Vec::new(),
             stats: ChannelStats::default(),
-            precheck: Vec::new(),
-            auth_verdicts: Vec::new(),
         }
     }
 
@@ -265,10 +259,7 @@ impl SecureChannel {
     }
 
     /// The uncounted integrity check: VCRC, then MAC (or plain ICRC).
-    /// Counting is split out so the batch path can verify many packets in
-    /// one dispatch and feed the verdicts back through the same counters
-    /// ([`Self::admit_prechecked`] / [`Self::verify_only_prechecked`]).
-    pub fn precheck(&self, packet: &Packet) -> Result<(), ChannelError> {
+    fn precheck(&self, packet: &Packet) -> Result<(), ChannelError> {
         if !packet.vcrc_ok() {
             return Err(ChannelError::BadVcrc);
         }
@@ -303,20 +294,10 @@ impl SecureChannel {
     /// data-sequence PSNs that must not pollute the data window.
     pub fn verify_only(&mut self, packet: &Packet) -> Result<(), ChannelError> {
         let r = self.precheck(packet);
-        self.verify_only_prechecked(r)
-    }
-
-    /// Counted form of a verdict from [`Self::precheck`] /
-    /// [`Self::precheck_batch`]: stats move exactly as
-    /// [`Self::verify_only`] would have moved them.
-    pub fn verify_only_prechecked(
-        &mut self,
-        pre: Result<(), ChannelError>,
-    ) -> Result<(), ChannelError> {
-        if let Err(e) = pre {
+        if let Err(e) = r {
             self.count_integrity_reject(e);
         }
-        pre
+        r
     }
 
     /// The replay-window half of admission (the packet's integrity must
@@ -353,73 +334,16 @@ impl SecureChannel {
         self.offer_window(packet.bth.psn.0)
     }
 
-    /// Counted admission from a verdict produced by [`Self::precheck`] /
-    /// [`Self::precheck_batch`]: verdict and stats are identical to
-    /// [`Self::admit`] on the same packet.
-    pub fn admit_prechecked(
-        &mut self,
-        packet: &Packet,
-        pre: Result<(), ChannelError>,
-    ) -> Result<Admit, ChannelError> {
-        self.verify_only_prechecked(pre)?;
-        self.offer_window(packet.bth.psn.0)
-    }
-
-    /// Uncounted integrity verdicts for a whole batch in one dispatch:
-    /// VCRC per packet, MACs through the multi-buffer kernels (see
-    /// [`Authenticator::verify_batch`]). Verdicts land positionally in
-    /// `out` (cleared first); stats do not move — feed each verdict back
-    /// through [`Self::admit_prechecked`] or
-    /// [`Self::verify_only_prechecked`] at the point the sequential code
-    /// would have verified. Scratch is reused: steady state allocates
-    /// nothing. Generic over `Packet` or `&Packet` elements.
-    pub fn precheck_batch<P: std::borrow::Borrow<Packet>>(
-        &mut self,
-        packets: &[P],
-        out: &mut Vec<Result<(), ChannelError>>,
-    ) {
-        out.clear();
-        match &self.auth {
-            Some(auth) => {
-                let mut verdicts = std::mem::take(&mut self.auth_verdicts);
-                auth.verify_batch(packets, &mut verdicts);
-                for (packet, v) in packets.iter().zip(&verdicts) {
-                    // VCRC takes precedence, exactly as in the sequential
-                    // check order.
-                    out.push(if !packet.borrow().vcrc_ok() {
-                        Err(ChannelError::BadVcrc)
-                    } else {
-                        v.map_err(ChannelError::Auth)
-                    });
-                }
-                self.auth_verdicts = verdicts;
-            }
-            None => {
-                for packet in packets {
-                    out.push(self.precheck(packet.borrow()));
-                }
-            }
-        }
-    }
-
-    /// Batch admission: the integrity pre-pass runs over the whole batch
-    /// in one dispatch, then the replay-window walk runs exactly as the
-    /// sequential path would. Verdicts (positional in `out`) and
-    /// [`Self::stats`] are identical to calling [`Self::admit`] on each
-    /// packet in order. `out` is cleared first; scratch is reused, so the
-    /// steady state allocates nothing.
+    /// [`Self::admit`] on each packet in order, verdicts positional in
+    /// `out` (cleared first). Kept only because the frozen `benchmark/`
+    /// package probes it by name; new code calls [`Self::admit`].
     pub fn admit_many<P: std::borrow::Borrow<Packet>>(
         &mut self,
         packets: &[P],
         out: &mut Vec<Result<Admit, ChannelError>>,
     ) {
         out.clear();
-        let mut pre = std::mem::take(&mut self.precheck);
-        self.precheck_batch(packets, &mut pre);
-        for (packet, pre) in packets.iter().zip(&pre) {
-            out.push(self.admit_prechecked(packet.borrow(), *pre));
-        }
-        self.precheck = pre;
+        out.extend(packets.iter().map(|p| self.admit(p.borrow())));
     }
 }
 
@@ -656,33 +580,6 @@ mod tests {
         rx.advance_time(1_000_000);
         assert_eq!(rx.admit(&pkt).unwrap(), Admit::Fresh);
         assert_eq!(rx.send_epoch(), KeyEpoch::ZERO);
-    }
-
-    /// The batch path must be observationally identical to the sequential
-    /// one: same verdicts in order, same stats — across every security arm
-    /// and a batch mixing fresh traffic, replays, corruption, and forgery.
-    #[test]
-    fn admit_many_matches_sequential_admits() {
-        for arm in ChannelSecurity::ALL {
-            let (tx, mut rx_batch) = pair(arm);
-            let (_, mut rx_seq) = pair(arm);
-            let mut packets = Vec::new();
-            for psn in [0u32, 1, 2, 3, 1, 4, 5, 6, 7, 8, 2, 9] {
-                let mut p = rc_packet(psn, b"batch equivalence");
-                tx.seal(&mut p).unwrap();
-                packets.push(p);
-            }
-            packets[5].payload[0] ^= 1; // line corruption (VCRC catches)
-            packets[7].payload[0] ^= 1; // forgery (VCRC repaired)
-            packets[7].vcrc = packets[7].compute_vcrc();
-
-            let refs: Vec<&Packet> = packets.iter().collect();
-            let mut batch = Vec::new();
-            rx_batch.admit_many(&refs, &mut batch);
-            let sequential: Vec<_> = refs.iter().map(|p| rx_seq.admit(p)).collect();
-            assert_eq!(batch, sequential, "{arm:?}");
-            assert_eq!(rx_batch.stats, rx_seq.stats, "{arm:?}");
-        }
     }
 
     #[test]

@@ -282,69 +282,6 @@ impl SecureFabric {
         Ok(packet.payload)
     }
 
-    /// Batched [`Self::deliver`]: parse every buffer, run the stock
-    /// P_Key/policy checks, verify all surviving tags through the
-    /// authenticator's multi-buffer MAC kernels in one dispatch, then
-    /// apply replay freshness in arrival order. Verdict `i` is exactly
-    /// what `deliver(dst, bufs[i])` would have returned if called in
-    /// sequence.
-    pub fn deliver_many(
-        &mut self,
-        dst: usize,
-        bufs: &[&[u8]],
-    ) -> Vec<Result<Vec<u8>, FabricError>> {
-        let Some(node) = self.nodes.get_mut(dst) else {
-            return bufs.iter().map(|_| Err(FabricError::NoSuchNode)).collect();
-        };
-        // Stage 1: parse + stock receive checks. Only packets that pass
-        // reach the MAC batch, mirroring `deliver`'s early returns.
-        let staged: Vec<Result<Packet, FabricError>> = bufs
-            .iter()
-            .map(|bytes| {
-                let packet = Packet::parse(bytes)?;
-                let (pkey_ok, _) = node.table.check(packet.bth.pkey);
-                if !pkey_ok {
-                    return Err(FabricError::PKeyViolation);
-                }
-                if !node.policy.admits(&packet) {
-                    return Err(FabricError::PolicyViolation);
-                }
-                Ok(packet)
-            })
-            .collect();
-        // Stage 2: whole-batch tag verification (multi-buffer where the
-        // algorithm allows). Verification is stateless, so order within
-        // the batch cannot change any verdict.
-        let mut verdicts = Vec::new();
-        {
-            let batch: Vec<&Packet> = staged.iter().filter_map(|r| r.as_ref().ok()).collect();
-            node.auth.verify_batch(&batch, &mut verdicts);
-        }
-        // Stage 3: replay windows advance strictly in arrival order.
-        let mut verdicts = verdicts.into_iter();
-        staged
-            .into_iter()
-            .map(|r| {
-                let packet = r?;
-                verdicts.next().expect("one verdict per staged packet")?;
-                if packet.bth.resv8a != 0 {
-                    let flow = (
-                        packet.lrh.slid,
-                        packet.deth.as_ref().map_or(Qpn(0), |d| d.src_qp),
-                    );
-                    let window = node
-                        .replay
-                        .entry(flow)
-                        .or_insert_with(|| ReplayWindow::new(64));
-                    if !window.accept_psn(packet.bth.psn.0) {
-                        return Err(FabricError::Replay);
-                    }
-                }
-                Ok(packet.payload)
-            })
-            .collect()
-    }
-
     /// The number of secrets node `i` holds (observability for examples).
     pub fn key_count(&self, node: usize) -> usize {
         self.nodes[node].auth.keys.len()
@@ -485,63 +422,6 @@ mod tests {
         assert_eq!(f.key_count(0), 2);
         assert_eq!(f.key_count(1), 1);
         assert_eq!(f.key_count(3), 0);
-    }
-
-    /// `deliver_many` is verdict-for-verdict identical to sequential
-    /// `deliver` across a batch mixing good traffic, a replay, a forgery,
-    /// a cross-partition packet, a policy violation, and garbage bytes.
-    #[test]
-    fn deliver_many_matches_sequential_deliver() {
-        for alg in [
-            AuthAlgorithm::Umac32,
-            AuthAlgorithm::Pmac,
-            AuthAlgorithm::HmacSha1,
-        ] {
-            let mk = || {
-                let mut f = SecureFabric::new(4, alg, KeyScope::Partition, 77);
-                f.create_partition(P1, &[0, 1]);
-                f.create_partition(P2, &[0, 2]);
-                f.require_auth_for_partition(P2);
-                f
-            };
-            let (mut f_seq, mut f_bat) = (mk(), mk());
-            let mut bufs: Vec<Vec<u8>> = Vec::new();
-            for i in 0..6u32 {
-                let msg = format!("batch message {i}");
-                bufs.push(
-                    f_seq
-                        .send_datagram(0, 1, P1, QKey(1), msg.as_bytes())
-                        .unwrap(),
-                );
-            }
-            bufs.push(bufs[2].clone()); // replay of an earlier PSN
-            let mut forged = bufs[0].clone();
-            forged[30] ^= 0x40; // payload bit-flip, VCRC now also stale
-            bufs.push(forged);
-            bufs.push(
-                f_seq
-                    .send_datagram(0, 1, P2, QKey(1), b"wrong table")
-                    .unwrap(),
-            );
-            bufs.push(
-                f_seq
-                    .send_unauthenticated(0, 1, P1, QKey(1), b"legacy ok")
-                    .unwrap(),
-            );
-            bufs.push(vec![0xFF; 7]); // unparseable
-                                      // Mirror the sender-side PSN state on the batch twin.
-            for _ in 0..8 {
-                f_bat.next_psn(0, 1);
-            }
-            let expected: Vec<_> = bufs.iter().map(|b| f_seq.deliver(1, b)).collect();
-            let refs: Vec<&[u8]> = bufs.iter().map(|b| &b[..]).collect();
-            assert_eq!(f_bat.deliver_many(1, &refs), expected, "{alg:?}");
-            assert_eq!(
-                f_bat.deliver_many(9, &refs),
-                vec![Err(FabricError::NoSuchNode); refs.len()],
-                "{alg:?}: bad destination"
-            );
-        }
     }
 
     #[test]

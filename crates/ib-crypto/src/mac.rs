@@ -153,23 +153,6 @@ pub enum AnyMac {
 }
 
 impl AnyMac {
-    /// Compute four tags in lockstep. UMAC runs its 4-lane NH kernel
-    /// (see [`crate::umac::Umac::tag32_x4`]); every other algorithm falls
-    /// back to four sequential [`Mac::tag32`] calls. Either way the
-    /// result is bit-identical to four singles.
-    pub fn tag32_x4(&self, nonces: [u64; 4], msgs: [&[u8]; 4]) -> [Tag32; 4] {
-        match self {
-            AnyMac::Umac32(u) => u.tag32_x4(nonces, msgs),
-            _ => {
-                let mut out = [0u32; 4];
-                for (o, (n, m)) in out.iter_mut().zip(nonces.iter().zip(msgs)) {
-                    *o = self.tag32(*n, m);
-                }
-                out
-            }
-        }
-    }
-
     /// Instantiate `alg` with a 16-byte secret key (ignored for `Icrc`).
     pub fn new(alg: AuthAlgorithm, key: &[u8; 16]) -> Self {
         match alg {

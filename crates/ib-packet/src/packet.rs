@@ -277,7 +277,7 @@ impl Packet {
     }
 
     /// Parse a wire buffer into `self`, reusing the payload allocation
-    /// (cleared first, capacity retained) — the batch receive path's
+    /// (cleared first, capacity retained) — the receive path's
     /// allocation-free counterpart to [`Packet::parse`], with identical
     /// validation. On `Err` the packet may be partially overwritten and
     /// must not be trusted.

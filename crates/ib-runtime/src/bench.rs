@@ -1,7 +1,8 @@
-//! Micro-benchmark harness for `harness = false` bench targets.
+//! Micro-benchmark harness for the bench binaries (`mac_table4`,
+//! `sim_engine`).
 //!
-//! Replaces the criterion dependency with the subset the workspace's
-//! benches actually use: named groups, per-benchmark warmup, adaptive
+//! Replaces the criterion dependency with the subset the workspace
+//! actually uses: named groups, per-benchmark warmup, adaptive
 //! batch sizing, summary statistics over timed samples, and optional
 //! bytes/s throughput reporting. Results print as aligned plain text
 //! and serialize to the workspace's standard `BENCH_*.json` document
@@ -20,9 +21,8 @@ use std::time::{Duration, Instant};
 use crate::json::{Json, ToJson};
 use crate::rng::{Rng, Seed};
 
-/// Sampling parameters. `quick()` keeps smoke runs fast; defaults mirror
-/// the criterion settings the benches used (20 samples, ~2 s measurement,
-/// 500 ms warmup).
+/// Sampling parameters. Defaults mirror the criterion settings the
+/// benches used (20 samples, ~2 s measurement, 500 ms warmup).
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
     pub warmup: Duration,
@@ -36,17 +36,6 @@ impl Default for BenchConfig {
             warmup: Duration::from_millis(500),
             measurement: Duration::from_secs(2),
             samples: 20,
-        }
-    }
-}
-
-impl BenchConfig {
-    /// Reduced sampling for smoke tests (`--quick`).
-    pub fn quick() -> Self {
-        BenchConfig {
-            warmup: Duration::from_millis(50),
-            measurement: Duration::from_millis(200),
-            samples: 5,
         }
     }
 }
@@ -163,46 +152,17 @@ fn bootstrap_ci95(samples: &[f64], rng: &mut Rng) -> (f64, f64) {
 /// The top-level harness a bench target's `main` drives.
 pub struct Harness {
     config: BenchConfig,
-    filter: Option<String>,
     results: Vec<Measurement>,
 }
 
 impl Harness {
-    /// Build from CLI arguments: `--quick` shrinks sampling, the first
-    /// non-flag argument becomes a substring filter on benchmark ids
-    /// (criterion's convention). Harness flags cargo may pass
-    /// (`--bench`, `--test`) are ignored.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let filter = args.iter().find(|a| !a.starts_with('-')).cloned();
-        Harness {
-            config: if quick {
-                BenchConfig::quick()
-            } else {
-                BenchConfig::default()
-            },
-            filter,
-            results: Vec::new(),
-        }
-    }
-
-    /// Build with explicit sampling and no id filter. The constructor for
-    /// binaries that parse their own CLI (where `from_args`'s
-    /// first-non-flag-argument-is-a-filter convention would eat flag
-    /// values like `--seed 42`).
+    /// Build with explicit sampling (the bench binaries parse their own
+    /// CLI).
     pub fn new(config: BenchConfig) -> Self {
         Harness {
             config,
-            filter: None,
             results: Vec::new(),
         }
-    }
-
-    /// Override sampling (tests use this to stay fast).
-    pub fn with_config(mut self, config: BenchConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Start a named group of related benchmarks.
@@ -265,11 +225,6 @@ impl Harness {
         )?;
         Ok(path)
     }
-
-    /// Print a closing summary line. Call at the end of `main`.
-    pub fn finish(&self) {
-        println!("\n{} benchmarks measured.", self.results.len());
-    }
 }
 
 /// A group of benchmarks sharing a name prefix and throughput setting.
@@ -287,15 +242,8 @@ impl Group<'_> {
         self
     }
 
-    /// Measure `f`, printing one result line. Skipped (silently) if a CLI
-    /// filter was given and the id doesn't contain it.
+    /// Measure `f`, printing one result line.
     pub fn bench<R>(&mut self, id: &str, mut f: impl FnMut() -> R) -> &mut Self {
-        let full_id = format!("{}/{}", self.name, id);
-        if let Some(filter) = &self.harness.filter {
-            if !full_id.contains(filter.as_str()) {
-                return self;
-            }
-        }
         let cfg = self.harness.config;
 
         // Warmup, and discover a batch size that runs ≳1/10 of a sample
@@ -337,11 +285,6 @@ impl Group<'_> {
     /// them together instead of whichever arm ran last.
     pub fn record(&mut self, id: &str, sample_ns: &[f64]) -> &mut Self {
         let full_id = format!("{}/{}", self.name, id);
-        if let Some(filter) = &self.harness.filter {
-            if !full_id.contains(filter.as_str()) {
-                return self;
-            }
-        }
         let m = measurement_from_samples(full_id, sample_ns, self.throughput_bytes);
         print_measurement(&m);
         self.harness.results.push(m);
@@ -360,19 +303,11 @@ impl Group<'_> {
         bytes_per_iter: u64,
     ) -> &mut Self {
         let full_id = format!("{}/{}", self.name, id);
-        if let Some(filter) = &self.harness.filter {
-            if !full_id.contains(filter.as_str()) {
-                return self;
-            }
-        }
         let m = measurement_from_samples(full_id, sample_ns, Some(bytes_per_iter));
         print_measurement(&m);
         self.harness.results.push(m);
         self
     }
-
-    /// End the group (marker for readability; groups also end on drop).
-    pub fn finish(self) {}
 }
 
 /// Summary statistics over raw per-iteration samples: Tukey-fence outlier
@@ -457,11 +392,7 @@ mod tests {
 
     #[test]
     fn measures_something_sane() {
-        let mut h = Harness {
-            config: tiny(),
-            filter: None,
-            results: Vec::new(),
-        };
+        let mut h = Harness::new(tiny());
         let data = vec![1u64; 1024];
         h.group("sum")
             .throughput_bytes(8 * 1024)
@@ -503,20 +434,6 @@ mod tests {
         let a = h.results()[0].bytes_per_sec().unwrap();
         let b = h.results()[1].bytes_per_sec().unwrap();
         assert!((a / b - 1.0).abs() < 0.15, "{a} vs {b}");
-    }
-
-    #[test]
-    fn filter_skips_nonmatching() {
-        let mut h = Harness {
-            config: tiny(),
-            filter: Some("match-me".into()),
-            results: Vec::new(),
-        };
-        h.group("g")
-            .bench("other", || 1)
-            .bench("match-me-too", || 2);
-        assert_eq!(h.results().len(), 1);
-        assert_eq!(h.results()[0].id, "g/match-me-too");
     }
 
     #[test]

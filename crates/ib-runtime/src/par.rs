@@ -204,108 +204,22 @@ pub fn global_pool(workers: usize) -> &'static WorkerPool {
     })
 }
 
-/// Run `f` over every item on its own scoped thread, returning results in
-/// input order. Suited to coarse work items (a full simulation run per
-/// item); for fine-grained items prefer [`scope_map_bounded`].
-///
-/// Panics propagate: if any worker panics, the panic resurfaces here.
-pub fn scope_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, item) in results.iter_mut().zip(items) {
-            let f = &f;
-            scope.spawn(move || {
-                *slot = Some(f(item));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("scope_map: every worker fills its slot"))
-        .collect()
-}
-
-/// Like [`scope_map`], but with at most `threads` workers, each owning a
-/// contiguous chunk of items — for sweeps with many more items than cores.
-pub fn scope_map_bounded<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut remaining = items;
-    while !remaining.is_empty() {
-        let tail = remaining.split_off(chunk.min(remaining.len()));
-        chunks.push(std::mem::replace(&mut remaining, tail));
-    }
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for (slots, chunk_items) in results.chunks_mut(chunk).zip(chunks) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in slots.iter_mut().zip(chunk_items) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("scope_map_bounded: every slot filled"))
-        .collect()
-}
-
-/// Like [`scope_map_bounded`], but with dynamic scheduling: `threads`
-/// workers pull the next unclaimed index from a shared atomic cursor, so
-/// expensive items (an attack-active simulation cell costs many times an
-/// idle one) don't straggle behind a static chunk assignment. Each worker
-/// writes into the claimed item's pre-sized result slot, so output order —
-/// and thus every order-sensitive fold over the results — is bit-identical
-/// to the serial map regardless of which worker ran which item.
+/// Run `f` over every item on at most `threads` workers, returning
+/// results in input order. Scheduling is dynamic: workers pull the next
+/// unclaimed index from a shared atomic cursor, so expensive items (an
+/// attack-active simulation cell costs many times an idle one) don't
+/// straggle behind a static chunk assignment. Each worker writes into the
+/// claimed item's pre-sized result slot, so output order — and thus every
+/// order-sensitive fold over the results — is bit-identical to the serial
+/// map regardless of which worker ran which item.
 ///
 /// Runs on the process-wide [`WorkerPool`] when it is free and large
-/// enough, eliminating the per-call spawn overhead the `sim_engine` bench
-/// measures; otherwise (pool busy, request larger than the pool, or
-/// called from inside a pool worker) it spawns scoped threads exactly as
-/// before. Both paths produce identical results.
+/// enough, so repeated sweeps pay no per-call spawn; otherwise (pool busy,
+/// request larger than the pool, or called from inside a pool worker) it
+/// spawns scoped threads. Both paths produce identical results.
 ///
 /// Panics propagate: if any worker panics, the panic resurfaces here.
 pub fn scope_map_dynamic<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    dynamic_over(items, threads, f, true)
-}
-
-/// The pre-pool implementation of [`scope_map_dynamic`]: always spawns
-/// scoped threads for the call. Kept callable so the `sim_engine` bench
-/// can measure the pool's dispatch advantage against it.
-pub fn scope_map_dynamic_spawning<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    dynamic_over(items, threads, f, false)
-}
-
-fn dynamic_over<T, R, F>(items: Vec<T>, threads: usize, f: F, use_pool: bool) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -339,7 +253,7 @@ where
     // Nested calls from a pool worker must not touch the pool: the outer
     // broadcast's gate is held until this worker returns, so waiting on it
     // here would deadlock.
-    let pooled = use_pool && !IN_POOL_WORKER.with(|f| f.get()) && {
+    let pooled = !IN_POOL_WORKER.with(|f| f.get()) && {
         let pool = global_pool(workers);
         pool.threads() >= workers
             && pool.try_broadcast(&|w| {
@@ -366,9 +280,10 @@ where
         .collect()
 }
 
-/// A sensible worker count for the bounded sweeps: the `IB_THREADS` env
-/// var when set to a positive integer (CI and benchmarking control),
-/// otherwise the machine's available parallelism, falling back to 4.
+/// A sensible worker count for [`scope_map_dynamic`] sweeps: the
+/// `IB_THREADS` env var when set to a positive integer (CI and
+/// benchmarking control), otherwise the machine's available parallelism,
+/// falling back to 4.
 pub fn default_threads() -> usize {
     if let Some(n) = std::env::var("IB_THREADS")
         .ok()
@@ -388,13 +303,14 @@ mod tests {
 
     #[test]
     fn maps_in_order() {
-        let out = scope_map(vec![1u64, 2, 3, 4, 5], |x| x * x);
+        // One worker per item: the thread-per-item shape.
+        let out = scope_map_dynamic(vec![1u64, 2, 3, 4, 5], 5, |x| x * x);
         assert_eq!(out, vec![1, 4, 9, 16, 25]);
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u32> = scope_map(Vec::<u32>::new(), |x| x);
+        let out: Vec<u32> = scope_map_dynamic(Vec::<u32>::new(), 1, |x| x);
         assert!(out.is_empty());
     }
 
@@ -405,7 +321,7 @@ mod tests {
         // Two workers that each wait for the other to have started: only
         // completes if both run at once.
         let started = AtomicUsize::new(0);
-        let out = scope_map(vec![0, 1], |i| {
+        let out = scope_map_dynamic(vec![0, 1], 2, |i| {
             started.fetch_add(1, Ordering::SeqCst);
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while started.load(Ordering::SeqCst) < 2 {
@@ -418,18 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn bounded_matches_unbounded() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq = scope_map_bounded(items.clone(), 1, |x| x * 3);
-        let par = scope_map_bounded(items.clone(), 8, |x| x * 3);
-        let unb = scope_map(items, |x| x * 3);
-        assert_eq!(seq, par);
-        assert_eq!(par, unb);
-    }
-
-    #[test]
     fn bounded_with_more_threads_than_items() {
-        let out = scope_map_bounded(vec![7u32, 8], 64, |x| x + 1);
+        let out = scope_map_dynamic(vec![7u32, 8], 64, |x| x + 1);
         assert_eq!(out, vec![8, 9]);
     }
 
@@ -522,14 +428,6 @@ mod tests {
                 .sum::<u64>()
         });
         assert_eq!(out, (0..8).map(|x| 4 * x + 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn spawning_variant_matches_pooled() {
-        let items: Vec<u64> = (0..64).collect();
-        let pooled = scope_map_dynamic(items.clone(), 4, |x| x * 7 + 1);
-        let spawned = scope_map_dynamic_spawning(items, 4, |x| x * 7 + 1);
-        assert_eq!(pooled, spawned);
     }
 
     #[test]

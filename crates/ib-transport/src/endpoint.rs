@@ -78,13 +78,18 @@
 //! a bounded recycle pool. Once the template payload capacity and the
 //! pool are warm, [`SecureRcEndpoint::poll_into`] performs no heap
 //! allocation.
+//!
+//! The receive side mirrors it: [`SecureRcEndpoint::handle_wire`] parses
+//! every arrival into one reused packet shell ([`Packet::parse_into`]),
+//! so an ACK costs no allocation and a data packet costs one — the buffer
+//! handed to the application.
 
 use std::collections::{HashMap, VecDeque};
 
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn, Qpn, RKey};
 use ib_packet::{Aeth, AethKind, NakCode, OpCode, Operation, Packet, PacketBuilder, Reth};
-use ib_security::{Admit, ChannelError, ChannelSecurity, SecureChannel};
+use ib_security::{Admit, ChannelSecurity, SecureChannel};
 use ib_sim::SimTime;
 
 use crate::config::{RcConfig, RetransmitMode};
@@ -155,6 +160,10 @@ pub struct SecureRcEndpoint {
     tx_pkt: Packet,
     /// Sealed ACK/NAK/RNR template: only PSN / AETH / seal change.
     ack_pkt: Packet,
+    /// Receive shell [`Self::handle_wire`] parses every arrival into, so
+    /// the payload allocation lives across packets. `None` only while
+    /// `handle_wire` has it out.
+    rx_pkt: Option<Packet>,
     /// Recycled wire buffers (see [`Self::recycle`]).
     pool: Vec<Vec<u8>>,
     outbox: VecDeque<Vec<u8>>,
@@ -176,11 +185,6 @@ pub struct SecureRcEndpoint {
     /// Selective repeat: segments received ahead of the expected PSN,
     /// keyed by PSN, already past the replay window.
     ooo: HashMap<u32, StoredSeg>,
-    /// Reused parsed-packet pool for [`Self::poll_batch`] (payload
-    /// allocations live across calls).
-    rx_batch: Vec<Packet>,
-    /// Reused integrity-verdict scratch for [`Self::poll_batch`].
-    rx_verdicts: Vec<Result<(), ChannelError>>,
     /// Transport/security counters, readable at any time.
     pub stats: EndpointStats,
 }
@@ -234,6 +238,7 @@ impl SecureRcEndpoint {
             channel,
             qp: RcQp::new(cfg),
             tx_pkt,
+            rx_pkt: Some(ack_pkt.clone()),
             ack_pkt,
             pool: Vec::new(),
             outbox: VecDeque::new(),
@@ -246,8 +251,6 @@ impl SecureRcEndpoint {
             memory: Vec::new(),
             rkey: None,
             ooo: HashMap::new(),
-            rx_batch: Vec::new(),
-            rx_verdicts: Vec::new(),
             stats: EndpointStats::default(),
         }
     }
@@ -423,66 +426,37 @@ impl SecureRcEndpoint {
         }
     }
 
-    /// Process one arriving wire buffer.
+    /// Process one arriving wire buffer: parse into the reused shell,
+    /// then route to the ACK or data state machine. Dispatch is by opcode,
+    /// not AETH presence: read responses carry an AETH yet their PSNs live
+    /// in the peer's *data* sequence space.
     pub fn handle_wire(&mut self, now: SimTime, bytes: &[u8]) {
         self.channel.advance_time(now);
-        let Ok(packet) = Packet::parse(bytes) else {
+        // Taken out of `self` so the handlers can borrow both. A shell
+        // left half-overwritten by a failed parse is fully rewritten by
+        // the next successful one.
+        let mut packet = self.rx_pkt.take().expect("shell is put back below");
+        if packet.parse_into(bytes).is_err() {
             self.stats.parse_drops += 1;
-            return;
-        };
-        let pre = self.channel.precheck(&packet);
-        self.dispatch(now, &packet, pre);
+        } else if packet.bth.opcode.operation == Operation::Acknowledge {
+            self.handle_ack(now, &packet);
+        } else {
+            self.handle_data(now, &packet);
+        }
+        self.rx_pkt = Some(packet);
     }
 
-    /// Process a batch of arriving wire buffers, then collect outbound
-    /// traffic — the one-dispatch receive path. All buffers are parsed
-    /// into a reused packet pool, the whole batch's integrity (VCRC +
-    /// MAC) is pre-verified through the channel's multi-buffer kernels,
-    /// and then the exact per-packet receive state machine runs in
-    /// arrival order, so verdicts, stats, and replies are identical to
-    /// calling [`Self::handle_wire`] per buffer followed by
-    /// [`Self::poll_into`]. With warm pools, steady state allocates
-    /// nothing.
+    /// [`Self::handle_wire`] per buffer, then [`Self::poll_into`]. Kept
+    /// only because the frozen `benchmark/` package probes it by name.
     pub fn poll_batch(&mut self, now: SimTime, inbound: &[&[u8]], out: &mut Vec<Vec<u8>>) {
-        self.channel.advance_time(now);
-        let mut parsed = std::mem::take(&mut self.rx_batch);
-        let mut verdicts = std::mem::take(&mut self.rx_verdicts);
-        let mut n = 0;
         for bytes in inbound {
-            if n == parsed.len() {
-                // Pool growth: a fresh reusable packet shell.
-                parsed.push(PacketBuilder::new(OpCode::RC_ACKNOWLEDGE).ack(0, 0).build());
-            }
-            match parsed[n].parse_into(bytes) {
-                Ok(()) => n += 1,
-                Err(_) => self.stats.parse_drops += 1,
-            }
+            self.handle_wire(now, bytes);
         }
-        // Whole-batch integrity pre-pass (uncounted): the MAC work happens
-        // here, four packets per dispatch where the kernels allow.
-        self.channel.precheck_batch(&parsed[..n], &mut verdicts);
-        for (packet, pre) in parsed[..n].iter().zip(&verdicts) {
-            self.dispatch(now, packet, *pre);
-        }
-        self.rx_batch = parsed;
-        self.rx_verdicts = verdicts;
         self.poll_into(now, out);
     }
 
-    /// Route one parsed packet (with its uncounted integrity verdict) to
-    /// the ACK or data state machine. Dispatch is by opcode, not AETH
-    /// presence: read responses carry an AETH yet their PSNs live in the
-    /// peer's *data* sequence space.
-    fn dispatch(&mut self, now: SimTime, packet: &Packet, pre: Result<(), ChannelError>) {
-        if packet.bth.opcode.operation == Operation::Acknowledge {
-            self.handle_ack(now, packet, pre);
-        } else {
-            self.handle_data(now, packet, pre);
-        }
-    }
-
-    fn handle_ack(&mut self, now: SimTime, packet: &Packet, pre: Result<(), ChannelError>) {
-        if self.channel.verify_only_prechecked(pre).is_err() {
+    fn handle_ack(&mut self, now: SimTime, packet: &Packet) {
+        if self.channel.verify_only(packet).is_err() {
             return; // forged or corrupted ACK: counted in channel stats
         }
         let Some(kind) = packet.aeth.as_ref().and_then(Aeth::kind) else {
@@ -504,7 +478,7 @@ impl SecureRcEndpoint {
         }
     }
 
-    fn handle_data(&mut self, now: SimTime, packet: &Packet, pre: Result<(), ChannelError>) {
+    fn handle_data(&mut self, now: SimTime, packet: &Packet) {
         let psn = packet.bth.psn.0;
         let op = packet.bth.opcode.operation;
         match self.qp.rx_classify(psn) {
@@ -515,7 +489,7 @@ impl SecureRcEndpoint {
                     // The sender will NOT resend this PSN (the NAK names
                     // only the missing one), so record it in the replay
                     // window now and buffer the segment for the drain.
-                    match self.channel.admit_prechecked(packet, pre) {
+                    match self.channel.admit(packet) {
                         Ok(Admit::Fresh) => {
                             self.stats.ooo_buffered += 1;
                             self.ooo.insert(
@@ -557,7 +531,7 @@ impl SecureRcEndpoint {
                     self.queue_reply(reply);
                     return;
                 }
-                match self.channel.admit_prechecked(packet, pre) {
+                match self.channel.admit(packet) {
                     Ok(Admit::Fresh) => {
                         self.accept_and_drain(now, op, packet.reth, packet.payload.clone());
                     }
@@ -573,7 +547,7 @@ impl SecureRcEndpoint {
                 }
             }
             RxClass::Behind => {
-                match self.channel.admit_prechecked(packet, pre) {
+                match self.channel.admit(packet) {
                     Ok(Admit::Fresh) => {
                         // No replay window to remember the delivery: an
                         // already-received packet is accepted AGAIN. This
@@ -875,102 +849,6 @@ mod tests {
         assert_eq!(b.take_delivered(), vec![msg]);
         assert_eq!(b.stats.delivered, 1);
         assert_eq!(b.rx_msn(), 1, "four segments, one MSN");
-    }
-
-    /// The batch receive path must be observationally identical to the
-    /// sequential one: one connection pumped with `handle_wire`+`poll`,
-    /// a twin pumped with `poll_batch`, same traffic (including drops,
-    /// replays, and corruption) — same deliveries, stats, and channel
-    /// counters at the end.
-    #[test]
-    fn poll_batch_matches_sequential_handling() {
-        for arm in ChannelSecurity::ALL {
-            let (mut a_seq, mut b_seq) = pair(arm, RcConfig::default());
-            let (mut a_bat, mut b_bat) = pair(arm, RcConfig::default());
-            let mtu = RcConfig::default().mtu;
-            for ep in [&mut a_seq, &mut a_bat] {
-                ep.post((0..mtu * 2 + 5).map(|i| (i * 3) as u8).collect());
-                ep.post(vec![0x42; 64]);
-                ep.post(vec![0x43; 900]);
-            }
-            // Uniform round: feed pending b→a traffic and poll the sender,
-            // mangle its output, feed that to the receiver and poll it —
-            // so one poll_batch call mirrors handle_wire* + poll exactly.
-            let mangle = |round: usize, wire: &[Vec<u8>]| -> Vec<Vec<u8>> {
-                match round {
-                    1 => wire.iter().skip(1).cloned().collect(), // drop one
-                    2 => wire
-                        .iter()
-                        .cloned()
-                        .chain(wire.first().cloned()) // replay one
-                        .collect(),
-                    3 => wire
-                        .iter()
-                        .cloned()
-                        .map(|mut b| {
-                            if let Some(x) = b.get_mut(20) {
-                                *x ^= 0x10; // line corruption
-                            }
-                            b
-                        })
-                        .collect(),
-                    _ => wire.to_vec(),
-                }
-            };
-            let mut now = 0;
-            let mut to_a: Vec<Vec<u8>> = Vec::new();
-            let (mut a_out2, mut b_out2) = (Vec::new(), Vec::new());
-            for round in 0..10_000 {
-                // Sequential twin.
-                for bytes in &to_a {
-                    a_seq.handle_wire(now, bytes);
-                }
-                let a_out = a_seq.poll(now);
-                let deliver = mangle(round, &a_out);
-                for bytes in &deliver {
-                    b_seq.handle_wire(now, bytes);
-                }
-                let b_out = b_seq.poll(now);
-
-                // Batch twin: identical traffic, one dispatch per side.
-                a_out2.clear();
-                b_out2.clear();
-                let refs: Vec<&[u8]> = to_a.iter().map(|b| &b[..]).collect();
-                a_bat.poll_batch(now, &refs, &mut a_out2);
-                assert_eq!(a_out2, a_out, "{arm:?} round {round}: sender wire");
-                let deliver2 = mangle(round, &a_out2);
-                let refs: Vec<&[u8]> = deliver2.iter().map(|b| &b[..]).collect();
-                b_bat.poll_batch(now, &refs, &mut b_out2);
-                assert_eq!(b_out2, b_out, "{arm:?} round {round}: receiver wire");
-
-                to_a = b_out;
-                if a_seq.tx_idle()
-                    && to_a.is_empty()
-                    && a_seq.next_deadline().is_none()
-                    && b_seq.next_deadline().is_none()
-                {
-                    break;
-                }
-                now = a_seq
-                    .next_deadline()
-                    .into_iter()
-                    .chain(b_seq.next_deadline())
-                    .min()
-                    .map_or(now + US, |d| d.max(now + US));
-            }
-            assert_eq!(
-                b_bat.take_delivered(),
-                b_seq.take_delivered(),
-                "{arm:?}: deliveries"
-            );
-            assert_eq!(b_bat.stats, b_seq.stats, "{arm:?}: endpoint stats");
-            assert_eq!(
-                b_bat.channel().stats,
-                b_seq.channel().stats,
-                "{arm:?}: channel stats"
-            );
-            assert_eq!(a_bat.stats, a_seq.stats, "{arm:?}: sender stats");
-        }
     }
 
     #[test]

@@ -471,13 +471,11 @@ pub fn run_fabric_sim(cfg: &FabricSimConfig) -> FabricReport {
             timed_out = done_at.is_none();
             break;
         }
-        if let Some(done) = done_at {
-            // Transfer complete: drain in-flight and pending replays so
-            // the window still judges them, then stop.
-            let drain_until = done + cfg.replay_delay + REPLAY_DRAIN_GRACE;
-            if now >= drain_until && pending.is_empty() {
-                break;
-            }
+        // Transfer complete: drain in-flight and pending replays so the
+        // window still judges them, then stop.
+        let drain_until = done_at.map(|done| done + cfg.replay_delay + REPLAY_DRAIN_GRACE);
+        if drain_until.is_some_and(|t| now >= t) && pending.is_empty() {
+            break;
         }
 
         // Fabric advances to the next delivery, endpoint deadline, replay
@@ -492,8 +490,10 @@ pub fn run_fabric_sim(cfg: &FabricSimConfig) -> FabricReport {
         if let Some((t, _)) = pending.front() {
             target = target.min(*t);
         }
-        if let Some(done) = done_at {
-            target = target.min(done + cfg.replay_delay + REPLAY_DRAIN_GRACE);
+        // Only a future horizon is a scheduling target; a past one (waiting
+        // on a pending replay) must not collapse the step to 1 ps.
+        if let Some(t) = drain_until.filter(|&t| t > now) {
+            target = target.min(t);
         }
         let target = target.max(now + 1);
         let t = sim.run_hosts_until(target);
@@ -609,6 +609,23 @@ mod tests {
             assert_eq!(r.replays_admitted, 0, "{op:?}");
             assert_eq!(r.payload_mismatches, 0, "{op:?}");
         }
+    }
+
+    /// Regression: a replay still pending after the drain horizon used to
+    /// pin the scheduling target in the past, stepping 1 ps at a time
+    /// (~2 × 10⁸ iterations per 200 µs of replay delay).
+    #[test]
+    fn late_replay_past_the_drain_horizon_does_not_spin() {
+        let mut cfg = base(RdmaOp::Send);
+        // Every arrival at the tap is re-captured, replays included, so a
+        // replay is always pending and the run ends at `max_sim_time`.
+        cfg.replay_every = 1;
+        cfg.replay_delay = 200 * US;
+        cfg.max_sim_time = 4 * MS;
+        let r = run_fabric_sim(&cfg);
+        assert_eq!(r.delivered, r.expected);
+        assert!(r.replays_injected > 0);
+        assert_eq!(r.replays_admitted, 0);
     }
 
     #[test]

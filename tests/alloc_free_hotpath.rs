@@ -1,8 +1,9 @@
 //! The PR's zero-allocation claim, enforced: once caches, scratch
 //! buffers, and the endpoint's buffer pool are warm, the steady-state
-//! tag / verify / seal / send paths perform **no heap allocation at
-//! all** — counted by a wrapping global allocator, not argued from
-//! inspection.
+//! tag / verify / seal / send / ACK-receive paths perform **no heap
+//! allocation at all**, and data receive allocates only the buffer it
+//! hands the application — counted by a wrapping global allocator, not
+//! argued from inspection.
 //!
 //! Everything lives in a single `#[test]` so no sibling test thread can
 //! allocate concurrently and pollute the counter.
@@ -123,26 +124,6 @@ fn steady_state_hot_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "channel seal+admit steady state");
 
-    // --- batched admission (admit_many) -----------------------------
-    // Same verdict stream as the loop above, one dispatch: the batch
-    // scratch (verdict vectors) reaches capacity during warmup and the
-    // SIMD pre-pass works in-place after that.
-    let batch_tx = SecureChannel::new(ChannelSecurity::AuthReplay, PKEY, secret, 64);
-    let mut batch_rx = SecureChannel::new(ChannelSecurity::AuthReplay, PKEY, secret, 64);
-    let mut batch: Vec<Packet> = (0..ROUNDS).map(|i| data_packet(i, 512)).collect();
-    let mut verdicts = Vec::new();
-    let mut batch_psn = 0u32;
-    let n = steady_state_allocs(|| {
-        for pkt in batch.iter_mut() {
-            pkt.bth.psn = Psn(batch_psn);
-            batch_psn += 1;
-            batch_tx.seal(pkt).unwrap();
-        }
-        batch_rx.admit_many(&batch, &mut verdicts);
-        assert!(verdicts.iter().all(|v| matches!(v, Ok(Admit::Fresh))));
-    });
-    assert_eq!(n, 0, "admit_many steady state");
-
     // --- AEAD seal + open (in-place, tag-only expansion) ------------
     let aead = ib_crypto::AesGcm32::new(&[0x42; 16]);
     let mut sealed = vec![0x5A; 512];
@@ -215,30 +196,33 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_eq!(out.len(), ROUNDS as usize, "whole burst fits the window");
     assert_eq!(n, 0, "endpoint post+poll_into steady state");
 
-    // --- endpoint batched receive (poll_batch) ----------------------
-    // The data burst from `a` above crosses to `b` as one batch, and the
-    // resulting ACK burst comes back to `a` as one batch. The measured
-    // region is the sender consuming the ACK batch: parse into pooled
-    // shells, one batched MAC pre-pass, per-packet dispatch, poll tail —
-    // all on warm scratch. (The data direction hands each delivered
-    // message to the application as a fresh buffer by contract, exactly
-    // like `post`'s payloads on the way in, so it is warmup here.)
+    // --- endpoint receive path (handle_wire) ------------------------
+    // Data direction: the burst from `a` above crosses to `b` one buffer
+    // per arrival. Each packet parses into the endpoint's reused shell,
+    // so the only allocation left is the delivered buffer handed to the
+    // application (by contract a fresh `Vec`, like `post`'s payloads on
+    // the way in).
+    let before = allocs();
+    for bytes in &out {
+        b.handle_wire(now, bytes);
+    }
+    let n = allocs() - before;
+    assert_eq!(b.take_delivered().len(), ROUNDS as usize);
+    assert!(
+        n <= u64::from(ROUNDS),
+        "endpoint handle_wire (data): {n} allocations for {ROUNDS} packets"
+    );
+    // ACK direction: nothing is handed to the application, so nothing
+    // allocates. Cumulative ACKs are idempotent, so replaying the burst
+    // walks the same parse/verify/QP path as the first pass.
     let mut acks: Vec<Vec<u8>> = Vec::new();
-    let data_refs: Vec<&[u8]> = out.iter().map(|w| w.as_slice()).collect();
-    b.poll_batch(now, &data_refs, &mut acks);
-    b.take_delivered();
-    assert_eq!(acks.len(), ROUNDS as usize, "one ACK per unsealed packet");
-    let mut ack_out: Vec<Vec<u8>> = Vec::new();
-    let ack_refs: [&[u8]; ROUNDS as usize] = std::array::from_fn(|i| acks[i].as_slice());
-    // Warm once with the full batch so `a`'s shell pool and verdict
-    // scratch reach batch capacity, then measure a second full pass.
-    // Cumulative ACKs are idempotent, so the duplicate batch walks the
-    // same parse/precheck/dispatch path as the first.
-    a.poll_batch(now, &ack_refs, &mut ack_out);
-    assert!(a.tx_idle(), "the ACK batch cleared the in-flight window");
+    b.poll_into(now, &mut acks);
+    assert_eq!(acks.len(), ROUNDS as usize, "one ACK per data packet");
     let n = steady_state_allocs(|| {
-        ack_out.clear();
-        a.poll_batch(now, &ack_refs, &mut ack_out);
+        for ack in &acks {
+            a.handle_wire(now, ack);
+        }
     });
-    assert_eq!(n, 0, "endpoint poll_batch (ACK batch) steady state");
+    assert!(a.tx_idle(), "the ACK burst cleared the in-flight window");
+    assert_eq!(n, 0, "endpoint handle_wire (ACK) steady state");
 }
