@@ -369,9 +369,7 @@ mod tests {
         let payload_off = 8 + 12 + 8; // LRH + BTH + DETH
         wire[payload_off] ^= 0x01;
         let n = wire.len();
-        let mut c = ib_crypto::crc::Crc16::new();
-        c.update(&wire[..n - 2]);
-        let v = c.finalize();
+        let v = ib_crypto::crc16_iba(&wire[..n - 2]);
         wire[n - 2..].copy_from_slice(&v.to_be_bytes());
         assert_eq!(
             f.deliver(1, &wire),

@@ -11,11 +11,18 @@
 //!   `x^16 + x^12 + x^3 + x + 1` (`0x100B`), seeded with `0xFFFF`.
 //!
 //! Several implementations are provided for each width: a bitwise reference
-//! (the definition), a 256-entry byte table, and slice-by-4 / slice-by-8
-//! tables for the 32-bit CRC (the variants a 10 Gbps "multistage" hardware
-//! generator like the one cited in the paper's Table 4 parallelizes). The
-//! table variants are cross-checked against the bitwise reference by unit
-//! and property tests.
+//! (the definition), slice-by-8 tables as the portable kernel (8 bytes per
+//! step — the recurrence a 10 Gbps "multistage" hardware generator like the
+//! one cited in the paper's Table 4 parallelizes further), and
+//! `update_auto`, which hands buffers of at least
+//! [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes to the PCLMULQDQ carry-less
+//! folding kernel when the CPU has it. Both widths share that one kernel
+//! (the VCRC rides it as `P·x^16`, see [`crate::simd::crc`]); the 32-bit
+//! CRC additionally keeps its byte-table and slice-by-4 forms as Table 4
+//! arms. Every variant is cross-checked against the bitwise reference by
+//! unit and property tests.
+
+use crate::simd::crc::{fold_blocks, CRC16_IBA_FOLD, CRC32_IEEE_FOLD};
 
 /// Reflected IEEE 802.3 polynomial (0x04C11DB7 bit-reversed).
 pub const CRC32_POLY_REFLECTED: u32 = 0xEDB8_8320;
@@ -100,8 +107,6 @@ const fn build_crc16_table() -> [u16; 256] {
 
 /// Byte-at-a-time CRC-32 lookup table (compile-time generated).
 pub static CRC32_TABLE: [u32; 256] = build_crc32_table();
-/// Byte-at-a-time CRC-16 lookup table (compile-time generated).
-pub static CRC16_TABLE: [u16; 256] = build_crc16_table();
 
 const fn build_crc32_slice4() -> [[u32; 256]; 4] {
     let t0 = build_crc32_table();
@@ -142,6 +147,27 @@ const fn build_crc32_slice8() -> [[u32; 256]; 8] {
 }
 
 static CRC32_SLICE8: [[u32; 256]; 8] = build_crc32_slice8();
+
+const fn build_crc16_slice8() -> [[u16; 256]; 8] {
+    let t0 = build_crc16_table();
+    let mut tables = [[0u16; 256]; 8];
+    tables[0] = t0;
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = t0[i];
+        let mut k = 1;
+        while k < 8 {
+            crc = t0[(crc & 0xFF) as usize] ^ (crc >> 8);
+            tables[k][i] = crc;
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+}
+
+/// `[0]` is the byte-at-a-time table; `[k]` advances it over `k` zero bytes.
+static CRC16_SLICE8: [[u16; 256]; 8] = build_crc16_slice8();
 
 /// Incremental CRC-32 engine (reflected IEEE 802.3).
 ///
@@ -226,19 +252,17 @@ impl Crc32 {
     }
 
     /// Feed `data` through the fastest kernel available at runtime:
-    /// PCLMULQDQ carry-less folding for buffers of at least
-    /// [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes when the CPU supports
-    /// it (and `IB_SIMD=off` is not set), slice-by-8 otherwise. CRC is
-    /// linear over GF(2), so the result is bit-identical to
-    /// [`Crc32::update_slice8`] on every input and split.
+    /// PCLMULQDQ carry-less folding over the whole 16-byte blocks of
+    /// buffers of at least [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes
+    /// when the CPU supports it (and `IB_SIMD=off` is not set),
+    /// slice-by-8 for the tail and otherwise. CRC is linear over GF(2),
+    /// so the result is bit-identical to [`Crc32::update_slice8`] on
+    /// every input and split.
     #[inline]
     pub fn update_auto(&mut self, data: &[u8]) -> &mut Self {
-        if data.len() >= crate::simd::crc::PCLMUL_MIN_LEN && crate::simd::caps().pclmul {
-            self.state = crate::simd::crc::crc32_fold_update(self.state, data);
-            self
-        } else {
-            self.update_slice8(data)
-        }
+        let (state, tail) = fold_blocks(self.state, data, &CRC32_IEEE_FOLD);
+        self.state = state;
+        self.update_slice8(tail)
     }
 
     /// Final CRC value (state complemented). Does not consume the engine, so
@@ -268,15 +292,43 @@ impl Crc16 {
         Crc16 { state: 0xFFFF }
     }
 
-    /// Feed `data` through the byte-table implementation.
+    /// Feed `data` through the slice-by-8 implementation (8 bytes per
+    /// step, byte table for the tail) — the portable kernel.
     #[inline]
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         let mut crc = self.state;
-        for &b in data {
-            crc = CRC16_TABLE[((crc ^ b as u16) & 0xFF) as usize] ^ (crc >> 8);
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            // Only the first two bytes meet the 16-bit register; the
+            // other six enter the recurrence as plain table lookups.
+            crc = CRC16_SLICE8[7][(c[0] ^ crc as u8) as usize]
+                ^ CRC16_SLICE8[6][(c[1] ^ (crc >> 8) as u8) as usize]
+                ^ CRC16_SLICE8[5][c[2] as usize]
+                ^ CRC16_SLICE8[4][c[3] as usize]
+                ^ CRC16_SLICE8[3][c[4] as usize]
+                ^ CRC16_SLICE8[2][c[5] as usize]
+                ^ CRC16_SLICE8[1][c[6] as usize]
+                ^ CRC16_SLICE8[0][c[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = CRC16_SLICE8[0][((crc ^ b as u16) & 0xFF) as usize] ^ (crc >> 8);
         }
         self.state = crc;
         self
+    }
+
+    /// Feed `data` through the fastest kernel available at runtime, by
+    /// the same rule as [`Crc32::update_auto`]: carry-less folding for
+    /// the whole 16-byte blocks of a long enough buffer, slice-by-8 for
+    /// the rest. Bit-identical to [`Crc16::update`] on every input and
+    /// split.
+    #[inline]
+    pub fn update_auto(&mut self, data: &[u8]) -> &mut Self {
+        let (state, tail) = fold_blocks(self.state as u32, data, &CRC16_IBA_FOLD);
+        // The P·x^16 embedding keeps the register in the low 16 bits.
+        debug_assert!(state <= 0xFFFF);
+        self.state = state as u16;
+        self.update(tail)
     }
 
     /// Final VCRC value (no complement, per IBA spec).
@@ -310,12 +362,10 @@ pub fn crc32_ieee_slice8(data: &[u8]) -> u32 {
     c.finalize()
 }
 
-/// One-shot IBA VCRC CRC-16 over `data`.
+/// One-shot IBA VCRC CRC-16 over `data` (fastest kernel available).
 #[inline]
 pub fn crc16_iba(data: &[u8]) -> u16 {
-    let mut c = Crc16::new();
-    c.update(data);
-    c.finalize()
+    Crc16::new().update_auto(data).finalize()
 }
 
 #[cfg(test)]
@@ -394,6 +444,22 @@ mod tests {
             assert_eq!(crc16_bitwise(&[b]), crc16_iba(&[b]), "byte {b}");
         }
         assert_eq!(crc16_bitwise(b"123456789"), crc16_iba(b"123456789"));
+    }
+
+    #[test]
+    fn crc16_slice8_matches_bitwise_all_lengths_and_splits() {
+        // Every length 0..64 exercises each remainder class of the 8-byte
+        // main loop plus the byte-table tail; every split re-enters the
+        // main loop with a live register.
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 131 + 17) as u8).collect();
+        for len in 0..=data.len() {
+            let want = crc16_bitwise(&data[..len]);
+            for split in 0..=len {
+                let mut c = Crc16::new();
+                c.update(&data[..split]).update(&data[split..len]);
+                assert_eq!(c.finalize(), want, "len {len} split {split}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Corpus-backed equivalence properties for the vectorized datapath.
 //!
-//! Every dispatched kernel — CRC-32 slicing/folding, the NH SSE2/AVX2
+//! Every dispatched kernel — CRC-32/CRC-16 slicing/folding, the NH SSE2/AVX2
 //! lanes and the 4-buffer lockstep variant, the GHASH multipliers, the
 //! AES-NI block batches, and the AEAD arm built on all of them — must be
 //! **byte-identical** to its portable scalar oracle for arbitrary
@@ -15,9 +15,10 @@
 //! dispatch plumbing instead — they are meaningful in both worlds.
 
 use ib_crypto::aes::Aes128;
+use ib_crypto::crc::{crc16_bitwise, crc32_bitwise};
 use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
 use ib_crypto::simd::{gf128, nh};
-use ib_crypto::{AesGcm32, Crc32, Umac};
+use ib_crypto::{AesGcm32, Crc16, Crc32, Umac};
 use ib_runtime::check;
 
 /// Exclusive length bound: past the largest (jumbo-ish) MTU the paper's
@@ -27,7 +28,7 @@ const MAX_LEN: usize = 9001;
 #[test]
 fn crc_kernels_match_bitwise_reference() {
     check::run(
-        "simd-eq: crc32 slice4/slice8/auto == bitwise, any split",
+        "simd-eq: crc32 slice4/slice8/auto and crc16 slice8/auto == bitwise, any split",
         64,
         |g| (g.bytes(0..MAX_LEN), g.u64()),
         |(b, s)| {
@@ -37,11 +38,14 @@ fn crc_kernels_match_bitwise_reference() {
                 .collect()
         },
         |(bytes, split)| {
-            let want = ib_crypto::crc::crc32_bitwise(bytes);
+            let want = crc32_bitwise(bytes);
             assert_eq!(ib_crypto::crc32_ieee(bytes), want, "table kernel");
             assert_eq!(Crc32::new().update_slice4(bytes).finalize(), want);
             assert_eq!(Crc32::new().update_slice8(bytes).finalize(), want);
             assert_eq!(Crc32::new().update_auto(bytes).finalize(), want);
+            let want16 = crc16_bitwise(bytes);
+            assert_eq!(Crc16::new().update(bytes).finalize(), want16, "slice-by-8");
+            assert_eq!(Crc16::new().update_auto(bytes).finalize(), want16);
             // Streaming through the dispatched kernel must fold the
             // running state across any split identically.
             let cut = (*split as usize) % (bytes.len() + 1);
@@ -49,8 +53,64 @@ fn crc_kernels_match_bitwise_reference() {
             c.update_auto(&bytes[..cut]);
             c.update_auto(&bytes[cut..]);
             assert_eq!(c.finalize(), want, "split at {cut}");
+            let mut c = Crc16::new();
+            c.update_auto(&bytes[..cut]).update(&bytes[cut..]);
+            assert_eq!(c.finalize(), want16, "crc16 split at {cut}");
         },
     );
+    check::run(
+        "simd-eq: crc16/crc32 auto == bitwise across multi-way splits",
+        64,
+        |g| {
+            let bytes = g.bytes(0..MAX_LEN);
+            let mut cuts: Vec<usize> = (0..g.usize_in(0..9))
+                .map(|_| g.usize_in(0..bytes.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            (bytes, cuts)
+        },
+        check::no_shrink,
+        |(bytes, cuts)| {
+            let (mut c16, mut c32, mut at) = (Crc16::new(), Crc32::new(), 0);
+            for &cut in cuts.iter().chain([&bytes.len()]) {
+                c16.update_auto(&bytes[at..cut]);
+                c32.update_auto(&bytes[at..cut]);
+                at = cut;
+            }
+            assert_eq!(c16.finalize(), crc16_bitwise(bytes), "cuts {cuts:?}");
+            assert_eq!(c32.finalize(), crc32_bitwise(bytes), "cuts {cuts:?}");
+        },
+    );
+    // Every start misalignment against a cache line, at every length
+    // around the 64 B dispatch threshold and a few bulk sizes: the
+    // folding kernel's unaligned loads and its hand-off to the table
+    // tail must not depend on where the buffer sits.
+    let backing: Vec<u8> = (0..9200u32)
+        .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+        .collect();
+    let base = backing.as_ptr().align_offset(64);
+    let lens = (0..=200).chain([1023, 1024, 1025, 4096, 9000]);
+    for len in lens {
+        for mis in 0..64 {
+            let d = &backing[base + mis..base + mis + len];
+            let want16 = crc16_bitwise(d);
+            assert_eq!(
+                Crc16::new().update_auto(d).finalize(),
+                want16,
+                "auto {len}@{mis}"
+            );
+            assert_eq!(
+                Crc16::new().update(d).finalize(),
+                want16,
+                "slice8 {len}@{mis}"
+            );
+            assert_eq!(
+                Crc32::new().update_auto(d).finalize(),
+                crc32_bitwise(d),
+                "crc32 {len}@{mis}"
+            );
+        }
+    }
 }
 
 #[test]
