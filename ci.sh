@@ -24,11 +24,22 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== fig_replay smoke (twice: results must be byte-identical) =="
+# Every fig_* smoke document must match its second run *and* the copy
+# committed under tests/golden/smoke/, so "simulated behaviour unchanged"
+# is a gate: a change that moves a figure on purpose re-captures the
+# golden in the same commit. fig_scale records the host's CPU count,
+# the one field allowed to differ.
+golden_diff() {
+  diff <(sed -E 's/"host_cpus":[0-9]+,//' "tests/golden/smoke/$1.json") \
+       <(sed -E 's/"host_cpus":[0-9]+,//' "BENCH_$1.json")
+}
+
+echo "== fig_replay smoke (twice: byte-identical to each other and to the golden) =="
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
 mv BENCH_fig_replay.json BENCH_fig_replay.first.json
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
 diff BENCH_fig_replay.first.json BENCH_fig_replay.json
+golden_diff fig_replay
 rm BENCH_fig_replay.first.json
 
 echo "== mac_table4 smoke (twice: structure must be stable, asserts must hold) =="
@@ -56,7 +67,7 @@ diff <(normalize_numbers BENCH_mac_throughput.simd.json) \
      <(normalize_numbers BENCH_mac_throughput.json)
 rm BENCH_mac_throughput.simd.json
 
-echo "== fig1 smoke (twice: results must be byte-identical) =="
+echo "== fig1 smoke (twice: byte-identical to each other and to the golden) =="
 # The scheduler/arena determinism gate: a calendar-queue or packet-arena
 # bug that perturbs event order changes the averaged figure rows, so two
 # same-seed runs diverging fails CI immediately.
@@ -64,9 +75,10 @@ cargo run -q --release --offline -p bench --bin fig1 -- --smoke
 mv BENCH_fig1.json BENCH_fig1.first.json
 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
 diff BENCH_fig1.first.json BENCH_fig1.json
+golden_diff fig1
 rm BENCH_fig1.first.json
 
-echo "== fig_rdma smoke (twice: results must be byte-identical) =="
+echo "== fig_rdma smoke (twice: byte-identical to each other and to the golden) =="
 # The transport-over-fabric gate: SEND / RDMA WRITE / RDMA READ across
 # the attacked mesh. The binary's own asserts require 100% delivery,
 # zero admitted replays, and selective-repeat >= go-back-N goodput under
@@ -76,9 +88,10 @@ cargo run -q --release --offline -p bench --bin fig_rdma -- --smoke
 mv BENCH_fig_rdma.json BENCH_fig_rdma.first.json
 cargo run -q --release --offline -p bench --bin fig_rdma -- --smoke
 diff BENCH_fig_rdma.first.json BENCH_fig_rdma.json
+golden_diff fig_rdma
 rm BENCH_fig_rdma.first.json
 
-echo "== fig_rekey smoke (twice: results must be byte-identical) =="
+echo "== fig_rekey smoke (twice: byte-identical to each other and to the golden) =="
 # The key-plane gate: RC fleets under epoch rotation and leader failover.
 # The binary's own asserts require 100% eventual delivery in every arm,
 # zero stale-epoch admissions, epoch-layer rejections on rotating arms,
@@ -88,9 +101,10 @@ cargo run -q --release --offline -p bench --bin fig_rekey -- --smoke
 mv BENCH_fig_rekey.json BENCH_fig_rekey.first.json
 cargo run -q --release --offline -p bench --bin fig_rekey -- --smoke
 diff BENCH_fig_rekey.first.json BENCH_fig_rekey.json
+golden_diff fig_rekey
 rm BENCH_fig_rekey.first.json
 
-echo "== fig_scale smoke (twice: results must be byte-identical) =="
+echo "== fig_scale smoke (twice: byte-identical to each other and to the golden) =="
 # The scale-out gate: generated fat-tree/dragonfly fabrics, multi-path
 # routing, packet vs flow-level engines. The binary's own asserts require
 # every flow to complete on every fabric (a routing or dateline-VC bug
@@ -102,6 +116,7 @@ cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
 mv BENCH_fig_scale.json BENCH_fig_scale.first.json
 cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
 diff BENCH_fig_scale.first.json BENCH_fig_scale.json
+golden_diff fig_scale
 rm BENCH_fig_scale.first.json
 
 echo "== parallel engine vs serial (fig1 smoke at IB_THREADS=1 and 4) =="
@@ -133,10 +148,11 @@ diff <(strip_thread_axis BENCH_fig_scale.t1.json) \
      <(strip_thread_axis BENCH_fig_scale.json)
 rm BENCH_fig_scale.t1.json
 
-echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gate) =="
-# The binary's own asserts gate (a) all three scheduler arms popping the
-# identical event stream and (b) the calendar queue keeping pace with the
-# compact-key heap on the hold-model workload.
+echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gates) =="
+# The binary's own asserts gate (a) both scheduler arms popping the
+# identical event stream on the hold-model and same-window burst scripts,
+# (b) the calendar queue keeping pace with the compact-key heap on the
+# hold model and (c) staying within 2x of it on every burst.
 cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 
 echo "== jsonck: emitted results parse back through ib_runtime::json =="

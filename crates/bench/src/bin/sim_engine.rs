@@ -1,35 +1,33 @@
 //! Event-engine throughput: the scheduler microbenchmark and the whole
 //! simulator, measured together.
 //!
-//! Two groups:
+//! Three groups, the first two over two priority-queue arms — `calendar`,
+//! the production [`EventQueue`] (timing wheel over compact keys, heap-
+//! ordered cursor bucket, binary-heap overflow), and `heap`,
+//! [`HeapQueue`], the same arena + compact keys under a plain binary heap
+//! (the property-test oracle):
 //!
 //! * `scheduler/*` — a deterministic hold-model workload (prefill, then
-//!   pop-one/push-one at the popped time plus a drawn delta, then drain)
-//!   over three priority-queue arms:
-//!   - `calendar` — the production [`EventQueue`]: timing wheel over
-//!     compact keys with a binary-heap overflow;
-//!   - `heap` — [`HeapQueue`], the same arena + compact keys under a
-//!     plain binary heap (the property-test oracle);
-//!   - `heap-inline` — the pre-overhaul design: a binary heap moving a
-//!     ~104-byte payload inline through every sift, kept only to record
-//!     the trajectory the overhaul bought.
-//!
-//!   All arms replay the identical op script and must pop the identical
-//!   `(time, payload)` stream (asserted before anything is timed).
+//!   pop-one/push-one at the popped time plus a drawn delta, then drain):
+//!   keys spread thinly over many buckets, the wheel's best case.
+//! * `scheduler/burst-B` — B keys inside one bucket window, drained with
+//!   a same-window push after every fourth pop, for B = 64 and 1024: the
+//!   1024-HCA fabric's injection burst, the wheel's worst case.
 //! * `engine/*` — `Simulator::run_counted` over figure-sized cells
 //!   (baseline, attack with no filtering / DPT / SIF), reporting
 //!   simulator events per wall-second.
 //!
-//! The acceptance gate mirrors `mac_table4`: arms run interleaved sample
-//! by sample so clock throttling cancels in *paired* ratios, and the
-//! calendar queue must not lose to the compact-key heap on the hold
-//! workload (median paired ratio under the bar, or best paired sample at
-//! effective parity).
+//! Both arms replay the identical op script and must pop the identical
+//! `(time, payload)` stream (asserted before anything is timed).
+//!
+//! The acceptance gates mirror `mac_table4`: arms run interleaved sample
+//! by sample so clock throttling cancels in *paired* ratios. The calendar
+//! queue must not lose to the compact-key heap on the hold workload
+//! (median paired ratio under the bar, or best paired sample at effective
+//! parity) and must reach at least half the heap's rate on every burst.
 //!
 //! Usage: `sim_engine [--smoke] [--seed S]`
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use bench::seed_arg;
@@ -43,7 +41,10 @@ use ib_sim::parallel::ParSimulator;
 use ib_sim::time::{SimTime, MS, US};
 
 /// Scheduler arms, baseline-last display order (calendar is the product).
-const ARMS: [&str; 3] = ["calendar", "heap", "heap-inline"];
+const ARMS: [&str; 2] = ["calendar", "heap"];
+
+/// Keys per same-window burst.
+const BURSTS: [usize; 2] = [64, 1024];
 
 /// One op script entry: the delta (ps) to add to the popped event's time
 /// when re-pushing. The mix matches the simulator's event population:
@@ -61,42 +62,8 @@ fn make_deltas(seed: ib_runtime::Seed, steps: usize) -> Vec<SimTime> {
         .collect()
 }
 
-/// The pre-overhaul payload shape: what the old queue memcpy'd per sift.
-#[derive(Clone)]
-struct InlinePayload {
-    _header: [u64; 12],
-    tag: u64,
-}
-
-/// The pre-overhaul scheduler: payloads ride inline in the heap entries,
-/// with the (time, seq) prefix carrying the real order — the shape the
-/// compact-key arena design replaced.
-struct InlineHeap {
-    heap: BinaryHeap<Reverse<(SimTime, u64, InlineEntry)>>,
-    seq: u64,
-}
-
-struct InlineEntry(InlinePayload);
-
-impl PartialEq for InlineEntry {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl Eq for InlineEntry {}
-impl PartialOrd for InlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InlineEntry {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// The one shape all three arms implement, so the workload runner and the
-/// equivalence gate are written once.
+/// The one shape both arms implement, so the workload runners and the
+/// equivalence gates are written once.
 trait Sched {
     fn push(&mut self, at: SimTime, tag: u64);
     fn pop(&mut self) -> Option<(SimTime, u64)>;
@@ -117,23 +84,6 @@ impl Sched for HeapQueue<u64> {
     }
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         HeapQueue::pop(self)
-    }
-}
-
-impl Sched for InlineHeap {
-    fn push(&mut self, at: SimTime, tag: u64) {
-        self.seq += 1;
-        self.heap.push(Reverse((
-            at,
-            self.seq,
-            InlineEntry(InlinePayload {
-                _header: [tag; 12],
-                tag,
-            }),
-        )));
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e.0.tag))
     }
 }
 
@@ -163,6 +113,72 @@ fn run_workload<S: Sched + ?Sized>(
     (popped, ops)
 }
 
+/// Run the burst workload: per round, `offsets.len()` keys land inside one
+/// bucket window, then the window drains with a same-window push after
+/// every fourth pop. Returns the popped stream and the op count.
+fn run_burst<S: Sched + ?Sized>(
+    q: &mut S,
+    offsets: &[SimTime],
+    rounds: usize,
+) -> (Vec<(SimTime, u64)>, u64) {
+    let mut tag: u64 = 0;
+    let mut popped = Vec::new();
+    for round in 0..rounds {
+        let window = round as SimTime * 4 * BUCKET_WIDTH_PS;
+        for &off in offsets {
+            q.push(window + off, tag);
+            tag += 1;
+        }
+        let mut pops = 0usize;
+        while let Some((t, p)) = q.pop() {
+            popped.push((t, p));
+            pops += 1;
+            if pops.is_multiple_of(4) {
+                q.push(t.max(window + offsets[pops % offsets.len()]), tag);
+                tag += 1;
+            }
+        }
+    }
+    let ops = 2 * popped.len() as u64;
+    (popped, ops)
+}
+
+/// Time `run` on both arms, interleaved sample by sample; returns each
+/// arm's per-sample nanoseconds.
+fn time_arms(
+    config: &BenchConfig,
+    fresh: &[fn() -> Box<dyn Sched>; 2],
+    run: &dyn Fn(&mut dyn Sched),
+) -> [Vec<f64>; 2] {
+    let mut sample_ns: [Vec<f64>; 2] = [const { Vec::new() }; 2];
+    let warmup_end = Instant::now() + config.warmup;
+    while Instant::now() < warmup_end {
+        for new in fresh {
+            run(&mut *new());
+        }
+    }
+    for _ in 0..config.samples {
+        for (a, new) in fresh.iter().enumerate() {
+            let mut q = new();
+            let start = Instant::now();
+            run(&mut *q);
+            sample_ns[a].push(start.elapsed().as_nanos() as f64);
+        }
+    }
+    sample_ns
+}
+
+/// Sorted paired calendar/heap time ratios → (median, best).
+fn paired_ratio(sample_ns: &[Vec<f64>; 2]) -> (f64, f64) {
+    let mut ratios: Vec<f64> = sample_ns[0]
+        .iter()
+        .zip(&sample_ns[1])
+        .map(|(c, h)| c / h)
+        .collect();
+    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (ratios[ratios.len() / 2], ratios[0])
+}
+
 fn engine_cfg(kind: EnforcementKind, attackers: usize, duration_ps: SimTime) -> SimConfig {
     SimConfig {
         enforcement: kind,
@@ -178,7 +194,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
     let seed = seed_arg(&args);
-    let (config, prefill_n, steps, engine_ps, engine_reps) = if smoke {
+    let (config, prefill_n, steps, burst_keys, engine_ps, engine_reps) = if smoke {
         (
             BenchConfig {
                 warmup: Duration::from_millis(20),
@@ -187,6 +203,7 @@ fn main() {
             },
             1024,
             20_000,
+            8 * 1024,
             MS / 2,
             2u32,
         )
@@ -199,6 +216,7 @@ fn main() {
             },
             4096,
             200_000,
+            64 * 1024,
             MS,
             5u32,
         )
@@ -211,16 +229,10 @@ fn main() {
         .collect();
     let deltas = make_deltas(seed.stream(2), steps);
 
-    // ---- equivalence gate: all arms pop the identical stream ----
-    let fresh: [fn() -> Box<dyn Sched>; 3] = [
+    // ---- equivalence gate: both arms pop the identical stream ----
+    let fresh: [fn() -> Box<dyn Sched>; 2] = [
         || Box::new(EventQueue::<u64>::new()),
         || Box::new(HeapQueue::<u64>::new()),
-        || {
-            Box::new(InlineHeap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            })
-        },
     ];
     let streams: Vec<Vec<(SimTime, u64)>> = fresh
         .iter()
@@ -230,36 +242,41 @@ fn main() {
         streams[0], streams[1],
         "calendar and compact-key heap must pop the identical (time, payload) stream"
     );
-    assert_eq!(
-        streams[0], streams[2],
-        "calendar and inline heap must pop the identical (time, payload) stream"
-    );
     let total_ops = 2 * (prefill.len() + deltas.len()) as u64;
     println!(
-        "OK: all scheduler arms pop the identical {}-event stream ({total_ops} ops).\n",
+        "OK: both scheduler arms pop the identical {}-event stream ({total_ops} ops).",
         streams[0].len()
     );
+    // Burst scripts: a fixed key budget per replay, so every burst size
+    // times a comparable amount of work.
+    let mut offset_rng = seed.stream(3).rng();
+    let bursts: Vec<(Vec<SimTime>, usize, u64)> = BURSTS
+        .iter()
+        .map(|&b| {
+            let offsets: Vec<SimTime> = (0..b)
+                .map(|_| offset_rng.gen_range(0..BUCKET_WIDTH_PS))
+                .collect();
+            let rounds = burst_keys / b;
+            let (cal, ops) = run_burst(&mut *fresh[0](), &offsets, rounds);
+            let (heap, _) = run_burst(&mut *fresh[1](), &offsets, rounds);
+            assert_eq!(
+                cal, heap,
+                "burst-{b}: calendar and heap must pop the identical stream"
+            );
+            (offsets, rounds, ops)
+        })
+        .collect();
+    println!("OK: both arms pop identical streams on every same-window burst.\n");
 
     // ---- scheduler timing: arms interleaved sample by sample ----
     // This host's clock throttles by tens of percent over seconds, so a
-    // frequency dip lands on all arms of the adjacent sample triple, not
+    // frequency dip lands on both arms of the adjacent sample pair, not
     // on whichever arm happened to run in that window (same idiom as
     // mac_table4). One workload replay is milliseconds, so batch = 1.
     let mut harness = Harness::new(config);
-    let mut sample_ns: [Vec<f64>; 3] = [const { Vec::new() }; 3];
-    let warmup_end = Instant::now() + config.warmup;
-    while Instant::now() < warmup_end {
-        for new in &fresh {
-            std::hint::black_box(run_workload(&mut *new(), &prefill, &deltas));
-        }
-    }
-    for _ in 0..config.samples {
-        for (a, new) in fresh.iter().enumerate() {
-            let start = Instant::now();
-            std::hint::black_box(run_workload(&mut *new(), &prefill, &deltas));
-            sample_ns[a].push(start.elapsed().as_nanos() as f64);
-        }
-    }
+    let sample_ns = time_arms(&config, &fresh, &|q| {
+        std::hint::black_box(run_workload(q, &prefill, &deltas));
+    });
     for (a, &arm) in ARMS.iter().enumerate() {
         // "Bytes" are scheduler ops: the throughput column reads as
         // operations per second.
@@ -267,6 +284,19 @@ fn main() {
             .group("scheduler")
             .throughput_bytes(total_ops)
             .record(arm, &sample_ns[a]);
+    }
+    let mut burst_ratios: Vec<f64> = Vec::new();
+    for (&b, (offsets, rounds, ops)) in BURSTS.iter().zip(&bursts) {
+        let ns = time_arms(&config, &fresh, &|q| {
+            std::hint::black_box(run_burst(q, offsets, *rounds));
+        });
+        for (a, &arm) in ARMS.iter().enumerate() {
+            harness
+                .group(&format!("scheduler/burst-{b}"))
+                .throughput_bytes(*ops)
+                .record(arm, &ns[a]);
+        }
+        burst_ratios.push(paired_ratio(&ns).0);
     }
 
     // ---- engine timing: whole simulations, events per wall-second ----
@@ -328,19 +358,13 @@ fn main() {
     }
 
     // ---- acceptance gate: calendar ≥ heap on the hold workload ----
-    // Median *paired* ratio (calendar / heap within each sample triple),
+    // Median *paired* ratio (calendar / heap within each sample pair),
     // with the smoke bars widened: 5-sample 2 ms windows gate structure,
     // not 5 %-level perf claims. The disjunction covers throttle noise: a
     // genuinely slower calendar queue would both push the median past the
-    // bar and never win a paired triple.
+    // bar and never win a pair.
     let (med_bar, best_bar) = if smoke { (1.25, 1.10) } else { (1.05, 1.00) };
-    let mut ratios: Vec<f64> = sample_ns[0]
-        .iter()
-        .zip(&sample_ns[1])
-        .map(|(c, h)| c / h)
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (med, best) = (ratios[ratios.len() / 2], ratios[0]);
+    let (med, best) = paired_ratio(&sample_ns);
     assert!(
         med <= med_bar || best <= best_bar,
         "calendar queue must keep pace with the compact-key heap \
@@ -349,6 +373,27 @@ fn main() {
     println!(
         "\nOK: calendar queue holds against the heap baseline \
          (median paired ratio {med:.3}, best {best:.3})."
+    );
+    // ---- acceptance gate: calendar ≥ 0.5× heap on every burst ----
+    // The heap is the right tool for one dense window; the wheel must
+    // merely stay within 2× of it there (a per-pop bucket scan reads
+    // ~16× at 1024 keys).
+    for (&b, &ratio) in BURSTS.iter().zip(&burst_ratios) {
+        assert!(
+            ratio <= 2.0,
+            "burst-{b}: calendar queue must reach half the heap's rate \
+             (median paired time ratio {ratio:.3})"
+        );
+    }
+    println!(
+        "OK: calendar queue within 2x of the heap on same-window bursts \
+         (median paired time ratios {}).",
+        BURSTS
+            .iter()
+            .zip(&burst_ratios)
+            .map(|(b, r)| format!("burst-{b}: {r:.3}"))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
 
     let path = harness
@@ -361,6 +406,11 @@ fn main() {
                 ("prefill", (prefill_n as u64).to_json()),
                 ("steps", (steps as u64).to_json()),
                 ("scheduler_ops", total_ops.to_json()),
+                (
+                    "bursts",
+                    Json::arr(BURSTS.iter().map(|&b| (b as u64).to_json())),
+                ),
+                ("burst_keys", (burst_keys as u64).to_json()),
                 (
                     "engine_cells",
                     Json::arr(cells.iter().map(|&(l, _, _, _)| l.to_json())),

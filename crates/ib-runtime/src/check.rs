@@ -195,9 +195,9 @@ fn sanitize_name(name: &str) -> String {
 }
 
 /// Where failures persist: `CHECK_CORPUS_DIR` when set (empty disables),
-/// else `tests/corpus` under the nearest ancestor of the working
-/// directory that has a `tests/` directory (the workspace root, for every
-/// crate in this repo).
+/// else the nearest `tests/corpus` directory above the working directory
+/// (the workspace root's, for every crate in this repo — a crate's own
+/// `tests/` directory has no corpus and is passed over).
 fn default_corpus_dir() -> Option<PathBuf> {
     if let Ok(v) = std::env::var("CHECK_CORPUS_DIR") {
         let v = v.trim();
@@ -208,8 +208,9 @@ fn default_corpus_dir() -> Option<PathBuf> {
     }
     let mut dir = std::env::current_dir().ok()?;
     for _ in 0..5 {
-        if dir.join("tests").is_dir() {
-            return Some(dir.join("tests").join("corpus"));
+        let corpus = dir.join("tests").join("corpus");
+        if corpus.is_dir() {
+            return Some(corpus);
         }
         if !dir.pop() {
             break;

@@ -78,14 +78,20 @@ use crate::traffic::{exp_gap, TrafficClass};
 /// indices `0..n` and `n ≤ 0xFFFE` (16-bit LIDs), so this never collides.
 const ATTACK_WINDOW_STREAM: u64 = 0x0002_0000;
 
-/// Per-switch runtime state.
+/// Per-switch runtime state. The per-(port, VL) tables are flat,
+/// indexed `[port * num_vls + vl]`.
 pub(crate) struct SwitchState {
-    /// Input buffers: `in_q[port][vl]`.
-    in_q: Vec<Vec<VecDeque<QueuedPacket>>>,
+    /// Input buffers, by input port and VL.
+    in_q: Vec<VecDeque<QueuedPacket>>,
+    /// Packets waiting in `in_q` (at any depth) for each *output* port,
+    /// by the VL they wait on — arbitration skips every VL whose count is
+    /// zero without touching an input queue.
+    queued_for: Vec<u32>,
     /// When each output port finishes its current transmission.
     out_busy_until: Vec<SimTime>,
-    /// Credits available toward the downstream peer: `out_credits[port][vl]`.
-    out_credits: Vec<Vec<u32>>,
+    /// Credits available toward the downstream peer, by output port and
+    /// (post-dateline) VL.
+    out_credits: Vec<u32>,
     /// Whether a TryForward event is already pending per output port.
     forward_pending: Vec<bool>,
     /// Round-robin cursor over input ports, per output port.
@@ -100,10 +106,12 @@ pub(crate) struct SwitchState {
     oseq: u32,
 }
 
-/// A packet in an input buffer plus the lookup cycles its admission cost
-/// (charged when the output port serves it).
+/// A packet in an input buffer, the output port it was routed to on
+/// arrival, and the lookup cycles its admission cost (charged when the
+/// output port serves it).
 struct QueuedPacket {
     packet: PacketRef,
+    out_port: u32,
     lookup_cycles: u64,
 }
 
@@ -673,13 +681,10 @@ impl SimCore {
                 )),
             };
             dom_switches[dom_of_switch[s]].push(SwitchState {
-                in_q: (0..radix)
-                    .map(|_| (0..cfg.num_vls).map(|_| VecDeque::new()).collect())
-                    .collect(),
+                in_q: (0..radix * cfg.num_vls).map(|_| VecDeque::new()).collect(),
+                queued_for: vec![0; radix * cfg.num_vls],
                 out_busy_until: vec![0; radix],
-                out_credits: (0..radix)
-                    .map(|_| vec![cfg.vl_buffer_packets; cfg.num_vls])
-                    .collect(),
+                out_credits: vec![cfg.vl_buffer_packets; radix * cfg.num_vls],
                 forward_pending: vec![false; radix],
                 rr: vec![0; radix],
                 high_grants: vec![0; radix],
@@ -1002,6 +1007,59 @@ impl SimCore {
         flow as usize
     }
 
+    /// The switch-state conservation laws, checked by both drivers in
+    /// debug/test builds once a run has drained its queue (no credit event
+    /// is then in flight): every `queued_for` count equals a recount of the
+    /// input queues, and each link's sender-side credits plus the
+    /// receiving input queue's occupancy equal `vl_buffer_packets`.
+    pub(crate) fn assert_quiescent(&self) {
+        let sh = &self.shared;
+        let nvls = sh.cfg.num_vls;
+        let full = sh.cfg.vl_buffer_packets as usize;
+        let switch =
+            |s: usize| &self.domains[sh.dom_of_switch[s]].switches[sh.local_switch[s] as usize];
+        for s in 0..sh.n_switches {
+            let sw = switch(s);
+            let mut recount = vec![0u32; sw.queued_for.len()];
+            for (i, q) in sw.in_q.iter().enumerate() {
+                for qp in q {
+                    recount[qp.out_port as usize * nvls + i % nvls] += 1;
+                }
+            }
+            assert_eq!(
+                sw.queued_for, recount,
+                "switch {s}: occupancy counts drifted"
+            );
+            for port in 0..sh.radix {
+                let Peer::Switch {
+                    switch: next,
+                    port: next_port,
+                } = sh.topo.peer(s, port)
+                else {
+                    continue;
+                };
+                for vl in 0..nvls {
+                    assert_eq!(
+                        sw.out_credits[port * nvls + vl] as usize
+                            + switch(next).in_q[next_port * nvls + vl].len(),
+                        full,
+                        "switch {s} port {port} VL {vl}: credits leaked or duplicated"
+                    );
+                }
+            }
+        }
+        for (node, &(s, port)) in sh.attach.iter().enumerate() {
+            let hca = &self.domains[sh.dom_of_node[node]].hcas[sh.local_node[node] as usize];
+            for vl in 0..nvls {
+                assert_eq!(
+                    hca.credits[vl] as usize + switch(s).in_q[port * nvls + vl].len(),
+                    full,
+                    "node {node} VL {vl}: host-link credits leaked or duplicated"
+                );
+            }
+        }
+    }
+
     /// Drain every domain's completion log into the flow records (the
     /// parallel driver calls this once after the run; the serial driver
     /// drains incrementally and finds nothing left here).
@@ -1041,10 +1099,9 @@ impl Ctx<'_> {
         }
     }
 
-    /// The output port `switch` forwards the referenced packet on — the
-    /// topology's flow-hash-steered route, so every packet of a (src, dst)
-    /// flow takes the same path while distinct flows spread across the
-    /// fabric's path diversity.
+    /// The output port the topology routes the referenced packet to at
+    /// `switch`, derived afresh — the grant-time cross-check of the port
+    /// `on_switch_arrive` stored with the queued packet.
     fn route_of(&self, switch: usize, pref: PacketRef) -> usize {
         let p = self.dom.arena.get(pref);
         self.sh
@@ -1090,7 +1147,7 @@ impl Ctx<'_> {
             }
             Event::SwitchCredit { switch, port, vl } => {
                 let ls = self.sh.local_switch[switch] as usize;
-                self.dom.switches[ls].out_credits[port][vl as usize] += 1;
+                self.dom.switches[ls].out_credits[port * self.sh.cfg.num_vls + vl as usize] += 1;
                 let now = self.dom.now;
                 self.schedule_forward(switch, port, now);
             }
@@ -1457,11 +1514,18 @@ impl Ctx<'_> {
             return;
         }
         let vl = pvl as usize;
+        let nvls = sh.cfg.num_vls;
+        // Routed once, here: the flow hash keeps every packet of a
+        // (src, dst) flow on one path while distinct flows spread across
+        // the fabric's path diversity.
         let out_port = sh.topo.route_flow(switch, dst, flow_hash(src, dst));
-        self.dom.switches[ls].in_q[port][vl].push_back(QueuedPacket {
+        let sw = &mut self.dom.switches[ls];
+        sw.in_q[port * nvls + vl].push_back(QueuedPacket {
             packet: pref,
+            out_port: out_port as u32,
             lookup_cycles: check.lookup_cycles,
         });
+        sw.queued_for[out_port * nvls + vl] += 1;
         self.schedule_forward(switch, out_port, now + sh.cfg.switch_latency);
     }
 
@@ -1499,37 +1563,38 @@ impl Ctx<'_> {
         // Arbitrate: find the best candidate per VL (round-robin over input
         // ports within a VL), then apply the VL arbitration policy.
         let nports = sh.radix;
+        let nvls = sh.cfg.num_vls;
+        let sw = &self.dom.switches[ls];
         let mut best_high: Option<(usize, usize)> = None; // highest VL > 0
         let mut best_low: Option<(usize, usize)> = None; // VL 0
-        for vl in (0..sh.cfg.num_vls).rev() {
+        for vl in (0..nvls).rev() {
             if vl > 0 && best_high.is_some() {
                 continue;
             }
-            if vl == 0 && best_low.is_some() {
+            // No packet on this VL was routed here, at any queue depth.
+            if sw.queued_for[out_port * nvls + vl] == 0 {
                 continue;
             }
             // Credit check applies to switch-to-switch hops; HCA receive
             // buffers are modeled as ample (the HCA drains at line rate).
             if let Peer::Switch { .. } = peer {
-                if self.dom.switches[ls].out_credits[out_port][out_vl(vl)] == 0 {
+                if sw.out_credits[out_port * nvls + out_vl(vl)] == 0 {
                     continue;
                 }
             }
-            let start = self.dom.switches[ls].rr[out_port];
-            for k in 0..nports {
-                let in_port = (start + k) % nports;
-                let head = self.dom.switches[ls].in_q[in_port][vl]
+            // A counted packet may still sit behind a head bound elsewhere,
+            // so the heads decide.
+            let start = sw.rr[out_port];
+            let winner = (0..nports).map(|k| (start + k) % nports).find(|&in_port| {
+                sw.in_q[in_port * nvls + vl]
                     .front()
-                    .map(|q| q.packet);
-                if let Some(head) = head {
-                    if self.route_of(switch, head) == out_port {
-                        if vl > 0 {
-                            best_high = Some((in_port, vl));
-                        } else {
-                            best_low = Some((in_port, vl));
-                        }
-                        break;
-                    }
+                    .is_some_and(|head| head.out_port as usize == out_port)
+            });
+            if let Some(in_port) = winner {
+                if vl > 0 {
+                    best_high = Some((in_port, vl));
+                } else {
+                    best_low = Some((in_port, vl));
                 }
             }
         }
@@ -1556,8 +1621,15 @@ impl Ctx<'_> {
             self.dom.switches[ls].high_grants[out_port] = 0;
         }
         self.dom.switches[ls].rr[out_port] = (in_port + 1) % nports;
-        let qp = self.dom.switches[ls].in_q[in_port][vl].pop_front().unwrap();
+        let sw = &mut self.dom.switches[ls];
+        let qp = sw.in_q[in_port * nvls + vl].pop_front().unwrap();
+        sw.queued_for[out_port * nvls + vl] -= 1;
         let pref = qp.packet;
+        debug_assert_eq!(
+            qp.out_port as usize,
+            self.route_of(switch, pref),
+            "route stored at arrival diverged from the topology's"
+        );
         let (bytes, class) = {
             let packet = self.dom.arena.get(pref);
             (packet.bytes, packet.class)
@@ -1575,7 +1647,7 @@ impl Ctx<'_> {
                 // VL: credits, the arrival queue, and the credit-return on
                 // a wire drop must all agree on it.
                 let fvl = out_vl(vl);
-                self.dom.switches[ls].out_credits[out_port][fvl] -= 1;
+                self.dom.switches[ls].out_credits[out_port * nvls + fvl] -= 1;
                 let arrival = tx_end + sh.cfg.propagation_delay;
                 match self.link_fault(sh.switch_link(switch, out_port)) {
                     FaultOutcome::Drop => {
@@ -1641,10 +1713,9 @@ impl Ctx<'_> {
         // The queue we popped from has a new head that may want a
         // *different* output port — wake that port, or packets behind a
         // departed head would wait for an unrelated arrival (HOL stall).
-        let next_out = self.dom.switches[ls].in_q[in_port][vl]
+        let next_out = self.dom.switches[ls].in_q[in_port * nvls + vl]
             .front()
-            .map(|next| next.packet)
-            .map(|p| self.route_of(switch, p));
+            .map(|next| next.out_port as usize);
         if let Some(next_out) = next_out {
             if next_out != out_port {
                 self.schedule_forward(switch, next_out, now);
@@ -1901,6 +1972,9 @@ impl Simulator {
     pub fn run_counted(mut self) -> (SimReport, u64) {
         while let Some((key, ev)) = self.pop_next() {
             self.dispatch(key, ev);
+        }
+        if cfg!(debug_assertions) {
+            self.core.assert_quiescent();
         }
         (self.core.merged_report(), self.core.events_processed())
     }
@@ -2368,6 +2442,35 @@ mod tests {
             lossy_total as f64 > clean_total as f64 * 0.5,
             "lossy {lossy_total} vs clean {clean_total}: credits leaked?"
         );
+    }
+
+    /// Credits and occupancy counts balance exactly once a run drains, on
+    /// every topology (the dragonfly exercises dateline VL escalation) and
+    /// under wire loss, on both drivers; debug builds also cross-check
+    /// every grant's stored route against the topology.
+    #[test]
+    fn switch_state_is_conserved_on_every_topology() {
+        for topology in [
+            crate::config::TopoSpec::Mesh,
+            crate::config::TopoSpec::FatTree { k: 4 },
+            crate::config::TopoSpec::Dragonfly {
+                a: 4,
+                p: 2,
+                h: 2,
+                valiant: false,
+            },
+        ] {
+            let mut cfg = quick_cfg();
+            cfg.topology = topology;
+            cfg.fault.drop_prob = 0.02;
+            let mut sim = Simulator::new(cfg.clone());
+            sim.run_hosts_until(SimTime::MAX);
+            assert!(sim.stats().best_effort.delivered > 100, "{topology:?}");
+            sim.core.assert_quiescent();
+            let mut par = crate::ParSimulator::with_threads(cfg, 2);
+            par.run();
+            assert_eq!(par.events_processed(), sim.events_processed());
+        }
     }
 
     #[test]

@@ -17,9 +17,14 @@
 //!   near future plus a binary-heap overflow for far-future events
 //!   (attack-window starts, key-exchange RTTs, end-of-run timers).
 //!
-//! With event inter-arrival times well under a bucket width, push is O(1)
-//! and pop scans one small bucket — amortized O(1) against the heap's
-//! O(log n) with far smaller constants and no event copies.
+//! Keys due inside the cursor's window — the only ones a pop can return
+//! — sit in a small binary min-heap, built in O(b) when the cursor
+//! reaches a bucket holding b keys. Push is O(1) onto an unsorted future
+//! bucket (O(log b) into the cursor window); pop is O(log b) over the
+//! *window's* population, not the queue's: a handful of keys on the
+//! paper's mesh, and still logarithmic when 1024 HCAs inject inside one
+//! 16.4 ns window (a per-pop scan of that bucket would be quadratic per
+//! burst).
 //!
 //! ## Determinism contract
 //!
@@ -233,20 +238,31 @@ const WHEEL_BITS: u32 = 10;
 /// from the cursor wait in the overflow heap.
 pub const HORIZON_PS: SimTime = (WHEEL_BUCKETS as SimTime) << BUCKET_BITS;
 
+/// The wheel slot covering absolute time `t`.
+fn bucket_of(t: SimTime) -> usize {
+    ((t >> BUCKET_BITS) as usize) & (WHEEL_BUCKETS - 1)
+}
+
 /// Deterministic priority queue: ties in time break by insertion
 /// sequence, so runs with the same seed replay identically.
 ///
 /// Implemented as a calendar queue: a [`WHEEL_BUCKETS`]-bucket timing
 /// wheel of unsorted [`EventKey`] vectors covering the next
-/// [`HORIZON_PS`] picoseconds, with a binary-heap fallback for far-future
+/// [`HORIZON_PS`] picoseconds, a binary min-heap over the keys due in the
+/// cursor bucket's window, and a binary-heap fallback for far-future
 /// events that migrate onto the wheel as the cursor advances. Event
 /// payloads live in the internal arena; only keys move.
 #[derive(Debug)]
 pub struct EventQueue<T = Event> {
     arena: EventArena<T>,
-    wheel: Vec<Vec<EventKey>>,
-    /// Keys currently on the wheel (so empty-wheel runs can jump the
-    /// cursor straight to the overflow minimum).
+    /// Future buckets, unsorted. The cursor's own slot stays empty: its
+    /// keys live in `due`.
+    wheel: Vec<Vec<Reverse<EventKey>>>,
+    /// Every key due before the cursor window's end, heap-ordered — the
+    /// queue's minimum is always its top once `locate_min` returns.
+    due: BinaryHeap<Reverse<EventKey>>,
+    /// Keys in `wheel` (so empty-wheel runs can jump the cursor straight
+    /// to the overflow minimum).
     in_wheel: usize,
     /// Start of the cursor bucket's window (multiple of the bucket width;
     /// never decreases).
@@ -269,6 +285,7 @@ impl<T> EventQueue<T> {
         EventQueue {
             arena: EventArena::new(),
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            due: BinaryHeap::new(),
             in_wheel: 0,
             wheel_start: 0,
             overflow: BinaryHeap::new(),
@@ -300,19 +317,20 @@ impl<T> EventQueue<T> {
         self.place(key);
     }
 
-    /// File a key on the wheel or in the overflow heap. Keys due before
-    /// `wheel_start` (possible only for callers scheduling into the past)
-    /// land in the cursor bucket, where the next pop's min-scan finds
-    /// them first — ordering still holds because the scan compares full
-    /// keys.
+    /// File a key in the cursor heap, on the wheel or in the overflow
+    /// heap. Keys due before the cursor window's end — inside it, or
+    /// behind `wheel_start` when a peek or a far jump advanced the cursor
+    /// past the caller's clock (the co-simulation's `post_host` and the
+    /// parallel driver's mailboxes both do this) — join the heap, whose
+    /// full-key order pops them first.
     fn place(&mut self, key: EventKey) {
-        if key.time >= self.wheel_start + HORIZON_PS {
-            self.overflow.push(Reverse(key));
-        } else {
-            let slot = key.time.max(self.wheel_start);
-            let bucket = ((slot >> BUCKET_BITS) as usize) & (WHEEL_BUCKETS - 1);
-            self.wheel[bucket].push(key);
+        if key.time < self.wheel_start + BUCKET_WIDTH_PS {
+            self.due.push(Reverse(key));
+        } else if key.time < self.wheel_start + HORIZON_PS {
+            self.wheel[bucket_of(key.time)].push(Reverse(key));
             self.in_wheel += 1;
+        } else {
+            self.overflow.push(Reverse(key));
         }
     }
 
@@ -325,44 +343,28 @@ impl<T> EventQueue<T> {
     /// engine needs `(time, seq)` to merge and compare streams across
     /// domain queues.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, T)> {
-        let (cursor, i) = self.locate_min()?;
-        let key = self.wheel[cursor].swap_remove(i);
-        self.in_wheel -= 1;
+        self.locate_min()?;
+        let Reverse(key) = self.due.pop().expect("locate_min filled the cursor heap");
         self.len -= 1;
         let ev = self.arena.take(key.idx);
         Some((key, ev))
     }
 
     /// The earliest pending key without removing it (`&mut` because the
-    /// scan may advance the wheel cursor past empty windows — a
+    /// search may advance the wheel cursor past empty windows — a
     /// time-monotonic, order-preserving operation). The parallel engine's
     /// coordinator uses this to compute the global horizon each window.
     pub fn peek_key(&mut self) -> Option<EventKey> {
-        let (cursor, i) = self.locate_min()?;
-        Some(self.wheel[cursor][i])
+        self.locate_min()
     }
 
-    /// Advance the wheel until the minimum pending key is in the cursor
-    /// bucket; return its `(bucket, position)`.
-    fn locate_min(&mut self) -> Option<(usize, usize)> {
+    /// Advance the wheel until the cursor heap holds the minimum pending
+    /// key; return it.
+    fn locate_min(&mut self) -> Option<EventKey> {
         if self.len == 0 {
             return None;
         }
-        loop {
-            let bucket_end = self.wheel_start + BUCKET_WIDTH_PS;
-            let cursor = ((self.wheel_start >> BUCKET_BITS) as usize) & (WHEEL_BUCKETS - 1);
-            let bucket = &self.wheel[cursor];
-            // Min-scan the cursor bucket, skipping keys filed here for
-            // future rotations (their time is past this window's end).
-            let mut best: Option<usize> = None;
-            for (i, key) in bucket.iter().enumerate() {
-                if key.time < bucket_end && best.is_none_or(|b| *key < bucket[b]) {
-                    best = Some(i);
-                }
-            }
-            if let Some(i) = best {
-                return Some((cursor, i));
-            }
+        while self.due.is_empty() {
             // Nothing due in this window: advance the wheel — bucket by
             // bucket while keys remain on it, else jump the cursor
             // straight to the earliest overflow key's bucket.
@@ -373,7 +375,7 @@ impl<T> EventQueue<T> {
                     .expect("len > 0 with an empty wheel implies overflow keys");
                 self.wheel_start = (next.time >> BUCKET_BITS) << BUCKET_BITS;
             } else {
-                self.wheel_start = bucket_end;
+                self.wheel_start += BUCKET_WIDTH_PS;
             }
             // Keys now inside the horizon migrate onto the wheel.
             while let Some(&Reverse(key)) = self.overflow.peek() {
@@ -381,11 +383,21 @@ impl<T> EventQueue<T> {
                     break;
                 }
                 self.overflow.pop();
-                let bucket = ((key.time >> BUCKET_BITS) as usize) & (WHEEL_BUCKETS - 1);
-                self.wheel[bucket].push(key);
+                self.wheel[bucket_of(key.time)].push(Reverse(key));
                 self.in_wheel += 1;
             }
+            // Heapify the bucket the cursor reached, in place: its vector
+            // becomes the heap's storage and the drained heap's vector
+            // becomes the empty bucket, so capacity circulates.
+            let cursor = bucket_of(self.wheel_start);
+            if !self.wheel[cursor].is_empty() {
+                let spare = std::mem::take(&mut self.due).into_vec();
+                let bucket = std::mem::replace(&mut self.wheel[cursor], spare);
+                self.in_wheel -= bucket.len();
+                self.due = BinaryHeap::from(bucket);
+            }
         }
+        self.due.peek().map(|&Reverse(key)| key)
     }
 
     /// Number of pending events.
@@ -636,6 +648,30 @@ mod tests {
         assert_eq!(q.pop(), Some((10 * BUCKET_WIDTH_PS + 1, 1)));
         assert_eq!(q.pop(), Some((10 * BUCKET_WIDTH_PS + 2, 3)));
         assert_eq!(q.pop(), Some((11 * BUCKET_WIDTH_PS, 2)));
+    }
+
+    /// A peek may jump the cursor far past the caller's clock (the
+    /// co-simulation's `post_host` and the parallel driver's mailboxes
+    /// then push behind it): such keys still pop first, in key order.
+    #[test]
+    fn pushes_behind_an_advanced_cursor_pop_first() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(5 * HORIZON_PS, 0);
+        assert_eq!(q.peek_key().map(|k| k.time), Some(5 * HORIZON_PS));
+        q.push(3 * BUCKET_WIDTH_PS + 1, 1);
+        q.push(7, 2);
+        q.push(5 * HORIZON_PS - 1, 3);
+        assert_eq!(q.peek_key().map(|k| k.time), Some(7));
+        let order: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (7, 2),
+                (3 * BUCKET_WIDTH_PS + 1, 1),
+                (5 * HORIZON_PS - 1, 3),
+                (5 * HORIZON_PS, 0)
+            ]
+        );
     }
 
     /// Intrinsic keys pop by `(time, seq)` regardless of insertion order

@@ -156,6 +156,9 @@ impl ParSimulator {
             _ => self.run_merged(),
         }
         self.core.finalize_flows();
+        if cfg!(debug_assertions) {
+            self.core.assert_quiescent();
+        }
         self.core.merged_report()
     }
 
