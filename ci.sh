@@ -28,9 +28,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # committed under tests/golden/smoke/, so "simulated behaviour unchanged"
 # is a gate: a change that moves a figure on purpose re-captures the
 # golden in the same commit. fig_scale records the host's CPU count,
-# the one field allowed to differ.
+# the one field allowed to differ. `golden_diff <bin> full` compares
+# against tests/golden/full/ instead (fig_rekey's 1024-QP run).
 golden_diff() {
-  diff <(sed -E 's/"host_cpus":[0-9]+,//' "tests/golden/smoke/$1.json") \
+  diff <(sed -E 's/"host_cpus":[0-9]+,//' "tests/golden/${2:-smoke}/$1.json") \
        <(sed -E 's/"host_cpus":[0-9]+,//' "BENCH_$1.json")
 }
 
@@ -103,6 +104,14 @@ cargo run -q --release --offline -p bench --bin fig_rekey -- --smoke
 diff BENCH_fig_rekey.first.json BENCH_fig_rekey.json
 golden_diff fig_rekey
 rm BENCH_fig_rekey.first.json
+
+echo "== fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to the golden) =="
+# The point the benchmark's rekey_1024qp workload times. The smoke run
+# above is 48 lossless flows; this one is the fleet the wake-set
+# scheduling exists for (sub-second since PR 18, 7 s before it), so a
+# scheduling change that only shows at scale fails here.
+cargo run -q --release --offline -p bench --bin fig_rekey
+golden_diff fig_rekey full
 
 echo "== fig_scale smoke (twice: byte-identical to each other and to the golden) =="
 # The scale-out gate: generated fat-tree/dragonfly fabrics, multi-path

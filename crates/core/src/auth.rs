@@ -18,6 +18,7 @@ use std::fmt;
 
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, NodeKeyTable, SecretKey};
+use ib_packet::types::PKey;
 use ib_packet::Packet;
 
 /// Which key-management granularity an [`Authenticator`] uses to find the
@@ -85,7 +86,10 @@ pub struct Authenticator {
     /// Keyed-MAC cache: constructing an [`AnyMac`] runs the AES key
     /// schedule (and, for UMAC, the ~1 KiB KDF) — far too expensive to
     /// redo per packet. Keyed by `(algorithm, secret)` so secret rotation
-    /// naturally misses; growth is bounded by the key table size. A
+    /// naturally misses. Entries are only ever built for secrets in
+    /// `keys`, and [`Self::retire_partition_below`] drops those whose
+    /// secret has left it, so growth is bounded by the *live* key
+    /// versions, not by how many rotations the node has seen. A
     /// `RefCell` keeps `compute_tag`/`verify_packet` callable through
     /// `&self` (the engine is per-node, never shared across threads).
     mac_cache: RefCell<Vec<((AuthAlgorithm, SecretKey), AnyMac)>>,
@@ -115,6 +119,24 @@ impl Authenticator {
     /// The configured key scope.
     pub fn scope(&self) -> KeyScope {
         self.scope
+    }
+
+    /// Retire partition key versions older than `epoch` (grace expiry)
+    /// and evict every cached keyed MAC whose secret is no longer in the
+    /// key table — a ~1.2 KiB keyed UMAC per rotation otherwise stays
+    /// behind forever and lengthens [`Self::with_mac`]'s search. Runs on
+    /// the (rare) retirement path so tagging and verification pay nothing.
+    pub fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
+        self.keys.retire_partition_below(pkey, epoch);
+        let keys = &self.keys;
+        self.mac_cache
+            .get_mut()
+            .retain(|((_, secret), _)| keys.holds_secret(secret));
+    }
+
+    /// Keyed MACs currently cached (memory accounting).
+    pub(crate) fn cached_macs(&self) -> usize {
+        self.mac_cache.borrow().len()
     }
 
     /// The MAC nonce for a packet (see module docs).

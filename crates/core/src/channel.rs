@@ -199,9 +199,13 @@ impl SecureChannel {
     /// Install a key version learned from a key-update MAD. The send side
     /// switches to the newest epoch immediately (the next [`Self::seal`]
     /// stamps it); every older version is scheduled to retire once the
-    /// grace window elapses from `now`. No-op under
-    /// [`ChannelSecurity::NoAuth`].
+    /// grace window elapses from `now`. Retirements already due at `now`
+    /// run first, so a channel that carries no traffic — and is therefore
+    /// never polled — while the SM keeps rotating holds a bounded ring and
+    /// schedule, and ends in the state a channel polled at every instant
+    /// would. No-op under [`ChannelSecurity::NoAuth`].
     pub fn install_epoch(&mut self, now: u64, epoch: KeyEpoch, secret: SecretKey) {
+        self.advance_time(now);
         let Some(auth) = &mut self.auth else { return };
         let newer = auth
             .keys
@@ -214,10 +218,10 @@ impl SecureChannel {
         }
     }
 
-    /// Retire key versions whose grace window has expired by `now`.
-    /// Endpoints call this from their time-advancing entry points; after
-    /// it runs, traffic under a retired epoch is rejected as
-    /// [`AuthError::StaleEpoch`].
+    /// Retire key versions whose grace window has expired by `now`,
+    /// together with their cached keyed MACs. Endpoints call this from
+    /// their time-advancing entry points; after it runs, traffic under a
+    /// retired epoch is rejected as [`AuthError::StaleEpoch`].
     pub fn advance_time(&mut self, now: u64) {
         if self.pending_retire.is_empty() {
             return;
@@ -225,12 +229,23 @@ impl SecureChannel {
         let Some(auth) = &mut self.auth else { return };
         self.pending_retire.retain(|&(at, below)| {
             if at <= now {
-                auth.keys.retire_partition_below(self.pkey, below);
+                auth.retire_partition_below(self.pkey, below);
                 false
             } else {
                 true
             }
         });
+    }
+
+    /// Keyed MACs this channel's authenticator has cached.
+    pub fn cached_macs(&self) -> usize {
+        self.auth.as_ref().map_or(0, Authenticator::cached_macs)
+    }
+
+    /// Key versions currently live (current plus any inside the grace
+    /// window) — the bound [`Self::cached_macs`] must respect.
+    pub fn live_key_versions(&self) -> usize {
+        self.auth.as_ref().map_or(0, |a| a.keys.len())
     }
 
     /// Replay-window depth, if one is active. A transport stacked on this
@@ -567,6 +582,38 @@ mod tests {
             rx.admit(&old_pkt),
             Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
         ));
+    }
+
+    /// A channel that only ever hears from the SM (its flow finished; the
+    /// key plane keeps rotating) is never polled: `install_epoch` alone
+    /// must keep the key ring, the retirement schedule and the keyed-MAC
+    /// cache bounded by the live versions, not by the rotation count.
+    #[test]
+    fn rotations_leave_no_keyed_macs_or_schedule_behind() {
+        use ib_mgmt::keymgmt::KeyEpoch;
+        let (mut tx, mut rx) = pair(ChannelSecurity::AuthReplay);
+        tx.set_epoch_grace(30);
+        rx.set_epoch_grace(30);
+        for round in 1..=200u32 {
+            let now = u64::from(round) * 100;
+            let secret = SecretKey::from_seed(5000 + u64::from(round));
+            tx.install_epoch(now, KeyEpoch(round), secret);
+            rx.install_epoch(now, KeyEpoch(round), secret);
+            // Traffic on the polled half of the rounds only; `rx` is
+            // advanced explicitly, `tx` never is.
+            if round % 2 == 0 {
+                let mut pkt = rc_packet(round, b"keeps both caches warm");
+                tx.seal(&mut pkt).unwrap();
+                rx.advance_time(now + 50);
+                assert_eq!(rx.admit(&pkt).unwrap(), Admit::Fresh, "round {round}");
+            }
+            for ch in [&tx, &rx] {
+                assert!(ch.live_key_versions() <= 2, "round {round}");
+                assert!(ch.cached_macs() <= ch.live_key_versions(), "round {round}");
+                assert!(ch.pending_retire.len() <= 1, "round {round}");
+            }
+        }
+        assert!(rx.cached_macs() >= 1, "the cache is still doing its job");
     }
 
     /// NoAuth channels ignore the whole epoch plane.

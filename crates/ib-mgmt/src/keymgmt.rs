@@ -137,6 +137,11 @@ impl EpochRing {
             .copied()
     }
 
+    /// Whether any live version carries exactly `secret`.
+    fn holds_secret(&self, secret: &SecretKey) -> bool {
+        self.entries.iter().any(|e| e.1 == *secret)
+    }
+
     /// Number of live versions.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -352,6 +357,14 @@ impl NodeKeyTable {
         if let Some(ring) = self.connection.get_mut(&local_qp) {
             ring.retire_below(epoch);
         }
+    }
+
+    /// Whether `secret` is still installed under any scope index — what
+    /// decides if state derived from it (a keyed MAC) may be dropped.
+    pub fn holds_secret(&self, secret: &SecretKey) -> bool {
+        self.partition.values().any(|r| r.holds_secret(secret))
+            || self.connection.values().any(|r| r.holds_secret(secret))
+            || self.datagram.values().any(|s| s == secret)
     }
 
     /// Total stored secrets across all live epochs (memory accounting).

@@ -3,7 +3,8 @@
 //! underneath them.
 //!
 //! The co-simulation extends `ib_transport::fabric::run_fabric_sim` from
-//! one flow to a fleet, and adds three actors:
+//! one flow to a fleet (see "How the loop is scheduled" below for what
+//! that takes at 1024 QPs), and adds three actors:
 //!
 //! * **SM replicas** ([`SmReplica`]) on the first `replicas` nodes,
 //!   heartbeating and rotating over VL-15 MADs posted through the same
@@ -27,8 +28,51 @@
 //! window, and packets caught mid-rotation heal through ordinary RC
 //! retransmission — so 100% eventual delivery holds through rotations
 //! and failover. Everything is bit-deterministic in `seed`.
+//!
+//! ## How the loop is scheduled
+//!
+//! Each step speaks for the hosts at `now` (kill, attacker, paced posts,
+//! replicas, endpoints), picks the next interesting instant, runs the
+//! fabric to it or to the first host delivery, and hands the deliveries
+//! to their owners. The work in a step follows what happened in it, not
+//! the size of the fleet: a **wake set** (`WakeSet`) names the endpoints
+//! to poll, a min-heap of `(post_at, flow)` paces the posting, completion
+//! is a count of finished flows and failure a sticky flag, and a delivery
+//! finds its flow as `dest_qp - REKEY_QPN0`. An endpoint is woken by
+//! exactly three things — a verb posted on it, a wire buffer handed to
+//! it, its own cached `next_deadline()` coming due (a lazily invalidated
+//! timer heap) — and a pass polls the woken ones in ascending
+//! `2 * flow + side` order, the order in which a sweep over every
+//! endpoint would post their packets.
+//!
+//! Polling only the woken endpoints is exact, not approximate — the
+//! report is byte-identical to that of a loop polling every endpoint on
+//! every step — because:
+//!
+//! 1. [`SecureRcEndpoint::poll_into`] changes nothing unless a verb was
+//!    posted, `handle_wire` ran, or the QP's `next_deadline()` came due
+//!    since the last poll: the retransmission timeout (`on_timeout`), the
+//!    delayed ACK (`poll_ack`) and `poll_tx`'s RNR back-off are that
+//!    deadline; its rewound resend cursor, queued selective-repeat
+//!    retransmits and opened window are consequences of an arrival or a
+//!    timeout; its pending queue grows only by a post.
+//! 2. The only other effect of a poll, `channel.advance_time(now)`, is
+//!    also the first statement of `handle_wire` — the only place a
+//!    retired epoch is observable — and of `install_epoch`, so key
+//!    versions retire before anything can look at them whether or not
+//!    the endpoint is ever polled again.
+//! 3. A post only enqueues into the QP; the requester's poll in the same
+//!    step is what reaches the fabric, so when inside a step (and in
+//!    which flow order) the posts happen is invisible to it.
+//!
+//! Both halves are gated: `tests/golden/rekey/*.json` holds six lossy,
+//! RNR-storming, retry-exhausting reports produced by a loop that swept
+//! the whole fleet on every step (`tests/rekey_golden.rs` compares byte
+//! for byte), and the unit tests bound the private `run_counted`'s poll
+//! count by the run's activity.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ib_crypto::toyrsa::{generate_keypair, PrivateKey};
 use ib_mgmt::{KeyEpoch, SecretKey};
@@ -146,30 +190,6 @@ impl RekeyConfig {
             ("sim", self.sim.to_json()),
         ])
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<RekeyConfig> {
-        Some(RekeyConfig {
-            seed: v.get("seed")?.as_u64()?,
-            security: ChannelSecurity::from_label(v.get("security")?.as_str()?)?,
-            flows: v.get("flows")?.as_u64()? as usize,
-            messages: v.get("messages")?.as_u64()? as usize,
-            payload_len: v.get("payload_len")?.as_u64()? as usize,
-            post_interval: v.get("post_interval_ps")?.as_u64()?,
-            replicas: v.get("replicas")?.as_u64()? as usize,
-            rotation_period: v.get("rotation_period_ps")?.as_u64()?,
-            grace: v.get("grace_ps")?.as_u64()?,
-            kill_leader_at: v.get("kill_leader_at_ps")?.as_u64()?,
-            stale_every: v.get("stale_every")?.as_u64()?,
-            stale_delay: v.get("stale_delay_ps")?.as_u64()?,
-            vl: u8::try_from(v.get("vl")?.as_u64()?).ok()?,
-            rc: RcConfig::from_json(v.get("rc")?)?,
-            replay_window: v.get("replay_window")?.as_u64()? as u32,
-            bucket: v.get("bucket_ps")?.as_u64()?,
-            max_sim_time: v.get("max_sim_time_ps")?.as_u64()?,
-            sim: SimConfig::from_json(v.get("sim")?)?,
-        })
-    }
 }
 
 /// One fig_rekey data point.
@@ -286,49 +306,6 @@ impl RekeyReport {
             ("fabric_generated", self.fabric_generated.to_json()),
         ])
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<RekeyReport> {
-        Some(RekeyReport {
-            delivered: v.get("delivered")?.as_u64()?,
-            expected: v.get("expected")?.as_u64()?,
-            failed: v.get("failed")?.as_bool()?,
-            timed_out: v.get("timed_out")?.as_bool()?,
-            completion_us: v.get("completion_us")?.as_f64()?,
-            goodput_gbps: v.get("goodput_gbps")?.as_f64()?,
-            rotations: v.get("rotations")?.as_u64()?,
-            final_epoch: v.get("final_epoch")?.as_u64()?,
-            key_updates_tx: v.get("key_updates_tx")?.as_u64()?,
-            key_update_acks_rx: v.get("key_update_acks_rx")?.as_u64()?,
-            replicates_tx: v.get("replicates_tx")?.as_u64()?,
-            heartbeats_tx: v.get("heartbeats_tx")?.as_u64()?,
-            claims_tx: v.get("claims_tx")?.as_u64()?,
-            takeovers: v.get("takeovers")?.as_u64()?,
-            leader_kills: v.get("leader_kills")?.as_u64()?,
-            leader_changes: v.get("leader_changes")?.as_u64()?,
-            time_to_recover_us: v.get("time_to_recover_us")?.as_f64()?,
-            buckets: v
-                .get("buckets")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<Vec<u64>>>()?,
-            bucket_us: v.get("bucket_us")?.as_f64()?,
-            goodput_dip_frac: v.get("goodput_dip_frac")?.as_f64()?,
-            stale_injected: v.get("stale_injected")?.as_u64()?,
-            stale_admitted: v.get("stale_admitted")?.as_u64()?,
-            rejected_stale_epoch: v.get("rejected_stale_epoch")?.as_u64()?,
-            rejected_future_epoch: v.get("rejected_future_epoch")?.as_u64()?,
-            rejected_auth: v.get("rejected_auth")?.as_u64()?,
-            rejected_stale_psn: v.get("rejected_stale_psn")?.as_u64()?,
-            dup_suppressed: v.get("dup_suppressed")?.as_u64()?,
-            retransmits: v.get("retransmits")?.as_u64()?,
-            payload_mismatches: v.get("payload_mismatches")?.as_u64()?,
-            duplicates_delivered: v.get("duplicates_delivered")?.as_u64()?,
-            mgmt_delivered: v.get("mgmt_delivered")?.as_u64()?,
-            fabric_generated: v.get("fabric_generated")?.as_u64()?,
-        })
-    }
 }
 
 /// Deterministic message payload: 8-byte LE index + patterned fill
@@ -357,6 +334,8 @@ struct Flow {
     delivered: u64,
     duplicates: u64,
     mismatches: u64,
+    /// [`Self::complete_flow`] as of the last poll of either endpoint.
+    complete: bool,
 }
 
 impl Flow {
@@ -369,8 +348,100 @@ impl Flow {
     }
 }
 
+/// A min-heap of `(instant, index)`.
+type TimeHeap = BinaryHeap<Reverse<(SimTime, usize)>>;
+
+/// The endpoints the next poll pass must visit, and the instant the fleet
+/// next needs a timer wake-up. Endpoint id = `2 * flow + side`
+/// (0 = requester `a`, 1 = responder `b`).
+struct WakeSet {
+    /// Each endpoint's exact `next_deadline()` as of its last poll, `None`
+    /// once [`Self::take_pass`] has consumed it. An entry of `timers` is
+    /// live iff it equals this; stale ones are dropped when met.
+    deadline: Vec<Option<SimTime>>,
+    timers: TimeHeap,
+    /// Endpoints woken since the last pass, de-duplicated by `queued`.
+    ready: Vec<usize>,
+    queued: Vec<bool>,
+}
+
+impl WakeSet {
+    fn new(endpoints: usize) -> Self {
+        WakeSet {
+            deadline: vec![None; endpoints],
+            timers: TimeHeap::new(),
+            ready: Vec::new(),
+            queued: vec![false; endpoints],
+        }
+    }
+
+    /// Something happened to endpoint `id` (a post, an arrival, a due
+    /// timer): the next pass polls it.
+    fn wake(&mut self, id: usize) {
+        if !std::mem::replace(&mut self.queued[id], true) {
+            self.ready.push(id);
+        }
+    }
+
+    /// The earliest live timer, dropping stale heap tops on the way.
+    fn next_timer(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((t, id))) = self.timers.peek() {
+            if self.deadline[id] == Some(t) {
+                return Some(t);
+            }
+            self.timers.pop();
+        }
+        None
+    }
+
+    /// Move into `pass` every endpoint woken since the last pass plus
+    /// every one whose timer is due at `now`, in ascending id order —
+    /// requester before responder, flows ascending: the `post_host` order
+    /// of a sweep over the whole fleet, and with it every intrinsic event
+    /// key in `ib-sim`.
+    fn take_pass(&mut self, now: SimTime, pass: &mut Vec<usize>) {
+        while self.next_timer().is_some_and(|t| t <= now) {
+            let Reverse((_, id)) = self.timers.pop().expect("peeked above");
+            self.deadline[id] = None;
+            self.wake(id);
+        }
+        pass.clear();
+        pass.append(&mut self.ready);
+        pass.sort_unstable();
+    }
+
+    /// Endpoint `id` was just polled and now reports `deadline`.
+    fn polled(&mut self, id: usize, deadline: Option<SimTime>) {
+        self.queued[id] = false;
+        if self.deadline[id] != deadline {
+            self.deadline[id] = deadline;
+            if let Some(t) = deadline {
+                self.timers.push(Reverse((t, id)));
+            }
+        }
+    }
+}
+
+/// Deterministic counters of one run that only the tests read: the
+/// cost-follows-activity gate and the keyed-MAC cache bound. Not part of
+/// [`RekeyReport`].
+#[derive(Debug, Clone, Copy, Default)]
+struct LoopCounts {
+    /// Co-simulation loop iterations.
+    steps: u64,
+    /// [`SecureRcEndpoint::poll_into`] calls.
+    polls: u64,
+    /// Keyed MACs still cached at the end of the run beyond each
+    /// channel's live key versions, summed over all channels.
+    stale_macs: u64,
+}
+
 /// Run one fig_rekey point (see module docs).
 pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
+    run_counted(cfg).0
+}
+
+fn run_counted(cfg: &RekeyConfig) -> (RekeyReport, LoopCounts) {
     assert!(cfg.payload_len >= 8, "payload must hold the 8-byte index");
     assert!(
         (1..=8).contains(&cfg.replicas),
@@ -429,6 +500,7 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
                 delivered: 0,
                 duplicates: 0,
                 mismatches: 0,
+                complete: false,
             }
         })
         .collect();
@@ -491,8 +563,21 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
     let mut now: SimTime = 0;
     let mut done_at: Option<SimTime> = None;
     let mut timed_out = false;
+    // Scheduling state: who to poll, when to post, who is done (see the
+    // module docs for why visiting only these is exact).
+    let mut wake = WakeSet::new(2 * cfg.flows);
+    let mut pass: Vec<usize> = Vec::new();
+    let mut post_due: TimeHeap = flows
+        .iter()
+        .enumerate()
+        .map(|(i, f)| Reverse((f.offset, i)))
+        .collect();
+    let mut complete_flows = 0usize;
+    let mut failed = false;
+    let mut counts = LoopCounts::default();
 
     loop {
+        counts.steps += 1;
         // Leader-kill fault injection.
         if cfg.kill_leader_at > 0 && killed_at.is_none() && now >= cfg.kill_leader_at {
             if let Some(l) = replicas.iter_mut().find(|r| r.is_leader()) {
@@ -508,12 +593,21 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
             stale_injected += 1;
             sim.post_host(attack_node, victim, cfg.vl, bytes);
         }
-        // Paced posting.
-        for f in flows.iter_mut() {
-            while f.posted < cfg.messages && now >= f.post_at(f.posted, cfg.post_interval) {
-                f.a.post(payload_for(f.posted, cfg.payload_len));
-                f.posted += 1;
+        // Paced posting: every (flow, message) whose instant has come. A
+        // post only enqueues into the QP — the requester's poll below is
+        // what puts it on the wire — so the order among flows is free.
+        while let Some(&Reverse((at, i))) = post_due.peek() {
+            if at > now {
+                break;
             }
+            post_due.pop();
+            let f = &mut flows[i];
+            f.a.post(payload_for(f.posted, cfg.payload_len));
+            f.posted += 1;
+            if f.posted < cfg.messages {
+                post_due.push(Reverse((f.post_at(f.posted, cfg.post_interval), i)));
+            }
+            wake.wake(2 * i);
         }
         // SM plane speaks at `now`.
         for r in replicas.iter_mut() {
@@ -524,15 +618,30 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
                 sim.post_host(src, dst, MGMT_VL, pkt.to_bytes());
             }
         }
-        // Data plane speaks at `now`.
-        for f in flows.iter_mut() {
-            f.a.poll_into(now, &mut wire);
+        // Data plane speaks at `now`: the woken endpoints only.
+        wake.take_pass(now, &mut pass);
+        for &id in &pass {
+            let f = &mut flows[id / 2];
+            let (ep, from, to) = if id % 2 == 0 {
+                (&mut f.a, f.src, f.dst)
+            } else {
+                (&mut f.b, f.dst, f.src)
+            };
+            counts.polls += 1;
+            ep.poll_into(now, &mut wire);
             for bytes in wire.drain(..) {
-                sim.post_host(f.src, f.dst, cfg.vl, bytes);
+                sim.post_host(from, to, cfg.vl, bytes);
             }
-            f.b.poll_into(now, &mut wire);
-            for bytes in wire.drain(..) {
-                sim.post_host(f.dst, f.src, cfg.vl, bytes);
+            failed |= ep.failed();
+            wake.polled(id, ep.next_deadline());
+            // Everything `complete_flow` reads changes only with a post,
+            // an arrival or a timeout on one of the flow's two endpoints,
+            // and each of those wakes it, so judging here misses nothing.
+            // Completion is monotone: nothing is posted after the last
+            // message.
+            if !f.complete && f.complete_flow(cfg.messages) {
+                f.complete = true;
+                complete_flows += 1;
             }
         }
 
@@ -555,10 +664,10 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
             }
         }
 
-        if done_at.is_none() && flows.iter().all(|f| f.complete_flow(cfg.messages)) {
+        if done_at.is_none() && complete_flows == cfg.flows {
             done_at = Some(now);
         }
-        if flows.iter().any(|f| f.a.failed() || f.b.failed()) {
+        if failed {
             break;
         }
         if now >= cfg.max_sim_time {
@@ -577,16 +686,11 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
         // Next interesting instant: endpoint deadlines, pacing, replica
         // timers, attacker due times, the kill, or the drain horizon.
         let mut target = cfg.max_sim_time;
-        for f in &flows {
-            if let Some(d) = f.a.next_deadline() {
-                target = target.min(d);
-            }
-            if let Some(d) = f.b.next_deadline() {
-                target = target.min(d);
-            }
-            if f.posted < cfg.messages {
-                target = target.min(f.post_at(f.posted, cfg.post_interval));
-            }
+        if let Some(d) = wake.next_timer() {
+            target = target.min(d);
+        }
+        if let Some(&Reverse((at, _))) = post_due.peek() {
+            target = target.min(at);
         }
         for r in &replicas {
             if let Some(d) = r.next_deadline() {
@@ -675,32 +779,35 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
                     pending.push_back((d.at + cfg.stale_delay, d.bytes.clone()));
                 }
             }
-            for f in flows.iter_mut() {
-                if f.qpn != pkt.bth.dest_qp {
-                    continue;
-                }
-                if f.dst == d.node {
-                    f.b.handle_wire(d.at, &d.bytes);
-                    for payload in f.b.take_delivered() {
-                        let idx = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-                        if idx >= f.seen.len() || payload != payload_for(idx, cfg.payload_len) {
-                            f.mismatches += 1;
-                        } else if f.seen[idx] {
-                            f.duplicates += 1;
-                        } else {
-                            f.seen[idx] = true;
-                            f.delivered += 1;
-                            let slot = (d.at / cfg.bucket) as usize;
-                            if buckets.len() <= slot {
-                                buckets.resize(slot + 1, 0);
-                            }
-                            buckets[slot] += 1;
+            // Flow `i` owns QPN `REKEY_QPN0 + i`: index, don't search.
+            // (A QPN below the base wraps far out of range.)
+            let i = pkt.bth.dest_qp.0.wrapping_sub(REKEY_QPN0) as usize;
+            let Some(f) = flows.get_mut(i) else {
+                continue;
+            };
+            debug_assert_eq!(f.qpn, pkt.bth.dest_qp);
+            if f.dst == d.node {
+                f.b.handle_wire(d.at, &d.bytes);
+                wake.wake(2 * i + 1);
+                for payload in f.b.take_delivered() {
+                    let idx = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+                    if idx >= f.seen.len() || payload != payload_for(idx, cfg.payload_len) {
+                        f.mismatches += 1;
+                    } else if f.seen[idx] {
+                        f.duplicates += 1;
+                    } else {
+                        f.seen[idx] = true;
+                        f.delivered += 1;
+                        let slot = (d.at / cfg.bucket) as usize;
+                        if buckets.len() <= slot {
+                            buckets.resize(slot + 1, 0);
                         }
+                        buckets[slot] += 1;
                     }
-                } else if f.src == d.node {
-                    f.a.handle_wire(d.at, &d.bytes);
                 }
-                break;
+            } else if f.src == d.node {
+                f.a.handle_wire(d.at, &d.bytes);
+                wake.wake(2 * i);
             }
         }
         now = t;
@@ -731,11 +838,12 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
     let mut dup_delivered = 0u64;
     let mut mismatches = 0u64;
     for f in &flows {
-        for s in [f.a.channel().stats, f.b.channel().stats] {
-            ch.rejected_auth += s.rejected_auth;
-            ch.rejected_stale += s.rejected_stale;
-            ch.rejected_stale_epoch += s.rejected_stale_epoch;
-            ch.rejected_future_epoch += s.rejected_future_epoch;
+        for c in [f.a.channel(), f.b.channel()] {
+            ch.rejected_auth += c.stats.rejected_auth;
+            ch.rejected_stale += c.stats.rejected_stale;
+            ch.rejected_stale_epoch += c.stats.rejected_stale_epoch;
+            ch.rejected_future_epoch += c.stats.rejected_future_epoch;
+            counts.stale_macs += c.cached_macs().saturating_sub(c.live_key_versions()) as u64;
         }
         stale_admitted += f.b.stats.dup_admitted_fresh + f.duplicates;
         retransmits += f.a.retransmits();
@@ -762,10 +870,10 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
         claims_tx += r.stats.claims_tx;
         takeovers += r.stats.takeovers;
     }
-    RekeyReport {
+    let report = RekeyReport {
         delivered,
         expected: (cfg.flows * cfg.messages) as u64,
-        failed: flows.iter().any(|f| f.a.failed() || f.b.failed()),
+        failed,
         timed_out,
         completion_us: ps_to_us(completion_ps),
         goodput_gbps: bits / (completion_ps as f64 * 1e-12) / 1e9,
@@ -798,7 +906,8 @@ pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
         duplicates_delivered: dup_delivered,
         mgmt_delivered: sim.stats().mgmt_delivered,
         fabric_generated: sim.stats().generated,
-    }
+    };
+    (report, counts)
 }
 
 #[cfg(test)]
@@ -884,18 +993,61 @@ mod tests {
         let mut cfg = base();
         cfg.seed = 42;
         let text = cfg.to_json().to_string();
-        let back = RekeyConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.to_json().to_string(), text);
+        let parsed = Json::parse(&text).expect("config JSON parses");
+        assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(42));
+        assert_eq!(parsed.to_string(), text, "writer/parser agree");
 
-        let a = run_rekey_sim(&back).to_json().to_string();
+        let a = run_rekey_sim(&cfg).to_json().to_string();
         let b = run_rekey_sim(&cfg).to_json().to_string();
         assert_eq!(a, b, "bit-identical across same-seed runs");
-
-        let parsed = RekeyReport::from_json(&Json::parse(&a).unwrap()).unwrap();
-        assert_eq!(parsed.to_json().to_string(), a);
+        let parsed = Json::parse(&a).expect("report JSON parses");
+        assert_eq!(parsed.to_string(), a);
 
         cfg.seed = 43;
         let c = run_rekey_sim(&cfg).to_json().to_string();
         assert_ne!(a, c, "seed steers everything");
+    }
+
+    /// The complexity gate: the loop's work follows what happened in the
+    /// run, not the size of the fleet. A lossless message costs about four
+    /// polls (the post, the data arrival, the ACK arrival, one timer);
+    /// a sweep over every endpoint on every step costs `2 * flows * steps`
+    /// (30 M at 512 flows). Counts are deterministic, so no host drift
+    /// can flake this.
+    #[test]
+    fn polls_follow_activity_not_fleet_size() {
+        for flows in [128, 512] {
+            let mut cfg = RekeyConfig {
+                flows,
+                messages: 12,
+                post_interval: 800 * US,
+                replicas: 5,
+                rotation_period: 2 * MS,
+                grace: 2 * MS,
+                kill_leader_at: 3 * MS,
+                stale_every: 2,
+                stale_delay: 12 * MS,
+                ..RekeyConfig::default()
+            };
+            cfg.sim.duration = 2 * MS;
+            cfg.sim.warmup = 200 * US;
+            let (r, n) = run_counted(&cfg);
+            assert_eq!(r.delivered, r.expected, "{flows} flows");
+            assert!(!r.failed && !r.timed_out, "{flows} flows");
+            assert!(
+                n.polls <= 4 * n.steps,
+                "{flows} flows: {} polls in {} steps",
+                n.polls,
+                n.steps
+            );
+            assert!(
+                n.polls <= 8 * r.expected,
+                "{flows} flows: {} polls for {} messages",
+                n.polls,
+                r.expected
+            );
+            assert!(r.rotations >= 20, "{flows} flows: the key plane rotated");
+            assert_eq!(n.stale_macs, 0, "{flows} flows: retired keys' MACs evicted");
+        }
     }
 }
