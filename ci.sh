@@ -36,6 +36,10 @@ golden_diff() {
 }
 
 echo "== fig_replay smoke (twice: byte-identical to each other and to the golden) =="
+# The replay-defence gate: both sweeps (quiet 2x2 mesh, loaded 4x4 mesh)
+# run through run_fabric_sim, i.e. the one co-simulation driver. The
+# binary's own asserts require 100% delivery on every arm, zero admitted
+# replays with the window and admitted ones without it.
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
 mv BENCH_fig_replay.json BENCH_fig_replay.first.json
 cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
@@ -167,12 +171,18 @@ cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 echo "== jsonck: emitted results parse back through ib_runtime::json =="
 cargo run -q --release --offline -p bench --bin jsonck -- BENCH_*.json
 
-echo "== benchmark package (builds against the workspace, smoke set runs clean) =="
+echo "== benchmark package (builds against the workspace, old-loop oracle agrees, smoke set runs clean) =="
 # benchmark/ is frozen between [benchmark] PRs but calls library names
 # directly (probes, the traced fabric loop), so a deletion in crates/ can
-# break it without touching it. The run exits non-zero on any failed
-# operation.
+# break it without touching it. Its traced fabric loop is a call-for-call
+# copy of the two-endpoint loop run_fabric_sim was before it moved onto
+# ib_transport::cosim: the package's tests compare the two reports on
+# three points and `trace --smoke` on all 18 smoke points, failing the
+# operation on any difference - an independent differential check of the
+# driver. Both runs exit non-zero on any failed operation.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- trace --smoke
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "CI OK"

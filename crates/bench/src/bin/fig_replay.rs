@@ -8,17 +8,14 @@
 //! replay-window arm admits zero attacker replays — the other two
 //! deliver the attacker's byte-identical duplicates to the application.
 //!
-//! Two transports run the same sweep:
+//! Both sweeps run through [`ib_transport::run_fabric_sim`]; they differ
+//! in the fabric under the flow, not in the harness:
 //!
-//! * **p2p** — the original point-to-point harness
-//!   ([`ib_transport::sim`]), kept as the determinism oracle: its
-//!   per-point reports are byte-diffed against a pre-refactor golden
-//!   capture (`tests/golden/fig_replay_oracle_pre_refactor.json`) when
-//!   the seed and message count match, proving the transport/fabric
-//!   refactor did not perturb the oracle path.
-//! * **mesh** — the same endpoints attached to HCAs of the 16-node
-//!   [`ib_sim`] fabric ([`ib_transport::fabric`]), where replays ride
-//!   real VL arbitration and per-link faults.
+//! * **quiet** — a 2×2 mesh with no background traffic, neighbours
+//!   talking, the attacker on a third node: the point-to-point case,
+//!   where loss and the replays are all that happens to the flow.
+//! * **mesh** — the paper's 16-node fabric at its default load, corner
+//!   to corner, where replays ride real VL arbitration and congestion.
 //!
 //! Usage: `fig_replay [--smoke] [--messages N] [--seed S]`
 
@@ -27,33 +24,15 @@ use ib_runtime::{Json, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::MS;
 use ib_sim::FaultConfig;
-use ib_transport::{
-    run_fabric_sim, run_replay_sim, FabricReport, FabricSimConfig, RdmaOp, ReplayReport,
-    ReplaySimConfig,
-};
+use ib_transport::{run_fabric_sim, FabricReport, FabricSimConfig, RdmaOp};
 
 /// Link loss probabilities swept on the x-axis (0–5%).
 const LOSSES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 
-/// Pre-refactor capture of the point-to-point arm (same seed, smoke
-/// message count). Resolved relative to the crate so the check works
-/// from any working directory.
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/golden/fig_replay_oracle_pre_refactor.json"
-);
-
-fn config_for(seed: u64, messages: usize, loss: f64, security: ChannelSecurity) -> ReplaySimConfig {
-    ReplaySimConfig {
-        seed,
-        security,
-        messages,
-        fault: FaultConfig::lossy(loss, 50_000),
-        ..ReplaySimConfig::default()
-    }
-}
-
-fn mesh_config_for(
+/// One point's config; `quiet` moves it from the 16-node mesh onto the
+/// 2×2 one: node 0 → node 1, attacker on node 2, no background load.
+fn config_for(
+    quiet: bool,
     seed: u64,
     messages: usize,
     loss: f64,
@@ -69,49 +48,17 @@ fn mesh_config_for(
     };
     cfg.sim.duration = 5 * MS;
     cfg.sim.fault = FaultConfig::lossy(loss, 50_000);
+    if quiet {
+        (cfg.src, cfg.dst, cfg.replay_node) = (0, 1, 2);
+        cfg.sim.mesh_dim = 2;
+        cfg.sim.traffic.realtime_load = 0.0;
+        cfg.sim.traffic.best_effort_load = 0.0;
+    }
     cfg
 }
 
-/// Byte-diff the freshly-run p2p reports against the pre-refactor golden
-/// capture. Only the per-point `report` objects are compared: the config
-/// schema legitimately grew (`rc` gained MTU/retransmit knobs) but the
-/// oracle's *behavior* must be bit-identical at the golden's seed.
-fn check_golden(seed: u64, messages: usize, points: &[(f64, ChannelSecurity, ReplayReport)]) {
-    let Ok(text) = std::fs::read_to_string(GOLDEN_PATH) else {
-        println!("golden oracle check: capture not found, skipped");
-        return;
-    };
-    let golden = Json::parse(&text).expect("golden capture parses");
-    let g_seed = golden.get("seed").and_then(Json::as_u64);
-    let g_messages = golden
-        .get("config")
-        .and_then(|c| c.get("messages"))
-        .and_then(Json::as_u64);
-    if g_seed != Some(seed) || g_messages != Some(messages as u64) {
-        println!(
-            "golden oracle check: skipped (captured at seed {:?}, {:?} messages)",
-            g_seed, g_messages
-        );
-        return;
-    }
-    let g_points = golden.get("points").and_then(Json::as_arr).expect("points");
-    assert_eq!(g_points.len(), points.len(), "golden point count");
-    for (g, (loss, arm, r)) in g_points.iter().zip(points) {
-        let want = g.get("report").expect("golden report").to_string();
-        let got = r.to_json().to_string();
-        assert_eq!(
-            want,
-            got,
-            "p2p oracle diverged from pre-refactor capture at {}% / {}",
-            loss * 100.0,
-            arm.label()
-        );
-    }
-    println!(
-        "golden oracle check: {} p2p reports byte-identical to the pre-refactor capture",
-        g_points.len()
-    );
-}
+/// The two sweeps: label in the table and the document, and `quiet`.
+const SWEEPS: [(&str, bool); 2] = [("quiet", true), ("mesh", false)];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -121,14 +68,13 @@ fn main() {
         .unwrap_or(if smoke { 60 } else { 300 });
     let seed = seed_arg(&args);
 
-    let mut points: Vec<(f64, ChannelSecurity, ReplayReport)> = Vec::new();
-    let mut mesh_points: Vec<(f64, ChannelSecurity, FabricReport)> = Vec::new();
-    for &loss in &LOSSES {
-        for &arm in &ChannelSecurity::ALL {
-            let cfg = config_for(seed.0, messages, loss, arm);
-            points.push((loss, arm, run_replay_sim(&cfg)));
-            let mesh = mesh_config_for(seed.0, messages, loss, arm);
-            mesh_points.push((loss, arm, run_fabric_sim(&mesh)));
+    let mut points: Vec<(&str, f64, ChannelSecurity, FabricReport)> = Vec::new();
+    for (transport, quiet) in SWEEPS {
+        for &loss in &LOSSES {
+            for &arm in &ChannelSecurity::ALL {
+                let cfg = config_for(quiet, seed.0, messages, loss, arm);
+                points.push((transport, loss, arm, run_fabric_sim(&cfg)));
+            }
         }
     }
 
@@ -149,11 +95,11 @@ fn main() {
         "dups delivered",
         "dups suppressed",
     ];
-    let mut table: Vec<Vec<String>> = points
+    let table: Vec<Vec<String>> = points
         .iter()
-        .map(|(loss, arm, r)| {
+        .map(|(transport, loss, arm, r)| {
             vec![
-                "p2p".to_string(),
+                transport.to_string(),
                 format!("{:.1}%", loss * 100.0),
                 arm.label().to_string(),
                 format!("{}/{}", r.delivered, r.expected),
@@ -167,83 +113,30 @@ fn main() {
             ]
         })
         .collect();
-    table.extend(mesh_points.iter().map(|(loss, arm, r)| {
-        vec![
-            "mesh".to_string(),
-            format!("{:.1}%", loss * 100.0),
-            arm.label().to_string(),
-            format!("{}/{}", r.delivered, r.expected),
-            format!("{:.3}", r.goodput_gbps),
-            format!("{:.2}", r.latency_us.mean()),
-            r.retransmits.to_string(),
-            r.replays_injected.to_string(),
-            r.replays_admitted.to_string(),
-            r.duplicates_delivered.to_string(),
-            r.dup_suppressed.to_string(),
-        ]
-    }));
     println!("{}", render_table(&header, &table));
 
-    // ---- acceptance assertions (both transports) ----
-    for (loss, arm, r) in &points {
+    // ---- acceptance assertions (every point of both sweeps) ----
+    for (transport, loss, arm, r) in &points {
+        let at = format!("{transport} {}% / {}", loss * 100.0, arm.label());
         assert!(
             r.delivered == r.expected && !r.failed && !r.timed_out,
-            "p2p {}% / {}: 100% eventual delivery required, got {}/{}",
-            loss * 100.0,
-            arm.label(),
+            "{at}: 100% eventual delivery required, got {}/{}",
             r.delivered,
             r.expected
         );
         if *arm == ChannelSecurity::AuthReplay {
             assert_eq!(
-                r.replays_admitted,
-                0,
-                "p2p {}%: replay window must admit zero attacker replays",
-                loss * 100.0
+                r.replays_admitted, 0,
+                "{at}: replay window must admit zero attacker replays"
             );
             assert_eq!(
-                r.duplicates_delivered,
-                0,
-                "p2p {}%: no duplicate ever reaches the application",
-                loss * 100.0
-            );
-        } else if *loss > 0.0 || r.replays_injected > 0 {
-            assert!(
-                r.replays_admitted > 0,
-                "p2p {}% / {}: without the window the attack must succeed",
-                loss * 100.0,
-                arm.label()
-            );
-        }
-    }
-    for (loss, arm, r) in &mesh_points {
-        assert!(
-            r.delivered == r.expected && !r.failed && !r.timed_out,
-            "mesh {}% / {}: 100% eventual delivery required, got {}/{}",
-            loss * 100.0,
-            arm.label(),
-            r.delivered,
-            r.expected
-        );
-        if *arm == ChannelSecurity::AuthReplay {
-            assert_eq!(
-                r.replays_admitted,
-                0,
-                "mesh {}%: replay window must admit zero attacker replays",
-                loss * 100.0
-            );
-            assert_eq!(
-                r.duplicates_delivered,
-                0,
-                "mesh {}%: no duplicate ever reaches the application",
-                loss * 100.0
+                r.duplicates_delivered, 0,
+                "{at}: no duplicate ever reaches the application"
             );
         } else if r.replays_injected > 0 {
             assert!(
                 r.replays_admitted > 0,
-                "mesh {}% / {}: without the window the attack must succeed",
-                loss * 100.0,
-                arm.label()
+                "{at}: without the window the attack must succeed"
             );
         }
     }
@@ -251,26 +144,23 @@ fn main() {
     // still get through the window (the issue's headline scenario, at 2%).
     let headline = points
         .iter()
-        .find(|(l, a, _)| *l == 0.02 && *a == ChannelSecurity::AuthReplay)
+        .find(|(t, l, a, _)| *t == "quiet" && *l == 0.02 && *a == ChannelSecurity::AuthReplay)
         .expect("2% auth+replay point exists");
-    assert!(headline.2.retransmits > 0, "2% loss must force retransmits");
+    assert!(headline.3.retransmits > 0, "2% loss must force retransmits");
 
     // Determinism: the same seed reproduces the headline point bit-for-bit.
-    let again = run_replay_sim(&config_for(
+    let again = run_fabric_sim(&config_for(
+        true,
         seed.0,
         messages,
         0.02,
         ChannelSecurity::AuthReplay,
     ));
     assert_eq!(
-        headline.2.to_json().to_string(),
+        headline.3.to_json().to_string(),
         again.to_json().to_string(),
         "identical output across two same-seed runs"
     );
-
-    // The refactor proof: the oracle path still produces the pre-refactor
-    // bytes at the golden's seed.
-    check_golden(seed.0, messages, &points);
     println!("OK: 100% delivery on every arm; zero admitted replays with the window.");
 
     let doc = bench_doc(
@@ -281,32 +171,24 @@ fn main() {
             ("messages", (messages as u64).to_json()),
             (
                 "base",
-                config_for(seed.0, messages, 0.0, ChannelSecurity::AuthReplay).to_json(),
+                config_for(true, seed.0, messages, 0.0, ChannelSecurity::AuthReplay).to_json(),
             ),
             (
                 "mesh_base",
-                mesh_config_for(seed.0, messages, 0.0, ChannelSecurity::AuthReplay).to_json(),
+                config_for(false, seed.0, messages, 0.0, ChannelSecurity::AuthReplay).to_json(),
             ),
             ("smoke", smoke.to_json()),
         ]),
         points
             .iter()
-            .map(|(loss, arm, r)| {
+            .map(|(transport, loss, arm, r)| {
                 Json::obj([
-                    ("transport", "p2p".to_json()),
+                    ("transport", transport.to_json()),
                     ("loss", loss.to_json()),
                     ("security", arm.label().to_json()),
                     ("report", r.to_json()),
                 ])
             })
-            .chain(mesh_points.iter().map(|(loss, arm, r)| {
-                Json::obj([
-                    ("transport", "mesh".to_json()),
-                    ("loss", loss.to_json()),
-                    ("security", arm.label().to_json()),
-                    ("report", r.to_json()),
-                ])
-            }))
             .collect(),
     );
     let path = write_bench_json("fig_replay", &doc).expect("write BENCH_fig_replay.json");

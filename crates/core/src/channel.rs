@@ -65,11 +65,6 @@ impl ChannelSecurity {
             ChannelSecurity::AuthReplay => "auth+replay-window",
         }
     }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<ChannelSecurity> {
-        Self::ALL.into_iter().find(|s| s.label() == label)
-    }
 }
 
 /// Why [`SecureChannel::admit`] refused a packet.
@@ -631,10 +626,8 @@ mod tests {
 
     #[test]
     fn labels_round_trip_and_window_depth() {
-        for arm in ChannelSecurity::ALL {
-            assert_eq!(ChannelSecurity::from_label(arm.label()), Some(arm));
-        }
-        assert_eq!(ChannelSecurity::from_label("bogus"), None);
+        let labels = ChannelSecurity::ALL.map(ChannelSecurity::label);
+        assert_eq!(labels, ["no-auth", "auth", "auth+replay-window"]);
         let (_, rx) = pair(ChannelSecurity::AuthReplay);
         assert_eq!(rx.window_depth(), Some(64));
         let (_, rx) = pair(ChannelSecurity::Auth);

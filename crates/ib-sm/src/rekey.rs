@@ -2,95 +2,55 @@
 //! the mesh while the replicated key plane rotates the partition secret
 //! underneath them.
 //!
-//! The co-simulation extends `ib_transport::fabric::run_fabric_sim` from
-//! one flow to a fleet (see "How the loop is scheduled" below for what
-//! that takes at 1024 QPs), and adds three actors:
+//! The loop is `ib_transport::cosim`'s (see its module docs for the step
+//! order and why polling only the woken endpoints is exact); this module
+//! configures it with a paced fleet and supplies the hosts that are not
+//! RC endpoints, as one [`KeyPlane`]:
 //!
 //! * **SM replicas** ([`SmReplica`]) on the first `replicas` nodes,
 //!   heartbeating and rotating over VL-15 MADs posted through the same
 //!   [`Simulator::post_host`] path the data plane uses. Key updates reach
-//!   each member CA as toy-RSA envelopes; the harness opens them with the
-//!   node's private key and installs the epoch into every endpoint
+//!   each member CA as toy-RSA envelopes; the key plane opens them with
+//!   the node's private key and installs the epoch into every endpoint
 //!   resident on that node ([`SecureRcEndpoint::install_epoch`]).
 //! * **A leader-kill fault** — at `kill_leader_at` the current leader
 //!   goes silent; the staggered election elects the next rank, whose
 //!   healing rotation supersedes any partially distributed epoch.
 //!   Recovery is measured from the kill to the instant the new leader's
-//!   distribution is fully acked.
-//! * **A stale-epoch attacker** — captures data packets at one victim
-//!   node and re-injects them after `stale_delay`. Chosen longer than
-//!   `rotation_period + grace`, every re-injection names a retired epoch
-//!   and must be rejected by the epoch layer (counted in
-//!   `rejected_stale_epoch`), never admitted fresh.
+//!   distribution is fully acked, and the run does not end before it.
+//!
+//! The third actor is the driver's own tap, used as a **stale-epoch
+//! attacker**: it captures data packets at one victim QP and re-injects
+//! them after `stale_delay`. Chosen longer than `rotation_period +
+//! grace`, every re-injection names a retired epoch and must be rejected
+//! by the epoch layer (counted in `rejected_stale_epoch`), never admitted
+//! fresh.
 //!
 //! Re-keying is *lazy*: senders stamp the newest installed epoch on each
 //! (re)transmission, receivers honour the previous epoch for the grace
 //! window, and packets caught mid-rotation heal through ordinary RC
 //! retransmission — so 100% eventual delivery holds through rotations
-//! and failover. Everything is bit-deterministic in `seed`.
-//!
-//! ## How the loop is scheduled
-//!
-//! Each step speaks for the hosts at `now` (kill, attacker, paced posts,
-//! replicas, endpoints), picks the next interesting instant, runs the
-//! fabric to it or to the first host delivery, and hands the deliveries
-//! to their owners. The work in a step follows what happened in it, not
-//! the size of the fleet: a **wake set** (`WakeSet`) names the endpoints
-//! to poll, a min-heap of `(post_at, flow)` paces the posting, completion
-//! is a count of finished flows and failure a sticky flag, and a delivery
-//! finds its flow as `dest_qp - REKEY_QPN0`. An endpoint is woken by
-//! exactly three things — a verb posted on it, a wire buffer handed to
-//! it, its own cached `next_deadline()` coming due (a lazily invalidated
-//! timer heap) — and a pass polls the woken ones in ascending
-//! `2 * flow + side` order, the order in which a sweep over every
-//! endpoint would post their packets.
-//!
-//! Polling only the woken endpoints is exact, not approximate — the
-//! report is byte-identical to that of a loop polling every endpoint on
-//! every step — because:
-//!
-//! 1. [`SecureRcEndpoint::poll_into`] changes nothing unless a verb was
-//!    posted, `handle_wire` ran, or the QP's `next_deadline()` came due
-//!    since the last poll: the retransmission timeout (`on_timeout`), the
-//!    delayed ACK (`poll_ack`) and `poll_tx`'s RNR back-off are that
-//!    deadline; its rewound resend cursor, queued selective-repeat
-//!    retransmits and opened window are consequences of an arrival or a
-//!    timeout; its pending queue grows only by a post.
-//! 2. The only other effect of a poll, `channel.advance_time(now)`, is
-//!    also the first statement of `handle_wire` — the only place a
-//!    retired epoch is observable — and of `install_epoch`, so key
-//!    versions retire before anything can look at them whether or not
-//!    the endpoint is ever polled again.
-//! 3. A post only enqueues into the QP; the requester's poll in the same
-//!    step is what reaches the fabric, so when inside a step (and in
-//!    which flow order) the posts happen is invisible to it.
-//!
-//! Both halves are gated: `tests/golden/rekey/*.json` holds six lossy,
-//! RNR-storming, retry-exhausting reports produced by a loop that swept
-//! the whole fleet on every step (`tests/rekey_golden.rs` compares byte
-//! for byte), and the unit tests bound the private `run_counted`'s poll
-//! count by the run's activity.
+//! and failover. Everything is bit-deterministic in `seed`;
+//! `tests/golden/rekey/*.json` holds six lossy, RNR-storming,
+//! retry-exhausting reports (`tests/rekey_golden.rs` compares byte for
+//! byte), and the unit tests bound the driver's poll count by the run's
+//! activity.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use ib_crypto::toyrsa::{generate_keypair, PrivateKey};
+use ib_crypto::toyrsa::{generate_keypair, PrivateKey, PublicKey};
 use ib_mgmt::{KeyEpoch, SecretKey};
 use ib_packet::mad::Mad;
 use ib_packet::types::{Lid, PKey, Qpn};
-use ib_packet::{Operation, Packet};
+use ib_packet::Packet;
 use ib_runtime::{Json, Seed, ToJson};
+use ib_security::channel::ChannelStats;
 use ib_security::ChannelSecurity;
 use ib_sim::time::{ps_to_us, MS, US};
-use ib_sim::{SimConfig, SimTime, Simulator};
-use ib_transport::{RcConfig, SecureRcEndpoint};
+use ib_sim::{HostDelivery, SimConfig, SimTime, Simulator};
+use ib_transport::cosim::{Cosim, Flow, Host, Tap, Workload};
+use ib_transport::{RcConfig, RdmaOp, SecureRcEndpoint};
 
-use crate::replica::{CaMember, PeerReplica, ReplicaConfig, SmReplica};
-use crate::wire::{mad_packet, parse_mad_packet, SmMessage, MGMT_VL, SM_QPN};
-
-/// After the last flow completes, keep the fabric running this long so
-/// pending stale re-injections still get judged.
-const DRAIN_GRACE: SimTime = MS;
+use crate::replica::{CaMember, PeerReplica, ReplicaConfig, ReplicaStats, SmReplica};
+use crate::wire::{mad_of, mad_packet, SmMessage, MGMT_VL, SM_QPN};
 
 /// The single partition every flow lives in.
 const REKEY_PKEY: PKey = PKey(0x8001);
@@ -308,141 +268,133 @@ impl RekeyReport {
     }
 }
 
-/// Deterministic message payload: 8-byte LE index + patterned fill
-/// (mirrors the transport harness's convention).
-fn payload_for(i: usize, len: usize) -> Vec<u8> {
-    let mut p = vec![0u8; len];
-    p[..8].copy_from_slice(&(i as u64).to_le_bytes());
-    for (k, byte) in p.iter_mut().enumerate().skip(8) {
-        *byte = (i as u8).wrapping_mul(31).wrapping_add(k as u8);
-    }
-    p
+/// The hosts of the run that are not RC endpoints: the SM replica group,
+/// the fault that kills its leader, and every CA's key-update handler.
+struct KeyPlane {
+    replicas: Vec<SmReplica>,
+    /// Per-node toy-RSA keypairs the SM seals key updates to.
+    node_keys: Vec<(PublicKey, PrivateKey)>,
+    /// Highest epoch each CA node installed.
+    node_epoch: Vec<KeyEpoch>,
+    /// 0 = no fault.
+    kill_leader_at: SimTime,
+    killed_at: Option<SimTime>,
+    term_at_kill: u64,
+    recovered_at: Option<SimTime>,
+    last_leader: Option<u8>,
+    leader_changes: u64,
+    mad_out: Vec<(usize, Mad)>,
 }
 
-/// One RC flow: requester `a` on `src`, responder `b` on `dst`.
-struct Flow {
-    src: usize,
-    dst: usize,
-    qpn: Qpn,
-    a: SecureRcEndpoint,
-    b: SecureRcEndpoint,
-    /// Messages posted so far (paced).
-    posted: usize,
-    /// This flow's pacing phase offset.
-    offset: SimTime,
-    seen: Vec<bool>,
-    delivered: u64,
-    duplicates: u64,
-    mismatches: u64,
-    /// [`Self::complete_flow`] as of the last poll of either endpoint.
-    complete: bool,
-}
-
-impl Flow {
-    fn post_at(&self, k: usize, interval: SimTime) -> SimTime {
-        self.offset + interval * k as SimTime
-    }
-
-    fn complete_flow(&self, messages: usize) -> bool {
-        self.posted == messages && self.delivered == messages as u64 && self.a.tx_idle()
+/// Post the MADs a host on node `from` queued in `out`.
+fn send_mads(out: &mut Vec<(usize, Mad)>, from: usize, sim: &mut Simulator) {
+    for (dst, mad) in out.drain(..) {
+        let pkt = mad_packet(Lid(from as u16 + 1), Lid(dst as u16 + 1), &mad);
+        sim.post_host(from, dst, MGMT_VL, pkt.to_bytes());
     }
 }
 
-/// A min-heap of `(instant, index)`.
-type TimeHeap = BinaryHeap<Reverse<(SimTime, usize)>>;
-
-/// The endpoints the next poll pass must visit, and the instant the fleet
-/// next needs a timer wake-up. Endpoint id = `2 * flow + side`
-/// (0 = requester `a`, 1 = responder `b`).
-struct WakeSet {
-    /// Each endpoint's exact `next_deadline()` as of its last poll, `None`
-    /// once [`Self::take_pass`] has consumed it. An entry of `timers` is
-    /// live iff it equals this; stale ones are dropped when met.
-    deadline: Vec<Option<SimTime>>,
-    timers: TimeHeap,
-    /// Endpoints woken since the last pass, de-duplicated by `queued`.
-    ready: Vec<usize>,
-    queued: Vec<bool>,
-}
-
-impl WakeSet {
-    fn new(endpoints: usize) -> Self {
-        WakeSet {
-            deadline: vec![None; endpoints],
-            timers: TimeHeap::new(),
-            ready: Vec::new(),
-            queued: vec![false; endpoints],
-        }
-    }
-
-    /// Something happened to endpoint `id` (a post, an arrival, a due
-    /// timer): the next pass polls it.
-    fn wake(&mut self, id: usize) {
-        if !std::mem::replace(&mut self.queued[id], true) {
-            self.ready.push(id);
-        }
-    }
-
-    /// The earliest live timer, dropping stale heap tops on the way.
-    fn next_timer(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((t, id))) = self.timers.peek() {
-            if self.deadline[id] == Some(t) {
-                return Some(t);
+impl Host for KeyPlane {
+    fn speak(&mut self, now: SimTime, sim: &mut Simulator) {
+        if self.kill_leader_at > 0 && self.killed_at.is_none() && now >= self.kill_leader_at {
+            if let Some(l) = self.replicas.iter_mut().find(|r| r.is_leader()) {
+                self.term_at_kill = l.term();
+                l.kill();
+                self.killed_at = Some(now);
             }
-            self.timers.pop();
         }
-        None
-    }
-
-    /// Move into `pass` every endpoint woken since the last pass plus
-    /// every one whose timer is due at `now`, in ascending id order —
-    /// requester before responder, flows ascending: the `post_host` order
-    /// of a sweep over the whole fleet, and with it every intrinsic event
-    /// key in `ib-sim`.
-    fn take_pass(&mut self, now: SimTime, pass: &mut Vec<usize>) {
-        while self.next_timer().is_some_and(|t| t <= now) {
-            let Reverse((_, id)) = self.timers.pop().expect("peeked above");
-            self.deadline[id] = None;
-            self.wake(id);
+        for r in &mut self.replicas {
+            r.poll(now, &mut self.mad_out);
+            send_mads(&mut self.mad_out, r.node(), sim);
         }
-        pass.clear();
-        pass.append(&mut self.ready);
-        pass.sort_unstable();
-    }
-
-    /// Endpoint `id` was just polled and now reports `deadline`.
-    fn polled(&mut self, id: usize, deadline: Option<SimTime>) {
-        self.queued[id] = false;
-        if self.deadline[id] != deadline {
-            self.deadline[id] = deadline;
-            if let Some(t) = deadline {
-                self.timers.push(Reverse((t, id)));
+        // Leadership observation + recovery detection.
+        if let Some(l) = self.replicas.iter().find(|r| r.is_leader()) {
+            if self.last_leader != Some(l.id()) {
+                self.leader_changes += u64::from(self.last_leader.is_some());
+                self.last_leader = Some(l.id());
+            }
+            if self.killed_at.is_some()
+                && self.recovered_at.is_none()
+                && l.term() > self.term_at_kill
+                && l.rotations() > 0
+                && l.distribution_complete()
+            {
+                self.recovered_at = Some(now);
             }
         }
     }
-}
 
-/// Deterministic counters of one run that only the tests read: the
-/// cost-follows-activity gate and the keyed-MAC cache bound. Not part of
-/// [`RekeyReport`].
-#[derive(Debug, Clone, Copy, Default)]
-struct LoopCounts {
-    /// Co-simulation loop iterations.
-    steps: u64,
-    /// [`SecureRcEndpoint::poll_into`] calls.
-    polls: u64,
-    /// Keyed MACs still cached at the end of the run beyond each
-    /// channel's live key versions, summed over all channels.
-    stale_macs: u64,
+    fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+        let kill = Some(self.kill_leader_at).filter(|&t| t > now && self.killed_at.is_none());
+        self.replicas
+            .iter()
+            .filter_map(SmReplica::next_deadline)
+            .chain(kill)
+            .min()
+    }
+
+    /// Everything addressed to QP0 is the management plane's: MADs to a
+    /// replica's node go to the replica; on a member CA a `KeyUpdate`
+    /// re-keys every endpoint resident on the node and is acked.
+    fn offer(
+        &mut self,
+        d: &HostDelivery,
+        pkt: &Packet,
+        sim: &mut Simulator,
+        flows: &mut [Flow],
+    ) -> bool {
+        if pkt.bth.dest_qp != SM_QPN {
+            return false;
+        }
+        let Some((src_node, mad)) = mad_of(pkt) else {
+            return true;
+        };
+        if let Some(rep) = self.replicas.get_mut(d.node) {
+            rep.handle(d.at, src_node, &mad, &mut self.mad_out);
+            send_mads(&mut self.mad_out, d.node, sim);
+        } else if let Some(SmMessage::KeyUpdate {
+            pkey,
+            epoch,
+            envelope,
+            ..
+        }) = SmMessage::decode(&mad)
+        {
+            if let Some(secret) = envelope.open(&self.node_keys[d.node].1) {
+                for f in flows.iter_mut() {
+                    if f.src == d.node {
+                        f.a.install_epoch(d.at, epoch, secret);
+                    }
+                    if f.dst == d.node {
+                        f.b.install_epoch(d.at, epoch, secret);
+                    }
+                }
+                self.node_epoch[d.node] = self.node_epoch[d.node].max(epoch);
+                let ack = SmMessage::KeyUpdateAck {
+                    pkey,
+                    epoch,
+                    node: d.node as u16,
+                };
+                self.mad_out.push((src_node, ack.encode(0)));
+                send_mads(&mut self.mad_out, d.node, sim);
+            }
+        }
+        true
+    }
+
+    /// For the kill arm, the run also waits out the election + re-key.
+    fn settled(&self) -> bool {
+        self.killed_at.is_none() || self.recovered_at.is_some()
+    }
 }
 
 /// Run one fig_rekey point (see module docs).
 pub fn run_rekey_sim(cfg: &RekeyConfig) -> RekeyReport {
-    run_counted(cfg).0
+    let (run, plane) = run_driver(cfg);
+    report(cfg, &run, &plane)
 }
 
-fn run_counted(cfg: &RekeyConfig) -> (RekeyReport, LoopCounts) {
-    assert!(cfg.payload_len >= 8, "payload must hold the 8-byte index");
+/// Build the fleet and the key plane and run them to the end.
+fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
     assert!(
         (1..=8).contains(&cfg.replicas),
         "replica group must be 1..=8"
@@ -450,63 +402,49 @@ fn run_counted(cfg: &RekeyConfig) -> (RekeyReport, LoopCounts) {
     let nodes = cfg.sim.num_nodes();
     let ca_nodes = nodes - cfg.replicas;
     assert!(ca_nodes >= 2, "need at least two CA nodes for flows");
-    assert!(cfg.flows >= 1 && cfg.messages >= 1);
+    assert!(cfg.flows >= 1, "need at least one flow");
 
     let mut sim_cfg = cfg.sim.clone();
     sim_cfg.seed = Seed(cfg.seed);
-    let mut sim = Simulator::new(sim_cfg);
 
     // --- Key material ------------------------------------------------
     // Epoch-0 partition secret, agreed at bring-up; per-node toy-RSA
     // keypairs the SM seals key updates to.
     let secret0 = SecretKey::from_seed(cfg.seed ^ 0x005E_C2E7);
-    let node_keys: Vec<(ib_crypto::toyrsa::PublicKey, PrivateKey)> = (0..nodes)
+    let node_keys: Vec<(PublicKey, PrivateKey)> = (0..nodes)
         .map(|n| generate_keypair(cfg.seed ^ ((n as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))))
         .collect();
 
     // --- Data-plane flows --------------------------------------------
-    let mut flows: Vec<Flow> = (0..cfg.flows)
+    let specs: Vec<(usize, usize, RdmaOp, SimTime)> = (0..cfg.flows)
         .map(|i| {
             let src = cfg.replicas + (i % ca_nodes);
             let mut dst = cfg.replicas + ((i + 1 + i / ca_nodes) % ca_nodes);
             if dst == src {
                 dst = cfg.replicas + ((dst - cfg.replicas + 1) % ca_nodes);
             }
-            let qpn = Qpn(REKEY_QPN0 + i as u32);
-            let make = |lid, peer| {
-                let mut ep = SecureRcEndpoint::new(
-                    cfg.security,
-                    REKEY_PKEY,
-                    secret0,
-                    cfg.replay_window,
-                    cfg.rc,
-                    lid,
-                    peer,
-                    qpn,
-                );
-                ep.set_epoch_grace(cfg.grace);
-                ep
-            };
-            let (sl, dl) = (Lid(src as u16 + 1), Lid(dst as u16 + 1));
-            Flow {
-                src,
-                dst,
-                qpn,
-                a: make(sl, dl),
-                b: make(dl, sl),
-                posted: 0,
-                offset: cfg.post_interval * i as SimTime / cfg.flows as SimTime,
-                seen: vec![false; cfg.messages],
-                delivered: 0,
-                duplicates: 0,
-                mismatches: 0,
-                complete: false,
-            }
+            // Each flow's pacing phase is offset within one interval.
+            let offset = cfg.post_interval * i as SimTime / cfg.flows as SimTime;
+            (src, dst, RdmaOp::Send, offset)
         })
         .collect();
+    let make = |qpn, lid, peer| {
+        let mut ep = SecureRcEndpoint::new(
+            cfg.security,
+            REKEY_PKEY,
+            secret0,
+            cfg.replay_window,
+            cfg.rc,
+            lid,
+            peer,
+            qpn,
+        );
+        ep.set_epoch_grace(cfg.grace);
+        ep
+    };
 
     // --- SM replica group --------------------------------------------
-    let mut member_nodes: Vec<usize> = flows.iter().flat_map(|f| [f.src, f.dst]).collect();
+    let mut member_nodes: Vec<usize> = specs.iter().flat_map(|s| [s.0, s.1]).collect();
     member_nodes.sort_unstable();
     member_nodes.dedup();
     let members: Vec<CaMember> = member_nodes
@@ -516,7 +454,7 @@ fn run_counted(cfg: &RekeyConfig) -> (RekeyReport, LoopCounts) {
             pubkey: node_keys[n].0,
         })
         .collect();
-    let mut replicas: Vec<SmReplica> = (0..cfg.replicas)
+    let replicas: Vec<SmReplica> = (0..cfg.replicas)
         .map(|id| {
             let peers = (0..cfg.replicas)
                 .filter(|&p| p != id)
@@ -539,375 +477,108 @@ fn run_counted(cfg: &RekeyConfig) -> (RekeyReport, LoopCounts) {
         })
         .collect();
 
-    // --- Attacker ----------------------------------------------------
-    let victim = flows[0].dst;
-    let victim_qpn = flows[0].qpn;
+    // --- Stale-epoch attacker: taps flow 0 at its responder -----------
+    let (victim_src, victim, ..) = specs[0];
     let attack_node = (cfg.replicas..nodes)
-        .find(|&n| n != victim && n != flows[0].src)
-        .unwrap_or(flows[0].src);
+        .find(|&n| n != victim && n != victim_src)
+        .unwrap_or(victim_src);
+    let tap = Tap {
+        node: victim,
+        qpn: Qpn(REKEY_QPN0),
+        every: cfg.stale_every,
+        delay: cfg.stale_delay,
+        inject_from: attack_node,
+    };
 
-    // --- Co-simulation loop ------------------------------------------
-    let mut pending: VecDeque<(SimTime, Vec<u8>)> = VecDeque::new();
-    let mut mad_out: Vec<(usize, Mad)> = Vec::new();
-    let mut wire: Vec<Vec<u8>> = Vec::new();
-    let mut node_epoch: Vec<KeyEpoch> = vec![KeyEpoch::ZERO; nodes];
-    let mut buckets: Vec<u64> = Vec::new();
-    let mut captured = 0u64;
-    let mut stale_injected = 0u64;
-    let mut leader_kills = 0u64;
-    let mut leader_changes = 0u64;
-    let mut last_leader: Option<u8> = None;
-    let mut killed_at: Option<SimTime> = None;
-    let mut term_at_kill = 0u64;
-    let mut recovered_at: Option<SimTime> = None;
-    let mut now: SimTime = 0;
-    let mut done_at: Option<SimTime> = None;
-    let mut timed_out = false;
-    // Scheduling state: who to poll, when to post, who is done (see the
-    // module docs for why visiting only these is exact).
-    let mut wake = WakeSet::new(2 * cfg.flows);
-    let mut pass: Vec<usize> = Vec::new();
-    let mut post_due: TimeHeap = flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Reverse((f.offset, i)))
-        .collect();
-    let mut complete_flows = 0usize;
-    let mut failed = false;
-    let mut counts = LoopCounts::default();
+    let load = Workload {
+        qpn0: REKEY_QPN0,
+        vl: cfg.vl,
+        messages: cfg.messages,
+        payload_len: cfg.payload_len,
+        post_interval: cfg.post_interval,
+        bucket: cfg.bucket,
+        max_sim_time: cfg.max_sim_time,
+    };
+    let mut plane = KeyPlane {
+        replicas,
+        node_keys,
+        node_epoch: vec![KeyEpoch::ZERO; nodes],
+        kill_leader_at: cfg.kill_leader_at,
+        killed_at: None,
+        term_at_kill: 0,
+        recovered_at: None,
+        last_leader: None,
+        leader_changes: 0,
+        mad_out: Vec::new(),
+    };
+    let mut run = Cosim::new(Simulator::new(sim_cfg), load, tap, specs, make);
+    run.run(&mut plane);
+    (run, plane)
+}
 
-    loop {
-        counts.steps += 1;
-        // Leader-kill fault injection.
-        if cfg.kill_leader_at > 0 && killed_at.is_none() && now >= cfg.kill_leader_at {
-            if let Some(l) = replicas.iter_mut().find(|r| r.is_leader()) {
-                term_at_kill = l.term();
-                l.kill();
-                leader_kills += 1;
-                killed_at = Some(now);
-            }
-        }
-        // Stale re-injections that have come due.
-        while pending.front().is_some_and(|(t, _)| *t <= now) {
-            let (_, bytes) = pending.pop_front().unwrap();
-            stale_injected += 1;
-            sim.post_host(attack_node, victim, cfg.vl, bytes);
-        }
-        // Paced posting: every (flow, message) whose instant has come. A
-        // post only enqueues into the QP — the requester's poll below is
-        // what puts it on the wire — so the order among flows is free.
-        while let Some(&Reverse((at, i))) = post_due.peek() {
-            if at > now {
-                break;
-            }
-            post_due.pop();
-            let f = &mut flows[i];
-            f.a.post(payload_for(f.posted, cfg.payload_len));
-            f.posted += 1;
-            if f.posted < cfg.messages {
-                post_due.push(Reverse((f.post_at(f.posted, cfg.post_interval), i)));
-            }
-            wake.wake(2 * i);
-        }
-        // SM plane speaks at `now`.
-        for r in replicas.iter_mut() {
-            r.poll(now, &mut mad_out);
-            let src = r.node();
-            for (dst, mad) in mad_out.drain(..) {
-                let pkt = mad_packet(Lid(src as u16 + 1), Lid(dst as u16 + 1), &mad);
-                sim.post_host(src, dst, MGMT_VL, pkt.to_bytes());
-            }
-        }
-        // Data plane speaks at `now`: the woken endpoints only.
-        wake.take_pass(now, &mut pass);
-        for &id in &pass {
-            let f = &mut flows[id / 2];
-            let (ep, from, to) = if id % 2 == 0 {
-                (&mut f.a, f.src, f.dst)
-            } else {
-                (&mut f.b, f.dst, f.src)
-            };
-            counts.polls += 1;
-            ep.poll_into(now, &mut wire);
-            for bytes in wire.drain(..) {
-                sim.post_host(from, to, cfg.vl, bytes);
-            }
-            failed |= ep.failed();
-            wake.polled(id, ep.next_deadline());
-            // Everything `complete_flow` reads changes only with a post,
-            // an arrival or a timeout on one of the flow's two endpoints,
-            // and each of those wakes it, so judging here misses nothing.
-            // Completion is monotone: nothing is posted after the last
-            // message.
-            if !f.complete && f.complete_flow(cfg.messages) {
-                f.complete = true;
-                complete_flows += 1;
-            }
-        }
-
-        // Leadership observation + recovery detection.
-        let leader_now = replicas.iter().find(|r| r.is_leader());
-        if let Some(l) = leader_now {
-            if last_leader != Some(l.id()) {
-                if last_leader.is_some() {
-                    leader_changes += 1;
-                }
-                last_leader = Some(l.id());
-            }
-            if killed_at.is_some()
-                && recovered_at.is_none()
-                && l.term() > term_at_kill
-                && l.rotations() > 0
-                && l.distribution_complete()
-            {
-                recovered_at = Some(now);
-            }
-        }
-
-        if done_at.is_none() && complete_flows == cfg.flows {
-            done_at = Some(now);
-        }
-        if failed {
-            break;
-        }
-        if now >= cfg.max_sim_time {
-            timed_out = done_at.is_none();
-            break;
-        }
-        if let Some(done) = done_at {
-            let drain_until = done + cfg.stale_delay + DRAIN_GRACE;
-            // For the kill arm, also wait out the election + re-key.
-            let recovered = killed_at.is_none() || recovered_at.is_some();
-            if now >= drain_until && pending.is_empty() && recovered {
-                break;
-            }
-        }
-
-        // Next interesting instant: endpoint deadlines, pacing, replica
-        // timers, attacker due times, the kill, or the drain horizon.
-        let mut target = cfg.max_sim_time;
-        if let Some(d) = wake.next_timer() {
-            target = target.min(d);
-        }
-        if let Some(&Reverse((at, _))) = post_due.peek() {
-            target = target.min(at);
-        }
-        for r in &replicas {
-            if let Some(d) = r.next_deadline() {
-                target = target.min(d);
-            }
-        }
-        if let Some((t, _)) = pending.front() {
-            target = target.min(*t);
-        }
-        if cfg.kill_leader_at > now && killed_at.is_none() {
-            target = target.min(cfg.kill_leader_at);
-        }
-        if let Some(done) = done_at {
-            let drain_until = done + cfg.stale_delay + DRAIN_GRACE;
-            // Only a future horizon is a scheduling target; a past one
-            // (waiting on recovery) must not collapse the step to 1 ps.
-            if drain_until > now {
-                target = target.min(drain_until);
-            }
-        }
-        let target = target.max(now + 1);
-        let t = sim.run_hosts_until(target);
-
-        while let Some(d) = sim.take_host_delivery() {
-            // Management plane: MADs to QP0.
-            if let Some((src_node, mad)) = parse_mad_packet(&d.bytes) {
-                if d.node < cfg.replicas {
-                    let rep = &mut replicas[d.node];
-                    rep.handle(d.at, src_node, &mad, &mut mad_out);
-                    let from = rep.node();
-                    for (dst, out_mad) in mad_out.drain(..) {
-                        let pkt = mad_packet(Lid(from as u16 + 1), Lid(dst as u16 + 1), &out_mad);
-                        sim.post_host(from, dst, MGMT_VL, pkt.to_bytes());
-                    }
-                } else if let Some(SmMessage::KeyUpdate {
-                    pkey,
-                    epoch,
-                    envelope,
-                    ..
-                }) = SmMessage::decode(&mad)
-                {
-                    // A member CA: open the envelope and re-key every
-                    // endpoint resident on this node, then ack.
-                    if let Some(secret) = envelope.open(&node_keys[d.node].1) {
-                        for f in flows.iter_mut() {
-                            if f.src == d.node {
-                                f.a.install_epoch(d.at, epoch, secret);
-                            }
-                            if f.dst == d.node {
-                                f.b.install_epoch(d.at, epoch, secret);
-                            }
-                        }
-                        node_epoch[d.node] = node_epoch[d.node].max(epoch);
-                        let ack = SmMessage::KeyUpdateAck {
-                            pkey,
-                            epoch,
-                            node: d.node as u16,
-                        };
-                        let pkt = mad_packet(
-                            Lid(d.node as u16 + 1),
-                            Lid(src_node as u16 + 1),
-                            &ack.encode(0),
-                        );
-                        sim.post_host(d.node, src_node, MGMT_VL, pkt.to_bytes());
-                    }
-                }
-                continue;
-            }
-            // Data plane: dispatch by (node, QPN).
-            let Ok(pkt) = Packet::parse(&d.bytes) else {
-                // Corrupted in flight; the owning endpoint's parse would
-                // also drop it, so account nowhere and move on.
-                continue;
-            };
-            if pkt.bth.dest_qp == SM_QPN {
-                continue;
-            }
-            // Attacker tap at the victim HCA: capture clean data packets.
-            if cfg.stale_every > 0
-                && d.node == victim
-                && pkt.bth.dest_qp == victim_qpn
-                && pkt.bth.opcode.operation != Operation::Acknowledge
-            {
-                captured += 1;
-                if captured.is_multiple_of(cfg.stale_every) {
-                    pending.push_back((d.at + cfg.stale_delay, d.bytes.clone()));
-                }
-            }
-            // Flow `i` owns QPN `REKEY_QPN0 + i`: index, don't search.
-            // (A QPN below the base wraps far out of range.)
-            let i = pkt.bth.dest_qp.0.wrapping_sub(REKEY_QPN0) as usize;
-            let Some(f) = flows.get_mut(i) else {
-                continue;
-            };
-            debug_assert_eq!(f.qpn, pkt.bth.dest_qp);
-            if f.dst == d.node {
-                f.b.handle_wire(d.at, &d.bytes);
-                wake.wake(2 * i + 1);
-                for payload in f.b.take_delivered() {
-                    let idx = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-                    if idx >= f.seen.len() || payload != payload_for(idx, cfg.payload_len) {
-                        f.mismatches += 1;
-                    } else if f.seen[idx] {
-                        f.duplicates += 1;
-                    } else {
-                        f.seen[idx] = true;
-                        f.delivered += 1;
-                        let slot = (d.at / cfg.bucket) as usize;
-                        if buckets.len() <= slot {
-                            buckets.resize(slot + 1, 0);
-                        }
-                        buckets[slot] += 1;
-                    }
-                }
-            } else if f.src == d.node {
-                f.a.handle_wire(d.at, &d.bytes);
-                wake.wake(2 * i);
-            }
-        }
-        now = t;
-    }
-
-    // --- Report ------------------------------------------------------
-    let completion_ps = done_at.unwrap_or(now).max(1);
-    let delivered: u64 = flows.iter().map(|f| f.delivered).sum();
-    let bits = (delivered * cfg.payload_len as u64 * 8) as f64;
+/// Read the [`RekeyReport`] off a finished run.
+fn report(cfg: &RekeyConfig, run: &Cosim, plane: &KeyPlane) -> RekeyReport {
+    let buckets = run.ledger.buckets.clone();
     let interior = if buckets.len() >= 4 {
         &buckets[1..buckets.len() - 1]
     } else {
         &buckets[..]
     };
-    let goodput_dip_frac = if interior.is_empty() {
-        1.0
-    } else {
-        let mean = interior.iter().sum::<u64>() as f64 / interior.len() as f64;
-        if mean > 0.0 {
-            *interior.iter().min().unwrap() as f64 / mean
-        } else {
-            1.0
-        }
+    let mean = interior.iter().sum::<u64>() as f64 / interior.len().max(1) as f64;
+    let slowest = interior.iter().min().copied().unwrap_or(0);
+    let channels = |stat: fn(&ChannelStats) -> u64| -> u64 {
+        let both = run
+            .flows
+            .iter()
+            .flat_map(|f| [f.a.channel(), f.b.channel()]);
+        both.map(|c| stat(&c.stats)).sum()
     };
-    let mut ch = ib_security::channel::ChannelStats::default();
-    let mut stale_admitted = 0u64;
-    let mut retransmits = 0u64;
-    let mut dup_delivered = 0u64;
-    let mut mismatches = 0u64;
-    for f in &flows {
-        for c in [f.a.channel(), f.b.channel()] {
-            ch.rejected_auth += c.stats.rejected_auth;
-            ch.rejected_stale += c.stats.rejected_stale;
-            ch.rejected_stale_epoch += c.stats.rejected_stale_epoch;
-            ch.rejected_future_epoch += c.stats.rejected_future_epoch;
-            counts.stale_macs += c.cached_macs().saturating_sub(c.live_key_versions()) as u64;
-        }
-        stale_admitted += f.b.stats.dup_admitted_fresh + f.duplicates;
-        retransmits += f.a.retransmits();
-        dup_delivered += f.duplicates;
-        mismatches += f.mismatches;
-    }
-    let dup_suppressed: u64 = flows
-        .iter()
-        .map(|f| f.a.stats.dup_suppressed + f.b.stats.dup_suppressed)
-        .sum();
-    let mut rotations = 0u64;
-    let mut key_updates_tx = 0u64;
-    let mut key_update_acks_rx = 0u64;
-    let mut replicates_tx = 0u64;
-    let mut heartbeats_tx = 0u64;
-    let mut claims_tx = 0u64;
-    let mut takeovers = 0u64;
-    for r in &replicas {
-        rotations += r.stats.rotations;
-        key_updates_tx += r.stats.key_updates_tx;
-        key_update_acks_rx += r.stats.key_update_acks_rx;
-        replicates_tx += r.stats.replicates_tx;
-        heartbeats_tx += r.stats.heartbeats_tx;
-        claims_tx += r.stats.claims_tx;
-        takeovers += r.stats.takeovers;
-    }
-    let report = RekeyReport {
-        delivered,
+    let endpoints = |stat: fn(&Flow) -> u64| -> u64 { run.flows.iter().map(stat).sum() };
+    let replicas = |stat: fn(&ReplicaStats) -> u64| -> u64 {
+        plane.replicas.iter().map(|r| stat(&r.stats)).sum()
+    };
+    let fabric = run.sim.stats();
+    RekeyReport {
+        delivered: run.ledger.delivered,
         expected: (cfg.flows * cfg.messages) as u64,
-        failed,
-        timed_out,
-        completion_us: ps_to_us(completion_ps),
-        goodput_gbps: bits / (completion_ps as f64 * 1e-12) / 1e9,
-        rotations,
-        final_epoch: u64::from(node_epoch.iter().max().copied().unwrap_or(KeyEpoch::ZERO).0),
-        key_updates_tx,
-        key_update_acks_rx,
-        replicates_tx,
-        heartbeats_tx,
-        claims_tx,
-        takeovers,
-        leader_kills,
-        leader_changes,
-        time_to_recover_us: match (killed_at, recovered_at) {
+        failed: run.failed,
+        timed_out: run.timed_out,
+        completion_us: ps_to_us(run.completion_ps()),
+        goodput_gbps: run.goodput_gbps(),
+        rotations: replicas(|s| s.rotations),
+        final_epoch: u64::from(plane.node_epoch.iter().max().map_or(0, |e| e.0)),
+        key_updates_tx: replicas(|s| s.key_updates_tx),
+        key_update_acks_rx: replicas(|s| s.key_update_acks_rx),
+        replicates_tx: replicas(|s| s.replicates_tx),
+        heartbeats_tx: replicas(|s| s.heartbeats_tx),
+        claims_tx: replicas(|s| s.claims_tx),
+        takeovers: replicas(|s| s.takeovers),
+        leader_kills: u64::from(plane.killed_at.is_some()),
+        leader_changes: plane.leader_changes,
+        time_to_recover_us: match (plane.killed_at, plane.recovered_at) {
             (Some(k), Some(r)) => ps_to_us(r.saturating_sub(k)),
             _ => 0.0,
         },
         buckets,
         bucket_us: ps_to_us(cfg.bucket),
-        goodput_dip_frac,
-        stale_injected,
-        stale_admitted,
-        rejected_stale_epoch: ch.rejected_stale_epoch,
-        rejected_future_epoch: ch.rejected_future_epoch,
-        rejected_auth: ch.rejected_auth,
-        rejected_stale_psn: ch.rejected_stale,
-        dup_suppressed,
-        retransmits,
-        payload_mismatches: mismatches,
-        duplicates_delivered: dup_delivered,
-        mgmt_delivered: sim.stats().mgmt_delivered,
-        fabric_generated: sim.stats().generated,
-    };
-    (report, counts)
+        goodput_dip_frac: if mean > 0.0 {
+            slowest as f64 / mean
+        } else {
+            1.0
+        },
+        stale_injected: run.replays_injected,
+        stale_admitted: endpoints(|f| f.b.stats.dup_admitted_fresh) + run.ledger.duplicates,
+        rejected_stale_epoch: channels(|s| s.rejected_stale_epoch),
+        rejected_future_epoch: channels(|s| s.rejected_future_epoch),
+        rejected_auth: channels(|s| s.rejected_auth),
+        rejected_stale_psn: channels(|s| s.rejected_stale),
+        dup_suppressed: endpoints(|f| f.a.stats.dup_suppressed + f.b.stats.dup_suppressed),
+        retransmits: endpoints(|f| f.a.retransmits()),
+        payload_mismatches: run.ledger.mismatches,
+        duplicates_delivered: run.ledger.duplicates,
+        mgmt_delivered: fabric.mgmt_delivered,
+        fabric_generated: fabric.generated,
+    }
 }
 
 #[cfg(test)]
@@ -1031,23 +702,32 @@ mod tests {
             };
             cfg.sim.duration = 2 * MS;
             cfg.sim.warmup = 200 * US;
-            let (r, n) = run_counted(&cfg);
+            let (run, plane) = run_driver(&cfg);
+            let r = report(&cfg, &run, &plane);
             assert_eq!(r.delivered, r.expected, "{flows} flows");
             assert!(!r.failed && !r.timed_out, "{flows} flows");
             assert!(
-                n.polls <= 4 * n.steps,
+                run.polls <= 4 * run.steps,
                 "{flows} flows: {} polls in {} steps",
-                n.polls,
-                n.steps
+                run.polls,
+                run.steps
             );
             assert!(
-                n.polls <= 8 * r.expected,
+                run.polls <= 8 * r.expected,
                 "{flows} flows: {} polls for {} messages",
-                n.polls,
+                run.polls,
                 r.expected
             );
             assert!(r.rotations >= 20, "{flows} flows: the key plane rotated");
-            assert_eq!(n.stale_macs, 0, "{flows} flows: retired keys' MACs evicted");
+            // Keyed MACs still cached beyond each channel's live key
+            // versions, summed over all channels.
+            let stale_macs: usize = run
+                .flows
+                .iter()
+                .flat_map(|f| [f.a.channel(), f.b.channel()])
+                .map(|c| c.cached_macs().saturating_sub(c.live_key_versions()))
+                .sum();
+            assert_eq!(stale_macs, 0, "{flows} flows: retired keys' MACs evicted");
         }
     }
 }

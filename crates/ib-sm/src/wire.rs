@@ -227,13 +227,17 @@ pub fn mad_packet(src: Lid, dst: Lid, mad: &Mad) -> Packet {
 /// Recognize an SM-plane delivery: a packet addressed to QP0 whose
 /// payload parses as a MAD. Returns the sender's node index (SLID − 1)
 /// and the MAD.
-pub fn parse_mad_packet(bytes: &[u8]) -> Option<(usize, Mad)> {
-    let p = Packet::parse(bytes).ok()?;
+pub fn mad_of(p: &Packet) -> Option<(usize, Mad)> {
     if p.bth.dest_qp != SM_QPN {
         return None;
     }
     let mad = Mad::parse(&p.payload).ok()?;
     Some(((p.lrh.slid.0 as usize).checked_sub(1)?, mad))
+}
+
+/// [`mad_of`] on wire bytes.
+pub fn parse_mad_packet(bytes: &[u8]) -> Option<(usize, Mad)> {
+    mad_of(&Packet::parse(bytes).ok()?)
 }
 
 #[cfg(test)]

@@ -18,17 +18,19 @@
 //!   bytes, and inbound packets pass transport-order classification
 //!   *before* the replay window so the window's bitmap stays strictly
 //!   in delivery order.
-//! * [`sim`] — a two-endpoint discrete-event harness over lossy links
-//!   ([`ib_sim::FaultConfig`]) with an on-path attacker replaying
-//!   captured data packets; produces the fig_replay metrics (goodput,
-//!   delivery latency, retransmits, replays admitted). Kept as the
-//!   point-to-point determinism oracle.
-//! * [`fabric`] — the same endpoints attached to HCAs of a full
-//!   [`ib_sim::Simulator`] mesh: wire buffers ride real VL arbitration,
-//!   credits, per-link faults and Figure-5 attack traffic, so the
-//!   retransmission and replay machinery is measured under congestion
-//!   (the fig_rdma experiment: SEND / RDMA WRITE / RDMA READ).
-//! * [`config`] — [`config::RcConfig`] knobs with JSON round-tripping.
+//! * [`cosim`] — the one co-simulation driver: N flows of these
+//!   endpoints attached to HCAs of a full [`ib_sim::Simulator`] fabric,
+//!   so wire buffers ride real VL arbitration, credits, per-link faults
+//!   and Figure-5 attack traffic; it owns the wake-set scheduling, the
+//!   exactly-once ledger, the capture-and-re-inject attacker tap and the
+//!   exit rule, and takes non-RC hosts (`ib-sm`'s key plane) through one
+//!   small trait.
+//! * [`fabric`] — `cosim` configured as one flow with a replay attacker
+//!   at the destination HCA: the fig_rdma experiment (SEND / RDMA WRITE /
+//!   RDMA READ under congestion and loss) and the fig_replay sweep
+//!   (goodput, latency, retransmits and replays admitted per security
+//!   arm).
+//! * [`config`] — [`config::RcConfig`] knobs and their JSON form.
 //!
 //! The invariant that keeps retransmission and replay defense compatible:
 //! the transport's in-flight window never exceeds the replay window
@@ -36,13 +38,13 @@
 //! judgeable ([`ib_security::ReplayVerdict::Fresh`]) when it lands.
 
 pub mod config;
+pub mod cosim;
 pub mod endpoint;
 pub mod fabric;
 pub mod qp;
-pub mod sim;
 
 pub use config::{RcConfig, RetransmitMode};
+pub use cosim::RdmaOp;
 pub use endpoint::{EndpointStats, SecureRcEndpoint};
-pub use fabric::{run_fabric_sim, FabricReport, FabricSimConfig, RdmaOp};
+pub use fabric::{run_fabric_sim, FabricReport, FabricSimConfig};
 pub use qp::{RcQp, RxClass, RxReply, TxItem};
-pub use sim::{run_replay_sim, ReplayReport, ReplaySimConfig};

@@ -13,7 +13,7 @@ use ib_packet::types::{Lid, PKey, Qpn};
 use ib_security::ChannelSecurity;
 use ib_sim::time::US;
 use ib_sim::{FaultConfig, SimTime};
-use ib_transport::{run_replay_sim, RcConfig, ReplaySimConfig, SecureRcEndpoint};
+use ib_transport::{run_fabric_sim, FabricSimConfig, RcConfig, SecureRcEndpoint};
 
 const PKEY: PKey = PKey(0x8001);
 
@@ -114,26 +114,34 @@ fn without_window_the_same_replay_is_delivered_twice() {
 
 /// Full-system check: the simulated experiment at 2% loss with an active
 /// attacker satisfies the acceptance criteria — 100% eventual delivery,
-/// zero admitted replays with the window, reproducible to the bit.
+/// zero admitted replays with the window, reproducible to the bit. The
+/// fabric is fig_replay's quiet one: a 2×2 mesh with no background load,
+/// so loss and the replays are all that happens to the flow.
 #[test]
 fn lossy_sim_acceptance_point() {
-    let cfg = ReplaySimConfig {
+    let mut cfg = FabricSimConfig {
         security: ChannelSecurity::AuthReplay,
         messages: 80,
         payload_len: 128,
-        fault: FaultConfig::lossy(0.02, 50_000),
+        src: 0,
+        dst: 1,
+        replay_node: 2,
         replay_every: 3,
         seed: 7,
-        ..ReplaySimConfig::default()
+        ..FabricSimConfig::default()
     };
-    let r1 = run_replay_sim(&cfg);
+    cfg.sim.mesh_dim = 2;
+    cfg.sim.traffic.realtime_load = 0.0;
+    cfg.sim.traffic.best_effort_load = 0.0;
+    cfg.sim.fault = FaultConfig::lossy(0.02, 50_000);
+    let r1 = run_fabric_sim(&cfg);
     assert_eq!(r1.delivered, 80, "100% eventual delivery at 2% loss");
     assert!(!r1.failed && !r1.timed_out);
     assert!(r1.retransmits > 0);
     assert!(r1.replays_injected > 0);
     assert_eq!(r1.replays_admitted, 0, "0 attacker replays accepted");
 
-    let r2 = run_replay_sim(&cfg);
+    let r2 = run_fabric_sim(&cfg);
     assert_eq!(
         r1.to_json().to_string(),
         r2.to_json().to_string(),
