@@ -34,23 +34,28 @@ golden_diff() {
   diff <(sed -E 's/"host_cpus":[0-9]+,//' "tests/golden/${2:-smoke}/$1.json") \
        <(sed -E 's/"host_cpus":[0-9]+,//' "BENCH_$1.json")
 }
+smoke_twice() {
+  echo "== $1 smoke (twice: byte-identical to each other and to the golden) =="
+  cargo run -q --release --offline -p bench --bin "$1" -- --smoke
+  mv "BENCH_$1.json" "BENCH_$1.first.json"
+  cargo run -q --release --offline -p bench --bin "$1" -- --smoke
+  diff "BENCH_$1.first.json" "BENCH_$1.json"
+  golden_diff "$1"
+  rm "BENCH_$1.first.json"
+}
 
-echo "== fig_replay smoke (twice: byte-identical to each other and to the golden) =="
 # The replay-defence gate: both sweeps (quiet 2x2 mesh, loaded 4x4 mesh)
 # run through run_fabric_sim, i.e. the one co-simulation driver. The
 # binary's own asserts require 100% delivery on every arm, zero admitted
 # replays with the window and admitted ones without it.
-cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
-mv BENCH_fig_replay.json BENCH_fig_replay.first.json
-cargo run -q --release --offline -p bench --bin fig_replay -- --smoke
-diff BENCH_fig_replay.first.json BENCH_fig_replay.json
-golden_diff fig_replay
-rm BENCH_fig_replay.first.json
+smoke_twice fig_replay
 
 echo "== mac_table4 smoke (twice: structure must be stable, asserts must hold) =="
-# The binary's own acceptance asserts gate the streaming-vs-one-shot
-# equivalence and throughput; across runs the numbers move with the
-# clock, so compare the *structure* with numerics normalized away.
+# The binary's own asserts gate tag equality across the three message
+# paths (hard, single-shot) and its wall-clock floors (each re-measures
+# its own cell up to 3 times and prints tries=n); across runs the numbers
+# move with the clock, so compare the *structure* with numerics
+# normalized away.
 cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
 mv BENCH_mac_throughput.json BENCH_mac_throughput.first.json
 cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
@@ -72,42 +77,25 @@ diff <(normalize_numbers BENCH_mac_throughput.simd.json) \
      <(normalize_numbers BENCH_mac_throughput.json)
 rm BENCH_mac_throughput.simd.json
 
-echo "== fig1 smoke (twice: byte-identical to each other and to the golden) =="
 # The scheduler/arena determinism gate: a calendar-queue or packet-arena
 # bug that perturbs event order changes the averaged figure rows, so two
-# same-seed runs diverging fails CI immediately.
-cargo run -q --release --offline -p bench --bin fig1 -- --smoke
-mv BENCH_fig1.json BENCH_fig1.first.json
-cargo run -q --release --offline -p bench --bin fig1 -- --smoke
-diff BENCH_fig1.first.json BENCH_fig1.json
-golden_diff fig1
-rm BENCH_fig1.first.json
+# same-seed runs diverging fails CI immediately. (Serial vs parallel
+# engine on this grid is a cargo test: tests/experiment_shapes.rs.)
+smoke_twice fig1
 
-echo "== fig_rdma smoke (twice: byte-identical to each other and to the golden) =="
 # The transport-over-fabric gate: SEND / RDMA WRITE / RDMA READ across
 # the attacked mesh. The binary's own asserts require 100% delivery,
 # zero admitted replays, and selective-repeat >= go-back-N goodput under
 # loss; the byte-diff pins the whole co-simulation (endpoints + fabric
 # event order) to the seed.
-cargo run -q --release --offline -p bench --bin fig_rdma -- --smoke
-mv BENCH_fig_rdma.json BENCH_fig_rdma.first.json
-cargo run -q --release --offline -p bench --bin fig_rdma -- --smoke
-diff BENCH_fig_rdma.first.json BENCH_fig_rdma.json
-golden_diff fig_rdma
-rm BENCH_fig_rdma.first.json
+smoke_twice fig_rdma
 
-echo "== fig_rekey smoke (twice: byte-identical to each other and to the golden) =="
 # The key-plane gate: RC fleets under epoch rotation and leader failover.
 # The binary's own asserts require 100% eventual delivery in every arm,
 # zero stale-epoch admissions, epoch-layer rejections on rotating arms,
 # and a successor that re-keys after the leader kill; the byte-diff pins
 # the replica election and MAD exchange to the seed.
-cargo run -q --release --offline -p bench --bin fig_rekey -- --smoke
-mv BENCH_fig_rekey.json BENCH_fig_rekey.first.json
-cargo run -q --release --offline -p bench --bin fig_rekey -- --smoke
-diff BENCH_fig_rekey.first.json BENCH_fig_rekey.json
-golden_diff fig_rekey
-rm BENCH_fig_rekey.first.json
+smoke_twice fig_rekey
 
 echo "== fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to the golden) =="
 # The point the benchmark's rekey_1024qp workload times. The smoke run
@@ -117,7 +105,6 @@ echo "== fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to
 cargo run -q --release --offline -p bench --bin fig_rekey
 golden_diff fig_rekey full
 
-echo "== fig_scale smoke (twice: byte-identical to each other and to the golden) =="
 # The scale-out gate: generated fat-tree/dragonfly fabrics, multi-path
 # routing, packet vs flow-level engines. The binary's own asserts require
 # every flow to complete on every fabric (a routing or dateline-VC bug
@@ -125,26 +112,7 @@ echo "== fig_scale smoke (twice: byte-identical to each other and to the golden)
 # calibration mesh; the byte-diff pins topology generation, ECMP hashing
 # and the max-min solver to the seed (wall-clock fields are zeroed in
 # smoke mode so the diff can hold).
-cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
-mv BENCH_fig_scale.json BENCH_fig_scale.first.json
-cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
-diff BENCH_fig_scale.first.json BENCH_fig_scale.json
-golden_diff fig_scale
-rm BENCH_fig_scale.first.json
-
-echo "== parallel engine vs serial (fig1 smoke at IB_THREADS=1 and 4) =="
-# The sharded-engine gate: the same figure computed by the serial oracle
-# and by the windowed parallel engine (IB_ENGINE=par routes run_many
-# through ib_sim::ParSimulator) must be byte-identical at every thread
-# count — any divergence in cross-domain merge order, RNG decomposition
-# or stats merging shows up here.
-cargo run -q --release --offline -p bench --bin fig1 -- --smoke
-mv BENCH_fig1.json BENCH_fig1.serial.json
-IB_ENGINE=par IB_THREADS=1 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
-diff BENCH_fig1.serial.json BENCH_fig1.json
-IB_ENGINE=par IB_THREADS=4 cargo run -q --release --offline -p bench --bin fig1 -- --smoke
-diff BENCH_fig1.serial.json BENCH_fig1.json
-rm BENCH_fig1.serial.json
+smoke_twice fig_scale
 
 echo "== parallel engine vs serial (fig_scale smoke at IB_THREADS=1 and 4) =="
 # fig_scale runs every packet arm through both engines and asserts

@@ -11,10 +11,13 @@
 //!
 //! Usage: `ablations [--quick] [--only N] [--seed S]`
 
-use bench::{arg_value, measure_throughput, render_table, seed_arg};
+use std::time::Duration;
+
+use bench::{arg_value, render_table, seed_arg, smoke_arg};
 use ib_crypto::partial_mac::PartialMac;
 use ib_crypto::umac::Umac;
 use ib_mgmt::enforcement::EnforcementKind;
+use ib_runtime::bench::{BenchConfig, Harness};
 use ib_runtime::Seed;
 use ib_security::experiments::{fig5_config, run_seed_averaged};
 use ib_sim::config::{ArbitrationPolicy, AttackKeys, SimConfig, TrafficConfig};
@@ -169,53 +172,56 @@ fn ablation_partial_mac(quick: bool) {
     println!("Ablation 4: partial-coverage MAC (§7 strength/speed trade-off)");
     let key = [7u8; 16];
     let msg = vec![0xA5u8; 8192];
-    let target_ms = if quick { 20 } else { 150 };
+    let (warmup_ms, measurement_ms, samples) = if quick { (5, 20, 5) } else { (30, 150, 15) };
+    let mut harness = Harness::new(BenchConfig {
+        warmup: Duration::from_millis(warmup_ms),
+        measurement: Duration::from_millis(measurement_ms),
+        samples,
+    });
+    // One timed cell: Gb/s of `f` over the 8 KiB message.
+    let mut gbps = |id: &str, f: &mut dyn FnMut()| -> f64 {
+        let mut group = harness.group("partial-mac");
+        group.throughput_bytes(msg.len() as u64).bench(id, f);
+        let m = harness.results().last().expect("just measured");
+        m.bytes_per_sec().expect("throughput declared") * 8.0 / 1e9
+    };
     let mut rows = Vec::new();
 
     // Full UMAC and HMAC-SHA1 as the fast/slow full-coverage references —
     // the 2000-era partial-MAC idea targets deployments stuck with the
     // slow one.
     let umac = Umac::new(&key);
-    let full_tp = {
-        let mut nonce = 0u64;
-        measure_throughput(msg.len(), target_ms, || {
-            nonce += 1;
-            std::hint::black_box(umac.tag32(nonce, std::hint::black_box(&msg)));
-        })
-    };
+    let mut nonce = 0u64;
+    let full_gbps = gbps("umac-full", &mut || {
+        nonce += 1;
+        std::hint::black_box(umac.tag32(nonce, std::hint::black_box(&msg)));
+    });
     rows.push(vec![
         "UMAC (full)".into(),
         "100%".into(),
-        format!("{:.2}", full_tp * 8.0 / 1e9),
+        format!("{full_gbps:.2}"),
         "~2^-30".into(),
     ]);
-    let sha1_tp = {
-        let msg = msg.clone();
-        measure_throughput(msg.len(), target_ms, move || {
-            std::hint::black_box(ib_crypto::hmac::Hmac::<ib_crypto::sha1::Sha1>::tag32(
-                &key,
-                std::hint::black_box(&msg),
-            ));
-        })
-    };
+    let sha1_gbps = gbps("hmac-sha1-full", &mut || {
+        std::hint::black_box(ib_crypto::hmac::Hmac::<ib_crypto::sha1::Sha1>::tag32(
+            &key,
+            std::hint::black_box(&msg),
+        ));
+    });
     rows.push(vec![
         "HMAC-SHA1 (full)".into(),
         "100%".into(),
-        format!("{:.2}", sha1_tp * 8.0 / 1e9),
+        format!("{sha1_gbps:.2}"),
         "~2^-32".into(),
     ]);
 
     for &coverage in &[0.5f64, 0.25, 0.125] {
         let pm = PartialMac::new(&key, coverage);
-        let tp = {
-            let mut nonce = 0u64;
-            let pm = pm.clone();
-            let msg = msg.clone();
-            measure_throughput(msg.len(), target_ms, move || {
-                nonce += 1;
-                std::hint::black_box(pm.tag32(nonce, std::hint::black_box(&msg)));
-            })
-        };
+        let mut nonce = 0u64;
+        let partial_gbps = gbps(&format!("partial-{:.1}%", coverage * 100.0), &mut || {
+            nonce += 1;
+            std::hint::black_box(pm.tag32(nonce, std::hint::black_box(&msg)));
+        });
         // Empirical single-byte-tamper detection rate (one probe per block).
         let tag = pm.tag32(42, &msg);
         let mut caught = 0;
@@ -231,7 +237,7 @@ fn ablation_partial_mac(quick: bool) {
         rows.push(vec![
             format!("PartialMac {:.0}%", coverage * 100.0),
             format!("{:.1}%", 100.0 * caught as f64 / tested as f64),
-            format!("{:.2}", tp * 8.0 / 1e9),
+            format!("{partial_gbps:.2}"),
             format!("~{:.2}", pm.miss_probability()),
         ]);
     }
@@ -288,7 +294,7 @@ fn ablation_tag_length() {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = smoke_arg(&args);
     let seeds = if quick { 2 } else { 3 };
     let only: Option<u32> = arg_value(&args, "--only").and_then(|v| v.parse().ok());
     let seed = seed_arg(&args);

@@ -9,14 +9,14 @@
 //! Usage: `fig1 [--quick|--smoke] [--max-attackers N] [--seeds K] [--seed S]`
 //! (`--smoke` is an alias for `--quick`, matching the other gated binaries).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{fig1_config, run_grid_seed_averaged, Fig1Row, DEFAULT_SEEDS};
 use ib_sim::time::{MS, US};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
+    let quick = smoke_arg(&args);
     let max: usize = arg_value(&args, "--max-attackers")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);

@@ -10,7 +10,7 @@
 //! (P defaults to the paper's 0.01; sweep it for the DESIGN.md ablation;
 //! `--smoke` is an alias for `--quick`).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{
     fig5_config, run_grid_seed_averaged, Fig5Row, DEFAULT_SEEDS, FIG5_KINDS, FIG5_LOADS,
@@ -19,7 +19,7 @@ use ib_sim::time::{MS, US};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
+    let quick = smoke_arg(&args);
     let attack_prob: f64 = arg_value(&args, "--attack-prob")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.01);

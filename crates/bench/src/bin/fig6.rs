@@ -9,7 +9,7 @@
 //! (`--smoke` is an alias for `--quick`, matching the other gated binaries).
 //! (`--all-modes` adds the partition-level ablation row).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{
     fig6_config, run_grid_seed_averaged, Fig6Row, DEFAULT_SEEDS, FIG5_LOADS,
@@ -19,7 +19,7 @@ use ib_sim::time::{MS, US};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
+    let quick = smoke_arg(&args);
     let modes: &[AuthMode] = if args.iter().any(|a| a == "--all-modes") {
         &[AuthMode::None, AuthMode::PartitionLevel, AuthMode::QpLevel]
     } else {

@@ -13,7 +13,7 @@
 //!
 //! Usage: `fig_rdma [--smoke] [--messages N] [--seed S]`
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::MS;
@@ -58,7 +58,7 @@ fn config_for(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
+    let smoke = smoke_arg(&args);
     let messages: usize = arg_value(&args, "--messages")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 16 } else { 48 });

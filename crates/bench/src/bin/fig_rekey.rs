@@ -13,7 +13,7 @@
 //!
 //! Usage: `fig_rekey [--smoke] [--flows N] [--seed S]`
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
 use ib_sim::time::{MS, US};
 use ib_sim::SimTime;
@@ -116,7 +116,7 @@ fn config_for(seed: u64, smoke: bool, flows: usize, arm: Arm) -> RekeyConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
+    let smoke = smoke_arg(&args);
     // Each flow is a requester/responder QP pair: the full run drives
     // 1024 QPs of RC traffic through the rotating key plane.
     let flows: usize = arg_value(&args, "--flows")

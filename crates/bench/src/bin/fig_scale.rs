@@ -22,7 +22,7 @@
 //!
 //! Usage: `fig_scale [--smoke] [--seed S]`
 
-use bench::{bench_doc, render_table, seed_arg, write_bench_json};
+use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_flow::{simulate, Flow};
 use ib_runtime::{Json, Rng, Seed, ToJson};
 use ib_sim::{ParSimulator, SimConfig, SimTime, Simulator, TopoSpec};
@@ -331,7 +331,7 @@ fn point_json(arm: &Arm, cfg: &SimConfig, run: &Run, serial_wall_ms: f64, smoke:
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
+    let smoke = smoke_arg(&args);
     let seed = seed_arg(&args);
     let flow_bytes: u64 = if smoke { 16 * 1024 } else { 64 * 1024 };
 

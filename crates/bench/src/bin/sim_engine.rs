@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::seed_arg;
+use bench::{seed_arg, smoke_arg, write_bench_json};
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_runtime::bench::{BenchConfig, Harness};
 use ib_runtime::{Json, ToJson};
@@ -192,7 +192,7 @@ fn engine_cfg(kind: EnforcementKind, attackers: usize, duration_ps: SimTime) -> 
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke" || a == "--quick");
+    let smoke = smoke_arg(&args);
     let seed = seed_arg(&args);
     let (config, prefill_n, steps, burst_keys, engine_ps, engine_reps) = if smoke {
         (
@@ -396,37 +396,35 @@ fn main() {
             .join(", ")
     );
 
-    let path = harness
-        .write_json(
-            "sim_engine",
-            "sim_engine",
-            seed,
-            Json::obj([
-                ("arms", Json::arr(ARMS.iter().map(|a| a.to_json()))),
-                ("prefill", (prefill_n as u64).to_json()),
-                ("steps", (steps as u64).to_json()),
-                ("scheduler_ops", total_ops.to_json()),
-                (
-                    "bursts",
-                    Json::arr(BURSTS.iter().map(|&b| (b as u64).to_json())),
-                ),
-                ("burst_keys", (burst_keys as u64).to_json()),
-                (
-                    "engine_cells",
-                    Json::arr(cells.iter().map(|&(l, _, _, _)| l.to_json())),
-                ),
-                (
-                    "engine_threads",
-                    Json::arr(cells.iter().map(|&(_, _, _, t)| (t as u64).to_json())),
-                ),
-                (
-                    "engine_events",
-                    Json::arr(engine_events.iter().map(|&e| e.to_json())),
-                ),
-                ("engine_duration_ps", engine_ps.to_json()),
-                ("smoke", smoke.to_json()),
-            ]),
-        )
-        .expect("write BENCH_sim_engine.json");
+    let doc = harness.to_json(
+        "sim_engine",
+        seed,
+        Json::obj([
+            ("arms", Json::arr(ARMS.iter().map(|a| a.to_json()))),
+            ("prefill", (prefill_n as u64).to_json()),
+            ("steps", (steps as u64).to_json()),
+            ("scheduler_ops", total_ops.to_json()),
+            (
+                "bursts",
+                Json::arr(BURSTS.iter().map(|&b| (b as u64).to_json())),
+            ),
+            ("burst_keys", (burst_keys as u64).to_json()),
+            (
+                "engine_cells",
+                Json::arr(cells.iter().map(|&(l, _, _, _)| l.to_json())),
+            ),
+            (
+                "engine_threads",
+                Json::arr(cells.iter().map(|&(_, _, _, t)| (t as u64).to_json())),
+            ),
+            (
+                "engine_events",
+                Json::arr(engine_events.iter().map(|&e| e.to_json())),
+            ),
+            ("engine_duration_ps", engine_ps.to_json()),
+            ("smoke", smoke.to_json()),
+        ]),
+    );
+    let path = write_bench_json("sim_engine", &doc).expect("write BENCH_sim_engine.json");
     println!("wrote {}", path.display());
 }

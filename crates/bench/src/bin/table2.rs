@@ -4,7 +4,7 @@
 //! parameter grid, then cross-checks the lookup column against the
 //! simulator's actual per-packet lookup-cycle counters.
 
-use bench::render_table;
+use bench::{render_table, smoke_arg};
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_security::analysis::enforcement::EnforcementModel;
 use ib_security::experiments::{fig5_config, run_many};
@@ -12,7 +12,7 @@ use ib_sim::time::{MS, US};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = smoke_arg(&args);
 
     // ---- symbolic table, as printed in the paper ----
     println!("Table 2. Partition enforcement overhead (symbolic)");

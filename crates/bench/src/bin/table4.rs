@@ -10,7 +10,9 @@
 //! Absolute numbers differ from 1999-2004 hardware, but the ordering
 //! CRC > UMAC >> MD5 > SHA1 must (and does) hold.
 
-use bench::{estimate_cpu_hz, measure_throughput, render_table};
+use std::time::Duration;
+
+use bench::{estimate_cpu_hz, render_table, smoke_arg};
 use ib_crypto::crc::crc32_ieee;
 use ib_crypto::hmac::Hmac;
 use ib_crypto::mac::AuthAlgorithm;
@@ -19,6 +21,7 @@ use ib_crypto::pmac::Pmac;
 use ib_crypto::sha1::Sha1;
 use ib_crypto::stream_mac::StreamMac;
 use ib_crypto::umac::Umac;
+use ib_runtime::bench::{BenchConfig, Harness};
 use ib_security::analysis::macs::{
     cycles_per_byte_from_throughput, expected_forgery_attempts, gbps_from_cycles_per_byte,
     paper_table4, umac_link_speed_check, TABLE4_CLOCK_MHZ,
@@ -30,8 +33,16 @@ const MSG_BYTES: usize = 1500 / 8;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let target_ms = if quick { 20 } else { 300 };
+    let (warmup_ms, measurement_ms, samples) = if smoke_arg(&args) {
+        (5, 20, 5)
+    } else {
+        (50, 300, 15)
+    };
+    let config = BenchConfig {
+        warmup: Duration::from_millis(warmup_ms),
+        measurement: Duration::from_millis(measurement_ms),
+        samples,
+    };
 
     // ---- paper rows ----
     println!("Table 4. Time & forgery complexity — paper reference rows (350 MHz)");
@@ -119,9 +130,15 @@ fn main() {
         }),
     ];
 
+    let mut harness = Harness::new(config);
     let mut mrows = Vec::new();
     for (alg, mut f) in cases {
-        let bytes_per_sec = measure_throughput(MSG_BYTES, target_ms, &mut *f);
+        let mut group = harness.group("table4");
+        group
+            .throughput_bytes(MSG_BYTES as u64)
+            .bench(alg.name(), &mut *f);
+        let m = harness.results().last().expect("just measured");
+        let bytes_per_sec = m.bytes_per_sec().expect("throughput declared");
         let cpb = cycles_per_byte_from_throughput(bytes_per_sec, cpu_hz);
         let gbps_here = bytes_per_sec * 8.0 / 1e9;
         let gbps_350 = gbps_from_cycles_per_byte(cpb, TABLE4_CLOCK_MHZ);

@@ -1,31 +1,9 @@
-//! Shared helpers for the experiment binaries: throughput measurement,
-//! plain-text table rendering, seed plumbing, and machine-readable
-//! result emission (`BENCH_*.json`).
+//! Shared helpers for the experiment binaries: CPU-clock estimation,
+//! plain-text table rendering, argument and seed plumbing, and
+//! machine-readable result emission (`BENCH_*.json`).
 
 use ib_runtime::{Json, Seed, ToJson};
 use std::time::Instant;
-
-/// Measure the steady-state throughput of `f` over `message_len`-byte
-/// inputs: runs a warmup, then times enough iterations to cover
-/// `target_ms` of wall clock. Returns bytes/second.
-pub fn measure_throughput(message_len: usize, target_ms: u64, mut f: impl FnMut()) -> f64 {
-    // Warmup.
-    for _ in 0..32 {
-        f();
-    }
-    let mut iters: u64 = 64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() as u64 >= target_ms {
-            return (iters as f64 * message_len as f64) / elapsed.as_secs_f64();
-        }
-        iters = iters.saturating_mul(4);
-    }
-}
 
 /// Estimate the CPU clock in Hz by timing a dependent-add spin loop
 /// (1 add/cycle on every 64-bit core this runs on). Good to a few percent,
@@ -102,12 +80,20 @@ pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<std::path::Pa
 }
 
 /// Parse `--flag value` style arguments; returns the value following the
-/// flag, if present.
+/// flag, if present. A flag given as the last argument has no value to
+/// take: that is a usage error, not a request for the default.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(value) => Some(value.clone()),
+        None => panic!("{flag} needs a value"),
+    }
+}
+
+/// Whether the short-run flag was given. Every binary takes both
+/// spellings, `--smoke` and `--quick`.
+pub fn smoke_arg(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--smoke" || a == "--quick")
 }
 
 /// Parse a `--seed <u64>` argument (decimal or `0x`-prefixed hex). Falls
@@ -147,20 +133,32 @@ mod tests {
         assert_eq!(out.lines().count(), 4);
     }
 
+    fn to_args(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
     #[test]
     fn arg_value_parses() {
-        let args: Vec<String> = ["prog", "--load", "0.5", "--quick"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = to_args(&["prog", "--quick", "--load", "0.5"]);
         assert_eq!(arg_value(&args, "--load"), Some("0.5".into()));
-        assert_eq!(arg_value(&args, "--quick"), None);
         assert_eq!(arg_value(&args, "--missing"), None);
     }
 
     #[test]
+    #[should_panic(expected = "--flows needs a value")]
+    fn arg_value_rejects_a_flag_with_no_value() {
+        arg_value(&to_args(&["prog", "--smoke", "--flows"]), "--flows");
+    }
+
+    #[test]
+    fn smoke_arg_takes_both_spellings() {
+        assert!(smoke_arg(&to_args(&["prog", "--smoke"])));
+        assert!(smoke_arg(&to_args(&["prog", "--seed", "7", "--quick"])));
+        assert!(!smoke_arg(&to_args(&["prog", "--seed", "7"])));
+    }
+
+    #[test]
     fn seed_arg_parses_dec_hex_and_defaults() {
-        let to_args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         assert_eq!(seed_arg(&to_args(&["prog", "--seed", "42"])), Seed(42));
         assert_eq!(
             seed_arg(&to_args(&["prog", "--seed", "0xBEEF"])),
@@ -186,14 +184,5 @@ mod tests {
         assert_eq!(back.get("seed").unwrap().as_u64(), Some(0xABCD));
         assert_eq!(back.get("points").unwrap().as_arr().unwrap().len(), 1);
         assert_eq!(back, doc, "writer/parser agree");
-    }
-
-    #[test]
-    fn throughput_positive() {
-        let data = vec![0u8; 4096];
-        let tp = measure_throughput(4096, 5, || {
-            std::hint::black_box(ib_crypto::crc::crc32_ieee(std::hint::black_box(&data)));
-        });
-        assert!(tp > 1e6, "CRC32 should exceed 1 MB/s, got {tp}");
     }
 }

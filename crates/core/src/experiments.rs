@@ -109,20 +109,8 @@ pub fn run_grid_seed_averaged(bases: &[SimConfig], seeds: u64) -> Vec<AveragedPo
 /// bit-identical no matter which worker ran which cell. Worker count
 /// follows [`ib_runtime::par::default_threads`] (overridable via
 /// `IB_THREADS`).
-///
-/// `IB_ENGINE=par` flips the parallelism axis: cells run sequentially,
-/// each *inside* the sharded windowed engine
-/// ([`ib_sim::ParSimulator`]) at `IB_THREADS` workers. Reports are
-/// bit-identical either way (the engines' determinism contract), which
-/// is exactly what the ci.sh byte-diff gates check.
 pub fn run_many(configs: Vec<SimConfig>) -> Vec<SimReport> {
     let threads = ib_runtime::par::default_threads();
-    if std::env::var("IB_ENGINE").as_deref() == Ok("par") {
-        return configs
-            .into_iter()
-            .map(|cfg| ib_sim::ParSimulator::with_threads(cfg, threads).run())
-            .collect();
-    }
     ib_runtime::par::scope_map_dynamic(configs, threads, |cfg| Simulator::new(cfg).run())
 }
 

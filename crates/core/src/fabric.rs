@@ -193,6 +193,32 @@ impl SecureFabric {
         psn
     }
 
+    /// The UD SEND both send paths start from: next PSN of the flow,
+    /// addressed to `dst`'s datagram QP, ICRC still plain.
+    fn build_datagram(
+        &mut self,
+        src: usize,
+        dst: usize,
+        pkey: PKey,
+        qkey: QKey,
+        payload: &[u8],
+    ) -> Result<Packet, FabricError> {
+        if src >= self.nodes.len() || dst >= self.nodes.len() {
+            return Err(FabricError::NoSuchNode);
+        }
+        let psn = self.next_psn(src, dst);
+        let src_node = &self.nodes[src];
+        Ok(PacketBuilder::new(OpCode::UD_SEND_ONLY)
+            .slid(src_node.lid)
+            .dlid(self.nodes[dst].lid)
+            .pkey(pkey)
+            .psn(psn)
+            .dest_qp(self.nodes[dst].dg_qp)
+            .qkey(qkey, src_node.dg_qp)
+            .payload(payload.to_vec())
+            .build())
+    }
+
     /// Build, tag, and serialize a datagram from `src` to `dst` in
     /// partition `pkey` carrying `qkey` (from [`SecureFabric::request_qkey`]
     /// under QP scope; any agreed value under partition scope).
@@ -204,20 +230,7 @@ impl SecureFabric {
         qkey: QKey,
         payload: &[u8],
     ) -> Result<Vec<u8>, FabricError> {
-        if src >= self.nodes.len() || dst >= self.nodes.len() {
-            return Err(FabricError::NoSuchNode);
-        }
-        let psn = self.next_psn(src, dst);
-        let src_node = &self.nodes[src];
-        let mut packet = PacketBuilder::new(OpCode::UD_SEND_ONLY)
-            .slid(src_node.lid)
-            .dlid(self.nodes[dst].lid)
-            .pkey(pkey)
-            .psn(psn)
-            .dest_qp(self.nodes[dst].dg_qp)
-            .qkey(qkey, src_node.dg_qp)
-            .payload(payload.to_vec())
-            .build();
+        let mut packet = self.build_datagram(src, dst, pkey, qkey, payload)?;
         self.nodes[src].auth.tag_packet(&mut packet)?;
         Ok(packet.to_bytes())
     }
@@ -232,20 +245,7 @@ impl SecureFabric {
         qkey: QKey,
         payload: &[u8],
     ) -> Result<Vec<u8>, FabricError> {
-        if src >= self.nodes.len() || dst >= self.nodes.len() {
-            return Err(FabricError::NoSuchNode);
-        }
-        let psn = self.next_psn(src, dst);
-        let src_node = &self.nodes[src];
-        let packet = PacketBuilder::new(OpCode::UD_SEND_ONLY)
-            .slid(src_node.lid)
-            .dlid(self.nodes[dst].lid)
-            .pkey(pkey)
-            .psn(psn)
-            .dest_qp(self.nodes[dst].dg_qp)
-            .qkey(qkey, src_node.dg_qp)
-            .payload(payload.to_vec())
-            .build();
+        let packet = self.build_datagram(src, dst, pkey, qkey, payload)?;
         Ok(packet.to_bytes())
     }
 

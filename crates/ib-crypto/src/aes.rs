@@ -63,25 +63,15 @@ const fn build_sbox() -> [u8; 256] {
     sbox
 }
 
-const fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[sbox[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
-
 /// The AES substitution box, generated at compile time.
 pub static SBOX: [u8; 256] = build_sbox();
-/// Inverse substitution box.
-pub static INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 /// AES-128: 10 rounds, 11 round keys of 16 bytes each.
 const ROUNDS: usize = 10;
 
-/// An expanded AES-128 key, ready for encryption and decryption.
+/// An expanded AES-128 key, ready for encryption (every keyed
+/// construction here — CTR, the GHASH pad, PMAC, the UMAC KDF — runs the
+/// cipher forwards only).
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; ROUNDS + 1],
@@ -137,12 +127,6 @@ impl Aes128 {
         }
     }
 
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
-        }
-    }
-
     /// State layout: state[c*4 + r] is row r, column c (column-major, as in
     /// FIPS 197's byte ordering of the input block).
     fn shift_rows(state: &mut [u8; 16]) {
@@ -150,15 +134,6 @@ impl Aes128 {
         for r in 1..4 {
             for c in 0..4 {
                 state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[((c + r) % 4) * 4 + r] = s[c * 4 + r];
             }
         }
     }
@@ -175,25 +150,6 @@ impl Aes128 {
             state[c * 4 + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
             state[c * 4 + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
             state[c * 4 + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[c * 4],
-                state[c * 4 + 1],
-                state[c * 4 + 2],
-                state[c * 4 + 3],
-            ];
-            state[c * 4] =
-                gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-            state[c * 4 + 1] =
-                gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-            state[c * 4 + 2] =
-                gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-            state[c * 4 + 3] =
-                gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
         }
     }
 
@@ -240,20 +196,6 @@ impl Aes128 {
         for b in blocks.iter_mut() {
             self.encrypt_block_soft(b);
         }
-    }
-
-    /// Decrypt one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[ROUNDS]);
-        for round in (1..ROUNDS).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
     }
 
     /// Encrypt a copy of `block` and return it.
@@ -306,8 +248,6 @@ mod tests {
         assert_eq!(SBOX[0x01], 0x7c);
         assert_eq!(SBOX[0x53], 0xed);
         assert_eq!(SBOX[0xff], 0x16);
-        assert_eq!(INV_SBOX[0x63], 0x00);
-        assert_eq!(INV_SBOX[0xed], 0x53);
     }
 
     #[test]
@@ -343,40 +283,6 @@ mod tests {
         let pt = *b"\x32\x43\xf6\xa8\x88\x5a\x30\x8d\x31\x31\x98\xa2\xe0\x37\x07\x34";
         let expected = *b"\x39\x25\x84\x1d\x02\xdc\x09\xfb\xdc\x11\x85\x97\x19\x6a\x0b\x32";
         assert_eq!(Aes128::new(&key).encrypt(&pt), expected);
-    }
-
-    #[test]
-    fn inverse_steps_invert_forward_steps() {
-        let mut block: [u8; 16] =
-            *b"\x00\x11\x22\x33\x44\x55\x66\x77\x88\x99\xaa\xbb\xcc\xdd\xee\xff";
-        let orig = block;
-        Aes128::shift_rows(&mut block);
-        Aes128::inv_shift_rows(&mut block);
-        assert_eq!(block, orig, "shift_rows inverse");
-        Aes128::mix_columns(&mut block);
-        Aes128::inv_mix_columns(&mut block);
-        assert_eq!(block, orig, "mix_columns inverse");
-        Aes128::sub_bytes(&mut block);
-        Aes128::inv_sub_bytes(&mut block);
-        assert_eq!(block, orig, "sub_bytes inverse");
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt() {
-        let aes = Aes128::new(b"sixteen byte key");
-        for seed in 0..32u8 {
-            let mut block = [0u8; 16];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = seed
-                    .wrapping_mul(17)
-                    .wrapping_add((i as u8).wrapping_mul(31));
-            }
-            let orig = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, orig, "encryption must change the block");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, orig);
-        }
     }
 
     #[test]

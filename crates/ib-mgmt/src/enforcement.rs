@@ -58,14 +58,6 @@ pub enum EnforcementKind {
 }
 
 impl EnforcementKind {
-    /// Every design, in the paper's Figure 5 presentation order.
-    pub const ALL: [EnforcementKind; 4] = [
-        EnforcementKind::NoFiltering,
-        EnforcementKind::Dpt,
-        EnforcementKind::If,
-        EnforcementKind::Sif,
-    ];
-
     /// Display label matching the paper's Figure 5 x-axis.
     pub fn label(self) -> &'static str {
         match self {
@@ -74,11 +66,6 @@ impl EnforcementKind {
             EnforcementKind::If => "IF",
             EnforcementKind::Sif => "SIF",
         }
-    }
-
-    /// Inverse of [`label`](Self::label), for JSON round-trips.
-    pub fn from_label(label: &str) -> Option<EnforcementKind> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 

@@ -12,9 +12,6 @@
 
 use ib_packet::types::{Lid, PKey};
 
-/// Size of a MAD on the wire (spec: MADs are 256-byte datagrams).
-pub const MAD_BYTES: usize = 256;
-
 /// The trap conditions this reproduction models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrapKind {

@@ -44,6 +44,3 @@ pub use lrh::{Lnh, Lrh};
 pub use opcode::{OpCode, Operation, TransportService};
 pub use packet::{Packet, PacketBuilder};
 pub use types::{Lid, PKey, Psn, QKey, Qpn, RKey, VirtualLane};
-
-/// Maximum Transfer Unit used throughout the paper's testbed (Table 1).
-pub const MTU_BYTES: usize = 1024;

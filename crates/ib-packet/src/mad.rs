@@ -68,8 +68,6 @@ impl Method {
 pub mod attr {
     /// Notice (traps carry a Notice attribute).
     pub const NOTICE: u16 = 0x0002;
-    /// P_KeyTable.
-    pub const P_KEY_TABLE: u16 = 0x0016;
     /// Vendor-range attribute for programming the Invalid_P_Key_Table —
     /// the paper's SIF needs a new SMP, which the spec's vendor space
     /// (0xFF00-0xFFFF) accommodates without protocol changes.

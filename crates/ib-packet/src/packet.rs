@@ -207,12 +207,6 @@ impl Packet {
         crc.finalize()
     }
 
-    /// Alias making the coverage relationship explicit at call sites.
-    #[inline]
-    pub fn icrc_over_invariant_fields(&self) -> u32 {
-        self.compute_icrc()
-    }
-
     /// Compute the VCRC: CRC-16 over everything from LRH through the ICRC
     /// field, *unmasked* (the VCRC is recomputed by every switch that
     /// rewrites a variant field). Same kernel dispatch as the ICRC.

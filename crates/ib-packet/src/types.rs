@@ -24,8 +24,6 @@ pub struct PKey(pub u16);
 impl PKey {
     /// The default partition key every port starts in (full membership).
     pub const DEFAULT: PKey = PKey(0xFFFF);
-    /// Invalid/reserved P_Key values per spec: base 0 is reserved.
-    pub const INVALID: PKey = PKey(0x0000);
 
     /// 15-bit key base (ignores the membership bit). Two P_Keys *match*
     /// when their bases are equal and at least one is a full member.

@@ -1,5 +1,7 @@
-//! Micro-benchmark harness for the bench binaries (`mac_table4`,
-//! `sim_engine`).
+//! Micro-benchmark harness for the bench binaries: `table4` and
+//! `ablations` time closures with [`Group::bench`]; `mac_table4` and
+//! `sim_engine` interleave their own arms and hand the samples to
+//! [`Group::record`].
 //!
 //! Replaces the criterion dependency with the subset the workspace
 //! actually uses: named groups, per-benchmark warmup, adaptive
@@ -7,7 +9,7 @@
 //! bytes/s throughput reporting. Results print as aligned plain text
 //! and serialize to the workspace's standard `BENCH_*.json` document
 //! shape (experiment / seed / config / points) via
-//! [`Harness::to_json`] / [`Harness::write_json`].
+//! [`Harness::to_json`].
 //!
 //! Statistics are criterion-grade rather than raw: each benchmark's
 //! samples pass through Tukey-fence outlier rejection (scheduler
@@ -207,23 +209,6 @@ impl Harness {
                 Json::arr(self.results.iter().map(Measurement::to_json)),
             ),
         ])
-    }
-
-    /// Write [`Self::to_json`] to `BENCH_<name>.json` in the current
-    /// directory (deterministic, newline-terminated). Returns the path.
-    pub fn write_json(
-        &self,
-        name: &str,
-        experiment: &str,
-        seed: Seed,
-        extra: Json,
-    ) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-        std::fs::write(
-            &path,
-            format!("{}\n", self.to_json(experiment, seed, extra)),
-        )?;
-        Ok(path)
     }
 }
 

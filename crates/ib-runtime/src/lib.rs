@@ -6,17 +6,16 @@
 //! workspace builds and tests **offline** with zero crates.io dependencies:
 //!
 //! * [`rng`] — deterministic pseudo-randomness: SplitMix64 seeding into a
-//!   xoshiro256\*\* core, with uniform ranges, shuffling, Bernoulli,
-//!   exponential and Poisson sampling, and the [`rng::Seed`] type every
+//!   xoshiro256\*\* core, with uniform ranges, shuffling, Bernoulli and
+//!   exponential sampling, and the [`rng::Seed`] type every
 //!   experiment threads through so any reported point is reproducible from
 //!   its printed seed.
 //! * [`par`] — scoped parallel sweeps over `std::thread::scope`
 //!   (embarrassingly parallel simulator instances, MAC lanes).
 //! * [`json`] — a minimal JSON value, writer and parser for result
-//!   emission and config round-trips.
+//!   emission and for checking that what was emitted parses back.
 //! * [`bench`] — a micro-benchmark harness (warmup, adaptive iteration
-//!   count, mean/stddev/throughput reporting) for `harness = false` bench
-//!   targets.
+//!   count, mean/stddev/throughput reporting) for the bench binaries.
 //! * [`check`] — a seeded property-test driver with failure-case
 //!   shrinking.
 

@@ -147,33 +147,6 @@ impl Rng {
         -mean * u.ln()
     }
 
-    /// Poisson sample with the given rate (Knuth's multiplication method;
-    /// large rates fall back to chunked sampling so cost stays O(λ) with a
-    /// bounded per-step product underflow risk).
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(lambda >= 0.0, "poisson rate must be non-negative");
-        // Split large rates: Poisson(a + b) = Poisson(a) + Poisson(b).
-        // exp(-500) is still comfortably inside f64's subnormal range.
-        let mut remaining = lambda;
-        let mut total = 0u64;
-        while remaining > 0.0 {
-            let step = remaining.min(500.0);
-            remaining -= step;
-            let l = (-step).exp();
-            let mut k = 0u64;
-            let mut p = 1.0f64;
-            loop {
-                p *= self.next_f64();
-                if p <= l {
-                    break;
-                }
-                k += 1;
-            }
-            total += k;
-        }
-        total
-    }
-
     /// Fill a byte slice from successive outputs.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
@@ -373,46 +346,6 @@ mod tests {
             (sample_mean - mean).abs() / mean < 0.05,
             "sample mean {sample_mean} too far from {mean}"
         );
-    }
-
-    /// Statistical sanity for the Poisson sampler at a fixed seed: mean
-    /// and variance both ≈ λ.
-    #[test]
-    fn poisson_mean_and_variance() {
-        let mut rng = Seed(11).rng();
-        let lambda = 12.0;
-        let n = 20_000usize;
-        let samples: Vec<u64> = (0..n).map(|_| rng.poisson(lambda)).collect();
-        let mean = samples.iter().sum::<u64>() as f64 / n as f64;
-        let var = samples
-            .iter()
-            .map(|&x| {
-                let d = x as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            (mean - lambda).abs() / lambda < 0.05,
-            "mean {mean} vs λ {lambda}"
-        );
-        assert!(
-            (var - lambda).abs() / lambda < 0.10,
-            "var {var} vs λ {lambda}"
-        );
-    }
-
-    #[test]
-    fn poisson_large_rate_splits() {
-        let mut rng = Seed(13).rng();
-        let lambda = 2_000.0;
-        let n = 500usize;
-        let mean = (0..n).map(|_| rng.poisson(lambda)).sum::<u64>() as f64 / n as f64;
-        assert!(
-            (mean - lambda).abs() / lambda < 0.05,
-            "mean {mean} vs λ {lambda}"
-        );
-        assert_eq!(rng.poisson(0.0), 0);
     }
 
     #[test]

@@ -46,25 +46,6 @@ impl TopoSpec {
             )]),
         }
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<TopoSpec> {
-        if v.as_str() == Some("mesh") {
-            return Some(TopoSpec::Mesh);
-        }
-        if let Some(k) = v.get("fat-tree") {
-            return Some(TopoSpec::FatTree {
-                k: k.as_u64()? as usize,
-            });
-        }
-        let d = v.get("dragonfly")?;
-        Some(TopoSpec::Dragonfly {
-            a: d.get("a")?.as_u64()? as usize,
-            p: d.get("p")?.as_u64()? as usize,
-            h: d.get("h")?.as_u64()? as usize,
-            valiant: d.get("valiant")?.as_bool()?,
-        })
-    }
 }
 
 /// Which P_Keys the attackers stamp on their flood.
@@ -84,12 +65,6 @@ pub enum AttackKeys {
 }
 
 impl AttackKeys {
-    const ALL: [AttackKeys; 3] = [
-        AttackKeys::RandomInvalid,
-        AttackKeys::Valid,
-        AttackKeys::SmFlood,
-    ];
-
     /// Stable string form used in JSON configs and reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -97,11 +72,6 @@ impl AttackKeys {
             AttackKeys::Valid => "valid",
             AttackKeys::SmFlood => "sm-flood",
         }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<AttackKeys> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -118,19 +88,12 @@ pub enum TrapTransport {
 }
 
 impl TrapTransport {
-    const ALL: [TrapTransport; 2] = [TrapTransport::OutOfBand, TrapTransport::InBand];
-
     /// Stable string form used in JSON configs and reports.
     pub fn label(self) -> &'static str {
         match self {
             TrapTransport::OutOfBand => "out-of-band",
             TrapTransport::InBand => "in-band",
         }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<TrapTransport> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -148,19 +111,12 @@ pub enum AttackSchedule {
 }
 
 impl AttackSchedule {
-    const ALL: [AttackSchedule; 2] = [AttackSchedule::Probabilistic, AttackSchedule::DutyCycle];
-
     /// Stable string form used in JSON configs and reports.
     pub fn label(self) -> &'static str {
         match self {
             AttackSchedule::Probabilistic => "probabilistic",
             AttackSchedule::DutyCycle => "duty-cycle",
         }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<AttackSchedule> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -184,17 +140,6 @@ impl ArbitrationPolicy {
             }
         }
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<ArbitrationPolicy> {
-        if v.as_str() == Some("strict-priority") {
-            return Some(ArbitrationPolicy::StrictPriority);
-        }
-        let high_limit = v.get("weighted")?.as_u64()?;
-        Some(ArbitrationPolicy::Weighted {
-            high_limit: u32::try_from(high_limit).ok()?,
-        })
-    }
 }
 
 /// Which authentication cost model the end nodes run (§6, Figure 6).
@@ -211,8 +156,6 @@ pub enum AuthMode {
 }
 
 impl AuthMode {
-    const ALL: [AuthMode; 3] = [AuthMode::None, AuthMode::PartitionLevel, AuthMode::QpLevel];
-
     /// Label for result tables (also the JSON form).
     pub fn label(self) -> &'static str {
         match self {
@@ -220,11 +163,6 @@ impl AuthMode {
             AuthMode::PartitionLevel => "With Key (partition)",
             AuthMode::QpLevel => "With Key (QP)",
         }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<AuthMode> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -265,15 +203,6 @@ impl TrafficConfig {
                 self.realtime_backoff_queue.to_json(),
             ),
         ])
-    }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<TrafficConfig> {
-        Some(TrafficConfig {
-            realtime_load: v.get("realtime_load")?.as_f64()?,
-            best_effort_load: v.get("best_effort_load")?.as_f64()?,
-            realtime_backoff_queue: v.get("realtime_backoff_queue")?.as_u64()? as usize,
-        })
     }
 }
 
@@ -428,8 +357,7 @@ impl SimConfig {
     /// Serialize every field to a JSON object (stored alongside results so
     /// a report is reproducible from its own file). The `topology` key is
     /// omitted for the default mesh, keeping mesh result files (and their
-    /// byte-identity gates) identical to the pre-topology-subsystem form;
-    /// [`from_json`](Self::from_json) treats the missing key as mesh.
+    /// byte-identity gates) identical to the pre-topology-subsystem form.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj([
             ("link_gbps", self.link_gbps.to_json()),
@@ -474,54 +402,12 @@ impl SimConfig {
         }
         obj
     }
-
-    /// Inverse of [`to_json`](Self::to_json); `None` on any missing or
-    /// ill-typed field.
-    pub fn from_json(v: &Json) -> Option<SimConfig> {
-        Some(SimConfig {
-            link_gbps: v.get("link_gbps")?.as_f64()?,
-            ports_per_switch: v.get("ports_per_switch")?.as_u64()? as usize,
-            num_vls: v.get("num_vls")?.as_u64()? as usize,
-            mtu_bytes: v.get("mtu_bytes")?.as_u64()? as usize,
-            // Absent in configs serialized before the topology subsystem;
-            // those were all meshes.
-            topology: match v.get("topology") {
-                Some(t) => TopoSpec::from_json(t)?,
-                None => TopoSpec::Mesh,
-            },
-            mesh_dim: v.get("mesh_dim")?.as_u64()? as usize,
-            vl_buffer_packets: u32::try_from(v.get("vl_buffer_packets")?.as_u64()?).ok()?,
-            switch_latency: v.get("switch_latency")?.as_u64()?,
-            propagation_delay: v.get("propagation_delay")?.as_u64()?,
-            cycle_time: v.get("cycle_time")?.as_u64()?,
-            num_partitions: v.get("num_partitions")?.as_u64()? as usize,
-            num_attackers: v.get("num_attackers")?.as_u64()? as usize,
-            attack_keys: AttackKeys::from_label(v.get("attack_keys")?.as_str()?)?,
-            attack_schedule: AttackSchedule::from_label(v.get("attack_schedule")?.as_str()?)?,
-            arbitration: ArbitrationPolicy::from_json(v.get("arbitration")?)?,
-            attack_probability: v.get("attack_probability")?.as_f64()?,
-            attack_epoch: v.get("attack_epoch")?.as_u64()?,
-            enforcement: EnforcementKind::from_label(v.get("enforcement")?.as_str()?)?,
-            trap_latency: v.get("trap_latency")?.as_u64()?,
-            trap_transport: TrapTransport::from_label(v.get("trap_transport")?.as_str()?)?,
-            sm_node: v.get("sm_node")?.as_u64()? as usize,
-            program_latency: v.get("program_latency")?.as_u64()?,
-            sif_idle_timeout: v.get("sif_idle_timeout")?.as_u64()?,
-            auth: AuthMode::from_label(v.get("auth")?.as_str()?)?,
-            auth_cycles_per_message: v.get("auth_cycles_per_message")?.as_u64()?,
-            key_exchange_rtt: v.get("key_exchange_rtt")?.as_u64()?,
-            fault: FaultConfig::from_json(v.get("fault")?)?,
-            traffic: TrafficConfig::from_json(v.get("traffic")?)?,
-            duration: v.get("duration")?.as_u64()?,
-            warmup: v.get("warmup")?.as_u64()?,
-            seed: Seed(v.get("seed")?.as_u64()?),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reparsed;
 
     #[test]
     fn default_matches_table1() {
@@ -558,36 +444,38 @@ mod tests {
 
     #[test]
     fn enum_labels_round_trip() {
-        for k in AttackKeys::ALL {
-            assert_eq!(AttackKeys::from_label(k.label()), Some(k));
+        let labels = [
+            AttackKeys::RandomInvalid.label(),
+            AttackKeys::Valid.label(),
+            AttackKeys::SmFlood.label(),
+            TrapTransport::OutOfBand.label(),
+            TrapTransport::InBand.label(),
+            AttackSchedule::Probabilistic.label(),
+            AttackSchedule::DutyCycle.label(),
+            AuthMode::None.label(),
+            AuthMode::PartitionLevel.label(),
+            AuthMode::QpLevel.label(),
+        ];
+        for (i, label) in labels.iter().enumerate() {
+            let parsed = reparsed(&label.to_json().to_string());
+            assert_eq!(parsed.as_str(), Some(*label));
+            // A report names its variant by label alone, so no two may share one.
+            assert!(!labels[..i].contains(label), "duplicate label {label}");
         }
-        for t in TrapTransport::ALL {
-            assert_eq!(TrapTransport::from_label(t.label()), Some(t));
-        }
-        for s in AttackSchedule::ALL {
-            assert_eq!(AttackSchedule::from_label(s.label()), Some(s));
-        }
-        for a in AuthMode::ALL {
-            assert_eq!(AuthMode::from_label(a.label()), Some(a));
-        }
-        assert_eq!(AttackKeys::from_label("bogus"), None);
     }
 
     #[test]
     fn arbitration_json_round_trip() {
-        for p in [
-            ArbitrationPolicy::StrictPriority,
-            ArbitrationPolicy::Weighted { high_limit: 7 },
-        ] {
-            let text = p.to_json().to_string();
-            let back = ArbitrationPolicy::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, p);
-        }
+        let strict = reparsed(&ArbitrationPolicy::StrictPriority.to_json().to_string());
+        assert_eq!(strict.as_str(), Some("strict-priority"));
+        let weighted = ArbitrationPolicy::Weighted { high_limit: 7 };
+        let weighted = reparsed(&weighted.to_json().to_string());
+        assert_eq!(weighted.get("weighted").and_then(Json::as_u64), Some(7));
     }
 
-    /// The satellite round-trip: serialize a non-default config to JSON
-    /// text, parse it back, and compare field-for-field — including a seed
-    /// above 2⁵³ that would corrupt under f64-only JSON numbers.
+    /// Serialize a non-default config to JSON text and parse it back —
+    /// including a seed above 2⁵³ that would corrupt under f64-only JSON
+    /// numbers.
     #[test]
     fn sim_config_json_round_trip() {
         let mut cfg = SimConfig {
@@ -604,72 +492,60 @@ mod tests {
         };
         cfg.traffic.realtime_load = 0.55;
 
-        let text = cfg.to_json().to_string();
-        let back = SimConfig::from_json(&Json::parse(&text).unwrap()).expect("parse back");
-
-        assert_eq!(back.num_attackers, cfg.num_attackers);
-        assert_eq!(back.attack_keys, cfg.attack_keys);
-        assert_eq!(back.attack_schedule, cfg.attack_schedule);
-        assert_eq!(back.arbitration, cfg.arbitration);
-        assert_eq!(back.enforcement, cfg.enforcement);
-        assert_eq!(back.trap_transport, cfg.trap_transport);
-        assert_eq!(back.auth, cfg.auth);
-        assert_eq!(back.traffic.realtime_load, cfg.traffic.realtime_load);
+        let back = reparsed(&cfg.to_json().to_string());
+        let str_at = |key: &str| back.get(key).and_then(Json::as_str);
         assert_eq!(
-            back.traffic.realtime_backoff_queue,
-            cfg.traffic.realtime_backoff_queue
+            back.get("seed").and_then(Json::as_u64),
+            Some(0xDEAD_BEEF_CAFE_F00D)
         );
-        assert_eq!(back.fault, cfg.fault);
-        assert_eq!(back.seed, cfg.seed);
-        assert_eq!(back.link_gbps, cfg.link_gbps);
-        assert_eq!(back.duration, cfg.duration);
-        assert_eq!(back.warmup, cfg.warmup);
+        assert_eq!(back.get("num_attackers").and_then(Json::as_u64), Some(4));
+        assert_eq!(back.get("link_gbps").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(str_at("attack_keys"), Some("valid"));
+        assert_eq!(str_at("attack_schedule"), Some("duty-cycle"));
+        assert_eq!(str_at("enforcement"), Some("SIF"));
+        assert_eq!(str_at("trap_transport"), Some("in-band"));
+        assert_eq!(str_at("auth"), Some("With Key (QP)"));
+        for (key, nested) in [
+            ("arbitration", cfg.arbitration.to_json()),
+            ("fault", cfg.fault.to_json()),
+            ("traffic", cfg.traffic.to_json()),
+        ] {
+            assert_eq!(back.get(key), Some(&nested), "{key}");
+        }
     }
 
     #[test]
     fn topo_spec_json_round_trip() {
-        for spec in [
-            TopoSpec::Mesh,
-            TopoSpec::FatTree { k: 8 },
-            TopoSpec::Dragonfly {
-                a: 4,
-                p: 2,
-                h: 2,
-                valiant: true,
-            },
-        ] {
-            let text = spec.to_json().to_string();
-            assert_eq!(
-                TopoSpec::from_json(&Json::parse(&text).unwrap()),
-                Some(spec)
-            );
-        }
+        assert_eq!(
+            reparsed(&TopoSpec::Mesh.to_json().to_string()).as_str(),
+            Some("mesh")
+        );
+        let fat = reparsed(&TopoSpec::FatTree { k: 8 }.to_json().to_string());
+        assert_eq!(fat.get("fat-tree").and_then(Json::as_u64), Some(8));
+        let fly = TopoSpec::Dragonfly {
+            a: 4,
+            p: 2,
+            h: 2,
+            valiant: true,
+        };
+        let fly = reparsed(&fly.to_json().to_string());
+        let d = fly.get("dragonfly").expect("dragonfly object");
+        assert_eq!(d.get("a").and_then(Json::as_u64), Some(4));
+        assert_eq!(d.get("valiant").and_then(Json::as_bool), Some(true));
 
-        // Full-config round trip through a non-mesh topology; node count
-        // follows the spec, not mesh_dim.
+        // A non-mesh config carries its spec; node count follows the spec,
+        // not mesh_dim.
         let cfg = SimConfig {
             topology: TopoSpec::FatTree { k: 4 },
             ..SimConfig::default()
         };
         assert_eq!(cfg.num_nodes(), 16);
         assert_eq!(cfg.build_topology().name(), "fat-tree");
-        let back = SimConfig::from_json(&Json::parse(&cfg.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back.topology, cfg.topology);
+        let back = reparsed(&cfg.to_json().to_string());
+        assert_eq!(back.get("topology"), Some(&cfg.topology.to_json()));
 
-        // Pre-subsystem configs (no "topology" key) parse as meshes.
-        let mut old = SimConfig::default().to_json();
-        if let Json::Obj(pairs) = &mut old {
-            pairs.retain(|(k, _)| k != "topology");
-        }
-        assert_eq!(SimConfig::from_json(&old).unwrap().topology, TopoSpec::Mesh);
-    }
-
-    #[test]
-    fn sim_config_from_json_rejects_missing_field() {
-        let mut cfg_json = SimConfig::default().to_json();
-        if let Json::Obj(pairs) = &mut cfg_json {
-            pairs.retain(|(k, _)| k != "seed");
-        }
-        assert!(SimConfig::from_json(&cfg_json).is_none());
+        // The default mesh omits the key (the mesh goldens predate it).
+        let mesh = reparsed(&SimConfig::default().to_json().to_string());
+        assert!(mesh.get("topology").is_none());
     }
 }

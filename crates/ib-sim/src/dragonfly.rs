@@ -50,11 +50,6 @@ impl Dragonfly {
         self.a * self.h + 1
     }
 
-    /// Whether Valiant (non-minimal) routing is active.
-    pub fn is_valiant(&self) -> bool {
-        self.valiant
-    }
-
     /// The local port on router-local-index `l` that reaches local index
     /// `m` of the same group (`l != m`).
     fn local_port(&self, l: usize, m: usize) -> usize {

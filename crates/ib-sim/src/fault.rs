@@ -59,16 +59,6 @@ impl FaultConfig {
             ("reorder_delay_ps", self.reorder_delay_ps.to_json()),
         ])
     }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<FaultConfig> {
-        Some(FaultConfig {
-            drop_prob: v.get("drop_prob")?.as_f64()?,
-            corrupt_prob: v.get("corrupt_prob")?.as_f64()?,
-            reorder_prob: v.get("reorder_prob")?.as_f64()?,
-            reorder_delay_ps: v.get("reorder_delay_ps")?.as_u64()?,
-        })
-    }
 }
 
 /// What the fault layer decided for one packet crossing one link.
@@ -189,14 +179,13 @@ mod tests {
     #[test]
     fn fault_config_json_round_trip() {
         let cfg = FaultConfig::lossy(0.02, 75_000);
-        let text = cfg.to_json().to_string();
-        let back = FaultConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, cfg);
-        // Missing field rejected.
-        let mut j = cfg.to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "drop_prob");
-        }
-        assert!(FaultConfig::from_json(&j).is_none());
+        let back = crate::reparsed(&cfg.to_json().to_string());
+        assert_eq!(back.get("drop_prob").and_then(Json::as_f64), Some(0.02));
+        assert_eq!(back.get("corrupt_prob").and_then(Json::as_f64), Some(0.005));
+        assert_eq!(back.get("reorder_prob").and_then(Json::as_f64), Some(0.005));
+        assert_eq!(
+            back.get("reorder_delay_ps").and_then(Json::as_u64),
+            Some(75_000)
+        );
     }
 }

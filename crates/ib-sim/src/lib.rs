@@ -52,3 +52,14 @@ pub use parallel::ParSimulator;
 pub use time::{SimTime, BYTE_TIME_PS, NS, PS, US};
 pub use topology::{flow_hash, MeshTopology, Partition, Peer, Topology};
 pub use traffic::TrafficClass;
+
+/// What every `*_json_round_trip` test in this crate means by a round
+/// trip: the emitted text parses, and the parsed value re-emits the same
+/// text (configs and reports are write-only, so there is no reader to
+/// compare against).
+#[cfg(test)]
+pub(crate) fn reparsed(text: &str) -> ib_runtime::Json {
+    let parsed = ib_runtime::Json::parse(text).expect("emitted JSON parses");
+    assert_eq!(parsed.to_string(), text, "writer/parser agree");
+    parsed
+}

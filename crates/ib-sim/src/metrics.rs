@@ -75,8 +75,7 @@ impl OnlineStats {
         self.max = self.max.max(other.max);
     }
 
-    /// JSON object form (raw accumulator state, so deserialized stats can
-    /// still be merged).
+    /// JSON object form (raw accumulator state).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("count", self.count.to_json()),
@@ -84,16 +83,6 @@ impl OnlineStats {
             ("m2", self.m2.to_json()),
             ("max", self.max.to_json()),
         ])
-    }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<OnlineStats> {
-        Some(OnlineStats {
-            count: v.get("count")?.as_u64()?,
-            mean: v.get("mean")?.as_f64()?,
-            m2: v.get("m2")?.as_f64()?,
-            max: v.get("max")?.as_f64()?,
-        })
     }
 }
 
@@ -138,16 +127,6 @@ impl ClassStats {
             ("delivered", self.delivered.to_json()),
             ("dropped", self.dropped.to_json()),
         ])
-    }
-
-    /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(v: &Json) -> Option<ClassStats> {
-        Some(ClassStats {
-            queuing: OnlineStats::from_json(v.get("queuing")?)?,
-            network: OnlineStats::from_json(v.get("network")?)?,
-            delivered: v.get("delivered")?.as_u64()?,
-            dropped: v.get("dropped")?.as_u64()?,
-        })
     }
 }
 
@@ -225,17 +204,18 @@ mod tests {
         cs.record(5_000_000, 20_000_000);
         cs.record(7_000_000, 22_000_000);
         cs.dropped = 3;
-        let text = cs.to_json().to_string();
-        let back = ClassStats::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.delivered, 2);
-        assert_eq!(back.dropped, 3);
-        assert_eq!(back.queuing.count(), cs.queuing.count());
-        assert_eq!(back.queuing.mean(), cs.queuing.mean());
-        assert_eq!(back.network.stddev(), cs.network.stddev());
-        // Deserialized stats still merge (raw m2 survives the trip).
-        let mut merged = back.clone();
-        merged.queuing.merge(&cs.queuing);
-        assert_eq!(merged.queuing.count(), 4);
+        let back = crate::reparsed(&cs.to_json().to_string());
+        assert_eq!(back.get("delivered").and_then(Json::as_u64), Some(2));
+        assert_eq!(back.get("dropped").and_then(Json::as_u64), Some(3));
+        let queuing = back.get("queuing").expect("queuing object");
+        assert_eq!(queuing.get("count").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            queuing.get("mean").and_then(Json::as_f64),
+            Some(cs.queuing.mean())
+        );
+        // The raw second moment is emitted bit-exactly, not a rounded stddev.
+        let m2 = back.get("network").and_then(|n| n.get("m2"));
+        assert_eq!(m2.and_then(Json::as_f64), Some(2.0));
     }
 
     #[test]

@@ -34,8 +34,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::config::SimConfig;
+use crate::engine::FlowRecord;
+#[cfg(any(doc, test))]
+use crate::engine::Simulator;
 use crate::engine::{Ctx, Domain, SimCore, SimReport};
-use crate::engine::{FlowRecord, Simulator};
 use crate::event::{Event, EventQueue};
 use crate::time::SimTime;
 
@@ -379,12 +381,6 @@ impl ParSimulator {
             self.queues.push(queue);
         }
     }
-}
-
-/// Run `cfg` through the serial oracle — a convenience the equivalence
-/// tests and benches share.
-pub fn serial_report(cfg: SimConfig) -> SimReport {
-    Simulator::new(cfg).run()
 }
 
 #[cfg(test)]

@@ -330,11 +330,6 @@ impl Partition {
         }
     }
 
-    /// Domain of the switch a node hangs off.
-    pub fn domain_of_node(&self, topo: &dyn Topology, node: usize) -> usize {
-        self.domain_of[topo.host_attachment(node).0]
-    }
-
     /// Directed switch-to-switch link counts `(internal, cross)`.
     pub fn link_census(&self, topo: &dyn Topology) -> (usize, usize) {
         let (mut internal, mut cross) = (0, 0);

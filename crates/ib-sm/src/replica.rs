@@ -188,10 +188,6 @@ impl SmReplica {
         self.alive = false;
     }
 
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
     /// Whether this replica currently believes it leads.
     pub fn is_leader(&self) -> bool {
         self.alive && self.leader == Some(self.cfg.id)

@@ -10,6 +10,7 @@ use ib_security::experiments::{
 };
 use ib_sim::config::{AuthMode, SimConfig};
 use ib_sim::time::{MS, US};
+use ib_sim::{ParSimulator, Simulator};
 
 fn quick(mut cfg: SimConfig) -> SimConfig {
     cfg.duration = 3 * MS;
@@ -184,4 +185,32 @@ fn sweeps_are_reproducible() {
     assert_eq!(a[1].generated, b[0].generated);
     assert_eq!(a[0].hca_blocked, b[1].hca_blocked);
     assert!((a[1].legit_queuing_mean() - b[0].legit_queuing_mean()).abs() < 1e-12);
+}
+
+/// The sharded-engine gate on a real figure: every cell of `fig1 --smoke`'s
+/// grid (attackers 0..=4 × six seeds, derived as `run_grid_seed_averaged`
+/// derives them) gives the byte-identical report from the serial engine
+/// and from the windowed parallel engine at one and at four threads — any
+/// divergence in cross-domain merge order, RNG decomposition or stats
+/// merging shows up here.
+#[test]
+fn fig1_smoke_grid_is_identical_on_the_parallel_engine() {
+    const SMOKE_MAX_ATTACKERS: usize = 4;
+    const SMOKE_SEEDS: u64 = 6;
+    for attackers in 0..=SMOKE_MAX_ATTACKERS {
+        let base = quick(fig1_config(attackers));
+        for s in 0..SMOKE_SEEDS {
+            let mut cfg = base.clone();
+            cfg.seed = base.seed.stream(s);
+            let serial = Simulator::new(cfg.clone()).run().to_json().to_string();
+            for threads in [1, 4] {
+                let par = ParSimulator::with_threads(cfg.clone(), threads).run();
+                assert_eq!(
+                    par.to_json().to_string(),
+                    serial,
+                    "{attackers} attackers, seed stream {s}, {threads} threads"
+                );
+            }
+        }
+    }
 }
