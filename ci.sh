@@ -13,10 +13,12 @@ cargo test -q --offline
 echo "== test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them) =="
 # On a host with PCLMULQDQ/AVX2 the plain test run above only ever takes
 # the dispatched kernels. The same tests under IB_SIMD=off put the
-# slice-by-8 CRCs and scalar NH through every CRC/packet/transport check:
-# ib-crypto carries tests/simd_equivalence.rs, ib-transport carries
-# tests/alloc_free_hotpath.rs.
-IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-transport
+# slice-by-8 CRCs and scalar NH through every CRC/packet/security/
+# transport check: ib-crypto carries tests/simd_equivalence.rs,
+# ib-security the one-shot seal and admission bodies (tags byte-identical
+# to the reference in crates/core/tests/one_pass_identity.rs),
+# ib-transport tests/alloc_free_hotpath.rs.
+IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport
 
 echo "== fmt =="
 cargo fmt --check

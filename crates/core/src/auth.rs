@@ -2,11 +2,14 @@
 //! real [`ib_packet::Packet`]s.
 //!
 //! Tagging: compute a 32-bit MAC over exactly the bytes the ICRC covers
-//! (invariant fields, variant fields masked — streamed in place via
-//! [`Packet::for_each_icrc_slice`], no per-packet allocation), store it in
-//! the ICRC slot, and put the algorithm selector in BTH
-//! `Resv8a`. Verification reverses this. Selector 0 falls back to the
-//! plain CRC-32 check, which is what makes the scheme wire-compatible with
+//! (invariant fields, variant fields masked), store it in the ICRC slot,
+//! and put the algorithm selector in BTH `Resv8a`. The MAC runs one-shot
+//! over one contiguous masked image, never streamed slice by slice: a
+//! masked copy of the freshly written wire bytes on send
+//! ([`Packet::write_sealed`]), of the checked received bytes on receive
+//! ([`WireView::masked_image_into`]).
+//! Verification reverses this. Selector 0 falls back to the plain CRC-32
+//! check, which is what makes the scheme wire-compatible with
 //! non-upgraded IBA gear.
 //!
 //! The MAC nonce is `(SLID << 24) | PSN`: the PSN gives per-flow
@@ -16,10 +19,10 @@
 use std::cell::RefCell;
 use std::fmt;
 
-use ib_crypto::mac::{AnyMac, AuthAlgorithm};
+use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
 use ib_mgmt::keymgmt::{KeyEpoch, NodeKeyTable, SecretKey};
-use ib_packet::types::PKey;
-use ib_packet::Packet;
+use ib_packet::types::{Lid, PKey, Psn};
+use ib_packet::{Bth, Deth, Packet, WireView};
 
 /// Which key-management granularity an [`Authenticator`] uses to find the
 /// per-packet secret (§4.2 vs §4.3).
@@ -76,6 +79,16 @@ impl fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
+/// The plain-ICRC check over a masked image (selector 0, and every packet
+/// of a channel that does not authenticate).
+pub(crate) fn check_icrc(image: &[u8], icrc: u32) -> Result<(), AuthError> {
+    if AnyMac::Icrc.tag32(0, image) == icrc {
+        Ok(())
+    } else {
+        Err(AuthError::BadIcrc)
+    }
+}
+
 /// Per-node authentication engine: a key table plus the configured
 /// algorithm and scope.
 pub struct Authenticator {
@@ -90,9 +103,14 @@ pub struct Authenticator {
     /// `keys`, and [`Self::retire_partition_below`] drops those whose
     /// secret has left it, so growth is bounded by the *live* key
     /// versions, not by how many rotations the node has seen. A
-    /// `RefCell` keeps `compute_tag`/`verify_packet` callable through
-    /// `&self` (the engine is per-node, never shared across threads).
+    /// `RefCell` keeps tagging and verification callable through `&self`
+    /// (the engine is per-node, never shared across threads).
     mac_cache: RefCell<Vec<((AuthAlgorithm, SecretKey), AnyMac)>>,
+    /// Wire and masked-image buffers of the `&Packet` entry points
+    /// ([`Self::tag_packet`], [`Self::verify_packet`],
+    /// [`Self::compute_tag`]); capacity retained. A channel passes its own.
+    wire: RefCell<Vec<u8>>,
+    image: RefCell<Vec<u8>>,
 }
 
 impl Authenticator {
@@ -108,6 +126,8 @@ impl Authenticator {
             algorithm,
             scope,
             mac_cache: RefCell::new(Vec::new()),
+            wire: RefCell::new(Vec::new()),
+            image: RefCell::new(Vec::new()),
         }
     }
 
@@ -141,50 +161,40 @@ impl Authenticator {
 
     /// The MAC nonce for a packet (see module docs).
     pub fn nonce(packet: &Packet) -> u64 {
-        ((packet.lrh.slid.0 as u64) << 24) | packet.bth.psn.0 as u64
+        Self::nonce_of(packet.lrh.slid, packet.bth.psn)
     }
 
-    /// Find the *current-epoch* secret this packet authenticates under —
-    /// the send-side lookup. The index is derived purely from packet
-    /// fields, so sender and receiver agree.
-    pub fn secret_for(&self, packet: &Packet) -> Result<SecretKey, AuthError> {
+    /// The MAC nonce from the two fields it is built of.
+    fn nonce_of(slid: Lid, psn: Psn) -> u64 {
+        ((slid.0 as u64) << 24) | psn.0 as u64
+    }
+
+    /// Send side, one key-table lookup: the *current* `(epoch, secret)`
+    /// for the packet's scope index. The index is derived purely from
+    /// header fields, so sender and receiver agree. Datagram secrets are
+    /// minted fresh per Q_Key request, so they stay at epoch 0.
+    fn send_key(&self, bth: &Bth, deth: Option<&Deth>) -> Result<(KeyEpoch, SecretKey), AuthError> {
         match self.scope {
-            KeyScope::Partition => self
-                .keys
-                .partition_secret(packet.bth.pkey)
-                .ok_or(AuthError::NoKey),
-            KeyScope::QpLevel => {
-                if let Some(deth) = &packet.deth {
-                    self.keys
-                        .datagram_secret(deth.qkey, deth.src_qp)
-                        .ok_or(AuthError::NoKey)
-                } else if packet.bth.opcode.service.is_connected() {
-                    self.keys
-                        .connection_secret(packet.bth.dest_qp)
-                        .ok_or(AuthError::NoKey)
-                } else {
-                    Err(AuthError::NoScopeIndex)
+            KeyScope::Partition => self.keys.partition_current(bth.pkey),
+            KeyScope::QpLevel => match deth {
+                Some(d) => self
+                    .keys
+                    .datagram_secret(d.qkey, d.src_qp)
+                    .map(|s| (KeyEpoch::ZERO, s)),
+                None if bth.opcode.service.is_connected() => {
+                    self.keys.connection_current(bth.dest_qp)
                 }
-            }
+                None => return Err(AuthError::NoScopeIndex),
+            },
         }
-    }
-
-    /// The current key epoch for this packet's scope index — what the
-    /// send side stamps into BTH `Resv7b`. Datagram secrets are minted
-    /// fresh per Q_Key request, so they stay at epoch 0.
-    pub fn send_epoch_for(&self, packet: &Packet) -> KeyEpoch {
-        match self.scope {
-            KeyScope::Partition => self.keys.partition_epoch(packet.bth.pkey),
-            KeyScope::QpLevel if packet.deth.is_none() => {
-                self.keys.connection_epoch(packet.bth.dest_qp)
-            }
-            KeyScope::QpLevel => None,
-        }
-        .unwrap_or(KeyEpoch::ZERO)
+        .ok_or(AuthError::NoKey)
     }
 
     /// Classify a wire epoch id that matched no live key version.
-    fn epoch_miss(wire: u8, current: KeyEpoch) -> AuthError {
+    fn epoch_miss(wire: u8, current: Option<(KeyEpoch, SecretKey)>) -> AuthError {
+        let Some((current, _)) = current else {
+            return AuthError::NoKey;
+        };
         match KeyEpoch::resolve_wire(wire, current) {
             Some(e) if e > current => AuthError::FutureEpoch(wire),
             _ => AuthError::StaleEpoch(wire),
@@ -192,37 +202,34 @@ impl Authenticator {
     }
 
     /// Receive-side lookup: resolve the packet's BTH key-epoch id against
-    /// the live key versions for its scope index. Misses split into
-    /// [`AuthError::StaleEpoch`] (version graced out — reject for good)
-    /// and [`AuthError::FutureEpoch`] (version not yet installed —
-    /// recoverable once the key-update MAD lands).
-    fn verify_secret_for(&self, packet: &Packet) -> Result<SecretKey, AuthError> {
-        let wire = packet.bth.key_epoch;
+    /// the live key versions for its scope index — one lookup on a hit.
+    /// Misses split into [`AuthError::StaleEpoch`] (version graced out —
+    /// reject for good) and [`AuthError::FutureEpoch`] (version not yet
+    /// installed — recoverable once the key-update MAD lands).
+    fn receive_key(&self, bth: &Bth, deth: Option<&Deth>) -> Result<SecretKey, AuthError> {
+        let wire = bth.key_epoch;
         match self.scope {
             KeyScope::Partition => {
-                let pkey = packet.bth.pkey;
-                if let Some((_, s)) = self.keys.partition_secret_by_wire(pkey, wire) {
-                    return Ok(s);
+                let pkey = bth.pkey;
+                match self.keys.partition_secret_by_wire(pkey, wire) {
+                    Some((_, s)) => Ok(s),
+                    None => Err(Self::epoch_miss(wire, self.keys.partition_current(pkey))),
                 }
-                let current = self.keys.partition_epoch(pkey).ok_or(AuthError::NoKey)?;
-                Err(Self::epoch_miss(wire, current))
             }
-            KeyScope::QpLevel => {
-                if let Some(deth) = &packet.deth {
-                    self.keys
-                        .datagram_secret(deth.qkey, deth.src_qp)
-                        .ok_or(AuthError::NoKey)
-                } else if packet.bth.opcode.service.is_connected() {
-                    let qp = packet.bth.dest_qp;
-                    if let Some((_, s)) = self.keys.connection_secret_by_wire(qp, wire) {
-                        return Ok(s);
+            KeyScope::QpLevel => match deth {
+                Some(d) => self
+                    .keys
+                    .datagram_secret(d.qkey, d.src_qp)
+                    .ok_or(AuthError::NoKey),
+                None if bth.opcode.service.is_connected() => {
+                    let qp = bth.dest_qp;
+                    match self.keys.connection_secret_by_wire(qp, wire) {
+                        Some((_, s)) => Ok(s),
+                        None => Err(Self::epoch_miss(wire, self.keys.connection_current(qp))),
                     }
-                    let current = self.keys.connection_epoch(qp).ok_or(AuthError::NoKey)?;
-                    Err(Self::epoch_miss(wire, current))
-                } else {
-                    Err(AuthError::NoScopeIndex)
                 }
-            }
+                None => Err(AuthError::NoScopeIndex),
+            },
         }
     }
 
@@ -245,57 +252,101 @@ impl Authenticator {
         f(&cache[idx].1)
     }
 
-    /// Stream the packet's invariant fields through an incremental MAC —
-    /// the allocation-free core of both tagging and verification.
-    fn stream_tag(mac: &AnyMac, packet: &Packet) -> u32 {
-        let mut stream = mac.stream(Self::nonce(packet));
-        packet.for_each_icrc_slice(|slice| stream.update(slice));
-        stream.finalize()
-    }
-
-    /// Compute the tag for a packet under this node's keys (without
-    /// mutating the packet).
-    pub fn compute_tag(&self, packet: &Packet) -> Result<u32, AuthError> {
-        let secret = self.secret_for(packet)?;
-        Ok(self.with_mac(self.algorithm, secret, |mac| Self::stream_tag(mac, packet)))
-    }
-
-    /// Tag a packet in place: current key epoch into BTH `Resv7b` (under
-    /// MAC coverage), selector into BTH `Resv8a`, MAC into the ICRC field,
-    /// VCRC refreshed. The packet must be sealed first (the builder does
-    /// this). A retransmit after a rotation re-runs this and goes out
-    /// under the *new* epoch's key — the lazy re-keying recovery path.
-    pub fn tag_packet(&self, packet: &mut Packet) -> Result<(), AuthError> {
-        packet.bth.key_epoch = self.send_epoch_for(packet).wire_id();
-        let tag = self.compute_tag(packet)?;
-        packet.set_auth_tag(self.algorithm.selector(), tag);
+    /// Tag a packet while serializing it into `wire`: current key epoch
+    /// into BTH `Resv7b` (under MAC coverage), selector into BTH `Resv8a`,
+    /// then [`Packet::write_sealed`] — the one-shot MAC over a masked copy
+    /// in `image` into the ICRC slot, the VCRC once over the written
+    /// bytes. The packet's length fields must be consistent. A retransmit
+    /// after a rotation re-runs this and goes out under the *new* epoch's
+    /// key — the lazy re-keying recovery path.
+    pub fn seal_into(
+        &self,
+        packet: &mut Packet,
+        wire: &mut Vec<u8>,
+        image: &mut Vec<u8>,
+    ) -> Result<(), AuthError> {
+        let (epoch, secret) = self.send_key(&packet.bth, packet.deth.as_ref())?;
+        packet.bth.key_epoch = epoch.wire_id();
+        packet.bth.resv8a = self.algorithm.selector();
+        let nonce = Self::nonce(packet);
+        self.with_mac(self.algorithm, secret, |mac| {
+            packet.write_sealed(wire, image, |masked| mac.tag32(nonce, masked));
+        });
         Ok(())
     }
 
-    /// Verify a received packet.
+    /// [`Self::seal_into`] on the authenticator's own buffers: the packet
+    /// comes back tagged, VCRC refreshed.
+    pub fn tag_packet(&self, packet: &mut Packet) -> Result<(), AuthError> {
+        self.seal_into(
+            packet,
+            &mut self.wire.borrow_mut(),
+            &mut self.image.borrow_mut(),
+        )
+    }
+
+    /// The tag a packet would carry under this node's current keys
+    /// (without mutating the packet).
+    pub fn compute_tag(&self, packet: &Packet) -> Result<u32, AuthError> {
+        let (_, secret) = self.send_key(&packet.bth, packet.deth.as_ref())?;
+        let mut image = self.image.borrow_mut();
+        packet.icrc_message_into(&mut image);
+        Ok(self.with_mac(self.algorithm, secret, |mac| {
+            mac.tag32(Self::nonce(packet), &image)
+        }))
+    }
+
+    /// Verify `tag` over a contiguous masked `image` whose header fields
+    /// are `bth` / `deth` — the MAC half of every admission.
     ///
     /// * Selector 0 → plain ICRC check (compatibility mode).
     /// * Known selector → recompute the MAC under the packet-indexed secret
     ///   and compare with the stored tag.
-    pub fn verify_packet(&self, packet: &Packet) -> Result<(), AuthError> {
-        let selector = packet.bth.resv8a;
+    fn verify_image(
+        &self,
+        bth: &Bth,
+        deth: Option<&Deth>,
+        nonce: u64,
+        image: &[u8],
+        tag: u32,
+    ) -> Result<(), AuthError> {
+        let selector = bth.resv8a;
         let algorithm =
             AuthAlgorithm::from_selector(selector).ok_or(AuthError::UnknownSelector(selector))?;
         if algorithm == AuthAlgorithm::Icrc {
-            return if packet.icrc_ok() {
-                Ok(())
-            } else {
-                Err(AuthError::BadIcrc)
-            };
+            return check_icrc(image, tag);
         }
-        let secret = self.verify_secret_for(packet)?;
-        let tag = self.with_mac(algorithm, secret, |mac| Self::stream_tag(mac, packet));
+        let secret = self.receive_key(bth, deth)?;
+        let computed = self.with_mac(algorithm, secret, |mac| mac.tag32(nonce, image));
         // XOR-compare, like `Mac::verify`, to keep timing tag-independent.
-        if (tag ^ packet.icrc) == 0 {
+        if (computed ^ tag) == 0 {
             Ok(())
         } else {
             Err(AuthError::BadTag)
         }
+    }
+
+    /// Verify a received view: the MAC (or, under selector 0, the plain
+    /// CRC-32) over its masked image, built in `image` (the caller's
+    /// scratch). The view's VCRC was checked when it was parsed.
+    pub fn verify_view(&self, view: &WireView, image: &mut Vec<u8>) -> Result<(), AuthError> {
+        view.masked_image_into(image);
+        let nonce = Self::nonce_of(view.lrh.slid, view.bth.psn);
+        self.verify_image(&view.bth, view.deth.as_ref(), nonce, image, view.icrc)
+    }
+
+    /// Verify an in-memory packet the same way, over its masked image.
+    /// The VCRC is not this layer's concern.
+    pub fn verify_packet(&self, packet: &Packet) -> Result<(), AuthError> {
+        let mut image = self.image.borrow_mut();
+        packet.icrc_message_into(&mut image);
+        self.verify_image(
+            &packet.bth,
+            packet.deth.as_ref(),
+            Self::nonce(packet),
+            &image,
+            packet.icrc,
+        )
     }
 }
 

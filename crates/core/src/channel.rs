@@ -24,14 +24,15 @@
 //! window ([`SecureChannel::window_depth`]), or a genuine retransmit could
 //! age out and be rejected as [`ReplayVerdict::Stale`].
 
+use std::cell::RefCell;
 use std::fmt;
 
-use ib_crypto::mac::AuthAlgorithm;
+use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::PKey;
-use ib_packet::Packet;
+use ib_packet::{Packet, WireView};
 
-use crate::auth::{AuthError, Authenticator, KeyScope};
+use crate::auth::{check_icrc, AuthError, Authenticator, KeyScope};
 use crate::replay::{ReplayVerdict, ReplayWindow};
 
 /// Security posture of a channel — the three arms of the fig_replay
@@ -70,7 +71,9 @@ impl ChannelSecurity {
 /// Why [`SecureChannel::admit`] refused a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelError {
-    /// VCRC failure: wire corruption (fault layer or tampering).
+    /// VCRC failure: wire corruption (fault layer or tampering). Raised by
+    /// the `&Packet` entry points, whose serialization did not parse; a
+    /// [`WireView`] has passed this check already.
     BadVcrc,
     /// Authentication failure (forged, unkeyed, or corrupted inside the
     /// VCRC's blind spot).
@@ -138,6 +141,12 @@ pub struct SecureChannel {
     epoch_grace: u64,
     /// Scheduled retirements: at `.0`, drop every version below `.1`.
     pending_retire: Vec<(u64, KeyEpoch)>,
+    /// Wire buffer of the `&Packet` entry points ([`Self::seal`],
+    /// [`Self::admit`]). Capacity retained, like `image`'s.
+    wire: RefCell<Vec<u8>>,
+    /// The masked copy of a packet's image the MAC runs over, on send and
+    /// on receive. `RefCell`s because sealing goes through `&self`.
+    image: RefCell<Vec<u8>>,
     /// Admission counters, readable at any time.
     pub stats: ChannelStats,
 }
@@ -166,6 +175,8 @@ impl SecureChannel {
             pkey,
             epoch_grace: 0,
             pending_retire: Vec::new(),
+            wire: RefCell::new(Vec::new()),
+            image: RefCell::new(Vec::new()),
             stats: ChannelStats::default(),
         }
     }
@@ -187,8 +198,8 @@ impl SecureChannel {
     pub fn send_epoch(&self) -> KeyEpoch {
         self.auth
             .as_ref()
-            .and_then(|a| a.keys.partition_epoch(self.pkey))
-            .unwrap_or(KeyEpoch::ZERO)
+            .and_then(|a| a.keys.partition_current(self.pkey))
+            .map_or(KeyEpoch::ZERO, |(epoch, _)| epoch)
     }
 
     /// Install a key version learned from a key-update MAD. The send side
@@ -204,8 +215,8 @@ impl SecureChannel {
         let Some(auth) = &mut self.auth else { return };
         let newer = auth
             .keys
-            .partition_epoch(self.pkey)
-            .is_none_or(|cur| epoch > cur);
+            .partition_current(self.pkey)
+            .is_none_or(|(cur, _)| epoch > cur);
         auth.keys.install_partition_epoch(self.pkey, epoch, secret);
         if newer {
             self.pending_retire
@@ -250,41 +261,48 @@ impl SecureChannel {
         self.window.as_ref().map(|w| w.window())
     }
 
-    /// Outbound side: tag the packet when authenticating, or complete it
-    /// with the plain ICRC + VCRC otherwise. The packet's length fields
-    /// must be consistent (the builder's `seal()` or a template's
-    /// [`Packet::seal_lengths`] both suffice; for an already fully-sealed
-    /// packet this is idempotent). Retransmits rebuild identical bytes
-    /// under the original PSN, so the tag — nonce and all — comes out
-    /// identical too.
-    pub fn seal(&self, packet: &mut Packet) -> Result<(), AuthError> {
+    /// Outbound side, the one seal body: serialize `packet` into `wire`
+    /// and seal it ([`Packet::write_sealed`]) — the one-shot MAC under the
+    /// current epoch over a masked copy of the written bytes when
+    /// authenticating, the plain CRC-32 ICRC otherwise, then the VCRC once
+    /// over the written bytes.
+    /// The packet's length fields must be consistent (the builder's
+    /// `seal()` or a template's [`Packet::seal_lengths`] both suffice).
+    /// Retransmits rebuild identical bytes under the original PSN, so the
+    /// tag — nonce and all — comes out identical too.
+    pub fn seal_into(&self, packet: &mut Packet, wire: &mut Vec<u8>) -> Result<(), AuthError> {
+        let image = &mut self.image.borrow_mut();
         match &self.auth {
-            Some(auth) => auth.tag_packet(packet),
+            Some(auth) => auth.seal_into(packet, wire, image),
             None => {
-                packet.icrc = packet.compute_icrc();
-                packet.vcrc = packet.compute_vcrc();
+                packet.write_sealed(wire, image, |masked| AnyMac::Icrc.tag32(0, masked));
                 Ok(())
             }
         }
     }
 
-    /// The uncounted integrity check: VCRC, then MAC (or plain ICRC).
-    fn precheck(&self, packet: &Packet) -> Result<(), ChannelError> {
-        if !packet.vcrc_ok() {
-            return Err(ChannelError::BadVcrc);
-        }
+    /// [`Self::seal_into`] with the channel's own wire buffer, for callers
+    /// that want the sealed packet rather than its bytes.
+    pub fn seal(&self, packet: &mut Packet) -> Result<(), AuthError> {
+        self.seal_into(packet, &mut self.wire.borrow_mut())
+    }
+
+    /// The uncounted integrity check of an arrival whose VCRC
+    /// [`Packet::parse_view`] already checked: the one-shot MAC (or plain
+    /// ICRC) over a masked copy of the received bytes.
+    fn check(&mut self, view: &WireView) -> Result<(), ChannelError> {
+        let image = self.image.get_mut();
         match &self.auth {
-            Some(auth) => auth.verify_packet(packet).map_err(ChannelError::Auth),
-            None => {
-                // No adversarial protection, but line noise still fails the
-                // plain CRC when no tag replaced it.
-                if packet.bth.resv8a == 0 && !packet.icrc_ok() {
-                    Err(ChannelError::Auth(AuthError::BadIcrc))
-                } else {
-                    Ok(())
-                }
+            Some(auth) => auth.verify_view(view, image),
+            // No adversarial protection, but line noise still fails the
+            // plain CRC when no tag replaced it.
+            None if view.bth.resv8a == 0 => {
+                view.masked_image_into(image);
+                check_icrc(image, view.icrc)
             }
+            None => Ok(()),
         }
+        .map_err(ChannelError::Auth)
     }
 
     /// Bump the stats counter matching an integrity rejection.
@@ -302,8 +320,8 @@ impl SecureChannel {
     /// window. This is the ACK-path check: acknowledgments are cumulative
     /// and idempotent, so replaying an old one is harmless and they carry
     /// data-sequence PSNs that must not pollute the data window.
-    pub fn verify_only(&mut self, packet: &Packet) -> Result<(), ChannelError> {
-        let r = self.precheck(packet);
+    pub fn verify_only(&mut self, view: &WireView) -> Result<(), ChannelError> {
+        let r = self.check(view);
         if let Err(e) = r {
             self.count_integrity_reject(e);
         }
@@ -337,11 +355,32 @@ impl SecureChannel {
         }
     }
 
-    /// Inbound side: VCRC, then MAC (or plain ICRC), then the replay
-    /// window. Counts every outcome in [`Self::stats`].
+    /// Inbound side, the one admission body: MAC (or plain ICRC) over the
+    /// view's masked image, then the replay window. The view's VCRC was
+    /// checked when it was parsed and is not checked again. Counts every
+    /// outcome in [`Self::stats`].
+    pub fn admit_view(&mut self, view: &WireView) -> Result<Admit, ChannelError> {
+        self.verify_only(view)?;
+        self.offer_window(view.bth.psn.0)
+    }
+
+    /// [`Self::admit_view`] for an in-memory packet: serialized into the
+    /// channel's wire buffer and parsed back through
+    /// [`Packet::parse_view`], so its VCRC is checked exactly once, like
+    /// an arrival's. A serialization that does not parse counts as
+    /// [`ChannelError::BadVcrc`].
     pub fn admit(&mut self, packet: &Packet) -> Result<Admit, ChannelError> {
-        self.verify_only(packet)?;
-        self.offer_window(packet.bth.psn.0)
+        let mut wire = std::mem::take(self.wire.get_mut());
+        packet.write_into(&mut wire);
+        let r = match Packet::parse_view(&wire) {
+            Ok(view) => self.admit_view(&view),
+            Err(_) => {
+                self.count_integrity_reject(ChannelError::BadVcrc);
+                Err(ChannelError::BadVcrc)
+            }
+        };
+        *self.wire.get_mut() = wire;
+        r
     }
 
     /// [`Self::admit`] on each packet in order, verdicts positional in

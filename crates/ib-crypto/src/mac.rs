@@ -169,7 +169,7 @@ impl AnyMac {
 impl Mac for AnyMac {
     fn tag32(&self, nonce: u64, message: &[u8]) -> Tag32 {
         match self {
-            AnyMac::Icrc => crate::crc::crc32_ieee(message),
+            AnyMac::Icrc => crate::crc::Crc32::new().update_auto(message).finalize(),
             AnyMac::Umac32(u) => u.tag32(nonce, message),
             // HMAC has no nonce input; prepend it so replayed PSNs still
             // produce distinct tags (the replay module relies on this).

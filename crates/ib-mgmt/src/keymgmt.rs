@@ -22,6 +22,7 @@ use std::collections::HashMap;
 
 use ib_crypto::toyrsa::{self, PrivateKey, PublicKey};
 use ib_packet::types::{PKey, QKey, Qpn};
+use ib_runtime::hash::FxHashMap;
 
 /// A 16-byte MAC secret (the key for UMAC/HMAC/PMAC instances).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,16 +255,18 @@ impl PartitionKeyManager {
 /// CA-side key tables — the per-node tables of Figures 2 and 3 combined.
 /// Partition and connection scopes hold epoch-versioned rings (the lazy
 /// re-keying state); datagram secrets stay single-version — they are
-/// already minted fresh per Q_Key request.
+/// already minted fresh per Q_Key request. Every seal and verify looks a
+/// key up here, so the maps hash with [`FxHashMap`]'s one multiply, not
+/// SipHash; a lookup returns epoch and secret together.
 #[derive(Debug, Default)]
 pub struct NodeKeyTable {
     /// Figure 2: P_Key → epoch-versioned partition secrets.
-    partition: HashMap<PKey, EpochRing>,
+    partition: FxHashMap<PKey, EpochRing>,
     /// Figure 3 (datagram): (my Q_Key, peer source QP) → secret.
-    datagram: HashMap<(QKey, Qpn), SecretKey>,
+    datagram: FxHashMap<(QKey, Qpn), SecretKey>,
     /// Connected service: local QP → epoch-versioned secrets shared with
     /// its bound peer.
-    connection: HashMap<Qpn, EpochRing>,
+    connection: FxHashMap<Qpn, EpochRing>,
 }
 
 impl NodeKeyTable {
@@ -287,14 +290,9 @@ impl NodeKeyTable {
     }
 
     /// Look up by P_Key (partition-level authentication): the *current*
-    /// epoch's secret.
-    pub fn partition_secret(&self, pkey: PKey) -> Option<SecretKey> {
-        Some(self.partition.get(&pkey)?.current()?.1)
-    }
-
-    /// The current partition key epoch (what the send side stamps).
-    pub fn partition_epoch(&self, pkey: PKey) -> Option<KeyEpoch> {
-        Some(self.partition.get(&pkey)?.current()?.0)
+    /// `(epoch, secret)` version — what the send side stamps and keys.
+    pub fn partition_current(&self, pkey: PKey) -> Option<(KeyEpoch, SecretKey)> {
+        self.partition.get(&pkey)?.current()
     }
 
     /// Resolve a 7-bit wire epoch id to a live partition key version.
@@ -333,14 +331,9 @@ impl NodeKeyTable {
             .install(epoch, secret);
     }
 
-    /// Look up the current connection secret for a bound QP.
-    pub fn connection_secret(&self, local_qp: Qpn) -> Option<SecretKey> {
-        Some(self.connection.get(&local_qp)?.current()?.1)
-    }
-
-    /// The current connection key epoch for a bound QP.
-    pub fn connection_epoch(&self, local_qp: Qpn) -> Option<KeyEpoch> {
-        Some(self.connection.get(&local_qp)?.current()?.0)
+    /// The current connection `(epoch, secret)` version for a bound QP.
+    pub fn connection_current(&self, local_qp: Qpn) -> Option<(KeyEpoch, SecretKey)> {
+        self.connection.get(&local_qp)?.current()
     }
 
     /// Resolve a 7-bit wire epoch id to a live connection key version.
@@ -547,11 +540,11 @@ mod tests {
         node_c.install_partition_secret(p2, sm.distribute(p2, &pk_c).unwrap().open(&sk_c).unwrap());
 
         // A and B agree on S_K1; A and C on S_K2; B knows nothing of II.
-        assert_eq!(node_a.partition_secret(p1), Some(s_k1));
-        assert_eq!(node_b.partition_secret(p1), Some(s_k1));
-        assert_eq!(node_a.partition_secret(p2), Some(s_k2));
-        assert_eq!(node_c.partition_secret(p2), Some(s_k2));
-        assert_eq!(node_b.partition_secret(p2), None);
+        assert_eq!(node_a.partition_current(p1), Some((KeyEpoch::ZERO, s_k1)));
+        assert_eq!(node_b.partition_current(p1), Some((KeyEpoch::ZERO, s_k1)));
+        assert_eq!(node_a.partition_current(p2), Some((KeyEpoch::ZERO, s_k2)));
+        assert_eq!(node_c.partition_current(p2), Some((KeyEpoch::ZERO, s_k2)));
+        assert_eq!(node_b.partition_current(p2), None);
     }
 
     #[test]
@@ -575,8 +568,8 @@ mod tests {
         table_a.install_connection_secret(Qpn(1), secret);
         table_b.install_connection_secret(Qpn(9), received);
         assert_eq!(
-            table_a.connection_secret(Qpn(1)),
-            table_b.connection_secret(Qpn(9))
+            table_a.connection_current(Qpn(1)),
+            table_b.connection_current(Qpn(9))
         );
     }
 

@@ -22,6 +22,9 @@
 //!   serialization, parsing, and ICRC/VCRC compute/verify that honours the
 //!   spec's invariant-field masking (so the ICRC — and therefore the
 //!   authentication tag that replaces it — survives switch traversal).
+//!   [`packet::WireView`] is the receive side's borrowed form: built only
+//!   by [`Packet::parse_view`], after the VCRC check over the bytes it
+//!   borrows.
 //!
 //! The crate is pure data-plane: no I/O, no simulation. `ib-sim` moves these
 //! packets through a fabric; `ib-security` swaps the ICRC for a MAC tag.
@@ -42,5 +45,5 @@ pub use eth::{Aeth, AethKind, Deth, ImmDt, NakCode, Reth};
 pub use grh::Grh;
 pub use lrh::{Lnh, Lrh};
 pub use opcode::{OpCode, Operation, TransportService};
-pub use packet::{Packet, PacketBuilder};
+pub use packet::{Packet, PacketBuilder, WireView};
 pub use types::{Lid, PKey, Psn, QKey, Qpn, RKey, VirtualLane};

@@ -121,16 +121,7 @@ impl Packet {
             put(&aeth.to_bytes());
         }
         if masked {
-            hdr[0] |= 0xF0; // VL
-            let mut bth = LRH_LEN;
-            if self.grh.is_some() {
-                // Traffic class + flow label live in the low 28 bits of word 0.
-                hdr[bth] |= 0x0F;
-                hdr[bth + 1..bth + 4].fill(0xFF);
-                hdr[bth + 7] = 0xFF; // hop limit
-                bth += GRH_LEN;
-            }
-            hdr[bth + BTH_RESV8A_OFFSET] = 0xFF; // the selector rides here
+            mask_variant_fields(hdr, self.grh.is_some());
         }
         n
     }
@@ -152,8 +143,11 @@ impl Packet {
 
     /// Walk the *invariant-field* byte stream the ICRC (and the MAC
     /// replacing it) covers: headers with variant fields masked to ones,
-    /// then payload and pad bytes. Streaming MAC/CRC consumers hang off
-    /// this visitor.
+    /// then payload and pad bytes. Its callers are the buffer-free
+    /// consumers — [`Packet::compute_icrc`], [`Packet::icrc_message_into`],
+    /// `mac_table4`'s `stream` arm and tests. The authenticated datapath
+    /// does not walk it: it tags one contiguous masked copy of the wire
+    /// image ([`Packet::write_sealed`], [`WireView::masked_image_into`]).
     pub fn for_each_icrc_slice(&self, f: impl FnMut(&[u8])) {
         self.for_each_slice(true, f)
     }
@@ -168,6 +162,32 @@ impl Packet {
         self.for_each_slice(false, |s| out.extend_from_slice(s));
         out.extend_from_slice(&self.icrc.to_be_bytes());
         out.extend_from_slice(&self.vcrc.to_be_bytes());
+    }
+
+    /// Serialize into `out` and seal it — the one seal body of the
+    /// authenticated datapath: `tag` runs one-shot over `image` (the
+    /// caller's scratch, cleared first), a contiguous copy of the bytes
+    /// the ICRC covers (LRH through pad) with the variant fields masked to
+    /// ones; its result goes into the ICRC slot, and the VCRC is computed
+    /// once, over the written bytes. `self.icrc` / `self.vcrc` are updated
+    /// to match, so the packet stays the sealed twin of its image. Length
+    /// fields must already be consistent ([`Packet::seal_lengths`]).
+    ///
+    /// The copy is deliberate: masking `out` in place and restoring it
+    /// measured ~13 ns slower per 64 B packet (and no faster at 1 KiB).
+    pub fn write_sealed(
+        &mut self,
+        out: &mut Vec<u8>,
+        image: &mut Vec<u8>,
+        tag: impl FnOnce(&[u8]) -> u32,
+    ) {
+        self.write_into(out);
+        masked_copy(out, self.grh.is_some(), image);
+        self.icrc = tag(image);
+        let n = out.len();
+        out[n - ICRC_LEN - VCRC_LEN..n - VCRC_LEN].copy_from_slice(&self.icrc.to_be_bytes());
+        self.vcrc = crc16_iba(&out[..n - VCRC_LEN]);
+        out[n - VCRC_LEN..].copy_from_slice(&self.vcrc.to_be_bytes());
     }
 
     /// Serialize to freshly-allocated wire bytes. Hot paths prefer
@@ -246,9 +266,8 @@ impl Packet {
         self.vcrc = self.compute_vcrc();
     }
 
-    /// Parse and validate a wire buffer. Checks structural consistency and
-    /// the VCRC; ICRC verification is left to the caller because under the
-    /// authentication scheme the field may hold a MAC tag instead.
+    /// Parse and validate a wire buffer into an owned packet: the checks
+    /// of [`Packet::parse_view`], then a copy of the payload.
     pub fn parse(buf: &[u8]) -> Result<Packet, ParseError> {
         let mut pkt = PacketBuilder::new(OpCode::RC_SEND_ONLY).packet;
         pkt.parse_into(buf)?;
@@ -256,11 +275,33 @@ impl Packet {
     }
 
     /// Parse a wire buffer into `self`, reusing the payload allocation
-    /// (cleared first, capacity retained) — the receive path's
-    /// allocation-free counterpart to [`Packet::parse`], with identical
-    /// validation. On `Err` the packet may be partially overwritten and
-    /// must not be trusted.
+    /// (cleared first, capacity retained), with [`Packet::parse_view`]'s
+    /// validation. On `Err` the packet is left untouched.
     pub fn parse_into(&mut self, buf: &[u8]) -> Result<(), ParseError> {
+        let v = Packet::parse_view(buf)?;
+        self.lrh = v.lrh;
+        self.grh = v.grh;
+        self.bth = v.bth;
+        self.deth = v.deth;
+        self.reth = v.reth;
+        self.aeth = v.aeth;
+        self.payload.clear();
+        self.payload.extend_from_slice(v.payload);
+        self.icrc = v.icrc;
+        self.vcrc = v.vcrc;
+        Ok(())
+    }
+
+    /// The only constructor of a [`WireView`]: check structural
+    /// consistency and the VCRC over exactly the bytes of `buf` (not a
+    /// re-serialization of the parsed fields, which would forgive flipped
+    /// reserved bits and non-zero pad bytes), then borrow the payload.
+    /// ICRC verification is left to the caller because under the
+    /// authentication scheme the field may hold a MAC tag instead.
+    /// Inlined so the caller's view is built in place rather than
+    /// returned and copied (measured: 15–20 % of a 64 B `handle_wire`).
+    #[inline]
+    pub fn parse_view(buf: &[u8]) -> Result<WireView<'_>, ParseError> {
         let lrh = Lrh::parse(buf)?;
         let expected_len = lrh.pkt_len as usize * 4 + VCRC_LEN;
         if buf.len() < expected_len {
@@ -321,28 +362,83 @@ impl Packet {
             });
         }
         let payload_len = padded_payload_len - bth.pad_count as usize;
-        // The VCRC covers the bytes as received — not a re-serialization
-        // of the parsed fields, which would forgive flipped reserved bits
-        // and non-zero pad bytes.
         let (covered, vcrc) = buf.split_at(buf.len() - VCRC_LEN);
         let got = u16::from_be_bytes([vcrc[0], vcrc[1]]);
         let expected = crc16_iba(covered);
         if expected != got {
             return Err(ParseError::BadVcrc { expected, got });
         }
-        self.lrh = lrh;
-        self.grh = grh;
-        self.bth = bth;
-        self.deth = deth;
-        self.reth = reth;
-        self.aeth = aeth;
-        self.payload.clear();
-        self.payload.extend_from_slice(&buf[off..off + payload_len]);
         let icrc_off = off + padded_payload_len;
-        self.icrc = u32::from_be_bytes(buf[icrc_off..icrc_off + 4].try_into().unwrap());
-        self.vcrc = got;
-        Ok(())
+        Ok(WireView {
+            lrh,
+            grh,
+            bth,
+            deth,
+            reth,
+            aeth,
+            payload: &buf[off..off + payload_len],
+            icrc: u32::from_be_bytes(buf[icrc_off..icrc_off + ICRC_LEN].try_into().unwrap()),
+            vcrc: got,
+            bytes: buf,
+        })
     }
+}
+
+/// A received packet borrowed from the buffer it arrived in: header
+/// fields by value, the payload as a slice of the wire bytes. Only
+/// [`Packet::parse_view`] builds one, after checking the VCRC over exactly
+/// the bytes it borrows, so holding a view means the link-level check ran
+/// once, over what arrived — admission need not (and does not) repeat it.
+#[derive(Debug, Clone, Copy)]
+pub struct WireView<'a> {
+    pub lrh: Lrh,
+    pub grh: Option<Grh>,
+    pub bth: Bth,
+    pub deth: Option<Deth>,
+    pub reth: Option<Reth>,
+    pub aeth: Option<Aeth>,
+    pub payload: &'a [u8],
+    /// ICRC or authentication tag, as received.
+    pub icrc: u32,
+    /// The VCRC, already checked.
+    pub vcrc: u16,
+    /// The whole checked wire image (private: no view without the check).
+    bytes: &'a [u8],
+}
+
+impl WireView<'_> {
+    /// Copy the bytes the ICRC covers (LRH through pad) into `out`
+    /// (cleared first, capacity retained) and mask the variant fields to
+    /// ones: the contiguous image a one-shot MAC or CRC-32 runs over.
+    pub fn masked_image_into(&self, out: &mut Vec<u8>) {
+        masked_copy(self.bytes, self.grh.is_some(), out);
+    }
+}
+
+/// Copy a wire image's ICRC-covered bytes (all but ICRC and VCRC) into
+/// `out`, cleared first, and mask the variant fields.
+fn masked_copy(wire: &[u8], grh: bool, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&wire[..wire.len() - ICRC_LEN - VCRC_LEN]);
+    mask_variant_fields(out, grh);
+}
+
+/// Set the variant fields of an image that starts at the LRH to ones (IBA
+/// spec §7.8.1): LRH.VL; with a GRH, its traffic class, flow label and
+/// hop limit; BTH.Resv8a. What remains is what the ICRC — and the MAC
+/// replacing it — covers.
+#[inline(always)]
+fn mask_variant_fields(image: &mut [u8], grh: bool) {
+    image[0] |= 0xF0; // VL
+    let mut bth = LRH_LEN;
+    if grh {
+        // Traffic class + flow label live in the low 28 bits of word 0.
+        image[bth] |= 0x0F;
+        image[bth + 1..bth + 4].fill(0xFF);
+        image[bth + 7] = 0xFF; // hop limit
+        bth += GRH_LEN;
+    }
+    image[bth + BTH_RESV8A_OFFSET] = 0xFF; // the selector rides here
 }
 
 /// Fluent builder for [`Packet`]. Produces a sealed packet (valid CRCs in

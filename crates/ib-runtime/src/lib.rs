@@ -18,9 +18,12 @@
 //!   count, mean/stddev/throughput reporting) for the bench binaries.
 //! * [`check`] — a seeded property-test driver with failure-case
 //!   shrinking.
+//! * [`hash`] — a multiply-rotate hasher for the integer-keyed tables on
+//!   per-packet paths (no SipHash per packet).
 
 pub mod bench;
 pub mod check;
+pub mod hash;
 pub mod json;
 pub mod par;
 pub mod rng;

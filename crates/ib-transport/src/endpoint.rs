@@ -73,22 +73,37 @@
 //! Data and ACK packets are not rebuilt per send. The endpoint keeps two
 //! sealed packet *templates* (`tx_pkt`, `ack_pkt`); each transmission
 //! only rewrites the operation, PSN, optional RETH/AETH (all `Copy`) and
-//! payload, re-runs [`Packet::seal_lengths`] and the channel seal, and
-//! serializes with [`Packet::write_into`] into a wire buffer drawn from
-//! a bounded recycle pool. Once the template payload capacity and the
-//! pool are warm, [`SecureRcEndpoint::poll_into`] performs no heap
-//! allocation.
+//! payload, re-runs [`Packet::seal_lengths`], and hands the template to
+//! [`SecureChannel::seal_into`] with a wire buffer drawn from a bounded
+//! recycle pool: one serialization, one one-shot MAC over a masked copy
+//! of the written bytes, one VCRC over them.
+//! Once the template payload capacity and the pool are warm,
+//! [`SecureRcEndpoint::poll_into`] performs no heap allocation.
 //!
-//! The receive side mirrors it: [`SecureRcEndpoint::handle_wire`] parses
-//! every arrival into one reused packet shell ([`Packet::parse_into`]),
-//! so an ACK costs no allocation and a data packet costs one — the buffer
-//! handed to the application.
+//! ## One pass over the received bytes
+//!
+//! [`SecureRcEndpoint::handle_wire`] never builds a [`Packet`]: it takes
+//! a [`WireView`] of the arrival ([`Packet::parse_view`], the one VCRC
+//! check), dispatches on its header fields, and the channel MACs a masked
+//! copy of the same bytes ([`SecureChannel::admit_view`] /
+//! [`SecureChannel::verify_only`]) without checking the VCRC again. An
+//! admitted payload is copied once, straight from the wire buffer into
+//! where it ends up: the buffer handed to the application, the SEND or
+//! READ-response reassembly buffer, RDMA memory, or a selective-repeat
+//! slot. So an ACK costs no allocation and a delivered single-packet SEND
+//! costs exactly one — the buffer [`SecureRcEndpoint::take_delivered`]
+//! gives away, which nothing hands back (returning it needs a
+//! buffer-return API the frozen benchmark loop would have to call).
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn, Qpn, RKey};
-use ib_packet::{Aeth, AethKind, NakCode, OpCode, Operation, Packet, PacketBuilder, Reth};
+use ib_packet::{
+    Aeth, AethKind, NakCode, OpCode, Operation, Packet, PacketBuilder, Reth, WireView,
+};
+use ib_runtime::hash::FxHashMap;
 use ib_security::{Admit, ChannelSecurity, SecureChannel};
 use ib_sim::SimTime;
 
@@ -160,10 +175,6 @@ pub struct SecureRcEndpoint {
     tx_pkt: Packet,
     /// Sealed ACK/NAK/RNR template: only PSN / AETH / seal change.
     ack_pkt: Packet,
-    /// Receive shell [`Self::handle_wire`] parses every arrival into, so
-    /// the payload allocation lives across packets. `None` only while
-    /// `handle_wire` has it out.
-    rx_pkt: Option<Packet>,
     /// Recycled wire buffers (see [`Self::recycle`]).
     pool: Vec<Vec<u8>>,
     outbox: VecDeque<Vec<u8>>,
@@ -183,8 +194,9 @@ pub struct SecureRcEndpoint {
     /// The R_Key that unlocks `memory`; `None` refuses all RDMA.
     rkey: Option<RKey>,
     /// Selective repeat: segments received ahead of the expected PSN,
-    /// keyed by PSN, already past the replay window.
-    ooo: HashMap<u32, StoredSeg>,
+    /// keyed by PSN, already past the replay window. Probed once per
+    /// in-order arrival, hence the cheap hasher.
+    ooo: FxHashMap<u32, StoredSeg>,
     /// Transport/security counters, readable at any time.
     pub stats: EndpointStats,
 }
@@ -238,7 +250,6 @@ impl SecureRcEndpoint {
             channel,
             qp: RcQp::new(cfg),
             tx_pkt,
-            rx_pkt: Some(ack_pkt.clone()),
             ack_pkt,
             pool: Vec::new(),
             outbox: VecDeque::new(),
@@ -250,7 +261,7 @@ impl SecureRcEndpoint {
             write_events: VecDeque::new(),
             memory: Vec::new(),
             rkey: None,
-            ooo: HashMap::new(),
+            ooo: FxHashMap::default(),
             stats: EndpointStats::default(),
         }
     }
@@ -408,11 +419,10 @@ impl SecureRcEndpoint {
             // original PSN, so the seal produces the identical nonce and
             // tag: on the wire it is indistinguishable from an attacker's
             // replay.
-            channel
-                .seal(tx_pkt)
-                .expect("partition secret installed at construction");
             let mut buf = pool.pop().unwrap_or_default();
-            tx_pkt.write_into(&mut buf);
+            channel
+                .seal_into(tx_pkt, &mut buf)
+                .expect("partition secret installed at construction");
             out.push(buf);
         }
     }
@@ -426,24 +436,19 @@ impl SecureRcEndpoint {
         }
     }
 
-    /// Process one arriving wire buffer: parse into the reused shell,
+    /// Process one arriving wire buffer: view it (the one VCRC check),
     /// then route to the ACK or data state machine. Dispatch is by opcode,
     /// not AETH presence: read responses carry an AETH yet their PSNs live
     /// in the peer's *data* sequence space.
     pub fn handle_wire(&mut self, now: SimTime, bytes: &[u8]) {
         self.channel.advance_time(now);
-        // Taken out of `self` so the handlers can borrow both. A shell
-        // left half-overwritten by a failed parse is fully rewritten by
-        // the next successful one.
-        let mut packet = self.rx_pkt.take().expect("shell is put back below");
-        if packet.parse_into(bytes).is_err() {
-            self.stats.parse_drops += 1;
-        } else if packet.bth.opcode.operation == Operation::Acknowledge {
-            self.handle_ack(now, &packet);
-        } else {
-            self.handle_data(now, &packet);
+        match Packet::parse_view(bytes) {
+            Err(_) => self.stats.parse_drops += 1,
+            Ok(view) if view.bth.opcode.operation == Operation::Acknowledge => {
+                self.handle_ack(now, &view)
+            }
+            Ok(view) => self.handle_data(now, &view),
         }
-        self.rx_pkt = Some(packet);
     }
 
     /// [`Self::handle_wire`] per buffer, then [`Self::poll_into`]. Kept
@@ -455,7 +460,7 @@ impl SecureRcEndpoint {
         self.poll_into(now, out);
     }
 
-    fn handle_ack(&mut self, now: SimTime, packet: &Packet) {
+    fn handle_ack(&mut self, now: SimTime, packet: &WireView) {
         if self.channel.verify_only(packet).is_err() {
             return; // forged or corrupted ACK: counted in channel stats
         }
@@ -478,7 +483,7 @@ impl SecureRcEndpoint {
         }
     }
 
-    fn handle_data(&mut self, now: SimTime, packet: &Packet) {
+    fn handle_data(&mut self, now: SimTime, packet: &WireView) {
         let psn = packet.bth.psn.0;
         let op = packet.bth.opcode.operation;
         match self.qp.rx_classify(psn) {
@@ -489,7 +494,7 @@ impl SecureRcEndpoint {
                     // The sender will NOT resend this PSN (the NAK names
                     // only the missing one), so record it in the replay
                     // window now and buffer the segment for the drain.
-                    match self.channel.admit(packet) {
+                    match self.channel.admit_view(packet) {
                         Ok(Admit::Fresh) => {
                             self.stats.ooo_buffered += 1;
                             self.ooo.insert(
@@ -497,7 +502,7 @@ impl SecureRcEndpoint {
                                 StoredSeg {
                                     op,
                                     reth: packet.reth,
-                                    payload: packet.payload.clone(),
+                                    payload: packet.payload.to_vec(),
                                 },
                             );
                         }
@@ -531,9 +536,9 @@ impl SecureRcEndpoint {
                     self.queue_reply(reply);
                     return;
                 }
-                match self.channel.admit(packet) {
+                match self.channel.admit_view(packet) {
                     Ok(Admit::Fresh) => {
-                        self.accept_and_drain(now, op, packet.reth, packet.payload.clone());
+                        self.accept_and_drain(now, op, packet.reth, packet.payload);
                     }
                     Ok(Admit::Duplicate) => {
                         // The window saw this PSN although the transport
@@ -547,7 +552,7 @@ impl SecureRcEndpoint {
                 }
             }
             RxClass::Behind => {
-                match self.channel.admit(packet) {
+                match self.channel.admit_view(packet) {
                     Ok(Admit::Fresh) => {
                         // No replay window to remember the delivery: an
                         // already-received packet is accepted AGAIN. This
@@ -555,7 +560,7 @@ impl SecureRcEndpoint {
                         self.stats.dup_admitted_fresh += 1;
                         if op == Operation::SendOnly {
                             self.qp.rx_reserve();
-                            self.delivered.push_back(packet.payload.clone());
+                            self.delivered.push_back(packet.payload.to_vec());
                         }
                         // Replayed segments of multi-packet messages and
                         // RDMA ops are counted but not re-applied: the
@@ -576,22 +581,23 @@ impl SecureRcEndpoint {
         }
     }
 
-    /// Apply a freshly-admitted in-order segment, then drain any
-    /// selective-repeat buffered successors that are now in order (they
-    /// were admitted through the replay window when they arrived — no
-    /// second admission).
+    /// Apply a freshly-admitted in-order segment (its payload still in
+    /// the wire buffer), then drain any selective-repeat buffered
+    /// successors that are now in order (they were admitted through the
+    /// replay window when they arrived — no second admission).
     fn accept_and_drain(
         &mut self,
         now: SimTime,
         op: Operation,
         reth: Option<Reth>,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) {
-        if let Some(reply) = self.apply_segment(now, op, reth, payload) {
+        if let Some(reply) = self.apply_segment(now, op, reth, Cow::Borrowed(payload)) {
             self.queue_reply(reply);
         }
         while let Some(seg) = self.ooo.remove(&self.qp.expected_psn()) {
-            if let Some(reply) = self.apply_segment(now, seg.op, seg.reth, seg.payload) {
+            let payload = Cow::Owned(seg.payload);
+            if let Some(reply) = self.apply_segment(now, seg.op, seg.reth, payload) {
                 self.queue_reply(reply);
             }
         }
@@ -606,18 +612,21 @@ impl SecureRcEndpoint {
     }
 
     /// Verb-specific effect of one in-order segment, then the transport
-    /// accept (PSN advance, MSN on message end, ACK coalescing).
+    /// accept (PSN advance, MSN on message end, ACK coalescing). The
+    /// payload is borrowed from the wire buffer, or owned when it comes
+    /// out of a selective-repeat slot; either way it is copied at most
+    /// once more, into where it lands.
     fn apply_segment(
         &mut self,
         now: SimTime,
         op: Operation,
         reth: Option<Reth>,
-        payload: Vec<u8>,
+        payload: Cow<'_, [u8]>,
     ) -> Option<RxReply> {
         match op {
             Operation::SendOnly => {
                 self.qp.rx_reserve();
-                self.delivered.push_back(payload);
+                self.delivered.push_back(payload.into_owned());
                 self.stats.delivered += 1;
             }
             Operation::SendFirst => {
@@ -651,7 +660,7 @@ impl SecureRcEndpoint {
                 }
             }
             Operation::RdmaReadResponseOnly => {
-                self.completed_reads.push_back(payload);
+                self.completed_reads.push_back(payload.into_owned());
             }
             Operation::RdmaReadResponseFirst => {
                 self.rx_read_resp.clear();
@@ -750,11 +759,10 @@ impl SecureRcEndpoint {
             .aeth
             .as_mut()
             .expect("ACK template carries AETH") = aeth;
-        self.channel
-            .seal(&mut self.ack_pkt)
-            .expect("partition secret installed at construction");
         let mut buf = self.pool.pop().unwrap_or_default();
-        self.ack_pkt.write_into(&mut buf);
+        self.channel
+            .seal_into(&mut self.ack_pkt, &mut buf)
+            .expect("partition secret installed at construction");
         self.outbox.push_back(buf);
     }
 }
