@@ -284,6 +284,91 @@ fn mac_stream_matches_one_shot_every_algorithm() {
     );
 }
 
+/// FNV-1a over 64 bits: a fixed, dependency-free digest for the
+/// known-answer lock below.
+fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+const FNV64_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Every message the known-answer lock covers: each length 0–130 (every
+/// remainder class of every kernel's stride, both sides of the 64 B
+/// folding threshold) and the bulk sizes around the NH chunk, the MTUs
+/// and the jumbo frame.
+fn kat_messages() -> impl Iterator<Item = Vec<u8>> {
+    (0..=130)
+        .chain([1023, 1024, 1025, 1500, 4095, 4096, 4097, 9000])
+        .map(|len| {
+            (0..len as u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+                .collect()
+        })
+}
+
+/// Absolute output values, not two paths of the same code compared with
+/// each other: FNV-64 digests of every tag and CRC over the
+/// [`kat_messages`] corpus, captured once. A refactor of a kernel, a
+/// one-shot body or a dispatch rule that moves any single output fails
+/// here, under the dispatched kernels and under `IB_SIMD=off` alike.
+#[test]
+fn known_answer_digests() {
+    let keys = [*b"known answer k#1", [0xA5; 16]];
+    let nonces = [0u64, 0x0123_4567_89AB_CDEF];
+    let mut got = Vec::new();
+    for alg in AuthAlgorithm::ALL {
+        let mut h = FNV64_OFFSET;
+        for key in &keys {
+            let mac = AnyMac::new(alg, key);
+            for msg in kat_messages() {
+                for nonce in nonces {
+                    h = fnv64(h, &mac.tag32(nonce, &msg).to_le_bytes());
+                }
+            }
+        }
+        got.push((alg.name(), h));
+    }
+    let (mut c32, mut c16) = (FNV64_OFFSET, FNV64_OFFSET);
+    for msg in kat_messages() {
+        c32 = fnv64(c32, &ib_crypto::crc32_ieee(&msg).to_le_bytes());
+        c16 = fnv64(c16, &ib_crypto::crc16_iba(&msg).to_le_bytes());
+    }
+    got.push(("crc32_ieee", c32));
+    got.push(("crc16_iba", c16));
+    let (mut tags, mut cts) = (FNV64_OFFSET, FNV64_OFFSET);
+    for key in &keys {
+        let gcm = AesGcm32::new(key);
+        for msg in kat_messages() {
+            for nonce in nonces {
+                let mut data = msg.clone();
+                let tag = gcm.seal(nonce, b"lrh+bth aad", &mut data);
+                tags = fnv64(tags, &tag.to_le_bytes());
+                cts = fnv64(cts, &data);
+            }
+        }
+    }
+    got.push(("AES-GCM-32 tag", tags));
+    got.push(("AES-GCM-32 ciphertext", cts));
+    let want = [
+        ("CRC", 0x57E7_F798_2C6D_930D),
+        ("UMAC-2/4", 0x5293_1B45_2FA0_6117),
+        ("HMAC-MD5", 0x9559_B0D2_A263_2BCF),
+        ("HMAC-SHA1", 0x785B_BDD0_113D_D726),
+        ("StreamMAC", 0xDD0B_96D4_0FD5_F87D),
+        ("PMAC-AES", 0x6A24_0BB1_7D82_82BB),
+        ("crc32_ieee", 0x12D9_FF99_937A_F077),
+        ("crc16_iba", 0x232F_592C_0B1A_7138),
+        ("AES-GCM-32 tag", 0x569D_EED7_E253_71D1),
+        ("AES-GCM-32 ciphertext", 0xBE0B_2BC2_0813_5E38),
+    ];
+    for ((name, g), (_, w)) in got.iter().zip(&want) {
+        assert_eq!(g, w, "{name}: digest {g:#018X}, locked {w:#018X}");
+    }
+}
+
 #[test]
 fn aead_round_trips_and_rejects_tampering() {
     check::run(
