@@ -26,6 +26,12 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc links (no broken or private intra-doc links) =="
+# A deleted or renamed item leaves `[`links`]` to it in the docs of
+# whatever mentioned it; this leg is what catches them.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps --offline
+
 # Every fig_* smoke document must match its second run *and* the copy
 # committed under tests/golden/smoke/, so "simulated behaviour unchanged"
 # is a gate: a change that moves a figure on purpose re-captures the
@@ -53,7 +59,7 @@ smoke_twice() {
 smoke_twice fig_replay
 
 echo "== mac_table4 smoke (twice: structure must be stable, asserts must hold) =="
-# The binary's own asserts gate tag equality across the three message
+# The binary's own asserts gate tag equality across the two message
 # paths (hard, single-shot) and its wall-clock floors (each re-measures
 # its own cell up to 3 times and prints tries=n); across runs the numbers
 # move with the clock, so compare the *structure* with numerics

@@ -1,18 +1,10 @@
 //! Table 4 as *throughput over real packets* — MB/s and cycles/byte for
-//! every authentication candidate over {64 B, 1 KiB, 4 KiB} payloads,
-//! comparing two tag-computation paths:
-//!
-//! * `oneshot`  — serialize with [`Packet::icrc_message_into`] into a
-//!   reused scratch buffer, then one-shot MAC (no per-packet allocation).
-//! * `stream`   — no materialization at all: walk the packet's masked
-//!   header slices with [`Packet::for_each_icrc_slice`] straight through
-//!   the incremental [`MacStream`] kernels.
-//!
-//! Both must produce the tag the allocating [`Packet::icrc_message`]
-//! reference gives (asserted per algorithm and size before anything is
-//! timed), and streaming UMAC must keep pace with one-shot — that is the
-//! §5.2 link-rate argument: the MAC can run while the packet streams
-//! through the port, with no copy.
+//! every authentication candidate over {64 B, 1 KiB, 4 KiB} payloads: each
+//! iteration serializes the ICRC message with
+//! [`Packet::icrc_message_into`] into a reused scratch buffer, then runs
+//! the one-shot MAC over it (no per-packet allocation). That tag must equal
+//! the one over the allocating [`Packet::icrc_message`] reference (asserted
+//! per algorithm and size before anything is timed).
 //!
 //! A second section compares the scalar kernels against the runtime-
 //! dispatched SIMD paths (`IB_SIMD=off` forces both arms scalar): CRC-32
@@ -27,24 +19,21 @@ use std::time::{Duration, Instant};
 
 use bench::{estimate_cpu_hz, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_crypto::crc::{Crc16, Crc32};
-use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
+use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_crypto::umac::Umac;
 use ib_crypto::AesGcm32;
 use ib_packet::types::{Lid, PKey, Psn, Qpn};
 use ib_packet::{OpCode, Packet, PacketBuilder};
-use ib_runtime::bench::{BenchConfig, Harness, Measurement};
+use ib_runtime::bench::{BenchConfig, Harness};
 use ib_runtime::{Json, ToJson};
 
 /// Payload sizes under test: minimum-ish, the UMAC NH chunk size, and a
 /// multi-chunk jumbo frame.
 const SIZES: [usize; 3] = [64, 1024, 4096];
-/// Tag-computation paths, in measurement order.
-const ARMS: [&str; 2] = ["oneshot", "stream"];
-/// Fixed nonce: arms must agree bit-for-bit, and throughput does not
+/// Fixed nonce: tag paths must agree bit-for-bit, and throughput does not
 /// depend on its value.
 const NONCE: u64 = 0x0001_0000_002A;
 
-/// A sealed RC data packet carrying `len` deterministic payload bytes.
 /// The two link CRCs as (group, portable slice-by-8 kernel, dispatched
 /// kernel): ICRC and VCRC share one folding kernel, so they share one
 /// cell shape and one kind of gate.
@@ -52,7 +41,7 @@ type CrcKernel = fn(&[u8]) -> u32;
 const CRC_KERNELS: [(&str, CrcKernel, CrcKernel); 2] = [
     (
         "crc32",
-        |m| Crc32::new().update_slice8(m).finalize(),
+        |m| Crc32::new().update(m).finalize(),
         |m| Crc32::new().update_auto(m).finalize(),
     ),
     (
@@ -62,6 +51,7 @@ const CRC_KERNELS: [(&str, CrcKernel, CrcKernel); 2] = [
     ),
 ];
 
+/// A sealed RC data packet carrying `len` deterministic payload bytes.
 fn packet_for(len: usize) -> Packet {
     let mut payload = vec![0u8; len];
     for (i, b) in payload.iter_mut().enumerate() {
@@ -77,17 +67,11 @@ fn packet_for(len: usize) -> Packet {
         .build()
 }
 
-fn stream_tag(mac: &AnyMac, packet: &Packet) -> u32 {
-    let mut st = mac.stream(NONCE);
-    packet.for_each_icrc_slice(|slice| st.update(slice));
-    st.finalize()
-}
-
 /// The paper's Discussion argues MAC viability against this link rate.
 const LINK_RATE_GBPS: f64 = 2.5;
 
 /// Interleave `arms` sample-by-sample under one shared batch size (see
-/// the timed-runs comment in `main`: a clock-frequency dip then lands on
+/// the SIMD-section comment in `main`: a clock-frequency dip then lands on
 /// every arm of the adjacent sample tuple, not on whichever arm ran
 /// last). Returns one raw sample vector per arm, ns per iteration.
 fn measure_paired(config: &BenchConfig, arms: &mut [Box<dyn FnMut() + '_>]) -> Vec<Vec<f64>> {
@@ -121,21 +105,6 @@ fn measure_paired(config: &BenchConfig, arms: &mut [Box<dyn FnMut() + '_>]) -> V
         }
     }
     sample_ns
-}
-
-/// One (algorithm, size) cell of the Table 4 section, in [`ARMS`] order.
-fn mac_cell(config: &BenchConfig, mac: &AnyMac, packet: &Packet) -> Vec<Vec<f64>> {
-    let mut scratch = Vec::new();
-    let mut arms: Vec<Box<dyn FnMut() + '_>> = vec![
-        Box::new(|| {
-            packet.icrc_message_into(&mut scratch);
-            std::hint::black_box(mac.tag32(NONCE, &scratch));
-        }),
-        Box::new(|| {
-            std::hint::black_box(stream_tag(mac, packet));
-        }),
-    ];
-    measure_paired(config, &mut arms)
 }
 
 /// One CRC cell: the portable kernel, then the dispatched one.
@@ -237,7 +206,7 @@ fn main() {
     // payload), not just the payload.
     let msg_lens: Vec<usize> = packets.iter().map(|p| p.icrc_message().len()).collect();
 
-    // ---- equivalence gate: both paths against the allocating reference ----
+    // ---- equivalence gate: scratch one-shot against the allocating reference ----
     for alg in AuthAlgorithm::ALL {
         let mac = AnyMac::new(alg, &key);
         for (packet, &msg_len) in packets.iter().zip(&msg_lens) {
@@ -245,53 +214,39 @@ fn main() {
             let mut scratch = Vec::new();
             packet.icrc_message_into(&mut scratch);
             assert_eq!(scratch.len(), msg_len);
-            let oneshot = mac.tag32(NONCE, &scratch);
-            let streamed = stream_tag(&mac, packet);
             assert_eq!(
-                (reference, oneshot),
-                (streamed, streamed),
-                "{} / {msg_len} B: all tag paths must agree",
+                mac.tag32(NONCE, &scratch),
+                reference,
+                "{} / {msg_len} B: tag paths must agree",
                 alg.name()
             );
         }
     }
     println!(
-        "OK: icrc_message(), oneshot and stream tags identical for every algorithm and size.\n"
+        "OK: icrc_message() and scratch one-shot tags identical for every algorithm and size.\n"
     );
 
     // ---- timed runs ----
-    // This host's clock throttles by tens of percent over seconds, so the
-    // arms of each comparison are interleaved *sample by sample*: a
-    // frequency dip lands on all arms of the adjacent sample tuple, not
-    // on whichever arm happened to run in that window. The raw samples
-    // then flow through the harness's normal statistics pipeline
-    // (Tukey fences, bootstrap CI) via `Group::record`.
     let mut harness = Harness::new(config);
-    // (arm, alg, payload_len, msg_len) per measurement, in push order —
+    // (alg, payload_len, msg_len) per Table 4 measurement, in push order —
     // ids are display-only (algorithm names contain '/').
-    let mut meta: Vec<(&str, AuthAlgorithm, usize, usize)> = Vec::new();
+    let mut meta: Vec<(AuthAlgorithm, usize, usize)> = Vec::new();
     // Packets processed per iteration, one entry per recorded point (the
     // multi-buffer cells below MAC four at a time).
     let mut pkts_per_iter: Vec<u64> = Vec::new();
-    // The one cell a floor reads: streaming vs one-shot UMAC at 1 KiB.
-    let mut umac_1k_paths = Vec::new();
     for alg in AuthAlgorithm::ALL {
         let mac = AnyMac::new(alg, &key);
-        for (i, &size) in SIZES.iter().enumerate() {
-            let msg_len = msg_lens[i];
-            let sample_ns = mac_cell(&config, &mac, &packets[i]);
-            let id = format!("{}-{size}B", alg.name());
-            for (a, &arm) in ARMS.iter().enumerate() {
-                harness
-                    .group(arm)
-                    .throughput_bytes(msg_len as u64)
-                    .record(&id, &sample_ns[a]);
-                meta.push((arm, alg, size, msg_len));
-                pkts_per_iter.push(1);
-            }
-            if (alg, size) == (AuthAlgorithm::Umac32, 1024) {
-                umac_1k_paths = sample_ns;
-            }
+        for (packet, (&size, &msg_len)) in packets.iter().zip(SIZES.iter().zip(&msg_lens)) {
+            let mut scratch = Vec::new();
+            harness.group("mac").throughput_bytes(msg_len as u64).bench(
+                &format!("{}-{size}B", alg.name()),
+                || {
+                    packet.icrc_message_into(&mut scratch);
+                    mac.tag32(NONCE, &scratch)
+                },
+            );
+            meta.push((alg, size, msg_len));
+            pkts_per_iter.push(1);
         }
     }
 
@@ -299,6 +254,13 @@ fn main() {
     // With `IB_SIMD=off` both arms run the identical scalar code, so the
     // printed structure (and every tag) is unchanged — only the numbers
     // move. CI byte-diffs the number-normalized output both ways.
+    // A virtualized host's clock can drift by tens of percent over
+    // seconds, so the arms of each comparison are interleaved *sample by
+    // sample*: a
+    // frequency dip lands on all arms of the adjacent sample tuple, not
+    // on whichever arm happened to run in that window. The raw samples
+    // then flow through the harness's normal statistics pipeline
+    // (Tukey fences, bootstrap CI) via `Group::record`.
     let msgs: Vec<Vec<u8>> = packets.iter().map(|p| p.icrc_message()).collect();
     let umac = Umac::new(&key);
     let gcm = AesGcm32::new(&key);
@@ -389,42 +351,28 @@ fn main() {
     let results = harness.results().to_vec();
     assert_eq!(results.len(), pkts_per_iter.len());
     assert!(results.len() > meta.len());
-    let cell = |arm: &str, alg: AuthAlgorithm, size: usize| -> &Measurement {
-        let idx = meta
-            .iter()
-            .position(|&(a, g, s, _)| a == arm && g == alg && s == size)
-            .expect("every (arm, alg, size) was measured");
-        &results[idx]
-    };
     // ---- Table 4, throughput form ----
     println!(
         "\nTable 4 as throughput (estimated clock {:.2} GHz; MB/s over the ICRC message):",
         cpu_hz / 1e9
     );
-    let mut trows: Vec<Vec<String>> = Vec::new();
-    for alg in AuthAlgorithm::ALL {
-        for (i, &size) in SIZES.iter().enumerate() {
-            let msg_len = msg_lens[i];
-            for &arm in &ARMS {
-                let m = cell(arm, alg, size);
-                let mbps = m.bytes_per_sec().unwrap_or(0.0) / 1e6;
-                let cpb = m.mean_ns * 1e-9 * cpu_hz / msg_len as f64;
-                trows.push(vec![
-                    arm.to_string(),
-                    alg.name().to_string(),
-                    size.to_string(),
-                    format!("{mbps:.1}"),
-                    format!("{cpb:.2}"),
-                ]);
-            }
-        }
-    }
+    let trows: Vec<Vec<String>> = meta
+        .iter()
+        .zip(&results)
+        .map(|(&(alg, size, msg_len), m)| {
+            let mbps = m.bytes_per_sec().unwrap_or(0.0) / 1e6;
+            let cpb = m.mean_ns * 1e-9 * cpu_hz / msg_len as f64;
+            vec![
+                alg.name().to_string(),
+                size.to_string(),
+                format!("{mbps:.1}"),
+                format!("{cpb:.2}"),
+            ]
+        })
+        .collect();
     println!(
         "{}",
-        render_table(
-            &["path", "algorithm", "payload B", "MB/s", "cycles/byte"],
-            &trows
-        )
+        render_table(&["algorithm", "payload B", "MB/s", "cycles/byte"], &trows)
     );
 
     // ---- SIMD dispatch table (line-rate form) ----
@@ -450,33 +398,6 @@ fn main() {
     );
 
     // ---- wall-clock floors (on paired ratios, see `hold_floor`) ----
-    // Streaming UMAC keeps pace with the one-shot kernel at the NH chunk
-    // size (1 KiB): the incremental state machine costs nothing material.
-    // Smoke runs (5 samples over ~2 ms windows) gate structure and tag
-    // equivalence in CI, not 5 %-level perf claims — widen the bars.
-    let (med_bar, best_bar) = if smoke { (1.25, 1.10) } else { (1.05, 1.00) };
-    // Even the paired median moves ±7 % run-to-run on this host, so the
-    // gate is a disjunction: a genuine ≥5 % incremental-state overhead
-    // would both push the median past the bar *and* keep streaming from
-    // ever winning a paired sample.
-    let umac_mac = AnyMac::new(AuthAlgorithm::Umac32, &key);
-    let i_1k = SIZES.iter().position(|&s| s == 1024).expect("1 KiB cell");
-    hold_floor(
-        "streaming UMAC at 1 KiB keeps pace with one-shot",
-        &umac_1k_paths,
-        || mac_cell(&config, &umac_mac, &packets[i_1k]),
-        |samples| {
-            let ratios = paired_ratios(&samples[1], &samples[0]);
-            let (med, best) = (median(&ratios), ratios[0]);
-            let figures = format!("median paired ratio {med:.3}, best {best:.3}");
-            if med <= med_bar || best <= best_bar {
-                Ok(figures)
-            } else {
-                Err(figures)
-            }
-        },
-    );
-
     // With the CPU features present the dispatched kernels must actually
     // pay off; without them (including `IB_SIMD=off`) both arms run the
     // same code and the gate is a ≥0.95× non-regression floor on the
@@ -505,6 +426,7 @@ fn main() {
     // the recorded host (results/mac_throughput.txt), so they catch a
     // dispatch that stopped happening, not a few percent.
     let i_4k = SIZES.iter().position(|&s| s == 4096).expect("4 KiB cell");
+    let i_1k = SIZES.iter().position(|&s| s == 1024).expect("1 KiB cell");
     for ((group, scalar, auto), with_pclmul) in CRC_KERNELS.into_iter().zip([2.0, 4.0]) {
         let bar = if caps.pclmul { with_pclmul } else { 0.95 };
         hold_floor(
@@ -544,7 +466,6 @@ fn main() {
                 "message_lens",
                 Json::arr(msg_lens.iter().map(|&l| (l as u64).to_json())),
             ),
-            ("arms", Json::arr(ARMS.iter().map(|a| a.to_json()))),
             (
                 "simd_groups",
                 Json::arr(

@@ -19,7 +19,7 @@
 use std::cell::RefCell;
 use std::fmt;
 
-use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
+use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, NodeKeyTable, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn};
 use ib_packet::{Bth, Deth, Packet, WireView};
@@ -107,8 +107,8 @@ pub struct Authenticator {
     /// (the engine is per-node, never shared across threads).
     mac_cache: RefCell<Vec<((AuthAlgorithm, SecretKey), AnyMac)>>,
     /// Wire and masked-image buffers of the `&Packet` entry points
-    /// ([`Self::tag_packet`], [`Self::verify_packet`],
-    /// [`Self::compute_tag`]); capacity retained. A channel passes its own.
+    /// ([`Self::tag_packet`], [`Self::verify_packet`]); capacity retained.
+    /// A channel passes its own.
     wire: RefCell<Vec<u8>>,
     image: RefCell<Vec<u8>>,
 }
@@ -144,7 +144,7 @@ impl Authenticator {
     /// Retire partition key versions older than `epoch` (grace expiry)
     /// and evict every cached keyed MAC whose secret is no longer in the
     /// key table — a ~1.2 KiB keyed UMAC per rotation otherwise stays
-    /// behind forever and lengthens [`Self::with_mac`]'s search. Runs on
+    /// behind forever and lengthens the cache search. Runs on
     /// the (rare) retirement path so tagging and verification pay nothing.
     pub fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
         self.keys.retire_partition_below(pkey, epoch);
@@ -285,17 +285,6 @@ impl Authenticator {
         )
     }
 
-    /// The tag a packet would carry under this node's current keys
-    /// (without mutating the packet).
-    pub fn compute_tag(&self, packet: &Packet) -> Result<u32, AuthError> {
-        let (_, secret) = self.send_key(&packet.bth, packet.deth.as_ref())?;
-        let mut image = self.image.borrow_mut();
-        packet.icrc_message_into(&mut image);
-        Ok(self.with_mac(self.algorithm, secret, |mac| {
-            mac.tag32(Self::nonce(packet), &image)
-        }))
-    }
-
     /// Verify `tag` over a contiguous masked `image` whose header fields
     /// are `bth` / `deth` — the MAC half of every admission.
     ///
@@ -317,9 +306,7 @@ impl Authenticator {
             return check_icrc(image, tag);
         }
         let secret = self.receive_key(bth, deth)?;
-        let computed = self.with_mac(algorithm, secret, |mac| mac.tag32(nonce, image));
-        // XOR-compare, like `Mac::verify`, to keep timing tag-independent.
-        if (computed ^ tag) == 0 {
+        if self.with_mac(algorithm, secret, |mac| mac.verify(nonce, image, tag)) {
             Ok(())
         } else {
             Err(AuthError::BadTag)
@@ -627,18 +614,5 @@ mod tests {
             .keys
             .install_connection_epoch(Qpn(9), KeyEpoch(1), s1);
         receiver.verify_packet(&pkt).unwrap();
-        receiver.keys.retire_connection_below(Qpn(9), KeyEpoch(1));
-        let mut old = PacketBuilder::new(OpCode::RC_SEND_ONLY)
-            .slid(Lid(1))
-            .dlid(Lid(2))
-            .pkey(PKey(0x8001))
-            .dest_qp(Qpn(9))
-            .psn(Psn(34))
-            .payload(b"stale".to_vec())
-            .build();
-        let mut old_sender = Authenticator::new(AuthAlgorithm::Umac32, KeyScope::QpLevel);
-        old_sender.keys.install_connection_secret(Qpn(9), s0);
-        old_sender.tag_packet(&mut old).unwrap();
-        assert_eq!(receiver.verify_packet(&old), Err(AuthError::StaleEpoch(0)));
     }
 }

@@ -27,7 +27,7 @@
 use std::cell::RefCell;
 use std::fmt;
 
-use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
+use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::PKey;
 use ib_packet::{Packet, WireView};

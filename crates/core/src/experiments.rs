@@ -75,7 +75,7 @@ pub fn run_seed_averaged(base: &SimConfig, seeds: u64) -> AveragedPoint {
 /// though every simulation is independent. Flattening keeps all cores
 /// busy across the entire grid. Because each run's seed is
 /// `base.seed.stream(s)` regardless of where it sits in the work list,
-/// and [`average_reports`] folds shards in seed order, the result is
+/// and `average_reports` folds shards in seed order, the result is
 /// bit-identical to calling [`run_seed_averaged`] per point.
 pub fn run_grid_seed_averaged(bases: &[SimConfig], seeds: u64) -> Vec<AveragedPoint> {
     let seeds = seeds.max(1);
@@ -105,7 +105,7 @@ pub fn run_grid_seed_averaged(bases: &[SimConfig], seeds: u64) -> Vec<AveragedPo
 /// cell generates many times the events of an idle one, so a static chunk
 /// assignment (or one OS thread per cell) straggles. Results land in
 /// slots indexed by input position, so the output — and every
-/// order-sensitive fold over it, like [`average_reports`] — stays
+/// order-sensitive fold over it, like `average_reports` — stays
 /// bit-identical no matter which worker ran which cell. Worker count
 /// follows [`ib_runtime::par::default_threads`] (overridable via
 /// `IB_THREADS`).

@@ -179,13 +179,6 @@ impl SecureFabric {
         }
     }
 
-    /// Drop the requirement again ("disabled and enabled anytime").
-    pub fn release_auth_for_partition(&mut self, pkey: PKey) {
-        for node in &mut self.nodes {
-            node.policy.release_partition(pkey);
-        }
-    }
-
     fn next_psn(&mut self, src: usize, dst: usize) -> Psn {
         let counter = self.nodes[src].psn.entry(dst).or_insert(0);
         let psn = Psn::new(*counter);
@@ -354,9 +347,6 @@ mod tests {
         f.require_auth_for_partition(P1);
         let wire = f.send_unauthenticated(0, 1, P1, QKey(1), b"plain").unwrap();
         assert_eq!(f.deliver(1, &wire), Err(FabricError::PolicyViolation));
-        f.release_auth_for_partition(P1);
-        let wire = f.send_unauthenticated(0, 1, P1, QKey(1), b"plain").unwrap();
-        assert!(f.deliver(1, &wire).is_ok());
     }
 
     #[test]

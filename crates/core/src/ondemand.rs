@@ -45,12 +45,6 @@ impl OnDemandPolicy {
         self
     }
 
-    /// Disable authentication for one destination QP.
-    pub fn release_qp(&mut self, qp: Qpn) -> &mut Self {
-        self.qps.remove(&qp);
-        self
-    }
-
     /// Does policy demand that this packet carry an authentication tag?
     pub fn requires_auth(&self, packet: &Packet) -> bool {
         self.default_required
@@ -129,8 +123,6 @@ mod tests {
         policy.require_qp(Qpn(42));
         assert!(!policy.admits(&packet(PKey(0x8001), Qpn(42), 0)));
         assert!(policy.admits(&packet(PKey(0x8001), Qpn(43), 0)));
-        policy.release_qp(Qpn(42));
-        assert!(policy.admits(&packet(PKey(0x8001), Qpn(42), 0)));
     }
 
     #[test]

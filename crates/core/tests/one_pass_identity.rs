@@ -22,7 +22,7 @@
 //!   payload bit, so the debug-build suite stays fast).
 
 use ib_crypto::crc::{crc16_iba, crc32_ieee};
-use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
+use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::{
     Aeth, Grh, Lid, NakCode, OpCode, Operation, PKey, Packet, PacketBuilder, Psn, Qpn, RKey,

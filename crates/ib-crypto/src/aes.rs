@@ -7,7 +7,7 @@
 //! 2. The block cipher under [`crate::pmac`], the parallelizable MAC the
 //!    paper's §7 proposes for "faster InfiniBand".
 //! 3. A stand-in for the "30–70 Gbps AES security processor" the paper cites
-//!    ([39]) — the `table4` bench reports its software throughput alongside
+//!    (\[39\]) — the `table4` bench reports its software throughput alongside
 //!    the MACs.
 //!
 //! The S-box is *computed* at compile time from the GF(2⁸) inverse and the
@@ -204,37 +204,6 @@ impl Aes128 {
         self.encrypt_block(&mut out);
         out
     }
-
-    /// Counter-mode keystream generator: fills `out` with
-    /// `AES(key, nonce64 || counter)` blocks. Used as the KDF/PRF inside
-    /// UMAC and the stream MAC.
-    pub fn ctr_keystream(&self, nonce: u64, start_counter: u64, out: &mut [u8]) {
-        let mut counter = start_counter;
-        // Eight counter blocks at a time keep the AES-NI pipeline full;
-        // AES is deterministic, so the output is identical to the
-        // one-block-at-a-time loop below.
-        let mut wide = out.chunks_exact_mut(128);
-        for chunk in &mut wide {
-            let mut blocks = [[0u8; 16]; 8];
-            for block in blocks.iter_mut() {
-                block[..8].copy_from_slice(&nonce.to_be_bytes());
-                block[8..].copy_from_slice(&counter.to_be_bytes());
-                counter = counter.wrapping_add(1);
-            }
-            self.encrypt_blocks(&mut blocks);
-            for (dst, block) in chunk.chunks_exact_mut(16).zip(&blocks) {
-                dst.copy_from_slice(block);
-            }
-        }
-        for chunk in wide.into_remainder().chunks_mut(16) {
-            let mut block = [0u8; 16];
-            block[..8].copy_from_slice(&nonce.to_be_bytes());
-            block[8..].copy_from_slice(&counter.to_be_bytes());
-            self.encrypt_block(&mut block);
-            chunk.copy_from_slice(&block[..chunk.len()]);
-            counter = counter.wrapping_add(1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,20 +252,6 @@ mod tests {
         let pt = *b"\x32\x43\xf6\xa8\x88\x5a\x30\x8d\x31\x31\x98\xa2\xe0\x37\x07\x34";
         let expected = *b"\x39\x25\x84\x1d\x02\xdc\x09\xfb\xdc\x11\x85\x97\x19\x6a\x0b\x32";
         assert_eq!(Aes128::new(&key).encrypt(&pt), expected);
-    }
-
-    #[test]
-    fn ctr_keystream_deterministic_and_counter_sensitive() {
-        let aes = Aes128::new(b"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f");
-        let mut a = [0u8; 48];
-        let mut b = [0u8; 48];
-        aes.ctr_keystream(7, 0, &mut a);
-        aes.ctr_keystream(7, 0, &mut b);
-        assert_eq!(a, b);
-        aes.ctr_keystream(7, 1, &mut b);
-        assert_ne!(a, b);
-        // Block i of counter 1 equals block i+1 of counter 0.
-        assert_eq!(a[16..32], b[0..16]);
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //! * **VCRC** — a 16-bit CRC over the whole packet, generator polynomial
 //!   `x^16 + x^12 + x^3 + x + 1` (`0x100B`), seeded with `0xFFFF`.
 //!
-//! Several implementations are provided for each width: a bitwise reference
-//! (the definition), slice-by-8 tables as the portable kernel (8 bytes per
-//! step — the recurrence a 10 Gbps "multistage" hardware generator like the
-//! one cited in the paper's Table 4 parallelizes further), and
-//! `update_auto`, which hands buffers of at least
+//! Both widths have the same three implementations: a bitwise reference
+//! (the definition), slice-by-8 tables as the portable kernel (`update`,
+//! 8 bytes per step — the recurrence a 10 Gbps "multistage" hardware
+//! generator like the one cited in the paper's Table 4 parallelizes
+//! further), and `update_auto`, which hands buffers of at least
 //! [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes to the PCLMULQDQ carry-less
 //! folding kernel when the CPU has it. Both widths share that one kernel
-//! (the VCRC rides it as `P·x^16`, see [`crate::simd::crc`]); the 32-bit
-//! CRC additionally keeps its byte-table and slice-by-4 forms as Table 4
-//! arms. Every variant is cross-checked against the bitwise reference by
-//! unit and property tests.
+//! (the VCRC rides it as `P·x^16`, see [`crate::simd::crc`]), and both
+//! one-shot forms ([`crc32_ieee`], [`crc16_iba`]) dispatch. The kernels
+//! are cross-checked against the bitwise reference by unit and property
+//! tests.
 
 use crate::simd::crc::{fold_blocks, CRC16_IBA_FOLD, CRC32_IEEE_FOLD};
 
@@ -105,29 +105,6 @@ const fn build_crc16_table() -> [u16; 256] {
     table
 }
 
-/// Byte-at-a-time CRC-32 lookup table (compile-time generated).
-pub static CRC32_TABLE: [u32; 256] = build_crc32_table();
-
-const fn build_crc32_slice4() -> [[u32; 256]; 4] {
-    let t0 = build_crc32_table();
-    let mut tables = [[0u32; 256]; 4];
-    tables[0] = t0;
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = t0[i];
-        let mut k = 1;
-        while k < 4 {
-            crc = t0[(crc & 0xFF) as usize] ^ (crc >> 8);
-            tables[k][i] = crc;
-            k += 1;
-        }
-        i += 1;
-    }
-    tables
-}
-
-static CRC32_SLICE4: [[u32; 256]; 4] = build_crc32_slice4();
-
 const fn build_crc32_slice8() -> [[u32; 256]; 8] {
     let t0 = build_crc32_table();
     let mut tables = [[0u32; 256]; 8];
@@ -146,6 +123,7 @@ const fn build_crc32_slice8() -> [[u32; 256]; 8] {
     tables
 }
 
+/// `[0]` is the byte-at-a-time table; `[k]` advances it over `k` zero bytes.
 static CRC32_SLICE8: [[u32; 256]; 8] = build_crc32_slice8();
 
 const fn build_crc16_slice8() -> [[u16; 256]; 8] {
@@ -171,9 +149,9 @@ static CRC16_SLICE8: [[u16; 256]; 8] = build_crc16_slice8();
 
 /// Incremental CRC-32 engine (reflected IEEE 802.3).
 ///
-/// Use [`Crc32::update`] to feed data in pieces — the ICRC computation feeds
-/// masked header bytes followed by the payload without materializing a
-/// contiguous masked copy.
+/// Feed data in pieces through [`Crc32::update_auto`] (or the portable
+/// [`Crc32::update`]) — `Packet::compute_icrc` feeds masked header bytes
+/// followed by the payload without materializing a contiguous masked copy.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32 {
     state: u32,
@@ -192,44 +170,12 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feed `data` through the byte-table implementation.
+    /// Feed `data` through the slice-by-8 implementation (8 bytes per
+    /// step, byte table for the tail) — the portable kernel. A multistage
+    /// hardware generator (Table 4's 10 Gbps CRC) parallelizes the same
+    /// recurrence further.
     #[inline]
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        let mut crc = self.state;
-        for &b in data {
-            crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-        self
-    }
-
-    /// Feed `data` using the slice-by-4 implementation (4 bytes per step).
-    #[inline]
-    pub fn update_slice4(&mut self, data: &[u8]) -> &mut Self {
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(4);
-        for chunk in &mut chunks {
-            let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            crc ^= word;
-            crc = CRC32_SLICE4[3][(crc & 0xFF) as usize]
-                ^ CRC32_SLICE4[2][((crc >> 8) & 0xFF) as usize]
-                ^ CRC32_SLICE4[1][((crc >> 16) & 0xFF) as usize]
-                ^ CRC32_SLICE4[0][((crc >> 24) & 0xFF) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-        self
-    }
-
-    /// Feed `data` using the slice-by-8 implementation (8 bytes per step).
-    ///
-    /// This is the widest software kernel here and the one the hot paths
-    /// use; a multistage hardware generator (Table 4's 10 Gbps CRC)
-    /// parallelizes the same recurrence further.
-    #[inline]
-    pub fn update_slice8(&mut self, data: &[u8]) -> &mut Self {
         let mut crc = self.state;
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {
@@ -245,7 +191,7 @@ impl Crc32 {
                 ^ CRC32_SLICE8[0][((hi >> 24) & 0xFF) as usize];
         }
         for &b in chunks.remainder() {
-            crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+            crc = CRC32_SLICE8[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
         }
         self.state = crc;
         self
@@ -256,13 +202,13 @@ impl Crc32 {
     /// buffers of at least [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes
     /// when the CPU supports it (and `IB_SIMD=off` is not set),
     /// slice-by-8 for the tail and otherwise. CRC is linear over GF(2),
-    /// so the result is bit-identical to [`Crc32::update_slice8`] on
-    /// every input and split.
+    /// so the result is bit-identical to [`Crc32::update`] on every input
+    /// and split.
     #[inline]
     pub fn update_auto(&mut self, data: &[u8]) -> &mut Self {
         let (state, tail) = fold_blocks(self.state, data, &CRC32_IEEE_FOLD);
         self.state = state;
-        self.update_slice8(tail)
+        self.update(tail)
     }
 
     /// Final CRC value (state complemented). Does not consume the engine, so
@@ -338,28 +284,10 @@ impl Crc16 {
     }
 }
 
-/// One-shot CRC-32 over `data` (byte-table implementation).
+/// One-shot ICRC CRC-32 over `data` (fastest kernel available).
 #[inline]
 pub fn crc32_ieee(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(data);
-    c.finalize()
-}
-
-/// One-shot CRC-32 over `data` (slice-by-4 implementation).
-#[inline]
-pub fn crc32_ieee_slice4(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update_slice4(data);
-    c.finalize()
-}
-
-/// One-shot CRC-32 over `data` (slice-by-8 implementation).
-#[inline]
-pub fn crc32_ieee_slice8(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update_slice8(data);
-    c.finalize()
+    Crc32::new().update_auto(data).finalize()
 }
 
 /// One-shot IBA VCRC CRC-16 over `data` (fastest kernel available).
@@ -372,13 +300,17 @@ pub fn crc16_iba(data: &[u8]) -> u16 {
 mod tests {
     use super::*;
 
+    /// The portable slice-by-8 kernel alone, never dispatched.
+    fn slice8(data: &[u8]) -> u32 {
+        Crc32::new().update(data).finalize()
+    }
+
     #[test]
     fn crc32_check_value() {
         // The canonical CRC-32/ISO-HDLC check value.
         assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_ieee(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_ieee_slice4(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_ieee_slice8(b"123456789"), 0xCBF4_3926);
+        assert_eq!(slice8(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
@@ -388,7 +320,7 @@ mod tests {
         let data: Vec<u8> = (0..64u32).map(|i| (i * 131 + 17) as u8).collect();
         for len in 0..=data.len() {
             assert_eq!(
-                crc32_ieee_slice8(&data[..len]),
+                slice8(&data[..len]),
                 crc32_bitwise(&data[..len]),
                 "len {len}"
             );
@@ -401,8 +333,7 @@ mod tests {
         let expect = crc32_bitwise(&data);
         for split in [0, 1, 3, 7, 8, 9, 511, 1024, 2047, 2048] {
             let mut c = Crc32::new();
-            c.update_slice8(&data[..split])
-                .update_slice8(&data[split..]);
+            c.update(&data[..split]).update(&data[split..]);
             assert_eq!(c.finalize(), expect, "split {split}");
         }
     }
@@ -413,14 +344,14 @@ mod tests {
         for len in [0, 1, 8, 63, 64, 65, 127, 128, 1024, 4096, 4999, 5000] {
             assert_eq!(
                 Crc32::new().update_auto(&data[..len]).finalize(),
-                crc32_ieee_slice8(&data[..len]),
+                slice8(&data[..len]),
                 "len {len}"
             );
         }
         for split in [0, 1, 63, 64, 100, 2500, 5000] {
             let mut c = Crc32::new();
             c.update_auto(&data[..split]).update_auto(&data[split..]);
-            assert_eq!(c.finalize(), crc32_ieee_slice8(&data), "split {split}");
+            assert_eq!(c.finalize(), slice8(&data), "split {split}");
         }
     }
 
@@ -434,7 +365,7 @@ mod tests {
     fn crc32_single_bytes() {
         for b in 0..=255u8 {
             assert_eq!(crc32_bitwise(&[b]), crc32_ieee(&[b]), "byte {b}");
-            assert_eq!(crc32_bitwise(&[b]), crc32_ieee_slice4(&[b]), "byte {b}");
+            assert_eq!(crc32_bitwise(&[b]), slice8(&[b]), "byte {b}");
         }
     }
 

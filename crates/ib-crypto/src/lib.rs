@@ -5,8 +5,9 @@
 //! (IPPS 2005) touches:
 //!
 //! * [`crc`] — CRC-32 (IEEE 802.3 polynomial, used by the IBA Invariant CRC)
-//!   and CRC-16 (polynomial 0x100B, used by the IBA Variant CRC), in bitwise
-//!   reference, byte-table, and slice-by-4 variants.
+//!   and CRC-16 (polynomial 0x100B, used by the IBA Variant CRC), each as a
+//!   bitwise reference, a slice-by-8 portable kernel and the dispatched
+//!   `update_auto`.
 //! * [`md5`] / [`sha1`] — the hash functions underlying HMAC-MD5 and
 //!   HMAC-SHA1 (Table 4 of the paper).
 //! * [`hmac`] — RFC 2104 keyed-hash message authentication, generic over any
@@ -25,13 +26,10 @@
 //! * [`toyrsa`] — a deliberately tiny mod-exp RSA envelope used to *simulate*
 //!   the paper's PKI assumption ("SM knows public keys of all CAs").
 //!   **Not cryptographically secure**; see crate docs there.
-//! * [`mac`] — a common [`mac::Mac`] object interface plus the
-//!   [`mac::AuthAlgorithm`] registry that maps to the BTH `Resv` selector
-//!   values used by the ICRC-as-MAC scheme, with the forgery-probability
-//!   table the paper reports (Table 4).
-//! * [`mac_stream`] — the incremental (init/update/finalize) counterpart of
-//!   [`mac::AnyMac`], so tags can be computed over in-place packet slices
-//!   without materializing the message (§5.2's link-rate argument).
+//! * [`mac`] — [`mac::AnyMac`], the keyed 32-bit-tag MAC of any
+//!   algorithm in the [`mac::AuthAlgorithm`] registry that maps to the BTH
+//!   `Resv` selector values used by the ICRC-as-MAC scheme, with the
+//!   forgery-probability table the paper reports (Table 4).
 //! * [`simd`] — runtime-dispatched vector kernels (PCLMULQDQ CRC-32
 //!   folding, SSE2/AVX2 NH, AES-NI, carry-less GHASH) with the scalar
 //!   implementations above as always-available fallback and oracle.
@@ -39,9 +37,10 @@
 //!   32-bit tag, the Table-4 arm for the paper's confidentiality +
 //!   authentication combination.
 //!
-//! Everything is `no_std`-style pure computation over byte slices (we still
-//! link `std` for convenience); nothing allocates on the hot path except
-//! where explicitly noted.
+//! Every MAC is called one way: one-shot, over one contiguous message
+//! (`tag32(nonce, message)`). Everything is `no_std`-style pure
+//! computation over byte slices (we still link `std` for convenience);
+//! nothing allocates on the hot path except where explicitly noted.
 
 pub mod aead;
 pub mod aes;
@@ -49,7 +48,6 @@ pub mod crc;
 pub mod digest;
 pub mod hmac;
 pub mod mac;
-pub mod mac_stream;
 pub mod md5;
 pub mod partial_mac;
 pub mod pmac;
@@ -63,8 +61,7 @@ pub use aead::AesGcm32;
 pub use crc::{crc16_iba, crc32_ieee, Crc16, Crc32};
 pub use digest::Digest;
 pub use hmac::Hmac;
-pub use mac::{AuthAlgorithm, Mac, Tag32};
-pub use mac_stream::MacStream;
+pub use mac::{AuthAlgorithm, Tag32};
 pub use md5::Md5;
 pub use sha1::Sha1;
 pub use umac::Umac;

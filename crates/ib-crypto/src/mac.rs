@@ -1,7 +1,7 @@
-//! The common 32-bit-tag MAC interface and the authentication-algorithm
-//! registry for the ICRC-as-MAC scheme.
+//! The keyed 32-bit-tag MAC of any registered algorithm ([`AnyMac`]) and
+//! the authentication-algorithm registry for the ICRC-as-MAC scheme.
 //!
-//! §5.1 of the paper: "we can use [the] Reserved field of Base Transport
+//! §5.1 of the paper: "we can use \[the\] Reserved field of Base Transport
 //! Header (BTH) for identifying which authentication function is used …
 //! If the value is zero, the packet is using original ICRC. Non-zero value
 //! means an authentication function is in use." [`AuthAlgorithm`] is that
@@ -104,17 +104,6 @@ impl AuthAlgorithm {
         }
     }
 
-    /// Reference throughput in Gb/s from the paper's Table 4.
-    pub fn paper_gbps(self) -> Option<f64> {
-        match self {
-            AuthAlgorithm::Icrc => Some(11.2),
-            AuthAlgorithm::Umac32 => Some(4.0),
-            AuthAlgorithm::HmacMd5 => Some(0.53),
-            AuthAlgorithm::HmacSha1 => Some(0.22),
-            _ => None,
-        }
-    }
-
     /// Whether this algorithm provides message authenticity (vs. only error
     /// detection).
     pub fn is_authenticating(self) -> bool {
@@ -122,21 +111,9 @@ impl AuthAlgorithm {
     }
 }
 
-/// Object-safe-enough MAC interface: everything the authentication layer
-/// needs is "32-bit tag from (nonce, message)".
-pub trait Mac {
-    /// Compute the 32-bit tag.
-    fn tag32(&self, nonce: u64, message: &[u8]) -> Tag32;
-    /// Verify a tag (default: recompute and compare).
-    fn verify(&self, nonce: u64, message: &[u8], tag: Tag32) -> bool {
-        (self.tag32(nonce, message) ^ tag) == 0
-    }
-    /// Which registry entry this keyed instance implements.
-    fn algorithm(&self) -> AuthAlgorithm;
-}
-
 /// A keyed MAC of any registered algorithm — the concrete object a key
-/// table stores per partition / per QP.
+/// table stores per partition / per QP. Everything the authentication
+/// layer needs of it is "32-bit tag from (nonce, message)".
 // Umac's ~1 KiB of cached NH key material stays inline on purpose: key
 // tables hold few entries and the per-packet tag path avoids a pointer
 // chase.
@@ -164,12 +141,11 @@ impl AnyMac {
             AuthAlgorithm::Pmac => AnyMac::Pmac(Pmac::new(key)),
         }
     }
-}
 
-impl Mac for AnyMac {
-    fn tag32(&self, nonce: u64, message: &[u8]) -> Tag32 {
+    /// Compute the 32-bit tag of `message` under `nonce`.
+    pub fn tag32(&self, nonce: u64, message: &[u8]) -> Tag32 {
         match self {
-            AnyMac::Icrc => crate::crc::Crc32::new().update_auto(message).finalize(),
+            AnyMac::Icrc => crate::crc::crc32_ieee(message),
             AnyMac::Umac32(u) => u.tag32(nonce, message),
             // HMAC has no nonce input; prepend it so replayed PSNs still
             // produce distinct tags (the replay module relies on this).
@@ -192,7 +168,14 @@ impl Mac for AnyMac {
         }
     }
 
-    fn algorithm(&self) -> AuthAlgorithm {
+    /// Recompute the tag and XOR-compare it with `tag`, so timing does not
+    /// depend on which bit differs.
+    pub fn verify(&self, nonce: u64, message: &[u8], tag: Tag32) -> bool {
+        (self.tag32(nonce, message) ^ tag) == 0
+    }
+
+    /// Which registry entry this keyed instance implements.
+    pub fn algorithm(&self) -> AuthAlgorithm {
         match self {
             AnyMac::Icrc => AuthAlgorithm::Icrc,
             AnyMac::Umac32(_) => AuthAlgorithm::Umac32,
@@ -229,7 +212,7 @@ mod tests {
 
     #[test]
     fn table4_reference_values() {
-        assert_eq!(AuthAlgorithm::Umac32.paper_gbps(), Some(4.0));
+        assert_eq!(AuthAlgorithm::Umac32.paper_cycles_per_byte(), Some(0.7));
         assert_eq!(AuthAlgorithm::HmacSha1.paper_cycles_per_byte(), Some(12.6));
         assert_eq!(AuthAlgorithm::Icrc.forgery_log2(), 0);
         assert_eq!(AuthAlgorithm::Umac32.forgery_log2(), -30);

@@ -1,7 +1,7 @@
 //! Partial-coverage MAC — the paper's §7 "trading-off of security strength
 //! and MAC computing speed … digest a small part of the message to make
 //! the authentication tag. This will increase forgery probability, but it
-//! will be better than CRC" (following Adcock et al.'s ACSA work [1]).
+//! will be better than CRC" (following Adcock et al.'s ACSA work \[1\]).
 //!
 //! The sampled byte positions are *keyed and per-nonce*: an attacker who
 //! does not hold the key cannot know which bytes are covered, so flipping

@@ -15,9 +15,10 @@
 //! ```
 //!
 //! Each `AES_K(Mᵢ ⊕ offset_i)` term is independent of every other, so the
-//! XOR-accumulation can be computed in any order — [`Pmac::tag32_chunked`]
-//! exposes that by letting callers hash disjoint block ranges separately and
-//! combine, which the ablation bench uses to demonstrate linear speedup.
+//! XOR-accumulation can be computed in any order: disjoint block ranges
+//! hashed separately and XORed give the one-pass tag (a unit test checks
+//! it). In software that independence feeds four blocks at a time through
+//! the AES pipeline; in hardware it is the per-lane parallelism §7 cites.
 //!
 //! The nonce pad is an addition relative to classic (deterministic) PMAC; it
 //! makes tags single-use like UMAC's, which the ICRC-as-MAC scheme requires
@@ -75,8 +76,8 @@ impl Pmac {
 
     /// Offset for block index `i` (0-based): the Gray-code schedule is
     /// equivalent to `offset_{i} = offset_{i-1} ⊕ L·x^{ntz(i)}`; computing it
-    /// directly from the index keeps block processing order-independent,
-    /// which is what makes the chunked/parallel API possible.
+    /// directly from the index keeps block processing order-independent:
+    /// [`Pmac::accumulate`] can start at any block.
     fn offset(&self, i: u64) -> [u8; 16] {
         // gray(i+1) = (i+1) ^ ((i+1)>>1); offset = Σ bits of gray * L·x^bit
         let gray = (i + 1) ^ ((i + 1) >> 1);
@@ -90,15 +91,14 @@ impl Pmac {
     }
 
     /// XOR-accumulate the PMAC contribution of full 16-byte blocks
-    /// `[first_index, first_index + blocks.len()/16)`. Callers may split the
-    /// full-block prefix of a message into ranges, process them on separate
-    /// threads, and XOR the partial sums.
+    /// `[first_index, first_index + blocks.len()/16)`. Disjoint ranges
+    /// accumulated separately XOR to the same Σ as one pass.
     ///
     /// Four Δ-masked blocks are encrypted per batch: each block's cipher
     /// call is independent, so under AES-NI the four states pipeline
     /// through the AES unit ([`Aes128::encrypt_blocks`]), and the Σ XOR
     /// commutes — the result is bit-identical to the one-at-a-time loop.
-    pub fn accumulate(&self, first_index: u64, blocks: &[u8], sigma: &mut [u8; 16]) {
+    fn accumulate(&self, first_index: u64, blocks: &[u8], sigma: &mut [u8; 16]) {
         debug_assert_eq!(blocks.len() % 16, 0);
         if blocks.is_empty() {
             return;
@@ -134,9 +134,8 @@ impl Pmac {
     }
 
     /// Fold the final (possibly partial) block into an accumulated sigma
-    /// and produce the tag. Public so external parallel drivers can combine
-    /// [`Pmac::accumulate`] partial sums themselves and finish here.
-    pub fn finalize_sigma(&self, mut sigma: [u8; 16], last: &[u8], nonce: u64) -> u32 {
+    /// and produce the tag.
+    fn finalize_sigma(&self, mut sigma: [u8; 16], last: &[u8], nonce: u64) -> u32 {
         if last.len() == 16 {
             let block: [u8; 16] = last.try_into().unwrap();
             xor16(&mut sigma, &block);
@@ -159,7 +158,7 @@ impl Pmac {
 
     /// Split a message into the blocks PMAC accumulates and the final block
     /// it folds in at the end. An empty message has an empty final block.
-    pub fn split(message: &[u8]) -> (&[u8], &[u8]) {
+    fn split(message: &[u8]) -> (&[u8], &[u8]) {
         if message.is_empty() {
             return (&[], &[]);
         }
@@ -177,93 +176,6 @@ impl Pmac {
         let mut sigma = [0u8; 16];
         self.accumulate(0, full, &mut sigma);
         self.finalize_sigma(sigma, last, nonce)
-    }
-
-    /// Start an incremental tag computation (see [`PmacStream`]).
-    pub fn stream(&self, nonce: u64) -> PmacStream<'_> {
-        PmacStream {
-            pmac: self,
-            nonce,
-            sigma: [0u8; 16],
-            idx: 0,
-            buf: [0u8; 16],
-            buf_len: 0,
-        }
-    }
-
-    /// Tag computed by accumulating the full-block prefix in `chunks`-many
-    /// independently-computed partial sums (sequentially here; the point is
-    /// that the partial sums commute, which the test below verifies and the
-    /// bench exploits with real threads).
-    pub fn tag32_chunked(&self, nonce: u64, message: &[u8], chunks: usize) -> u32 {
-        let (full, last) = Self::split(message);
-        let nblocks = full.len() / 16;
-        let chunks = chunks.max(1);
-        let per = nblocks.div_ceil(chunks).max(1);
-        let mut sigma = [0u8; 16];
-        let mut idx = 0usize;
-        while idx < nblocks {
-            let end = (idx + per).min(nblocks);
-            let mut partial = [0u8; 16];
-            self.accumulate(idx as u64, &full[idx * 16..end * 16], &mut partial);
-            xor16(&mut sigma, &partial);
-            idx = end;
-        }
-        self.finalize_sigma(sigma, last, nonce)
-    }
-}
-
-/// Incremental form of [`Pmac::tag32`]: feed the message in arbitrary
-/// slices, then [`PmacStream::finalize`]. The final block of a message is
-/// special-cased in PMAC ([`Pmac::split`] keeps 1..=16 trailing bytes for
-/// [`Pmac::finalize_sigma`]), so the stream lags the input by one buffered
-/// block: a full buffer is only flushed into sigma once more data proves it
-/// was not the last block. No heap allocation in init/update/finalize.
-#[derive(Clone)]
-pub struct PmacStream<'k> {
-    pmac: &'k Pmac,
-    nonce: u64,
-    sigma: [u8; 16],
-    /// Index of the next full block to accumulate.
-    idx: u64,
-    /// Lag buffer holding the most recent 0..=16 message bytes.
-    buf: [u8; 16],
-    buf_len: usize,
-}
-
-impl PmacStream<'_> {
-    /// Absorb the next `data` bytes of the message.
-    pub fn update(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            if self.buf_len == 16 {
-                // More data follows, so the buffered block is not final.
-                let block = self.buf;
-                self.pmac.accumulate(self.idx, &block, &mut self.sigma);
-                self.idx += 1;
-                self.buf_len = 0;
-            }
-            if self.buf_len == 0 && data.len() > 16 {
-                // Bulk path: accumulate every block that provably is not
-                // the last one (≥ 1 byte must remain for the lag buffer).
-                let nblocks = (data.len() - 1) / 16;
-                let (head, rest) = data.split_at(nblocks * 16);
-                self.pmac.accumulate(self.idx, head, &mut self.sigma);
-                self.idx += nblocks as u64;
-                data = rest;
-            }
-            let take = (16 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-        }
-    }
-
-    /// Finish and return the 32-bit tag. Equals
-    /// `pmac.tag32(nonce, message)` for the concatenation of all `update`
-    /// slices.
-    pub fn finalize(self) -> u32 {
-        self.pmac
-            .finalize_sigma(self.sigma, &self.buf[..self.buf_len], self.nonce)
     }
 }
 
@@ -322,40 +234,27 @@ mod tests {
 
     #[test]
     fn chunked_matches_sequential() {
+        // The parallelizability the module docs claim: the full-block
+        // prefix split into independently accumulated ranges, XORed, gives
+        // the one-pass tag.
         let p = Pmac::new(b"parallel pmac!!!");
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
         let reference = p.tag32(3, &data);
+        let (full, last) = Pmac::split(&data);
+        let nblocks = full.len() / 16;
         for chunks in [1usize, 2, 3, 4, 7, 16, 100] {
+            let per = nblocks.div_ceil(chunks);
+            let mut sigma = [0u8; 16];
+            for (i, range) in full.chunks(per * 16).enumerate() {
+                let mut partial = [0u8; 16];
+                p.accumulate((i * per) as u64, range, &mut partial);
+                xor16(&mut sigma, &partial);
+            }
             assert_eq!(
-                p.tag32_chunked(3, &data, chunks),
+                p.finalize_sigma(sigma, last, 3),
                 reference,
                 "{chunks} chunks"
             );
-        }
-    }
-
-    #[test]
-    fn stream_equals_oneshot_across_sizes_and_splits() {
-        let p = Pmac::new(b"pmac key 16 byte");
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, 1000] {
-            let msg: Vec<u8> = (0..len).map(|i| (i * 13 + 7) as u8).collect();
-            let expect = p.tag32(9, &msg);
-            let mut s = p.stream(9);
-            s.update(&msg);
-            assert_eq!(s.finalize(), expect, "len {len} single");
-            let mut s = p.stream(9);
-            for b in &msg {
-                s.update(std::slice::from_ref(b));
-            }
-            assert_eq!(s.finalize(), expect, "len {len} bytewise");
-            for split in [1usize, 15, 16, 17, 32] {
-                if split <= len {
-                    let mut s = p.stream(9);
-                    s.update(&msg[..split]);
-                    s.update(&msg[split..]);
-                    assert_eq!(s.finalize(), expect, "len {len} split {split}");
-                }
-            }
         }
     }
 

@@ -14,9 +14,11 @@
 //! where `h` is a key-derived field point, `⊗` is carry-less multiplication
 //! modulo the CRC-32 polynomial `x³² + x²⁶ + ... + 1` (0x04C11DB7), and the
 //! pad is an AES-CTR word keyed by the nonce. Because the state update needs
-//! only the next word, the tag is computed *while the packet streams through
-//! the link layer* — no second pass, which is exactly the property §7 wants
-//! for keeping MAC generation off the critical path.
+//! only the next word, hardware can compute the tag *while the packet
+//! streams through the link layer* — no second pass, which is exactly the
+//! property §7 wants for keeping MAC generation off the critical path. The
+//! software form here is one-shot, like every MAC in this crate: one pass
+//! over a contiguous message, the recurrence above word by word.
 //!
 //! NOTE: the CRC-32 polynomial is *not irreducible*, so GF arithmetic here
 //! is over a ring, not a field; we deliberately keep it to show that the
@@ -49,23 +51,11 @@ pub fn clmul_mod(a: u32, b: u32) -> u32 {
     acc as u32
 }
 
-/// A keyed streaming MAC. Clone-cheap; `update` may be called word-by-word
-/// as data arrives off the wire.
+/// A keyed stream-cipher MAC. Clone-cheap.
 #[derive(Clone)]
 pub struct StreamMac {
     aes: Aes128,
     h: u32,
-}
-
-/// In-flight state for one message.
-#[derive(Clone, Copy)]
-pub struct StreamMacState {
-    acc: u32,
-    /// Bytes seen so far (folded in at the end so lengths are domain-separated).
-    len: u64,
-    /// Partial word buffer.
-    partial: [u8; 4],
-    partial_len: usize,
 }
 
 impl StreamMac {
@@ -82,66 +72,29 @@ impl StreamMac {
         StreamMac { aes, h }
     }
 
-    /// Begin a new message.
-    pub fn start(&self) -> StreamMacState {
-        StreamMacState {
-            acc: 0,
-            len: 0,
-            partial: [0; 4],
-            partial_len: 0,
-        }
-    }
-
-    /// Absorb bytes as they stream past.
-    pub fn update(&self, st: &mut StreamMacState, mut data: &[u8]) {
-        st.len += data.len() as u64;
-        if st.partial_len > 0 {
-            let take = (4 - st.partial_len).min(data.len());
-            st.partial[st.partial_len..st.partial_len + take].copy_from_slice(&data[..take]);
-            st.partial_len += take;
-            data = &data[take..];
-            if st.partial_len == 4 {
-                let w = u32::from_le_bytes(st.partial);
-                st.acc = clmul_mod(st.acc ^ w, self.h);
-                st.partial_len = 0;
-            } else {
-                // Data exhausted into the partial word; don't fall through
-                // to the remainder logic, which would clobber partial_len.
-                return;
-            }
-        }
-        let mut words = data.chunks_exact(4);
+    /// The 32-bit tag of `message` under `nonce`: every little-endian word
+    /// through the recurrence (the last one zero-padded), then the byte
+    /// length folded in with one more ring multiply, so lengths are
+    /// domain-separated.
+    pub fn tag32(&self, nonce: u64, message: &[u8]) -> u32 {
+        let mut acc = 0u32;
+        let mut words = message.chunks_exact(4);
         for w in &mut words {
-            let w = u32::from_le_bytes(w.try_into().unwrap());
-            st.acc = clmul_mod(st.acc ^ w, self.h);
+            acc = clmul_mod(acc ^ u32::from_le_bytes(w.try_into().unwrap()), self.h);
         }
         let rem = words.remainder();
-        st.partial[..rem.len()].copy_from_slice(rem);
-        st.partial_len = rem.len();
-    }
-
-    /// Finish the message under `nonce`, producing the 32-bit tag.
-    pub fn finish(&self, mut st: StreamMacState, nonce: u64) -> u32 {
-        if st.partial_len > 0 {
+        if !rem.is_empty() {
             let mut padded = [0u8; 4];
-            padded[..st.partial_len].copy_from_slice(&st.partial[..st.partial_len]);
-            let w = u32::from_le_bytes(padded);
-            st.acc = clmul_mod(st.acc ^ w, self.h);
+            padded[..rem.len()].copy_from_slice(rem);
+            acc = clmul_mod(acc ^ u32::from_le_bytes(padded), self.h);
         }
-        // Fold in the length, then one more ring multiply.
-        st.acc = clmul_mod(st.acc ^ (st.len as u32) ^ ((st.len >> 32) as u32), self.h);
+        let len = message.len() as u64;
+        acc = clmul_mod(acc ^ (len as u32) ^ ((len >> 32) as u32), self.h);
         let mut block = [0u8; 16];
         block[0] = 0x06;
         block[8..16].copy_from_slice(&nonce.to_be_bytes());
         self.aes.encrypt_block(&mut block);
-        st.acc ^ u32::from_be_bytes([block[0], block[1], block[2], block[3]])
-    }
-
-    /// One-shot tag.
-    pub fn tag32(&self, nonce: u64, message: &[u8]) -> u32 {
-        let mut st = self.start();
-        self.update(&mut st, message);
-        self.finish(st, nonce)
+        acc ^ u32::from_be_bytes([block[0], block[1], block[2], block[3]])
     }
 }
 
@@ -172,18 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_oneshot() {
-        let mac = StreamMac::new(b"stream mac key!!");
-        let data: Vec<u8> = (0..517u32).map(|i| (i * 13) as u8).collect();
-        for split in [0usize, 1, 2, 3, 4, 5, 100, 516, 517] {
-            let mut st = mac.start();
-            mac.update(&mut st, &data[..split]);
-            mac.update(&mut st, &data[split..]);
-            assert_eq!(mac.finish(st, 9), mac.tag32(9, &data), "split {split}");
-        }
-    }
-
-    #[test]
     fn sensitivity() {
         let mac = StreamMac::new(b"stream mac key!!");
         let t = mac.tag32(1, b"hello world!");
@@ -202,14 +143,31 @@ mod tests {
 
     #[test]
     fn word_by_word_streaming() {
-        // The property §7 cares about: feed one byte at a time, as if bytes
-        // were arriving from the wire, and still get the same tag.
+        // The property §7 cares about: a receiver holding one word
+        // register, fed one byte at a time as bytes arrive off the wire,
+        // ends with the one-shot tag — every prefix length, so every
+        // partial final word.
         let mac = StreamMac::new(b"0123456789abcdef");
         let data = b"packet flowing through the link layer";
-        let mut st = mac.start();
-        for b in data.iter() {
-            mac.update(&mut st, std::slice::from_ref(b));
+        let mut block = [0u8; 16];
+        block[0] = 0x06;
+        block[8..].copy_from_slice(&77u64.to_be_bytes());
+        mac.aes.encrypt_block_soft(&mut block);
+        let pad = u32::from_be_bytes([block[0], block[1], block[2], block[3]]);
+        for len in 0..=data.len() {
+            let (mut acc, mut word) = (0u32, [0u8; 4]);
+            for (i, &b) in data[..len].iter().enumerate() {
+                word[i % 4] = b;
+                if i % 4 == 3 {
+                    acc = clmul_mod(acc ^ u32::from_le_bytes(word), mac.h);
+                }
+            }
+            if len % 4 != 0 {
+                word[len % 4..].fill(0);
+                acc = clmul_mod(acc ^ u32::from_le_bytes(word), mac.h);
+            }
+            acc = clmul_mod(acc ^ len as u32, mac.h);
+            assert_eq!(acc ^ pad, mac.tag32(77, &data[..len]), "len {len}");
         }
-        assert_eq!(mac.finish(st, 77), mac.tag32(77, data));
     }
 }

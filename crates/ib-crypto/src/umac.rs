@@ -241,183 +241,6 @@ impl Umac {
             self.l3(hashes[j]) ^ p
         })
     }
-
-    /// Start an incremental tag computation (see [`UmacStream`]).
-    #[inline]
-    pub fn stream(&self, nonce: u64) -> UmacStream<'_> {
-        UmacStream {
-            umac: self,
-            nonce,
-            sum: 0,
-            ki: 0,
-            chunk_bytes: 0,
-            stage: [0u8; STAGE_BYTES],
-            stage_len: 0,
-            first: 0,
-            poly_y: 0,
-            chunks: 0,
-        }
-    }
-}
-
-/// Staging-buffer size of [`UmacStream`]: small `update` slices (header
-/// fragments) gather here until the NH kernel gets a contiguous run it
-/// can vectorize, instead of being hashed a pair at a time.
-const STAGE_BYTES: usize = 64;
-
-/// Incremental form of [`Umac::tag32`]: feed the message in arbitrary
-/// slices, then [`UmacStream::finalize`]. Byte-identical to the one-shot
-/// form, including the single-chunk fast path that skips POLY; the POLY
-/// compression of closed chunk images happens on the fly, so state stays
-/// O(1) regardless of message length and nothing here heap-allocates.
-#[derive(Clone)]
-pub struct UmacStream<'k> {
-    umac: &'k Umac,
-    nonce: u64,
-    /// NH accumulator of the chunk in progress.
-    sum: u64,
-    /// NH key word index of the next 8-byte pair (2 words per pair).
-    ki: usize,
-    /// True byte count of the chunk in progress (including staged bytes).
-    chunk_bytes: usize,
-    /// Gathered-but-unhashed input. The hashed prefix of the chunk is
-    /// always a whole number of NH pairs, so `chunk_bytes - stage_len`
-    /// stays a multiple of 8; the chunk size divides into whole pairs,
-    /// so a flush at the chunk boundary is always pair-aligned too.
-    stage: [u8; STAGE_BYTES],
-    stage_len: usize,
-    /// NH image of the first closed chunk, held back so a single-chunk
-    /// message can skip POLY exactly like [`Umac::hash64`].
-    first: u64,
-    /// POLY accumulator, live once a second chunk value exists.
-    poly_y: u64,
-    chunks: u64,
-}
-
-#[inline]
-fn poly_step(y: u64, key: u64, v: u64) -> u64 {
-    // One POLY iteration: y·k + (v reduced into the field), mod p64.
-    add_mod_p64(mul_mod_p64(y, key), v % P64)
-}
-
-impl UmacStream<'_> {
-    #[inline]
-    fn pair(&mut self, bytes: &[u8]) {
-        let m0 = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        let m1 = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let a = m0.wrapping_add(self.umac.nh_key[self.ki]) as u64;
-        let b = m1.wrapping_add(self.umac.nh_key[self.ki + 1]) as u64;
-        self.sum = self.sum.wrapping_add(a.wrapping_mul(b));
-        self.ki += 2;
-    }
-
-    fn push_value(&mut self, v: u64) {
-        self.chunks += 1;
-        match self.chunks {
-            1 => self.first = v,
-            2 => {
-                let y = poly_step(1, self.umac.poly_key, self.first);
-                self.poly_y = poly_step(y, self.umac.poly_key, v);
-            }
-            _ => self.poly_y = poly_step(self.poly_y, self.umac.poly_key, v),
-        }
-    }
-
-    fn close_chunk(&mut self) {
-        let v = self
-            .sum
-            .wrapping_add((self.chunk_bytes as u64).wrapping_mul(8));
-        self.push_value(v);
-        self.sum = 0;
-        self.ki = 0;
-        self.chunk_bytes = 0;
-    }
-
-    /// Hash `data` (whole pairs, inside the current chunk) through the
-    /// dispatched NH kernel.
-    #[inline]
-    fn absorb_pairs(&mut self, data: &[u8]) {
-        debug_assert_eq!(data.len() % 8, 0);
-        let keys = &self.umac.nh_key[self.ki..self.ki + data.len() / 4];
-        self.sum = crate::simd::nh::nh_pairs(self.sum, keys, data);
-        self.ki += data.len() / 4;
-    }
-
-    /// Hash the gathered stage (a whole number of pairs — see the
-    /// `stage` field invariant) and empty it.
-    fn flush_stage(&mut self) {
-        let stage = self.stage;
-        self.absorb_pairs(&stage[..self.stage_len]);
-        self.stage_len = 0;
-    }
-
-    /// Absorb the next `data` bytes of the message.
-    #[inline]
-    pub fn update(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            let room = NH_CHUNK_BYTES - self.chunk_bytes;
-            if self.stage_len == 0 {
-                // Direct path: a run long enough for the vector kernels
-                // — or one that completes the chunk — is hashed straight
-                // out of the input, no copy.
-                let direct = (data.len() & !7).min(room);
-                if direct >= STAGE_BYTES || (direct > 0 && direct == room) {
-                    self.absorb_pairs(&data[..direct]);
-                    self.chunk_bytes += direct;
-                    data = &data[direct..];
-                    if self.chunk_bytes == NH_CHUNK_BYTES {
-                        self.close_chunk();
-                    }
-                    continue;
-                }
-            }
-            // Gather path: header-sized fragments and sub-pair tails
-            // copy into the stage; a full stage (or the chunk boundary)
-            // hands the kernel one contiguous run.
-            let take = (STAGE_BYTES - self.stage_len).min(data.len()).min(room);
-            self.stage[self.stage_len..self.stage_len + take].copy_from_slice(&data[..take]);
-            self.stage_len += take;
-            self.chunk_bytes += take;
-            data = &data[take..];
-            if self.chunk_bytes == NH_CHUNK_BYTES {
-                self.flush_stage();
-                self.close_chunk();
-            } else if self.stage_len == STAGE_BYTES {
-                self.flush_stage();
-            }
-        }
-    }
-
-    /// Finish and return the 32-bit tag. Equals
-    /// `umac.tag32(nonce, message)` for the concatenation of all `update`
-    /// slices.
-    #[inline]
-    pub fn finalize(mut self) -> u32 {
-        if self.stage_len > 0 {
-            let whole = self.stage_len & !7;
-            let stage = self.stage;
-            self.absorb_pairs(&stage[..whole]);
-            let rem = &stage[whole..self.stage_len];
-            if !rem.is_empty() {
-                let mut padded = [0u8; 8];
-                padded[..rem.len()].copy_from_slice(rem);
-                self.pair(&padded);
-            }
-        }
-        if self.chunk_bytes > 0 || self.chunks == 0 {
-            // Tail chunk — or the empty message, whose NH image is 0.
-            let v = self
-                .sum
-                .wrapping_add((self.chunk_bytes as u64).wrapping_mul(8));
-            self.push_value(v);
-        }
-        let hash = if self.chunks == 1 {
-            self.first
-        } else {
-            self.poly_y
-        };
-        self.umac.l3(hash) ^ self.umac.pad32(self.nonce)
-    }
 }
 
 fn kdf(aes: &Aes128, marker: u8, out: &mut [u8]) {
@@ -534,34 +357,6 @@ mod tests {
         assert_eq!(mul_mod_p64(P64 - 1, P64 - 1), 1); // (-1)^2 = 1 mod p
         assert_eq!(mul_mod_p64(0, 123), 0);
         assert_eq!(mul_mod_p64(1, 123), 123);
-    }
-
-    #[test]
-    fn stream_equals_oneshot_across_sizes_and_splits() {
-        let u = Umac::new(&key(10));
-        for len in [0usize, 1, 7, 8, 9, 20, 1023, 1024, 1025, 2048, 2051, 4096] {
-            let msg: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let expect = u.tag32(77, &msg);
-            // Whole-message single update.
-            let mut s = u.stream(77);
-            s.update(&msg);
-            assert_eq!(s.finalize(), expect, "len {len} single");
-            // Byte-at-a-time (worst case for the partial-pair buffer).
-            let mut s = u.stream(77);
-            for b in &msg {
-                s.update(std::slice::from_ref(b));
-            }
-            assert_eq!(s.finalize(), expect, "len {len} bytewise");
-            // Splits straddling pair and chunk boundaries.
-            for split in [1usize, 4, 8, 13, 1020, 1024, 1028] {
-                if split <= len {
-                    let mut s = u.stream(77);
-                    s.update(&msg[..split]);
-                    s.update(&msg[split..]);
-                    assert_eq!(s.finalize(), expect, "len {len} split {split}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -230,19 +230,6 @@ pub fn simulate(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> FlowRep
     }
 }
 
-/// The max-min fair starting rates (bytes/ps) for `flows` over `topo` —
-/// the first epoch's allocation, exposed for diagnostics and tests.
-pub fn fair_rates(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> Vec<f64> {
-    let n_links = topo.num_nodes() + topo.num_switches() * topo.radix();
-    let cap = cfg.link_gbps / 8000.0;
-    let paths: Vec<Vec<usize>> = flows
-        .iter()
-        .map(|f| path_links(topo, f.src, f.dst))
-        .collect();
-    let active: Vec<usize> = (0..flows.len()).collect();
-    maxmin_rates(&paths, &active, n_links, cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +240,18 @@ mod tests {
     }
 
     const CAP: f64 = 2.5 / 8000.0; // default link, bytes/ps
+
+    /// The max-min fair starting rates (bytes/ps) for `flows` over `topo`:
+    /// the first epoch's allocation in [`simulate`].
+    fn fair_rates(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> Vec<f64> {
+        let n_links = topo.num_nodes() + topo.num_switches() * topo.radix();
+        let paths: Vec<Vec<usize>> = flows
+            .iter()
+            .map(|f| path_links(topo, f.src, f.dst))
+            .collect();
+        let active: Vec<usize> = (0..flows.len()).collect();
+        maxmin_rates(&paths, &active, n_links, cfg.link_gbps / 8000.0)
+    }
 
     #[test]
     fn path_matches_engine_link_convention() {

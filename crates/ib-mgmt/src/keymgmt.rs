@@ -345,13 +345,6 @@ impl NodeKeyTable {
         self.connection.get(&local_qp)?.secret_by_wire(wire)
     }
 
-    /// Drop connection key versions older than `epoch` (grace expiry).
-    pub fn retire_connection_below(&mut self, local_qp: Qpn, epoch: KeyEpoch) {
-        if let Some(ring) = self.connection.get_mut(&local_qp) {
-            ring.retire_below(epoch);
-        }
-    }
-
     /// Whether `secret` is still installed under any scope index — what
     /// decides if state derived from it (a keyed MAC) may be dropped.
     pub fn holds_secret(&self, secret: &SecretKey) -> bool {

@@ -1,7 +1,7 @@
 //! The five IBA key classes and the paper's Table 3 vulnerability matrix,
 //! encoded as data so examples and tests can demonstrate each exposure.
 //!
-//! §4.1: "Plaintext Keys in the packet might be exposed causing [the]
+//! §4.1: "Plaintext Keys in the packet might be exposed causing \[the\]
 //! following vulnerabilities" — the point of the ICRC-as-MAC scheme is that
 //! *capturing* any of these keys stops being sufficient to *use* them.
 

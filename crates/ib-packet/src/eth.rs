@@ -98,7 +98,7 @@ pub struct Aeth {
     pub msn: u32,
 }
 
-/// NAK codes carried in the low 5 syndrome bits when bits [6:5] = `11`
+/// NAK codes carried in the low 5 syndrome bits when bits \[6:5\] = `11`
 /// (IBA spec §9.7.5.2.4 — table 58). The RC transport emits
 /// [`NakCode::PsnSequenceError`] for an out-of-sequence PSN; the rest are
 /// defined for completeness of the wire format.
@@ -144,7 +144,7 @@ impl NakCode {
 }
 
 /// Decoded meaning of an AETH syndrome byte (IBA spec §9.7.5.2.4: bit 7
-/// reserved, bits [6:5] select ACK `00` / RNR NAK `01` / NAK `11`, low 5
+/// reserved, bits \[6:5\] select ACK `00` / RNR NAK `01` / NAK `11`, low 5
 /// bits carry the credit count, RNR timer, or NAK code respectively).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AethKind {
@@ -161,7 +161,7 @@ pub enum AethKind {
 pub const AETH_LEN: usize = 4;
 
 impl Aeth {
-    /// Positive ACK syndrome (bits [6:5] = `00`, zero credits).
+    /// Positive ACK syndrome (bits \[6:5\] = `00`, zero credits).
     pub fn ack(msn: u32) -> Aeth {
         Aeth {
             syndrome: 0x00,
@@ -169,7 +169,7 @@ impl Aeth {
         }
     }
 
-    /// RNR NAK syndrome (bits [6:5] = `01`) with a 5-bit timer field.
+    /// RNR NAK syndrome (bits \[6:5\] = `01`) with a 5-bit timer field.
     pub fn rnr(timer: u8, msn: u32) -> Aeth {
         Aeth {
             syndrome: 0x20 | (timer & 0x1F),
@@ -177,7 +177,7 @@ impl Aeth {
         }
     }
 
-    /// NAK syndrome (bits [6:5] = `11`) carrying `code`.
+    /// NAK syndrome (bits \[6:5\] = `11`) carrying `code`.
     pub fn nak(code: NakCode, msn: u32) -> Aeth {
         Aeth {
             syndrome: 0x60 | code.value(),

@@ -127,11 +127,15 @@ impl Packet {
     }
 
     /// Visit LRH through pad (exclusive of ICRC/VCRC) as three slices:
-    /// header image, payload in place, zero pad. Few large slices keep
-    /// streaming MAC/CRC kernels on their bulk path, and nothing here
-    /// touches the heap. Forced inline, with [`Packet::header_image`], so
-    /// `masked` folds to a constant in each of the two walks (measured:
-    /// without it every MAC arm of `mac_table4` pays ~8 ns per packet).
+    /// header image, payload in place, zero pad. Few large slices keep the
+    /// CRC kernels on their bulk path, and nothing here touches the heap.
+    /// `masked` gives the *invariant-field* stream the ICRC (and the MAC
+    /// replacing it) covers; unmasked, the wire image. Forced inline, with
+    /// [`Packet::header_image`], so `masked` folds to a constant in each
+    /// walk (measured: without it every MAC arm of `mac_table4` pays ~8 ns
+    /// per packet). The authenticated datapath does not walk it: it tags
+    /// one contiguous masked copy of the wire image
+    /// ([`Packet::write_sealed`], [`WireView::masked_image_into`]).
     #[inline(always)]
     fn for_each_slice(&self, masked: bool, mut f: impl FnMut(&[u8])) {
         let mut hdr = [0u8; MAX_HEADER_LEN];
@@ -139,17 +143,6 @@ impl Packet {
         f(&hdr[..n]);
         f(&self.payload);
         f(&[0u8; 3][..self.bth.pad_count as usize]);
-    }
-
-    /// Walk the *invariant-field* byte stream the ICRC (and the MAC
-    /// replacing it) covers: headers with variant fields masked to ones,
-    /// then payload and pad bytes. Its callers are the buffer-free
-    /// consumers — [`Packet::compute_icrc`], [`Packet::icrc_message_into`],
-    /// `mac_table4`'s `stream` arm and tests. The authenticated datapath
-    /// does not walk it: it tags one contiguous masked copy of the wire
-    /// image ([`Packet::write_sealed`], [`WireView::masked_image_into`]).
-    pub fn for_each_icrc_slice(&self, f: impl FnMut(&[u8])) {
-        self.for_each_slice(true, f)
     }
 
     /// Serialize into a reusable buffer (cleared first, capacity retained
@@ -198,18 +191,18 @@ impl Packet {
         out
     }
 
-    /// Materialize the invariant-field byte stream into a reusable buffer
-    /// (cleared first, capacity retained across calls). Same bytes as
-    /// [`Packet::for_each_icrc_slice`] visits.
+    /// Materialize the invariant-field byte stream (headers with the
+    /// variant fields masked to ones, then payload and pad) into a reusable
+    /// buffer (cleared first, capacity retained across calls).
     pub fn icrc_message_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve(self.header_len() + self.padded_payload_len());
-        self.for_each_icrc_slice(|s| out.extend_from_slice(s));
+        self.for_each_slice(true, |s| out.extend_from_slice(s));
     }
 
-    /// The invariant-field byte stream as a fresh allocation. Hot paths
-    /// use [`Packet::for_each_icrc_slice`] (zero-copy) or
-    /// [`Packet::icrc_message_into`] (reused buffer) instead.
+    /// The invariant-field byte stream as a fresh allocation — the tag
+    /// reference. Hot paths use [`Packet::icrc_message_into`] (reused
+    /// buffer) instead.
     pub fn icrc_message(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.icrc_message_into(&mut out);
@@ -221,7 +214,7 @@ impl Packet {
     /// CPU has PCLMULQDQ, slice-by-8 otherwise — bit-identical either way).
     pub fn compute_icrc(&self) -> u32 {
         let mut crc = Crc32::new();
-        self.for_each_icrc_slice(|s| {
+        self.for_each_slice(true, |s| {
             crc.update_auto(s);
         });
         crc.finalize()
@@ -260,7 +253,7 @@ impl Packet {
 
     /// A switch moving this packet to a different VL: rewrite the variant
     /// field and recompute only the VCRC — the ICRC/tag must survive, which
-    /// [`tests::vl_rewrite_preserves_icrc`] verifies.
+    /// the unit test `vl_rewrite_preserves_icrc` verifies.
     pub fn rewrite_vl(&mut self, vl: VirtualLane) {
         self.lrh.vl = vl;
         self.vcrc = self.compute_vcrc();
@@ -598,11 +591,15 @@ mod tests {
 
     #[test]
     fn visitor_slices_concatenate_to_icrc_message() {
+        // The masked walk (header image, payload, pad) against the masked
+        // copy of the serialized wire bytes the datapath tags.
         for len in [0usize, 1, 3, 4, 100] {
             let pkt = rc_packet(len);
             let mut concat = Vec::new();
-            pkt.for_each_icrc_slice(|s| concat.extend_from_slice(s));
-            assert_eq!(concat, pkt.icrc_message(), "len {len}");
+            pkt.for_each_slice(true, |s| concat.extend_from_slice(s));
+            let mut image = Vec::new();
+            masked_copy(&pkt.to_bytes(), false, &mut image);
+            assert_eq!(concat, image, "len {len}");
         }
     }
 

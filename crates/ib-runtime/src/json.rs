@@ -58,14 +58,6 @@ impl Json {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::I64(v) => Some(*v),
-            Json::U64(v) => i64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
     /// Numeric coercion: any numeric variant as f64.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -539,7 +531,6 @@ mod tests {
     fn accessors_and_coercion() {
         assert_eq!(Json::U64(7).as_f64(), Some(7.0));
         assert_eq!(Json::I64(-7).as_f64(), Some(-7.0));
-        assert_eq!(Json::U64(7).as_i64(), Some(7));
         assert_eq!(Json::I64(-1).as_u64(), None);
         assert_eq!(Json::Str("x".into()).as_f64(), None);
         assert_eq!(Json::Bool(true).as_bool(), Some(true));

@@ -14,7 +14,7 @@
 //!   (embarrassingly parallel simulator instances, MAC lanes).
 //! * [`json`] — a minimal JSON value, writer and parser for result
 //!   emission and for checking that what was emitted parses back.
-//! * [`bench`] — a micro-benchmark harness (warmup, adaptive iteration
+//! * [`bench`](mod@bench) — a micro-benchmark harness (warmup, adaptive iteration
 //!   count, mean/stddev/throughput reporting) for the bench binaries.
 //! * [`check`] — a seeded property-test driver with failure-case
 //!   shrinking.

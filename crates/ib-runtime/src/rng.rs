@@ -98,7 +98,8 @@ impl Rng {
 
     /// Construct from a raw 256-bit state (golden-vector tests only).
     /// The all-zero state is the one fixed point and is rejected.
-    pub fn from_state(s: [u64; 4]) -> Self {
+    #[cfg(test)]
+    fn from_state(s: [u64; 4]) -> Self {
         assert!(s.iter().any(|&w| w != 0), "xoshiro state must be non-zero");
         Rng { s }
     }

@@ -105,7 +105,7 @@ pub enum AttackSchedule {
     Probabilistic,
     /// Exactly one active window of `attack_probability × duration`,
     /// placed after warmup — every seed sees the same attack duty cycle,
-    /// which is how §6's "probability of DoS attack [set] to 1 %" enters
+    /// which is how §6's "probability of DoS attack \[set\] to 1 %" enters
     /// the time-averaged delays.
     DutyCycle,
 }

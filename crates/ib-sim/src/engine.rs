@@ -3,7 +3,7 @@
 //! The simulation state is sharded into **event domains** — one calendar
 //! queue's worth of switches and HCAs per topology partition (fat-tree
 //! pod, dragonfly group, mesh 2×2 tile; see [`Topology::partition`]).
-//! Handlers ([`Ctx`]) mutate exactly one [`Domain`] and stage every
+//! Handlers (`Ctx`) mutate exactly one `Domain` and stage every
 //! scheduled event into `Domain::out`; a *driver* routes those messages.
 //! Two drivers share the core:
 //!
@@ -51,7 +51,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use ib_crypto::Crc32;
+use ib_crypto::crc32_ieee;
 use ib_runtime::{Json, Rng, ToJson};
 
 use ib_mgmt::enforcement::{
@@ -290,16 +290,15 @@ fn render_wire_image(out: &mut Vec<u8>, packet: &SimPacket) {
     out.resize(len, fill);
 }
 
-/// CRC-32 over the packet's rendered wire image (slicing-by-8 — the
-/// emission cost the simulator actually pays, not an abstraction of it).
-/// Computed once per packet at emission; the receive side trusts the
-/// cached tag unless the fault layer touched the packet in transit, since
-/// an untouched packet re-renders bit-identically by construction.
+/// CRC-32 over the packet's rendered wire image (the dispatched kernel the
+/// datapath runs — the emission cost the simulator actually pays, not an
+/// abstraction of it). Computed once per packet at emission; the receive
+/// side trusts the cached tag unless the fault layer touched the packet in
+/// transit, since an untouched packet re-renders bit-identically by
+/// construction.
 fn wire_icrc(scratch: &mut Vec<u8>, packet: &SimPacket) -> u32 {
     render_wire_image(scratch, packet);
-    let mut crc = Crc32::new();
-    crc.update_auto(scratch);
-    crc.finalize()
+    crc32_ieee(scratch)
 }
 
 // --------------------------------------------------------------- sharded core
@@ -1768,9 +1767,7 @@ impl Ctx<'_> {
             render_wire_image(&mut dom.wire_scratch, dom.arena.get(pref));
             let mid = dom.wire_scratch.len() / 2;
             dom.wire_scratch[mid] ^= 0xFF;
-            let mut crc = Crc32::new();
-            crc.update_auto(&dom.wire_scratch);
-            if crc.finalize() != dom.arena.get(pref).icrc {
+            if crc32_ieee(&dom.wire_scratch) != dom.arena.get(pref).icrc {
                 self.dom.stats.corrupt_drops += 1;
                 let class = self.dom.arena.release(pref).class;
                 self.class_stats(class).dropped += 1;
@@ -1858,7 +1855,7 @@ impl Ctx<'_> {
 
 /// The serial driver — the parallel engine's correctness oracle. One
 /// merged [`EventQueue`]; events pop in global `(time, seq)` order and
-/// dispatch into their target domain's [`Ctx`].
+/// dispatch into their target domain's `Ctx`.
 pub struct Simulator {
     core: SimCore,
     queue: EventQueue,

@@ -10,7 +10,7 @@
 //! scheduler was the simulator's single hottest path. The rebuilt queue
 //! splits storage from ordering:
 //!
-//! * events live once in [`EventArena`], a free-listed slab that recycles
+//! * events live once in `EventArena`, a free-listed slab that recycles
 //!   slots, and
 //! * the priority structure orders only 20-byte [`EventKey`]s — a
 //!   calendar queue (Brown, CACM 1988): a bucketed timing wheel for the
@@ -220,11 +220,6 @@ impl<T> EventArena<T> {
             Slot::Free { .. } => unreachable!("scheduled key points at a free slot"),
         }
     }
-
-    /// High-water slot count (capacity the arena ever grew to).
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Width of one wheel bucket, ps (2^14 ps ≈ 16.4 ns — several byte times
@@ -413,8 +408,9 @@ impl<T> EventQueue<T> {
     /// High-water arena capacity (slots ever allocated) — the recycling
     /// witness: steady-state scheduling reuses freed slots instead of
     /// growing.
-    pub fn arena_capacity(&self) -> usize {
-        self.arena.capacity()
+    #[cfg(test)]
+    fn arena_capacity(&self) -> usize {
+        self.arena.slots.len()
     }
 }
 

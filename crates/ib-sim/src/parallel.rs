@@ -1,6 +1,6 @@
 //! Conservative parallel driver for the sharded packet engine.
 //!
-//! [`ParSimulator`] runs the same [`SimCore`] the serial [`Simulator`]
+//! [`ParSimulator`] runs the same `SimCore` the serial [`Simulator`]
 //! does, but gives every event domain its own calendar queue and executes
 //! domains on the persistent `ib-runtime` worker pool, synchronized in
 //! **lookahead windows** (Chandy–Misra–Bryant-style conservative
@@ -10,7 +10,7 @@
 //!    queue and in-flight mailbox) — the horizon jump, so idle stretches
 //!    cost one round, not one round per tick.
 //! 2. Every domain independently processes its events in `[T, T + W)` in
-//!    intrinsic key order, where `W` is [`Shared::lookahead`] — the
+//!    intrinsic key order, where `W` is `Shared::lookahead` — the
 //!    minimum latency any cross-domain event carries (link propagation
 //!    for packet handoffs and credit returns, trap/program latency for
 //!    the SM loop). Events bound for another domain are pushed into that

@@ -5,7 +5,7 @@
 //! The loop is `ib_transport::cosim`'s (see its module docs for the step
 //! order and why polling only the woken endpoints is exact); this module
 //! configures it with a paced fleet and supplies the hosts that are not
-//! RC endpoints, as one [`KeyPlane`]:
+//! RC endpoints, as one `KeyPlane`:
 //!
 //! * **SM replicas** ([`SmReplica`]) on the first `replicas` nodes,
 //!   heartbeating and rotating over VL-15 MADs posted through the same

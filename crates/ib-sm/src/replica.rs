@@ -210,11 +210,6 @@ impl SmReplica {
         self.cfg.node
     }
 
-    /// Current epoch of a managed partition, as this replica knows it.
-    pub fn current_epoch(&self, pkey: PKey) -> Option<KeyEpoch> {
-        self.keys.current(pkey).map(|(e, _)| e)
-    }
-
     /// Leader only: every started distribution is fully acked.
     pub fn distribution_complete(&self) -> bool {
         self.dist.iter().all(Distribution::complete)
@@ -586,7 +581,12 @@ mod tests {
         assert!(reps[0].distribution_complete());
         // Followers mirrored the version.
         for r in &reps[1..] {
-            assert_eq!(r.current_epoch(PKEY), Some(KeyEpoch(1)), "rank {}", r.id());
+            assert_eq!(
+                r.keys.current(PKEY).map(|(e, _)| e),
+                Some(KeyEpoch(1)),
+                "rank {}",
+                r.id()
+            );
             assert_eq!(r.keys.secret_at(PKEY, KeyEpoch(1)), Some(secret));
         }
     }

@@ -6,22 +6,22 @@
 //! The endpoint speaks three verb families, all MTU-segmented by the QP
 //! ([`crate::qp`]) and reassembled here:
 //!
-//! * **SEND** — [`Self::post`]: delivered to the peer's receive queue
-//!   ([`Self::take_delivered`]), one receive-buffer slot per message.
-//! * **RDMA WRITE** — [`Self::post_write`]: lands directly in the peer's
-//!   registered memory region ([`Self::configure_memory`]) after an
+//! * **SEND** — [`SecureRcEndpoint::post`]: delivered to the peer's receive queue
+//!   ([`SecureRcEndpoint::take_delivered`]), one receive-buffer slot per message.
+//! * **RDMA WRITE** — [`SecureRcEndpoint::post_write`]: lands directly in the peer's
+//!   registered memory region ([`SecureRcEndpoint::configure_memory`]) after an
 //!   R_Key + bounds check; completion surfaces via
-//!   [`Self::take_write_events`]. The RETH rides the First/Only segment
+//!   [`SecureRcEndpoint::take_write_events`]. The RETH rides the First/Only segment
 //!   and — because the ICRC mask leaves extended transport headers
 //!   untouched — is covered by the MAC: a flipped address or R_Key fails
 //!   verification before any memory is touched.
-//! * **RDMA READ** — [`Self::post_read`]: the responder serves the
+//! * **RDMA READ** — [`SecureRcEndpoint::post_read`]: the responder serves the
 //!   request from its memory region as segmented ReadResponse packets
 //!   (in this model: sent in the responder's own send PSN space and
 //!   acknowledged like data, a simplification of IBA's
 //!   responses-consume-request-PSNs rule); the requester matches
 //!   completed responses FIFO against its outstanding requests
-//!   ([`Self::take_read_completions`]) — sound because RC delivery is
+//!   ([`SecureRcEndpoint::take_read_completions`]) — sound because RC delivery is
 //!   in order.
 //!
 //! ## Ordering discipline (who judges what, and in what order)
@@ -428,7 +428,7 @@ impl SecureRcEndpoint {
     }
 
     /// Hand a spent wire buffer back for reuse by a future send. The pool
-    /// is bounded by [`POOL_CAP`]; excess buffers are simply freed.
+    /// is bounded by `POOL_CAP`; excess buffers are simply freed.
     pub fn recycle(&mut self, mut buf: Vec<u8>) {
         if self.pool.len() < POOL_CAP {
             buf.clear();

@@ -6,7 +6,7 @@
 //! in-flight window, and carry their opcode + optional RETH with them.
 //! Cumulative ACKs release the window; recovery from a NAK(PSN sequence
 //! error) or a retransmission timeout depends on
-//! [`RetransmitMode`](crate::config::RetransmitMode):
+//! [`RetransmitMode`]:
 //!
 //! * **Go-back-N** (IBA native): rewind the cursor to the oldest
 //!   unacknowledged packet and resend everything from there.

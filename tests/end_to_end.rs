@@ -2,7 +2,7 @@
 //! keyed by `ib-mgmt` flows, tagged/verified by `ib-security`, with the
 //! management plane (`SubnetManager`, traps, enforcement) in the loop.
 
-use ib_crypto::mac::{AuthAlgorithm, Mac};
+use ib_crypto::mac::AuthAlgorithm;
 use ib_crypto::toyrsa;
 use ib_mgmt::enforcement::{FilterDecision, PartitionEnforcer, SifEnforcer};
 use ib_mgmt::keymgmt::SecretKey;
@@ -200,10 +200,11 @@ fn authenticator_matches_direct_mac_composition() {
         .payload(b"cross-crate agreement".to_vec())
         .build();
 
-    let via_auth = auth.compute_tag(&pkt).unwrap();
+    let mut tagged = pkt.clone();
+    auth.tag_packet(&mut tagged).unwrap();
     let direct = ib_crypto::umac::Umac::new(&secret.0)
         .tag32(Authenticator::nonce(&pkt), &pkt.icrc_message());
-    assert_eq!(via_auth, direct);
+    assert_eq!(tagged.icrc, direct);
 
     // And AnyMac's dispatch agrees too.
     let any = ib_crypto::mac::AnyMac::new(AuthAlgorithm::Umac32, &secret.0);

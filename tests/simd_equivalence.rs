@@ -16,7 +16,7 @@
 
 use ib_crypto::aes::Aes128;
 use ib_crypto::crc::{crc16_bitwise, crc32_bitwise};
-use ib_crypto::mac::{AnyMac, AuthAlgorithm, Mac};
+use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_crypto::simd::{gf128, nh};
 use ib_crypto::{AesGcm32, Crc16, Crc32, Umac};
 use ib_runtime::check;
@@ -28,7 +28,7 @@ const MAX_LEN: usize = 9001;
 #[test]
 fn crc_kernels_match_bitwise_reference() {
     check::run(
-        "simd-eq: crc32 slice4/slice8/auto and crc16 slice8/auto == bitwise, any split",
+        "simd-eq: crc32 and crc16 slice8/auto == bitwise, any split",
         64,
         |g| (g.bytes(0..MAX_LEN), g.u64()),
         |(b, s)| {
@@ -39,9 +39,8 @@ fn crc_kernels_match_bitwise_reference() {
         },
         |(bytes, split)| {
             let want = crc32_bitwise(bytes);
-            assert_eq!(ib_crypto::crc32_ieee(bytes), want, "table kernel");
-            assert_eq!(Crc32::new().update_slice4(bytes).finalize(), want);
-            assert_eq!(Crc32::new().update_slice8(bytes).finalize(), want);
+            assert_eq!(ib_crypto::crc32_ieee(bytes), want, "one-shot");
+            assert_eq!(Crc32::new().update(bytes).finalize(), want, "slice-by-8");
             assert_eq!(Crc32::new().update_auto(bytes).finalize(), want);
             let want16 = crc16_bitwise(bytes);
             assert_eq!(Crc16::new().update(bytes).finalize(), want16, "slice-by-8");
@@ -214,32 +213,21 @@ fn aes_block_batches_match_table_implementation() {
 #[test]
 fn umac_paths_match_scalar_oracle() {
     check::run(
-        "simd-eq: umac one-shot/stream/x4 == scalar oracle",
+        "simd-eq: umac one-shot/x4 == scalar oracle",
         32,
         |g| {
             let key: [u8; 16] = std::array::from_fn(|_| g.u8());
-            let msg = g.bytes(0..MAX_LEN);
-            let cuts: Vec<u64> = (0..g.usize_in(0..6)).map(|_| g.u64()).collect();
-            (key, msg, cuts, g.u64())
+            (key, g.bytes(0..MAX_LEN), g.u64())
         },
         check::no_shrink,
-        |(key, msg, cuts, nonce)| {
+        |(key, msg, nonce)| {
             let u = Umac::new(key);
-            let want = u.tag32_scalar(*nonce, msg);
             assert_eq!(u.hash64(msg), u.hash64_scalar(msg), "hash64");
-            assert_eq!(u.tag32(*nonce, msg), want, "one-shot");
-            // Streaming across arbitrary split points.
-            let mut splits: Vec<usize> =
-                cuts.iter().map(|&c| c as usize % (msg.len() + 1)).collect();
-            splits.sort_unstable();
-            let mut s = u.stream(*nonce);
-            let mut prev = 0;
-            for &c in &splits {
-                s.update(&msg[prev..c]);
-                prev = c;
-            }
-            s.update(&msg[prev..]);
-            assert_eq!(s.finalize(), want, "stream splits {splits:?}");
+            assert_eq!(
+                u.tag32(*nonce, msg),
+                u.tag32_scalar(*nonce, msg),
+                "one-shot"
+            );
             // 4-lane lockstep over distinct-length suffixes.
             let q = msg.len() / 4;
             let msgs = [&msg[..], &msg[q..], &msg[q * 2..], &msg[q * 3..]];
@@ -247,38 +235,6 @@ fn umac_paths_match_scalar_oracle() {
             let got = u.tag32_x4(nonces, msgs);
             for (j, tag) in got.iter().enumerate() {
                 assert_eq!(*tag, u.tag32_scalar(nonces[j], msgs[j]), "x4 lane {j}");
-            }
-        },
-    );
-}
-
-#[test]
-fn mac_stream_matches_one_shot_every_algorithm() {
-    check::run(
-        "simd-eq: MacStream splits == one-shot, every algorithm",
-        16,
-        |g| {
-            let key: [u8; 16] = std::array::from_fn(|_| g.u8());
-            let msg = g.bytes(0..4097);
-            let cuts: Vec<u64> = (0..g.usize_in(0..5)).map(|_| g.u64()).collect();
-            (key, msg, cuts, g.u64())
-        },
-        check::no_shrink,
-        |(key, msg, cuts, nonce)| {
-            for alg in AuthAlgorithm::ALL {
-                let mac = AnyMac::new(alg, key);
-                let want = mac.tag32(*nonce, msg);
-                let mut splits: Vec<usize> =
-                    cuts.iter().map(|&c| c as usize % (msg.len() + 1)).collect();
-                splits.sort_unstable();
-                let mut s = mac.stream(*nonce);
-                let mut prev = 0;
-                for &c in &splits {
-                    s.update(&msg[prev..c]);
-                    prev = c;
-                }
-                s.update(&msg[prev..]);
-                assert_eq!(s.finalize(), want, "{} stream {splits:?}", alg.name());
             }
         },
     );
