@@ -413,15 +413,25 @@ mod tests {
         assert_eq!(c.finalize(), crc16_iba(&data));
     }
 
+    /// Every single-bit flip and every whole-byte flip (`^ 0xFF`, the
+    /// simulator fault layer's corruption) at every position changes the
+    /// CRC, from a 27-byte image up to 4 KiB. The simulator drops a
+    /// corrupted packet on its flag alone because of this guarantee.
     #[test]
     fn crc32_detects_single_bit_flip() {
-        let mut data = vec![0xA5u8; 256];
-        let orig = crc32_ieee(&data);
-        for byte in 0..256 {
-            for bit in 0..8 {
-                data[byte] ^= 1 << bit;
-                assert_ne!(crc32_ieee(&data), orig, "flip at {byte}:{bit} undetected");
-                data[byte] ^= 1 << bit;
+        for len in [27usize, 256, 1024, 4096] {
+            let mut data: Vec<u8> = (0..len as u32).map(|i| (i * 13 + 0xA5) as u8).collect();
+            let orig = crc32_ieee(&data);
+            for byte in 0..len {
+                for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                    data[byte] ^= mask;
+                    assert_ne!(
+                        crc32_ieee(&data),
+                        orig,
+                        "{len} B: flip {mask:#04x} at {byte} undetected"
+                    );
+                    data[byte] ^= mask;
+                }
             }
         }
     }

@@ -13,8 +13,8 @@
 //! * [`PacketArena::insert`] on generation (or on fault-layer
 //!   duplication) returns the ref that travels with the packet.
 //! * Exactly one [`PacketArena::release`] per ref, at the packet's
-//!   terminal point: delivery, drop (credit exhaustion, filter, CRC
-//!   discard), or end-of-run queue teardown.
+//!   terminal point: delivery, drop (credit exhaustion, filter,
+//!   corruption discard), or end-of-run queue teardown.
 //! * A released ref must never be dereferenced again; debug builds catch
 //!   stale refs via the free-slot sentinel.
 
@@ -95,23 +95,9 @@ mod tests {
     use crate::traffic::TrafficClass;
     use ib_packet::types::PKey;
 
-    fn packet(id: u64) -> SimPacket {
-        SimPacket {
-            id,
-            src: 0,
-            dst: 1,
-            class: TrafficClass::BestEffort,
-            pkey: PKey(0x8001),
-            vl: 0,
-            bytes: 256,
-            gen_time: 0,
-            inject_time: 0,
-            trap: None,
-            icrc: 0,
-            corrupted: false,
-            wire: None,
-            flow: None,
-        }
+    /// A packet told apart from its neighbours by its wire size.
+    fn packet(bytes: usize) -> SimPacket {
+        SimPacket::new(0, 1, TrafficClass::BestEffort, PKey(0x8001), 0, bytes, 0)
     }
 
     #[test]
@@ -119,12 +105,12 @@ mod tests {
         let mut arena = PacketArena::new();
         let a = arena.insert(packet(1));
         let b = arena.insert(packet(2));
-        assert_eq!(arena.get(a).id, 1);
-        assert_eq!(arena.get(b).id, 2);
+        assert_eq!(arena.get(a).bytes, 1);
+        assert_eq!(arena.get(b).bytes, 2);
         assert_eq!(arena.live(), 2);
         arena.get_mut(a).corrupted = true;
         assert!(arena.get(a).corrupted);
-        assert_eq!(arena.release(a).id, 1);
+        assert_eq!(arena.release(a).bytes, 1);
         assert_eq!(arena.live(), 1);
     }
 
@@ -134,7 +120,7 @@ mod tests {
         // Keep at most 3 live across heavy churn: capacity must not grow
         // past the high-water mark.
         let mut live = Vec::new();
-        for i in 0..300u64 {
+        for i in 0..300 {
             live.push(arena.insert(packet(i)));
             if live.len() > 3 {
                 arena.release(live.remove(0));

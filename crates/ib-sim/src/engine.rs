@@ -51,7 +51,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use ib_crypto::crc32_ieee;
 use ib_runtime::{Json, Rng, ToJson};
 
 use ib_mgmt::enforcement::{
@@ -137,9 +136,6 @@ pub(crate) struct HcaState {
     rng: Rng,
     /// Per-origin event sequence counter (intrinsic-key tie-break).
     oseq: u32,
-    /// Per-node packet-id counter; ids are `src << 32 | counter` so they
-    /// are globally unique without any cross-domain coordination.
-    next_pkt: u32,
 }
 
 /// Results of one simulation run.
@@ -167,7 +163,7 @@ pub struct SimReport {
     pub attack_active_fraction: f64,
     /// Packets the fault layer dropped on the wire.
     pub link_drops: u64,
-    /// Packets the fault layer corrupted (discarded by the receiver's CRC).
+    /// Packets the fault layer corrupted (discarded by the receiving HCA).
     pub corrupt_drops: u64,
 }
 
@@ -272,35 +268,6 @@ pub struct HostDelivery {
     pub bytes: Vec<u8>,
 }
 
-/// Deterministic stand-in wire image for a [`SimPacket`]: the covered
-/// header fields, then an id-derived fill byte out to the wire size. The
-/// abstract packet carries no real payload, so a reproducible image is
-/// what lets the emitting HCA and the receiving HCA agree on the bytes
-/// the ICRC protects without hauling `mtu_bytes` of state through the
-/// event queue.
-fn render_wire_image(out: &mut Vec<u8>, packet: &SimPacket) {
-    out.clear();
-    out.extend_from_slice(&packet.id.to_be_bytes());
-    out.extend_from_slice(&(packet.src as u32).to_be_bytes());
-    out.extend_from_slice(&(packet.dst as u32).to_be_bytes());
-    out.extend_from_slice(&packet.pkey.0.to_be_bytes());
-    out.push(packet.vl);
-    let fill = (packet.id as u8) ^ (packet.id >> 8) as u8;
-    let len = packet.bytes.max(out.len());
-    out.resize(len, fill);
-}
-
-/// CRC-32 over the packet's rendered wire image (the dispatched kernel the
-/// datapath runs — the emission cost the simulator actually pays, not an
-/// abstraction of it). Computed once per packet at emission; the receive
-/// side trusts the cached tag unless the fault layer touched the packet in
-/// transit, since an untouched packet re-renders bit-identically by
-/// construction.
-fn wire_icrc(scratch: &mut Vec<u8>, packet: &SimPacket) -> u32 {
-    render_wire_image(scratch, packet);
-    crc32_ieee(scratch)
-}
-
 // --------------------------------------------------------------- sharded core
 
 /// Immutable state every domain reads: config, topology, layout tables,
@@ -377,7 +344,6 @@ pub(crate) struct Domain {
     /// Fault injectors owned by this domain (`None` ⇔ fault layer off).
     pub(crate) faults: Option<Vec<FaultInjector>>,
     pub(crate) stats: SimReport,
-    wire_scratch: Vec<u8>,
     /// Events staged by handlers; the driver routes them (serial: one
     /// merged queue; parallel: own queue or a peer domain's mailbox).
     pub(crate) out: Vec<OutMsg>,
@@ -687,7 +653,6 @@ impl SimCore {
                 backoff_skips: 0,
                 rng: cfg.seed.stream(node as u64).rng(),
                 oseq: 0,
-                next_pkt: 0,
             });
         }
 
@@ -762,7 +727,6 @@ impl SimCore {
                 arena: PacketArena::new(),
                 faults: faults_active.then_some(faults),
                 stats: SimReport::default(),
-                wire_scratch: Vec::new(),
                 out: Vec::new(),
                 events: 0,
                 sm_oseq: 0,
@@ -891,9 +855,6 @@ impl SimCore {
         let sh = &self.shared;
         let dom = &mut self.domains[sh.dom_of_node[src]];
         let ln = sh.local_node[src] as usize;
-        let hca = &mut dom.hcas[ln];
-        hca.next_pkt += 1;
-        let id = ((src as u64) << 32) | hca.next_pkt as u64;
         dom.stats.generated += 1;
         let pkey = PKey(0x8000 | (sh.node_partition[src] as u16 + 1));
         let class = if vl == 15 {
@@ -901,21 +862,10 @@ impl SimCore {
         } else {
             TrafficClass::BestEffort
         };
+        let len = bytes.len();
         let packet = SimPacket {
-            id,
-            src,
-            dst,
-            class,
-            pkey,
-            vl,
-            bytes: bytes.len(),
-            gen_time: now,
-            inject_time: 0,
-            trap: None,
-            icrc: 0,
-            corrupted: false,
             wire: Some(bytes),
-            flow: None,
+            ..SimPacket::new(src, dst, class, pkey, vl, len, now)
         };
         let qvl = vl as usize;
         let pref = dom.arena.insert(packet);
@@ -950,29 +900,12 @@ impl SimCore {
         for _ in 0..npkts {
             let size = left.min(mtu).max(1) as usize;
             left = left.saturating_sub(mtu);
-            let hca = &mut dom.hcas[ln];
-            hca.next_pkt += 1;
-            let id = ((src as u64) << 32) | hca.next_pkt as u64;
             dom.stats.generated += 1;
-            let mut packet = SimPacket {
-                id,
-                src,
-                dst,
-                class: TrafficClass::BestEffort,
-                pkey,
-                vl: TrafficClass::BestEffort.vl(),
-                bytes: size,
-                gen_time: now,
-                inject_time: 0,
-                trap: None,
-                icrc: 0,
-                corrupted: false,
-                wire: None,
+            let class = TrafficClass::BestEffort;
+            let packet = SimPacket {
                 flow: Some(flow),
+                ..SimPacket::new(src, dst, class, pkey, class.vl(), size, now)
             };
-            if dom.faults.is_some() {
-                packet.icrc = wire_icrc(&mut dom.wire_scratch, &packet);
-            }
             let pref = dom.arena.insert(packet);
             dom.hcas[ln].send_q[qvl].push_back((pref, now));
         }
@@ -1286,39 +1219,16 @@ impl Ctx<'_> {
         let sh = self.sh;
         let now = self.dom.now;
         let ln = sh.local_node[src] as usize;
-        let hca = &mut self.dom.hcas[ln];
-        hca.next_pkt += 1;
-        let id = ((src as u64) << 32) | hca.next_pkt as u64;
         // Attackers spray across both data VLs ("dump tremendous traffic")
         // so realtime and best-effort both feel the flood; legitimate
         // traffic stays on its class VL.
         let vl = if class == TrafficClass::Attack {
-            hca.rng.gen_range(0..2)
+            self.dom.hcas[ln].rng.gen_range(0..2)
         } else {
             class.vl()
         };
         self.dom.stats.generated += 1;
-        let mut packet = SimPacket {
-            id,
-            src,
-            dst,
-            class,
-            pkey,
-            vl,
-            bytes: sh.cfg.mtu_bytes,
-            gen_time: now,
-            inject_time: 0,
-            trap: None,
-            icrc: 0,
-            corrupted: false,
-            wire: None,
-            flow: None,
-        };
-        // Emission-time ICRC — only consulted when the fault layer can
-        // corrupt packets in transit, so fault-free runs skip it.
-        if self.dom.faults.is_some() {
-            packet.icrc = wire_icrc(&mut self.dom.wire_scratch, &packet);
-        }
+        let packet = SimPacket::new(src, dst, class, pkey, vl, sh.cfg.mtu_bytes, now);
         // QP-level key management: first contact with a peer pays one RTT
         // before the packet may leave (§4.3 / Figure 6).
         let keyed = &mut self.dom.hcas[ln].keyed_peers;
@@ -1341,30 +1251,13 @@ impl Ctx<'_> {
     fn emit_management(&mut self, src: usize, dst: usize, class: TrafficClass, trap: Option<Trap>) {
         let now = self.dom.now;
         let ln = self.sh.local_node[src] as usize;
-        let hca = &mut self.dom.hcas[ln];
-        hca.next_pkt += 1;
-        let id = ((src as u64) << 32) | hca.next_pkt as u64;
         self.dom.stats.generated += 1;
-        let mut packet = SimPacket {
-            id,
-            src,
-            dst,
-            class,
-            pkey: PKey::DEFAULT,
-            vl: 15,
-            // MAD payload + LRH/BTH/DETH + ICRC/VCRC.
-            bytes: ib_packet::mad::MAD_LEN + 8 + 12 + 8 + 6,
-            gen_time: now,
-            inject_time: 0,
+        // MAD payload + LRH/BTH/DETH + ICRC/VCRC.
+        let bytes = ib_packet::mad::MAD_LEN + 8 + 12 + 8 + 6;
+        let packet = SimPacket {
             trap,
-            icrc: 0,
-            corrupted: false,
-            wire: None,
-            flow: None,
+            ..SimPacket::new(src, dst, class, PKey::DEFAULT, 15, bytes, now)
         };
-        if self.dom.faults.is_some() {
-            packet.icrc = wire_icrc(&mut self.dom.wire_scratch, &packet);
-        }
         let pref = self.dom.arena.insert(packet);
         self.dom.hcas[ln].send_q[15].push_back((pref, now));
         self.schedule_inject(src, now);
@@ -1734,13 +1627,14 @@ impl Ctx<'_> {
         let sh = self.sh;
         let now = self.dom.now;
         let ln = sh.local_node[node] as usize;
+        // The HCA is the packet's terminal point on every path below:
+        // take it out of the arena and recycle the slot.
+        let packet = self.dom.arena.release(pref);
         // Host-injected packets skip the abstract receive path entirely:
         // the wire image goes back to the host, with transit corruption
         // applied as a byte flip (mirroring the point-to-point harness),
         // for the host transport's own VCRC/MAC verification to judge.
-        if self.dom.arena.get(pref).wire.is_some() {
-            let packet = self.dom.arena.release(pref);
-            let mut bytes = packet.wire.unwrap();
+        if let Some(mut bytes) = packet.wire {
             if packet.corrupted && !bytes.is_empty() {
                 let mid = bytes.len() / 2;
                 bytes[mid] ^= 0xFF;
@@ -1756,27 +1650,14 @@ impl Ctx<'_> {
             return;
         }
         // CRC check before anything else looks at the packet (VCRC/ICRC
-        // precede all header processing). Untouched packets re-render
-        // bit-identically by construction, so their cached emission-time
-        // ICRC is authoritative and verification is skipped; only packets
-        // the fault layer flipped in transit get the full re-render —
-        // with the transit bit flip — recompute, and compare against the
-        // CRC stamped at emission.
-        if self.dom.arena.get(pref).corrupted {
-            let dom = &mut *self.dom;
-            render_wire_image(&mut dom.wire_scratch, dom.arena.get(pref));
-            let mid = dom.wire_scratch.len() / 2;
-            dom.wire_scratch[mid] ^= 0xFF;
-            if crc32_ieee(&dom.wire_scratch) != dom.arena.get(pref).icrc {
-                self.dom.stats.corrupt_drops += 1;
-                let class = self.dom.arena.release(pref).class;
-                self.class_stats(class).dropped += 1;
-                return;
-            }
+        // precede all header processing). The fault layer's corruption is
+        // a one-byte flip, which CRC-32 always detects (every burst of
+        // ≤ 32 bits), so the flag alone decides.
+        if packet.corrupted {
+            self.dom.stats.corrupt_drops += 1;
+            self.class_stats(packet.class).dropped += 1;
+            return;
         }
-        // The HCA is the packet's terminal point on every path below:
-        // take it out of the arena and recycle the slot.
-        let packet = self.dom.arena.release(pref);
         // Management datagrams: no partition check, no data statistics.
         if packet.vl == 15 {
             self.dom.stats.mgmt_delivered += 1;
@@ -1966,8 +1847,8 @@ impl Simulator {
     /// other packet: a link drop counts in `link_drops` (and the
     /// best-effort class drops), corruption flips a byte and the delivery
     /// still happens — the host transport's CRC/MAC decides its fate.
-    /// No abstract-path ICRC is rendered and no receive-side P_Key check
-    /// runs; the bytes themselves carry those protections.
+    /// No receive-side P_Key or corruption check runs on the abstract
+    /// path; the bytes themselves carry those protections.
     ///
     /// Posting on VL 15 marks the packet [`TrafficClass::Management`] —
     /// the subnet-management lane MADs ride on. VL arbitration scans

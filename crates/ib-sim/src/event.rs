@@ -64,8 +64,6 @@ use crate::traffic::TrafficClass;
 /// struct.
 #[derive(Debug, Clone)]
 pub struct SimPacket {
-    /// Unique id (monotonic).
-    pub id: u64,
     /// Source node index.
     pub src: usize,
     /// Destination node index.
@@ -85,16 +83,10 @@ pub struct SimPacket {
     pub inject_time: SimTime,
     /// For in-band management packets: the trap notice carried in the MAD.
     pub trap: Option<Trap>,
-    /// CRC-32 over the packet's deterministic wire image, computed at
-    /// emission (only when the fault layer is active — fault-free runs
-    /// never consult it). The destination HCA re-renders and recomputes
-    /// *only* for packets the fault layer touched; untouched packets
-    /// re-render bit-identically by construction, so the cached tag is
-    /// authoritative.
-    pub icrc: u32,
-    /// Set when the fault layer flipped bits in transit; the re-rendered
-    /// image at the destination carries the flip, so the CRC check above
-    /// discards the packet on arrival.
+    /// Set when the fault layer flipped bits in transit. The fault layer
+    /// flips one byte, an error burst a CRC-32 always detects, so the
+    /// destination HCA discards the packet on this flag alone and counts
+    /// it in `corrupt_drops`.
     pub corrupted: bool,
     /// Host-injected real wire image ([`crate::Simulator::post_host`]).
     /// `None` for the simulator's own abstract traffic. When present, the
@@ -105,6 +97,35 @@ pub struct SimPacket {
     /// Index of the [`crate::Simulator::post_flow`] transfer this packet
     /// belongs to; the flow completes when its last packet is delivered.
     pub flow: Option<u32>,
+}
+
+impl SimPacket {
+    /// A packet generated at `now`: not yet injected, untouched by the
+    /// fault layer, and carrying no trap, host bytes or flow.
+    pub fn new(
+        src: usize,
+        dst: usize,
+        class: TrafficClass,
+        pkey: PKey,
+        vl: u8,
+        bytes: usize,
+        now: SimTime,
+    ) -> SimPacket {
+        SimPacket {
+            src,
+            dst,
+            class,
+            pkey,
+            vl,
+            bytes,
+            gen_time: now,
+            inject_time: 0,
+            trap: None,
+            corrupted: false,
+            wire: None,
+            flow: None,
+        }
+    }
 }
 
 /// Events the engine processes. Packet-carrying variants hold an arena
