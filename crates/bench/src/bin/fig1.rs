@@ -6,51 +6,19 @@
 //! marginally; best-effort suffers more than realtime (VL priority).
 //! Each point averages several random partition/attacker placements.
 //!
-//! Usage: `fig1 [--quick|--smoke] [--max-attackers N] [--seeds K] [--seed S]`
-//! (`--smoke` is an alias for `--quick`, matching the other gated binaries).
+//! Usage: `fig1 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
+//! `--quick`, matching the other gated binaries).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
-use ib_security::experiments::{fig1_config, run_grid_seed_averaged, Fig1Row, DEFAULT_SEEDS};
-use ib_sim::time::{MS, US};
+use ib_security::experiments::{fig1_rows, Fig1Row, FigureRun, FIG1_MAX_ATTACKERS};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = smoke_arg(&args);
-    let max: usize = arg_value(&args, "--max-attackers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    // Figure 1 is the cheapest sweep, so it affords extra seeds — attacker
-    // placement dominates the variance of the middle points.
-    let seeds: u64 = arg_value(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 6 } else { DEFAULT_SEEDS + 4 });
     let seed = seed_arg(&args);
-
-    // Build the whole grid up front, then let the flattened (point × seed)
-    // runner shard the work across cores in one parallel scope.
-    let bases: Vec<_> = (0..=max)
-        .map(|attackers| {
-            let mut cfg = fig1_config(attackers);
-            cfg.seed = seed;
-            if quick {
-                cfg.duration = 3 * MS;
-                cfg.warmup = 300 * US;
-            }
-            cfg
-        })
-        .collect();
-    let rows: Vec<Fig1Row> = run_grid_seed_averaged(&bases, seeds)
-        .into_iter()
-        .enumerate()
-        .map(|(attackers, p)| Fig1Row {
-            attackers,
-            rt_queuing_us: p.rt_queuing_us,
-            rt_network_us: p.rt_network_us,
-            be_queuing_us: p.be_queuing_us,
-            be_network_us: p.be_network_us,
-        })
-        .collect();
+    let seeds = FigureRun::fig1(quick).seeds;
+    let rows = fig1_rows(seed, quick);
 
     println!("Figure 1(a). Realtime traffic under DoS attack (seed {seed}, {seeds} seeds/point)");
     let a_rows: Vec<Vec<String>> = rows
@@ -121,7 +89,7 @@ fn main() {
         "fig1",
         seed,
         Json::obj([
-            ("max_attackers", (max as u64).to_json()),
+            ("max_attackers", (FIG1_MAX_ATTACKERS as u64).to_json()),
             ("seeds_per_point", seeds.to_json()),
             ("quick", quick.to_json()),
         ]),

@@ -6,58 +6,20 @@
 //! attack probability lets DoS traffic into the fabric until the SM
 //! programs the filter, and slightly better once lookups dominate.
 //!
-//! Usage: `fig5 [--quick|--smoke] [--attack-prob P] [--seeds K] [--seed S]`
-//! (P defaults to the paper's 0.01; sweep it for the DESIGN.md ablation;
-//! `--smoke` is an alias for `--quick`).
+//! Usage: `fig5 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
+//! `--quick`). The attack-probability sweep is ablation 1 (`ablations`).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
-use ib_security::experiments::{
-    fig5_config, run_grid_seed_averaged, Fig5Row, DEFAULT_SEEDS, FIG5_KINDS, FIG5_LOADS,
-};
-use ib_sim::time::{MS, US};
+use ib_security::experiments::{fig5_rows, Fig5Row, FigureRun, FIG5_ATTACK_PROBABILITY};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = smoke_arg(&args);
-    let attack_prob: f64 = arg_value(&args, "--attack-prob")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
-    let seeds: u64 = arg_value(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 2 } else { DEFAULT_SEEDS });
     let seed = seed_arg(&args);
-
-    // Flatten the (load × method) grid and hand it to the sharded runner
-    // in a single call; `cells` remembers which base produced which point.
-    let mut bases = Vec::new();
-    let mut cells = Vec::new();
-    for &load in &FIG5_LOADS {
-        for &kind in &FIG5_KINDS {
-            let mut cfg = fig5_config(load, kind);
-            cfg.seed = seed;
-            cfg.attack_probability = attack_prob;
-            if quick {
-                cfg.duration = 4 * MS;
-                cfg.warmup = 400 * US;
-            }
-            bases.push(cfg);
-            cells.push((load, kind));
-        }
-    }
-    let rows: Vec<Fig5Row> = run_grid_seed_averaged(&bases, seeds)
-        .into_iter()
-        .zip(cells)
-        .map(|(p, (load, kind))| Fig5Row {
-            input_load: load,
-            enforcement: kind,
-            network_us: p.legit_network_us,
-            queuing_us: p.legit_queuing_us,
-            stddev_us: p.legit_queuing_stddev_us,
-            filter_drops: p.filter_drops,
-            hca_blocked: p.hca_blocked,
-        })
-        .collect();
+    let seeds = FigureRun::fig56(quick).seeds;
+    let attack_prob = FIG5_ATTACK_PROBABILITY;
+    let rows = fig5_rows(seed, quick);
 
     println!(
         "Figure 5. Delay comparison: No Filtering / DPT / IF / SIF \

@@ -5,57 +5,23 @@
 //! key exchange costs one RTT per pair, amortized over many messages;
 //! per-message MAC costs one pipeline cycle per end node).
 //!
-//! Usage: `fig6 [--quick|--smoke] [--all-modes] [--seeds K] [--seed S]`
-//! (`--smoke` is an alias for `--quick`, matching the other gated binaries).
-//! (`--all-modes` adds the partition-level ablation row).
+//! Every load runs three arms: No Key, With Key at partition level
+//! (ablation 8) and With Key at QP level.
+//!
+//! Usage: `fig6 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
+//! `--quick`, matching the other gated binaries).
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_runtime::{Json, ToJson};
-use ib_security::experiments::{
-    fig6_config, run_grid_seed_averaged, Fig6Row, DEFAULT_SEEDS, FIG5_LOADS,
-};
+use ib_security::experiments::{fig6_rows, Fig6Row, FigureRun};
 use ib_sim::config::AuthMode;
-use ib_sim::time::{MS, US};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = smoke_arg(&args);
-    let modes: &[AuthMode] = if args.iter().any(|a| a == "--all-modes") {
-        &[AuthMode::None, AuthMode::PartitionLevel, AuthMode::QpLevel]
-    } else {
-        &[AuthMode::None, AuthMode::QpLevel]
-    };
-    let seeds: u64 = arg_value(&args, "--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 2 } else { DEFAULT_SEEDS });
     let seed = seed_arg(&args);
-
-    // One flattened (load × mode × seed) work list for the sharded runner.
-    let mut bases = Vec::new();
-    let mut cells = Vec::new();
-    for &load in &FIG5_LOADS {
-        for &mode in modes {
-            let mut cfg = fig6_config(load, mode);
-            cfg.seed = seed;
-            if quick {
-                cfg.duration = 4 * MS;
-                cfg.warmup = 400 * US;
-            }
-            bases.push(cfg);
-            cells.push((load, mode));
-        }
-    }
-    let rows: Vec<Fig6Row> = run_grid_seed_averaged(&bases, seeds)
-        .into_iter()
-        .zip(cells)
-        .map(|(p, (load, mode))| Fig6Row {
-            input_load: load,
-            mode,
-            queuing_us: p.legit_queuing_us,
-            network_us: p.legit_network_us,
-            queuing_stddev_us: p.legit_queuing_stddev_us,
-        })
-        .collect();
+    let seeds = FigureRun::fig56(quick).seeds;
+    let rows = fig6_rows(seed, quick);
 
     println!("Figure 6. Message authentication overhead with key initialization (seed {seed})");
     let table: Vec<Vec<String>> = rows
@@ -114,7 +80,6 @@ fn main() {
         "fig6",
         seed,
         Json::obj([
-            ("all_modes", (modes.len() > 2).to_json()),
             ("seeds_per_point", seeds.to_json()),
             ("quick", quick.to_json()),
         ]),

@@ -6,7 +6,8 @@
 
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_security::experiments::{
-    fig1_config, fig5_config, fig6_config, run_many, run_seed_averaged,
+    fig1_config, fig5_config, fig6_config, run_many, run_seed_averaged, FigureRun,
+    FIG1_MAX_ATTACKERS,
 };
 use ib_sim::config::{AuthMode, SimConfig};
 use ib_sim::time::{MS, US};
@@ -188,18 +189,17 @@ fn sweeps_are_reproducible() {
 }
 
 /// The sharded-engine gate on a real figure: every cell of `fig1 --smoke`'s
-/// grid (attackers 0..=4 × six seeds, derived as `run_grid_seed_averaged`
-/// derives them) gives the byte-identical report from the serial engine
+/// grid (every attacker count × the smoke run's seeds, derived as
+/// `run_grid_seed_averaged` derives them) gives the byte-identical report from the serial engine
 /// and from the windowed parallel engine at one and at four threads — any
 /// divergence in cross-domain merge order, RNG decomposition or stats
 /// merging shows up here.
 #[test]
 fn fig1_smoke_grid_is_identical_on_the_parallel_engine() {
-    const SMOKE_MAX_ATTACKERS: usize = 4;
-    const SMOKE_SEEDS: u64 = 6;
-    for attackers in 0..=SMOKE_MAX_ATTACKERS {
-        let base = quick(fig1_config(attackers));
-        for s in 0..SMOKE_SEEDS {
+    let run = FigureRun::fig1(true);
+    for attackers in 0..=FIG1_MAX_ATTACKERS {
+        let base = run.cell(fig1_config(attackers), SimConfig::default().seed);
+        for s in 0..run.seeds {
             let mut cfg = base.clone();
             cfg.seed = base.seed.stream(s);
             let serial = Simulator::new(cfg.clone()).run().to_json().to_string();
