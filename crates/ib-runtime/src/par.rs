@@ -5,13 +5,11 @@
 //! independent work items" idiom). These helpers replace the crossbeam
 //! scoped-thread dependency with the standard library's scoped threads.
 //!
-//! [`WorkerPool`] spawns its threads once and runs many broadcast jobs,
-//! so callers issuing frequent short parallel rounds (the parallel packet
-//! engine's lookahead windows, repeated [`scope_map_dynamic`] sweeps)
-//! never pay a per-call spawn. [`scope_map_dynamic`] transparently runs
-//! on a process-wide pool when one is available and falls back to scoped
-//! spawning otherwise, so its semantics (input order preserved, panics
-//! propagate) are unchanged.
+//! [`scope_map_dynamic`] spawns scoped threads once per sweep: its cells
+//! each simulate for milliseconds, so the spawn is noise. [`WorkerPool`]
+//! spawns its threads once and runs many broadcast jobs, so the parallel
+//! packet engine's thousands of short lookahead windows never pay a
+//! per-round spawn.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -20,13 +18,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// call to [`broadcast`](Self::broadcast) wakes all workers, runs the
 /// closure once per worker index, and returns when the last worker
 /// finishes. Spawning happens once in [`new`](Self::new), so a caller
-/// issuing thousands of short rounds (conservative-lookahead windows, one
-/// sweep cell per round) pays only a wake/park per round, not a spawn.
+/// issuing thousands of short rounds (conservative-lookahead windows)
+/// pays only a wake/park per round, not a spawn.
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
-    /// Serializes broadcasts: a second caller waits (or bounces off
-    /// [`try_broadcast`](Self::try_broadcast)) instead of corrupting the
-    /// in-flight round's job slot.
+    /// Serializes broadcasts: a second caller waits instead of corrupting
+    /// the in-flight round's job slot.
     gate: Mutex<()>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
@@ -55,12 +52,6 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 // referent outlives every use; `Sync` on the referent makes the shared
 // cross-thread calls sound.
 unsafe impl Send for JobPtr {}
-
-thread_local! {
-    /// True on pool worker threads: nested sweeps detect this and fall
-    /// back to scoped spawning instead of deadlocking on the pool gate.
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
 
 impl WorkerPool {
     /// Spawn a pool of `threads` workers (clamped to at least 1).
@@ -100,28 +91,10 @@ impl WorkerPool {
     /// threads queue behind this one. Panics if any worker's closure
     /// panicked.
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.run_round(f);
-    }
-
-    /// [`broadcast`](Self::broadcast), but returns `false` without running
-    /// anything if another broadcast is already in flight — the
-    /// contention-free path [`scope_map_dynamic`] uses to decide between
-    /// the pool and spawning.
-    pub fn try_broadcast(&self, f: &(dyn Fn(usize) + Sync)) -> bool {
         // A propagated worker panic poisons the gate; the pool itself is
         // still healthy, so recover the guard rather than wedging every
-        // future caller onto the spawn path.
-        let _gate = match self.gate.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return false,
-        };
-        self.run_round(f);
-        true
-    }
-
-    fn run_round(&self, f: &(dyn Fn(usize) + Sync)) {
+        // future caller.
+        let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
         // SAFETY (lifetime erasure): see `JobPtr` — we block below until
         // every worker has finished with the pointer.
         let job = JobPtr(unsafe {
@@ -160,7 +133,6 @@ impl Drop for WorkerPool {
 }
 
 fn worker_main(inner: &PoolInner, idx: usize) {
-    IN_POOL_WORKER.with(|f| f.set(true));
     let mut seen = 0u64;
     let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
     loop {
@@ -190,10 +162,10 @@ fn worker_main(inner: &PoolInner, idx: usize) {
     }
 }
 
-/// The process-wide pool [`scope_map_dynamic`] (and the parallel packet
-/// engine) dispatches to, created on first use and sized to the machine
-/// (at least the first call's worker count). Larger later requests fall
-/// back to scoped spawning.
+/// The process-wide pool the parallel packet engine dispatches to,
+/// created on first use and sized to the machine (at least the first
+/// call's worker count). A later, larger request gets the pool as it is;
+/// the caller clamps its worker count to [`WorkerPool::threads`].
 pub fn global_pool(workers: usize) -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -212,11 +184,6 @@ pub fn global_pool(workers: usize) -> &'static WorkerPool {
 /// claimed item's pre-sized result slot, so output order — and thus every
 /// order-sensitive fold over the results — is bit-identical to the serial
 /// map regardless of which worker ran which item.
-///
-/// Runs on the process-wide [`WorkerPool`] when it is free and large
-/// enough, so repeated sweeps pay no per-call spawn; otherwise (pool busy,
-/// request larger than the pool, or called from inside a pool worker) it
-/// spawns scoped threads. Both paths produce identical results.
 ///
 /// Panics propagate: if any worker panics, the panic resurfaces here.
 pub fn scope_map_dynamic<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
@@ -238,7 +205,7 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let worker_loop = |_w: usize| loop {
+    let worker_loop = || loop {
         let i = cursor.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -250,26 +217,11 @@ where
             .expect("cursor hands each index to exactly one worker");
         *results[i].lock().unwrap() = Some(f(item));
     };
-    // Nested calls from a pool worker must not touch the pool: the outer
-    // broadcast's gate is held until this worker returns, so waiting on it
-    // here would deadlock.
-    let pooled = !IN_POOL_WORKER.with(|f| f.get()) && {
-        let pool = global_pool(workers);
-        pool.threads() >= workers
-            && pool.try_broadcast(&|w| {
-                if w < workers {
-                    worker_loop(w);
-                }
-            })
-    };
-    if !pooled {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let worker_loop = &worker_loop;
-                scope.spawn(move || worker_loop(w));
-            }
-        });
-    }
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(worker_loop);
+        }
+    });
     results
         .into_iter()
         .map(|m| {
@@ -411,16 +363,16 @@ mod tests {
         assert!(boom.is_err(), "worker panic must resurface at the caller");
         // The pool keeps working after a propagated panic.
         let hits = AtomicUsize::new(0);
-        assert!(pool.try_broadcast(&|_w| {
+        pool.broadcast(&|_w| {
             hits.fetch_add(1, Ordering::SeqCst);
-        }));
+        });
         assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
     #[test]
     fn nested_dynamic_inside_pool_jobs_completes() {
-        // The inner call detects it is on a pool worker and spawns scoped
-        // threads instead of deadlocking on the pool gate.
+        // Every call owns its scope, so a sweep inside a sweep's cell
+        // shares nothing it could wait on.
         let items: Vec<u64> = (0..8).collect();
         let out = scope_map_dynamic(items, 4, |x| {
             scope_map_dynamic(vec![x, x + 1], 2, |y| y * 2)
