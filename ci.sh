@@ -59,6 +59,16 @@ smoke_twice() {
 # replays with the window and admitted ones without it.
 smoke_twice fig_replay
 
+echo "== table1-table4 and ablations smoke (their in-binary asserts must hold) =="
+# These print tables and write no BENCH_*.json, so nothing is diffed:
+# the leg exists for their asserts (Table 4's CRC < UMAC < HMAC-MD5 <
+# HMAC-SHA1 ordering and the §6 link-speed check among them), which
+# would otherwise only ever be compiled. table4 and ablations time
+# through the same sampler as mac_table4 and sim_engine.
+for bin in table1 table2 table3 table4 ablations; do
+  cargo run -q --release --offline -p bench --bin "$bin" -- --smoke > /dev/null
+done
+
 echo "== mac_table4 smoke (twice: structure must be stable, asserts must hold) =="
 # The binary's own asserts gate tag equality across the two message
 # paths (hard, single-shot) and its wall-clock floors (each re-measures

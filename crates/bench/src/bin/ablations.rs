@@ -11,8 +11,6 @@
 //!
 //! Usage: `ablations [--quick] [--only N] [--seed S]`
 
-use std::time::Duration;
-
 use bench::{arg_value, render_table, seed_arg, smoke_arg};
 use ib_crypto::partial_mac::PartialMac;
 use ib_crypto::umac::Umac;
@@ -172,12 +170,7 @@ fn ablation_partial_mac(quick: bool) {
     println!("Ablation 4: partial-coverage MAC (§7 strength/speed trade-off)");
     let key = [7u8; 16];
     let msg = vec![0xA5u8; 8192];
-    let (warmup_ms, measurement_ms, samples) = if quick { (5, 20, 5) } else { (30, 150, 15) };
-    let mut harness = Harness::new(BenchConfig {
-        warmup: Duration::from_millis(warmup_ms),
-        measurement: Duration::from_millis(measurement_ms),
-        samples,
-    });
+    let mut harness = Harness::new(BenchConfig::new(quick));
     // One timed cell: Gb/s of `f` over the 8 KiB message.
     let mut gbps = |id: &str, f: &mut dyn FnMut()| -> f64 {
         let mut group = harness.group("partial-mac");

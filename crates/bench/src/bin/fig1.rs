@@ -9,8 +9,8 @@
 //! Usage: `fig1 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
 //! `--quick`, matching the other gated binaries).
 
-use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
-use ib_runtime::{Json, ToJson};
+use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::experiments::{fig1_rows, Fig1Row, FigureRun, FIG1_MAX_ATTACKERS};
 
 fn main() {

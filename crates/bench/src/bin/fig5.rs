@@ -9,8 +9,8 @@
 //! Usage: `fig5 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
 //! `--quick`). The attack-probability sweep is ablation 1 (`ablations`).
 
-use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
-use ib_runtime::{Json, ToJson};
+use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::experiments::{fig5_rows, Fig5Row, FigureRun, FIG5_ATTACK_PROBABILITY};
 
 fn main() {

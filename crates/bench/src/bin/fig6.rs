@@ -11,8 +11,8 @@
 //! Usage: `fig6 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
 //! `--quick`, matching the other gated binaries).
 
-use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
-use ib_runtime::{Json, ToJson};
+use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::experiments::{fig6_rows, Fig6Row, FigureRun};
 use ib_sim::config::AuthMode;
 

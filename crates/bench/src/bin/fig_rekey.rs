@@ -13,8 +13,8 @@
 //!
 //! Usage: `fig_rekey [--smoke] [--flows N] [--seed S]`
 
-use bench::{arg_value, bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
-use ib_runtime::{Json, ToJson};
+use bench::{arg_value, render_table, seed_arg, smoke_arg, write_bench_json};
+use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_sim::time::{MS, US};
 use ib_sim::SimTime;
 use ib_sm::{run_rekey_sim, RekeyConfig, RekeyReport};

@@ -22,9 +22,9 @@
 //!
 //! Usage: `fig_scale [--smoke] [--seed S]`
 
-use bench::{bench_doc, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_flow::{simulate, Flow};
-use ib_runtime::{Json, Rng, Seed, ToJson};
+use ib_runtime::{bench::bench_doc, Json, Rng, Seed, ToJson};
 use ib_sim::{ParSimulator, SimConfig, SimTime, Simulator, TopoSpec};
 use std::time::Instant;
 

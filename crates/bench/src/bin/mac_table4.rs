@@ -15,8 +15,6 @@
 //!
 //! Usage: `mac_table4 [--smoke] [--seed S]`
 
-use std::time::{Duration, Instant};
-
 use bench::{estimate_cpu_hz, render_table, seed_arg, smoke_arg, write_bench_json};
 use ib_crypto::crc::{Crc16, Crc32};
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
@@ -24,7 +22,7 @@ use ib_crypto::umac::Umac;
 use ib_crypto::AesGcm32;
 use ib_packet::types::{Lid, PKey, Psn, Qpn};
 use ib_packet::{OpCode, Packet, PacketBuilder};
-use ib_runtime::bench::{BenchConfig, Harness};
+use ib_runtime::bench::{bench_doc, paired_ratio, sample_arms, BenchConfig, Harness};
 use ib_runtime::{Json, ToJson};
 
 /// Payload sizes under test: minimum-ish, the UMAC NH chunk size, and a
@@ -70,43 +68,6 @@ fn packet_for(len: usize) -> Packet {
 /// The paper's Discussion argues MAC viability against this link rate.
 const LINK_RATE_GBPS: f64 = 2.5;
 
-/// Interleave `arms` sample-by-sample under one shared batch size (see
-/// the SIMD-section comment in `main`: a clock-frequency dip then lands on
-/// every arm of the adjacent sample tuple, not on whichever arm ran
-/// last). Returns one raw sample vector per arm, ns per iteration.
-fn measure_paired(config: &BenchConfig, arms: &mut [Box<dyn FnMut() + '_>]) -> Vec<Vec<f64>> {
-    let sample_window = config.measurement / (config.samples * arms.len() as u32);
-    let mut batch: u64 = 1;
-    let warmup_end = Instant::now() + config.warmup;
-    loop {
-        let mut slowest = Duration::ZERO;
-        for run in arms.iter_mut() {
-            let start = Instant::now();
-            for _ in 0..batch {
-                run();
-            }
-            slowest = slowest.max(start.elapsed());
-        }
-        if slowest * 10 >= sample_window && Instant::now() >= warmup_end {
-            break;
-        }
-        if slowest * 10 < sample_window {
-            batch = batch.saturating_mul(2);
-        }
-    }
-    let mut sample_ns = vec![Vec::new(); arms.len()];
-    for _ in 0..config.samples {
-        for (a, run) in arms.iter_mut().enumerate() {
-            let start = Instant::now();
-            for _ in 0..batch {
-                run();
-            }
-            sample_ns[a].push(start.elapsed().as_nanos() as f64 / batch as f64);
-        }
-    }
-    sample_ns
-}
-
 /// One CRC cell: the portable kernel, then the dispatched one.
 fn crc_cell(config: &BenchConfig, scalar: CrcKernel, auto: CrcKernel, msg: &[u8]) -> Vec<Vec<f64>> {
     let mut arms: Vec<Box<dyn FnMut() + '_>> = vec![
@@ -117,7 +78,7 @@ fn crc_cell(config: &BenchConfig, scalar: CrcKernel, auto: CrcKernel, msg: &[u8]
             std::hint::black_box(auto(msg));
         }),
     ];
-    measure_paired(config, &mut arms)
+    sample_arms(config, &mut arms)
 }
 
 /// One UMAC cell: scalar, dispatched, and the 4-packet lockstep lane.
@@ -135,22 +96,7 @@ fn umac_cell(config: &BenchConfig, umac: &Umac, msg: &[u8]) -> Vec<Vec<f64>> {
             std::hint::black_box(umac.tag32_x4(nonces, quad));
         }),
     ];
-    measure_paired(config, &mut arms)
-}
-
-/// Ascending per-sample time ratios `num[i] / den[i]`. The arms of a cell
-/// run back-to-back within each sample tuple, so a clock dip hits
-/// numerator and denominator almost equally and cancels — unlike
-/// cross-arm floors or means, which drift apart when the throttle window
-/// moves mid-cell.
-fn paired_ratios(num: &[f64], den: &[f64]) -> Vec<f64> {
-    let mut ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    sorted[sorted.len() / 2]
+    sample_arms(config, &mut arms)
 }
 
 /// Measurements a wall-clock floor may take before it fails.
@@ -185,19 +131,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = smoke_arg(&args);
     let seed = seed_arg(&args);
-    let config = if smoke {
-        BenchConfig {
-            warmup: Duration::from_millis(20),
-            measurement: Duration::from_millis(80),
-            samples: 5,
-        }
-    } else {
-        BenchConfig {
-            warmup: Duration::from_millis(200),
-            measurement: Duration::from_millis(300),
-            samples: 15,
-        }
-    };
+    let config = BenchConfig::new(smoke);
 
     let mut key = [0u8; 16];
     key.copy_from_slice(&[seed.0.to_le_bytes(), (!seed.0).to_le_bytes()].concat());
@@ -335,7 +269,7 @@ fn main() {
                     std::hint::black_box(gcm.open(NONCE, b"", &mut open_buf, tag));
                 }),
             ];
-            let samples = measure_paired(&config, &mut arms);
+            let samples = sample_arms(&config, &mut arms);
             drop(arms);
             for (a, arm) in ["seal", "open"].iter().enumerate() {
                 harness
@@ -411,7 +345,7 @@ fn main() {
     // scalar arm; `pkts` scales lanes that tag several packets per
     // iteration (the x4 arm).
     let speedup_lane = |samples: &[Vec<f64>], lane: usize, pkts: f64| -> f64 {
-        median(&paired_ratios(&samples[0], &samples[lane])) * pkts
+        paired_ratio(&samples[0], &samples[lane]).0 * pkts
     };
     let at_least = |speedup: f64, bar: f64| -> Result<String, String> {
         let figures = format!("{speedup:.2}x scalar, need >= {bar}x");
@@ -454,10 +388,26 @@ fn main() {
 
     // ---- BENCH_mac_throughput.json: every point gains the line-rate
     // headline fields (gbps, pkts_per_sec, vs_link_rate_2_5gbps) ----
-    let mut doc = harness.to_json(
+    let points = results.iter().zip(&pkts_per_iter).map(|(m, &ppi)| {
+        let gbps = m.bytes_per_sec().unwrap_or(0.0) * 8.0 / 1e9;
+        let Json::Obj(mut fields) = m.to_json() else {
+            unreachable!("a measurement is an object")
+        };
+        fields.push(("gbps".to_string(), gbps.to_json()));
+        fields.push((
+            "pkts_per_sec".to_string(),
+            (ppi as f64 * 1e9 / m.mean_ns).to_json(),
+        ));
+        fields.push((
+            "vs_link_rate_2_5gbps".to_string(),
+            (gbps / LINK_RATE_GBPS).to_json(),
+        ));
+        Json::Obj(fields)
+    });
+    let doc = bench_doc(
         "mac_throughput",
         seed,
-        Json::obj([
+        harness.config_json([
             (
                 "payload_sizes",
                 Json::arr(SIZES.iter().map(|&s| (s as u64).to_json())),
@@ -480,31 +430,8 @@ fn main() {
             ("cpu_hz", cpu_hz.to_json()),
             ("smoke", smoke.to_json()),
         ]),
+        points.collect(),
     );
-    if let Json::Obj(pairs) = &mut doc {
-        let points = pairs
-            .iter_mut()
-            .find(|(k, _)| k == "points")
-            .map(|(_, v)| v)
-            .expect("document has points");
-        if let Json::Arr(points) = points {
-            assert_eq!(points.len(), results.len());
-            for ((point, m), &ppi) in points.iter_mut().zip(&results).zip(&pkts_per_iter) {
-                let gbps = m.bytes_per_sec().unwrap_or(0.0) * 8.0 / 1e9;
-                if let Json::Obj(fields) = point {
-                    fields.push(("gbps".to_string(), gbps.to_json()));
-                    fields.push((
-                        "pkts_per_sec".to_string(),
-                        (ppi as f64 * 1e9 / m.mean_ns).to_json(),
-                    ));
-                    fields.push((
-                        "vs_link_rate_2_5gbps".to_string(),
-                        (gbps / LINK_RATE_GBPS).to_json(),
-                    ));
-                }
-            }
-        }
-    }
     let path = write_bench_json("mac_throughput", &doc).expect("write BENCH_mac_throughput.json");
     println!("wrote {}", path.display());
 }

@@ -28,11 +28,11 @@
 //!
 //! Usage: `sim_engine [--smoke] [--seed S]`
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bench::{seed_arg, smoke_arg, write_bench_json};
 use ib_mgmt::enforcement::EnforcementKind;
-use ib_runtime::bench::{BenchConfig, Harness};
+use ib_runtime::bench::{bench_doc, paired_ratio, sample_arms, BenchConfig, Harness, Measurement};
 use ib_runtime::{Json, ToJson};
 use ib_sim::config::SimConfig;
 use ib_sim::engine::Simulator;
@@ -85,6 +85,17 @@ impl Sched for HeapQueue<u64> {
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         HeapQueue::pop(self)
     }
+}
+
+/// Fresh queues of both arms, in [`ARMS`] order.
+const FRESH: [fn() -> Box<dyn Sched>; 2] = [
+    || Box::new(EventQueue::<u64>::new()),
+    || Box::new(HeapQueue::<u64>::new()),
+];
+
+/// One sampler arm per scheduler, each replaying `run` on a fresh queue.
+fn sched_arms(run: &dyn Fn(&mut dyn Sched)) -> [impl FnMut() + '_; 2] {
+    FRESH.map(|new| move || run(&mut *new()))
 }
 
 /// Run the hold-model workload; returns the popped `(time, payload)`
@@ -143,42 +154,6 @@ fn run_burst<S: Sched + ?Sized>(
     (popped, ops)
 }
 
-/// Time `run` on both arms, interleaved sample by sample; returns each
-/// arm's per-sample nanoseconds.
-fn time_arms(
-    config: &BenchConfig,
-    fresh: &[fn() -> Box<dyn Sched>; 2],
-    run: &dyn Fn(&mut dyn Sched),
-) -> [Vec<f64>; 2] {
-    let mut sample_ns: [Vec<f64>; 2] = [const { Vec::new() }; 2];
-    let warmup_end = Instant::now() + config.warmup;
-    while Instant::now() < warmup_end {
-        for new in fresh {
-            run(&mut *new());
-        }
-    }
-    for _ in 0..config.samples {
-        for (a, new) in fresh.iter().enumerate() {
-            let mut q = new();
-            let start = Instant::now();
-            run(&mut *q);
-            sample_ns[a].push(start.elapsed().as_nanos() as f64);
-        }
-    }
-    sample_ns
-}
-
-/// Sorted paired calendar/heap time ratios → (median, best).
-fn paired_ratio(sample_ns: &[Vec<f64>; 2]) -> (f64, f64) {
-    let mut ratios: Vec<f64> = sample_ns[0]
-        .iter()
-        .zip(&sample_ns[1])
-        .map(|(c, h)| c / h)
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (ratios[ratios.len() / 2], ratios[0])
-}
-
 fn engine_cfg(kind: EnforcementKind, attackers: usize, duration_ps: SimTime) -> SimConfig {
     SimConfig {
         enforcement: kind,
@@ -194,32 +169,11 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = smoke_arg(&args);
     let seed = seed_arg(&args);
-    let (config, prefill_n, steps, burst_keys, engine_ps, engine_reps) = if smoke {
-        (
-            BenchConfig {
-                warmup: Duration::from_millis(20),
-                measurement: Duration::from_millis(80),
-                samples: 5,
-            },
-            1024,
-            20_000,
-            8 * 1024,
-            MS / 2,
-            2u32,
-        )
+    let config = BenchConfig::new(smoke);
+    let (prefill_n, steps, burst_keys, engine_ps, engine_reps) = if smoke {
+        (1024, 20_000, 8 * 1024, MS / 2, 2u32)
     } else {
-        (
-            BenchConfig {
-                warmup: Duration::from_millis(200),
-                measurement: Duration::from_millis(300),
-                samples: 15,
-            },
-            4096,
-            200_000,
-            64 * 1024,
-            MS,
-            5u32,
-        )
+        (4096, 200_000, 64 * 1024, MS, 5u32)
     };
 
     // Deterministic op script, shared by every arm.
@@ -230,11 +184,7 @@ fn main() {
     let deltas = make_deltas(seed.stream(2), steps);
 
     // ---- equivalence gate: both arms pop the identical stream ----
-    let fresh: [fn() -> Box<dyn Sched>; 2] = [
-        || Box::new(EventQueue::<u64>::new()),
-        || Box::new(HeapQueue::<u64>::new()),
-    ];
-    let streams: Vec<Vec<(SimTime, u64)>> = fresh
+    let streams: Vec<Vec<(SimTime, u64)>> = FRESH
         .iter()
         .map(|new| run_workload(&mut *new(), &prefill, &deltas).0)
         .collect();
@@ -257,8 +207,8 @@ fn main() {
                 .map(|_| offset_rng.gen_range(0..BUCKET_WIDTH_PS))
                 .collect();
             let rounds = burst_keys / b;
-            let (cal, ops) = run_burst(&mut *fresh[0](), &offsets, rounds);
-            let (heap, _) = run_burst(&mut *fresh[1](), &offsets, rounds);
+            let (cal, ops) = run_burst(&mut *FRESH[0](), &offsets, rounds);
+            let (heap, _) = run_burst(&mut *FRESH[1](), &offsets, rounds);
             assert_eq!(
                 cal, heap,
                 "burst-{b}: calendar and heap must pop the identical stream"
@@ -272,11 +222,15 @@ fn main() {
     // This host's clock throttles by tens of percent over seconds, so a
     // frequency dip lands on both arms of the adjacent sample pair, not
     // on whichever arm happened to run in that window (same idiom as
-    // mac_table4). One workload replay is milliseconds, so batch = 1.
+    // mac_table4). Each replay builds its queue inside the timed closure:
+    // microseconds against a replay of milliseconds.
     let mut harness = Harness::new(config);
-    let sample_ns = time_arms(&config, &fresh, &|q| {
-        std::hint::black_box(run_workload(q, &prefill, &deltas));
-    });
+    let sample_ns = sample_arms(
+        &config,
+        &mut sched_arms(&|q| {
+            std::hint::black_box(run_workload(q, &prefill, &deltas));
+        }),
+    );
     for (a, &arm) in ARMS.iter().enumerate() {
         // "Bytes" are scheduler ops: the throughput column reads as
         // operations per second.
@@ -287,16 +241,19 @@ fn main() {
     }
     let mut burst_ratios: Vec<f64> = Vec::new();
     for (&b, (offsets, rounds, ops)) in BURSTS.iter().zip(&bursts) {
-        let ns = time_arms(&config, &fresh, &|q| {
-            std::hint::black_box(run_burst(q, offsets, *rounds));
-        });
+        let ns = sample_arms(
+            &config,
+            &mut sched_arms(&|q| {
+                std::hint::black_box(run_burst(q, offsets, *rounds));
+            }),
+        );
         for (a, &arm) in ARMS.iter().enumerate() {
             harness
                 .group(&format!("scheduler/burst-{b}"))
                 .throughput_bytes(*ops)
                 .record(arm, &ns[a]);
         }
-        burst_ratios.push(paired_ratio(&ns).0);
+        burst_ratios.push(paired_ratio(&ns[0], &ns[1]).0);
     }
 
     // ---- engine timing: whole simulations, events per wall-second ----
@@ -364,7 +321,7 @@ fn main() {
     // genuinely slower calendar queue would both push the median past the
     // bar and never win a pair.
     let (med_bar, best_bar) = if smoke { (1.25, 1.10) } else { (1.05, 1.00) };
-    let (med, best) = paired_ratio(&sample_ns);
+    let (med, best) = paired_ratio(&sample_ns[0], &sample_ns[1]);
     assert!(
         med <= med_bar || best <= best_bar,
         "calendar queue must keep pace with the compact-key heap \
@@ -396,10 +353,10 @@ fn main() {
             .join(", ")
     );
 
-    let doc = harness.to_json(
+    let doc = bench_doc(
         "sim_engine",
         seed,
-        Json::obj([
+        harness.config_json([
             ("arms", Json::arr(ARMS.iter().map(|a| a.to_json()))),
             ("prefill", (prefill_n as u64).to_json()),
             ("steps", (steps as u64).to_json()),
@@ -424,6 +381,7 @@ fn main() {
             ("engine_duration_ps", engine_ps.to_json()),
             ("smoke", smoke.to_json()),
         ]),
+        harness.results().iter().map(Measurement::to_json).collect(),
     );
     let path = write_bench_json("sim_engine", &doc).expect("write BENCH_sim_engine.json");
     println!("wrote {}", path.display());

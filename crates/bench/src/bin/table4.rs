@@ -10,8 +10,6 @@
 //! Absolute numbers differ from 1999-2004 hardware, but the ordering
 //! CRC > UMAC >> MD5 > SHA1 must (and does) hold.
 
-use std::time::Duration;
-
 use bench::{estimate_cpu_hz, render_table, smoke_arg};
 use ib_crypto::crc::crc32_ieee;
 use ib_crypto::hmac::Hmac;
@@ -33,16 +31,7 @@ const MSG_BYTES: usize = 1500 / 8;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let (warmup_ms, measurement_ms, samples) = if smoke_arg(&args) {
-        (5, 20, 5)
-    } else {
-        (50, 300, 15)
-    };
-    let config = BenchConfig {
-        warmup: Duration::from_millis(warmup_ms),
-        measurement: Duration::from_millis(measurement_ms),
-        samples,
-    };
+    let config = BenchConfig::new(smoke_arg(&args));
 
     // ---- paper rows ----
     println!("Table 4. Time & forgery complexity — paper reference rows (350 MHz)");

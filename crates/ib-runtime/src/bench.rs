@@ -1,15 +1,19 @@
-//! Micro-benchmark harness for the bench binaries: `table4` and
-//! `ablations` time closures with [`Group::bench`]; `mac_table4` and
-//! `sim_engine` interleave their own arms and hand the samples to
-//! [`Group::record`].
+//! Micro-benchmark harness for the timing binaries. Every one of them
+//! samples through [`sample_arms`] and takes its sampling from
+//! [`BenchConfig::new`]:
+//!
+//! * `table4` and `ablations` time one closure at a time with
+//!   [`Group::bench`], the sampler's one-arm case;
+//! * `mac_table4` and `sim_engine` interleave the arms of each comparison
+//!   with [`sample_arms`], hand the samples to [`Group::record`], and
+//!   judge speed-ups on [`paired_ratio`];
+//! * those two write their measurements, and every figure binary its
+//!   points, as the standard `BENCH_*.json` document ([`bench_doc`]).
 //!
 //! Replaces the criterion dependency with the subset the workspace
 //! actually uses: named groups, per-benchmark warmup, adaptive
 //! batch sizing, summary statistics over timed samples, and optional
-//! bytes/s throughput reporting. Results print as aligned plain text
-//! and serialize to the workspace's standard `BENCH_*.json` document
-//! shape (experiment / seed / config / points) via
-//! [`Harness::to_json`].
+//! bytes/s throughput reporting. Results print as aligned plain text.
 //!
 //! Statistics are criterion-grade rather than raw: each benchmark's
 //! samples pass through Tukey-fence outlier rejection (scheduler
@@ -23,8 +27,8 @@ use std::time::{Duration, Instant};
 use crate::json::{Json, ToJson};
 use crate::rng::{Rng, Seed};
 
-/// Sampling parameters. Defaults mirror the criterion settings the
-/// benches used (20 samples, ~2 s measurement, 500 ms warmup).
+/// Sampling parameters: warm-up time, the measurement time one arm's
+/// samples share, and the sample count.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
     pub warmup: Duration,
@@ -32,14 +36,78 @@ pub struct BenchConfig {
     pub samples: u32,
 }
 
-impl Default for BenchConfig {
-    fn default() -> Self {
+impl BenchConfig {
+    /// The sampling every timing binary uses: the short one under
+    /// `--smoke`, the full one otherwise.
+    pub fn new(smoke: bool) -> BenchConfig {
+        let (warmup_ms, measurement_ms, samples) = if smoke { (20, 80, 5) } else { (200, 300, 15) };
         BenchConfig {
-            warmup: Duration::from_millis(500),
-            measurement: Duration::from_secs(2),
-            samples: 20,
+            warmup: Duration::from_millis(warmup_ms),
+            measurement: Duration::from_millis(measurement_ms),
+            samples,
         }
     }
+}
+
+/// Time `arms` interleaved sample by sample under one shared batch size,
+/// so a clock-frequency dip lands on every arm of the adjacent sample
+/// tuple, not on whichever arm ran last. Warm-up doubles the batch until
+/// the slowest arm's batch fills a tenth of its share of a sample window,
+/// and lasts at least `config.warmup`. Returns one vector of
+/// per-iteration nanoseconds per arm, `config.samples` long.
+pub fn sample_arms<A: FnMut()>(config: &BenchConfig, arms: &mut [A]) -> Vec<Vec<f64>> {
+    let sample_window = config.measurement / (config.samples * arms.len() as u32);
+    let mut batch: u64 = 1;
+    let warmup_end = Instant::now() + config.warmup;
+    loop {
+        let mut slowest = Duration::ZERO;
+        for run in arms.iter_mut() {
+            let start = Instant::now();
+            for _ in 0..batch {
+                run();
+            }
+            slowest = slowest.max(start.elapsed());
+        }
+        if slowest * 10 >= sample_window && Instant::now() >= warmup_end {
+            break;
+        }
+        if slowest * 10 < sample_window {
+            batch = batch.saturating_mul(2);
+        }
+    }
+    let mut sample_ns = vec![Vec::with_capacity(config.samples as usize); arms.len()];
+    for _ in 0..config.samples {
+        for (a, run) in arms.iter_mut().enumerate() {
+            let start = Instant::now();
+            for _ in 0..batch {
+                run();
+            }
+            sample_ns[a].push(start.elapsed().as_nanos() as f64 / batch as f64);
+        }
+    }
+    sample_ns
+}
+
+/// Per-sample time ratios `num[i] / den[i]` of two interleaved arms, as
+/// `(median, best)`. Both arms of a sample tuple run back to back, so a
+/// clock dip hits numerator and denominator almost equally and cancels,
+/// unlike cross-arm means, which drift apart when the dip moves mid-cell.
+pub fn paired_ratio(num: &[f64], den: &[f64]) -> (f64, f64) {
+    let mut ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
+    ratios.sort_by(f64::total_cmp);
+    (ratios[ratios.len() / 2], ratios[0])
+}
+
+/// The workspace's standard result document: experiment name, the seed
+/// it reproduces from, the configuration, and the per-point rows:
+/// everything a plotting script (or a re-run) needs.
+pub fn bench_doc(experiment: &str, seed: Seed, config: Json, points: Vec<Json>) -> Json {
+    Json::obj([
+        ("experiment", experiment.to_json()),
+        ("seed", seed.0.to_json()),
+        ("config", config),
+        ("points", Json::arr(points)),
+    ])
 }
 
 /// One benchmark's measurements. Mean/stddev/CI are computed over the
@@ -181,34 +249,21 @@ impl Harness {
         &self.results
     }
 
-    /// The standard experiment result document: `experiment` / `seed` /
-    /// `config` / `points`, with one point per measurement. `extra`'s
-    /// entries are appended to the sampling parameters inside `config`
-    /// (pass `Json::obj([])` when there are none).
-    pub fn to_json(&self, experiment: &str, seed: Seed, extra: Json) -> Json {
-        let mut config = vec![
+    /// The `config` object of [`bench_doc`]: the sampling parameters,
+    /// then `extra`'s entries.
+    pub fn config_json<'a>(&self, extra: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        let sampling = [
             (
-                "warmup_ms".to_string(),
+                "warmup_ms",
                 (self.config.warmup.as_millis() as u64).to_json(),
             ),
             (
-                "measurement_ms".to_string(),
+                "measurement_ms",
                 (self.config.measurement.as_millis() as u64).to_json(),
             ),
-            ("samples".to_string(), self.config.samples.to_json()),
+            ("samples", self.config.samples.to_json()),
         ];
-        if let Json::Obj(pairs) = extra {
-            config.extend(pairs);
-        }
-        Json::obj([
-            ("experiment".to_string(), experiment.to_json()),
-            ("seed".to_string(), seed.0.to_json()),
-            ("config".to_string(), Json::Obj(config)),
-            (
-                "points".to_string(),
-                Json::arr(self.results.iter().map(Measurement::to_json)),
-            ),
-        ])
+        Json::obj(sampling.into_iter().chain(extra))
     }
 }
 
@@ -227,47 +282,22 @@ impl Group<'_> {
         self
     }
 
-    /// Measure `f`, printing one result line.
+    /// Measure `f` ([`sample_arms`] with one arm), printing one result
+    /// line.
     pub fn bench<R>(&mut self, id: &str, mut f: impl FnMut() -> R) -> &mut Self {
         let cfg = self.harness.config;
-
-        // Warmup, and discover a batch size that runs ≳1/10 of a sample
-        // window so Instant overhead stays negligible.
-        let mut batch: u64 = 1;
-        let warmup_end = Instant::now() + cfg.warmup;
-        loop {
-            let start = Instant::now();
-            for _ in 0..batch {
+        let sample_ns = sample_arms(
+            &cfg,
+            &mut [|| {
                 std::hint::black_box(f());
-            }
-            let elapsed = start.elapsed();
-            let sample_window = cfg.measurement / cfg.samples;
-            if elapsed * 10 >= sample_window && Instant::now() >= warmup_end {
-                break;
-            }
-            if elapsed * 10 < sample_window {
-                batch = batch.saturating_mul(2);
-            }
-        }
-
-        // Timed samples.
-        let mut sample_ns = Vec::with_capacity(cfg.samples as usize);
-        for _ in 0..cfg.samples {
-            let start = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(f());
-            }
-            sample_ns.push(start.elapsed().as_nanos() as f64 / batch as f64);
-        }
-        self.record(id, &sample_ns);
-        self
+            }],
+        );
+        self.record(id, &sample_ns[0])
     }
 
-    /// Ingest externally-timed per-iteration samples (ns each) through the
-    /// same statistics pipeline [`Group::bench`] uses. For benchmarks that
-    /// must own their sampling schedule — e.g. interleaving the arms of a
-    /// comparison sample-by-sample so clock-frequency drift shifts all of
-    /// them together instead of whichever arm ran last.
+    /// Ingest per-iteration samples (ns each) through the statistics
+    /// pipeline [`Group::bench`] uses: one arm of a [`sample_arms`]
+    /// comparison.
     pub fn record(&mut self, id: &str, sample_ns: &[f64]) -> &mut Self {
         let full_id = format!("{}/{}", self.name, id);
         let m = measurement_from_samples(full_id, sample_ns, self.throughput_bytes);
@@ -338,7 +368,7 @@ fn print_measurement(m: &Measurement) {
 }
 
 /// Human-readable nanosecond quantity.
-pub fn format_ns(ns: f64) -> String {
+fn format_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.1} ns")
     } else if ns < 1e6 {
@@ -351,7 +381,7 @@ pub fn format_ns(ns: f64) -> String {
 }
 
 /// Human-readable byte quantity.
-pub fn format_bytes(b: f64) -> String {
+fn format_bytes(b: f64) -> String {
     if b < 1e3 {
         format!("{b:.0} B")
     } else if b < 1e6 {
@@ -474,7 +504,13 @@ mod tests {
             .throughput_bytes(64)
             .bench("a", || 1)
             .bench("b", || 2);
-        let doc = h.to_json("unit", Seed(9), Json::obj([("extra", 5u64.to_json())]));
+        let points = h.results().iter().map(Measurement::to_json).collect();
+        let doc = bench_doc(
+            "unit",
+            Seed(9),
+            h.config_json([("extra", 5u64.to_json())]),
+            points,
+        );
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("unit"));
         assert_eq!(doc.get("seed").unwrap().as_u64(), Some(9));
         let cfg = doc.get("config").unwrap();
@@ -487,7 +523,28 @@ mod tests {
         assert!(points[0].get("ci95_lo_ns").is_some());
         // The document must survive the jsonck round-trip rule.
         let text = doc.to_string();
+        assert_eq!(Json::parse(&text).unwrap(), doc, "writer/parser agree");
         assert_eq!(Json::parse(&text).unwrap().to_string(), text);
+    }
+
+    #[test]
+    fn arms_interleave_and_pair() {
+        let (mut fast, mut slow) = (0u32, 0u32);
+        let mut arms: [Box<dyn FnMut()>; 2] = [
+            Box::new(|| fast += 1),
+            Box::new(|| {
+                slow += 1;
+                std::thread::sleep(Duration::from_micros(50));
+            }),
+        ];
+        let samples = sample_arms(&tiny(), &mut arms);
+        drop(arms);
+        assert_eq!(samples.len(), 2);
+        assert!(samples.iter().all(|s| s.len() == tiny().samples as usize));
+        assert_eq!(fast, slow, "one shared batch size");
+        let (median, best) = paired_ratio(&samples[0], &samples[1]);
+        assert!(best <= median && median < 1.0, "{best} <= {median} < 1");
+        assert_eq!(paired_ratio(&[2.0, 9.0, 3.0], &[1.0; 3]), (3.0, 2.0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Scoped parallel sweeps and a persistent worker pool.
+//! Scoped parallel sweeps.
 //!
 //! Simulator instances are independent and deterministic, so sweeps are
 //! embarrassingly parallel (the HPC guides' "parallelize across
@@ -6,175 +6,11 @@
 //! scoped-thread dependency with the standard library's scoped threads.
 //!
 //! [`scope_map_dynamic`] spawns scoped threads once per sweep: its cells
-//! each simulate for milliseconds, so the spawn is noise. [`WorkerPool`]
-//! spawns its threads once and runs many broadcast jobs, so the parallel
-//! packet engine's thousands of short lookahead windows never pay a
-//! per-round spawn.
+//! each simulate for milliseconds, so the spawn is noise. The parallel
+//! packet engine (`ib_sim::parallel`) spawns its own scoped workers once
+//! per run; every lookahead window of that run executes inside them.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// A persistent pool of parked OS threads that runs broadcast jobs: every
-/// call to [`broadcast`](Self::broadcast) wakes all workers, runs the
-/// closure once per worker index, and returns when the last worker
-/// finishes. Spawning happens once in [`new`](Self::new), so a caller
-/// issuing thousands of short rounds (conservative-lookahead windows)
-/// pays only a wake/park per round, not a spawn.
-pub struct WorkerPool {
-    inner: Arc<PoolInner>,
-    /// Serializes broadcasts: a second caller waits instead of corrupting
-    /// the in-flight round's job slot.
-    gate: Mutex<()>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct PoolInner {
-    state: Mutex<PoolState>,
-    start: Condvar,
-    done: Condvar,
-}
-
-struct PoolState {
-    job: Option<JobPtr>,
-    round: u64,
-    remaining: usize,
-    panicked: usize,
-    shutdown: bool,
-}
-
-/// A lifetime-erased pointer to the current broadcast's closure.
-#[derive(Clone, Copy)]
-struct JobPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: workers dereference the pointer only between job publication and
-// the final completion notification, and `broadcast` blocks the calling
-// thread (which holds the closure) for that entire interval, so the
-// referent outlives every use; `Sync` on the referent makes the shared
-// cross-thread calls sound.
-unsafe impl Send for JobPtr {}
-
-impl WorkerPool {
-    /// Spawn a pool of `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.max(1);
-        let inner = Arc::new(PoolInner {
-            state: Mutex::new(PoolState {
-                job: None,
-                round: 0,
-                remaining: 0,
-                panicked: 0,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|idx| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_main(&inner, idx))
-            })
-            .collect();
-        WorkerPool {
-            inner,
-            gate: Mutex::new(()),
-            handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Run `f(idx)` once on every worker (`idx` in `0..threads()`),
-    /// blocking until all complete. Concurrent broadcasts from other
-    /// threads queue behind this one. Panics if any worker's closure
-    /// panicked.
-    pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        // A propagated worker panic poisons the gate; the pool itself is
-        // still healthy, so recover the guard rather than wedging every
-        // future caller.
-        let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        // SAFETY (lifetime erasure): see `JobPtr` — we block below until
-        // every worker has finished with the pointer.
-        let job = JobPtr(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
-        });
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.job = Some(job);
-        st.round += 1;
-        st.remaining = self.handles.len();
-        st.panicked = 0;
-        self.inner.start.notify_all();
-        while st.remaining > 0 {
-            st = self.inner.done.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st.job = None;
-        let panicked = st.panicked;
-        drop(st);
-        assert!(
-            panicked == 0,
-            "WorkerPool::broadcast: {panicked} worker(s) panicked"
-        );
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.shutdown = true;
-            self.inner.start.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_main(inner: &PoolInner, idx: usize) {
-    let mut seen = 0u64;
-    let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        if st.shutdown {
-            return;
-        }
-        if st.round > seen {
-            if let Some(job) = st.job {
-                seen = st.round;
-                drop(st);
-                // SAFETY: see `JobPtr` — the broadcaster keeps the closure
-                // alive until we report completion below.
-                let run = || (unsafe { &*job.0 })(idx);
-                let outcome = catch_unwind(AssertUnwindSafe(run));
-                st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-                if outcome.is_err() {
-                    st.panicked += 1;
-                }
-                st.remaining -= 1;
-                if st.remaining == 0 {
-                    inner.done.notify_all();
-                }
-                continue;
-            }
-        }
-        st = inner.start.wait(st).unwrap_or_else(|e| e.into_inner());
-    }
-}
-
-/// The process-wide pool the parallel packet engine dispatches to,
-/// created on first use and sized to the machine (at least the first
-/// call's worker count). A later, larger request gets the pool as it is;
-/// the caller clamps its worker count to [`WorkerPool::threads`].
-pub fn global_pool(workers: usize) -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        WorkerPool::new(avail.max(workers))
-    })
-}
+use std::sync::Mutex;
 
 /// Run `f` over every item on at most `threads` workers, returning
 /// results in input order. Scheduling is dynamic: workers pull the next
@@ -333,40 +169,6 @@ mod tests {
             x + 1
         });
         assert_eq!(out, (1..=32).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn pool_runs_many_rounds_without_respawning() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        let hits = AtomicUsize::new(0);
-        for _ in 0..200 {
-            pool.broadcast(&|_w| {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 800);
-    }
-
-    #[test]
-    fn pool_propagates_worker_panics_and_survives() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let pool = WorkerPool::new(2);
-        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.broadcast(&|w| {
-                if w == 0 {
-                    panic!("worker goes down");
-                }
-            });
-        }));
-        assert!(boom.is_err(), "worker panic must resurface at the caller");
-        // The pool keeps working after a propagated panic.
-        let hits = AtomicUsize::new(0);
-        pool.broadcast(&|_w| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -853,6 +853,7 @@ impl SimCore {
         bytes: Vec<u8>,
     ) {
         let sh = &self.shared;
+        assert!(src < sh.n_nodes && dst < sh.n_nodes);
         let dom = &mut self.domains[sh.dom_of_node[src]];
         let ln = sh.local_node[src] as usize;
         dom.stats.generated += 1;
@@ -1741,8 +1742,6 @@ pub struct Simulator {
     core: SimCore,
     queue: EventQueue,
     now: SimTime,
-    /// Events popped past a `run_hosts_until` horizon, kept in key order.
-    held: VecDeque<(EventKey, Event)>,
     host_inbox: VecDeque<HostDelivery>,
 }
 
@@ -1755,7 +1754,6 @@ impl Simulator {
             core,
             queue: EventQueue::new(),
             now: 0,
-            held: VecDeque::new(),
             host_inbox: VecDeque::new(),
         };
         sim.drain_staged();
@@ -1797,30 +1795,6 @@ impl Simulator {
         self.host_inbox.append(&mut dom.host_inbox);
     }
 
-    /// Next event in global key order, merging the queue with the held
-    /// buffer (events popped past a previous `run_hosts_until` limit).
-    /// Keys are unique, so the merge is a strict total order.
-    fn pop_next(&mut self) -> Option<(EventKey, Event)> {
-        let popped = self.queue.pop_keyed();
-        let held_first = match (self.held.front(), &popped) {
-            (Some((hk, _)), Some((pk, _))) => hk < pk,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if !held_first {
-            return popped;
-        }
-        if let Some((pk, pev)) = popped {
-            let pos = self
-                .held
-                .iter()
-                .position(|(hk, _)| *hk > pk)
-                .unwrap_or(self.held.len());
-            self.held.insert(pos, (pk, pev));
-        }
-        self.held.pop_front()
-    }
-
     /// Run to completion and return the report.
     pub fn run(self) -> SimReport {
         self.run_counted().0
@@ -1829,7 +1803,7 @@ impl Simulator {
     /// Run to completion, also returning the number of events processed
     /// (the `sim_engine` bench divides by wall-clock for events/sec).
     pub fn run_counted(mut self) -> (SimReport, u64) {
-        while let Some((key, ev)) = self.pop_next() {
+        while let Some((key, ev)) = self.queue.pop_keyed() {
             self.dispatch(key, ev);
         }
         if cfg!(debug_assertions) {
@@ -1865,18 +1839,19 @@ impl Simulator {
     /// Advance the simulation until a host delivery is ready, the event
     /// horizon `limit` is reached, or the queue drains — whichever comes
     /// first. Returns the new simulation time, which never exceeds the
-    /// first pending delivery's time and never regresses. An event popped
-    /// past `limit` is held and re-merged by `pop_next` on the next call.
+    /// first pending delivery's time and never regresses. The event popped
+    /// past `limit` goes back into the queue under its own key.
     pub fn run_hosts_until(&mut self, limit: SimTime) -> SimTime {
         while self.host_inbox.is_empty() {
-            let Some((key, ev)) = self.pop_next() else {
+            let Some((key, ev)) = self.queue.pop_keyed() else {
                 self.now = self.now.max(limit);
                 break;
             };
             if key.time > limit {
-                // This key is the global minimum right now, so it precedes
-                // everything already held.
-                self.held.push_front((key, ev));
+                // The queue files a key behind its cursor exactly and
+                // `(time, seq)` is unique, so the next pop returns this
+                // event in global order, after anything posted at `limit`.
+                self.queue.push_keyed(key.time, key.seq, ev);
                 self.now = self.now.max(limit);
                 break;
             }
@@ -2004,24 +1979,36 @@ mod tests {
 
     #[test]
     fn host_hook_interleaves_with_background_traffic() {
-        // With sources active, run_hosts_until must keep the background
-        // simulation bit-identical to an uninterrupted run of the same
-        // seed (the held-event slot preserves global event order).
-        let base = Simulator::new(quick_cfg()).run();
-        let mut sim = Simulator::new(quick_cfg());
-        let mut t = 0;
-        while t < 3 * MS {
-            t = sim.run_hosts_until(t + 100 * US);
-            while sim.take_host_delivery().is_some() {}
-            if sim.now() >= 3 * MS {
-                break;
+        // With sources active, stopping at a horizon and resuming must
+        // leave the whole run bit-identical. A host packet posted at a
+        // horizon lands behind the event popped past it. The reference
+        // stops only at deliveries and at the 100 µs post times; the
+        // interrupted run also stops every 7 µs in between, and both post
+        // the same packets at the same times.
+        let run = |step: SimTime| {
+            let mut sim = Simulator::new(quick_cfg());
+            let dst = sim.topology().num_nodes() - 1;
+            let mut delivered = Vec::new();
+            for k in 1..=30u8 {
+                let post_at = SimTime::from(k) * 100 * US;
+                while sim.now() < post_at {
+                    sim.run_hosts_until((sim.now() + step).min(post_at));
+                    while let Some(d) = sim.take_host_delivery() {
+                        delivered.push((d.at, d.bytes));
+                    }
+                }
+                sim.post_host(0, dst, 1, vec![k; 64]);
             }
-        }
-        let (report, _) = sim.run_counted();
-        assert_eq!(report.generated, base.generated);
-        assert_eq!(report.realtime.delivered, base.realtime.delivered);
-        assert_eq!(report.best_effort.delivered, base.best_effort.delivered);
-        assert!((report.legit_queuing_mean() - base.legit_queuing_mean()).abs() < 1e-12);
+            let (report, events) = sim.run_counted();
+            (report.to_json().to_string(), events, delivered)
+        };
+        let reference = run(100 * US);
+        assert_eq!(
+            reference.2.len(),
+            29,
+            "every host packet but the last drained"
+        );
+        assert_eq!(run(7 * US), reference);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! [`ParSimulator`] runs the same `SimCore` the serial [`Simulator`]
 //! does, but gives every event domain its own calendar queue and executes
-//! domains on the persistent `ib-runtime` worker pool, synchronized in
-//! **lookahead windows** (Chandy–Misra–Bryant-style conservative
-//! synchronization, specialized to barrier-synchronous rounds):
+//! domains on scoped worker threads, spawned once per `run()` and
+//! synchronized in **lookahead windows** (Chandy–Misra–Bryant-style
+//! conservative synchronization, specialized to barrier-synchronous
+//! rounds):
 //!
 //! 1. `T` = the global minimum pending-event time (over every domain
 //!    queue and in-flight mailbox) — the horizon jump, so idle stretches
@@ -16,6 +17,10 @@
 //!    the SM loop). Events bound for another domain are pushed into that
 //!    domain's mailbox under a short lock.
 //! 3. A barrier; worker 0 recomputes `T` and opens the next round.
+//!
+//! Every window of a run executes inside the same workers, on an atomic
+//! spin barrier; each worker owns its slice of the domains by value and
+//! hands it back when it joins.
 //!
 //! Because a cross-domain event emitted at `t` is due no earlier than
 //! `t + W ≥ T + W`, nothing a peer does during a window can affect this
@@ -51,7 +56,7 @@ struct Mailbox {
 }
 
 /// Sets the shared stop flag and unblocks both spin loops if its worker
-/// unwinds, so a handler panic surfaces at the `broadcast` call instead
+/// unwinds, so a handler panic surfaces at the `join` in `run` instead
 /// of deadlocking the sibling workers at the barrier.
 struct PanicGuard<'a> {
     done: &'a AtomicBool,
@@ -81,8 +86,8 @@ fn relax(spins: &mut u32) {
 }
 
 /// The parallel driver. Construction, posting and reporting mirror
-/// [`Simulator`]; only `run` differs — it executes the domains on the
-/// process-wide worker pool (or falls back to an in-place D-way merge
+/// [`Simulator`]; only `run` differs — it executes the domains on scoped
+/// worker threads (or falls back to an in-place D-way merge
 /// when parallelism can't help: one thread, one domain, or zero
 /// lookahead).
 pub struct ParSimulator {
@@ -94,16 +99,8 @@ pub struct ParSimulator {
 }
 
 impl ParSimulator {
-    /// Build with as many threads as the machine offers.
-    pub fn new(cfg: SimConfig) -> ParSimulator {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParSimulator::with_threads(cfg, threads)
-    }
-
     /// Build with an explicit thread-count cap. `threads == 1` is the
-    /// serial D-way merge — still the sharded core, just no pool.
+    /// serial D-way merge — still the sharded core, just no threads.
     pub fn with_threads(cfg: SimConfig, threads: usize) -> ParSimulator {
         let core = SimCore::new(cfg);
         let queues = (0..core.shared.num_domains)
@@ -135,16 +132,6 @@ impl ParSimulator {
         let flow = self.core.post_flow_at(0, src, dst, bytes);
         self.drain_staged();
         flow
-    }
-
-    /// Number of event domains the topology decomposed into.
-    pub fn num_domains(&self) -> usize {
-        self.core.shared.num_domains
-    }
-
-    /// The thread cap this driver was built with.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Run to completion and return the report — bit-identical to
@@ -239,21 +226,15 @@ impl ParSimulator {
         if t0 == SimTime::MAX {
             return; // nothing scheduled
         }
-        let pool = ib_runtime::par::global_pool(workers);
-        let workers = workers.min(pool.threads());
-        if workers <= 1 {
-            return self.run_merged();
-        }
-
         let queue_next: Vec<AtomicU64> = self
             .queues
             .iter_mut()
             .map(|q| AtomicU64::new(q.peek_key().map_or(SimTime::MAX, |k| k.time)))
             .collect();
-        // Each worker owns a fixed round-robin slice of the domains; the
-        // slot Mutex is locked once per run, not per round.
-        let slots: Vec<Mutex<Vec<(usize, Domain, EventQueue)>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
+        // Each worker owns a fixed round-robin slice of the domains by
+        // value for the whole run and hands it back when it joins.
+        let mut slices: Vec<Vec<(usize, Domain, EventQueue)>> =
+            (0..workers).map(|_| Vec::new()).collect();
         for (d, (dom, queue)) in self
             .core
             .domains
@@ -261,8 +242,7 @@ impl ParSimulator {
             .zip(self.queues.drain(..))
             .enumerate()
         {
-            let mut slot = slots[d % workers].lock().unwrap_or_else(|p| p.into_inner());
-            slot.push((d, dom, queue));
+            slices[d % workers].push((d, dom, queue));
         }
         let mailboxes: Vec<Mutex<Mailbox>> = (0..nd)
             .map(|_| {
@@ -278,28 +258,24 @@ impl ParSimulator {
         let window_end = AtomicU64::new(t0.saturating_add(w));
         let sh = &self.core.shared;
 
-        pool.broadcast(&|widx: usize| {
-            if widx >= workers {
-                return; // pool may be wider than this run needs
-            }
+        let worker = |widx: usize, mut local: Vec<(usize, Domain, EventQueue)>| {
             let _guard = PanicGuard {
                 done: &done,
                 arrived: &arrived,
                 round: &round,
             };
-            let mut local = slots[widx].lock().unwrap_or_else(|p| p.into_inner());
             let mut my_round = 1u64;
-            loop {
+            'rounds: loop {
                 // Wait for the coordinator to open my round.
                 let mut spins = 0u32;
                 while round.load(Ordering::Acquire) < my_round {
                     if done.load(Ordering::Acquire) {
-                        return;
+                        break 'rounds;
                     }
                     relax(&mut spins);
                 }
                 if done.load(Ordering::Acquire) {
-                    return;
+                    break;
                 }
                 let wend = window_end.load(Ordering::Acquire);
                 for (d, dom, queue) in local.iter_mut() {
@@ -344,7 +320,7 @@ impl ParSimulator {
                     let mut spins = 0u32;
                     while arrived.load(Ordering::Acquire) < workers {
                         if done.load(Ordering::Acquire) {
-                            return;
+                            break 'rounds;
                         }
                         relax(&mut spins);
                     }
@@ -357,7 +333,7 @@ impl ParSimulator {
                     if t == SimTime::MAX {
                         done.store(true, Ordering::Release);
                         round.fetch_add(1, Ordering::Release);
-                        return;
+                        break;
                     }
                     window_end.store(t.saturating_add(w), Ordering::Release);
                     arrived.store(0, Ordering::Release);
@@ -365,18 +341,24 @@ impl ParSimulator {
                 }
                 my_round += 1;
             }
+            local
+        };
+        let mut returned: Vec<(usize, Domain, EventQueue)> = std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = slices
+                .into_iter()
+                .enumerate()
+                .map(|(widx, local)| scope.spawn(move || worker(widx, local)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
 
         // Move every domain (and its queue) back in index order.
-        let mut returned: Vec<Option<(Domain, EventQueue)>> = (0..nd).map(|_| None).collect();
-        for slot in slots {
-            let inner = slot.into_inner().unwrap_or_else(|p| p.into_inner());
-            for (d, dom, queue) in inner {
-                returned[d] = Some((dom, queue));
-            }
-        }
-        for pair in returned {
-            let (dom, queue) = pair.expect("every domain returns from its worker");
+        returned.sort_unstable_by_key(|&(d, ..)| d);
+        for (_, dom, queue) in returned {
             self.core.domains.push(dom);
             self.queues.push(queue);
         }

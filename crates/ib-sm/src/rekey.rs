@@ -335,7 +335,9 @@ impl Host for KeyPlane {
 
     /// Everything addressed to QP0 is the management plane's: MADs to a
     /// replica's node go to the replica; on a member CA a `KeyUpdate`
-    /// re-keys every endpoint resident on the node and is acked.
+    /// re-keys every endpoint resident on the node and is acked. A MAD
+    /// whose SLID names no node of the fabric is dropped unread: its ack
+    /// would have nowhere to go.
     fn offer(
         &mut self,
         d: &HostDelivery,
@@ -349,6 +351,9 @@ impl Host for KeyPlane {
         let Some((src_node, mad)) = mad_of(pkt) else {
             return true;
         };
+        if src_node >= sim.topology().num_nodes() {
+            return true;
+        }
         if let Some(rep) = self.replicas.get_mut(d.node) {
             rep.handle(d.at, src_node, &mad, &mut self.mad_out);
             send_mads(&mut self.mad_out, d.node, sim);
@@ -584,6 +589,7 @@ fn report(cfg: &RekeyConfig, run: &Cosim, plane: &KeyPlane) -> RekeyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ib_mgmt::keymgmt::KeyEnvelope;
 
     fn base() -> RekeyConfig {
         let mut cfg = RekeyConfig {
@@ -729,5 +735,55 @@ mod tests {
                 .sum();
             assert_eq!(stale_macs, 0, "{flows} flows: retired keys' MACs evicted");
         }
+    }
+
+    /// A sealed `ReplicateKey` to a replica and a sealed `KeyUpdate` to a
+    /// member CA, both from SLID 0x0100 on the 16-node mesh: each would be
+    /// acked toward a node the fabric does not have, which routing cannot
+    /// reach. Both are dropped and nothing is posted.
+    #[test]
+    fn mads_from_outside_the_fabric_are_dropped() {
+        let cfg = base();
+        let (mut run, mut plane) = run_driver(&cfg);
+        assert_eq!(run.sim.topology().num_nodes(), 16);
+        let member = cfg.replicas;
+        let secret = SecretKey::from_seed(7);
+        let sealed = |node: usize| KeyEnvelope::seal(&secret, &plane.node_keys[node].0);
+        let epoch = KeyEpoch(1000);
+        let mads = [
+            (
+                0,
+                SmMessage::ReplicateKey {
+                    term: 1,
+                    pkey: REKEY_PKEY,
+                    epoch,
+                    envelope: sealed(0),
+                },
+            ),
+            (
+                member,
+                SmMessage::KeyUpdate {
+                    term: 1,
+                    pkey: REKEY_PKEY,
+                    epoch,
+                    envelope: sealed(member),
+                },
+            ),
+        ];
+        for (node, msg) in mads {
+            let pkt = mad_packet(Lid(0x0100), Lid(node as u16 + 1), &msg.encode(1));
+            let d = HostDelivery {
+                at: run.sim.now(),
+                node,
+                bytes: pkt.to_bytes(),
+            };
+            let generated = run.sim.stats().generated;
+            assert!(plane.offer(&d, &pkt, &mut run.sim, &mut run.flows));
+            assert_eq!(run.sim.stats().generated, generated, "nothing posted");
+        }
+        assert!(
+            plane.node_epoch.iter().all(|&e| e < epoch),
+            "no key installed"
+        );
     }
 }
