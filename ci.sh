@@ -59,6 +59,24 @@ smoke_twice() {
 # replays with the window and admitted ones without it.
 smoke_twice fig_replay
 
+echo "== every bench binary rejects an argument it does not take =="
+# Each binary but jsonck (which takes file paths) parses its command line
+# through bench::parse_args. An unknown flag must fail the run before it
+# writes anything, so a misspelled or retired flag never runs the default
+# grid as if asked.
+reject_dir=$(mktemp -d)
+bin_dir="$PWD/target/release"
+for bin in ablations fig1 fig5 fig6 fig_rdma fig_rekey fig_replay fig_scale \
+           mac_table4 sim_engine table1 table2 table3 table4; do
+  if (cd "$reject_dir" && "$bin_dir/$bin" --no-such-flag) > /dev/null 2>&1; then
+    echo "$bin accepted --no-such-flag"; exit 1
+  fi
+  if [ -n "$(ls -A "$reject_dir")" ]; then
+    echo "$bin wrote into its directory before rejecting --no-such-flag"; exit 1
+  fi
+done
+rmdir "$reject_dir"
+
 echo "== table1-table4 and ablations smoke (their in-binary asserts must hold) =="
 # These print tables and write no BENCH_*.json, so nothing is diffed:
 # the leg exists for their asserts (Table 4's CRC < UMAC < HMAC-MD5 <

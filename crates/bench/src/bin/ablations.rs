@@ -9,9 +9,9 @@
 //!    throughput and detection rate vs coverage.
 //! 5. UMAC tag length vs forgery bound (analytic).
 //!
-//! Usage: `ablations [--quick] [--only N] [--seed S]`
+//! Usage: `ablations [--smoke] [--seed S]`
 
-use bench::{arg_value, render_table, seed_arg, smoke_arg};
+use bench::{parse_args, render_table};
 use ib_crypto::partial_mac::PartialMac;
 use ib_crypto::umac::Umac;
 use ib_mgmt::enforcement::EnforcementKind;
@@ -286,26 +286,13 @@ fn ablation_tag_length() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = smoke_arg(&args);
+    let (quick, seed) = parse_args(std::env::args());
     let seeds = if quick { 2 } else { 3 };
-    let only: Option<u32> = arg_value(&args, "--only").and_then(|v| v.parse().ok());
-    let seed = seed_arg(&args);
 
     println!("Ablation studies (seed {seed})\n");
-    if only.is_none() || only == Some(1) {
-        ablation_attack_probability(quick, seeds, seed);
-    }
-    if only.is_none() || only == Some(2) {
-        ablation_valid_pkey(quick, seeds, seed);
-    }
-    if only.is_none() || only == Some(3) {
-        ablation_arbitration(quick, seeds, seed);
-    }
-    if only.is_none() || only == Some(4) {
-        ablation_partial_mac(quick);
-    }
-    if only.is_none() || only == Some(5) {
-        ablation_tag_length();
-    }
+    ablation_attack_probability(quick, seeds, seed);
+    ablation_valid_pkey(quick, seeds, seed);
+    ablation_arbitration(quick, seeds, seed);
+    ablation_partial_mac(quick);
+    ablation_tag_length();
 }

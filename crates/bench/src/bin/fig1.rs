@@ -6,17 +6,14 @@
 //! marginally; best-effort suffers more than realtime (VL priority).
 //! Each point averages several random partition/attacker placements.
 //!
-//! Usage: `fig1 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
-//! `--quick`, matching the other gated binaries).
+//! Usage: `fig1 [--smoke] [--seed S]`.
 
-use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::experiments::{fig1_rows, Fig1Row, FigureRun, FIG1_MAX_ATTACKERS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = smoke_arg(&args);
-    let seed = seed_arg(&args);
+    let (quick, seed) = parse_args(std::env::args());
     let seeds = FigureRun::fig1(quick).seeds;
     let rows = fig1_rows(seed, quick);
 

@@ -6,17 +6,15 @@
 //! attack probability lets DoS traffic into the fabric until the SM
 //! programs the filter, and slightly better once lookups dominate.
 //!
-//! Usage: `fig5 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
-//! `--quick`). The attack-probability sweep is ablation 1 (`ablations`).
+//! Usage: `fig5 [--smoke] [--seed S]`. The attack-probability sweep is
+//! ablation 1 (`ablations`).
 
-use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::experiments::{fig5_rows, Fig5Row, FigureRun, FIG5_ATTACK_PROBABILITY};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = smoke_arg(&args);
-    let seed = seed_arg(&args);
+    let (quick, seed) = parse_args(std::env::args());
     let seeds = FigureRun::fig56(quick).seeds;
     let attack_prob = FIG5_ATTACK_PROBABILITY;
     let rows = fig5_rows(seed, quick);

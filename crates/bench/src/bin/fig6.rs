@@ -8,18 +8,15 @@
 //! Every load runs three arms: No Key, With Key at partition level
 //! (ablation 8) and With Key at QP level.
 //!
-//! Usage: `fig6 [--quick|--smoke] [--seed S]` (`--smoke` is an alias for
-//! `--quick`, matching the other gated binaries).
+//! Usage: `fig6 [--smoke] [--seed S]`.
 
-use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::experiments::{fig6_rows, Fig6Row, FigureRun};
 use ib_sim::config::AuthMode;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = smoke_arg(&args);
-    let seed = seed_arg(&args);
+    let (quick, seed) = parse_args(std::env::args());
     let seeds = FigureRun::fig56(quick).seeds;
     let rows = fig6_rows(seed, quick);
 

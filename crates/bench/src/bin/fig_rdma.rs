@@ -11,9 +11,9 @@
 //! high enough that a single drop no longer implies every later segment
 //! must be resent.
 //!
-//! Usage: `fig_rdma [--smoke] [--messages N] [--seed S]`
+//! Usage: `fig_rdma [--smoke] [--seed S]`
 
-use bench::{arg_value, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::MS;
@@ -57,12 +57,8 @@ fn config_for(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = smoke_arg(&args);
-    let messages: usize = arg_value(&args, "--messages")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 16 } else { 48 });
-    let seed = seed_arg(&args);
+    let (smoke, seed) = parse_args(std::env::args());
+    let messages: usize = if smoke { 16 } else { 48 };
 
     let mut points: Vec<(RdmaOp, f64, RetransmitMode, FabricReport)> = Vec::new();
     for op in RdmaOp::ALL {

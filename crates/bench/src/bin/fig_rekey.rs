@@ -11,9 +11,9 @@
 //! the leader costs a bounded goodput dip: the staggered election
 //! installs a successor whose healing rotation re-keys every member CA.
 //!
-//! Usage: `fig_rekey [--smoke] [--flows N] [--seed S]`
+//! Usage: `fig_rekey [--smoke] [--seed S]`
 
-use bench::{arg_value, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_sim::time::{MS, US};
 use ib_sim::SimTime;
@@ -115,14 +115,10 @@ fn config_for(seed: u64, smoke: bool, flows: usize, arm: Arm) -> RekeyConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = smoke_arg(&args);
+    let (smoke, seed) = parse_args(std::env::args());
     // Each flow is a requester/responder QP pair: the full run drives
     // 1024 QPs of RC traffic through the rotating key plane.
-    let flows: usize = arg_value(&args, "--flows")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 48 } else { 512 });
-    let seed = seed_arg(&args);
+    let flows: usize = if smoke { 48 } else { 512 };
 
     let swept = arms(smoke);
     let mut points: Vec<(Arm, RekeyReport)> = Vec::new();

@@ -17,9 +17,9 @@
 //! * **mesh** — the paper's 16-node fabric at its default load, corner
 //!   to corner, where replays ride real VL arbitration and congestion.
 //!
-//! Usage: `fig_replay [--smoke] [--messages N] [--seed S]`
+//! Usage: `fig_replay [--smoke] [--seed S]`
 
-use bench::{arg_value, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_runtime::{bench::bench_doc, Json, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::MS;
@@ -61,12 +61,8 @@ fn config_for(
 const SWEEPS: [(&str, bool); 2] = [("quiet", true), ("mesh", false)];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = smoke_arg(&args);
-    let messages: usize = arg_value(&args, "--messages")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 60 } else { 300 });
-    let seed = seed_arg(&args);
+    let (smoke, seed) = parse_args(std::env::args());
+    let messages: usize = if smoke { 60 } else { 300 };
 
     let mut points: Vec<(&str, f64, ChannelSecurity, FabricReport)> = Vec::new();
     for (transport, quiet) in SWEEPS {

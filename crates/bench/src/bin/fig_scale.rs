@@ -22,7 +22,7 @@
 //!
 //! Usage: `fig_scale [--smoke] [--seed S]`
 
-use bench::{render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, render_table, write_bench_json};
 use ib_flow::{simulate, Flow};
 use ib_runtime::{bench::bench_doc, Json, Rng, Seed, ToJson};
 use ib_sim::{ParSimulator, SimConfig, SimTime, Simulator, TopoSpec};
@@ -42,91 +42,34 @@ const SPEEDUP_THREADS: usize = 4;
 /// mirroring the `ib-flow` crossval gate.
 const CROSSVAL_TOLERANCE: f64 = 0.25;
 
-/// One swept fabric.
+/// One swept fabric; both engines run on every arm.
 struct Arm {
     label: &'static str,
     spec: TopoSpec,
-    /// Run the packet engine too (the fluid model always runs).
-    packet: bool,
 }
 
 fn arms(smoke: bool) -> Vec<Arm> {
     let df = |a, p, h, valiant| TopoSpec::Dragonfly { a, p, h, valiant };
+    let arm = |label, spec| Arm { label, spec };
     if smoke {
         vec![
-            Arm {
-                label: "mesh-2",
-                spec: TopoSpec::Mesh,
-                packet: true,
-            },
-            Arm {
-                label: "mesh-4",
-                spec: TopoSpec::Mesh,
-                packet: true,
-            },
-            Arm {
-                label: "fat-tree-4",
-                spec: TopoSpec::FatTree { k: 4 },
-                packet: true,
-            },
-            Arm {
-                label: "dragonfly-2-2-1",
-                spec: df(2, 2, 1, false),
-                packet: true,
-            },
-            Arm {
-                label: "dragonfly-2-2-1-val",
-                spec: df(2, 2, 1, true),
-                packet: true,
-            },
+            arm("mesh-2", TopoSpec::Mesh),
+            arm("mesh-4", TopoSpec::Mesh),
+            arm("fat-tree-4", TopoSpec::FatTree { k: 4 }),
+            arm("dragonfly-2-2-1", df(2, 2, 1, false)),
+            arm("dragonfly-2-2-1-val", df(2, 2, 1, true)),
         ]
     } else {
         vec![
-            Arm {
-                label: "mesh-2",
-                spec: TopoSpec::Mesh,
-                packet: true,
-            },
-            Arm {
-                label: "mesh-4",
-                spec: TopoSpec::Mesh,
-                packet: true,
-            },
-            Arm {
-                label: "mesh-8",
-                spec: TopoSpec::Mesh,
-                packet: true,
-            },
-            Arm {
-                label: "fat-tree-4",
-                spec: TopoSpec::FatTree { k: 4 },
-                packet: true,
-            },
-            Arm {
-                label: "fat-tree-8",
-                spec: TopoSpec::FatTree { k: 8 },
-                packet: true,
-            },
-            Arm {
-                label: "fat-tree-16",
-                spec: TopoSpec::FatTree { k: 16 },
-                packet: true,
-            },
-            Arm {
-                label: "dragonfly-4-2-2",
-                spec: df(4, 2, 2, false),
-                packet: true,
-            },
-            Arm {
-                label: "dragonfly-8-4-4",
-                spec: df(8, 4, 4, false),
-                packet: true,
-            },
-            Arm {
-                label: "dragonfly-8-4-4-val",
-                spec: df(8, 4, 4, true),
-                packet: true,
-            },
+            arm("mesh-2", TopoSpec::Mesh),
+            arm("mesh-4", TopoSpec::Mesh),
+            arm("mesh-8", TopoSpec::Mesh),
+            arm("fat-tree-4", TopoSpec::FatTree { k: 4 }),
+            arm("fat-tree-8", TopoSpec::FatTree { k: 8 }),
+            arm("fat-tree-16", TopoSpec::FatTree { k: 16 }),
+            arm("dragonfly-4-2-2", df(4, 2, 2, false)),
+            arm("dragonfly-8-4-4", df(8, 4, 4, false)),
+            arm("dragonfly-8-4-4-val", df(8, 4, 4, true)),
         ]
     }
 }
@@ -330,9 +273,7 @@ fn point_json(arm: &Arm, cfg: &SimConfig, run: &Run, serial_wall_ms: f64, smoke:
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = smoke_arg(&args);
-    let seed = seed_arg(&args);
+    let (smoke, seed) = parse_args(std::env::args());
     let flow_bytes: u64 = if smoke { 16 * 1024 } else { 64 * 1024 };
 
     let swept = arms(smoke);
@@ -349,35 +290,34 @@ fn main() {
         biggest = biggest.max(n);
         let flows = permutation_flows(n, flow_bytes, seed);
 
+        let serial = run_packet(&cfg, &flows);
         let mut runs: Vec<Run> = Vec::new();
-        if arm.packet {
-            let serial = run_packet(&cfg, &flows);
-            for &t in &threads_axis {
-                let par = run_parallel(&cfg, &flows, t);
-                // The tentpole contract: sharded results are identical
-                // to the serial oracle at every thread count.
-                assert_eq!(
-                    serial.completions_ps, par.completions_ps,
-                    "{}: parallel completions diverged at {t} threads",
-                    arm.label
-                );
-                assert_eq!(
-                    serial.events, par.events,
-                    "{}: parallel event count diverged at {t} threads",
-                    arm.label
-                );
-                assert_eq!(
-                    serial.peak_mem_items, par.peak_mem_items,
-                    "{}: parallel arena high-water diverged at {t} threads",
-                    arm.label
-                );
-                if arm.label == SPEEDUP_ARM && t == SPEEDUP_THREADS {
-                    gate_speedup = Some(serial.wall_ms / par.wall_ms.max(1e-9));
-                }
-                runs.push(par);
+        for &t in &threads_axis {
+            let par = run_parallel(&cfg, &flows, t);
+            // The tentpole contract: sharded results are identical
+            // to the serial oracle at every thread count.
+            assert_eq!(
+                serial.completions_ps, par.completions_ps,
+                "{}: parallel completions diverged at {t} threads",
+                arm.label
+            );
+            assert_eq!(
+                serial.events, par.events,
+                "{}: parallel event count diverged at {t} threads",
+                arm.label
+            );
+            assert_eq!(
+                serial.peak_mem_items, par.peak_mem_items,
+                "{}: parallel arena high-water diverged at {t} threads",
+                arm.label
+            );
+            if arm.label == SPEEDUP_ARM && t == SPEEDUP_THREADS {
+                gate_speedup = Some(serial.wall_ms / par.wall_ms.max(1e-9));
             }
-            runs.insert(0, serial);
+            runs.push(par);
         }
+        let serial_wall = serial.wall_ms;
+        runs.insert(0, serial);
         runs.push(run_flow(&cfg, &flows));
         // Determinism spot-check: the fluid model is pure arithmetic.
         let again = run_flow(&cfg, &flows);
@@ -395,15 +335,11 @@ fn main() {
             crossval = Some((span(pkt), span(flw)));
         }
 
-        let serial_wall = runs
-            .iter()
-            .find(|r| r.engine == "packet")
-            .map(|r| r.wall_ms);
         for run in &runs {
             // Speedup baseline: the serial packet engine for its sharded
             // variants; each other engine is its own baseline (1.0).
             let base = if run.engine == "packet-par" {
-                serial_wall.expect("packet-par implies a serial packet run")
+                serial_wall
             } else {
                 run.wall_ms
             };
@@ -510,11 +446,7 @@ fn main() {
             (
                 "arms",
                 Json::arr(swept.iter().map(|a| {
-                    Json::obj([
-                        ("label", a.label.to_json()),
-                        ("topology", a.spec.to_json()),
-                        ("packet_engine", a.packet.to_json()),
-                    ])
+                    Json::obj([("label", a.label.to_json()), ("topology", a.spec.to_json())])
                 })),
             ),
             ("flow_bytes", flow_bytes.to_json()),

@@ -15,7 +15,7 @@
 //!
 //! Usage: `mac_table4 [--smoke] [--seed S]`
 
-use bench::{estimate_cpu_hz, render_table, seed_arg, smoke_arg, write_bench_json};
+use bench::{estimate_cpu_hz, parse_args, render_table, write_bench_json};
 use ib_crypto::crc::{Crc16, Crc32};
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_crypto::umac::Umac;
@@ -128,9 +128,7 @@ fn hold_floor(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = smoke_arg(&args);
-    let seed = seed_arg(&args);
+    let (smoke, seed) = parse_args(std::env::args());
     let config = BenchConfig::new(smoke);
 
     let mut key = [0u8; 16];

@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use bench::{seed_arg, smoke_arg, write_bench_json};
+use bench::{parse_args, write_bench_json};
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_runtime::bench::{bench_doc, paired_ratio, sample_arms, BenchConfig, Harness, Measurement};
 use ib_runtime::{Json, ToJson};
@@ -166,9 +166,7 @@ fn engine_cfg(kind: EnforcementKind, attackers: usize, duration_ps: SimTime) -> 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = smoke_arg(&args);
-    let seed = seed_arg(&args);
+    let (smoke, seed) = parse_args(std::env::args());
     let config = BenchConfig::new(smoke);
     let (prefill_n, steps, burst_keys, engine_ps, engine_reps) = if smoke {
         (1024, 20_000, 8 * 1024, MS / 2, 2u32)

@@ -3,16 +3,17 @@
 //! Evaluates the paper's closed-form memory and lookup-cost model over a
 //! parameter grid, then cross-checks the lookup column against the
 //! simulator's actual per-packet lookup-cycle counters.
+//!
+//! Usage: `table2 [--smoke] [--seed S]` (the seed is not used).
 
-use bench::{render_table, smoke_arg};
+use bench::{parse_args, render_table};
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_security::analysis::enforcement::EnforcementModel;
 use ib_security::experiments::{fig5_config, run_many};
 use ib_sim::time::{MS, US};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = smoke_arg(&args);
+    let (quick, _) = parse_args(std::env::args());
 
     // ---- symbolic table, as printed in the paper ----
     println!("Table 2. Partition enforcement overhead (symbolic)");

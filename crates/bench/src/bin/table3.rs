@@ -4,8 +4,10 @@
 //! functional fabric: a captured key alone is enough to attack stock IBA
 //! (plain-ICRC packets verify), and is no longer enough once the
 //! ICRC-as-MAC scheme is enabled.
+//!
+//! Usage: `table3 [--smoke] [--seed S]` (both are accepted and unused).
 
-use bench::render_table;
+use bench::{parse_args, render_table};
 use ib_crypto::mac::AuthAlgorithm;
 use ib_mgmt::keys::VULNERABILITIES;
 use ib_packet::{PKey, QKey};
@@ -13,6 +15,7 @@ use ib_security::auth::KeyScope;
 use ib_security::fabric::{FabricError, SecureFabric};
 
 fn main() {
+    parse_args(std::env::args());
     println!("Table 3. IBA Key vulnerability");
     let rows: Vec<Vec<String>> = VULNERABILITIES
         .iter()

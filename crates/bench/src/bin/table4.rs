@@ -9,8 +9,10 @@
 //!
 //! Absolute numbers differ from 1999-2004 hardware, but the ordering
 //! CRC > UMAC >> MD5 > SHA1 must (and does) hold.
+//!
+//! Usage: `table4 [--smoke] [--seed S]` (the seed is not used).
 
-use bench::{estimate_cpu_hz, render_table, smoke_arg};
+use bench::{estimate_cpu_hz, parse_args, render_table};
 use ib_crypto::crc::crc32_ieee;
 use ib_crypto::hmac::Hmac;
 use ib_crypto::mac::AuthAlgorithm;
@@ -30,8 +32,8 @@ use ib_security::analysis::macs::{
 const MSG_BYTES: usize = 1500 / 8;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let config = BenchConfig::new(smoke_arg(&args));
+    let (smoke, _) = parse_args(std::env::args());
+    let config = BenchConfig::new(smoke);
 
     // ---- paper rows ----
     println!("Table 4. Time & forgery complexity — paper reference rows (350 MHz)");

@@ -1,5 +1,5 @@
 //! Shared helpers for the experiment binaries: CPU-clock estimation,
-//! plain-text table rendering, argument and seed plumbing, and
+//! plain-text table rendering, the shared command line, and
 //! machine-readable result emission (`BENCH_*.json`).
 
 use ib_runtime::{Json, Seed};
@@ -67,40 +67,42 @@ pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<std::path::Pa
     Ok(path)
 }
 
-/// Parse `--flag value` style arguments; returns the value following the
-/// flag, if present. A flag given as the last argument has no value to
-/// take: that is a usage error, not a request for the default.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(value) => Some(value.clone()),
-        None => panic!("{flag} needs a value"),
-    }
-}
-
-/// Whether the short-run flag was given. Every binary takes both
-/// spellings, `--smoke` and `--quick`.
-pub fn smoke_arg(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--smoke" || a == "--quick")
-}
-
-/// Parse a `--seed <u64>` argument (decimal or `0x`-prefixed hex). Falls
-/// back to the workspace's fixed default seed, so every experiment binary
-/// is reproducible with no arguments and re-runnable from the seed it
-/// prints in its header.
-pub fn seed_arg(args: &[String]) -> Seed {
-    match arg_value(args, "--seed") {
-        Some(v) => {
-            let v = v.trim();
-            let parsed = if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                v.parse().ok()
-            };
-            Seed(parsed.unwrap_or_else(|| panic!("--seed {v:?} is not a u64")))
+/// The command line every experiment binary takes, program name first:
+/// `[--smoke] [--seed <u64|0xHEX>]`. Returns `(smoke, seed)`; the seed
+/// falls back to the workspace's fixed default, so every binary is
+/// reproducible with no arguments and re-runnable from the seed it prints
+/// in its header. Anything else — an unknown flag, a stray positional
+/// argument, `--seed` with no value or a bad one — panics with the usage
+/// line rather than running the default grid as if asked.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> (bool, Seed) {
+    let mut args = args.into_iter();
+    let prog = args.next().unwrap_or_default();
+    let mut smoke = false;
+    let mut seed = ib_sim::config::SimConfig::default().seed;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--seed" => {
+                let Some(v) = args.next() else {
+                    usage(&prog, "--seed needs a value")
+                };
+                let hex = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X"));
+                let parsed = match hex {
+                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                    None => v.parse().ok(),
+                };
+                seed = Seed(
+                    parsed.unwrap_or_else(|| usage(&prog, &format!("--seed {v:?} is not a u64"))),
+                );
+            }
+            _ => usage(&prog, &format!("unexpected argument {arg:?}")),
         }
-        None => ib_sim::config::SimConfig::default().seed,
     }
+    (smoke, seed)
+}
+
+fn usage(prog: &str, problem: &str) -> ! {
+    panic!("{problem}; usage: {prog} [--smoke] [--seed <u64|0xHEX>]")
 }
 
 #[cfg(test)]
@@ -126,36 +128,56 @@ mod tests {
     }
 
     #[test]
-    fn arg_value_parses() {
-        let args = to_args(&["prog", "--quick", "--load", "0.5"]);
-        assert_eq!(arg_value(&args, "--load"), Some("0.5".into()));
-        assert_eq!(arg_value(&args, "--missing"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "--flows needs a value")]
-    fn arg_value_rejects_a_flag_with_no_value() {
-        arg_value(&to_args(&["prog", "--smoke", "--flows"]), "--flows");
-    }
-
-    #[test]
-    fn smoke_arg_takes_both_spellings() {
-        assert!(smoke_arg(&to_args(&["prog", "--smoke"])));
-        assert!(smoke_arg(&to_args(&["prog", "--seed", "7", "--quick"])));
-        assert!(!smoke_arg(&to_args(&["prog", "--seed", "7"])));
+    fn parse_args_takes_smoke_and_seed_in_any_order() {
+        let default = ib_sim::config::SimConfig::default().seed;
+        assert!(!parse_args(to_args(&["prog"])).0);
+        assert_eq!(parse_args(to_args(&["prog", "--smoke"])), (true, default));
+        assert_eq!(
+            parse_args(to_args(&["prog", "--seed", "7", "--smoke"])),
+            (true, Seed(7))
+        );
     }
 
     #[test]
     fn seed_arg_parses_dec_hex_and_defaults() {
-        assert_eq!(seed_arg(&to_args(&["prog", "--seed", "42"])), Seed(42));
+        let seed = |v: &str| parse_args(to_args(&["prog", "--seed", v])).1;
+        assert_eq!(seed("42"), Seed(42));
+        assert_eq!(seed("0xBEEF"), Seed(0xBEEF));
+        assert_eq!(seed("0XBEEF"), Seed(0xBEEF));
         assert_eq!(
-            seed_arg(&to_args(&["prog", "--seed", "0xBEEF"])),
-            Seed(0xBEEF)
-        );
-        assert_eq!(
-            seed_arg(&to_args(&["prog"])),
+            parse_args(to_args(&["prog"])).1,
             ib_sim::config::SimConfig::default().seed
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected argument \"--quick\"; usage: prog [--smoke]")]
+    fn parse_args_rejects_the_retired_quick_spelling() {
+        parse_args(to_args(&["prog", "--quick"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected argument \"--messages\"")]
+    fn parse_args_rejects_a_flag_it_does_not_take() {
+        parse_args(to_args(&["prog", "--smoke", "--messages", "8"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected argument \"8\"")]
+    fn parse_args_rejects_a_stray_positional_argument() {
+        parse_args(to_args(&["prog", "8"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed needs a value")]
+    fn parse_args_rejects_a_trailing_seed() {
+        parse_args(to_args(&["prog", "--smoke", "--seed"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed \"seven\" is not a u64")]
+    fn parse_args_rejects_a_bad_seed() {
+        parse_args(to_args(&["prog", "--seed", "seven"]));
     }
 
     #[test]

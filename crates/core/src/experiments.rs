@@ -297,7 +297,6 @@ pub fn fig5_config(load: f64, enforcement: EnforcementKind) -> SimConfig {
     SimConfig {
         num_attackers: 4,
         attack_probability: FIG5_ATTACK_PROBABILITY,
-        attack_epoch: 100 * US,
         // Every seed sees exactly one 1 %-of-runtime attack burst — the
         // duty-cycle reading of §6's "probability of DoS attack [set] to
         // 1 %" (a memoryless 1 % would leave most 10 ms runs attack-free).

@@ -35,6 +35,7 @@
 //! The `crossval` integration test pins the two engines together:
 //! aggregate goodput on small meshes must agree within tolerance.
 
+use ib_sim::config::{LINK_GBPS, PROPAGATION_DELAY, SWITCH_LATENCY};
 use ib_sim::{flow_hash, Peer, SimConfig, Topology};
 
 /// One finite transfer for the flow-level model.
@@ -138,7 +139,8 @@ fn maxmin_rates(paths: &[Vec<usize>], active: &[usize], n_links: usize, cap: f64
 }
 
 /// Run the flow-level model: `flows` all start at t = 0 over `topo`, with
-/// link capacity, MTU and latency constants from `cfg`. Deterministic —
+/// the MTU from `cfg` and the link rate and latencies of
+/// [`ib_sim::config`]. Deterministic —
 /// same inputs, bit-identical report.
 pub fn simulate(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> FlowReport {
     assert!(
@@ -149,7 +151,7 @@ pub fn simulate(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> FlowRep
     );
     let n_links = topo.num_nodes() + topo.num_switches() * topo.radix();
     // Gb/s → bytes per picosecond.
-    let cap = cfg.link_gbps / 8000.0;
+    let cap = LINK_GBPS / 8000.0;
     let paths: Vec<Vec<usize>> = flows
         .iter()
         .map(|f| path_links(topo, f.src, f.dst))
@@ -193,14 +195,14 @@ pub fn simulate(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> FlowRep
     // Store-and-forward path latency added on top of the bandwidth term:
     // each switch contributes its pipeline latency plus one MTU
     // serialization, each link one propagation delay.
-    let mtu_tx = ib_sim::time::tx_time_ps(cfg.mtu_bytes, cfg.link_gbps) as f64;
+    let mtu_tx = ib_sim::time::tx_time_ps(cfg.mtu_bytes, LINK_GBPS) as f64;
     let completions_ps: Vec<f64> = flows
         .iter()
         .zip(&bw_done)
         .map(|(f, &done)| {
             let switches = topo.hops_on_path(f.src, f.dst, flow_hash(f.src, f.dst)) as f64;
-            done + switches * (cfg.switch_latency as f64 + mtu_tx)
-                + (switches + 1.0) * cfg.propagation_delay as f64
+            done + switches * (SWITCH_LATENCY as f64 + mtu_tx)
+                + (switches + 1.0) * PROPAGATION_DELAY as f64
         })
         .collect();
     let makespan_ps = completions_ps.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -239,18 +241,18 @@ mod tests {
         SimConfig::default()
     }
 
-    const CAP: f64 = 2.5 / 8000.0; // default link, bytes/ps
+    const CAP: f64 = LINK_GBPS / 8000.0; // bytes/ps
 
     /// The max-min fair starting rates (bytes/ps) for `flows` over `topo`:
     /// the first epoch's allocation in [`simulate`].
-    fn fair_rates(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> Vec<f64> {
+    fn fair_rates(topo: &dyn Topology, flows: &[Flow]) -> Vec<f64> {
         let n_links = topo.num_nodes() + topo.num_switches() * topo.radix();
         let paths: Vec<Vec<usize>> = flows
             .iter()
             .map(|f| path_links(topo, f.src, f.dst))
             .collect();
         let active: Vec<usize> = (0..flows.len()).collect();
-        maxmin_rates(&paths, &active, n_links, cfg.link_gbps / 8000.0)
+        maxmin_rates(&paths, &active, n_links, CAP)
     }
 
     #[test]
@@ -272,7 +274,6 @@ mod tests {
         let t = MeshTopology::new(4);
         let rates = fair_rates(
             &t,
-            &cfg(),
             &[Flow {
                 src: 0,
                 dst: 3,
@@ -311,7 +312,7 @@ mod tests {
                 bytes: 1,
             },
         ];
-        let r = fair_rates(&t, &cfg(), &flows);
+        let r = fair_rates(&t, &flows);
         assert!((r[0] - CAP / 3.0).abs() < 1e-15, "{r:?}");
         assert!((r[1] - 2.0 * CAP / 3.0).abs() < 1e-15, "{r:?}");
         assert!((r[2] - CAP / 3.0).abs() < 1e-15);

@@ -1,5 +1,5 @@
-//! Simulation configuration — Table 1 plus the knobs each experiment
-//! sweeps.
+//! Simulation configuration — Table 1 and the model's fixed delays as
+//! constants, plus the knobs each experiment sweeps.
 
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_runtime::{Json, Seed, ToJson};
@@ -9,6 +9,44 @@ use crate::fattree::FatTree;
 use crate::fault::FaultConfig;
 use crate::time::{SimTime, MS, NS, US};
 use crate::topology::{MeshTopology, Topology};
+
+// ---- Table 1 (the MTU is `SimConfig::mtu_bytes`) ----
+/// Physical link bandwidth in Gb/s.
+pub const LINK_GBPS: f64 = 2.5;
+/// Ports per switch (4 mesh + 1 host).
+pub const PORTS_PER_SWITCH: usize = 5;
+/// Virtual lanes per physical link.
+pub const NUM_VLS: usize = 16;
+
+// ---- fabric ----
+/// Input-buffer capacity per (port, VL), in packets; the credit pool.
+pub(crate) const VL_BUFFER_PACKETS: u32 = 4;
+/// Fixed switch pipeline latency per hop.
+pub const SWITCH_LATENCY: SimTime = 100 * NS;
+/// Wire propagation delay per link.
+pub const PROPAGATION_DELAY: SimTime = 10 * NS;
+/// One table-lookup pipeline cycle (the paper's CACTI-derived cost;
+/// charged per `lookup_cycles` the enforcer reports).
+pub(crate) const CYCLE_TIME: SimTime = 5 * NS;
+
+// ---- partitioning / attack ----
+/// Length of one attack on/off epoch.
+pub(crate) const ATTACK_EPOCH: SimTime = 100 * US;
+/// HCA → SM trap delivery latency (MAD through the fabric + SM wakeup)
+/// when `trap_transport` is out-of-band.
+pub(crate) const TRAP_LATENCY: SimTime = 5 * US;
+/// Which node hosts the Subnet Manager (in-band trap destination).
+pub(crate) const SM_NODE: usize = 0;
+/// SM → switch filter-programming latency.
+pub(crate) const PROGRAM_LATENCY: SimTime = 5 * US;
+/// SIF idle timeout before a port disables its own filtering.
+pub(crate) const SIF_IDLE_TIMEOUT: SimTime = 200 * US;
+
+// ---- authentication cost model ----
+/// Per-message MAC cycles charged at each end node (§6: one cycle).
+pub(crate) const AUTH_CYCLES_PER_MESSAGE: u64 = 1;
+/// Round-trip estimate charged for a QP-level key exchange.
+pub(crate) const KEY_EXCHANGE_RTT: SimTime = 40 * US;
 
 /// Which fabric the simulation builds (see [`crate::topology`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +116,7 @@ impl AttackKeys {
 /// How trap MADs travel from a detecting port to the Subnet Manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrapTransport {
-    /// Fixed-latency side channel (`trap_latency`), the common simulator
+    /// Fixed-latency side channel (`TRAP_LATENCY`), the common simulator
     /// simplification.
     OutOfBand,
     /// Real 256-byte MADs routed through the fabric on VL15 to the SM's
@@ -100,7 +138,7 @@ impl TrapTransport {
 /// How attack activity is scheduled over the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackSchedule {
-    /// Each `attack_epoch`, attackers are active with
+    /// Each `ATTACK_EPOCH`, attackers are active with
     /// `attack_probability` (memoryless on/off).
     Probabilistic,
     /// Exactly one active window of `attack_probability × duration`,
@@ -209,13 +247,7 @@ impl TrafficConfig {
 /// Full simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    // ---- Table 1 ----
-    /// Physical link bandwidth in Gb/s.
-    pub link_gbps: f64,
-    /// Ports per switch (4 mesh + 1 host).
-    pub ports_per_switch: usize,
-    /// Virtual lanes per physical link.
-    pub num_vls: usize,
+    // ---- Table 1 (the rest are the constants above) ----
     /// MTU in bytes for both traffic classes.
     pub mtu_bytes: usize,
 
@@ -225,15 +257,6 @@ pub struct SimConfig {
     /// Mesh side length (mesh_dim² switches and nodes; 4 ⇒ the paper's 16).
     /// Only read when `topology` is [`TopoSpec::Mesh`].
     pub mesh_dim: usize,
-    /// Input-buffer capacity per (port, VL), in packets; the credit pool.
-    pub vl_buffer_packets: u32,
-    /// Fixed switch pipeline latency per hop.
-    pub switch_latency: SimTime,
-    /// Wire propagation delay per link.
-    pub propagation_delay: SimTime,
-    /// One table-lookup pipeline cycle (the paper's CACTI-derived cost;
-    /// charged per `lookup_cycles` the enforcer reports).
-    pub cycle_time: SimTime,
 
     // ---- partitioning / attack ----
     /// Number of partitions nodes are randomly grouped into (§3.1: four).
@@ -249,29 +272,14 @@ pub struct SimConfig {
     pub arbitration: ArbitrationPolicy,
     /// Probability that any given attack epoch is active (§6: 1 %).
     pub attack_probability: f64,
-    /// Length of one attack on/off epoch.
-    pub attack_epoch: SimTime,
     /// Which switch-side enforcement runs.
     pub enforcement: EnforcementKind,
-    /// HCA → SM trap delivery latency (MAD through the fabric + SM wakeup)
-    /// when `trap_transport` is out-of-band.
-    pub trap_latency: SimTime,
     /// Whether traps ride a fixed-latency side channel or real VL15 MADs.
     pub trap_transport: TrapTransport,
-    /// Which node hosts the Subnet Manager (in-band trap destination).
-    pub sm_node: usize,
-    /// SM → switch filter-programming latency.
-    pub program_latency: SimTime,
-    /// SIF idle timeout before a port disables its own filtering.
-    pub sif_idle_timeout: SimTime,
 
     // ---- authentication cost model ----
     /// Authentication mode for Figure 6.
     pub auth: AuthMode,
-    /// Per-message MAC cycles charged at each end node (§6: one cycle).
-    pub auth_cycles_per_message: u64,
-    /// Round-trip estimate charged for a QP-level key exchange.
-    pub key_exchange_rtt: SimTime,
 
     // ---- faults ----
     /// Per-link drop/corrupt/reorder probabilities (all-zero default keeps
@@ -293,32 +301,18 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            link_gbps: 2.5,
-            ports_per_switch: 5,
-            num_vls: 16,
             mtu_bytes: 1024,
             topology: TopoSpec::Mesh,
             mesh_dim: 4,
-            vl_buffer_packets: 4,
-            switch_latency: 100 * NS,
-            propagation_delay: 10 * NS,
-            cycle_time: 5 * NS,
             num_partitions: 4,
             num_attackers: 0,
             attack_keys: AttackKeys::RandomInvalid,
             attack_schedule: AttackSchedule::Probabilistic,
             arbitration: ArbitrationPolicy::StrictPriority,
             attack_probability: 1.0,
-            attack_epoch: 100 * US,
             enforcement: EnforcementKind::NoFiltering,
-            trap_latency: 5 * US,
             trap_transport: TrapTransport::OutOfBand,
-            sm_node: 0,
-            program_latency: 5 * US,
-            sif_idle_timeout: 200 * US,
             auth: AuthMode::None,
-            auth_cycles_per_message: 1,
-            key_exchange_rtt: 40 * US,
             fault: FaultConfig::default(),
             traffic: TrafficConfig::default(),
             duration: 10 * MS,
@@ -350,45 +344,43 @@ impl SimConfig {
     /// Mean packet inter-generation time for a given offered load fraction,
     /// in ps (MTU-sized packets).
     pub fn interarrival_ps(&self, load: f64) -> f64 {
-        let tx = crate::time::tx_time_ps(self.mtu_bytes, self.link_gbps) as f64;
+        let tx = crate::time::tx_time_ps(self.mtu_bytes, LINK_GBPS) as f64;
         tx / load.max(1e-9)
     }
 
-    /// Serialize every field to a JSON object (stored alongside results so
-    /// a report is reproducible from its own file). The `topology` key is
+    /// Serialize every field, and every fixed value from the constants
+    /// above, to a JSON object (stored alongside results so a report is
+    /// reproducible from its own file). The `topology` key is
     /// omitted for the default mesh, keeping mesh result files (and their
     /// byte-identity gates) identical to the pre-topology-subsystem form.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj([
-            ("link_gbps", self.link_gbps.to_json()),
-            ("ports_per_switch", self.ports_per_switch.to_json()),
-            ("num_vls", self.num_vls.to_json()),
+            ("link_gbps", LINK_GBPS.to_json()),
+            ("ports_per_switch", PORTS_PER_SWITCH.to_json()),
+            ("num_vls", NUM_VLS.to_json()),
             ("mtu_bytes", self.mtu_bytes.to_json()),
             ("topology", self.topology.to_json()),
             ("mesh_dim", self.mesh_dim.to_json()),
-            ("vl_buffer_packets", self.vl_buffer_packets.to_json()),
-            ("switch_latency", self.switch_latency.to_json()),
-            ("propagation_delay", self.propagation_delay.to_json()),
-            ("cycle_time", self.cycle_time.to_json()),
+            ("vl_buffer_packets", VL_BUFFER_PACKETS.to_json()),
+            ("switch_latency", SWITCH_LATENCY.to_json()),
+            ("propagation_delay", PROPAGATION_DELAY.to_json()),
+            ("cycle_time", CYCLE_TIME.to_json()),
             ("num_partitions", self.num_partitions.to_json()),
             ("num_attackers", self.num_attackers.to_json()),
             ("attack_keys", self.attack_keys.label().to_json()),
             ("attack_schedule", self.attack_schedule.label().to_json()),
             ("arbitration", self.arbitration.to_json()),
             ("attack_probability", self.attack_probability.to_json()),
-            ("attack_epoch", self.attack_epoch.to_json()),
+            ("attack_epoch", ATTACK_EPOCH.to_json()),
             ("enforcement", self.enforcement.label().to_json()),
-            ("trap_latency", self.trap_latency.to_json()),
+            ("trap_latency", TRAP_LATENCY.to_json()),
             ("trap_transport", self.trap_transport.label().to_json()),
-            ("sm_node", self.sm_node.to_json()),
-            ("program_latency", self.program_latency.to_json()),
-            ("sif_idle_timeout", self.sif_idle_timeout.to_json()),
+            ("sm_node", SM_NODE.to_json()),
+            ("program_latency", PROGRAM_LATENCY.to_json()),
+            ("sif_idle_timeout", SIF_IDLE_TIMEOUT.to_json()),
             ("auth", self.auth.label().to_json()),
-            (
-                "auth_cycles_per_message",
-                self.auth_cycles_per_message.to_json(),
-            ),
-            ("key_exchange_rtt", self.key_exchange_rtt.to_json()),
+            ("auth_cycles_per_message", AUTH_CYCLES_PER_MESSAGE.to_json()),
+            ("key_exchange_rtt", KEY_EXCHANGE_RTT.to_json()),
             ("fault", self.fault.to_json()),
             ("traffic", self.traffic.to_json()),
             ("duration", self.duration.to_json()),
@@ -412,9 +404,9 @@ mod tests {
     #[test]
     fn default_matches_table1() {
         let c = SimConfig::default();
-        assert_eq!(c.link_gbps, 2.5);
-        assert_eq!(c.ports_per_switch, 5);
-        assert_eq!(c.num_vls, 16);
+        assert_eq!(LINK_GBPS, 2.5);
+        assert_eq!(PORTS_PER_SWITCH, 5);
+        assert_eq!(NUM_VLS, 16);
         assert_eq!(c.mtu_bytes, 1024);
         assert_eq!(c.num_nodes(), 16);
         assert_eq!(c.num_partitions, 4);

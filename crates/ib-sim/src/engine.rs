@@ -37,11 +37,11 @@
 //!   release the buffer credit immediately.
 //! * **Trap loop** — a destination HCA seeing an invalid P_Key bumps its
 //!   violation counter and (rate-limited) raises a trap; after
-//!   `trap_latency` the SM maps the violator to its edge switch and after
-//!   `program_latency` the switch's SIF registers the key.
-//! * **Authentication cost model** — `auth_cycles_per_message` is charged
+//!   `TRAP_LATENCY` the SM maps the violator to its edge switch and after
+//!   `PROGRAM_LATENCY` the switch's SIF registers the key.
+//! * **Authentication cost model** — `AUTH_CYCLES_PER_MESSAGE` is charged
 //!   at both end nodes; QP-level mode additionally holds the *first* packet
-//!   of each (src, dst) pair for `key_exchange_rtt` (the Q_Key/secret
+//!   of each (src, dst) pair for `KEY_EXCHANGE_RTT` (the Q_Key/secret
 //!   request round trip of §4.3).
 //! * **Attack schedule** — precomputed at construction into half-open
 //!   `[start, end)` windows from a dedicated seed stream; attacker
@@ -65,6 +65,9 @@ use ib_packet::types::PKey;
 use crate::arena::{PacketArena, PacketRef};
 use crate::config::{
     ArbitrationPolicy, AttackKeys, AttackSchedule, AuthMode, SimConfig, TrapTransport,
+    ATTACK_EPOCH, AUTH_CYCLES_PER_MESSAGE, CYCLE_TIME, KEY_EXCHANGE_RTT, LINK_GBPS, NUM_VLS,
+    PROGRAM_LATENCY, PROPAGATION_DELAY, SIF_IDLE_TIMEOUT, SM_NODE, SWITCH_LATENCY, TRAP_LATENCY,
+    VL_BUFFER_PACKETS,
 };
 use crate::event::{Event, EventKey, EventQueue, SimPacket};
 use crate::fault::{FaultInjector, FaultOutcome};
@@ -77,8 +80,17 @@ use crate::traffic::{exp_gap, TrafficClass};
 /// indices `0..n` and `n ≤ 0xFFFE` (16-bit LIDs), so this never collides.
 const ATTACK_WINDOW_STREAM: u64 = 0x0002_0000;
 
+/// Conservative lookahead `W`: the smallest latency any cross-domain
+/// event class can carry. Propagation bounds SwitchArrive and the credit
+/// returns; the trap and program latencies bound the SM loop.
+const LOOKAHEAD: SimTime = PROPAGATION_DELAY;
+const _: () = assert!(
+    LOOKAHEAD > 0 && LOOKAHEAD <= TRAP_LATENCY && LOOKAHEAD <= PROGRAM_LATENCY,
+    "the lookahead must be the smallest cross-domain latency"
+);
+
 /// Per-switch runtime state. The per-(port, VL) tables are flat,
-/// indexed `[port * num_vls + vl]`.
+/// indexed `[port * NUM_VLS + vl]`.
 pub(crate) struct SwitchState {
     /// Input buffers, by input port and VL.
     in_q: Vec<VecDeque<QueuedPacket>>,
@@ -306,12 +318,12 @@ pub(crate) struct Shared {
     pub(crate) local_switch: Vec<u32>,
     /// node → index within its domain's `hcas`.
     pub(crate) local_node: Vec<u32>,
-    /// The domain hosting the SM (the `sm_node`'s domain).
+    /// The domain hosting the SM ([`SM_NODE`]'s domain).
     pub(crate) sm_domain: usize,
-    /// Conservative lookahead window `W`: every cross-domain emission is
-    /// due at least `W` after the emitting domain's clock. `None` when a
-    /// single domain exists (or `W` would be zero) — drivers then run a
-    /// plain merge.
+    /// Conservative lookahead window `W` ([`LOOKAHEAD`]): every
+    /// cross-domain emission is due at least `W` after the emitting
+    /// domain's clock. `None` when a single domain exists — drivers then
+    /// run a plain merge.
     pub(crate) lookahead: Option<SimTime>,
     /// Precomputed half-open attack windows, sorted and disjoint.
     pub(crate) attack_windows: Vec<(SimTime, SimTime)>,
@@ -479,17 +491,16 @@ fn compute_attack_windows(cfg: &SimConfig) -> Vec<(SimTime, SimTime)> {
         AttackSchedule::Probabilistic => {
             let mut rng = cfg.seed.stream(ATTACK_WINDOW_STREAM).rng();
             let p = cfg.attack_probability.clamp(0.0, 1.0);
-            let epoch = cfg.attack_epoch.max(1);
             let mut windows: Vec<(SimTime, SimTime)> = Vec::new();
             let mut t: SimTime = 0;
             while t <= cfg.duration {
                 if rng.gen_bool(p) {
                     match windows.last_mut() {
-                        Some(w) if w.1 == t => w.1 = t + epoch,
-                        _ => windows.push((t, t + epoch)),
+                        Some(w) if w.1 == t => w.1 = t + ATTACK_EPOCH,
+                        _ => windows.push((t, t + ATTACK_EPOCH)),
                     }
                 }
-                t += epoch;
+                t += ATTACK_EPOCH;
             }
             windows
         }
@@ -591,15 +602,8 @@ impl SimCore {
             local_node[node] = node_count[d];
             node_count[d] += 1;
         }
-        let sm_domain = dom_of_node[cfg.sm_node];
-        // Conservative lookahead: the smallest latency any cross-domain
-        // event class can carry. Propagation bounds SwitchArrive and the
-        // credit returns; the trap and program latencies bound the SM loop.
-        let w = cfg
-            .propagation_delay
-            .min(cfg.trap_latency)
-            .min(cfg.program_latency);
-        let lookahead = if nd <= 1 || w == 0 { None } else { Some(w) };
+        let sm_domain = dom_of_node[SM_NODE];
+        let lookahead = (nd > 1).then_some(LOOKAHEAD);
 
         // ---- switches, grouped into their domains ----
         let all_pkeys: Vec<PKey> = (0..partitions.len()).map(pkey_of).collect();
@@ -618,7 +622,7 @@ impl SimCore {
                 EnforcementKind::If => Box::new(IfEnforcer::new(ports)),
                 EnforcementKind::Sif => Box::new(SifEnforcer::new(
                     radix,
-                    cfg.sif_idle_timeout,
+                    SIF_IDLE_TIMEOUT,
                     // Cap the invalid table at a small multiple of the host
                     // partition table (paper: stop growing once it would
                     // exceed the partition table; with 1 membership we allow
@@ -627,10 +631,10 @@ impl SimCore {
                 )),
             };
             dom_switches[dom_of_switch[s]].push(SwitchState {
-                in_q: (0..radix * cfg.num_vls).map(|_| VecDeque::new()).collect(),
-                queued_for: vec![0; radix * cfg.num_vls],
+                in_q: (0..radix * NUM_VLS).map(|_| VecDeque::new()).collect(),
+                queued_for: vec![0; radix * NUM_VLS],
                 out_busy_until: vec![0; radix],
-                out_credits: vec![cfg.vl_buffer_packets; radix * cfg.num_vls],
+                out_credits: vec![VL_BUFFER_PACKETS; radix * NUM_VLS],
                 forward_pending: vec![false; radix],
                 rr: vec![0; radix],
                 high_grants: vec![0; radix],
@@ -643,10 +647,10 @@ impl SimCore {
         let mut dom_hcas: Vec<Vec<HcaState>> = (0..nd).map(|_| Vec::new()).collect();
         for node in 0..n {
             dom_hcas[dom_of_node[node]].push(HcaState {
-                send_q: (0..cfg.num_vls).map(|_| VecDeque::new()).collect(),
+                send_q: (0..NUM_VLS).map(|_| VecDeque::new()).collect(),
                 tx_busy_until: 0,
                 inject_pending: false,
-                credits: vec![cfg.vl_buffer_packets; cfg.num_vls],
+                credits: vec![VL_BUFFER_PACKETS; NUM_VLS],
                 table: PartitionTable::from_keys([pkey_of(node_partition[node])]),
                 throttle: TrapThrottle::new(50 * crate::time::US),
                 keyed_peers: vec![false; n],
@@ -656,10 +660,10 @@ impl SimCore {
             });
         }
 
-        let mtu_tx = tx_time_ps(cfg.mtu_bytes, cfg.link_gbps);
+        let mtu_tx = tx_time_ps(cfg.mtu_bytes, LINK_GBPS);
         let auth_delay = match cfg.auth {
             AuthMode::None => 0,
-            _ => cfg.auth_cycles_per_message * cfg.cycle_time,
+            _ => AUTH_CYCLES_PER_MESSAGE * CYCLE_TIME,
         };
         // Each directed link keeps its *global* seed stream regardless of
         // which domain owns it, so fault decisions are partition-invariant.
@@ -925,11 +929,10 @@ impl SimCore {
     /// debug/test builds once a run has drained its queue (no credit event
     /// is then in flight): every `queued_for` count equals a recount of the
     /// input queues, and each link's sender-side credits plus the
-    /// receiving input queue's occupancy equal `vl_buffer_packets`.
+    /// receiving input queue's occupancy equal `VL_BUFFER_PACKETS`.
     pub(crate) fn assert_quiescent(&self) {
         let sh = &self.shared;
-        let nvls = sh.cfg.num_vls;
-        let full = sh.cfg.vl_buffer_packets as usize;
+        let full = VL_BUFFER_PACKETS as usize;
         let switch =
             |s: usize| &self.domains[sh.dom_of_switch[s]].switches[sh.local_switch[s] as usize];
         for s in 0..sh.n_switches {
@@ -937,7 +940,7 @@ impl SimCore {
             let mut recount = vec![0u32; sw.queued_for.len()];
             for (i, q) in sw.in_q.iter().enumerate() {
                 for qp in q {
-                    recount[qp.out_port as usize * nvls + i % nvls] += 1;
+                    recount[qp.out_port as usize * NUM_VLS + i % NUM_VLS] += 1;
                 }
             }
             assert_eq!(
@@ -952,10 +955,10 @@ impl SimCore {
                 else {
                     continue;
                 };
-                for vl in 0..nvls {
+                for vl in 0..NUM_VLS {
                     assert_eq!(
-                        sw.out_credits[port * nvls + vl] as usize
-                            + switch(next).in_q[next_port * nvls + vl].len(),
+                        sw.out_credits[port * NUM_VLS + vl] as usize
+                            + switch(next).in_q[next_port * NUM_VLS + vl].len(),
                         full,
                         "switch {s} port {port} VL {vl}: credits leaked or duplicated"
                     );
@@ -964,9 +967,9 @@ impl SimCore {
         }
         for (node, &(s, port)) in sh.attach.iter().enumerate() {
             let hca = &self.domains[sh.dom_of_node[node]].hcas[sh.local_node[node] as usize];
-            for vl in 0..nvls {
+            for vl in 0..NUM_VLS {
                 assert_eq!(
-                    hca.credits[vl] as usize + switch(s).in_q[port * nvls + vl].len(),
+                    hca.credits[vl] as usize + switch(s).in_q[port * NUM_VLS + vl].len(),
                     full,
                     "node {node} VL {vl}: host-link credits leaked or duplicated"
                 );
@@ -1061,7 +1064,7 @@ impl Ctx<'_> {
             }
             Event::SwitchCredit { switch, port, vl } => {
                 let ls = self.sh.local_switch[switch] as usize;
-                self.dom.switches[ls].out_credits[port * self.sh.cfg.num_vls + vl as usize] += 1;
+                self.dom.switches[ls].out_credits[port * NUM_VLS + vl as usize] += 1;
                 let now = self.dom.now;
                 self.schedule_forward(switch, port, now);
             }
@@ -1090,7 +1093,7 @@ impl Ctx<'_> {
             .as_mut()
             .expect("TrapDeliver routed to the SM's domain");
         if let Some(action) = sm.handle_trap(&trap) {
-            let at = self.dom.now + self.sh.cfg.program_latency;
+            let at = self.dom.now + PROGRAM_LATENCY;
             self.push(
                 Origin::Sm,
                 at,
@@ -1186,7 +1189,7 @@ impl Ctx<'_> {
                     // §7's SM DoS: dump MAD-sized management packets at the
                     // SM node on VL15 — they cross every partition check.
                     AttackKeys::SmFlood => {
-                        let dst = sh.cfg.sm_node;
+                        let dst = SM_NODE;
                         if dst != node {
                             self.emit_management(node, dst, TrafficClass::Attack, None);
                         }
@@ -1201,14 +1204,16 @@ impl Ctx<'_> {
         let members = &sh.partitions[sh.node_partition[node]];
         // Peers exclude only self: victims don't know which partition
         // members are compromised, so attacker nodes still *receive*
-        // legitimate traffic (they just don't send any, per §3.1).
-        let candidates: Vec<usize> = members.iter().copied().filter(|m| *m != node).collect();
-        if candidates.is_empty() {
-            None
-        } else {
-            let rng = &mut self.dom.hcas[sh.local_node[node] as usize].rng;
-            Some(candidates[rng.gen_range(0..candidates.len())])
+        // legitimate traffic (they just don't send any, per §3.1). The
+        // sender is always a member, so it has `len - 1` peers; the draw
+        // indexes them in member order, skipping the sender.
+        let peers = members.len() - 1;
+        if peers == 0 {
+            return None;
         }
+        let rng = &mut self.dom.hcas[sh.local_node[node] as usize].rng;
+        let i = rng.gen_range(0..peers);
+        members.iter().copied().filter(|&m| m != node).nth(i)
     }
 
     fn emit(&mut self, src: usize, dst: usize, class: TrafficClass) {
@@ -1236,7 +1241,7 @@ impl Ctx<'_> {
         let ready =
             if sh.cfg.auth == AuthMode::QpLevel && class != TrafficClass::Attack && !keyed[dst] {
                 keyed[dst] = true;
-                now + sh.cfg.key_exchange_rtt
+                now + KEY_EXCHANGE_RTT
             } else {
                 now
             };
@@ -1288,7 +1293,7 @@ impl Ctx<'_> {
         // VL priority: scan data VLs from highest to lowest.
         let mut chosen: Option<usize> = None;
         let mut earliest_block: Option<SimTime> = None;
-        for vl in (0..sh.cfg.num_vls).rev() {
+        for vl in (0..NUM_VLS).rev() {
             let Some(&(_, ready)) = self.dom.hcas[ln].send_q[vl].front() else {
                 continue;
             };
@@ -1318,9 +1323,9 @@ impl Ctx<'_> {
             packet.inject_time = start;
             (packet.bytes, packet.class, packet.vl)
         };
-        let tx_end = start + tx_time_ps(bytes, sh.cfg.link_gbps);
+        let tx_end = start + tx_time_ps(bytes, LINK_GBPS);
         self.dom.hcas[ln].tx_busy_until = tx_end;
-        let arrival = tx_end + sh.cfg.propagation_delay;
+        let arrival = tx_end + PROPAGATION_DELAY;
         match self.link_fault(node) {
             FaultOutcome::Drop => {
                 // The switch never sees the packet, so it can't return the
@@ -1388,19 +1393,18 @@ impl Ctx<'_> {
             return;
         }
         let vl = pvl as usize;
-        let nvls = sh.cfg.num_vls;
         // Routed once, here: the flow hash keeps every packet of a
         // (src, dst) flow on one path while distinct flows spread across
         // the fabric's path diversity.
         let out_port = sh.topo.route_flow(switch, dst, flow_hash(src, dst));
         let sw = &mut self.dom.switches[ls];
-        sw.in_q[port * nvls + vl].push_back(QueuedPacket {
+        sw.in_q[port * NUM_VLS + vl].push_back(QueuedPacket {
             packet: pref,
             out_port: out_port as u32,
             lookup_cycles: check.lookup_cycles,
         });
-        sw.queued_for[out_port * nvls + vl] += 1;
-        self.schedule_forward(switch, out_port, now + sh.cfg.switch_latency);
+        sw.queued_for[out_port * NUM_VLS + vl] += 1;
+        self.schedule_forward(switch, out_port, now + SWITCH_LATENCY);
     }
 
     fn schedule_forward(&mut self, switch: usize, port: usize, at: SimTime) {
@@ -1437,22 +1441,21 @@ impl Ctx<'_> {
         // Arbitrate: find the best candidate per VL (round-robin over input
         // ports within a VL), then apply the VL arbitration policy.
         let nports = sh.radix;
-        let nvls = sh.cfg.num_vls;
         let sw = &self.dom.switches[ls];
         let mut best_high: Option<(usize, usize)> = None; // highest VL > 0
         let mut best_low: Option<(usize, usize)> = None; // VL 0
-        for vl in (0..nvls).rev() {
+        for vl in (0..NUM_VLS).rev() {
             if vl > 0 && best_high.is_some() {
                 continue;
             }
             // No packet on this VL was routed here, at any queue depth.
-            if sw.queued_for[out_port * nvls + vl] == 0 {
+            if sw.queued_for[out_port * NUM_VLS + vl] == 0 {
                 continue;
             }
             // Credit check applies to switch-to-switch hops; HCA receive
             // buffers are modeled as ample (the HCA drains at line rate).
             if let Peer::Switch { .. } = peer {
-                if sw.out_credits[out_port * nvls + out_vl(vl)] == 0 {
+                if sw.out_credits[out_port * NUM_VLS + out_vl(vl)] == 0 {
                     continue;
                 }
             }
@@ -1460,7 +1463,7 @@ impl Ctx<'_> {
             // so the heads decide.
             let start = sw.rr[out_port];
             let winner = (0..nports).map(|k| (start + k) % nports).find(|&in_port| {
-                sw.in_q[in_port * nvls + vl]
+                sw.in_q[in_port * NUM_VLS + vl]
                     .front()
                     .is_some_and(|head| head.out_port as usize == out_port)
             });
@@ -1496,8 +1499,8 @@ impl Ctx<'_> {
         }
         self.dom.switches[ls].rr[out_port] = (in_port + 1) % nports;
         let sw = &mut self.dom.switches[ls];
-        let qp = sw.in_q[in_port * nvls + vl].pop_front().unwrap();
-        sw.queued_for[out_port * nvls + vl] -= 1;
+        let qp = sw.in_q[in_port * NUM_VLS + vl].pop_front().unwrap();
+        sw.queued_for[out_port * NUM_VLS + vl] -= 1;
         let pref = qp.packet;
         debug_assert_eq!(
             qp.out_port as usize,
@@ -1509,7 +1512,7 @@ impl Ctx<'_> {
             (packet.bytes, packet.class)
         };
         // Service time: enforcement lookups + store-and-forward transmit.
-        let service = qp.lookup_cycles * sh.cfg.cycle_time + tx_time_ps(bytes, sh.cfg.link_gbps);
+        let service = qp.lookup_cycles * CYCLE_TIME + tx_time_ps(bytes, LINK_GBPS);
         let tx_end = now + service;
         self.dom.switches[ls].out_busy_until[out_port] = tx_end;
         match peer {
@@ -1521,8 +1524,8 @@ impl Ctx<'_> {
                 // VL: credits, the arrival queue, and the credit-return on
                 // a wire drop must all agree on it.
                 let fvl = out_vl(vl);
-                self.dom.switches[ls].out_credits[out_port * nvls + fvl] -= 1;
-                let arrival = tx_end + sh.cfg.propagation_delay;
+                self.dom.switches[ls].out_credits[out_port * NUM_VLS + fvl] -= 1;
+                let arrival = tx_end + PROPAGATION_DELAY;
                 match self.link_fault(sh.switch_link(switch, out_port)) {
                     FaultOutcome::Drop => {
                         // Downstream never sees the packet; its buffer slot
@@ -1560,7 +1563,7 @@ impl Ctx<'_> {
                 }
             }
             Peer::Hca { node } => {
-                let arrival = tx_end + sh.cfg.propagation_delay;
+                let arrival = tx_end + PROPAGATION_DELAY;
                 match self.link_fault(sh.switch_link(switch, out_port)) {
                     FaultOutcome::Drop => {
                         self.dom.stats.link_drops += 1;
@@ -1587,7 +1590,7 @@ impl Ctx<'_> {
         // The queue we popped from has a new head that may want a
         // *different* output port — wake that port, or packets behind a
         // departed head would wait for an unrelated arrival (HOL stall).
-        let next_out = self.dom.switches[ls].in_q[in_port * nvls + vl]
+        let next_out = self.dom.switches[ls].in_q[in_port * NUM_VLS + vl]
             .front()
             .map(|next| next.out_port as usize);
         if let Some(next_out) = next_out {
@@ -1601,7 +1604,7 @@ impl Ctx<'_> {
 
     /// Return one credit to whatever feeds `(switch, in_port)`.
     fn return_credit(&mut self, switch: usize, in_port: usize, vl: u8) {
-        let at = self.dom.now + self.sh.cfg.propagation_delay;
+        let at = self.dom.now + PROPAGATION_DELAY;
         match self.sh.topo.peer(switch, in_port) {
             Peer::Hca { node } => {
                 self.push(Origin::Switch(switch), at, Event::HcaCredit { node, vl })
@@ -1662,7 +1665,7 @@ impl Ctx<'_> {
         // Management datagrams: no partition check, no data statistics.
         if packet.vl == 15 {
             self.dom.stats.mgmt_delivered += 1;
-            if node == sh.cfg.sm_node {
+            if node == SM_NODE {
                 if let Some(trap) = packet.trap {
                     // In-band trap reached the SM: same handling as the
                     // out-of-band TrapDeliver path (the SM node's domain is
@@ -1691,12 +1694,12 @@ impl Ctx<'_> {
                     TrapTransport::OutOfBand => {
                         self.push(
                             Origin::Node(node),
-                            now + sh.cfg.trap_latency,
+                            now + TRAP_LATENCY,
                             Event::TrapDeliver { trap },
                         );
                     }
                     TrapTransport::InBand => {
-                        let sm = sh.cfg.sm_node;
+                        let sm = SM_NODE;
                         if sm == node {
                             self.on_trap_deliver(trap);
                         } else {

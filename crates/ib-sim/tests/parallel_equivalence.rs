@@ -241,7 +241,7 @@ fn partition_covers_switches_and_reports_true_cross_delay() {
 
             // min_cross_delay reports the true minimum over crossing
             // links: None iff no link crosses, else the constant delay.
-            let delay = cfg.propagation_delay;
+            let delay = ib_sim::config::PROPAGATION_DELAY;
             let reported = part.min_cross_delay(&*topo, &|_, _| delay);
             let (_, cross) = part.link_census(&*topo);
             if cross == 0 {

@@ -40,7 +40,7 @@ use ib_crypto::toyrsa::{generate_keypair, PrivateKey, PublicKey};
 use ib_mgmt::{KeyEpoch, SecretKey};
 use ib_packet::mad::Mad;
 use ib_packet::types::{Lid, PKey, Qpn};
-use ib_packet::Packet;
+use ib_packet::WireView;
 use ib_runtime::{Json, Seed, ToJson};
 use ib_security::channel::ChannelStats;
 use ib_security::ChannelSecurity;
@@ -57,6 +57,15 @@ const REKEY_PKEY: PKey = PKey(0x8001);
 
 /// First data QPN; flow `i` uses `REKEY_QPN0 + i`.
 const REKEY_QPN0: u32 = 8;
+
+/// Virtual lane the data flows ride (MADs always ride VL 15).
+const VL: u8 = 1;
+/// Replay-window depth.
+const REPLAY_WINDOW: u32 = 64;
+/// Goodput-timeline bucket width.
+const BUCKET: SimTime = 100 * US;
+/// Safety valve: give up past this simulated instant.
+const MAX_SIM_TIME: SimTime = 500 * MS;
 
 /// Everything one fig_rekey point needs to reproduce itself.
 #[derive(Debug, Clone)]
@@ -87,16 +96,8 @@ pub struct RekeyConfig {
     /// Capture-to-reinjection delay; set beyond `rotation_period +
     /// grace` so replays arrive under a retired epoch.
     pub stale_delay: SimTime,
-    /// Virtual lane the data flows ride (MADs always ride VL 15).
-    pub vl: u8,
     /// Transport knobs shared by all flows.
     pub rc: RcConfig,
-    /// Replay-window depth.
-    pub replay_window: u32,
-    /// Goodput-timeline bucket width.
-    pub bucket: SimTime,
-    /// Safety valve: give up past this simulated instant.
-    pub max_sim_time: SimTime,
     /// The fabric underneath (mesh size, background load, faults).
     pub sim: SimConfig,
 }
@@ -116,11 +117,7 @@ impl Default for RekeyConfig {
             kill_leader_at: 0,
             stale_every: 4,
             stale_delay: 600 * US,
-            vl: 1,
             rc: RcConfig::default(),
-            replay_window: 64,
-            bucket: 100 * US,
-            max_sim_time: 500 * MS,
             sim: SimConfig::default(),
         }
     }
@@ -142,11 +139,11 @@ impl RekeyConfig {
             ("kill_leader_at_ps", self.kill_leader_at.to_json()),
             ("stale_every", self.stale_every.to_json()),
             ("stale_delay_ps", self.stale_delay.to_json()),
-            ("vl", u64::from(self.vl).to_json()),
+            ("vl", u64::from(VL).to_json()),
             ("rc", self.rc.to_json()),
-            ("replay_window", self.replay_window.to_json()),
-            ("bucket_ps", self.bucket.to_json()),
-            ("max_sim_time_ps", self.max_sim_time.to_json()),
+            ("replay_window", REPLAY_WINDOW.to_json()),
+            ("bucket_ps", BUCKET.to_json()),
+            ("max_sim_time_ps", MAX_SIM_TIME.to_json()),
             ("sim", self.sim.to_json()),
         ])
     }
@@ -161,7 +158,7 @@ pub struct RekeyReport {
     pub expected: u64,
     /// Any endpoint exhausted its retries.
     pub failed: bool,
-    /// Run hit `max_sim_time` before completing.
+    /// Run hit `MAX_SIM_TIME` before completing.
     pub timed_out: bool,
     /// Instant the last flow completed (excludes the drain tail), µs.
     pub completion_us: f64,
@@ -189,7 +186,7 @@ pub struct RekeyReport {
     pub leader_changes: u64,
     /// Kill-to-fully-redistributed time (0 if no kill), µs.
     pub time_to_recover_us: f64,
-    /// Unique deliveries per `bucket`-wide time slot.
+    /// Unique deliveries per `BUCKET`-wide time slot.
     pub buckets: Vec<u64>,
     /// Bucket width, µs.
     pub bucket_us: f64,
@@ -341,7 +338,7 @@ impl Host for KeyPlane {
     fn offer(
         &mut self,
         d: &HostDelivery,
-        pkt: &Packet,
+        pkt: &WireView,
         sim: &mut Simulator,
         flows: &mut [Flow],
     ) -> bool {
@@ -438,7 +435,7 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
             cfg.security,
             REKEY_PKEY,
             secret0,
-            cfg.replay_window,
+            REPLAY_WINDOW,
             cfg.rc,
             lid,
             peer,
@@ -474,7 +471,6 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
                 node: id,
                 key_seed: cfg.seed ^ ((id as u64 + 1) << 40),
                 rotation_period: cfg.rotation_period,
-                ..ReplicaConfig::default()
             };
             let mut r = SmReplica::new(rcfg, peers, members.clone(), node_keys[id].1);
             r.bootstrap_partition(REKEY_PKEY, secret0);
@@ -497,12 +493,12 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
 
     let load = Workload {
         qpn0: REKEY_QPN0,
-        vl: cfg.vl,
+        vl: VL,
         messages: cfg.messages,
         payload_len: cfg.payload_len,
         post_interval: cfg.post_interval,
-        bucket: cfg.bucket,
-        max_sim_time: cfg.max_sim_time,
+        bucket: BUCKET,
+        max_sim_time: MAX_SIM_TIME,
     };
     let mut plane = KeyPlane {
         replicas,
@@ -565,7 +561,7 @@ fn report(cfg: &RekeyConfig, run: &Cosim, plane: &KeyPlane) -> RekeyReport {
             _ => 0.0,
         },
         buckets,
-        bucket_us: ps_to_us(cfg.bucket),
+        bucket_us: ps_to_us(BUCKET),
         goodput_dip_frac: if mean > 0.0 {
             slowest as f64 / mean
         } else {
@@ -590,6 +586,7 @@ fn report(cfg: &RekeyConfig, run: &Cosim, plane: &KeyPlane) -> RekeyReport {
 mod tests {
     use super::*;
     use ib_mgmt::keymgmt::KeyEnvelope;
+    use ib_packet::Packet;
 
     fn base() -> RekeyConfig {
         let mut cfg = RekeyConfig {
@@ -778,7 +775,8 @@ mod tests {
                 bytes: pkt.to_bytes(),
             };
             let generated = run.sim.stats().generated;
-            assert!(plane.offer(&d, &pkt, &mut run.sim, &mut run.flows));
+            let view = Packet::parse_view(&d.bytes).expect("clean image");
+            assert!(plane.offer(&d, &view, &mut run.sim, &mut run.flows));
             assert_eq!(run.sim.stats().generated, generated, "nothing posted");
         }
         assert!(

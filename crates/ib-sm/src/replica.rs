@@ -3,7 +3,7 @@
 //! resends.
 //!
 //! The election is a staggered bully: replica `r`'s election timeout is
-//! `election_timeout + r × stagger`, so after the leader dies the
+//! `ELECTION_TIMEOUT + r × STAGGER`, so after the leader dies the
 //! lowest-rank live replica times out first, bumps the term, and claims
 //! leadership; everyone else sees the claim (or the first heartbeat)
 //! before their own timeout fires and adopts it. Ties are impossible
@@ -50,7 +50,17 @@ pub struct CaMember {
     pub pubkey: PublicKey,
 }
 
-/// Timer and identity knobs for one replica.
+/// Leader: beacon period.
+const HEARTBEAT_INTERVAL: SimTime = 50 * US;
+/// Follower: silence tolerated before claiming, before staggering.
+const ELECTION_TIMEOUT: SimTime = 200 * US;
+/// Extra timeout per rank unit — serializes would-be claimants.
+const STAGGER: SimTime = 100 * US;
+/// Leader: resend unacked key distribution this often.
+const RESEND_INTERVAL: SimTime = 100 * US;
+
+/// Identity and rotation knobs for one replica (the other timers are
+/// fixed constants).
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaConfig {
     /// Election rank / identity; rank 0 is the bring-up leader.
@@ -60,16 +70,8 @@ pub struct ReplicaConfig {
     /// Seed for this replica's own key minting (must differ between
     /// replicas so successive leaders never re-mint the same secret).
     pub key_seed: u64,
-    /// Leader: beacon period.
-    pub heartbeat_interval: SimTime,
-    /// Follower: silence tolerated before claiming, before staggering.
-    pub election_timeout: SimTime,
-    /// Extra timeout per rank unit — serializes would-be claimants.
-    pub stagger: SimTime,
     /// Leader: rotate every partition this often (0 disables rotation).
     pub rotation_period: SimTime,
-    /// Leader: resend unacked key distribution this often.
-    pub resend_interval: SimTime,
 }
 
 impl Default for ReplicaConfig {
@@ -78,11 +80,7 @@ impl Default for ReplicaConfig {
             id: 0,
             node: 0,
             key_seed: 1,
-            heartbeat_interval: 50 * US,
-            election_timeout: 200 * US,
-            stagger: 100 * US,
             rotation_period: 300 * US,
-            resend_interval: 100 * US,
         }
     }
 }
@@ -226,7 +224,7 @@ impl SmReplica {
     }
 
     fn effective_timeout(&self) -> SimTime {
-        self.cfg.election_timeout + self.cfg.stagger * SimTime::from(self.cfg.id)
+        ELECTION_TIMEOUT + STAGGER * SimTime::from(self.cfg.id)
     }
 
     /// Earliest instant this replica next needs the clock to reach
@@ -236,13 +234,13 @@ impl SmReplica {
             return None;
         }
         if self.is_leader() {
-            let mut t = self.last_heartbeat_tx + self.cfg.heartbeat_interval;
+            let mut t = self.last_heartbeat_tx + HEARTBEAT_INTERVAL;
             if let Some(r) = self.next_rotation {
                 t = t.min(r);
             }
             for d in &self.dist {
                 if !d.complete() {
-                    t = t.min(d.last_send + self.cfg.resend_interval);
+                    t = t.min(d.last_send + RESEND_INTERVAL);
                 }
             }
             Some(t)
@@ -375,7 +373,7 @@ impl SmReplica {
             return;
         }
         if self.is_leader() {
-            if now.saturating_sub(self.last_heartbeat_tx) >= self.cfg.heartbeat_interval {
+            if now.saturating_sub(self.last_heartbeat_tx) >= HEARTBEAT_INTERVAL {
                 self.beacon(now, out);
             }
             if let Some(t) = self.next_rotation {
@@ -386,7 +384,7 @@ impl SmReplica {
             }
             for idx in 0..self.dist.len() {
                 if !self.dist[idx].complete()
-                    && now.saturating_sub(self.dist[idx].last_send) >= self.cfg.resend_interval
+                    && now.saturating_sub(self.dist[idx].last_send) >= RESEND_INTERVAL
                 {
                     self.dist[idx].last_send = now;
                     self.send_distribution(idx, out);
@@ -598,7 +596,7 @@ mod tests {
         settle(&mut reps, period, &member_priv); // epoch 1 distributed
         reps[0].kill();
         // Rank 1 times out first (stagger) and takes over.
-        let timeout = reps[1].cfg.election_timeout + reps[1].cfg.stagger;
+        let timeout = ELECTION_TIMEOUT + STAGGER;
         let t = period + timeout;
         let (epoch, _) = settle(&mut reps, t, &member_priv).expect("takeover rotation");
         assert!(reps[1].is_leader());
@@ -618,8 +616,7 @@ mod tests {
         let first = reps[0].stats.key_updates_tx;
         assert!(first > 0);
         assert!(!reps[0].distribution_complete());
-        let resend = reps[0].cfg.resend_interval;
-        reps[0].poll(period + resend, &mut out);
+        reps[0].poll(period + RESEND_INTERVAL, &mut out);
         assert!(reps[0].stats.key_updates_tx > first, "resend fired");
     }
 
@@ -629,7 +626,7 @@ mod tests {
         let period = reps[0].cfg.rotation_period;
         let (_, s1) = settle(&mut reps, period, &member_priv).unwrap();
         reps[0].kill();
-        let timeout = reps[1].cfg.election_timeout + reps[1].cfg.stagger;
+        let timeout = ELECTION_TIMEOUT + STAGGER;
         let (_, s2) = settle(&mut reps, period + timeout, &member_priv).unwrap();
         assert_ne!(s1, s2, "distinct key_seed per replica prevents reuse");
     }

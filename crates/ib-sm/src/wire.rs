@@ -13,7 +13,7 @@ use ib_mgmt::keymgmt::KeyEnvelope;
 use ib_mgmt::KeyEpoch;
 use ib_packet::mad::{attr, Mad, Method};
 use ib_packet::types::{Lid, PKey, Psn, QKey, Qpn, VirtualLane};
-use ib_packet::{OpCode, Packet, PacketBuilder};
+use ib_packet::{OpCode, Packet, PacketBuilder, WireView};
 
 /// QP0: the management QP every port owns (IBA §3.5.3). All SM-plane
 /// MADs are addressed to it, which is also how the rekey harness
@@ -227,17 +227,17 @@ pub fn mad_packet(src: Lid, dst: Lid, mad: &Mad) -> Packet {
 /// Recognize an SM-plane delivery: a packet addressed to QP0 whose
 /// payload parses as a MAD. Returns the sender's node index (SLID − 1)
 /// and the MAD.
-pub fn mad_of(p: &Packet) -> Option<(usize, Mad)> {
+pub fn mad_of(p: &WireView) -> Option<(usize, Mad)> {
     if p.bth.dest_qp != SM_QPN {
         return None;
     }
-    let mad = Mad::parse(&p.payload).ok()?;
+    let mad = Mad::parse(p.payload).ok()?;
     Some(((p.lrh.slid.0 as usize).checked_sub(1)?, mad))
 }
 
 /// [`mad_of`] on wire bytes.
 pub fn parse_mad_packet(bytes: &[u8]) -> Option<(usize, Mad)> {
-    mad_of(&Packet::parse(bytes).ok()?)
+    mad_of(&Packet::parse_view(bytes).ok()?)
 }
 
 #[cfg(test)]

@@ -27,7 +27,18 @@ impl RetransmitMode {
     }
 }
 
-/// Reliable-connection transport parameters.
+/// Initial retransmission timeout, ps.
+pub(crate) const RTO: SimTime = 100 * US;
+/// Cap on the exponentially backed-off RTO, ps.
+pub(crate) const RTO_MAX: SimTime = 2 * MS;
+const _: () = assert!(RTO < RTO_MAX);
+/// Coalesced ACKs: a straggler is acknowledged after this delay, ps.
+pub(crate) const ACK_DELAY: SimTime = 10 * US;
+/// Receiver-not-ready back-off the RNR NAK asks the sender to wait, ps.
+pub(crate) const RNR_TIMER: SimTime = 50 * US;
+
+/// Reliable-connection transport parameters (the timers are the
+/// constants above).
 ///
 /// The one security-critical field is [`window`](RcConfig::window): it
 /// must not exceed the receive channel's replay-window depth, or a
@@ -37,19 +48,12 @@ impl RetransmitMode {
 pub struct RcConfig {
     /// Maximum unacknowledged packets in flight (send window).
     pub window: u32,
-    /// Initial retransmission timeout, ps.
-    pub rto: SimTime,
-    /// Cap on the exponentially backed-off RTO, ps.
-    pub rto_max: SimTime,
     /// Consecutive timeouts without forward progress before the QP goes
     /// to the error (dead) state.
     pub max_retries: u32,
-    /// Coalesce ACKs: acknowledge every n-th in-order packet immediately…
+    /// Coalesce ACKs: acknowledge every n-th in-order packet immediately
+    /// (and any straggler after `ACK_DELAY`).
     pub ack_coalesce: u32,
-    /// …and any straggler after this delay, ps.
-    pub ack_delay: SimTime,
-    /// Receiver-not-ready back-off the RNR NAK asks the sender to wait, ps.
-    pub rnr_timer: SimTime,
     /// First PSN of the connection.
     pub initial_psn: u32,
     /// Receive-side buffer budget (messages held undrained before the
@@ -66,12 +70,8 @@ impl Default for RcConfig {
     fn default() -> Self {
         RcConfig {
             window: 32,
-            rto: 100 * US,
-            rto_max: 2 * MS,
             max_retries: 10,
             ack_coalesce: 4,
-            ack_delay: 10 * US,
-            rnr_timer: 50 * US,
             initial_psn: 0,
             rx_capacity: 1024,
             mtu: 1024,
@@ -85,12 +85,12 @@ impl RcConfig {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("window", self.window.to_json()),
-            ("rto_ps", self.rto.to_json()),
-            ("rto_max_ps", self.rto_max.to_json()),
+            ("rto_ps", RTO.to_json()),
+            ("rto_max_ps", RTO_MAX.to_json()),
             ("max_retries", self.max_retries.to_json()),
             ("ack_coalesce", self.ack_coalesce.to_json()),
-            ("ack_delay_ps", self.ack_delay.to_json()),
-            ("rnr_timer_ps", self.rnr_timer.to_json()),
+            ("ack_delay_ps", ACK_DELAY.to_json()),
+            ("rnr_timer_ps", RNR_TIMER.to_json()),
             ("initial_psn", self.initial_psn.to_json()),
             ("rx_capacity", (self.rx_capacity as u64).to_json()),
             ("mtu", (self.mtu as u64).to_json()),
@@ -107,7 +107,6 @@ mod tests {
     fn defaults_fit_replay_window() {
         let cfg = RcConfig::default();
         assert!(cfg.window <= 64, "send window must fit the replay window");
-        assert!(cfg.rto < cfg.rto_max);
         assert!(cfg.ack_coalesce >= 1);
     }
 
@@ -115,7 +114,6 @@ mod tests {
     fn json_round_trip() {
         let cfg = RcConfig {
             window: 16,
-            rto: 7 * US,
             initial_psn: 0xFF_FFF0,
             mtu: 512,
             retransmit: RetransmitMode::SelectiveRepeat,

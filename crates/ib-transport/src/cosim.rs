@@ -58,7 +58,7 @@
 //!    retransmits and opened window are consequences of an arrival or a
 //!    timeout; its pending queue grows only by a post.
 //! 2. The only other effect of a poll, `channel.advance_time(now)`, is
-//!    also the first statement of `handle_wire` — the only place a
+//!    also the first statement of `handle_view` — the only place a
 //!    retired epoch is observable — and of `install_epoch`, so key
 //!    versions retire before anything can look at them whether or not
 //!    the endpoint is ever polled again.
@@ -77,7 +77,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ib_packet::types::{Lid, Qpn, RKey};
-use ib_packet::{OpCode, Operation, Packet, PacketBuilder};
+use ib_packet::{Operation, Packet, WireView};
 use ib_sim::time::{ps_to_us, MS};
 use ib_sim::{HostDelivery, OnlineStats, SimTime, Simulator};
 
@@ -294,7 +294,7 @@ pub trait Host {
     fn offer(
         &mut self,
         _d: &HostDelivery,
-        _pkt: &Packet,
+        _pkt: &WireView,
         _sim: &mut Simulator,
         _flows: &mut [Flow],
     ) -> bool {
@@ -492,7 +492,6 @@ impl Cosim {
         let (load, tap) = (self.load, self.tap);
         let mut wire: Vec<Vec<u8>> = Vec::new();
         let mut pass: Vec<usize> = Vec::new();
-        let mut shell = PacketBuilder::new(OpCode::RC_SEND_ONLY).build();
         let mut complete_flows = 0usize;
         loop {
             self.steps += 1;
@@ -570,26 +569,26 @@ impl Cosim {
             .max(now + 1);
             let t = self.sim.run_hosts_until(target);
             while let Some(d) = self.sim.take_host_delivery() {
-                self.deliver(&d, host, &mut shell);
+                self.deliver(&d, host);
             }
             self.now = t;
         }
     }
 
-    /// Step 7 for one arrival. `shell` is the reused parse target.
-    fn deliver<H: Host>(&mut self, d: &HostDelivery, host: &mut H, shell: &mut Packet) {
-        if shell.parse_into(&d.bytes).is_err() {
+    /// Step 7 for one arrival.
+    fn deliver<H: Host>(&mut self, d: &HostDelivery, host: &mut H) {
+        let Ok(view) = Packet::parse_view(&d.bytes) else {
             self.ledger.unparseable += 1;
             return;
-        }
-        if host.offer(d, shell, &mut self.sim, &mut self.flows) {
+        };
+        if host.offer(d, &view, &mut self.sim, &mut self.flows) {
             return;
         }
         let tap = self.tap;
         if tap.every > 0
             && d.node == tap.node
-            && shell.bth.dest_qp == tap.qpn
-            && shell.bth.opcode.operation != Operation::Acknowledge
+            && view.bth.dest_qp == tap.qpn
+            && view.bth.opcode.operation != Operation::Acknowledge
         {
             self.captured += 1;
             if self.captured.is_multiple_of(tap.every) {
@@ -598,16 +597,16 @@ impl Cosim {
         }
         // Flow `i` owns QPN `qpn0 + i`: index, don't search. (A QPN below
         // the base wraps far out of range.)
-        let i = shell.bth.dest_qp.0.wrapping_sub(self.load.qpn0) as usize;
+        let i = view.bth.dest_qp.0.wrapping_sub(self.load.qpn0) as usize;
         let Some(f) = self.flows.get_mut(i) else {
             return;
         };
         if f.dst == d.node {
-            f.b.handle_wire(d.at, &d.bytes);
+            f.b.handle_view(d.at, &view);
             self.wake.wake(2 * i + 1);
             self.ledger.drain_responder(f, &self.load, d.at);
         } else if f.src == d.node {
-            f.a.handle_wire(d.at, &d.bytes);
+            f.a.handle_view(d.at, &view);
             self.wake.wake(2 * i);
             self.ledger.drain_requester(f, &self.load, d.at);
         }

@@ -107,12 +107,12 @@ use ib_runtime::hash::FxHashMap;
 use ib_security::{Admit, ChannelSecurity, SecureChannel};
 use ib_sim::SimTime;
 
-use crate::config::{RcConfig, RetransmitMode};
+use crate::config::{RcConfig, RetransmitMode, RNR_TIMER};
 use crate::qp::{psn_sub, RcQp, RxClass, RxReply};
 
 /// RNR timer code placed in the AETH (the 5-bit IBA encoding is a table
 /// lookup; both ends of this connection share an [`RcConfig`], so the
-/// code is advisory and the sender backs off by `cfg.rnr_timer`).
+/// code is advisory and the sender backs off by `RNR_TIMER`).
 const RNR_TIMER_CODE: u8 = 0;
 
 /// Upper bound on pooled wire buffers; excess recycles are dropped so a
@@ -437,17 +437,28 @@ impl SecureRcEndpoint {
     }
 
     /// Process one arriving wire buffer: view it (the one VCRC check),
-    /// then route to the ACK or data state machine. Dispatch is by opcode,
-    /// not AETH presence: read responses carry an AETH yet their PSNs live
-    /// in the peer's *data* sequence space.
+    /// then `handle_view` it.
     pub fn handle_wire(&mut self, now: SimTime, bytes: &[u8]) {
-        self.channel.advance_time(now);
         match Packet::parse_view(bytes) {
-            Err(_) => self.stats.parse_drops += 1,
-            Ok(view) if view.bth.opcode.operation == Operation::Acknowledge => {
-                self.handle_ack(now, &view)
+            Ok(view) => self.handle_view(now, &view),
+            Err(_) => {
+                self.channel.advance_time(now);
+                self.stats.parse_drops += 1;
             }
-            Ok(view) => self.handle_data(now, &view),
+        }
+    }
+
+    /// Process one arrival a caller has already viewed: route it to the
+    /// ACK or data state machine. Dispatch is by opcode, not AETH
+    /// presence: read responses carry an AETH yet their PSNs live in the
+    /// peer's *data* sequence space.
+    #[inline]
+    pub(crate) fn handle_view(&mut self, now: SimTime, view: &WireView) {
+        self.channel.advance_time(now);
+        if view.bth.opcode.operation == Operation::Acknowledge {
+            self.handle_ack(now, view)
+        } else {
+            self.handle_data(now, view)
         }
     }
 
@@ -476,10 +487,7 @@ impl SecureRcEndpoint {
             // The fatal NAK classes put a real QP in the error state; this
             // transport never generates them, so treat as unhandled.
             AethKind::Nak(_) => {}
-            AethKind::Rnr { .. } => {
-                let delay = self.qp.config().rnr_timer;
-                self.qp.on_rnr(now, psn, delay);
-            }
+            AethKind::Rnr { .. } => self.qp.on_rnr(now, psn, RNR_TIMER),
         }
     }
 

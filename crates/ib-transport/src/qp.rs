@@ -38,7 +38,7 @@ use ib_packet::types::RKey;
 use ib_packet::{Operation, Reth};
 use ib_sim::SimTime;
 
-use crate::config::{RcConfig, RetransmitMode};
+use crate::config::{RcConfig, RetransmitMode, ACK_DELAY, RTO, RTO_MAX};
 
 /// PSNs are 24-bit, wrapping.
 pub const PSN_MASK: u32 = 0x00FF_FFFF;
@@ -305,12 +305,9 @@ impl RcQp {
 
     /// Current retransmission timeout with exponential back-off applied.
     fn current_rto(&self) -> SimTime {
-        let shifted = self
-            .cfg
-            .rto
-            .checked_shl(self.backoff_exp)
-            .unwrap_or(SimTime::MAX);
-        shifted.min(self.cfg.rto_max)
+        RTO.checked_shl(self.backoff_exp)
+            .unwrap_or(SimTime::MAX)
+            .min(RTO_MAX)
     }
 
     /// Next packet to put on the wire, if the window, RNR back-off and
@@ -450,7 +447,7 @@ impl RcQp {
             self.rto_deadline = None;
             return TimeoutAction::Failed;
         }
-        // Cap the exponent: current_rto saturates at rto_max anyway.
+        // Cap the exponent: current_rto saturates at RTO_MAX anyway.
         self.backoff_exp = (self.backoff_exp + 1).min(32);
         match self.cfg.retransmit {
             RetransmitMode::GoBackN => self.resend_cursor = 0,
@@ -524,7 +521,7 @@ impl RcQp {
     /// In-order packet accepted: advance the expectation — and, when the
     /// packet completes a message (`msg_end`), the MSN — then coalesce
     /// the ACK: every `ack_coalesce`-th packet acknowledges immediately,
-    /// a straggler is acknowledged after `ack_delay` via
+    /// a straggler is acknowledged after `ACK_DELAY` via
     /// [`RcQp::poll_ack`].
     pub fn rx_accept(&mut self, now: SimTime, msg_end: bool) -> Option<RxReply> {
         self.expected_psn = psn_add(self.expected_psn, 1);
@@ -538,7 +535,7 @@ impl RcQp {
             self.ack_deadline = None;
             Some(self.cumulative_ack())
         } else {
-            self.ack_deadline = Some(now + self.cfg.ack_delay);
+            self.ack_deadline = Some(now + ACK_DELAY);
             None
         }
     }
@@ -667,11 +664,11 @@ mod tests {
         assert_eq!((r0.psn, r1.psn), (0, 1));
         assert_eq!(q.retransmits, 2);
         // Back-off doubled the deadline.
-        assert!(q.current_rto() >= 2 * RcConfig::default().rto);
+        assert!(q.current_rto() >= 2 * RTO);
         // Progress resets back-off.
         q.on_ack(rto + 1, 2);
         assert!(q.tx_idle());
-        assert_eq!(q.current_rto(), RcConfig::default().rto);
+        assert_eq!(q.current_rto(), RTO);
     }
 
     #[test]

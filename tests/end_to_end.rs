@@ -82,7 +82,7 @@ fn trap_to_sif_programming_loop() {
     let action = sm.handle_trap(&trap).expect("SM locates the violator");
     assert_eq!((action.switch, action.port), (2, 4));
 
-    // Program the filter (the simulator does this after program_latency).
+    // Program the filter (the simulator does this after PROGRAM_LATENCY).
     sif.register_invalid(100, action.port, action.pkey);
 
     // The flood now dies at the attacker's own ingress port…
