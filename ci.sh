@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== every crate inherits the workspace lint table =="
+# The root Cargo.toml's [workspace.lints] (unreachable_pub, unsafe_code,
+# undocumented unsafe blocks) binds only the crates that opt in, so a
+# crate without `[lints] workspace = true` escapes the clippy leg below.
+for manifest in crates/*/Cargo.toml; do
+  if ! awk '/^\[/ { table = $0 } table == "[lints]" && /^workspace *= *true/ { ok = 1 }
+            END { exit !ok }' "$manifest"; then
+    echo "$manifest lacks [lints] workspace = true"; exit 1
+  fi
+done
+
 echo "== build (release, offline) =="
 cargo build --release --offline
 

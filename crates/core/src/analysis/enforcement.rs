@@ -17,15 +17,15 @@ use ib_mgmt::enforcement::EnforcementKind;
 #[derive(Debug, Clone, Copy)]
 pub struct EnforcementModel {
     /// n — number of end nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// s — number of switches.
-    pub switches: usize,
+    pub(crate) switches: usize,
     /// p — partitions each node joins.
-    pub partitions_per_node: usize,
+    pub(crate) partitions_per_node: usize,
     /// Pr(n) — probability a node joins a P_Key attack.
-    pub attack_probability: f64,
+    pub(crate) attack_probability: f64,
     /// Avg(p̄) — average number of Invalid_P_Key_Table entries.
-    pub avg_invalid_entries: f64,
+    pub(crate) avg_invalid_entries: f64,
 }
 
 /// One evaluated Table 2 column.
@@ -60,7 +60,7 @@ impl EnforcementModel {
     }
 
     /// Memory (table entries) in one switch.
-    pub fn memory_per_switch(&self, kind: EnforcementKind) -> f64 {
+    pub(crate) fn memory_per_switch(&self, kind: EnforcementKind) -> f64 {
         let n = self.nodes as f64;
         let p = self.partitions_per_node as f64;
         match kind {
@@ -72,7 +72,7 @@ impl EnforcementModel {
     }
 
     /// Memory (table entries) across all switches.
-    pub fn memory_total(&self, kind: EnforcementKind) -> f64 {
+    pub(crate) fn memory_total(&self, kind: EnforcementKind) -> f64 {
         let n = self.nodes as f64;
         let p = self.partitions_per_node as f64;
         let s = self.switches as f64;
@@ -86,7 +86,7 @@ impl EnforcementModel {
 
     /// Expected lookups per packet, with the caller's lookup-cost function
     /// `f(table_entries) → cost`.
-    pub fn lookups_per_packet(&self, kind: EnforcementKind, f: impl Fn(f64) -> f64) -> f64 {
+    pub(crate) fn lookups_per_packet(&self, kind: EnforcementKind, f: impl Fn(f64) -> f64) -> f64 {
         let n = self.nodes as f64;
         let p = self.partitions_per_node as f64;
         match kind {

@@ -11,9 +11,9 @@ use ib_crypto::mac::AuthAlgorithm;
 /// The paper's normalization clock for Table 4.
 pub const TABLE4_CLOCK_MHZ: f64 = 350.0;
 /// The link speed UMAC must keep up with (Table 1).
-pub const LINK_GBPS: f64 = 2.5;
+pub(crate) const LINK_GBPS: f64 = 2.5;
 /// The CA clock the paper assumes for the §6 feasibility claim.
-pub const CA_CLOCK_MHZ: f64 = 200.0;
+pub(crate) const CA_CLOCK_MHZ: f64 = 200.0;
 
 /// Convert cycles/byte at a clock (MHz) into Gb/s of MAC throughput.
 pub fn gbps_from_cycles_per_byte(cycles_per_byte: f64, clock_mhz: f64) -> f64 {

@@ -131,22 +131,12 @@ impl Authenticator {
         }
     }
 
-    /// The configured algorithm.
-    pub fn algorithm(&self) -> AuthAlgorithm {
-        self.algorithm
-    }
-
-    /// The configured key scope.
-    pub fn scope(&self) -> KeyScope {
-        self.scope
-    }
-
     /// Retire partition key versions older than `epoch` (grace expiry)
     /// and evict every cached keyed MAC whose secret is no longer in the
     /// key table — a ~1.2 KiB keyed UMAC per rotation otherwise stays
     /// behind forever and lengthens the cache search. Runs on
     /// the (rare) retirement path so tagging and verification pay nothing.
-    pub fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
+    pub(crate) fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
         self.keys.retire_partition_below(pkey, epoch);
         let keys = &self.keys;
         self.mac_cache

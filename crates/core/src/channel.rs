@@ -130,7 +130,6 @@ pub struct ChannelStats {
 /// One receive direction's security state: optional authenticator,
 /// optional replay window, and counters.
 pub struct SecureChannel {
-    security: ChannelSecurity,
     auth: Option<Authenticator>,
     window: Option<ReplayWindow>,
     /// The partition this channel authenticates under (its epoch ring's
@@ -169,7 +168,6 @@ impl SecureChannel {
             _ => None,
         };
         SecureChannel {
-            security,
             auth,
             window,
             pkey,
@@ -181,11 +179,6 @@ impl SecureChannel {
         }
     }
 
-    /// The configured security arm.
-    pub fn security(&self) -> ChannelSecurity {
-        self.security
-    }
-
     /// Configure the rotation grace window: after a newer epoch is
     /// installed, superseded versions keep verifying for this long (in
     /// whatever clock units the caller feeds [`Self::install_epoch`] and
@@ -195,7 +188,8 @@ impl SecureChannel {
     }
 
     /// The epoch the send side currently seals under.
-    pub fn send_epoch(&self) -> KeyEpoch {
+    #[cfg(test)]
+    pub(crate) fn send_epoch(&self) -> KeyEpoch {
         self.auth
             .as_ref()
             .and_then(|a| a.keys.partition_current(self.pkey))

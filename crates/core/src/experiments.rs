@@ -23,8 +23,8 @@ const DEFAULT_SEEDS: u64 = 5;
 /// averages. Every figure has a full run and a smoke run (`--smoke`).
 #[derive(Debug, Clone, Copy)]
 pub struct FigureRun {
-    pub duration: SimTime,
-    pub warmup: SimTime,
+    pub(crate) duration: SimTime,
+    pub(crate) warmup: SimTime,
     pub seeds: u64,
 }
 
@@ -98,7 +98,7 @@ pub struct AveragedPoint {
     pub be_network_us: f64,
     pub legit_queuing_us: f64,
     pub legit_network_us: f64,
-    pub legit_queuing_stddev_us: f64,
+    pub(crate) legit_queuing_stddev_us: f64,
     pub filter_drops: u64,
     pub hca_blocked: u64,
     pub traps: u64,

@@ -73,8 +73,6 @@ struct FabricNode {
 pub struct SecureFabric {
     sm: SubnetManager,
     nodes: Vec<FabricNode>,
-    algorithm: AuthAlgorithm,
-    scope: KeyScope,
 }
 
 impl SecureFabric {
@@ -101,32 +99,7 @@ impl SecureFabric {
                 }
             })
             .collect();
-        SecureFabric {
-            sm,
-            nodes,
-            algorithm,
-            scope,
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the fabric has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The configured algorithm.
-    pub fn algorithm(&self) -> AuthAlgorithm {
-        self.algorithm
-    }
-
-    /// The configured key-management scope.
-    pub fn scope(&self) -> KeyScope {
-        self.scope
+        SecureFabric { sm, nodes }
     }
 
     /// Create a partition: the SM mints the secret and each member opens

@@ -45,6 +45,4 @@ pub mod replay;
 
 pub use auth::{AuthError, Authenticator, KeyScope};
 pub use channel::{Admit, ChannelError, ChannelSecurity, SecureChannel};
-pub use fabric::SecureFabric;
-pub use ondemand::OnDemandPolicy;
 pub use replay::{ReplayVerdict, ReplayWindow};

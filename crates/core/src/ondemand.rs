@@ -18,7 +18,7 @@ pub struct OnDemandPolicy {
     partitions: HashSet<PKey>,
     qps: HashSet<Qpn>,
     /// Require authentication for everything (subnet-wide lockdown).
-    pub default_required: bool,
+    pub(crate) default_required: bool,
 }
 
 impl OnDemandPolicy {
@@ -28,7 +28,7 @@ impl OnDemandPolicy {
     }
 
     /// Enable authentication for a partition ("only for that partition").
-    pub fn require_partition(&mut self, pkey: PKey) -> &mut Self {
+    pub(crate) fn require_partition(&mut self, pkey: PKey) -> &mut Self {
         self.partitions.insert(pkey);
         self
     }
@@ -46,7 +46,7 @@ impl OnDemandPolicy {
     }
 
     /// Does policy demand that this packet carry an authentication tag?
-    pub fn requires_auth(&self, packet: &Packet) -> bool {
+    pub(crate) fn requires_auth(&self, packet: &Packet) -> bool {
         self.default_required
             || self.partitions.contains(&packet.bth.pkey)
             || self.qps.contains(&packet.bth.dest_qp)
@@ -60,7 +60,8 @@ impl OnDemandPolicy {
     }
 
     /// Number of enrolled scopes (metrics).
-    pub fn enrolled(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn enrolled(&self) -> usize {
         self.partitions.len() + self.qps.len()
     }
 }

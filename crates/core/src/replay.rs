@@ -12,7 +12,7 @@
 /// Sliding-window replay tracker over 24-bit PSNs (tracked internally as
 /// monotonically increasing u64 to sidestep wrap ambiguity; callers feed
 /// [`ReplayWindow::accept`] the unwrapped sequence — see
-/// [`ReplayWindow::accept_psn`] for the wrap-aware convenience).
+/// `ReplayWindow::accept_psn` for the wrap-aware convenience).
 #[derive(Debug, Clone)]
 pub struct ReplayWindow {
     /// Highest sequence accepted so far (None until the first packet).
@@ -22,7 +22,7 @@ pub struct ReplayWindow {
     bitmap: u64,
     window: u32,
     /// Count of rejected (replayed or too-old) packets.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
 }
 
 /// 24-bit PSN modulus.
@@ -66,7 +66,7 @@ impl ReplayWindow {
     /// Offer an unwrapped sequence number and learn its delivery status:
     /// [`ReplayVerdict::Fresh`] records it, the other verdicts count a
     /// rejection.
-    pub fn offer(&mut self, seq: u64) -> ReplayVerdict {
+    pub(crate) fn offer(&mut self, seq: u64) -> ReplayVerdict {
         match self.top {
             None => {
                 self.top = Some(seq);
@@ -104,7 +104,7 @@ impl ReplayWindow {
         self.offer(seq) == ReplayVerdict::Fresh
     }
 
-    /// Wrap-aware [`offer`](Self::offer) over a raw 24-bit PSN: the window
+    /// Wrap-aware `offer` over a raw 24-bit PSN: the window
     /// unwraps it against the current top using shortest-distance logic (a
     /// PSN less than half the space ahead counts as forward progress,
     /// otherwise as a late/replayed packet from just behind).
@@ -131,12 +131,12 @@ impl ReplayWindow {
     }
 
     /// Boolean form of [`offer_psn`](Self::offer_psn).
-    pub fn accept_psn(&mut self, psn: u32) -> bool {
+    pub(crate) fn accept_psn(&mut self, psn: u32) -> bool {
         self.offer_psn(psn) == ReplayVerdict::Fresh
     }
 
     /// The out-of-order depth this window tolerates.
-    pub fn window(&self) -> u32 {
+    pub(crate) fn window(&self) -> u32 {
         self.window
     }
 }

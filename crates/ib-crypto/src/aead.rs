@@ -64,11 +64,7 @@ impl AesGcm32 {
                 ctr = ctr.wrapping_add(1);
             }
             self.aes.encrypt_blocks(&mut ks);
-            let flat: &[u8] = unsafe {
-                // SAFETY: [[u8;16];8] is 128 contiguous bytes.
-                std::slice::from_raw_parts(ks.as_ptr() as *const u8, 128)
-            };
-            for (b, k) in chunk.iter_mut().zip(flat) {
+            for (b, k) in chunk.iter_mut().zip(ks.as_flattened()) {
                 *b ^= k;
             }
         }

@@ -64,7 +64,7 @@ const fn build_sbox() -> [u8; 256] {
 }
 
 /// The AES substitution box, generated at compile time.
-pub static SBOX: [u8; 256] = build_sbox();
+pub(crate) static SBOX: [u8; 256] = build_sbox();
 
 /// AES-128: 10 rounds, 11 round keys of 16 bytes each.
 const ROUNDS: usize = 10;
@@ -155,6 +155,7 @@ impl Aes128 {
 
     /// Encrypt one 16-byte block in place (AES-NI when available; the
     /// table implementation otherwise — bit-identical either way).
+    #[allow(unsafe_code)] // the AES-NI dispatch below
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
         if self.use_aesni {
@@ -186,6 +187,7 @@ impl Aes128 {
     /// states pipeline through the AES unit together (the PMAC-lane /
     /// CTR / packet-batch fast path); otherwise they encrypt
     /// sequentially. Output is bit-identical either way.
+    #[allow(unsafe_code)] // the AES-NI dispatch below
     pub fn encrypt_blocks<const N: usize>(&self, blocks: &mut [[u8; 16]; N]) {
         #[cfg(target_arch = "x86_64")]
         if self.use_aesni {
@@ -199,7 +201,8 @@ impl Aes128 {
     }
 
     /// Encrypt a copy of `block` and return it.
-    pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
+    #[cfg(test)]
+    pub(crate) fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut out = *block;
         self.encrypt_block(&mut out);
         out

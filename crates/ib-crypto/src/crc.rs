@@ -15,9 +15,9 @@
 //! 8 bytes per step — the recurrence a 10 Gbps "multistage" hardware
 //! generator like the one cited in the paper's Table 4 parallelizes
 //! further), and `update_auto`, which hands buffers of at least
-//! [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes to the PCLMULQDQ carry-less
+//! `crate::simd::crc::PCLMUL_MIN_LEN` bytes to the PCLMULQDQ carry-less
 //! folding kernel when the CPU has it. Both widths share that one kernel
-//! (the VCRC rides it as `P·x^16`, see [`crate::simd::crc`]), and both
+//! (the VCRC rides it as `P·x^16`, see `crate::simd::crc`), and both
 //! one-shot forms ([`crc32_ieee`], [`crc16_iba`]) dispatch. The kernels
 //! are cross-checked against the bitwise reference by unit and property
 //! tests.
@@ -25,9 +25,9 @@
 use crate::simd::crc::{fold_blocks, CRC16_IBA_FOLD, CRC32_IEEE_FOLD};
 
 /// Reflected IEEE 802.3 polynomial (0x04C11DB7 bit-reversed).
-pub const CRC32_POLY_REFLECTED: u32 = 0xEDB8_8320;
+pub(crate) const CRC32_POLY_REFLECTED: u32 = 0xEDB8_8320;
 /// Reflected IBA VCRC polynomial (0x100B bit-reversed).
-pub const CRC16_POLY_REFLECTED: u16 = 0xD008;
+pub(crate) const CRC16_POLY_REFLECTED: u16 = 0xD008;
 
 /// Bitwise reference CRC-32 (IEEE 802.3, reflected, init/xorout all-ones).
 ///
@@ -199,7 +199,7 @@ impl Crc32 {
 
     /// Feed `data` through the fastest kernel available at runtime:
     /// PCLMULQDQ carry-less folding over the whole 16-byte blocks of
-    /// buffers of at least [`crate::simd::crc::PCLMUL_MIN_LEN`] bytes
+    /// buffers of at least `crate::simd::crc::PCLMUL_MIN_LEN` bytes
     /// when the CPU supports it (and `IB_SIMD=off` is not set),
     /// slice-by-8 for the tail and otherwise. CRC is linear over GF(2),
     /// so the result is bit-identical to [`Crc32::update`] on every input

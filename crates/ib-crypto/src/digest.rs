@@ -30,8 +30,9 @@ pub trait Digest: Clone {
     }
 }
 
-/// Hex-encode a byte slice (test helper, also used by examples).
-pub fn hex(bytes: &[u8]) -> String {
+/// Hex-encode a byte slice (test helper).
+#[cfg(test)]
+pub(crate) fn hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         use std::fmt::Write;

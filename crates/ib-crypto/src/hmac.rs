@@ -1,5 +1,5 @@
 //! HMAC keyed-hash message authentication (RFC 2104), generic over the
-//! [`Digest`] implementations in this crate.
+//! `Digest` implementations in this crate.
 //!
 //! The paper (Table 4) benchmarks HMAC-MD5 and HMAC-SHA1 as the
 //! "conventional MACs adopted in IPSec", truncating their tags to the 32-bit
@@ -70,7 +70,7 @@ impl<D: Digest> Hmac<D> {
     }
 
     /// One-shot full-length HMAC.
-    pub fn mac(key: &[u8], message: &[u8]) -> [u8; 64] {
+    pub(crate) fn mac(key: &[u8], message: &[u8]) -> [u8; 64] {
         let mut h = Self::new(key);
         h.update(message);
         h.finalize()

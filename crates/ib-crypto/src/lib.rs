@@ -11,7 +11,7 @@
 //! * [`md5`] / [`sha1`] — the hash functions underlying HMAC-MD5 and
 //!   HMAC-SHA1 (Table 4 of the paper).
 //! * [`hmac`] — RFC 2104 keyed-hash message authentication, generic over any
-//!   [`digest::Digest`].
+//!   `digest::Digest`.
 //! * [`aes`] — AES-128 block cipher (FIPS 197), the PRF inside our UMAC and
 //!   PMAC and the cipher the paper's §7 "30–70 Gbps AES processor" remark
 //!   refers to.
@@ -33,7 +33,7 @@
 //! * [`simd`] — runtime-dispatched vector kernels (PCLMULQDQ CRC-32
 //!   folding, SSE2/AVX2 NH, AES-NI, carry-less GHASH) with the scalar
 //!   implementations above as always-available fallback and oracle.
-//! * [`aead`] — an AES-GCM-style authenticated encryption mode with a
+//! * `aead` — an AES-GCM-style authenticated encryption mode with a
 //!   32-bit tag, the Table-4 arm for the paper's confidentiality +
 //!   authentication combination.
 //!
@@ -42,10 +42,10 @@
 //! computation over byte slices (we still link `std` for convenience);
 //! nothing allocates on the hot path except where explicitly noted.
 
-pub mod aead;
+pub(crate) mod aead;
 pub mod aes;
 pub mod crc;
-pub mod digest;
+pub(crate) mod digest;
 pub mod hmac;
 pub mod mac;
 pub mod md5;
@@ -59,9 +59,4 @@ pub mod umac;
 
 pub use aead::AesGcm32;
 pub use crc::{crc16_iba, crc32_ieee, Crc16, Crc32};
-pub use digest::Digest;
-pub use hmac::Hmac;
-pub use mac::{AuthAlgorithm, Tag32};
-pub use md5::Md5;
-pub use sha1::Sha1;
 pub use umac::Umac;

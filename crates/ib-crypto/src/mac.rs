@@ -21,7 +21,7 @@ use crate::umac::Umac;
 
 /// A 32-bit authentication tag — the exact size of the ICRC field it
 /// replaces on the wire.
-pub type Tag32 = u32;
+pub(crate) type Tag32 = u32;
 
 /// Every authentication function the BTH `Resv` selector can name.
 ///
@@ -175,7 +175,8 @@ impl AnyMac {
     }
 
     /// Which registry entry this keyed instance implements.
-    pub fn algorithm(&self) -> AuthAlgorithm {
+    #[cfg(test)]
+    pub(crate) fn algorithm(&self) -> AuthAlgorithm {
         match self {
             AnyMac::Icrc => AuthAlgorithm::Icrc,
             AnyMac::Umac32(_) => AuthAlgorithm::Umac32,

@@ -39,7 +39,7 @@ impl PartialMac {
     }
 
     /// Fraction of bytes covered.
-    pub fn coverage(&self) -> f64 {
+    pub(crate) fn coverage(&self) -> f64 {
         if self.coverage_u8 == 0 {
             // 256/256 wraps to 0 in u8; 0 encodes full coverage.
             1.0

@@ -19,8 +19,15 @@
 /// Caller must ensure the CPU supports AES-NI and SSE2 (check
 /// [`crate::simd::caps`]`().aesni`).
 #[target_feature(enable = "sse2", enable = "aes")]
-pub unsafe fn encrypt_blocks<const N: usize>(rk: &[[u8; 16]; 11], blocks: &mut [[u8; 16]; N]) {
+pub(crate) unsafe fn encrypt_blocks<const N: usize>(
+    rk: &[[u8; 16]; 11],
+    blocks: &mut [[u8; 16]; N],
+) {
     use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees AES-NI and SSE2, the only features
+    // these intrinsics need. Every load and store moves 16 bytes through
+    // a `[u8; 16]` of `rk` or `blocks`, so all of them stay in bounds;
+    // `loadu`/`storeu` have no alignment requirement.
     unsafe {
         let keys: [__m128i; 11] =
             std::array::from_fn(|r| _mm_loadu_si128(rk[r].as_ptr() as *const __m128i));

@@ -38,12 +38,12 @@ use crate::crc::{CRC16_POLY_REFLECTED, CRC32_POLY_REFLECTED};
 
 /// Buffers shorter than this stay on the table kernel: below one full
 /// fold-by-4 block the setup/reduction cost dominates.
-pub const PCLMUL_MIN_LEN: usize = 64;
+pub(crate) const PCLMUL_MIN_LEN: usize = 64;
 
 /// Fold multipliers and Barrett pair of one degree-32 generator, in the
 /// reflected-domain encoding the white paper derives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FoldConsts {
+pub(crate) struct FoldConsts {
     k1: u64,  // x^(4·128+32) mod P
     k2: u64,  // x^(4·128−32) mod P
     k3: u64,  // x^(128+32) mod P
@@ -54,15 +54,16 @@ pub struct FoldConsts {
 }
 
 /// Constants for the ICRC (reflected IEEE 802.3).
-pub const CRC32_IEEE_FOLD: FoldConsts = FoldConsts::for_reflected_poly(CRC32_POLY_REFLECTED);
+pub(crate) const CRC32_IEEE_FOLD: FoldConsts = FoldConsts::for_reflected_poly(CRC32_POLY_REFLECTED);
 /// Constants for the VCRC: the IBA CRC-16 polynomial embedded as
 /// `P·x^16` (module docs).
-pub const CRC16_IBA_FOLD: FoldConsts = FoldConsts::for_reflected_poly(CRC16_POLY_REFLECTED as u32);
+pub(crate) const CRC16_IBA_FOLD: FoldConsts =
+    FoldConsts::for_reflected_poly(CRC16_POLY_REFLECTED as u32);
 
 impl FoldConsts {
     /// Derive the constants for the reflected CRC whose 32-bit register
     /// steps `crc = (crc >> 1) ^ (poly if lsb)`.
-    pub const fn for_reflected_poly(poly: u32) -> Self {
+    pub(crate) const fn for_reflected_poly(poly: u32) -> Self {
         // The generator in normal bit order, x^32 term explicit.
         let p = (1u64 << 32) | poly.reverse_bits() as u64;
         // Long division of x^n by P, one bit per step: x^i = q·P + r
@@ -110,7 +111,7 @@ impl FoldConsts {
 /// `state` follows [`crate::crc::Crc32`] (seeded all-ones, complement
 /// only at finalize) or, zero-extended, [`crate::crc::Crc16`].
 #[inline]
-pub fn fold_blocks<'a>(state: u32, data: &'a [u8], k: &FoldConsts) -> (u32, &'a [u8]) {
+pub(crate) fn fold_blocks<'a>(state: u32, data: &'a [u8], k: &FoldConsts) -> (u32, &'a [u8]) {
     #[cfg(target_arch = "x86_64")]
     if data.len() >= PCLMUL_MIN_LEN && crate::simd::caps().pclmul {
         let (blocks, tail) = data.split_at(data.len() & !15);

@@ -27,7 +27,7 @@ pub fn from_block(b: &[u8; 16]) -> u128 {
 
 /// Store a reflected element back to GHASH block bytes.
 #[inline]
-pub fn to_block(x: u128) -> [u8; 16] {
+pub(crate) fn to_block(x: u128) -> [u8; 16] {
     x.reverse_bits().to_be_bytes()
 }
 
@@ -132,6 +132,9 @@ fn mul_by_t(x: u128) -> u128 {
 #[target_feature(enable = "sse2", enable = "pclmulqdq")]
 unsafe fn mul_clmul(x: u128, h: u128) -> u128 {
     use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees PCLMULQDQ and SSE2, the only features
+    // these intrinsics need. The three stores each write 16 bytes into a
+    // local `[u64; 2]`; `storeu` has no alignment requirement.
     unsafe {
         let a = _mm_set_epi64x((x >> 64) as i64, x as i64);
         let b = _mm_set_epi64x((h >> 64) as i64, h as i64);

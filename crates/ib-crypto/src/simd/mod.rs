@@ -22,12 +22,17 @@
 //! harness both ways and byte-diffs the structural output, so the
 //! dispatch layer cannot silently change results.
 
-pub mod crc;
+// The one module allowed `unsafe` (the workspace lint table denies it):
+// the kernels call `core::arch` intrinsics behind `#[target_feature]`,
+// and every block states the CPU feature and bounds it relies on.
+#![allow(unsafe_code)]
+
+pub(crate) mod crc;
 pub mod gf128;
 pub mod nh;
 
 #[cfg(target_arch = "x86_64")]
-pub mod aesni;
+pub(crate) mod aesni;
 
 use std::sync::OnceLock;
 

@@ -32,15 +32,17 @@ pub fn nh_pairs_scalar(mut sum: u64, keys: &[u32], data: &[u8]) -> u64 {
 /// as [`nh_pairs_scalar`]; bit-identical result.
 #[inline]
 pub fn nh_pairs(sum: u64, keys: &[u32], data: &[u8]) -> u64 {
+    // The vector kernels load keys without a bounds check.
+    assert!(keys.len() >= data.len() / 4, "NH key shorter than the data");
     #[cfg(target_arch = "x86_64")]
     {
         let caps = crate::simd::caps();
         if caps.avx2 && data.len() >= 128 {
-            // SAFETY: avx2 implies sse2; detected above.
+            // SAFETY: avx2 detected above; key length asserted above.
             return unsafe { nh_pairs_avx2(sum, keys, data) };
         }
         if caps.sse2 && data.len() >= 16 {
-            // SAFETY: detected above.
+            // SAFETY: sse2 detected above; key length asserted above.
             return unsafe { nh_pairs_sse2(sum, keys, data) };
         }
     }
@@ -56,8 +58,8 @@ pub fn nh_pairs(sum: u64, keys: &[u32], data: &[u8]) -> u64 {
 #[inline]
 pub fn nh_pairs_x4(sums: [u64; 4], keys: &[u32], bufs: [&[u8]; 4], len: usize) -> [u64; 4] {
     debug_assert_eq!(len % 8, 0);
-    debug_assert!(bufs.iter().all(|b| b.len() >= len));
-    debug_assert!(keys.len() >= len / 4);
+    // The vector kernel loads keys and buffers without a bounds check.
+    assert!(bufs.iter().all(|b| b.len() >= len) && keys.len() >= len / 4);
     #[cfg(target_arch = "x86_64")]
     if crate::simd::caps().sse2 && len >= 16 {
         // SAFETY: sse2 detected above; bounds asserted above.
@@ -74,6 +76,10 @@ pub fn nh_pairs_x4(sums: [u64; 4], keys: &[u32], bufs: [&[u8]; 4], len: usize) -
 #[target_feature(enable = "sse2")]
 unsafe fn nh_pairs_sse2(sum: u64, keys: &[u32], data: &[u8]) -> u64 {
     use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees SSE2. Block `i < data.len() / 16`
+    // loads `data[16i..16i + 16]` and `keys[4i..4i + 4]`; both are in
+    // bounds because `keys.len() >= data.len() / 4` (asserted by
+    // `nh_pairs`). `loadu`/`storeu` have no alignment requirement.
     unsafe {
         let mut acc = _mm_setzero_si128();
         let blocks = data.len() / 16;
@@ -102,6 +108,11 @@ unsafe fn nh_pairs_sse2(sum: u64, keys: &[u32], data: &[u8]) -> u64 {
 #[target_feature(enable = "avx2")]
 unsafe fn nh_pairs_avx2(sum: u64, keys: &[u32], data: &[u8]) -> u64 {
     use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees AVX2 (which implies the SSE2 of the
+    // tail call). Every load reads 32 bytes of `data` at an offset `o`
+    // with `o + 32 <= data.len()` and 8 keys from `o / 4`, in bounds
+    // because `keys.len() >= data.len() / 4` (asserted by `nh_pairs`).
+    // `loadu`/`storeu` have no alignment requirement.
     unsafe {
         // Two independent accumulator chains, 64 bytes per iteration:
         // the multiply results land in alternating accumulators so the
@@ -146,6 +157,11 @@ unsafe fn nh_pairs_avx2(sum: u64, keys: &[u32], data: &[u8]) -> u64 {
 #[target_feature(enable = "sse2")]
 unsafe fn nh_pairs_x4_sse2(sums: [u64; 4], keys: &[u32], bufs: [&[u8]; 4], len: usize) -> [u64; 4] {
     use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees SSE2. Block `i < len / 16` loads
+    // `keys[4i..4i + 4]` and `buf[16i..16i + 16]` of each buffer, in
+    // bounds because every buffer holds at least `len` bytes and
+    // `keys.len() >= len / 4` (asserted by `nh_pairs_x4`). `loadu`/
+    // `storeu` have no alignment requirement.
     unsafe {
         let mut acc = [_mm_setzero_si128(); 4];
         let blocks = len / 16;

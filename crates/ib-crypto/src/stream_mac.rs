@@ -35,7 +35,7 @@ const POLY: u32 = 0x04C1_1DB7;
 /// Carry-less multiply of two 32-bit ring elements modulo the CRC-32
 /// polynomial.
 #[inline]
-pub fn clmul_mod(a: u32, b: u32) -> u32 {
+pub(crate) fn clmul_mod(a: u32, b: u32) -> u32 {
     let mut acc: u64 = 0;
     for i in 0..32 {
         if (b >> i) & 1 != 0 {

@@ -14,19 +14,19 @@
 /// Public half of a key pair: (modulus n, exponent e).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublicKey {
-    pub n: u64,
-    pub e: u64,
+    pub(crate) n: u64,
+    pub(crate) e: u64,
 }
 
 /// Private half of a key pair: (modulus n, exponent d).
 #[derive(Debug, Clone, Copy)]
 pub struct PrivateKey {
-    pub n: u64,
-    pub d: u64,
+    pub(crate) n: u64,
+    pub(crate) d: u64,
 }
 
 /// Modular exponentiation base^exp mod m (m < 2^64).
-pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
+pub(crate) fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
     assert!(m > 1);
     let mut result = 1u64;
     base %= m;
@@ -41,7 +41,7 @@ pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
 }
 
 /// Deterministic Miller-Rabin, valid for all n < 2^64 with this base set.
-pub fn is_prime(n: u64) -> bool {
+pub(crate) fn is_prime(n: u64) -> bool {
     if n < 2 {
         return false;
     }
@@ -85,7 +85,7 @@ fn egcd(a: i128, b: i128) -> (i128, i128, i128) {
 }
 
 /// Modular inverse of a mod m, if gcd(a, m) == 1.
-pub fn mod_inverse(a: u64, m: u64) -> Option<u64> {
+pub(crate) fn mod_inverse(a: u64, m: u64) -> Option<u64> {
     let (g, x, _) = egcd(a as i128, m as i128);
     if g != 1 {
         return None;

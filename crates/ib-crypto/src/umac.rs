@@ -36,12 +36,12 @@
 use crate::aes::Aes128;
 
 /// NH chunk size in bytes (RFC 4418 UMAC-32 default, 1024 bytes).
-pub const NH_CHUNK_BYTES: usize = 1024;
+pub(crate) const NH_CHUNK_BYTES: usize = 1024;
 const NH_WORDS: usize = NH_CHUNK_BYTES / 4;
 /// Prime 2^64 - 59, the POLY modulus.
-pub const P64: u64 = 0xFFFF_FFFF_FFFF_FFC5;
+pub(crate) const P64: u64 = 0xFFFF_FFFF_FFFF_FFC5;
 /// Prime 2^36 - 5, the L3 inner-product modulus.
-pub const P36: u64 = (1 << 36) - 5;
+pub(crate) const P36: u64 = (1 << 36) - 5;
 
 /// KDF domain-separation markers (first byte of the AES input block).
 const KDF_NH: u8 = 0x01;
@@ -209,7 +209,8 @@ impl Umac {
 
     /// Verify `tag` over `message`/`nonce` in constant time with respect to
     /// tag contents.
-    pub fn verify(&self, nonce: u64, message: &[u8], tag: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn verify(&self, nonce: u64, message: &[u8], tag: u32) -> bool {
         // 32-bit XOR-compare then single equality keeps timing independent
         // of which byte differs.
         (self.tag32(nonce, message) ^ tag) == 0
@@ -217,7 +218,7 @@ impl Umac {
 
     /// Tag four messages in lockstep — the multi-buffer path for the
     /// short-payload regime where per-buffer SIMD cannot win. When all
-    /// four messages are single-chunk (≤ [`NH_CHUNK_BYTES`], the packet
+    /// four messages are single-chunk (≤ `NH_CHUNK_BYTES`, the packet
     /// case) the NH inner loops advance four accumulators per shared
     /// key-vector load and the four nonce pads pipeline through AES
     /// together; longer messages fall back per-message. Bit-identical

@@ -244,7 +244,7 @@ pub struct SifEnforcer {
     /// table", so the cap is the attached node's partition-table size.
     max_invalid_entries: usize,
     /// Lifetime count of packets dropped by this switch's SIF.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 impl SifEnforcer {
@@ -264,7 +264,8 @@ impl SifEnforcer {
     }
 
     /// The violation counter for `port`.
-    pub fn violation_counter(&self, port: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn violation_counter(&self, port: usize) -> u64 {
         self.ports.get(port).map_or(0, |p| p.violation_counter)
     }
 }

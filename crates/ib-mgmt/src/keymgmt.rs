@@ -60,7 +60,7 @@ impl KeyEpoch {
     pub const ZERO: KeyEpoch = KeyEpoch(0);
 
     /// The successor epoch.
-    pub fn next(self) -> KeyEpoch {
+    pub(crate) fn next(self) -> KeyEpoch {
         KeyEpoch(self.0 + 1)
     }
 
@@ -88,7 +88,7 @@ impl KeyEpoch {
 /// — the receive side holds epoch N and (inside the grace window) N−1; the
 /// send side always uses the newest.
 #[derive(Debug, Clone, Default)]
-pub struct EpochRing {
+pub(crate) struct EpochRing {
     /// Sorted ascending by epoch; the last entry is current. Never empty
     /// once a key is installed.
     entries: Vec<(KeyEpoch, SecretKey)>,
@@ -96,19 +96,19 @@ pub struct EpochRing {
 
 impl EpochRing {
     /// A ring holding `secret` at [`KeyEpoch::ZERO`].
-    pub fn new(secret: SecretKey) -> Self {
+    pub(crate) fn new(secret: SecretKey) -> Self {
         EpochRing {
             entries: vec![(KeyEpoch::ZERO, secret)],
         }
     }
 
     /// The newest `(epoch, key)` version, if any key is installed.
-    pub fn current(&self) -> Option<(KeyEpoch, SecretKey)> {
+    pub(crate) fn current(&self) -> Option<(KeyEpoch, SecretKey)> {
         self.entries.last().copied()
     }
 
     /// Install (or replace) the key for `epoch`, keeping the ring sorted.
-    pub fn install(&mut self, epoch: KeyEpoch, secret: SecretKey) {
+    pub(crate) fn install(&mut self, epoch: KeyEpoch, secret: SecretKey) {
         match self.entries.binary_search_by_key(&epoch, |e| e.0) {
             Ok(i) => self.entries[i].1 = secret,
             Err(i) => self.entries.insert(i, (epoch, secret)),
@@ -116,12 +116,12 @@ impl EpochRing {
     }
 
     /// Drop every version strictly below `epoch` (grace-window expiry).
-    pub fn retire_below(&mut self, epoch: KeyEpoch) {
+    pub(crate) fn retire_below(&mut self, epoch: KeyEpoch) {
         self.entries.retain(|e| e.0 >= epoch);
     }
 
     /// The key installed for exactly `epoch`.
-    pub fn secret_at(&self, epoch: KeyEpoch) -> Option<SecretKey> {
+    pub(crate) fn secret_at(&self, epoch: KeyEpoch) -> Option<SecretKey> {
         self.entries
             .binary_search_by_key(&epoch, |e| e.0)
             .ok()
@@ -130,7 +130,7 @@ impl EpochRing {
 
     /// Find the live version matching a 7-bit wire id, newest first (the
     /// verify path: current epoch matches instantly, graced ones next).
-    pub fn secret_by_wire(&self, wire: u8) -> Option<(KeyEpoch, SecretKey)> {
+    pub(crate) fn secret_by_wire(&self, wire: u8) -> Option<(KeyEpoch, SecretKey)> {
         self.entries
             .iter()
             .rev()
@@ -144,13 +144,8 @@ impl EpochRing {
     }
 
     /// Number of live versions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether no version is installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -178,7 +173,7 @@ impl KeyEnvelope {
 
 /// SM-side partition-level key manager (§4.2), extended with
 /// epoch-numbered key versions for the replicated key plane: every
-/// partition holds an [`EpochRing`], [`Self::rotate`] mints the next
+/// partition holds an `EpochRing`, [`Self::rotate`] mints the next
 /// epoch's secret, and a follower replica mirrors the leader's versions
 /// through [`Self::install_version`].
 #[derive(Debug, Default)]
@@ -206,7 +201,7 @@ impl PartitionKeyManager {
     /// Create (or look up) the secret for a partition. "When the SM creates
     /// a partition, it generates a secret key for that partition." Returns
     /// the partition's *current* secret.
-    pub fn create_partition(&mut self, pkey: PKey) -> SecretKey {
+    pub(crate) fn create_partition(&mut self, pkey: PKey) -> SecretKey {
         if let Some((_, s)) = self.secrets.get(&pkey).and_then(EpochRing::current) {
             return s;
         }
@@ -216,7 +211,8 @@ impl PartitionKeyManager {
     }
 
     /// The current secret for `pkey`, if the partition exists.
-    pub fn secret(&self, pkey: PKey) -> Option<SecretKey> {
+    #[cfg(test)]
+    pub(crate) fn secret(&self, pkey: PKey) -> Option<SecretKey> {
         Some(self.secrets.get(&pkey)?.current()?.1)
     }
 
@@ -247,7 +243,8 @@ impl PartitionKeyManager {
     }
 
     /// Envelope the current partition secret for one member CA.
-    pub fn distribute(&self, pkey: PKey, member: &PublicKey) -> Option<KeyEnvelope> {
+    #[cfg(test)]
+    pub(crate) fn distribute(&self, pkey: PKey, member: &PublicKey) -> Option<KeyEnvelope> {
         Some(KeyEnvelope::seal(&self.secret(pkey)?, member))
     }
 }
@@ -403,7 +400,7 @@ impl QpKeyManager {
     }
 
     /// Assign (or return) the Q_Key for a local datagram QP.
-    pub fn qkey_for(&mut self, qp: Qpn) -> QKey {
+    pub(crate) fn qkey_for(&mut self, qp: Qpn) -> QKey {
         if let Some(k) = self.qkeys.get(&qp) {
             return *k;
         }

@@ -31,10 +31,5 @@ pub mod partition;
 pub mod sm;
 pub mod trap;
 
-pub use enforcement::{
-    DptEnforcer, EnforcementKind, FilterDecision, IfEnforcer, PartitionEnforcer, SifEnforcer,
-};
-pub use keymgmt::{EpochRing, KeyEpoch, PartitionKeyManager, QpKeyManager, SecretKey};
-pub use partition::{PartitionConfig, PartitionTable};
+pub use keymgmt::{KeyEpoch, PartitionKeyManager, SecretKey};
 pub use sm::SubnetManager;
-pub use trap::{Trap, TrapKind};

@@ -9,7 +9,7 @@ use ib_packet::types::PKey;
 
 /// Per-spec limit: a port's partition table holds at most 32768 entries
 /// (the paper's §6 uses this bound for its 64 KB memory estimate).
-pub const MAX_PKEYS_PER_PORT: usize = 32_768;
+pub(crate) const MAX_PKEYS_PER_PORT: usize = 32_768;
 
 /// Static description of one partition for subnet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub struct PartitionTable {
     entries: Vec<PKey>,
     /// P_Key Violation Counter (spec §14.2.5.9): incremented on every
     /// arriving packet whose P_Key fails to match.
-    pub violation_counter: u64,
+    pub(crate) violation_counter: u64,
 }
 
 impl PartitionTable {
@@ -56,20 +56,16 @@ impl PartitionTable {
     }
 
     /// Remove a P_Key; returns whether it was present.
-    pub fn remove(&mut self, pkey: PKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, pkey: PKey) -> bool {
         let before = self.entries.len();
         self.entries.retain(|k| *k != pkey);
         self.entries.len() != before
     }
 
     /// Number of entries — the `p` of the paper's Table 2 overhead model.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The spec's matching rule over the whole table: linear scan, applying
@@ -77,7 +73,8 @@ impl PartitionTable {
     ///
     /// The number of comparisons performed models the paper's `f(p)` table
     /// lookup cost; [`PartitionTable::check`] reports it.
-    pub fn find_match(&self, incoming: PKey) -> Option<PKey> {
+    #[cfg(test)]
+    pub(crate) fn find_match(&self, incoming: PKey) -> Option<PKey> {
         self.entries.iter().copied().find(|k| k.matches(incoming))
     }
 
@@ -92,11 +89,6 @@ impl PartitionTable {
         }
         self.violation_counter += 1;
         (false, self.entries.len())
-    }
-
-    /// Iterate the stored keys.
-    pub fn keys(&self) -> impl Iterator<Item = PKey> + '_ {
-        self.entries.iter().copied()
     }
 }
 

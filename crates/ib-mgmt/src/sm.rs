@@ -40,7 +40,7 @@ pub struct SubnetManager {
     /// Partition definitions.
     partitions: Vec<PartitionConfig>,
     /// Partition-level secret keys.
-    pub keymgr: PartitionKeyManager,
+    pub(crate) keymgr: PartitionKeyManager,
     /// Count of traps processed (metrics).
     pub traps_handled: u64,
 }
@@ -60,12 +60,13 @@ impl SubnetManager {
     }
 
     /// LID of node `i`.
-    pub fn lid_of(&self, node: usize) -> Lid {
+    pub(crate) fn lid_of(&self, node: usize) -> Lid {
         self.lids[node]
     }
 
     /// Node index for a LID, if assigned.
-    pub fn node_of(&self, lid: Lid) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn node_of(&self, lid: Lid) -> Option<usize> {
         (lid.0 as usize)
             .checked_sub(1)
             .filter(|i| *i < self.lids.len())
@@ -113,17 +114,13 @@ impl SubnetManager {
     }
 
     /// All partitions containing `node`.
-    pub fn partitions_of(&self, node: usize) -> Vec<PKey> {
+    #[cfg(test)]
+    pub(crate) fn partitions_of(&self, node: usize) -> Vec<PKey> {
         self.partitions
             .iter()
             .filter(|p| p.members.contains(&node))
             .map(|p| p.pkey)
             .collect()
-    }
-
-    /// All partitions.
-    pub fn partitions(&self) -> &[PartitionConfig] {
-        &self.partitions
     }
 
     /// §3.3's SM step: "When the SM receives a trap message, it knows who

@@ -10,6 +10,7 @@
 //! models them as small high-priority packets with a configurable delivery
 //! latency.
 
+use ib_packet::mad::{Mad, TRAP_BAD_MKEY, TRAP_BAD_PKEY};
 use ib_packet::types::{Lid, PKey};
 
 /// The trap conditions this reproduction models.
@@ -59,39 +60,39 @@ impl Trap {
 
     /// Serialize as a real SubnTrap MAD (256-byte wire form, spec §13.4) —
     /// what actually travels to the SM on VL15.
-    pub fn to_mad(&self) -> ib_packet::mad::Mad {
-        match self.kind {
+    pub fn to_mad(&self) -> Mad {
+        let (number, bad_pkey, violator_slid) = match self.kind {
             TrapKind::PKeyViolation {
                 bad_pkey,
                 violator_slid,
-            } => ib_packet::mad::Mad::pkey_violation_trap(
-                self.reporter,
-                bad_pkey,
-                violator_slid,
-                self.sequence,
-            ),
-            TrapKind::MKeyViolation { violator_slid } => {
-                // Modeled with the same Notice layout, trap number left as
-                // 257; M_Key traps are not routed to SIF programming.
-                ib_packet::mad::Mad::pkey_violation_trap(
-                    self.reporter,
-                    PKey(0),
-                    violator_slid,
-                    self.sequence,
-                )
-            }
-        }
+            } => (TRAP_BAD_PKEY, bad_pkey, violator_slid),
+            // Same Notice layout with no key: trap 256 is never routed to
+            // SIF programming.
+            TrapKind::MKeyViolation { violator_slid } => (TRAP_BAD_MKEY, PKey(0), violator_slid),
+        };
+        Mad::violation_trap(
+            number,
+            self.reporter,
+            bad_pkey,
+            violator_slid,
+            self.sequence,
+        )
     }
 
     /// Parse a trap back out of a MAD.
-    pub fn from_mad(mad: &ib_packet::mad::Mad) -> Option<Trap> {
-        let (reporter, violator_slid, bad_pkey) = mad.decode_pkey_violation()?;
-        Some(Trap {
-            reporter,
-            kind: TrapKind::PKeyViolation {
+    pub fn from_mad(mad: &Mad) -> Option<Trap> {
+        let (number, reporter, violator_slid, bad_pkey) = mad.decode_violation()?;
+        let kind = match number {
+            TRAP_BAD_PKEY => TrapKind::PKeyViolation {
                 bad_pkey,
                 violator_slid,
             },
+            TRAP_BAD_MKEY => TrapKind::MKeyViolation { violator_slid },
+            _ => return None,
+        };
+        Some(Trap {
+            reporter,
+            kind,
             sequence: mad.transaction_id,
         })
     }
@@ -182,11 +183,19 @@ mod tests {
 
     #[test]
     fn trap_mad_roundtrip() {
-        let t = Trap::pkey_violation(Lid(3), PKey(0x8777), Lid(8), 99);
-        let mad = t.to_mad();
-        assert_eq!(mad.to_bytes().len(), ib_packet::mad::MAD_LEN);
-        let back = Trap::from_mad(&mad).unwrap();
-        assert_eq!(back, t);
+        let mkey = Trap {
+            reporter: Lid(3),
+            kind: TrapKind::MKeyViolation {
+                violator_slid: Lid(8),
+            },
+            sequence: 100,
+        };
+        for t in [Trap::pkey_violation(Lid(3), PKey(0x8777), Lid(8), 99), mkey] {
+            let mad = t.to_mad();
+            assert_eq!(mad.to_bytes().len(), ib_packet::mad::MAD_LEN);
+            let back = Trap::from_mad(&mad).unwrap();
+            assert_eq!(back, t);
+        }
     }
 
     #[test]

@@ -35,13 +35,13 @@ pub struct Bth {
     /// Operation: service class + operation code.
     pub opcode: OpCode,
     /// Solicited event.
-    pub se: bool,
+    pub(crate) se: bool,
     /// MigReq state.
-    pub migreq: bool,
+    pub(crate) migreq: bool,
     /// Payload pad count (0–3 bytes) so payload+pad is 4-byte aligned.
-    pub pad_count: u8,
+    pub(crate) pad_count: u8,
     /// Transport header version (must be 0).
-    pub tver: u8,
+    pub(crate) tver: u8,
     /// Partition key.
     pub pkey: PKey,
     /// Reserved byte 8a — used by the authentication scheme as the
@@ -50,7 +50,7 @@ pub struct Bth {
     /// Destination queue pair.
     pub dest_qp: Qpn,
     /// Acknowledge-request bit.
-    pub ack_req: bool,
+    pub(crate) ack_req: bool,
     /// Key-epoch id (7 bits, spec `Resv7b`): low bits of the epoch the
     /// sender's MAC key belongs to. Invariant — covered by the ICRC/MAC.
     pub key_epoch: u8,
@@ -59,16 +59,16 @@ pub struct Bth {
 }
 
 /// Mask for the 7-bit on-wire key-epoch id in BTH byte 8.
-pub const KEY_EPOCH_WIRE_MASK: u8 = 0x7F;
+pub(crate) const KEY_EPOCH_WIRE_MASK: u8 = 0x7F;
 
 /// Serialized BTH size in bytes.
-pub const BTH_LEN: usize = 12;
+pub(crate) const BTH_LEN: usize = 12;
 /// Offset of the Resv8a byte within the BTH (for ICRC masking).
-pub const BTH_RESV8A_OFFSET: usize = 4;
+pub(crate) const BTH_RESV8A_OFFSET: usize = 4;
 
 impl Bth {
     /// Serialize into a 12-byte array.
-    pub fn to_bytes(&self) -> [u8; BTH_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; BTH_LEN] {
         let mut b = [0u8; BTH_LEN];
         b[0] = self.opcode.to_byte();
         b[1] = ((self.se as u8) << 7)
@@ -86,7 +86,7 @@ impl Bth {
     }
 
     /// Parse from the first 12 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, ParseError> {
         if buf.len() < BTH_LEN {
             return Err(ParseError::Truncated {
                 needed: BTH_LEN,

@@ -20,11 +20,11 @@ pub struct Deth {
 }
 
 /// Serialized DETH size in bytes.
-pub const DETH_LEN: usize = 8;
+pub(crate) const DETH_LEN: usize = 8;
 
 impl Deth {
     /// Serialize into an 8-byte array.
-    pub fn to_bytes(&self) -> [u8; DETH_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; DETH_LEN] {
         let mut b = [0u8; DETH_LEN];
         b[0..4].copy_from_slice(&self.qkey.0.to_be_bytes());
         let sqp = self.src_qp.0.to_be_bytes();
@@ -33,7 +33,7 @@ impl Deth {
     }
 
     /// Parse from the first 8 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, ParseError> {
         if buf.len() < DETH_LEN {
             return Err(ParseError::Truncated {
                 needed: DETH_LEN,
@@ -60,11 +60,11 @@ pub struct Reth {
 }
 
 /// Serialized RETH size in bytes.
-pub const RETH_LEN: usize = 16;
+pub(crate) const RETH_LEN: usize = 16;
 
 impl Reth {
     /// Serialize into a 16-byte array.
-    pub fn to_bytes(&self) -> [u8; RETH_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; RETH_LEN] {
         let mut b = [0u8; RETH_LEN];
         b[0..8].copy_from_slice(&self.virt_addr.to_be_bytes());
         b[8..12].copy_from_slice(&self.rkey.0.to_be_bytes());
@@ -73,7 +73,7 @@ impl Reth {
     }
 
     /// Parse from the first 16 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, ParseError> {
         if buf.len() < RETH_LEN {
             return Err(ParseError::Truncated {
                 needed: RETH_LEN,
@@ -93,9 +93,9 @@ impl Reth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Aeth {
     /// ACK/NAK syndrome.
-    pub syndrome: u8,
+    pub(crate) syndrome: u8,
     /// Message sequence number (24 bits).
-    pub msn: u32,
+    pub(crate) msn: u32,
 }
 
 /// NAK codes carried in the low 5 syndrome bits when bits \[6:5\] = `11`
@@ -127,7 +127,7 @@ impl NakCode {
     ];
 
     /// Low-5-bit wire value.
-    pub fn value(self) -> u8 {
+    pub(crate) fn value(self) -> u8 {
         match self {
             NakCode::PsnSequenceError => 0,
             NakCode::InvalidRequest => 1,
@@ -138,7 +138,7 @@ impl NakCode {
     }
 
     /// Inverse of [`value`](Self::value); `None` for reserved codes.
-    pub fn from_value(v: u8) -> Option<NakCode> {
+    pub(crate) fn from_value(v: u8) -> Option<NakCode> {
         Self::ALL.into_iter().find(|c| c.value() == v)
     }
 }
@@ -158,7 +158,7 @@ pub enum AethKind {
 }
 
 /// Serialized AETH size in bytes.
-pub const AETH_LEN: usize = 4;
+pub(crate) const AETH_LEN: usize = 4;
 
 impl Aeth {
     /// Positive ACK syndrome (bits \[6:5\] = `00`, zero credits).
@@ -200,13 +200,13 @@ impl Aeth {
         }
     }
     /// Serialize into a 4-byte array.
-    pub fn to_bytes(&self) -> [u8; AETH_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; AETH_LEN] {
         let msn = self.msn.to_be_bytes();
         [self.syndrome, msn[1], msn[2], msn[3]]
     }
 
     /// Parse from the first 4 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, ParseError> {
         if buf.len() < AETH_LEN {
             return Err(ParseError::Truncated {
                 needed: AETH_LEN,
@@ -217,31 +217,6 @@ impl Aeth {
             syndrome: buf[0],
             msn: u32::from_be_bytes([0, buf[1], buf[2], buf[3]]),
         })
-    }
-}
-
-/// Immediate data (4 bytes), delivered to the receive completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ImmDt(pub u32);
-
-/// Serialized immediate-data size in bytes.
-pub const IMMDT_LEN: usize = 4;
-
-impl ImmDt {
-    /// Serialize into a 4-byte array.
-    pub fn to_bytes(&self) -> [u8; IMMDT_LEN] {
-        self.0.to_be_bytes()
-    }
-
-    /// Parse from the first 4 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
-        if buf.len() < IMMDT_LEN {
-            return Err(ParseError::Truncated {
-                needed: IMMDT_LEN,
-                got: buf.len(),
-            });
-        }
-        Ok(ImmDt(u32::from_be_bytes(buf[0..4].try_into().unwrap())))
     }
 }
 
@@ -369,16 +344,9 @@ mod tests {
     }
 
     #[test]
-    fn immdt_roundtrip() {
-        let imm = ImmDt(0x01020304);
-        assert_eq!(ImmDt::parse(&imm.to_bytes()).unwrap(), imm);
-    }
-
-    #[test]
     fn truncation_errors() {
         assert!(Deth::parse(&[0; 7]).is_err());
         assert!(Reth::parse(&[0; 15]).is_err());
         assert!(Aeth::parse(&[0; 3]).is_err());
-        assert!(ImmDt::parse(&[0; 3]).is_err());
     }
 }

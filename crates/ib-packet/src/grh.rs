@@ -32,9 +32,9 @@ pub struct Grh {
 }
 
 /// Serialized GRH size in bytes.
-pub const GRH_LEN: usize = 40;
+pub(crate) const GRH_LEN: usize = 40;
 /// The IBA "next header" code for BTH.
-pub const NXT_HDR_IBA: u8 = 0x1B;
+pub(crate) const NXT_HDR_IBA: u8 = 0x1B;
 
 impl Default for Grh {
     fn default() -> Self {
@@ -53,7 +53,7 @@ impl Default for Grh {
 
 impl Grh {
     /// Serialize into a 40-byte array.
-    pub fn to_bytes(&self) -> [u8; GRH_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; GRH_LEN] {
         let mut b = [0u8; GRH_LEN];
         let word0: u32 = ((self.ip_ver as u32 & 0xF) << 28)
             | ((self.traffic_class as u32) << 20)
@@ -68,7 +68,7 @@ impl Grh {
     }
 
     /// Parse from the first 40 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, ParseError> {
         if buf.len() < GRH_LEN {
             return Err(ParseError::Truncated {
                 needed: GRH_LEN,

@@ -8,14 +8,14 @@
 //! | LRH | [GRH] | BTH | [ETHs] | payload | ICRC (4B) | VCRC (2B) |
 //! ```
 //!
-//! * [`lrh::Lrh`] — Local Route Header (8 bytes): VL, service level,
+//! * `lrh::Lrh` — Local Route Header (8 bytes): VL, service level,
 //!   source/destination LIDs, packet length.
 //! * [`grh::Grh`] — Global Route Header (40 bytes), optional, for
 //!   inter-subnet traffic.
 //! * [`bth::Bth`] — Base Transport Header (12 bytes): opcode, **P_Key**,
 //!   **Resv8a** (the byte §5.1 of the paper repurposes as the
 //!   authentication-function selector), destination QP, PSN.
-//! * [`eth`] — Extended Transport Headers: DETH (carries **Q_Key** and
+//! * `eth` — Extended Transport Headers: DETH (carries **Q_Key** and
 //!   source QP for datagrams), RETH (**R_Key** for RDMA), AETH (acks),
 //!   immediate data.
 //! * [`packet::Packet`] — a parsed/composable packet with
@@ -29,21 +29,20 @@
 //! The crate is pure data-plane: no I/O, no simulation. `ib-sim` moves these
 //! packets through a fabric; `ib-security` swaps the ICRC for a MAC tag.
 
-pub mod bth;
-pub mod error;
-pub mod eth;
+pub(crate) mod bth;
+pub(crate) mod error;
+pub(crate) mod eth;
 pub mod grh;
-pub mod lrh;
+pub(crate) mod lrh;
 pub mod mad;
-pub mod opcode;
-pub mod packet;
+pub(crate) mod opcode;
+pub(crate) mod packet;
 pub mod types;
 
 pub use bth::Bth;
 pub use error::ParseError;
-pub use eth::{Aeth, AethKind, Deth, ImmDt, NakCode, Reth};
+pub use eth::{Aeth, AethKind, Deth, NakCode, Reth};
 pub use grh::Grh;
-pub use lrh::{Lnh, Lrh};
 pub use opcode::{OpCode, Operation, TransportService};
 pub use packet::{Packet, PacketBuilder, WireView};
 pub use types::{Lid, PKey, Psn, QKey, Qpn, RKey, VirtualLane};

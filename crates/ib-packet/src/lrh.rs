@@ -15,14 +15,11 @@
 use crate::error::ParseError;
 use crate::types::{Lid, VirtualLane};
 
-/// LRH next-header code.
+/// LRH next-header code. The raw codes (0b00 EtherType, 0b01 IPv6) carry
+/// no IBA transport header and are rejected by [`Lrh::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum Lnh {
-    /// Raw (no IBA transport header) — unsupported here.
-    RawEtherType = 0b00,
-    /// Raw IPv6 — unsupported here.
-    RawIpv6 = 0b01,
+pub(crate) enum Lnh {
     /// IBA local: BTH follows directly.
     IbaLocal = 0b10,
     /// IBA global: GRH then BTH.
@@ -35,27 +32,27 @@ pub struct Lrh {
     /// Virtual lane the packet currently travels on (variant field).
     pub vl: VirtualLane,
     /// Link version (must be 0).
-    pub lver: u8,
+    pub(crate) lver: u8,
     /// Service level — the QoS class; the simulator's VL arbitration maps
     /// SL 0 (best-effort) and SL 1+ (realtime) onto VLs.
-    pub sl: u8,
+    pub(crate) sl: u8,
     /// Next-header indicator.
-    pub lnh: Lnh,
+    pub(crate) lnh: Lnh,
     /// Destination LID.
-    pub dlid: Lid,
+    pub(crate) dlid: Lid,
     /// Packet length in 4-byte words, LRH through ICRC inclusive (VCRC
     /// excluded, per spec §7.7.6).
-    pub pkt_len: u16,
+    pub(crate) pkt_len: u16,
     /// Source LID.
     pub slid: Lid,
 }
 
 /// Serialized LRH size in bytes.
-pub const LRH_LEN: usize = 8;
+pub(crate) const LRH_LEN: usize = 8;
 
 impl Lrh {
     /// Serialize into an 8-byte array.
-    pub fn to_bytes(&self) -> [u8; LRH_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; LRH_LEN] {
         let mut b = [0u8; LRH_LEN];
         b[0] = (self.vl.0 << 4) | (self.lver & 0x0F);
         b[1] = (self.sl << 4) | (self.lnh as u8);
@@ -66,7 +63,7 @@ impl Lrh {
     }
 
     /// Parse from the first 8 bytes of `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Self, ParseError> {
         if buf.len() < LRH_LEN {
             return Err(ParseError::Truncated {
                 needed: LRH_LEN,
@@ -150,7 +147,7 @@ mod tests {
     #[test]
     fn rejects_raw_lnh() {
         let mut b = sample().to_bytes();
-        b[1] &= 0xF0; // LNH = RawEtherType
+        b[1] &= 0xF0; // LNH = raw EtherType
         assert_eq!(Lrh::parse(&b), Err(ParseError::UnsupportedLnh(0)));
     }
 

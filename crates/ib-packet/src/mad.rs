@@ -63,15 +63,20 @@ impl Method {
     }
 }
 
+/// Notice trap number of a bad M_Key (spec §14.2.5.1).
+pub const TRAP_BAD_MKEY: u16 = 256;
+/// Notice trap number of a bad P_Key (spec §14.2.5.1).
+pub const TRAP_BAD_PKEY: u16 = 257;
+
 /// Attribute IDs (spec table 99 subset + one vendor attribute for the
 /// paper's extension).
 pub mod attr {
     /// Notice (traps carry a Notice attribute).
-    pub const NOTICE: u16 = 0x0002;
+    pub(crate) const NOTICE: u16 = 0x0002;
     /// Vendor-range attribute for programming the Invalid_P_Key_Table —
     /// the paper's SIF needs a new SMP, which the spec's vendor space
     /// (0xFF00-0xFFFF) accommodates without protocol changes.
-    pub const INVALID_P_KEY_TABLE: u16 = 0xFF10;
+    pub(crate) const INVALID_P_KEY_TABLE: u16 = 0xFF10;
 
     // 0xFF20-0xFF2F: the replicated-SM key plane (`ib-sm`). Like SIF's
     // programming SMP these live in the vendor space, so the protocol is
@@ -160,10 +165,13 @@ impl Mad {
         })
     }
 
-    /// Build the P_Key-violation trap MAD (Notice attribute): reporter LID,
-    /// offending P_Key, and the violator's source LID packed into the data
-    /// area in the style of the spec's Notice DataDetails.
-    pub fn pkey_violation_trap(
+    /// Build a key-violation trap MAD (Notice attribute): the trap number
+    /// ([`TRAP_BAD_MKEY`] or [`TRAP_BAD_PKEY`]), reporter LID, offending
+    /// P_Key (0 for an M_Key violation), and the violator's source LID
+    /// packed into the data area in the style of the spec's Notice
+    /// DataDetails.
+    pub fn violation_trap(
+        trap_number: u16,
         reporter: Lid,
         bad_pkey: PKey,
         violator: Lid,
@@ -176,25 +184,22 @@ impl Mad {
             transaction_id,
             ..Mad::default()
         };
-        // Notice DataDetails: trap number 257/258 carries LID1, LID2, Key.
-        mad.data[0..2].copy_from_slice(&257u16.to_be_bytes()); // trap number
+        // Notice DataDetails: trap number, then LID1, LID2, Key.
+        mad.data[0..2].copy_from_slice(&trap_number.to_be_bytes());
         mad.data[2..4].copy_from_slice(&reporter.0.to_be_bytes());
         mad.data[4..6].copy_from_slice(&violator.0.to_be_bytes());
         mad.data[6..8].copy_from_slice(&bad_pkey.0.to_be_bytes());
         mad
     }
 
-    /// Decode a P_Key-violation trap built by
-    /// [`Mad::pkey_violation_trap`]: `(reporter, violator, bad_pkey)`.
-    pub fn decode_pkey_violation(&self) -> Option<(Lid, Lid, PKey)> {
+    /// Decode a trap built by [`Mad::violation_trap`]:
+    /// `(trap_number, reporter, violator, bad_pkey)`.
+    pub fn decode_violation(&self) -> Option<(u16, Lid, Lid, PKey)> {
         if self.method != Method::Trap || self.attribute_id != attr::NOTICE {
             return None;
         }
-        let trap_number = u16::from_be_bytes([self.data[0], self.data[1]]);
-        if trap_number != 257 {
-            return None;
-        }
         Some((
+            u16::from_be_bytes([self.data[0], self.data[1]]),
             Lid(u16::from_be_bytes([self.data[2], self.data[3]])),
             Lid(u16::from_be_bytes([self.data[4], self.data[5]])),
             PKey(u16::from_be_bytes([self.data[6], self.data[7]])),
@@ -217,7 +222,8 @@ impl Mad {
     }
 
     /// Decode a SIF programming MAD: `(port, pkey)`.
-    pub fn decode_program_invalid_pkey(&self) -> Option<(u8, PKey)> {
+    #[cfg(test)]
+    pub(crate) fn decode_program_invalid_pkey(&self) -> Option<(u8, PKey)> {
         if self.method != Method::Set || self.attribute_id != attr::INVALID_P_KEY_TABLE {
             return None;
         }
@@ -241,13 +247,14 @@ mod tests {
 
     #[test]
     fn trap_roundtrip_and_decode() {
-        let mad = Mad::pkey_violation_trap(Lid(5), PKey(0x8666), Lid(9), 42);
+        let mad = Mad::violation_trap(TRAP_BAD_PKEY, Lid(5), PKey(0x8666), Lid(9), 42);
         let wire = mad.to_bytes();
         assert_eq!(wire.len(), MAD_LEN);
         let parsed = Mad::parse(&wire).unwrap();
         assert_eq!(parsed.method, Method::Trap);
         assert_eq!(parsed.transaction_id, 42);
-        let (reporter, violator, pkey) = parsed.decode_pkey_violation().unwrap();
+        let (number, reporter, violator, pkey) = parsed.decode_violation().unwrap();
+        assert_eq!(number, TRAP_BAD_PKEY);
         assert_eq!(reporter, Lid(5));
         assert_eq!(violator, Lid(9));
         assert_eq!(pkey, PKey(0x8666));
@@ -260,15 +267,15 @@ mod tests {
         let (port, pkey) = parsed.decode_program_invalid_pkey().unwrap();
         assert_eq!(port, 4);
         assert_eq!(pkey, PKey(0x8666));
-        assert!(parsed.decode_pkey_violation().is_none(), "not a trap");
+        assert!(parsed.decode_violation().is_none(), "not a trap");
     }
 
     #[test]
     fn decode_rejects_wrong_kinds() {
-        let trap = Mad::pkey_violation_trap(Lid(1), PKey(2), Lid(3), 4);
+        let trap = Mad::violation_trap(TRAP_BAD_PKEY, Lid(1), PKey(2), Lid(3), 4);
         assert!(trap.decode_program_invalid_pkey().is_none());
         let get = Mad::default();
-        assert!(get.decode_pkey_violation().is_none());
+        assert!(get.decode_violation().is_none());
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl OpCode {
     };
 
     /// Encode to the BTH opcode byte.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         ((self.service as u8) << 5) | (self.operation as u8)
     }
 

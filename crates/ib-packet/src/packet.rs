@@ -21,9 +21,9 @@ use crate::types::{Lid, PKey, Psn, QKey, Qpn, RKey, VirtualLane};
 use ib_crypto::crc::{crc16_iba, Crc16, Crc32};
 
 /// ICRC field size on the wire.
-pub const ICRC_LEN: usize = 4;
+pub(crate) const ICRC_LEN: usize = 4;
 /// VCRC field size on the wire.
-pub const VCRC_LEN: usize = 2;
+pub(crate) const VCRC_LEN: usize = 2;
 
 /// A fully-described IBA data packet.
 ///
@@ -385,7 +385,7 @@ impl Packet {
 #[derive(Debug, Clone, Copy)]
 pub struct WireView<'a> {
     pub lrh: Lrh,
-    pub grh: Option<Grh>,
+    pub(crate) grh: Option<Grh>,
     pub bth: Bth,
     pub deth: Option<Deth>,
     pub reth: Option<Reth>,
@@ -394,7 +394,7 @@ pub struct WireView<'a> {
     /// ICRC or authentication tag, as received.
     pub icrc: u32,
     /// The VCRC, already checked.
-    pub vcrc: u16,
+    pub(crate) vcrc: u16,
     /// The whole checked wire image (private: no view without the check).
     bytes: &'a [u8],
 }
@@ -491,12 +491,6 @@ impl PacketBuilder {
     /// Destination LID.
     pub fn dlid(mut self, lid: Lid) -> Self {
         self.packet.lrh.dlid = lid;
-        self
-    }
-
-    /// Service level (QoS class).
-    pub fn sl(mut self, sl: u8) -> Self {
-        self.packet.lrh.sl = sl & 0x0F;
         self
     }
 

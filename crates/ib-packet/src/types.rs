@@ -27,12 +27,12 @@ impl PKey {
 
     /// 15-bit key base (ignores the membership bit). Two P_Keys *match*
     /// when their bases are equal and at least one is a full member.
-    pub fn base(self) -> u16 {
+    pub(crate) fn base(self) -> u16 {
         self.0 & 0x7FFF
     }
 
     /// Whether the membership bit marks a full member.
-    pub fn is_full_member(self) -> bool {
+    pub(crate) fn is_full_member(self) -> bool {
         self.0 & 0x8000 != 0
     }
 
@@ -101,7 +101,8 @@ impl Psn {
     }
 
     /// Next PSN, wrapping at 2^24.
-    pub fn next(self) -> Psn {
+    #[cfg(test)]
+    pub(crate) fn next(self) -> Psn {
         Psn((self.0 + 1) & 0x00FF_FFFF)
     }
 }
@@ -114,15 +115,17 @@ pub struct VirtualLane(pub u8);
 impl VirtualLane {
     /// The management VL (trap MADs travel here; never blocked by data
     /// congestion).
-    pub const MANAGEMENT: VirtualLane = VirtualLane(15);
+    #[cfg(test)]
+    pub(crate) const MANAGEMENT: VirtualLane = VirtualLane(15);
 
     /// Construct, masking to 4 bits.
-    pub fn new(v: u8) -> Self {
+    pub(crate) fn new(v: u8) -> Self {
         VirtualLane(v & 0x0F)
     }
 
     /// Whether this is the dedicated subnet-management lane.
-    pub fn is_management(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_management(self) -> bool {
         self.0 == 15
     }
 }

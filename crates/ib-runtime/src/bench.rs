@@ -31,9 +31,9 @@ use crate::rng::{Rng, Seed};
 /// samples share, and the sample count.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
-    pub warmup: Duration,
-    pub measurement: Duration,
-    pub samples: u32,
+    pub(crate) warmup: Duration,
+    pub(crate) measurement: Duration,
+    pub(crate) samples: u32,
 }
 
 impl BenchConfig {
@@ -120,17 +120,17 @@ pub struct Measurement {
     /// Mean time per iteration, ns.
     pub mean_ns: f64,
     /// Standard deviation across samples, ns.
-    pub stddev_ns: f64,
+    pub(crate) stddev_ns: f64,
     /// Fastest sample, ns.
-    pub min_ns: f64,
+    pub(crate) min_ns: f64,
     /// Lower edge of the 95% bootstrap confidence interval on the mean, ns.
-    pub ci95_lo_ns: f64,
+    pub(crate) ci95_lo_ns: f64,
     /// Upper edge of the 95% bootstrap confidence interval on the mean, ns.
-    pub ci95_hi_ns: f64,
+    pub(crate) ci95_hi_ns: f64,
     /// Samples discarded by the Tukey fences.
-    pub outliers_rejected: u32,
+    pub(crate) outliers_rejected: u32,
     /// Bytes processed per iteration, if declared.
-    pub throughput_bytes: Option<u64>,
+    pub(crate) throughput_bytes: Option<u64>,
 }
 
 impl Measurement {

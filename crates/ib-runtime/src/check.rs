@@ -37,7 +37,7 @@ pub struct Gen {
 
 impl Gen {
     /// Build from a seed (the driver does this; tests rarely need to).
-    pub fn new(seed: Seed) -> Self {
+    pub(crate) fn new(seed: Seed) -> Self {
         Gen { rng: seed.rng() }
     }
 
@@ -65,7 +65,8 @@ impl Gen {
         (self.rng.next_u64() >> 56) as u8
     }
 
-    pub fn f64(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn f64(&mut self) -> f64 {
         self.rng.next_f64()
     }
 
@@ -125,7 +126,7 @@ where
 /// [`run`] with an explicit corpus directory (`None` disables
 /// persistence — used by the driver's own failure-path tests, and by
 /// anyone who wants purely ephemeral checks).
-pub fn run_with_corpus<T, G, S, P>(
+pub(crate) fn run_with_corpus<T, G, S, P>(
     name: &str,
     cases: u32,
     corpus: Option<&Path>,
@@ -271,7 +272,7 @@ pub fn no_shrink<T>(_: &T) -> Vec<T> {
 
 /// Candidate reductions of an unsigned integer: toward zero by jumps,
 /// then by one.
-pub fn shrink_uint(v: u64) -> Vec<u64> {
+pub(crate) fn shrink_uint(v: u64) -> Vec<u64> {
     if v == 0 {
         return Vec::new();
     }

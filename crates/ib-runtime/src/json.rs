@@ -167,8 +167,8 @@ fn write_escaped(s: &str, out: &mut String) {
 /// Parse failure: a message plus the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    pub message: String,
-    pub offset: usize,
+    pub(crate) message: String,
+    pub(crate) offset: usize,
 }
 
 impl fmt::Display for JsonError {

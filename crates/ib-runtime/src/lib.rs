@@ -12,7 +12,7 @@
 //!   its printed seed.
 //! * [`par`] — scoped parallel sweeps over `std::thread::scope`
 //!   (embarrassingly parallel simulator instances, MAC lanes).
-//! * [`json`] — a minimal JSON value, writer and parser for result
+//! * `json` — a minimal JSON value, writer and parser for result
 //!   emission and for checking that what was emitted parses back.
 //! * [`bench`](mod@bench) — a micro-benchmark harness (one interleaved
 //!   sampler with warmup and adaptive batch size, mean/stddev/throughput
@@ -25,7 +25,7 @@
 pub mod bench;
 pub mod check;
 pub mod hash;
-pub mod json;
+pub(crate) mod json;
 pub mod par;
 pub mod rng;
 

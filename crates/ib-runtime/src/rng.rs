@@ -16,7 +16,7 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Used to expand a single `u64` seed into the 256-bit xoshiro state and
 /// to derive independent seed streams.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GOLDEN_GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -30,11 +30,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 pub struct Seed(pub u64);
 
 impl Seed {
-    /// Wrap a raw seed value.
-    pub const fn new(v: u64) -> Self {
-        Seed(v)
-    }
-
     /// Derive the seed of an independent stream `i` (sweep shard, repeat
     /// index). Streams are decorrelated by a SplitMix64 mix rather than a
     /// small additive offset, so nearby indices share no state structure.
@@ -119,7 +114,7 @@ impl Rng {
     }
 
     /// Uniform in [0, 1): the top 53 bits scaled by 2⁻⁵³.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -28,7 +28,7 @@ pub struct PacketRef(u32);
 
 /// Free-listed slab of in-flight packets.
 #[derive(Debug, Default)]
-pub struct PacketArena {
+pub(crate) struct PacketArena {
     slots: Vec<Option<SimPacket>>,
     free: Vec<u32>,
     live: usize,
@@ -36,12 +36,12 @@ pub struct PacketArena {
 
 impl PacketArena {
     /// Empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PacketArena::default()
     }
 
     /// Store a packet; the returned ref is valid until released.
-    pub fn insert(&mut self, packet: SimPacket) -> PacketRef {
+    pub(crate) fn insert(&mut self, packet: SimPacket) -> PacketRef {
         self.live += 1;
         if let Some(idx) = self.free.pop() {
             debug_assert!(self.slots[idx as usize].is_none());
@@ -54,14 +54,14 @@ impl PacketArena {
     }
 
     /// Borrow the packet behind `r`.
-    pub fn get(&self, r: PacketRef) -> &SimPacket {
+    pub(crate) fn get(&self, r: PacketRef) -> &SimPacket {
         self.slots[r.0 as usize]
             .as_ref()
             .expect("stale PacketRef: slot already released")
     }
 
     /// Mutably borrow the packet behind `r`.
-    pub fn get_mut(&mut self, r: PacketRef) -> &mut SimPacket {
+    pub(crate) fn get_mut(&mut self, r: PacketRef) -> &mut SimPacket {
         self.slots[r.0 as usize]
             .as_mut()
             .expect("stale PacketRef: slot already released")
@@ -69,7 +69,7 @@ impl PacketArena {
 
     /// Take the packet out and recycle its slot. Terminal: `r` is dead
     /// after this call.
-    pub fn release(&mut self, r: PacketRef) -> SimPacket {
+    pub(crate) fn release(&mut self, r: PacketRef) -> SimPacket {
         let packet = self.slots[r.0 as usize]
             .take()
             .expect("double release of PacketRef");
@@ -79,12 +79,13 @@ impl PacketArena {
     }
 
     /// Packets currently in flight.
-    pub fn live(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
     /// High-water slot count (peak simultaneous in-flight packets).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 }

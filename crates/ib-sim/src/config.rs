@@ -104,7 +104,7 @@ pub enum AttackKeys {
 
 impl AttackKeys {
     /// Stable string form used in JSON configs and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AttackKeys::RandomInvalid => "random-invalid",
             AttackKeys::Valid => "valid",
@@ -127,7 +127,7 @@ pub enum TrapTransport {
 
 impl TrapTransport {
     /// Stable string form used in JSON configs and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TrapTransport::OutOfBand => "out-of-band",
             TrapTransport::InBand => "in-band",
@@ -150,7 +150,7 @@ pub enum AttackSchedule {
 
 impl AttackSchedule {
     /// Stable string form used in JSON configs and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AttackSchedule::Probabilistic => "probabilistic",
             AttackSchedule::DutyCycle => "duty-cycle",
@@ -170,7 +170,7 @@ pub enum ArbitrationPolicy {
 
 impl ArbitrationPolicy {
     /// JSON form: `"strict-priority"` or `{"weighted": high_limit}`.
-    pub fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         match self {
             ArbitrationPolicy::StrictPriority => Json::Str("strict-priority".into()),
             ArbitrationPolicy::Weighted { high_limit } => {
@@ -232,7 +232,7 @@ impl Default for TrafficConfig {
 
 impl TrafficConfig {
     /// JSON object form.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("realtime_load", self.realtime_load.to_json()),
             ("best_effort_load", self.best_effort_load.to_json()),
@@ -343,7 +343,7 @@ impl SimConfig {
 
     /// Mean packet inter-generation time for a given offered load fraction,
     /// in ps (MTU-sized packets).
-    pub fn interarrival_ps(&self, load: f64) -> f64 {
+    pub(crate) fn interarrival_ps(&self, load: f64) -> f64 {
         let tx = crate::time::tx_time_ps(self.mtu_bytes, LINK_GBPS) as f64;
         tx / load.max(1e-9)
     }

@@ -46,7 +46,7 @@ impl Dragonfly {
     }
 
     /// Number of groups.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.a * self.h + 1
     }
 

@@ -166,17 +166,17 @@ pub struct SimReport {
     /// Traps delivered to the SM.
     pub traps: u64,
     /// Realtime generations suppressed by back-off.
-    pub backoff_skips: u64,
+    pub(crate) backoff_skips: u64,
     /// Total packets generated (all classes).
     pub generated: u64,
     /// Total enforcement lookup cycles spent (Table 2 cross-check).
     pub lookup_cycles: u64,
     /// Fraction of the configured duration the attack schedule was active.
-    pub attack_active_fraction: f64,
+    pub(crate) attack_active_fraction: f64,
     /// Packets the fault layer dropped on the wire.
     pub link_drops: u64,
     /// Packets the fault layer corrupted (discarded by the receiving HCA).
-    pub corrupt_drops: u64,
+    pub(crate) corrupt_drops: u64,
 }
 
 impl SimReport {
@@ -206,7 +206,7 @@ impl SimReport {
     /// Merge another report's accumulators into this one (domain-order
     /// merge of per-domain stats; `attack_active_fraction` is derived by
     /// the caller, not summed).
-    pub fn merge(&mut self, other: &SimReport) {
+    pub(crate) fn merge(&mut self, other: &SimReport) {
         self.realtime.merge(&other.realtime);
         self.best_effort.merge(&other.best_effort);
         self.attack.merge(&other.attack);
@@ -251,14 +251,9 @@ impl SimReport {
 /// ground-truth counterpart to `ib-flow`'s analytic completion times.
 #[derive(Debug, Clone)]
 pub struct FlowRecord {
-    /// Source node.
-    pub src: usize,
-    /// Destination node.
-    pub dst: usize,
-    /// Transfer size in bytes (segmented into MTU-sized packets).
-    pub bytes: u64,
     /// When the flow was posted at the source HCA.
-    pub posted_at: SimTime,
+    #[cfg(test)]
+    pub(crate) posted_at: SimTime,
     /// Delivery time of the flow's last packet; `None` while in flight
     /// (or forever, if a fault dropped one of its packets).
     pub completed_at: Option<SimTime>,
@@ -916,9 +911,7 @@ impl SimCore {
         }
         Ctx { sh, dom }.schedule_inject(src, now);
         self.flows.push(FlowRecord {
-            src,
-            dst,
-            bytes,
+            #[cfg(test)]
             posted_at: now,
             completed_at: None,
         });
@@ -1827,7 +1820,7 @@ impl Simulator {
     /// No receive-side P_Key or corruption check runs on the abstract
     /// path; the bytes themselves carry those protections.
     ///
-    /// Posting on VL 15 marks the packet [`TrafficClass::Management`] —
+    /// Posting on VL 15 marks the packet `TrafficClass::Management` —
     /// the subnet-management lane MADs ride on. VL arbitration scans
     /// lanes highest-first, so management datagrams (heartbeats, election
     /// claims, key updates) preempt data traffic at every hop instead of

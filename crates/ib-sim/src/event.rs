@@ -59,50 +59,50 @@ use crate::traffic::TrafficClass;
 /// A packet moving through the simulation. Header fields mirror the real
 /// wire format (`ib-packet` builds/parses the bytes in the functional
 /// tests); the simulator carries them unserialized for speed. In-flight
-/// packets live in the engine's [`crate::arena::PacketArena`]; events and
-/// queues pass 4-byte [`PacketRef`] indices instead of this ~100-byte
+/// packets live in the engine's `crate::arena::PacketArena`; events and
+/// queues pass 4-byte `PacketRef` indices instead of this ~100-byte
 /// struct.
 #[derive(Debug, Clone)]
 pub struct SimPacket {
     /// Source node index.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Destination node index.
-    pub dst: usize,
+    pub(crate) dst: usize,
     /// Traffic class (selects VL and priority).
-    pub class: TrafficClass,
+    pub(crate) class: TrafficClass,
     /// P_Key carried in the BTH.
-    pub pkey: PKey,
+    pub(crate) pkey: PKey,
     /// Virtual lane the packet travels on. Legitimate traffic uses its
     /// class's VL; attackers spray across data VLs to hit both classes.
-    pub vl: u8,
+    pub(crate) vl: u8,
     /// Wire size in bytes (headers + payload + CRCs).
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Generation timestamp (enqueue at the source HCA).
-    pub gen_time: SimTime,
+    pub(crate) gen_time: SimTime,
     /// First-byte-on-wire timestamp (set at injection).
-    pub inject_time: SimTime,
+    pub(crate) inject_time: SimTime,
     /// For in-band management packets: the trap notice carried in the MAD.
-    pub trap: Option<Trap>,
+    pub(crate) trap: Option<Trap>,
     /// Set when the fault layer flipped bits in transit. The fault layer
     /// flips one byte, an error burst a CRC-32 always detects, so the
     /// destination HCA discards the packet on this flag alone and counts
     /// it in `corrupt_drops`.
-    pub corrupted: bool,
+    pub(crate) corrupted: bool,
     /// Host-injected real wire image ([`crate::Simulator::post_host`]).
     /// `None` for the simulator's own abstract traffic. When present, the
     /// fabric carries the bytes opaquely — the destination HCA hands them
     /// back to the host instead of running the abstract receive path, so
     /// an external transport's own CRC/MAC machinery judges them.
-    pub wire: Option<Vec<u8>>,
+    pub(crate) wire: Option<Vec<u8>>,
     /// Index of the [`crate::Simulator::post_flow`] transfer this packet
     /// belongs to; the flow completes when its last packet is delivered.
-    pub flow: Option<u32>,
+    pub(crate) flow: Option<u32>,
 }
 
 impl SimPacket {
     /// A packet generated at `now`: not yet injected, untouched by the
     /// fault layer, and carrying no trap, host bytes or flow.
-    pub fn new(
+    pub(crate) fn new(
         src: usize,
         dst: usize,
         class: TrafficClass,
@@ -186,7 +186,7 @@ pub struct EventKey {
     /// Insertion sequence number (1-based, unique).
     pub seq: u64,
     /// Arena slot holding the event payload.
-    pub idx: u32,
+    pub(crate) idx: u32,
 }
 
 /// Free-listed slab: events are stored exactly once and slots recycle, so
@@ -248,7 +248,7 @@ impl<T> EventArena<T> {
 pub const BUCKET_WIDTH_PS: SimTime = 1 << BUCKET_BITS;
 const BUCKET_BITS: u32 = 14;
 /// Buckets on the wheel (one rotation covers [`HORIZON_PS`]).
-pub const WHEEL_BUCKETS: usize = 1 << WHEEL_BITS;
+pub(crate) const WHEEL_BUCKETS: usize = 1 << WHEEL_BITS;
 const WHEEL_BITS: u32 = 10;
 /// The wheel's horizon, ps (≈ 16.8 µs): events due further out than this
 /// from the cursor wait in the overflow heap.
@@ -262,7 +262,7 @@ fn bucket_of(t: SimTime) -> usize {
 /// Deterministic priority queue: ties in time break by insertion
 /// sequence, so runs with the same seed replay identically.
 ///
-/// Implemented as a calendar queue: a [`WHEEL_BUCKETS`]-bucket timing
+/// Implemented as a calendar queue: a `WHEEL_BUCKETS`-bucket timing
 /// wheel of unsorted [`EventKey`] vectors covering the next
 /// [`HORIZON_PS`] picoseconds, a binary min-heap over the keys due in the
 /// cursor bucket's window, and a binary-heap fallback for far-future

@@ -29,11 +29,6 @@ impl FatTree {
         FatTree { k }
     }
 
-    /// Arity `k`.
-    pub fn arity(&self) -> usize {
-        self.k
-    }
-
     fn half(&self) -> usize {
         self.k / 2
     }

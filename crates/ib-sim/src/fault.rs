@@ -51,7 +51,7 @@ impl FaultConfig {
     }
 
     /// JSON object form.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::obj([
             ("drop_prob", self.drop_prob.to_json()),
             ("corrupt_prob", self.corrupt_prob.to_json()),
@@ -63,7 +63,7 @@ impl FaultConfig {
 
 /// What the fault layer decided for one packet crossing one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOutcome {
+pub(crate) enum FaultOutcome {
     /// The packet never arrives.
     Drop,
     /// The packet arrives `extra_delay_ps` late, with `corrupt` bit flips.
@@ -76,14 +76,14 @@ pub enum FaultOutcome {
 /// One directed link's fault state: the probabilities plus a dedicated RNG
 /// stream (decisions on one link never consume another link's draws).
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     cfg: FaultConfig,
     rng: Rng,
 }
 
 impl FaultInjector {
     /// Build from the link's config and its dedicated seed stream.
-    pub fn new(cfg: FaultConfig, seed: Seed) -> Self {
+    pub(crate) fn new(cfg: FaultConfig, seed: Seed) -> Self {
         FaultInjector {
             cfg,
             rng: seed.rng(),
@@ -92,7 +92,7 @@ impl FaultInjector {
 
     /// Decide the fate of one packet. Draw order is fixed
     /// (drop → corrupt → reorder) so traces replay exactly.
-    pub fn decide(&mut self) -> FaultOutcome {
+    pub(crate) fn decide(&mut self) -> FaultOutcome {
         if self.rng.gen_bool(self.cfg.drop_prob) {
             return FaultOutcome::Drop;
         }

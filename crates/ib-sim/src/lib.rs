@@ -28,30 +28,28 @@
 //! entry to delivery), split by traffic class, with mean and standard
 //! deviation.
 
-pub mod arena;
+pub(crate) mod arena;
 pub mod config;
-pub mod dragonfly;
+pub(crate) mod dragonfly;
 pub mod engine;
 pub mod event;
-pub mod fattree;
-pub mod fault;
-pub mod metrics;
+pub(crate) mod fattree;
+pub(crate) mod fault;
+pub(crate) mod metrics;
 pub mod parallel;
 pub mod time;
 pub mod topology;
-pub mod traffic;
+pub(crate) mod traffic;
 
-pub use arena::{PacketArena, PacketRef};
-pub use config::{ArbitrationPolicy, AttackKeys, AuthMode, SimConfig, TopoSpec, TrafficConfig};
+pub use config::{AttackKeys, SimConfig, TopoSpec};
 pub use dragonfly::Dragonfly;
 pub use engine::{HostDelivery, SimReport, Simulator};
 pub use fattree::FatTree;
-pub use fault::{FaultConfig, FaultInjector, FaultOutcome};
-pub use metrics::{ClassStats, OnlineStats};
+pub use fault::FaultConfig;
+pub use metrics::OnlineStats;
 pub use parallel::ParSimulator;
-pub use time::{SimTime, BYTE_TIME_PS, NS, PS, US};
+pub use time::SimTime;
 pub use topology::{flow_hash, MeshTopology, Partition, Peer, Topology};
-pub use traffic::TrafficClass;
 
 /// What every `*_json_round_trip` test in this crate means by a round
 /// trip: the emitted text parses, and the parsed value re-emits the same

@@ -43,7 +43,7 @@ impl OnlineStats {
     }
 
     /// Population standard deviation (0 with < 2 samples).
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -52,7 +52,8 @@ impl OnlineStats {
     }
 
     /// Largest sample seen.
-    pub fn max(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 
@@ -102,7 +103,7 @@ pub struct ClassStats {
 
 impl ClassStats {
     /// Record a delivered packet's two delays (given in ps).
-    pub fn record(&mut self, queuing_ps: SimTime, network_ps: SimTime) {
+    pub(crate) fn record(&mut self, queuing_ps: SimTime, network_ps: SimTime) {
         self.queuing.push(ps_to_us(queuing_ps));
         self.network.push(ps_to_us(network_ps));
         self.delivered += 1;
@@ -112,7 +113,7 @@ impl ClassStats {
     /// per-domain stats in domain order; [`OnlineStats::merge`] is a
     /// closed-form Welford combine, so merging in a fixed order is
     /// deterministic).
-    pub fn merge(&mut self, other: &ClassStats) {
+    pub(crate) fn merge(&mut self, other: &ClassStats) {
         self.queuing.merge(&other.queuing);
         self.network.merge(&other.network);
         self.delivered += other.delivered;
@@ -120,7 +121,7 @@ impl ClassStats {
     }
 
     /// JSON object form.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("queuing", self.queuing.to_json()),
             ("network", self.network.to_json()),

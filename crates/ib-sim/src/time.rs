@@ -7,7 +7,8 @@
 pub type SimTime = u64;
 
 /// One picosecond.
-pub const PS: SimTime = 1;
+#[cfg(test)]
+pub(crate) const PS: SimTime = 1;
 /// One nanosecond in ps.
 pub const NS: SimTime = 1_000;
 /// One microsecond in ps.
@@ -16,7 +17,8 @@ pub const US: SimTime = 1_000_000;
 pub const MS: SimTime = 1_000_000_000;
 
 /// Time to put one byte on a 2.5 Gbps link (Table 1), in ps.
-pub const BYTE_TIME_PS: SimTime = 3_200;
+#[cfg(test)]
+pub(crate) const BYTE_TIME_PS: SimTime = 3_200;
 
 /// Transmission time of `bytes` at `gbps` (supports the ablation sweeps
 /// that vary link speed), in ps.

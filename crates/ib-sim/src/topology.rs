@@ -14,12 +14,12 @@
 use ib_packet::types::Lid;
 
 /// Port roles on a 5-port mesh switch.
-pub const PORT_EAST: usize = 0;
-pub const PORT_WEST: usize = 1;
-pub const PORT_NORTH: usize = 2;
-pub const PORT_SOUTH: usize = 3;
+pub(crate) const PORT_EAST: usize = 0;
+pub(crate) const PORT_WEST: usize = 1;
+pub(crate) const PORT_NORTH: usize = 2;
+pub(crate) const PORT_SOUTH: usize = 3;
 /// The host port the local HCA hangs off (mesh layout).
-pub const PORT_HOST: usize = 4;
+pub(crate) const PORT_HOST: usize = 4;
 
 /// What sits on the far side of a switch port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,40 +160,23 @@ impl MeshTopology {
         MeshTopology { dim }
     }
 
-    /// Side length.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of switches (== nodes).
-    pub fn num_switches(&self) -> usize {
+    pub(crate) fn num_switches(&self) -> usize {
         self.dim * self.dim
     }
 
     /// Coordinates of switch `s`.
-    pub fn coords(&self, s: usize) -> (usize, usize) {
+    pub(crate) fn coords(&self, s: usize) -> (usize, usize) {
         (s % self.dim, s / self.dim)
     }
 
     /// Switch at coordinates.
-    pub fn switch_at(&self, x: usize, y: usize) -> usize {
+    pub(crate) fn switch_at(&self, x: usize, y: usize) -> usize {
         y * self.dim + x
     }
 
-    /// LID of node `i` (SM assigns 1-based LIDs).
-    pub fn lid_of(&self, node: usize) -> Lid {
-        Lid(node as u16 + 1)
-    }
-
-    /// Node for a LID.
-    pub fn node_of(&self, lid: Lid) -> Option<usize> {
-        (lid.0 as usize)
-            .checked_sub(1)
-            .filter(|n| *n < self.num_switches())
-    }
-
     /// What's connected to `(switch, port)`.
-    pub fn peer(&self, switch: usize, port: usize) -> Peer {
+    pub(crate) fn peer(&self, switch: usize, port: usize) -> Peer {
         let (x, y) = self.coords(switch);
         match port {
             PORT_HOST => Peer::Hca { node: switch },
@@ -220,7 +203,7 @@ impl MeshTopology {
     /// Dimension-order routing: the output port switch `s` uses toward the
     /// node attached to `dest_switch`. X is corrected first, then Y; at the
     /// destination switch the host port is returned.
-    pub fn route(&self, s: usize, dest_switch: usize) -> usize {
+    pub(crate) fn route(&self, s: usize, dest_switch: usize) -> usize {
         let (x, y) = self.coords(s);
         let (dx, dy) = self.coords(dest_switch);
         if x < dx {
@@ -237,7 +220,8 @@ impl MeshTopology {
     }
 
     /// Hop count (number of switches traversed) from node `a` to node `b`.
-    pub fn hops(&self, a: usize, b: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
         ax.abs_diff(bx) + ay.abs_diff(by) + 1
@@ -474,7 +458,8 @@ pub mod conformance {
     }
 
     /// The full conformance suite (all-pairs routing over `hashes`).
-    pub fn check_all(t: &dyn Topology, hashes: &[u64]) {
+    #[cfg(test)]
+    pub(crate) fn check_all(t: &dyn Topology, hashes: &[u64]) {
         peers_are_symmetric(t);
         hosts_attach_uniquely(t);
         lids_round_trip(t);

@@ -20,7 +20,7 @@ impl TrafficClass {
     /// Virtual lane this class travels on (realtime gets the
     /// higher-priority data VL; attack traffic mimics best-effort;
     /// management rides the dedicated VL15).
-    pub fn vl(self) -> u8 {
+    pub(crate) fn vl(self) -> u8 {
         match self {
             TrafficClass::Realtime => 1,
             TrafficClass::BestEffort | TrafficClass::Attack => 0,
@@ -29,21 +29,12 @@ impl TrafficClass {
     }
 
     /// Arbitration priority (higher wins).
-    pub fn priority(self) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn priority(self) -> u8 {
         match self {
             TrafficClass::Management => 2,
             TrafficClass::Realtime => 1,
             TrafficClass::BestEffort | TrafficClass::Attack => 0,
-        }
-    }
-
-    /// Label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TrafficClass::Realtime => "realtime",
-            TrafficClass::BestEffort => "best-effort",
-            TrafficClass::Attack => "attack",
-            TrafficClass::Management => "management",
         }
     }
 }
@@ -51,7 +42,7 @@ impl TrafficClass {
 /// Sample an exponential inter-arrival gap with the given mean (ps), for
 /// Poisson best-effort arrivals. Clamped away from zero so events always
 /// advance time.
-pub fn exp_gap(rng: &mut Rng, mean_ps: f64) -> u64 {
+pub(crate) fn exp_gap(rng: &mut Rng, mean_ps: f64) -> u64 {
     rng.exponential(mean_ps).max(1.0) as u64
 }
 

@@ -4,7 +4,7 @@
 //! manager that mints partition keys once at fabric bring-up. This crate
 //! grows that into an operational key plane:
 //!
-//! * **Replica group** ([`replica`]) — 3–5 SM replicas living on real
+//! * **Replica group** (`replica`) — 3–5 SM replicas living on real
 //!   HCAs of the simulated mesh, exchanging heartbeat / leader-claim /
 //!   key-replication MADs (management datagrams on VL 15 to QP0) through
 //!   the same fabric the data plane uses. Leadership is a deterministic
@@ -17,16 +17,15 @@
 //!   [`ib_mgmt::keymgmt::KeyEnvelope`]. Send sides switch epochs
 //!   immediately; receive sides keep verifying the previous epoch for a
 //!   configurable grace window (see `ib_security::SecureChannel`).
-//! * **Disruption experiment** ([`rekey`]) — many concurrent RC flows
+//! * **Disruption experiment** (`rekey`) — many concurrent RC flows
 //!   ride the mesh while the key plane rotates underneath them and a
 //!   fault injector kills the leader mid-rotation; the harness measures
 //!   goodput dip, rejected packets by cause, and time-to-recover, and is
 //!   bit-deterministic in the seed (the fig_rekey experiment).
 
-pub mod rekey;
-pub mod replica;
+pub(crate) mod rekey;
+pub(crate) mod replica;
 pub mod wire;
 
 pub use rekey::{run_rekey_sim, RekeyConfig, RekeyReport};
-pub use replica::{CaMember, PeerReplica, ReplicaConfig, ReplicaStats, SmReplica};
-pub use wire::{SmMessage, MGMT_VL, SM_QPN};
+pub use wire::SmMessage;

@@ -161,7 +161,7 @@ pub struct RekeyReport {
     /// Run hit `MAX_SIM_TIME` before completing.
     pub timed_out: bool,
     /// Instant the last flow completed (excludes the drain tail), µs.
-    pub completion_us: f64,
+    pub(crate) completion_us: f64,
     /// Unique completed payload bits over the completion time.
     pub goodput_gbps: f64,
     /// Rotations leaders performed (bring-up leader + successors).
@@ -171,25 +171,25 @@ pub struct RekeyReport {
     /// Key-update MADs leaders sent (including resends).
     pub key_updates_tx: u64,
     /// Key-update acks leaders received.
-    pub key_update_acks_rx: u64,
+    pub(crate) key_update_acks_rx: u64,
     /// Replica-mirroring MADs leaders sent.
-    pub replicates_tx: u64,
+    pub(crate) replicates_tx: u64,
     /// Heartbeat MADs sent.
-    pub heartbeats_tx: u64,
+    pub(crate) heartbeats_tx: u64,
     /// Leader-claim MADs sent.
-    pub claims_tx: u64,
+    pub(crate) claims_tx: u64,
     /// Elections won (0 unless the leader was killed).
     pub takeovers: u64,
     /// Leaders killed by fault injection.
     pub leader_kills: u64,
     /// Observed changes of the acting leader.
-    pub leader_changes: u64,
+    pub(crate) leader_changes: u64,
     /// Kill-to-fully-redistributed time (0 if no kill), µs.
     pub time_to_recover_us: f64,
     /// Unique deliveries per `BUCKET`-wide time slot.
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
     /// Bucket width, µs.
-    pub bucket_us: f64,
+    pub(crate) bucket_us: f64,
     /// min/mean delivery rate over interior buckets (1.0 = no dip).
     pub goodput_dip_frac: f64,
     /// Stale packets the attacker re-injected.
@@ -216,7 +216,7 @@ pub struct RekeyReport {
     /// VL-15 management datagrams the fabric delivered.
     pub mgmt_delivered: u64,
     /// Total packets the fabric generated.
-    pub fabric_generated: u64,
+    pub(crate) fabric_generated: u64,
 }
 
 impl RekeyReport {

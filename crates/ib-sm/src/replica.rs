@@ -32,22 +32,22 @@ use crate::wire::SmMessage;
 
 /// A fellow replica, as seen from one replica's configuration.
 #[derive(Debug, Clone)]
-pub struct PeerReplica {
+pub(crate) struct PeerReplica {
     /// Election rank (lower wins); doubles as the replica's identity.
-    pub id: u8,
+    pub(crate) id: u8,
     /// HCA node index the peer lives on.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Public key replicated key versions are sealed to.
-    pub pubkey: PublicKey,
+    pub(crate) pubkey: PublicKey,
 }
 
 /// A channel adapter the key plane re-keys on rotation.
 #[derive(Debug, Clone)]
-pub struct CaMember {
+pub(crate) struct CaMember {
     /// HCA node index.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Public key `SM_KEY_UPDATE` envelopes are sealed to.
-    pub pubkey: PublicKey,
+    pub(crate) pubkey: PublicKey,
 }
 
 /// Leader: beacon period.
@@ -62,16 +62,16 @@ const RESEND_INTERVAL: SimTime = 100 * US;
 /// Identity and rotation knobs for one replica (the other timers are
 /// fixed constants).
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicaConfig {
+pub(crate) struct ReplicaConfig {
     /// Election rank / identity; rank 0 is the bring-up leader.
-    pub id: u8,
+    pub(crate) id: u8,
     /// HCA node index this replica lives on.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Seed for this replica's own key minting (must differ between
     /// replicas so successive leaders never re-mint the same secret).
-    pub key_seed: u64,
+    pub(crate) key_seed: u64,
     /// Leader: rotate every partition this often (0 disables rotation).
-    pub rotation_period: SimTime,
+    pub(crate) rotation_period: SimTime,
 }
 
 impl Default for ReplicaConfig {
@@ -87,15 +87,15 @@ impl Default for ReplicaConfig {
 
 /// Counters one replica accumulates (all messages it originated).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReplicaStats {
-    pub heartbeats_tx: u64,
-    pub claims_tx: u64,
-    pub replicates_tx: u64,
-    pub replicate_acks_rx: u64,
-    pub key_updates_tx: u64,
-    pub key_update_acks_rx: u64,
-    pub rotations: u64,
-    pub takeovers: u64,
+pub(crate) struct ReplicaStats {
+    pub(crate) heartbeats_tx: u64,
+    pub(crate) claims_tx: u64,
+    pub(crate) replicates_tx: u64,
+    pub(crate) replicate_acks_rx: u64,
+    pub(crate) key_updates_tx: u64,
+    pub(crate) key_update_acks_rx: u64,
+    pub(crate) rotations: u64,
+    pub(crate) takeovers: u64,
 }
 
 /// One in-flight key distribution: the newest epoch of one partition and
@@ -124,7 +124,7 @@ impl Distribution {
 
 /// One subnet-manager replica (see module docs).
 #[derive(Debug)]
-pub struct SmReplica {
+pub(crate) struct SmReplica {
     cfg: ReplicaConfig,
     keys: PartitionKeyManager,
     privkey: PrivateKey,
@@ -140,13 +140,13 @@ pub struct SmReplica {
     dist: Vec<Distribution>,
     tid: u64,
     /// Message counters, readable by harnesses.
-    pub stats: ReplicaStats,
+    pub(crate) stats: ReplicaStats,
 }
 
 impl SmReplica {
     /// A replica at bring-up: everyone agrees rank 0 leads term 0, and
     /// only rank 0 arms its rotation timer.
-    pub fn new(
+    pub(crate) fn new(
         cfg: ReplicaConfig,
         peers: Vec<PeerReplica>,
         members: Vec<CaMember>,
@@ -174,7 +174,7 @@ impl SmReplica {
 
     /// Register a managed partition with its agreed epoch-0 secret
     /// (distributed out of band at fabric bring-up).
-    pub fn bootstrap_partition(&mut self, pkey: PKey, secret: SecretKey) {
+    pub(crate) fn bootstrap_partition(&mut self, pkey: PKey, secret: SecretKey) {
         self.keys.install_version(pkey, KeyEpoch::ZERO, secret);
         if !self.pkeys.contains(&pkey) {
             self.pkeys.push(pkey);
@@ -182,39 +182,40 @@ impl SmReplica {
     }
 
     /// Fault injection: this replica stops speaking and listening.
-    pub fn kill(&mut self) {
+    pub(crate) fn kill(&mut self) {
         self.alive = false;
     }
 
     /// Whether this replica currently believes it leads.
-    pub fn is_leader(&self) -> bool {
+    pub(crate) fn is_leader(&self) -> bool {
         self.alive && self.leader == Some(self.cfg.id)
     }
 
-    pub fn term(&self) -> u64 {
+    pub(crate) fn term(&self) -> u64 {
         self.term
     }
 
     /// Rank of the leader this replica follows (or itself).
-    pub fn leader(&self) -> Option<u8> {
+    #[cfg(test)]
+    pub(crate) fn leader(&self) -> Option<u8> {
         self.leader
     }
 
-    pub fn id(&self) -> u8 {
+    pub(crate) fn id(&self) -> u8 {
         self.cfg.id
     }
 
-    pub fn node(&self) -> usize {
+    pub(crate) fn node(&self) -> usize {
         self.cfg.node
     }
 
     /// Leader only: every started distribution is fully acked.
-    pub fn distribution_complete(&self) -> bool {
+    pub(crate) fn distribution_complete(&self) -> bool {
         self.dist.iter().all(Distribution::complete)
     }
 
     /// Rotations this replica performed as leader.
-    pub fn rotations(&self) -> u64 {
+    pub(crate) fn rotations(&self) -> u64 {
         self.stats.rotations
     }
 
@@ -229,7 +230,7 @@ impl SmReplica {
 
     /// Earliest instant this replica next needs the clock to reach
     /// (heartbeat, rotation, resend, or election timeout).
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         if !self.alive {
             return None;
         }
@@ -368,7 +369,7 @@ impl SmReplica {
 
     /// Drive timers at `now`; outgoing MADs are pushed as
     /// `(destination node, mad)` pairs.
-    pub fn poll(&mut self, now: SimTime, out: &mut Vec<(usize, Mad)>) {
+    pub(crate) fn poll(&mut self, now: SimTime, out: &mut Vec<(usize, Mad)>) {
         if !self.alive {
             return;
         }
@@ -397,7 +398,7 @@ impl SmReplica {
 
     /// Handle an SM-plane MAD delivered to this replica's node.
     /// `src_node` is the sender's node index (from the packet SLID).
-    pub fn handle(
+    pub(crate) fn handle(
         &mut self,
         now: SimTime,
         src_node: usize,

@@ -18,14 +18,14 @@ use ib_packet::{OpCode, Packet, PacketBuilder, WireView};
 /// QP0: the management QP every port owns (IBA §3.5.3). All SM-plane
 /// MADs are addressed to it, which is also how the rekey harness
 /// demultiplexes management traffic from data flows.
-pub const SM_QPN: Qpn = Qpn(0);
+pub(crate) const SM_QPN: Qpn = Qpn(0);
 
 /// VL 15, the management lane: [`ib_sim`]'s VL arbitration scans lanes
 /// highest-first, so SM-plane traffic preempts data even under load.
-pub const MGMT_VL: u8 = 15;
+pub(crate) const MGMT_VL: u8 = 15;
 
 /// Well-known Q_Key for the management plane (the GSI Q_Key idea).
-pub const MGMT_QKEY: QKey = QKey(0x8001_0000);
+pub(crate) const MGMT_QKEY: QKey = QKey(0x8001_0000);
 
 /// Envelope blocks that fit the data area after the largest fixed
 /// header (15 bytes): `15 + 27 × 8 = 231 ≤ 232`.
@@ -170,7 +170,7 @@ impl SmMessage {
     }
 
     /// Decode from a MAD; `None` if it isn't an SM-plane message.
-    pub fn decode(mad: &Mad) -> Option<SmMessage> {
+    pub(crate) fn decode(mad: &Mad) -> Option<SmMessage> {
         let d = &mad.data;
         let pkey = PKey(u16::from_be_bytes([d[8], d[9]]));
         let epoch = KeyEpoch(u32::from_be_bytes(d[10..14].try_into().unwrap()));
@@ -227,7 +227,7 @@ pub fn mad_packet(src: Lid, dst: Lid, mad: &Mad) -> Packet {
 /// Recognize an SM-plane delivery: a packet addressed to QP0 whose
 /// payload parses as a MAD. Returns the sender's node index (SLID − 1)
 /// and the MAD.
-pub fn mad_of(p: &WireView) -> Option<(usize, Mad)> {
+pub(crate) fn mad_of(p: &WireView) -> Option<(usize, Mad)> {
     if p.bth.dest_qp != SM_QPN {
         return None;
     }
@@ -235,7 +235,7 @@ pub fn mad_of(p: &WireView) -> Option<(usize, Mad)> {
     Some(((p.lrh.slid.0 as usize).checked_sub(1)?, mad))
 }
 
-/// [`mad_of`] on wire bytes.
+/// `mad_of` on wire bytes.
 pub fn parse_mad_packet(bytes: &[u8]) -> Option<(usize, Mad)> {
     mad_of(&Packet::parse_view(bytes).ok()?)
 }

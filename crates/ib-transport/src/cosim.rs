@@ -195,12 +195,12 @@ pub struct Ledger {
     /// Completions whose payload or addressing failed verification.
     pub mismatches: u64,
     /// Scheduled-post-to-completion latency per unique message, µs.
-    pub latency_us: OnlineStats,
+    pub(crate) latency_us: OnlineStats,
     /// Unique completions per [`Workload::bucket`]-wide time slot.
     pub buckets: Vec<u64>,
     /// Host arrivals that failed to parse (fault-layer corruption) and
     /// so reached no endpoint.
-    pub unparseable: u64,
+    pub(crate) unparseable: u64,
 }
 
 impl Ledger {

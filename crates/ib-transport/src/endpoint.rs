@@ -123,7 +123,7 @@ const POOL_CAP: usize = 64;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EndpointStats {
     /// SEND messages delivered to the application for the first time.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Behind-expected packets the channel suppressed as duplicates
     /// (lost-ACK retransmits and attacker replays alike).
     pub dup_suppressed: u64,
@@ -138,9 +138,9 @@ pub struct EndpointStats {
     /// Wire buffers that failed to parse (corruption caught by the VCRC).
     pub parse_drops: u64,
     /// ACK/NAK/RNR packets processed.
-    pub acks_rx: u64,
+    pub(crate) acks_rx: u64,
     /// RNR NAKs sent because the receive buffer was full.
-    pub rnr_sent: u64,
+    pub(crate) rnr_sent: u64,
     /// RDMA ops refused: R_Key mismatch, out-of-bounds address range, or
     /// a Middle/Last segment with no open transaction.
     pub rdma_faults: u64,

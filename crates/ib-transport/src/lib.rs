@@ -8,12 +8,12 @@
 //! This crate builds the sender/receiver machinery that makes the
 //! distinction operational:
 //!
-//! * [`qp`] — the RC queue-pair state machine: PSN assignment, a bounded
+//! * `qp` — the RC queue-pair state machine: PSN assignment, a bounded
 //!   in-flight window, cumulative ACKs with coalescing, NAK(PSN sequence
 //!   error) triggering go-back-N, RNR back-off, and retransmission on
 //!   timeout with exponential back-off up to a retry-exhausted dead state.
-//! * [`endpoint`] — [`endpoint::SecureRcEndpoint`] marries an
-//!   [`qp::RcQp`] to an [`ib_security::SecureChannel`]: data packets are
+//! * `endpoint` — [`endpoint::SecureRcEndpoint`] marries an
+//!   `qp::RcQp` to an [`ib_security::SecureChannel`]: data packets are
 //!   sealed (tagged) once per PSN so retransmits reproduce identical
 //!   bytes, and inbound packets pass transport-order classification
 //!   *before* the replay window so the window's bitmap stays strictly
@@ -25,26 +25,25 @@
 //!   exactly-once ledger, the capture-and-re-inject attacker tap and the
 //!   exit rule, and takes non-RC hosts (`ib-sm`'s key plane) through one
 //!   small trait.
-//! * [`fabric`] — `cosim` configured as one flow with a replay attacker
+//! * `fabric` — `cosim` configured as one flow with a replay attacker
 //!   at the destination HCA: the fig_rdma experiment (SEND / RDMA WRITE /
 //!   RDMA READ under congestion and loss) and the fig_replay sweep
 //!   (goodput, latency, retransmits and replays admitted per security
 //!   arm).
-//! * [`config`] — [`config::RcConfig`] knobs and their JSON form.
+//! * `config` — [`config::RcConfig`] knobs and their JSON form.
 //!
 //! The invariant that keeps retransmission and replay defense compatible:
 //! the transport's in-flight window never exceeds the replay window
 //! depth, so a retransmit of an undelivered PSN is always still
 //! judgeable ([`ib_security::ReplayVerdict::Fresh`]) when it lands.
 
-pub mod config;
+pub(crate) mod config;
 pub mod cosim;
-pub mod endpoint;
-pub mod fabric;
-pub mod qp;
+pub(crate) mod endpoint;
+pub(crate) mod fabric;
+pub(crate) mod qp;
 
 pub use config::{RcConfig, RetransmitMode};
 pub use cosim::RdmaOp;
 pub use endpoint::{EndpointStats, SecureRcEndpoint};
 pub use fabric::{run_fabric_sim, FabricReport, FabricSimConfig};
-pub use qp::{RcQp, RxClass, RxReply, TxItem};

@@ -41,43 +41,43 @@ use ib_sim::SimTime;
 use crate::config::{RcConfig, RetransmitMode, ACK_DELAY, RTO, RTO_MAX};
 
 /// PSNs are 24-bit, wrapping.
-pub const PSN_MASK: u32 = 0x00FF_FFFF;
+pub(crate) const PSN_MASK: u32 = 0x00FF_FFFF;
 /// Half the PSN space: the ahead/behind decision threshold.
-pub const PSN_HALF: u32 = 1 << 23;
+pub(crate) const PSN_HALF: u32 = 1 << 23;
 
 /// `psn + n` in the 24-bit ring.
-pub fn psn_add(psn: u32, n: u32) -> u32 {
+pub(crate) fn psn_add(psn: u32, n: u32) -> u32 {
     psn.wrapping_add(n) & PSN_MASK
 }
 
 /// Forward distance from `from` to `to` in the 24-bit ring.
-pub fn psn_sub(to: u32, from: u32) -> u32 {
+pub(crate) fn psn_sub(to: u32, from: u32) -> u32 {
     to.wrapping_sub(from) & PSN_MASK
 }
 
 /// True when `a` is strictly ahead of `b` by less than half the ring
 /// (the IBA shortest-distance rule, wrap-safe).
-pub fn psn_ahead(a: u32, b: u32) -> bool {
+pub(crate) fn psn_ahead(a: u32, b: u32) -> bool {
     a != b && psn_sub(a, b) < PSN_HALF
 }
 
 /// One transmission the sender half asks the wire layer to carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxItem {
+pub(crate) struct TxItem {
     /// The packet's PSN — original on retransmit, never renumbered.
-    pub psn: u32,
+    pub(crate) psn: u32,
     /// BTH operation for this segment (fixed at segmentation time so a
     /// retransmit reproduces identical bytes).
-    pub op: Operation,
+    pub(crate) op: Operation,
     /// RETH for RDMA First/Only segments and READ requests.
-    pub reth: Option<Reth>,
+    pub(crate) reth: Option<Reth>,
     /// Segment payload.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// True when this segment completes its message (Only/Last — the
     /// receiver advances MSN exactly on these).
-    pub msg_end: bool,
+    pub(crate) msg_end: bool,
     /// True when this PSN has been on the wire before.
-    pub retransmit: bool,
+    pub(crate) retransmit: bool,
     /// Selective repeat: queued for retransmission by a NAK or timeout,
     /// cleared when [`RcQp::poll_tx`] serves it.
     retx_queued: bool,
@@ -121,7 +121,7 @@ impl SegKind {
 
 /// Where an arriving data PSN sits relative to the receiver's expectation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxClass {
+pub(crate) enum RxClass {
     /// Exactly the expected PSN: deliverable.
     InOrder,
     /// Older than expected: duplicate of something already received.
@@ -132,7 +132,7 @@ pub enum RxClass {
 
 /// Acknowledgment traffic the receiver half wants sent back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxReply {
+pub(crate) enum RxReply {
     /// Cumulative ACK: everything through `psn` has been received.
     Ack { psn: u32, msn: u32 },
     /// NAK(PSN sequence error): resume from `psn` (the expected PSN).
@@ -143,7 +143,7 @@ pub enum RxReply {
 
 /// What a retransmission-timer expiry produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeoutAction {
+pub(crate) enum TimeoutAction {
     /// Deadline not reached or nothing outstanding.
     None,
     /// Retransmission queued; the next [`RcQp::poll_tx`] calls re-emit.
@@ -154,7 +154,7 @@ pub enum TimeoutAction {
 
 /// Both halves of one RC queue pair.
 #[derive(Debug)]
-pub struct RcQp {
+pub(crate) struct RcQp {
     cfg: RcConfig,
 
     // ---- sender half ----
@@ -172,7 +172,7 @@ pub struct RcQp {
     rnr_until: Option<SimTime>,
     dead: bool,
     /// Total retransmissions performed (fig_replay metric).
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
 
     // ---- receiver half ----
     expected_psn: u32,
@@ -187,7 +187,7 @@ pub struct RcQp {
 
 impl RcQp {
     /// A fresh QP; both directions start at `cfg.initial_psn`.
-    pub fn new(cfg: RcConfig) -> Self {
+    pub(crate) fn new(cfg: RcConfig) -> Self {
         assert!(cfg.window >= 1, "send window must hold at least one packet");
         assert!(cfg.ack_coalesce >= 1, "ack_coalesce of 0 would never ACK");
         assert!(cfg.mtu >= 1, "zero MTU cannot carry data");
@@ -213,7 +213,7 @@ impl RcQp {
     }
 
     /// The configuration this QP runs under.
-    pub fn config(&self) -> &RcConfig {
+    pub(crate) fn config(&self) -> &RcConfig {
         &self.cfg
     }
 
@@ -221,21 +221,15 @@ impl RcQp {
     // Sender half
     // ------------------------------------------------------------------
 
-    /// Queue a SEND message (alias of [`post_send`](Self::post_send),
-    /// kept for the pre-verbs API).
-    pub fn post(&mut self, payload: Vec<u8>) {
-        self.post_send(payload);
-    }
-
     /// Queue a SEND message, segmented at the MTU.
-    pub fn post_send(&mut self, payload: Vec<u8>) {
+    pub(crate) fn post_send(&mut self, payload: Vec<u8>) {
         self.segment(SegKind::Send, None, payload);
     }
 
     /// Queue an RDMA WRITE of `payload` to `virt_addr` under `rkey`. The
     /// RETH (address + R_Key + DMA length) rides the First/Only segment
     /// and is covered by the MAC.
-    pub fn post_write(&mut self, virt_addr: u64, rkey: RKey, payload: Vec<u8>) {
+    pub(crate) fn post_write(&mut self, virt_addr: u64, rkey: RKey, payload: Vec<u8>) {
         let reth = Reth {
             virt_addr,
             rkey,
@@ -247,7 +241,7 @@ impl RcQp {
     /// Queue an RDMA READ request for `len` bytes at `virt_addr` under
     /// `rkey` (a single payload-less RETH-carrying packet; the responder
     /// answers with segmented READ responses).
-    pub fn post_read(&mut self, virt_addr: u64, rkey: RKey, len: u32) {
+    pub(crate) fn post_read(&mut self, virt_addr: u64, rkey: RKey, len: u32) {
         self.pending.push_back(Seg {
             op: Operation::RdmaReadRequest,
             reth: Some(Reth {
@@ -262,7 +256,7 @@ impl RcQp {
 
     /// Queue the responder's data for an RDMA READ, segmented at the MTU
     /// into ReadResponse First/Middle/Last/Only packets.
-    pub fn post_read_response(&mut self, payload: Vec<u8>) {
+    pub(crate) fn post_read_response(&mut self, payload: Vec<u8>) {
         self.segment(SegKind::ReadResponse, None, payload);
     }
 
@@ -294,12 +288,12 @@ impl RcQp {
     }
 
     /// True when every posted message has been sent *and* acknowledged.
-    pub fn tx_idle(&self) -> bool {
+    pub(crate) fn tx_idle(&self) -> bool {
         self.pending.is_empty() && self.in_flight.is_empty()
     }
 
     /// True when retries were exhausted and the QP is in the error state.
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead
     }
 
@@ -317,7 +311,7 @@ impl RcQp {
     /// Returns a borrow of the window entry — posted payloads move into
     /// the in-flight window and are never cloned, so the steady-state
     /// send path performs no allocation here.
-    pub fn poll_tx(&mut self, now: SimTime) -> Option<&TxItem> {
+    pub(crate) fn poll_tx(&mut self, now: SimTime) -> Option<&TxItem> {
         if self.dead {
             return None;
         }
@@ -371,7 +365,7 @@ impl RcQp {
 
     /// Cumulative ACK: everything through `psn` is received. Releases the
     /// window, resets back-off on progress, re-arms or clears the timer.
-    pub fn on_ack(&mut self, now: SimTime, psn: u32) {
+    pub(crate) fn on_ack(&mut self, now: SimTime, psn: u32) {
         let mut released = 0usize;
         while let Some(front) = self.in_flight.front() {
             if psn_ahead(front.psn, psn) {
@@ -398,7 +392,7 @@ impl RcQp {
     /// before it is implicitly acknowledged, then go-back-N rewinds to it
     /// — or, under selective repeat, only `psn` itself is queued for
     /// retransmission (the receiver is buffering everything past the gap).
-    pub fn on_nak(&mut self, now: SimTime, psn: u32) {
+    pub(crate) fn on_nak(&mut self, now: SimTime, psn: u32) {
         self.on_ack(now, psn_sub(psn, 1));
         self.queue_retx_from(psn);
         if !self.in_flight.is_empty() {
@@ -407,7 +401,7 @@ impl RcQp {
     }
 
     /// RNR NAK: receiver wants `psn` again but not before `delay` elapses.
-    pub fn on_rnr(&mut self, now: SimTime, psn: u32, delay: SimTime) {
+    pub(crate) fn on_rnr(&mut self, now: SimTime, psn: u32, delay: SimTime) {
         self.on_ack(now, psn_sub(psn, 1));
         self.queue_retx_from(psn);
         self.rnr_until = Some(now + delay);
@@ -433,7 +427,7 @@ impl RcQp {
     /// outstanding under selective repeat, since a timeout says nothing
     /// about *which* packet was lost) — or declare the QP dead once
     /// `max_retries` consecutive timeouts pass without progress.
-    pub fn on_timeout(&mut self, now: SimTime) -> TimeoutAction {
+    pub(crate) fn on_timeout(&mut self, now: SimTime) -> TimeoutAction {
         if self.dead || self.in_flight.is_empty() {
             return TimeoutAction::None;
         }
@@ -462,7 +456,7 @@ impl RcQp {
     }
 
     /// Earliest instant the sender half needs waking (RTO or RNR expiry).
-    pub fn tx_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn tx_deadline(&self) -> Option<SimTime> {
         match (self.rto_deadline, self.rnr_until) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -474,7 +468,7 @@ impl RcQp {
     // ------------------------------------------------------------------
 
     /// Where `psn` sits relative to the expected PSN.
-    pub fn rx_classify(&self, psn: u32) -> RxClass {
+    pub(crate) fn rx_classify(&self, psn: u32) -> RxClass {
         if psn == self.expected_psn {
             RxClass::InOrder
         } else if psn_ahead(psn, self.expected_psn) {
@@ -485,28 +479,28 @@ impl RcQp {
     }
 
     /// The PSN the receiver expects next.
-    pub fn expected_psn(&self) -> u32 {
+    pub(crate) fn expected_psn(&self) -> u32 {
         self.expected_psn
     }
 
     /// Messages fully received in order so far (the AETH MSN).
-    pub fn msn(&self) -> u32 {
+    pub(crate) fn msn(&self) -> u32 {
         self.msn
     }
 
     /// True while the receive buffer can take another message.
-    pub fn rx_has_budget(&self) -> bool {
+    pub(crate) fn rx_has_budget(&self) -> bool {
         self.rx_in_use < self.cfg.rx_capacity
     }
 
     /// Reserve one receive-buffer slot (the endpoint pairs this with a
     /// delivered message).
-    pub fn rx_reserve(&mut self) {
+    pub(crate) fn rx_reserve(&mut self) {
         self.rx_in_use += 1;
     }
 
     /// Release a receive-buffer slot once the application drains a message.
-    pub fn rx_release(&mut self) {
+    pub(crate) fn rx_release(&mut self) {
         self.rx_in_use = self.rx_in_use.saturating_sub(1);
     }
 
@@ -523,7 +517,7 @@ impl RcQp {
     /// the ACK: every `ack_coalesce`-th packet acknowledges immediately,
     /// a straggler is acknowledged after `ACK_DELAY` via
     /// [`RcQp::poll_ack`].
-    pub fn rx_accept(&mut self, now: SimTime, msg_end: bool) -> Option<RxReply> {
+    pub(crate) fn rx_accept(&mut self, now: SimTime, msg_end: bool) -> Option<RxReply> {
         self.expected_psn = psn_add(self.expected_psn, 1);
         if msg_end {
             self.msn = psn_add(self.msn, 1);
@@ -543,7 +537,7 @@ impl RcQp {
     /// A duplicate (behind-expected) packet: re-ACK immediately so a
     /// sender whose ACK was lost stops retransmitting. Cumulative ACKs
     /// are idempotent, so this is always safe.
-    pub fn rx_duplicate(&mut self) -> RxReply {
+    pub(crate) fn rx_duplicate(&mut self) -> RxReply {
         self.cumulative_ack()
     }
 
@@ -551,7 +545,7 @@ impl RcQp {
     /// the expected PSN; further ahead packets stay silent until the gap
     /// heals, so one loss burst draws one recovery round, not one per
     /// packet.
-    pub fn rx_gap(&mut self) -> Option<RxReply> {
+    pub(crate) fn rx_gap(&mut self) -> Option<RxReply> {
         if self.nak_outstanding {
             return None;
         }
@@ -564,7 +558,7 @@ impl RcQp {
 
     /// Receive buffer full: ask the sender to back off and retry the
     /// expected PSN.
-    pub fn rx_not_ready(&self) -> RxReply {
+    pub(crate) fn rx_not_ready(&self) -> RxReply {
         RxReply::Rnr {
             psn: self.expected_psn,
             msn: self.msn,
@@ -572,7 +566,7 @@ impl RcQp {
     }
 
     /// Fire the delayed-ACK timer: flush a coalesced straggler ACK.
-    pub fn poll_ack(&mut self, now: SimTime) -> Option<RxReply> {
+    pub(crate) fn poll_ack(&mut self, now: SimTime) -> Option<RxReply> {
         match self.ack_deadline {
             Some(deadline) if now >= deadline && self.since_ack > 0 => {
                 self.since_ack = 0;
@@ -584,12 +578,12 @@ impl RcQp {
     }
 
     /// Earliest instant the receiver half needs waking (delayed ACK).
-    pub fn rx_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn rx_deadline(&self) -> Option<SimTime> {
         self.ack_deadline
     }
 
     /// Earliest instant either half needs waking.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         match (self.tx_deadline(), self.rx_deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -632,7 +626,7 @@ mod tests {
     fn window_bounds_in_flight() {
         let mut q = qp(4);
         for i in 0..10u8 {
-            q.post(vec![i]);
+            q.post_send(vec![i]);
         }
         let mut sent = Vec::new();
         while let Some(item) = q.poll_tx(0) {
@@ -651,7 +645,7 @@ mod tests {
     fn timeout_rewinds_with_original_psns_and_backs_off() {
         let mut q = qp(3);
         for i in 0..3u8 {
-            q.post(vec![i]);
+            q.post_send(vec![i]);
         }
         while q.poll_tx(0).is_some() {}
         let rto = q.current_rto();
@@ -677,7 +671,7 @@ mod tests {
             max_retries: 2,
             ..RcConfig::default()
         });
-        q.post(vec![1]);
+        q.post_send(vec![1]);
         let mut now = 0;
         q.poll_tx(now);
         let mut failed = false;
@@ -703,7 +697,7 @@ mod tests {
     fn nak_triggers_go_back_n_from_requested_psn() {
         let mut q = qp(5);
         for i in 0..5u8 {
-            q.post(vec![i]);
+            q.post_send(vec![i]);
         }
         while q.poll_tx(0).is_some() {}
         // Receiver got 0,1 then a gap: NAK asks for 2.
@@ -718,7 +712,7 @@ mod tests {
     fn selective_repeat_nak_resends_only_missing_psn() {
         let mut q = sr_qp(5);
         for i in 0..5u8 {
-            q.post(vec![i]);
+            q.post_send(vec![i]);
         }
         while q.poll_tx(0).is_some() {}
         // Receiver got 0,1 then a gap: NAK asks for 2. Under SR only
@@ -738,7 +732,7 @@ mod tests {
     fn selective_repeat_timeout_requeues_everything() {
         let mut q = sr_qp(3);
         for i in 0..3u8 {
-            q.post(vec![i]);
+            q.post_send(vec![i]);
         }
         while q.poll_tx(0).is_some() {}
         let rto = q.current_rto();
@@ -753,7 +747,7 @@ mod tests {
         let mtu = RcConfig::default().mtu;
         let mut q = qp(8);
         // 2.5 MTUs -> First, Middle, Last.
-        q.post(vec![7u8; mtu * 2 + mtu / 2]);
+        q.post_send(vec![7u8; mtu * 2 + mtu / 2]);
         let items: Vec<TxItem> = std::iter::from_fn(|| q.poll_tx(0).cloned()).collect();
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].op, Operation::SendFirst);
@@ -827,8 +821,8 @@ mod tests {
     #[test]
     fn rnr_pauses_transmission() {
         let mut q = qp(2);
-        q.post(vec![1]);
-        q.post(vec![2]);
+        q.post_send(vec![1]);
+        q.post_send(vec![2]);
         q.poll_tx(0);
         q.on_rnr(5, 0, 50 * US);
         assert!(q.poll_tx(6).is_none(), "paused during RNR back-off");
@@ -901,7 +895,7 @@ mod tests {
             ..RcConfig::default()
         });
         for i in 0..4u8 {
-            q.post(vec![i]);
+            q.post_send(vec![i]);
         }
         let psns: Vec<u32> = std::iter::from_fn(|| q.poll_tx(0).map(|t| t.psn)).collect();
         assert_eq!(psns, vec![PSN_MASK - 1, PSN_MASK, 0, 1]);

@@ -9,6 +9,10 @@
 //! Everything lives in a single `#[test]` so no sibling test thread can
 //! allocate concurrently and pollute the counter.
 
+// A global allocator is an `unsafe impl`; this counting wrapper is the
+// test's only unsafe code, and it forwards every call to `System`.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,18 +29,23 @@ struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwards this method's own contract to `System`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System`, as in `dealloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
