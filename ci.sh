@@ -28,8 +28,9 @@ echo "== test with IB_SIMD=off (the portable kernels, on hosts that never dispat
 # transport check: ib-crypto carries tests/simd_equivalence.rs,
 # ib-security the one-shot seal and admission bodies (tags byte-identical
 # to the reference in crates/core/tests/one_pass_identity.rs),
-# ib-transport tests/alloc_free_hotpath.rs.
-IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport
+# ib-transport tests/alloc_free_hotpath.rs, ib-sm the rekey goldens (the
+# only harness with many endpoints sharing one node's keyed MACs).
+IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
 echo "== fmt =="
 cargo fmt --check

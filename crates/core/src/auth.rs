@@ -16,8 +16,9 @@
 //! freshness, the SLID disambiguates senders sharing a partition secret
 //! (partition-level keys are shared by every QP in the partition — §4.2).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::rc::Rc;
 
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, NodeKeyTable, SecretKey};
@@ -89,23 +90,84 @@ pub(crate) fn check_icrc(image: &[u8], icrc: u32) -> Result<(), AuthError> {
     }
 }
 
-/// Per-node authentication engine: a key table plus the configured
-/// algorithm and scope.
+/// A keyed MAC's identity: the same pair always derives the same MAC.
+type MacKey = (AuthAlgorithm, SecretKey);
+
+/// One CA node's keyed MACs, shared through an `Rc` by every
+/// [`Authenticator`] on the node. Deriving an [`AnyMac`] runs the AES key
+/// schedule (and, for UMAC, the ~1 KiB KDF, ≈ 3 µs); the paper keys a
+/// whole CA with one partition secret (§4.2), so every channel on a node
+/// needs the same MAC and the node derives it once. The store is a memo
+/// of a deterministic function: sharing changes no tag and no key's
+/// lifetime, which stays with each channel's own key table. It holds a
+/// MAC only while some authenticator's cache does: entries nobody else
+/// references are dropped when a channel retires a key version and before
+/// the store grows.
+#[derive(Default)]
+pub struct MacStore {
+    macs: RefCell<Vec<(MacKey, Rc<AnyMac>)>>,
+    /// `AnyMac::new` calls made through this store.
+    derivations: Cell<u64>,
+}
+
+impl MacStore {
+    /// The keyed MAC for `key`, derived on its first request.
+    fn mac(&self, key: MacKey) -> Rc<AnyMac> {
+        let mut macs = self.macs.borrow_mut();
+        if let Some((_, mac)) = macs.iter().find(|(k, _)| *k == key) {
+            return Rc::clone(mac);
+        }
+        Self::drop_unheld(&mut macs);
+        self.derivations.set(self.derivations.get() + 1);
+        let mac = Rc::new(AnyMac::new(key.0, &key.1 .0));
+        macs.push((key, Rc::clone(&mac)));
+        mac
+    }
+
+    /// Drop every MAC no authenticator's cache holds any more.
+    fn release(&self) {
+        Self::drop_unheld(&mut self.macs.borrow_mut());
+    }
+
+    fn drop_unheld(macs: &mut Vec<(MacKey, Rc<AnyMac>)>) {
+        macs.retain(|(_, mac)| Rc::strong_count(mac) > 1);
+    }
+
+    /// Keyed MACs derived through this store so far.
+    pub fn derivations(&self) -> u64 {
+        self.derivations.get()
+    }
+
+    /// Whether the store holds the keyed MAC for `(algorithm, secret)`.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, algorithm: AuthAlgorithm, secret: SecretKey) -> bool {
+        self.macs
+            .borrow()
+            .iter()
+            .any(|(k, _)| *k == (algorithm, secret))
+    }
+}
+
+/// One channel's authentication engine: a key table, the configured
+/// algorithm and scope, and the keyed MACs its live key versions need,
+/// drawn from its node's [`MacStore`].
 pub struct Authenticator {
-    /// This node's secrets (installed by the key-management flows).
+    /// This channel's secrets (installed by the key-management flows).
     pub keys: NodeKeyTable,
     algorithm: AuthAlgorithm,
     scope: KeyScope,
-    /// Keyed-MAC cache: constructing an [`AnyMac`] runs the AES key
-    /// schedule (and, for UMAC, the ~1 KiB KDF) — far too expensive to
-    /// redo per packet. Keyed by `(algorithm, secret)` so secret rotation
-    /// naturally misses. Entries are only ever built for secrets in
-    /// `keys`, and [`Self::retire_partition_below`] drops those whose
-    /// secret has left it, so growth is bounded by the *live* key
-    /// versions, not by how many rotations the node has seen. A
-    /// `RefCell` keeps tagging and verification callable through `&self`
-    /// (the engine is per-node, never shared across threads).
-    mac_cache: RefCell<Vec<((AuthAlgorithm, SecretKey), AnyMac)>>,
+    /// This channel's keyed MACs, searched per packet without touching the
+    /// node's store. Keyed by `(algorithm, secret)` so secret rotation
+    /// naturally misses; a miss asks `node`, which derives only
+    /// if no other authenticator on the node has. Entries are only ever
+    /// added for secrets in `keys`, and [`Self::retire_partition_below`]
+    /// drops those whose secret has left it, so the cache is bounded by
+    /// the *live* key versions, not by how many rotations the channel has
+    /// seen. A `RefCell` keeps tagging and verification callable through
+    /// `&self` (nothing here is shared across threads).
+    mac_cache: RefCell<Vec<(MacKey, Rc<AnyMac>)>>,
+    /// The node's shared keyed MACs.
+    node: Rc<MacStore>,
     /// Wire and masked-image buffers of the `&Packet` entry points
     /// ([`Self::tag_packet`], [`Self::verify_packet`]); capacity retained.
     /// A channel passes its own.
@@ -115,8 +177,13 @@ pub struct Authenticator {
 
 impl Authenticator {
     /// An authenticator using `algorithm` and `scope` with an empty key
-    /// table.
+    /// table, alone on a node of its own.
     pub fn new(algorithm: AuthAlgorithm, scope: KeyScope) -> Self {
+        Self::on_node(algorithm, scope, &Rc::default())
+    }
+
+    /// [`Self::new`] on the node whose keyed MACs `node` holds.
+    pub(crate) fn on_node(algorithm: AuthAlgorithm, scope: KeyScope, node: &Rc<MacStore>) -> Self {
         assert!(
             algorithm.is_authenticating(),
             "selector 0 (plain ICRC) is the absence of authentication"
@@ -126,6 +193,7 @@ impl Authenticator {
             algorithm,
             scope,
             mac_cache: RefCell::new(Vec::new()),
+            node: Rc::clone(node),
             wire: RefCell::new(Vec::new()),
             image: RefCell::new(Vec::new()),
         }
@@ -133,15 +201,17 @@ impl Authenticator {
 
     /// Retire partition key versions older than `epoch` (grace expiry)
     /// and evict every cached keyed MAC whose secret is no longer in the
-    /// key table — a ~1.2 KiB keyed UMAC per rotation otherwise stays
-    /// behind forever and lengthens the cache search. Runs on
-    /// the (rare) retirement path so tagging and verification pay nothing.
+    /// key table; the node's store then drops those no other channel
+    /// holds, so a ~1.2 KiB keyed UMAC per rotation does not stay behind.
+    /// Runs on the (rare) retirement path so tagging and verification pay
+    /// nothing.
     pub(crate) fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
         self.keys.retire_partition_below(pkey, epoch);
         let keys = &self.keys;
         self.mac_cache
             .get_mut()
             .retain(|((_, secret), _)| keys.holds_secret(secret));
+        self.node.release();
     }
 
     /// Keyed MACs currently cached (memory accounting).
@@ -224,18 +294,19 @@ impl Authenticator {
     }
 
     /// Run `f` with the cached keyed MAC for `(algorithm, secret)`,
-    /// constructing and caching it on first use.
+    /// fetching it from the node's store on first use.
     fn with_mac<R>(
         &self,
         algorithm: AuthAlgorithm,
         secret: SecretKey,
         f: impl FnOnce(&AnyMac) -> R,
     ) -> R {
+        let key = (algorithm, secret);
         let mut cache = self.mac_cache.borrow_mut();
-        let idx = match cache.iter().position(|(k, _)| *k == (algorithm, secret)) {
+        let idx = match cache.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
             None => {
-                cache.push(((algorithm, secret), AnyMac::new(algorithm, &secret.0)));
+                cache.push((key, self.node.mac(key)));
                 cache.len() - 1
             }
         };

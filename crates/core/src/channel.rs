@@ -26,13 +26,14 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::PKey;
 use ib_packet::{Packet, WireView};
 
-use crate::auth::{check_icrc, AuthError, Authenticator, KeyScope};
+use crate::auth::{check_icrc, AuthError, Authenticator, KeyScope, MacStore};
 use crate::replay::{ReplayVerdict, ReplayWindow};
 
 /// Security posture of a channel — the three arms of the fig_replay
@@ -155,10 +156,24 @@ impl SecureChannel {
     /// `secret` (ignored under [`ChannelSecurity::NoAuth`]); `window` is
     /// the replay-window depth for [`ChannelSecurity::AuthReplay`].
     pub fn new(security: ChannelSecurity, pkey: PKey, secret: SecretKey, window: u32) -> Self {
+        Self::on_node(security, pkey, secret, window, &Rc::default())
+    }
+
+    /// [`Self::new`] for a channel on the node whose keyed MACs `node`
+    /// holds: every channel built on one store derives each
+    /// `(algorithm, secret)` MAC once between them.
+    pub fn on_node(
+        security: ChannelSecurity,
+        pkey: PKey,
+        secret: SecretKey,
+        window: u32,
+        node: &Rc<MacStore>,
+    ) -> Self {
         let auth = match security {
             ChannelSecurity::NoAuth => None,
             ChannelSecurity::Auth | ChannelSecurity::AuthReplay => {
-                let mut a = Authenticator::new(AuthAlgorithm::Umac32, KeyScope::Partition);
+                let mut a =
+                    Authenticator::on_node(AuthAlgorithm::Umac32, KeyScope::Partition, node);
                 a.keys.install_partition_secret(pkey, secret);
                 Some(a)
             }
@@ -219,9 +234,10 @@ impl SecureChannel {
     }
 
     /// Retire key versions whose grace window has expired by `now`,
-    /// together with their cached keyed MACs. Endpoints call this from
-    /// their time-advancing entry points; after it runs, traffic under a
-    /// retired epoch is rejected as [`AuthError::StaleEpoch`].
+    /// together with this channel's hold on their keyed MACs. Endpoints
+    /// call this from their time-advancing entry points; after it runs,
+    /// traffic under a retired epoch is rejected as
+    /// [`AuthError::StaleEpoch`].
     pub fn advance_time(&mut self, now: u64) {
         if self.pending_retire.is_empty() {
             return;
@@ -642,6 +658,78 @@ mod tests {
             }
         }
         assert!(rx.cached_macs() >= 1, "the cache is still doing its job");
+    }
+
+    /// Three channels on one node share each keyed MAC but keep their own
+    /// key lifetimes: (a) the node derives each `(algorithm, secret)`
+    /// once; (b) a channel that has retired an epoch rejects its traffic
+    /// while a sibling still inside its grace window admits it; (c) once
+    /// every channel has retired the epoch its MAC leaves the store.
+    #[test]
+    fn channels_on_one_node_share_macs_not_key_lifetimes() {
+        use ib_mgmt::keymgmt::KeyEpoch;
+        let node = Rc::new(MacStore::default());
+        let s0 = SecretKey::from_seed(77);
+        let s1 = SecretKey::from_seed(1234);
+        let mut chans: Vec<SecureChannel> = (0..3)
+            .map(|_| {
+                let mut c =
+                    SecureChannel::on_node(ChannelSecurity::AuthReplay, PKEY, s0, 64, &node);
+                c.set_epoch_grace(100);
+                c
+            })
+            .collect();
+        let (old_tx, _) = pair(ChannelSecurity::AuthReplay);
+        let (mut new_tx, _) = pair(ChannelSecurity::AuthReplay);
+        new_tx.install_epoch(50, KeyEpoch(1), s1);
+        let sealed = |tx: &SecureChannel, psn: u32| {
+            let mut p = rc_packet(psn, b"shared node");
+            tx.seal(&mut p).unwrap();
+            p
+        };
+
+        for c in &mut chans {
+            assert_eq!(c.admit(&sealed(&old_tx, 0)), Ok(Admit::Fresh));
+        }
+        assert_eq!(node.derivations(), 1, "(a) epoch 0 derived once per node");
+
+        // Rotation at t=50: both epochs verify on every channel.
+        for c in &mut chans {
+            c.install_epoch(50, KeyEpoch(1), s1);
+            assert_eq!(c.admit(&sealed(&new_tx, 1)), Ok(Admit::Fresh));
+            assert_eq!(c.admit(&sealed(&old_tx, 2)), Ok(Admit::Fresh));
+        }
+        assert_eq!(node.derivations(), 2, "(a) epoch 1 derived once per node");
+
+        // (b) Channel 0's grace expires; channels 1 and 2 are not advanced.
+        chans[0].advance_time(150);
+        assert_eq!(
+            chans[0].admit(&sealed(&old_tx, 3)),
+            Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
+        );
+        assert_eq!(chans[1].admit(&sealed(&old_tx, 3)), Ok(Admit::Fresh));
+        assert!(
+            node.holds(AuthAlgorithm::Umac32, s0),
+            "channels 1 and 2 hold it"
+        );
+
+        // (c) The last two retire epoch 0 too.
+        chans[1].advance_time(150);
+        assert!(node.holds(AuthAlgorithm::Umac32, s0), "channel 2 holds it");
+        chans[2].advance_time(150);
+        assert!(
+            !node.holds(AuthAlgorithm::Umac32, s0),
+            "(c) nobody holds epoch 0"
+        );
+        assert!(node.holds(AuthAlgorithm::Umac32, s1));
+        for c in &mut chans {
+            assert_eq!(
+                c.admit(&sealed(&old_tx, 4)),
+                Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
+            );
+            assert_eq!(c.admit(&sealed(&new_tx, 5)), Ok(Admit::Fresh));
+        }
+        assert_eq!(node.derivations(), 2);
     }
 
     /// NoAuth channels ignore the whole epoch plane.

@@ -43,6 +43,6 @@ pub mod fabric;
 pub mod ondemand;
 pub mod replay;
 
-pub use auth::{AuthError, Authenticator, KeyScope};
+pub use auth::{AuthError, Authenticator, KeyScope, MacStore};
 pub use channel::{Admit, ChannelError, ChannelSecurity, SecureChannel};
 pub use replay::{ReplayVerdict, ReplayWindow};

@@ -430,8 +430,8 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
             (src, dst, RdmaOp::Send, offset)
         })
         .collect();
-    let make = |qpn, lid, peer| {
-        let mut ep = SecureRcEndpoint::new(
+    let make = |qpn, lid, peer, node: &_| {
+        let mut ep = SecureRcEndpoint::on_node(
             cfg.security,
             REKEY_PKEY,
             secret0,
@@ -440,6 +440,7 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
             lid,
             peer,
             qpn,
+            node,
         );
         ep.set_epoch_grace(cfg.grace);
         ep
@@ -731,6 +732,18 @@ mod tests {
                 .map(|c| c.cached_macs().saturating_sub(c.live_key_versions()))
                 .sum();
             assert_eq!(stale_macs, 0, "{flows} flows: retired keys' MACs evicted");
+            // Each member CA derives each epoch's keyed MAC once, however
+            // many endpoints it carries (one per endpoint would be 5 560
+            // at 512 flows).
+            let mut members: Vec<usize> = run.flows.iter().flat_map(|f| [f.src, f.dst]).collect();
+            members.sort_unstable();
+            members.dedup();
+            let bound = members.len() as u64 * (r.final_epoch + 1);
+            assert!(
+                run.mac_derivations() <= bound,
+                "{flows} flows: {} keyed-MAC derivations, bound {bound}",
+                run.mac_derivations()
+            );
         }
     }
 

@@ -75,9 +75,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::rc::Rc;
 
 use ib_packet::types::{Lid, Qpn, RKey};
 use ib_packet::{Operation, Packet, WireView};
+use ib_security::MacStore;
 use ib_sim::time::{ps_to_us, MS};
 use ib_sim::{HostDelivery, OnlineStats, SimTime, Simulator};
 
@@ -406,27 +408,34 @@ pub struct Cosim {
     pub steps: u64,
     /// [`SecureRcEndpoint::poll_into`] calls.
     pub polls: u64,
+    /// One keyed-MAC store per fabric node, shared by every endpoint on
+    /// that node's HCA.
+    node_macs: Vec<Rc<MacStore>>,
 }
 
 impl Cosim {
     /// One flow per `(src, dst, op, first_post)` of `specs`; `make(qpn,
-    /// lid, peer_lid)` builds each endpoint on the QPN the driver will
-    /// look its flow up by.
+    /// lid, peer_lid, node)` builds each endpoint on the QPN the driver
+    /// will look its flow up by, on the keyed-MAC store of the node it
+    /// sits on.
     pub fn new(
         sim: Simulator,
         load: Workload,
         tap: Tap,
         specs: impl IntoIterator<Item = (usize, usize, RdmaOp, SimTime)>,
-        make: impl Fn(Qpn, Lid, Lid) -> SecureRcEndpoint,
+        make: impl Fn(Qpn, Lid, Lid, &Rc<MacStore>) -> SecureRcEndpoint,
     ) -> Cosim {
         assert!(load.payload_len >= 8, "payload must hold the 8-byte index");
         assert!(load.messages >= 1);
+        let node_macs: Vec<Rc<MacStore>> = (0..sim.topology().num_nodes())
+            .map(|_| Rc::default())
+            .collect();
         let flows: Vec<Flow> = (load.qpn0..)
             .zip(specs)
             .map(|(qpn, (src, dst, op, first_post))| {
                 assert_ne!(src, dst, "a flow needs two distinct HCAs");
                 let (sl, dl) = (Lid(src as u16 + 1), Lid(dst as u16 + 1));
-                let mut b = make(Qpn(qpn), dl, sl);
+                let mut b = make(Qpn(qpn), dl, sl, &node_macs[dst]);
                 if op != RdmaOp::Send {
                     b.configure_memory(load.messages * load.payload_len, COSIM_RKEY);
                 }
@@ -438,7 +447,7 @@ impl Cosim {
                 Flow {
                     src,
                     dst,
-                    a: make(Qpn(qpn), sl, dl),
+                    a: make(Qpn(qpn), sl, dl, &node_macs[src]),
                     b,
                     op,
                     first_post,
@@ -472,7 +481,14 @@ impl Cosim {
             timed_out: false,
             steps: 0,
             polls: 0,
+            node_macs,
         }
+    }
+
+    /// Keyed MACs derived in the whole fleet: the UMAC KDF runs once per
+    /// `(algorithm, secret)` per node, not once per endpoint.
+    pub fn mac_derivations(&self) -> u64 {
+        self.node_macs.iter().map(|n| n.derivations()).sum()
     }
 
     /// Instant the last flow completed (the drain tail excluded), or where
@@ -656,13 +672,13 @@ mod tests {
             inject_from: 5,
         };
         let specs = (0..8).map(|i| (i, 15 - i, RdmaOp::ALL[i % 3], 0));
-        let make = |qpn: Qpn, lid, peer| {
+        let make = |qpn: Qpn, lid, peer, node: &_| {
             let rc = RcConfig {
                 retransmit: [RetransmitMode::GoBackN, RetransmitMode::SelectiveRepeat]
                     [qpn.0 as usize % 2],
                 ..RcConfig::default()
             };
-            SecureRcEndpoint::new(
+            SecureRcEndpoint::on_node(
                 ChannelSecurity::AuthReplay,
                 PKey(0x8001),
                 SecretKey::from_seed(11),
@@ -671,6 +687,7 @@ mod tests {
                 lid,
                 peer,
                 qpn,
+                node,
             )
         };
         let mut cosim = Cosim::new(Simulator::new(sim_cfg), load, tap, specs, make);

@@ -97,6 +97,7 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn, Qpn, RKey};
@@ -104,7 +105,7 @@ use ib_packet::{
     Aeth, AethKind, NakCode, OpCode, Operation, Packet, PacketBuilder, Reth, WireView,
 };
 use ib_runtime::hash::FxHashMap;
-use ib_security::{Admit, ChannelSecurity, SecureChannel};
+use ib_security::{Admit, ChannelSecurity, MacStore, SecureChannel};
 use ib_sim::SimTime;
 
 use crate::config::{RcConfig, RetransmitMode, RNR_TIMER};
@@ -223,7 +224,35 @@ impl SecureRcEndpoint {
         peer_lid: Lid,
         qpn: Qpn,
     ) -> Self {
-        let channel = SecureChannel::new(security, pkey, secret, replay_window);
+        Self::on_node(
+            security,
+            pkey,
+            secret,
+            replay_window,
+            cfg,
+            lid,
+            peer_lid,
+            qpn,
+            &Rc::default(),
+        )
+    }
+
+    /// [`Self::new`] for an endpoint on the CA whose keyed MACs `node`
+    /// holds, shared with every other endpoint built on it (see
+    /// [`SecureChannel::on_node`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_node(
+        security: ChannelSecurity,
+        pkey: PKey,
+        secret: SecretKey,
+        replay_window: u32,
+        cfg: RcConfig,
+        lid: Lid,
+        peer_lid: Lid,
+        qpn: Qpn,
+        node: &Rc<MacStore>,
+    ) -> Self {
+        let channel = SecureChannel::on_node(security, pkey, secret, replay_window, node);
         if let Some(depth) = channel.window_depth() {
             assert!(
                 cfg.window <= depth,

@@ -209,8 +209,8 @@ pub fn run_fabric_sim(cfg: &FabricSimConfig) -> FabricReport {
     sim_cfg.seed = Seed(cfg.seed);
 
     let secret = SecretKey::from_seed(cfg.seed ^ 0x005E_C2E7);
-    let make = |qpn, lid, peer| {
-        SecureRcEndpoint::new(
+    let make = |qpn, lid, peer, node: &_| {
+        SecureRcEndpoint::on_node(
             cfg.security,
             PKey(0x8001),
             secret,
@@ -219,6 +219,7 @@ pub fn run_fabric_sim(cfg: &FabricSimConfig) -> FabricReport {
             lid,
             peer,
             qpn,
+            node,
         )
     };
     let load = Workload {

@@ -14,13 +14,14 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ib_crypto::mac::AuthAlgorithm;
-use ib_mgmt::keymgmt::SecretKey;
+use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn, Qpn};
 use ib_packet::{OpCode, Packet, PacketBuilder};
-use ib_security::{Admit, Authenticator, ChannelSecurity, KeyScope, SecureChannel};
+use ib_security::{Admit, Authenticator, ChannelSecurity, KeyScope, MacStore, SecureChannel};
 use ib_transport::{RcConfig, SecureRcEndpoint};
 
 /// Counts allocation events (alloc + realloc; frees are irrelevant to
@@ -89,6 +90,13 @@ fn data_packet(psn: u32, len: usize) -> Packet {
         .build()
 }
 
+/// One packet from `tx` to `rx` through the one-pass bodies.
+fn seal_admit(tx: &SecureChannel, rx: &mut SecureChannel, pkt: &mut Packet, wire: &mut Vec<u8>) {
+    tx.seal_into(pkt, wire).unwrap();
+    let view = Packet::parse_view(wire).unwrap();
+    assert!(matches!(rx.admit_view(&view), Ok(Admit::Fresh)));
+}
+
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
     // --- scratch-buffer serialization -------------------------------
@@ -152,6 +160,40 @@ fn steady_state_hot_paths_do_not_allocate() {
         n, 0,
         "channel seal_into + parse_view + admit_view steady state"
     );
+
+    // --- two channels per node store, both directions ---------------
+    // The nodes' keyed MACs are shared: once each channel's cache holds
+    // its `Rc`, sealing and admission never touch the store, so steady
+    // state stays allocation-free. Only a miss (here, the first packet
+    // after a rotation) reaches the store's `Vec`.
+    let node_a = Rc::new(MacStore::default());
+    let node_b = Rc::new(MacStore::default());
+    let on = |node| SecureChannel::on_node(ChannelSecurity::AuthReplay, PKEY, secret, 64, node);
+    let mut a_side = [on(&node_a), on(&node_a)];
+    let mut b_side = [on(&node_b), on(&node_b)];
+    let mut shared_round = |a_side: &mut [SecureChannel; 2], b_side: &mut [SecureChannel; 2]| {
+        for _ in 0..ROUNDS {
+            pkt.bth.psn = Psn(psn);
+            psn += 1;
+            for (a, b) in a_side.iter_mut().zip(b_side.iter_mut()) {
+                seal_admit(a, b, &mut pkt, &mut wire);
+                seal_admit(b, a, &mut pkt, &mut wire);
+            }
+        }
+    };
+    let n = steady_state_allocs(|| shared_round(&mut a_side, &mut b_side));
+    assert_eq!(
+        n, 0,
+        "two channels per node store: seal + admit steady state"
+    );
+    assert_eq!((node_a.derivations(), node_b.derivations()), (1, 1));
+    let rotated = SecretKey::from_seed(12);
+    for ch in a_side.iter_mut().chain(b_side.iter_mut()) {
+        ch.install_epoch(0, KeyEpoch(1), rotated);
+    }
+    let n = steady_state_allocs(|| shared_round(&mut a_side, &mut b_side));
+    assert_eq!(n, 0, "two channels per node store after a rotation");
+    assert_eq!((node_a.derivations(), node_b.derivations()), (2, 2));
 
     // --- AEAD seal + open (in-place, tag-only expansion) ------------
     let aead = ib_crypto::AesGcm32::new(&[0x42; 16]);
