@@ -161,9 +161,9 @@ echo "== fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to
 cargo run -q --release --offline -p bench --bin fig_rekey
 golden_diff fig_rekey full
 
-# The scale-out gate: generated fat-tree/dragonfly fabrics, multi-path
+# The scale-out gate: generated mesh and fat-tree fabrics, ECMP
 # routing, packet vs flow-level engines. The binary's own asserts require
-# every flow to complete on every fabric (a routing or dateline-VC bug
+# every flow to complete on every fabric (a routing or credit bug
 # deadlocks or strands flows) and the two engines to agree on the
 # calibration mesh; the byte-diff pins topology generation, ECMP hashing
 # and the max-min solver to the seed (wall-clock fields are zeroed in

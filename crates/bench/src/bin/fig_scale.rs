@@ -1,16 +1,15 @@
 //! Scale-out sweep — node count × topology × engine. A seeded random
 //! permutation of bulk flows crosses each generated fabric (2-D mesh,
-//! k-ary fat-tree, dragonfly minimal and Valiant), once through the
-//! packet engine (ground truth: credits, arbitration, store-and-forward)
-//! and once through the `ib-flow` max-min fluid model. The figure shows
-//! where the fast path earns its keep: identical paths and near-identical
-//! completion times at a tiny fraction of the events.
+//! k-ary fat-tree), once through the packet engine (ground truth:
+//! credits, arbitration, store-and-forward) and once through the
+//! `ib-flow` max-min fluid model. The figure shows where the fast path
+//! earns its keep: identical paths and near-identical completion times at
+//! a tiny fraction of the events.
 //!
-//! Full mode climbs to ≥1024 HCAs (fat-tree k=16 → 1024 hosts, dragonfly
-//! (a=8, p=4, h=4) → 1056 hosts) on both engines. Smoke mode keeps the
-//! fabrics small and zeroes the wall-clock fields so two same-seed runs
-//! emit byte-identical `BENCH_fig_scale.json` (the ci.sh determinism
-//! gate).
+//! Full mode climbs to 1024 HCAs (fat-tree k=16 → 1024 hosts) on both
+//! engines. Smoke mode keeps the fabrics small and zeroes the wall-clock
+//! fields so two same-seed runs emit byte-identical
+//! `BENCH_fig_scale.json` (the ci.sh determinism gate).
 //!
 //! The packet engine also runs sharded (`ib_sim::ParSimulator`) at each
 //! thread count in the `threads` axis (default 1/2/4, overridable with
@@ -49,15 +48,12 @@ struct Arm {
 }
 
 fn arms(smoke: bool) -> Vec<Arm> {
-    let df = |a, p, h, valiant| TopoSpec::Dragonfly { a, p, h, valiant };
     let arm = |label, spec| Arm { label, spec };
     if smoke {
         vec![
             arm("mesh-2", TopoSpec::Mesh),
             arm("mesh-4", TopoSpec::Mesh),
             arm("fat-tree-4", TopoSpec::FatTree { k: 4 }),
-            arm("dragonfly-2-2-1", df(2, 2, 1, false)),
-            arm("dragonfly-2-2-1-val", df(2, 2, 1, true)),
         ]
     } else {
         vec![
@@ -67,9 +63,6 @@ fn arms(smoke: bool) -> Vec<Arm> {
             arm("fat-tree-4", TopoSpec::FatTree { k: 4 }),
             arm("fat-tree-8", TopoSpec::FatTree { k: 8 }),
             arm("fat-tree-16", TopoSpec::FatTree { k: 16 }),
-            arm("dragonfly-4-2-2", df(4, 2, 2, false)),
-            arm("dragonfly-8-4-4", df(8, 4, 4, false)),
-            arm("dragonfly-8-4-4-val", df(8, 4, 4, true)),
         ]
     }
 }

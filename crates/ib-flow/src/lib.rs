@@ -352,21 +352,16 @@ mod tests {
 
     #[test]
     fn deterministic_bitwise() {
-        let spec = TopoSpec::Dragonfly {
-            a: 2,
-            p: 2,
-            h: 1,
-            valiant: true,
-        };
+        // Multi-path (ECMP) fabric: every flow's path comes from its hash.
         let c = SimConfig {
-            topology: spec,
+            topology: TopoSpec::FatTree { k: 4 },
             ..cfg()
         };
         let t = c.build_topology();
-        let flows: Vec<Flow> = (0..12)
+        let flows: Vec<Flow> = (0..16)
             .map(|i| Flow {
                 src: i,
-                dst: (i + 5) % 12,
+                dst: (i + 5) % 16,
                 bytes: 100_000 + i as u64,
             })
             .collect();

@@ -121,16 +121,3 @@ fn mesh4_ring_agrees() {
 fn fat_tree_ring_agrees() {
     crossval_on(TopoSpec::FatTree { k: 4 }, 16);
 }
-
-#[test]
-fn dragonfly_ring_agrees() {
-    crossval_on(
-        TopoSpec::Dragonfly {
-            a: 2,
-            p: 2,
-            h: 1,
-            valiant: false,
-        },
-        12,
-    );
-}

@@ -79,7 +79,6 @@ impl PacketArena {
     }
 
     /// Packets currently in flight.
-    #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
         self.live
     }

@@ -4,7 +4,6 @@
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_runtime::{Json, Seed, ToJson};
 
-use crate::dragonfly::Dragonfly;
 use crate::fattree::FatTree;
 use crate::fault::FaultConfig;
 use crate::time::{SimTime, MS, NS, US};
@@ -56,32 +55,14 @@ pub enum TopoSpec {
     Mesh,
     /// k-ary fat-tree ([`crate::fattree::FatTree`]).
     FatTree { k: usize },
-    /// Balanced dragonfly ([`crate::dragonfly::Dragonfly`]); `valiant`
-    /// selects non-minimal routing.
-    Dragonfly {
-        a: usize,
-        p: usize,
-        h: usize,
-        valiant: bool,
-    },
 }
 
 impl TopoSpec {
-    /// JSON form: `"mesh"`, `{"fat-tree": k}`, or
-    /// `{"dragonfly": {"a":…,"p":…,"h":…,"valiant":…}}`.
+    /// JSON form: `"mesh"` or `{"fat-tree": k}`.
     pub fn to_json(self) -> Json {
         match self {
             TopoSpec::Mesh => Json::Str("mesh".into()),
             TopoSpec::FatTree { k } => Json::obj([("fat-tree", k.to_json())]),
-            TopoSpec::Dragonfly { a, p, h, valiant } => Json::obj([(
-                "dragonfly",
-                Json::obj([
-                    ("a", a.to_json()),
-                    ("p", p.to_json()),
-                    ("h", h.to_json()),
-                    ("valiant", valiant.to_json()),
-                ]),
-            )]),
         }
     }
 }
@@ -252,7 +233,7 @@ pub struct SimConfig {
     pub mtu_bytes: usize,
 
     // ---- fabric ----
-    /// Which fabric to build (mesh / fat-tree / dragonfly).
+    /// Which fabric to build (mesh / fat-tree).
     pub topology: TopoSpec,
     /// Mesh side length (mesh_dim² switches and nodes; 4 ⇒ the paper's 16).
     /// Only read when `topology` is [`TopoSpec::Mesh`].
@@ -328,7 +309,6 @@ impl SimConfig {
         match self.topology {
             TopoSpec::Mesh => Box::new(MeshTopology::new(self.mesh_dim)),
             TopoSpec::FatTree { k } => Box::new(FatTree::new(k)),
-            TopoSpec::Dragonfly { a, p, h, valiant } => Box::new(Dragonfly::new(a, p, h, valiant)),
         }
     }
 
@@ -337,7 +317,6 @@ impl SimConfig {
         match self.topology {
             TopoSpec::Mesh => self.mesh_dim * self.mesh_dim,
             TopoSpec::FatTree { k } => k * k * k / 4,
-            TopoSpec::Dragonfly { a, p, h, .. } => (a * h + 1) * a * p,
         }
     }
 
@@ -514,16 +493,6 @@ mod tests {
         );
         let fat = reparsed(&TopoSpec::FatTree { k: 8 }.to_json().to_string());
         assert_eq!(fat.get("fat-tree").and_then(Json::as_u64), Some(8));
-        let fly = TopoSpec::Dragonfly {
-            a: 4,
-            p: 2,
-            h: 2,
-            valiant: true,
-        };
-        let fly = reparsed(&fly.to_json().to_string());
-        let d = fly.get("dragonfly").expect("dragonfly object");
-        assert_eq!(d.get("a").and_then(Json::as_u64), Some(4));
-        assert_eq!(d.get("valiant").and_then(Json::as_bool), Some(true));
 
         // A non-mesh config carries its spec; node count follows the spec,
         // not mesh_dim.

@@ -2,7 +2,7 @@
 //!
 //! The simulation state is sharded into **event domains** — one calendar
 //! queue's worth of switches and HCAs per topology partition (fat-tree
-//! pod, dragonfly group, mesh 2×2 tile; see [`Topology::partition`]).
+//! pod, mesh 2×2 tile; see [`Topology::partition`]).
 //! Handlers (`Ctx`) mutate exactly one `Domain` and stage every
 //! scheduled event into `Domain::out`; a *driver* routes those messages.
 //! Two drivers share the core:
@@ -101,7 +101,7 @@ pub(crate) struct SwitchState {
     /// When each output port finishes its current transmission.
     out_busy_until: Vec<SimTime>,
     /// Credits available toward the downstream peer, by output port and
-    /// (post-dateline) VL.
+    /// VL.
     out_credits: Vec<u32>,
     /// Whether a TryForward event is already pending per output port.
     forward_pending: Vec<bool>,
@@ -291,9 +291,6 @@ pub(crate) struct Shared {
     /// Flattened `[switch * radix + port]` — true where an HCA hangs off
     /// the port (the enforcement layer's edge/ingress distinction).
     pub(crate) is_host_port: Vec<bool>,
-    /// Flattened `[switch * radix + port]` — true where the output link
-    /// crosses the topology's deadlock dateline.
-    pub(crate) is_dateline: Vec<bool>,
     pub(crate) attackers: Vec<usize>,
     /// Per-attacker invalid P_Key(s).
     pub(crate) attacker_pkey: Vec<PKey>,
@@ -351,6 +348,11 @@ pub(crate) struct Domain {
     /// Fault injectors owned by this domain (`None` ⇔ fault layer off).
     pub(crate) faults: Option<Vec<FaultInjector>>,
     pub(crate) stats: SimReport,
+    /// Packets that reached a legitimate receive or the host hook here,
+    /// warm-up included (a VL15 host delivery counts in
+    /// `stats.mgmt_delivered` instead): the delivery term of the packet
+    /// ledger [`SimCore::assert_quiescent`] checks. Not reported.
+    delivered: u64,
     /// Events staged by handlers; the driver routes them (serial: one
     /// merged queue; parallel: own queue or a peer domain's mailbox).
     pub(crate) out: Vec<OutMsg>,
@@ -524,12 +526,6 @@ impl SimCore {
         for &(s, p) in &attach {
             is_host_port[s * radix + p] = true;
         }
-        let mut is_dateline = vec![false; n_sw * radix];
-        for s in 0..n_sw {
-            for p in 0..radix {
-                is_dateline[s * radix + p] = topo.is_dateline(s, p);
-            }
-        }
         // The master RNG is construction-only (partition layout, attacker
         // placement, attacker keys); every runtime draw comes from a
         // per-node stream so results can't depend on event order.
@@ -693,7 +689,6 @@ impl SimCore {
             radix,
             attach,
             is_host_port,
-            is_dateline,
             attackers,
             attacker_pkey,
             partitions,
@@ -726,6 +721,7 @@ impl SimCore {
                 arena: PacketArena::new(),
                 faults: faults_active.then_some(faults),
                 stats: SimReport::default(),
+                delivered: 0,
                 out: Vec::new(),
                 events: 0,
                 sm_oseq: 0,
@@ -918,11 +914,14 @@ impl SimCore {
         flow as usize
     }
 
-    /// The switch-state conservation laws, checked by both drivers in
-    /// debug/test builds once a run has drained its queue (no credit event
+    /// The conservation laws, checked by both drivers in debug/test
+    /// builds once a run has drained its queue (no credit event or packet
     /// is then in flight): every `queued_for` count equals a recount of the
-    /// input queues, and each link's sender-side credits plus the
-    /// receiving input queue's occupancy equal `VL_BUFFER_PACKETS`.
+    /// input queues, each link's sender-side credits plus the receiving
+    /// input queue's occupancy equal `VL_BUFFER_PACKETS`, no arena holds a
+    /// live packet, and every generated packet met exactly one terminal
+    /// outcome (a class drop, an attack or management delivery, an HCA
+    /// P_Key block, or a legitimate or host-hook delivery).
     pub(crate) fn assert_quiescent(&self) {
         let sh = &self.shared;
         let full = VL_BUFFER_PACKETS as usize;
@@ -968,6 +967,24 @@ impl SimCore {
                 );
             }
         }
+        let mut ended = 0;
+        let mut generated = 0;
+        for (d, dom) in self.domains.iter().enumerate() {
+            assert_eq!(dom.arena.live(), 0, "domain {d}: packets left in flight");
+            let r = &dom.stats;
+            generated += r.generated;
+            ended += r.realtime.dropped
+                + r.best_effort.dropped
+                + r.attack.dropped
+                + r.attack.delivered
+                + r.mgmt_delivered
+                + r.hca_blocked
+                + dom.delivered;
+        }
+        assert_eq!(
+            generated, ended,
+            "packet ledger: generated vs terminal outcomes"
+        );
     }
 
     /// Drain every domain's completion log into the flow records (the
@@ -1424,13 +1441,6 @@ impl Ctx<'_> {
             return;
         }
         let peer = sh.topo.peer(switch, out_port);
-        // Crossing the topology's dateline escalates data packets to the
-        // next VL — the per-(port, VL) buffers double as the virtual
-        // channels that break credit-deadlock cycles (dragonfly global
-        // links; a no-op on mesh and fat-tree). VL15 management never
-        // escalates.
-        let dateline = sh.is_dateline[switch * sh.radix + out_port];
-        let out_vl = move |vl: usize| if dateline && vl < 8 { vl + 1 } else { vl };
         // Arbitrate: find the best candidate per VL (round-robin over input
         // ports within a VL), then apply the VL arbitration policy.
         let nports = sh.radix;
@@ -1448,7 +1458,7 @@ impl Ctx<'_> {
             // Credit check applies to switch-to-switch hops; HCA receive
             // buffers are modeled as ample (the HCA drains at line rate).
             if let Peer::Switch { .. } = peer {
-                if sw.out_credits[out_port * NUM_VLS + out_vl(vl)] == 0 {
+                if sw.out_credits[out_port * NUM_VLS + vl] == 0 {
                     continue;
                 }
             }
@@ -1513,11 +1523,7 @@ impl Ctx<'_> {
                 switch: next,
                 port: next_port,
             } => {
-                // The downstream buffer class is the (possibly escalated)
-                // VL: credits, the arrival queue, and the credit-return on
-                // a wire drop must all agree on it.
-                let fvl = out_vl(vl);
-                self.dom.switches[ls].out_credits[out_port * NUM_VLS + fvl] -= 1;
+                self.dom.switches[ls].out_credits[out_port * NUM_VLS + vl] -= 1;
                 let arrival = tx_end + PROPAGATION_DELAY;
                 match self.link_fault(sh.switch_link(switch, out_port)) {
                     FaultOutcome::Drop => {
@@ -1532,7 +1538,7 @@ impl Ctx<'_> {
                             Event::SwitchCredit {
                                 switch,
                                 port: out_port,
-                                vl: fvl as u8,
+                                vl: vl as u8,
                             },
                         );
                     }
@@ -1540,9 +1546,7 @@ impl Ctx<'_> {
                         corrupt,
                         extra_delay_ps,
                     } => {
-                        let packet = self.dom.arena.get_mut(pref);
-                        packet.corrupted |= corrupt;
-                        packet.vl = fvl as u8;
+                        self.dom.arena.get_mut(pref).corrupted |= corrupt;
                         self.push(
                             Origin::Switch(switch),
                             arrival + extra_delay_ps,
@@ -1638,6 +1642,8 @@ impl Ctx<'_> {
             }
             if packet.vl == 15 {
                 self.dom.stats.mgmt_delivered += 1;
+            } else {
+                self.dom.delivered += 1;
             }
             self.dom.host_inbox.push_back(HostDelivery {
                 at: now,
@@ -1721,6 +1727,7 @@ impl Ctx<'_> {
                 self.dom.flow_done.push((flow, delivered_at));
             }
         }
+        self.dom.delivered += 1;
         if packet.gen_time >= sh.cfg.warmup {
             let queuing = packet.inject_time - packet.gen_time;
             let network = delivered_at - packet.inject_time;
@@ -2282,20 +2289,13 @@ mod tests {
     }
 
     /// Credits and occupancy counts balance exactly once a run drains, on
-    /// every topology (the dragonfly exercises dateline VL escalation) and
-    /// under wire loss, on both drivers; debug builds also cross-check
+    /// every topology and under wire loss, on both drivers; debug builds also cross-check
     /// every grant's stored route against the topology.
     #[test]
     fn switch_state_is_conserved_on_every_topology() {
         for topology in [
             crate::config::TopoSpec::Mesh,
             crate::config::TopoSpec::FatTree { k: 4 },
-            crate::config::TopoSpec::Dragonfly {
-                a: 4,
-                p: 2,
-                h: 2,
-                valiant: false,
-            },
         ] {
             let mut cfg = quick_cfg();
             cfg.topology = topology;
@@ -2330,49 +2330,16 @@ mod tests {
     }
 
     #[test]
-    fn sif_engages_on_a_dragonfly() {
-        // The trap → SM → program-filter loop must work when the violator's
-        // edge switch is a dragonfly router, not a mesh switch.
-        let mut cfg = quick_cfg();
-        cfg.topology = crate::config::TopoSpec::Dragonfly {
-            a: 2,
-            p: 2,
-            h: 1,
-            valiant: false,
-        };
-        cfg.num_attackers = 2;
-        cfg.attack_probability = 1.0;
-        cfg.enforcement = EnforcementKind::Sif;
-        let report = Simulator::new(cfg).run();
-        assert!(report.traps > 0, "victims must trap");
-        assert!(
-            report.filter_drops > 0,
-            "SIF drops at the attacker's router"
-        );
-        assert!(report.filter_drops > report.hca_blocked);
-    }
-
-    #[test]
     fn non_mesh_fabrics_are_deterministic() {
-        for topology in [
-            crate::config::TopoSpec::FatTree { k: 4 },
-            crate::config::TopoSpec::Dragonfly {
-                a: 2,
-                p: 2,
-                h: 1,
-                valiant: true,
-            },
-        ] {
-            let run = || {
-                let mut cfg = quick_cfg();
-                cfg.topology = topology;
-                Simulator::new(cfg).run()
-            };
-            let (a, b) = (run(), run());
-            assert_eq!(a.generated, b.generated);
-            assert_eq!(a.realtime.delivered, b.realtime.delivered);
-            assert!((a.legit_queuing_mean() - b.legit_queuing_mean()).abs() < 1e-12);
-        }
+        let run = || {
+            let mut cfg = quick_cfg();
+            cfg.topology = crate::config::TopoSpec::FatTree { k: 4 };
+            Simulator::new(cfg).run()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.generated, b.generated);
+        assert_eq!(a.realtime.delivered, b.realtime.delivered);
+        assert!((a.legit_queuing_mean() - b.legit_queuing_mean()).abs() < 1e-12);
     }
 
     #[test]
@@ -2380,12 +2347,6 @@ mod tests {
         for topology in [
             crate::config::TopoSpec::Mesh,
             crate::config::TopoSpec::FatTree { k: 4 },
-            crate::config::TopoSpec::Dragonfly {
-                a: 2,
-                p: 2,
-                h: 1,
-                valiant: false,
-            },
         ] {
             let mut cfg = quick_cfg();
             cfg.topology = topology;

@@ -30,7 +30,6 @@
 
 pub(crate) mod arena;
 pub mod config;
-pub(crate) mod dragonfly;
 pub mod engine;
 pub mod event;
 pub(crate) mod fattree;
@@ -42,7 +41,6 @@ pub mod topology;
 pub(crate) mod traffic;
 
 pub use config::{AttackKeys, SimConfig, TopoSpec};
-pub use dragonfly::Dragonfly;
 pub use engine::{HostDelivery, SimReport, Simulator};
 pub use fattree::FatTree;
 pub use fault::FaultConfig;

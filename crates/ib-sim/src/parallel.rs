@@ -428,24 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn dragonfly_with_faults_matches_serial() {
-        let mut cfg = quick_cfg();
-        cfg.topology = TopoSpec::Dragonfly {
-            a: 2,
-            p: 2,
-            h: 1,
-            valiant: true,
-        };
-        cfg.fault = crate::fault::FaultConfig {
-            drop_prob: 0.02,
-            corrupt_prob: 0.01,
-            reorder_prob: 0.01,
-            reorder_delay_ps: 20 * US,
-        };
-        assert_identical(cfg, 3);
-    }
-
-    #[test]
     fn flows_match_serial_end_to_end() {
         let mut cfg = quick_cfg();
         cfg.topology = TopoSpec::FatTree { k: 4 };

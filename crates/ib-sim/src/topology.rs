@@ -1,15 +1,13 @@
 //! Fabric topologies: the [`Topology`] trait abstracting what the engine
 //! needs from a fabric (ports, peers, LID assignment, per-hop routing),
 //! plus the concrete generators — the paper's §3.1 2-D mesh here, and the
-//! scale-out [`crate::fattree::FatTree`] / [`crate::dragonfly::Dragonfly`]
-//! generators in their own modules.
+//! scale-out [`crate::fattree::FatTree`] in its own module.
 //!
 //! Routing is *per-flow deterministic*: [`Topology::route_flow`] takes a
 //! flow hash and must return the same output port for the same
 //! `(switch, dst, flow_hash)` triple, so a flow's packets stay in order
 //! while distinct flows spread across the path diversity (ECMP over
-//! fat-tree cores, Valiant spreading over dragonfly groups). Single-path
-//! topologies ignore the hash.
+//! fat-tree cores). Single-path topologies ignore the hash.
 
 use ib_packet::types::Lid;
 
@@ -58,7 +56,7 @@ pub fn flow_hash(src: usize, dst: usize) -> u64 {
 ///   attachment without revisiting a switch, traversing at most
 ///   [`diameter`](Topology::diameter) switches — for every flow hash.
 pub trait Topology: Send + Sync {
-    /// Short label for reports (`"mesh"`, `"fat-tree"`, `"dragonfly"`).
+    /// Short label for reports (`"mesh"`, `"fat-tree"`).
     fn name(&self) -> &'static str;
 
     /// Number of switches.
@@ -86,24 +84,13 @@ pub trait Topology: Send + Sync {
     /// produce (the conformance tests' loop-freedom budget).
     fn diameter(&self) -> usize;
 
-    /// True when the directed link out of `(switch, port)` crosses the
-    /// fabric's *dateline*: a link whose buffer-dependency cycle would
-    /// credit-deadlock the fabric unless packets escalate to the next
-    /// virtual lane as they cross (the classic dragonfly global-channel
-    /// VC scheme). Tree and dimension-ordered fabrics have acyclic
-    /// channel dependencies and keep the default.
-    fn is_dateline(&self, _switch: usize, _port: usize) -> bool {
-        false
-    }
-
     /// Event-domain assignment for the sharded engine: a domain id per
     /// switch (indexed by switch id), at most `max_domains` distinct
     /// values. Implementations should cut along the fabric's natural
-    /// locality seams — per pod (fat-tree), per group (dragonfly), per
-    /// switch tile (mesh) — so most links stay domain-internal and only
-    /// cross-domain hops pay synchronization. The default is one domain
-    /// (the serial special case). Ids need not be dense; [`Partition::of`]
-    /// compacts them.
+    /// locality seams — per pod (fat-tree), per switch tile (mesh) — so
+    /// most links stay domain-internal and only cross-domain hops pay
+    /// synchronization. The default is one domain (the serial special
+    /// case). Ids need not be dense; [`Partition::of`] compacts them.
     ///
     /// Both engines derive the partition with `max_domains = usize::MAX`
     /// (the natural cut), so the domain structure — and therefore event
@@ -546,7 +533,7 @@ mod tests {
     }
 
     /// The same invariants through the trait-level conformance suite —
-    /// what the fat-tree and dragonfly generators also run.
+    /// what the fat-tree generator also runs.
     #[test]
     fn mesh_passes_trait_conformance() {
         for dim in 1..=5 {

@@ -25,6 +25,19 @@ use ib_runtime::check;
 /// experiments use, and far past every kernel's widest stride.
 const MAX_LEN: usize = 9001;
 
+/// A patterned buffer with room for `len` bytes past every offset
+/// below, and the index of its first 64-byte-aligned byte:
+/// `&buf[base + mis..]` starts `mis` bytes past a cache-line boundary,
+/// so a sweep of `mis` over `0..64` tries every start misalignment a
+/// vector load can see.
+fn misaligned_backing(len: usize) -> (Vec<u8>, usize) {
+    let backing: Vec<u8> = (0..(len + 128) as u32)
+        .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+        .collect();
+    let base = backing.as_ptr().align_offset(64);
+    (backing, base)
+}
+
 #[test]
 fn crc_kernels_match_bitwise_reference() {
     check::run(
@@ -84,10 +97,7 @@ fn crc_kernels_match_bitwise_reference() {
     // around the 64 B dispatch threshold and a few bulk sizes: the
     // folding kernel's unaligned loads and its hand-off to the table
     // tail must not depend on where the buffer sits.
-    let backing: Vec<u8> = (0..9200u32)
-        .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
-        .collect();
-    let base = backing.as_ptr().align_offset(64);
+    let (backing, base) = misaligned_backing(9072);
     let lens = (0..=200).chain([1023, 1024, 1025, 4096, 9000]);
     for len in lens {
         for mis in 0..64 {
@@ -133,6 +143,24 @@ fn nh_lanes_match_scalar() {
             );
         },
     );
+    // Every start misalignment, at pair counts around the SSE2 (16 B)
+    // and AVX2 (128 B) dispatch thresholds, one NH chunk and a jumbo
+    // frame.
+    let (backing, base) = misaligned_backing(9000);
+    let keys: Vec<u32> = (0..9000 / 4)
+        .map(|i: u32| i.wrapping_mul(0x9E37_79B9))
+        .collect();
+    for len in (0..=40).map(|pairs| pairs * 8).chain([1024, 9000]) {
+        for mis in 0..64 {
+            let d = &backing[base + mis..base + mis + len];
+            let k = &keys[..len / 4];
+            assert_eq!(
+                nh::nh_pairs(7, k, d),
+                nh::nh_pairs_scalar(7, k, d),
+                "nh {len}@{mis}"
+            );
+        }
+    }
     check::run(
         "simd-eq: nh x4 lockstep == 4 independent scalars",
         48,
@@ -174,6 +202,19 @@ fn ghash_multipliers_match() {
             assert_eq!(key.mul(x), want, "dispatched");
         },
     );
+    // A block borrowed at every start misalignment loads the same
+    // element as its aligned copy, and keys a multiplier that agrees
+    // with the reference.
+    let (backing, base) = misaligned_backing(16);
+    let x = 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210u128;
+    for mis in 0..64 {
+        let block: &[u8; 16] = backing[base + mis..base + mis + 16].try_into().unwrap();
+        let copy = *block;
+        let h = gf128::from_block(&copy);
+        assert_eq!(gf128::from_block(block), h, "@{mis}");
+        let want = gf128::mul_scalar(x, h);
+        assert_eq!(gf128::GhashKey::new(block).mul(x), want, "key @{mis}");
+    }
 }
 
 #[test]
@@ -208,6 +249,18 @@ fn aes_block_batches_match_table_implementation() {
             assert_eq!(&octet[..], &soft[..], "octet batch");
         },
     );
+    // Encrypting a block in place at every start misalignment.
+    let aes = Aes128::new(b"misaligned block");
+    let (mut backing, base) = misaligned_backing(16);
+    for mis in 0..64 {
+        let block: &mut [u8; 16] = (&mut backing[base + mis..base + mis + 16])
+            .try_into()
+            .unwrap();
+        let mut soft = *block;
+        aes.encrypt_block_soft(&mut soft);
+        aes.encrypt_block(block);
+        assert_eq!(*block, soft, "@{mis}");
+    }
 }
 
 #[test]
@@ -238,6 +291,16 @@ fn umac_paths_match_scalar_oracle() {
             }
         },
     );
+    // Every start misalignment, at lengths around the NH stride and the
+    // vector thresholds, across one NH chunk boundary and a jumbo frame.
+    let u = Umac::new(b"misaligned umac!");
+    let (backing, base) = misaligned_backing(9000);
+    for len in (0..=136).chain([1023, 1024, 1025, 9000]) {
+        for mis in 0..64 {
+            let msg = &backing[base + mis..base + mis + len];
+            assert_eq!(u.tag32(9, msg), u.tag32_scalar(9, msg), "umac {len}@{mis}");
+        }
+    }
 }
 
 /// FNV-1a over 64 bits: a fixed, dependency-free digest for the
@@ -363,4 +426,24 @@ fn aead_round_trips_and_rejects_tampering() {
             }
         },
     );
+    // Sealing and opening in place at every start misalignment, at
+    // lengths around the 16 B block and the 8-block CTR batch, the 1 KiB
+    // MTU and a jumbo frame: the tag and ciphertext equal the aligned
+    // seal's, and open restores the plaintext.
+    let aead = AesGcm32::new(b"misaligned aead!");
+    let aad = b"lrh+bth aad";
+    let (mut backing, base) = misaligned_backing(9000);
+    for len in (0..=136).chain([1024, 9000]) {
+        let plain = backing[base..base + len].to_vec();
+        let mut want_ct = plain.clone();
+        let want_tag = aead.seal(5, aad, &mut want_ct);
+        for mis in 0..64 {
+            let window = &mut backing[base + mis..base + mis + len];
+            window.copy_from_slice(&plain);
+            assert_eq!(aead.seal(5, aad, window), want_tag, "tag {len}@{mis}");
+            assert_eq!(*window, want_ct[..], "ciphertext {len}@{mis}");
+            assert!(aead.open(5, aad, window, want_tag), "open {len}@{mis}");
+            assert_eq!(*window, plain[..], "round trip {len}@{mis}");
+        }
+    }
 }

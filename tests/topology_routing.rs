@@ -1,5 +1,5 @@
 //! Routing soundness property over *randomly generated* fabric
-//! instances: for any mesh / fat-tree / dragonfly the generators can
+//! instances: for any mesh / fat-tree the generators can
 //! produce, and any flow hash, every route must be connected (reaches the
 //! destination's host port), loop-free (never revisits a switch), and
 //! diameter-bounded — the `ib_sim::topology::conformance` invariants,
@@ -13,7 +13,7 @@
 
 use ib_runtime::check;
 use ib_sim::topology::conformance;
-use ib_sim::{Dragonfly, FatTree, MeshTopology, Topology};
+use ib_sim::{FatTree, MeshTopology, Topology};
 
 /// One generated fabric instance plus the flow hashes to probe its
 /// multi-path spread with.
@@ -25,18 +25,8 @@ struct Case {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
-    Mesh {
-        dim: usize,
-    },
-    FatTree {
-        k: usize,
-    },
-    Dragonfly {
-        a: usize,
-        p: usize,
-        h: usize,
-        valiant: bool,
-    },
+    Mesh { dim: usize },
+    FatTree { k: usize },
 }
 
 impl Kind {
@@ -44,27 +34,21 @@ impl Kind {
         match self {
             Kind::Mesh { dim } => Box::new(MeshTopology::new(dim)),
             Kind::FatTree { k } => Box::new(FatTree::new(k)),
-            Kind::Dragonfly { a, p, h, valiant } => Box::new(Dragonfly::new(a, p, h, valiant)),
         }
     }
 }
 
 fn gen_case(g: &mut check::Gen) -> Case {
-    let kind = match g.u64_in(0..3) {
-        0 => Kind::Mesh {
+    let kind = if g.bool() {
+        Kind::Mesh {
             dim: g.usize_in(1..9),
-        },
+        }
+    } else {
         // Even arities only; k = 10 → 250 hosts keeps the full
         // reachability sweep affordable.
-        1 => Kind::FatTree {
+        Kind::FatTree {
             k: 2 * g.usize_in(1..6),
-        },
-        _ => Kind::Dragonfly {
-            a: g.usize_in(1..6),
-            p: g.usize_in(1..5),
-            h: g.usize_in(1..5),
-            valiant: g.bool(),
-        },
+        }
     };
     let hashes = (0..g.usize_in(1..9)).map(|_| g.u64()).collect();
     Case { kind, hashes }
@@ -73,53 +57,18 @@ fn gen_case(g: &mut check::Gen) -> Case {
 /// Shrink toward the smallest instance that still fails: step each
 /// parameter down, then thin the probe hashes.
 fn shrink_case(c: &Case) -> Vec<Case> {
-    let mut out = Vec::new();
-    let mut kinds = Vec::new();
-    match c.kind {
-        Kind::Mesh { dim } if dim > 1 => kinds.push(Kind::Mesh { dim: dim - 1 }),
-        Kind::FatTree { k } if k > 2 => kinds.push(Kind::FatTree { k: k - 2 }),
-        Kind::Dragonfly { a, p, h, valiant } => {
-            if a > 1 {
-                kinds.push(Kind::Dragonfly {
-                    a: a - 1,
-                    p,
-                    h,
-                    valiant,
-                });
-            }
-            if p > 1 {
-                kinds.push(Kind::Dragonfly {
-                    a,
-                    p: p - 1,
-                    h,
-                    valiant,
-                });
-            }
-            if h > 1 {
-                kinds.push(Kind::Dragonfly {
-                    a,
-                    p,
-                    h: h - 1,
-                    valiant,
-                });
-            }
-            if valiant {
-                kinds.push(Kind::Dragonfly {
-                    a,
-                    p,
-                    h,
-                    valiant: false,
-                });
-            }
-        }
-        _ => {}
-    }
-    for kind in kinds {
-        out.push(Case {
+    let smaller = match c.kind {
+        Kind::Mesh { dim } if dim > 1 => Some(Kind::Mesh { dim: dim - 1 }),
+        Kind::FatTree { k } if k > 2 => Some(Kind::FatTree { k: k - 2 }),
+        _ => None,
+    };
+    let mut out: Vec<Case> = smaller
+        .into_iter()
+        .map(|kind| Case {
             kind,
             hashes: c.hashes.clone(),
-        });
-    }
+        })
+        .collect();
     if c.hashes.len() > 1 {
         out.push(Case {
             kind: c.kind,
@@ -171,7 +120,7 @@ fn generated_fabrics_route_soundly() {
     );
 }
 
-/// The ECMP/Valiant hash steers paths but must never steer them apart
+/// The ECMP hash steers paths but must never steer them apart
 /// for the *same* flow: route choice is a pure function of the hash.
 #[test]
 fn path_choice_is_hash_deterministic() {
