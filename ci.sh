@@ -188,8 +188,9 @@ rm BENCH_fig_scale.t1.json
 echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gates) =="
 # The binary's own asserts gate (a) both scheduler arms popping the
 # identical event stream on the hold-model and same-window burst scripts,
-# (b) the calendar queue keeping pace with the compact-key heap on the
-# hold model and (c) staying within 2x of it on every burst.
+# (b) the calendar queue (inline entries, jumping wheel) keeping pace
+# with the reference heap over the same entries on the hold model and
+# (c) staying within 2x of it on every burst.
 cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 
 echo "== jsonck: emitted results parse back through ib_runtime::json =="

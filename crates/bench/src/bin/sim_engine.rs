@@ -2,10 +2,11 @@
 //! simulator, measured together.
 //!
 //! Three groups, the first two over two priority-queue arms — `calendar`,
-//! the production [`EventQueue`] (timing wheel over compact keys, heap-
-//! ordered cursor bucket, binary-heap overflow), and `heap`,
-//! [`HeapQueue`], the same arena + compact keys under a plain binary heap
-//! (the property-test oracle):
+//! the production [`EventQueue`] (timing wheel of inline entries under
+//! packed keys that jumps to the next occupied bucket, heap-ordered
+//! cursor bucket, binary-heap overflow), and `heap`, [`HeapQueue`], the
+//! same inline entries under a plain binary heap (the property-test
+//! oracle):
 //!
 //! * `scheduler/*` — a deterministic hold-model workload (prefill, then
 //!   pop-one/push-one at the popped time plus a drawn delta, then drain):
@@ -15,14 +16,15 @@
 //!   1024-HCA fabric's injection burst, the wheel's worst case.
 //! * `engine/*` — `Simulator::run_counted` over figure-sized cells
 //!   (baseline, attack with no filtering / DPT / SIF), reporting
-//!   simulator events per wall-second.
+//!   simulator events per wall-second; the JSON config records each
+//!   cell's event mix (events handled per event kind).
 //!
 //! Both arms replay the identical op script and must pop the identical
 //! `(time, payload)` stream (asserted before anything is timed).
 //!
 //! The acceptance gates mirror `mac_table4`: arms run interleaved sample
 //! by sample so clock throttling cancels in *paired* ratios. The calendar
-//! queue must not lose to the compact-key heap on the hold workload
+//! queue must not lose to the reference heap on the hold workload
 //! (median paired ratio under the bar, or best paired sample at effective
 //! parity) and must reach at least half the heap's rate on every burst.
 //!
@@ -268,6 +270,7 @@ fn main() {
         ("attack-sif-par4", EnforcementKind::Sif, 4, 4),
     ];
     let mut engine_events: Vec<u64> = Vec::new();
+    let mut engine_mix: Vec<Json> = Vec::new();
     let mut serial_reports: Vec<(EnforcementKind, usize, String)> = Vec::new();
     for &(label, kind, attackers, threads) in &cells {
         let mut events = 0u64;
@@ -305,6 +308,16 @@ fn main() {
                 "{label}: sharded engine report diverged from serial"
             );
         }
+        // The event mix, from one more untimed serial run: `run_counted`
+        // consumes its simulator, so this one drains through the
+        // co-simulation call, which leaves it readable. Both drivers count
+        // the same events.
+        let mut sim = Simulator::new(engine_cfg(kind, attackers, engine_ps));
+        sim.run_hosts_until(SimTime::MAX);
+        assert_eq!(sim.events_processed(), events, "{label}: event count");
+        engine_mix.push(Json::obj(
+            sim.events_by_kind().map(|(k, n)| (k, n.to_json())),
+        ));
         engine_events.push(events);
         harness
             .group("engine")
@@ -376,6 +389,7 @@ fn main() {
                 "engine_events",
                 Json::arr(engine_events.iter().map(|&e| e.to_json())),
             ),
+            ("engine_event_mix", Json::arr(engine_mix)),
             ("engine_duration_ps", engine_ps.to_json()),
             ("smoke", smoke.to_json()),
         ]),

@@ -195,7 +195,7 @@ pub fn simulate(topo: &dyn Topology, cfg: &SimConfig, flows: &[Flow]) -> FlowRep
     // Store-and-forward path latency added on top of the bandwidth term:
     // each switch contributes its pipeline latency plus one MTU
     // serialization, each link one propagation delay.
-    let mtu_tx = ib_sim::time::tx_time_ps(cfg.mtu_bytes, LINK_GBPS) as f64;
+    let mtu_tx = ib_sim::time::wire_time_ps(cfg.mtu_bytes) as f64;
     let completions_ps: Vec<f64> = flows
         .iter()
         .zip(&bw_done)

@@ -323,7 +323,7 @@ impl SimConfig {
     /// Mean packet inter-generation time for a given offered load fraction,
     /// in ps (MTU-sized packets).
     pub(crate) fn interarrival_ps(&self, load: f64) -> f64 {
-        let tx = crate::time::tx_time_ps(self.mtu_bytes, LINK_GBPS) as f64;
+        let tx = crate::time::wire_time_ps(self.mtu_bytes) as f64;
         tx / load.max(1e-9)
     }
 

@@ -3,19 +3,23 @@
 //! The simulation state is sharded into **event domains** — one calendar
 //! queue's worth of switches and HCAs per topology partition (fat-tree
 //! pod, mesh 2×2 tile; see [`Topology::partition`]).
-//! Handlers (`Ctx`) mutate exactly one `Domain` and stage every
-//! scheduled event into `Domain::out`; a *driver* routes those messages.
-//! Two drivers share the core:
+//! Handlers (`Ctx`) mutate exactly one `Domain` and hand every event they
+//! schedule to `push_ev`, which either pushes it into the queue the `Ctx`
+//! carries or stages it in `Domain::out` for a *driver* to route. Two
+//! drivers share the core:
 //!
 //! * [`Simulator`] — the serial oracle: one merged event queue, events
-//!   popped in global `(time, seq)` key order.
-//! * [`crate::ParSimulator`] — conservative parallel execution: one queue
-//!   per domain, synchronized in lookahead windows `[T, T+W)` where `W`
-//!   is the minimum cross-domain latency (propagation delay, trap
-//!   latency, filter-program latency) and `T` is the global minimum
-//!   pending-event time. Any event a domain emits at `now` lands at
-//!   `≥ now + W` when it crosses a domain boundary, so processing each
-//!   window independently per domain is exact, not approximate.
+//!   popped in global `(time, seq)` key order; its handlers schedule
+//!   straight into that queue.
+//! * [`crate::ParSimulator`] — conservative parallel execution: handlers
+//!   stage, and the driver routes each staged event to its domain's own
+//!   queue or a peer's mailbox. Domains synchronize in lookahead windows
+//!   `[T, T+W)` where `W` is the minimum cross-domain latency
+//!   (propagation delay, trap latency, filter-program latency) and `T` is
+//!   the global minimum pending-event time. Any event a domain emits at
+//!   `now` lands at `≥ now + W` when it crosses a domain boundary, so
+//!   processing each window independently per domain is exact, not
+//!   approximate.
 //!
 //! Determinism is engine-independent: every event carries an *intrinsic*
 //! key `(time, origin_entity_id << 32 | per-origin seq)` and every RNG
@@ -65,14 +69,13 @@ use ib_packet::types::PKey;
 use crate::arena::{PacketArena, PacketRef};
 use crate::config::{
     ArbitrationPolicy, AttackKeys, AttackSchedule, AuthMode, SimConfig, TrapTransport,
-    ATTACK_EPOCH, AUTH_CYCLES_PER_MESSAGE, CYCLE_TIME, KEY_EXCHANGE_RTT, LINK_GBPS, NUM_VLS,
-    PROGRAM_LATENCY, PROPAGATION_DELAY, SIF_IDLE_TIMEOUT, SM_NODE, SWITCH_LATENCY, TRAP_LATENCY,
-    VL_BUFFER_PACKETS,
+    ATTACK_EPOCH, AUTH_CYCLES_PER_MESSAGE, CYCLE_TIME, KEY_EXCHANGE_RTT, NUM_VLS, PROGRAM_LATENCY,
+    PROPAGATION_DELAY, SIF_IDLE_TIMEOUT, SM_NODE, SWITCH_LATENCY, TRAP_LATENCY, VL_BUFFER_PACKETS,
 };
-use crate::event::{Event, EventKey, EventQueue, SimPacket};
+use crate::event::{Event, EventKey, EventQueue, SimPacket, EVENT_KINDS};
 use crate::fault::{FaultInjector, FaultOutcome};
 use crate::metrics::ClassStats;
-use crate::time::{tx_time_ps, SimTime};
+use crate::time::{wire_time_ps, SimTime};
 use crate::topology::{flow_hash, Partition, Peer, Topology};
 use crate::traffic::{exp_gap, TrafficClass};
 
@@ -94,10 +97,10 @@ const _: () = assert!(
 pub(crate) struct SwitchState {
     /// Input buffers, by input port and VL.
     in_q: Vec<VecDeque<QueuedPacket>>,
-    /// Packets waiting in `in_q` (at any depth) for each *output* port,
-    /// by the VL they wait on — arbitration skips every VL whose count is
-    /// zero without touching an input queue.
-    queued_for: Vec<u32>,
+    /// By output port and VL: the set of input ports (bit `in_port`)
+    /// whose queue on that VL has a head routed to that output — what
+    /// arbitration grants from, without touching an input queue.
+    heads: Vec<u64>,
     /// When each output port finishes its current transmission.
     out_busy_until: Vec<SimTime>,
     /// Credits available toward the downstream peer, by output port and
@@ -291,6 +294,9 @@ pub(crate) struct Shared {
     /// Flattened `[switch * radix + port]` — true where an HCA hangs off
     /// the port (the enforcement layer's edge/ingress distinction).
     pub(crate) is_host_port: Vec<bool>,
+    /// Flattened `[switch * radix + port]` — what the port connects to
+    /// (the topology's `peer`, looked up once instead of on every hop).
+    pub(crate) peers: Vec<Peer>,
     pub(crate) attackers: Vec<usize>,
     /// Per-attacker invalid P_Key(s).
     pub(crate) attacker_pkey: Vec<PKey>,
@@ -331,11 +337,16 @@ impl Shared {
     fn switch_link(&self, switch: usize, port: usize) -> usize {
         self.n_nodes + switch * self.radix + port
     }
+
+    /// What output `port` of `switch` connects to.
+    fn peer(&self, switch: usize, port: usize) -> Peer {
+        self.peers[switch * self.radix + port]
+    }
 }
 
 /// One event domain's mutable state: its switches and HCAs (dense local
 /// indexing), its own packet arena, stats shard, and the staging buffer
-/// handlers push scheduled events into.
+/// for events scheduled outside the serial driver's dispatch.
 pub(crate) struct Domain {
     pub(crate) idx: usize,
     /// This domain's clock: the time of the event currently being handled.
@@ -353,11 +364,14 @@ pub(crate) struct Domain {
     /// `stats.mgmt_delivered` instead): the delivery term of the packet
     /// ledger [`SimCore::assert_quiescent`] checks. Not reported.
     delivered: u64,
-    /// Events staged by handlers; the driver routes them (serial: one
-    /// merged queue; parallel: own queue or a peer domain's mailbox).
+    /// Events staged by handlers that have no queue to push into (the
+    /// parallel driver's, priming, `post_*`); the driver routes them
+    /// (serial: its merged queue; parallel: own queue or a peer domain's
+    /// mailbox).
     pub(crate) out: Vec<OutMsg>,
-    /// Events handled in this domain.
-    pub(crate) events: u64,
+    /// Events handled in this domain, by kind (indexed like
+    /// [`EVENT_KINDS`]).
+    events: [u64; EVENT_KINDS.len()],
     /// SM-origin event sequence counter.
     sm_oseq: u32,
     /// flow id → packets still undelivered (registered at the
@@ -369,6 +383,14 @@ pub(crate) struct Domain {
     /// Host deliveries landed in this domain; the serial driver drains
     /// them into its global inbox.
     pub(crate) host_inbox: VecDeque<HostDelivery>,
+}
+
+impl Domain {
+    /// Advance this domain's clock to `ev`'s due time and count it.
+    pub(crate) fn begin(&mut self, now: SimTime, ev: &Event) {
+        self.now = now;
+        self.events[ev.kind()] += 1;
+    }
 }
 
 /// A staged event: absolute due time, intrinsic tie-break key, target
@@ -408,12 +430,21 @@ pub(crate) fn target_domain(sh: &Shared, ev: &Event) -> usize {
     }
 }
 
-/// Stage one event: compose its intrinsic key from the origin's counter,
-/// convert packet-carrying events to their `*Remote` form when they cross
-/// a domain boundary (releasing the packet from the source arena — the
-/// target inserts it into *its* arena at handling time, keeping per-domain
-/// arena high-water marks engine-independent), and push onto `dom.out`.
-pub(crate) fn push_ev(sh: &Shared, dom: &mut Domain, origin: Origin, at: SimTime, ev: Event) {
+/// Schedule one event: compose its intrinsic key from the origin's
+/// counter, convert packet-carrying events to their `*Remote` form when
+/// they cross a domain boundary (releasing the packet from the source
+/// arena — the target inserts it into *its* arena at handling time,
+/// keeping per-domain arena high-water marks engine-independent), and
+/// push it straight into `queue` when the caller has one (the serial
+/// driver's merged queue), else stage it on `dom.out`.
+pub(crate) fn push_ev(
+    sh: &Shared,
+    dom: &mut Domain,
+    queue: Option<&mut EventQueue>,
+    origin: Origin,
+    at: SimTime,
+    ev: Event,
+) {
     let seq = match origin {
         Origin::Node(node) => {
             let h = &mut dom.hcas[sh.local_node[node] as usize];
@@ -455,12 +486,15 @@ pub(crate) fn push_ev(sh: &Shared, dom: &mut Domain, origin: Origin, at: SimTime
             other => other,
         }
     };
-    dom.out.push(OutMsg {
-        target,
-        at,
-        seq,
-        ev,
-    });
+    match queue {
+        Some(queue) => queue.push_keyed(at, seq, ev),
+        None => dom.out.push(OutMsg {
+            target,
+            at,
+            seq,
+            ev,
+        }),
+    }
 }
 
 /// Whether the attack schedule is active at `t` (binary search over the
@@ -521,11 +555,17 @@ impl SimCore {
         let n = topo.num_nodes();
         let n_sw = topo.num_switches();
         let radix = topo.radix();
+        // Arbitration keeps one bit per input port in a `u64`.
+        assert!(radix <= 64, "switch radix {radix} exceeds 64 ports");
         let attach: Vec<(usize, usize)> = (0..n).map(|node| topo.host_attachment(node)).collect();
         let mut is_host_port = vec![false; n_sw * radix];
         for &(s, p) in &attach {
             is_host_port[s * radix + p] = true;
         }
+        let peers: Vec<Peer> = (0..n_sw)
+            .flat_map(|s| (0..radix).map(move |p| (s, p)))
+            .map(|(s, p)| topo.peer(s, p))
+            .collect();
         // The master RNG is construction-only (partition layout, attacker
         // placement, attacker keys); every runtime draw comes from a
         // per-node stream so results can't depend on event order.
@@ -623,7 +663,7 @@ impl SimCore {
             };
             dom_switches[dom_of_switch[s]].push(SwitchState {
                 in_q: (0..radix * NUM_VLS).map(|_| VecDeque::new()).collect(),
-                queued_for: vec![0; radix * NUM_VLS],
+                heads: vec![0; radix * NUM_VLS],
                 out_busy_until: vec![0; radix],
                 out_credits: vec![VL_BUFFER_PACKETS; radix * NUM_VLS],
                 forward_pending: vec![false; radix],
@@ -651,7 +691,7 @@ impl SimCore {
             });
         }
 
-        let mtu_tx = tx_time_ps(cfg.mtu_bytes, LINK_GBPS);
+        let mtu_tx = wire_time_ps(cfg.mtu_bytes);
         let auth_delay = match cfg.auth {
             AuthMode::None => 0,
             _ => AUTH_CYCLES_PER_MESSAGE * CYCLE_TIME,
@@ -689,6 +729,7 @@ impl SimCore {
             radix,
             attach,
             is_host_port,
+            peers,
             attackers,
             attacker_pkey,
             partitions,
@@ -723,7 +764,7 @@ impl SimCore {
                 stats: SimReport::default(),
                 delivered: 0,
                 out: Vec::new(),
-                events: 0,
+                events: [0; EVENT_KINDS.len()],
                 sm_oseq: 0,
                 flow_progress: HashMap::new(),
                 flow_done: Vec::new(),
@@ -756,6 +797,7 @@ impl SimCore {
                 push_ev(
                     sh,
                     dom,
+                    None,
                     Origin::Node(node),
                     jitter,
                     Event::Generate {
@@ -770,6 +812,7 @@ impl SimCore {
                 push_ev(
                     sh,
                     dom,
+                    None,
                     Origin::Node(node),
                     gap,
                     Event::Generate {
@@ -787,6 +830,7 @@ impl SimCore {
                 push_ev(
                     sh,
                     dom,
+                    None,
                     Origin::Node(a),
                     start,
                     Event::Generate {
@@ -828,7 +872,17 @@ impl SimCore {
 
     /// Events handled across all domains.
     pub(crate) fn events_processed(&self) -> u64 {
-        self.domains.iter().map(|d| d.events).sum()
+        self.events_by_kind().iter().map(|&(_, n)| n).sum()
+    }
+
+    /// Events handled across all domains, per [`Event`] kind.
+    pub(crate) fn events_by_kind(&self) -> [(&'static str, u64); EVENT_KINDS.len()] {
+        std::array::from_fn(|k| {
+            (
+                EVENT_KINDS[k],
+                self.domains.iter().map(|d| d.events[k]).sum(),
+            )
+        })
     }
 
     /// Sum of the per-domain arena high-water marks (deterministic: the
@@ -866,7 +920,7 @@ impl SimCore {
         let qvl = vl as usize;
         let pref = dom.arena.insert(packet);
         dom.hcas[ln].send_q[qvl].push_back((pref, now));
-        Ctx { sh, dom }.schedule_inject(src, now);
+        Ctx::staged(sh, dom).schedule_inject(src, now);
     }
 
     /// Queue a finite transfer (see [`Simulator::post_flow`]). The flow's
@@ -905,7 +959,7 @@ impl SimCore {
             let pref = dom.arena.insert(packet);
             dom.hcas[ln].send_q[qvl].push_back((pref, now));
         }
-        Ctx { sh, dom }.schedule_inject(src, now);
+        Ctx::staged(sh, dom).schedule_inject(src, now);
         self.flows.push(FlowRecord {
             #[cfg(test)]
             posted_at: now,
@@ -916,8 +970,8 @@ impl SimCore {
 
     /// The conservation laws, checked by both drivers in debug/test
     /// builds once a run has drained its queue (no credit event or packet
-    /// is then in flight): every `queued_for` count equals a recount of the
-    /// input queues, each link's sender-side credits plus the receiving
+    /// is then in flight): every head mask equals a recount from the input
+    /// queues' fronts, each link's sender-side credits plus the receiving
     /// input queue's occupancy equal `VL_BUFFER_PACKETS`, no arena holds a
     /// live packet, and every generated packet met exactly one terminal
     /// outcome (a class drop, an attack or management delivery, an HCA
@@ -929,21 +983,18 @@ impl SimCore {
             |s: usize| &self.domains[sh.dom_of_switch[s]].switches[sh.local_switch[s] as usize];
         for s in 0..sh.n_switches {
             let sw = switch(s);
-            let mut recount = vec![0u32; sw.queued_for.len()];
+            let mut recount = vec![0u64; sw.heads.len()];
             for (i, q) in sw.in_q.iter().enumerate() {
-                for qp in q {
-                    recount[qp.out_port as usize * NUM_VLS + i % NUM_VLS] += 1;
+                if let Some(head) = q.front() {
+                    recount[head.out_port as usize * NUM_VLS + i % NUM_VLS] |= 1 << (i / NUM_VLS);
                 }
             }
-            assert_eq!(
-                sw.queued_for, recount,
-                "switch {s}: occupancy counts drifted"
-            );
+            assert_eq!(sw.heads, recount, "switch {s}: head masks drifted");
             for port in 0..sh.radix {
                 let Peer::Switch {
                     switch: next,
                     port: next_port,
-                } = sh.topo.peer(s, port)
+                } = sh.peer(s, port)
                 else {
                     continue;
                 };
@@ -1001,17 +1052,28 @@ impl SimCore {
 }
 
 /// A handler's view: the shared tables plus exactly one domain. Every
-/// event mutates only its target domain; anything bound for another
-/// domain goes through [`push_ev`] and stays staged until the driver
-/// routes it.
+/// event mutates only its target domain; everything it schedules goes
+/// through [`push_ev`], straight into `queue` when there is one, else
+/// staged on `Domain::out` until the driver routes it.
 pub(crate) struct Ctx<'a> {
     pub(crate) sh: &'a Shared,
     pub(crate) dom: &'a mut Domain,
+    /// The serial driver's merged queue; `None` stages instead.
+    pub(crate) queue: Option<&'a mut EventQueue>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// A view that stages what its handlers schedule on `Domain::out`.
+    pub(crate) fn staged(sh: &'a Shared, dom: &'a mut Domain) -> Self {
+        Ctx {
+            sh,
+            dom,
+            queue: None,
+        }
+    }
+
     fn push(&mut self, origin: Origin, at: SimTime, ev: Event) {
-        push_ev(self.sh, self.dom, origin, at, ev);
+        push_ev(self.sh, self.dom, self.queue.as_deref_mut(), origin, at, ev);
     }
 
     /// Fate of one packet crossing directed link `link` (clean delivery
@@ -1333,7 +1395,7 @@ impl Ctx<'_> {
             packet.inject_time = start;
             (packet.bytes, packet.class, packet.vl)
         };
-        let tx_end = start + tx_time_ps(bytes, LINK_GBPS);
+        let tx_end = start + wire_time_ps(bytes);
         self.dom.hcas[ln].tx_busy_until = tx_end;
         let arrival = tx_end + PROPAGATION_DELAY;
         match self.link_fault(node) {
@@ -1408,12 +1470,15 @@ impl Ctx<'_> {
         // the fabric's path diversity.
         let out_port = sh.topo.route_flow(switch, dst, flow_hash(src, dst));
         let sw = &mut self.dom.switches[ls];
-        sw.in_q[port * NUM_VLS + vl].push_back(QueuedPacket {
+        let q = &mut sw.in_q[port * NUM_VLS + vl];
+        q.push_back(QueuedPacket {
             packet: pref,
             out_port: out_port as u32,
             lookup_cycles: check.lookup_cycles,
         });
-        sw.queued_for[out_port * NUM_VLS + vl] += 1;
+        if q.len() == 1 {
+            sw.heads[out_port * NUM_VLS + vl] |= 1 << port;
+        }
         self.schedule_forward(switch, out_port, now + SWITCH_LATENCY);
     }
 
@@ -1440,7 +1505,7 @@ impl Ctx<'_> {
             self.schedule_forward(switch, out_port, at);
             return;
         }
-        let peer = sh.topo.peer(switch, out_port);
+        let peer = sh.peer(switch, out_port);
         // Arbitrate: find the best candidate per VL (round-robin over input
         // ports within a VL), then apply the VL arbitration policy.
         let nports = sh.radix;
@@ -1451,8 +1516,9 @@ impl Ctx<'_> {
             if vl > 0 && best_high.is_some() {
                 continue;
             }
-            // No packet on this VL was routed here, at any queue depth.
-            if sw.queued_for[out_port * NUM_VLS + vl] == 0 {
+            // No queue on this VL has a head routed here.
+            let heads = sw.heads[out_port * NUM_VLS + vl];
+            if heads == 0 {
                 continue;
             }
             // Credit check applies to switch-to-switch hops; HCA receive
@@ -1462,20 +1528,14 @@ impl Ctx<'_> {
                     continue;
                 }
             }
-            // A counted packet may still sit behind a head bound elsewhere,
-            // so the heads decide.
-            let start = sw.rr[out_port];
-            let winner = (0..nports).map(|k| (start + k) % nports).find(|&in_port| {
-                sw.in_q[in_port * NUM_VLS + vl]
-                    .front()
-                    .is_some_and(|head| head.out_port as usize == out_port)
-            });
-            if let Some(in_port) = winner {
-                if vl > 0 {
-                    best_high = Some((in_port, vl));
-                } else {
-                    best_low = Some((in_port, vl));
-                }
+            // Round-robin: the first such input port at or after the
+            // cursor, wrapping.
+            let from_rr = heads & (!0u64 << sw.rr[out_port]);
+            let in_port = if from_rr != 0 { from_rr } else { heads }.trailing_zeros() as usize;
+            if vl > 0 {
+                best_high = Some((in_port, vl));
+            } else {
+                best_low = Some((in_port, vl));
             }
         }
         let selected = match (sh.cfg.arbitration, best_high, best_low) {
@@ -1502,8 +1562,15 @@ impl Ctx<'_> {
         }
         self.dom.switches[ls].rr[out_port] = (in_port + 1) % nports;
         let sw = &mut self.dom.switches[ls];
-        let qp = sw.in_q[in_port * NUM_VLS + vl].pop_front().unwrap();
-        sw.queued_for[out_port * NUM_VLS + vl] -= 1;
+        let q = &mut sw.in_q[in_port * NUM_VLS + vl];
+        let qp = q.pop_front().unwrap();
+        // The queue's new head, if any, bids for the output it was routed
+        // to; the port we popped from no longer bids here.
+        let next_out = q.front().map(|next| next.out_port as usize);
+        sw.heads[out_port * NUM_VLS + vl] &= !(1 << in_port);
+        if let Some(next_out) = next_out {
+            sw.heads[next_out * NUM_VLS + vl] |= 1 << in_port;
+        }
         let pref = qp.packet;
         debug_assert_eq!(
             qp.out_port as usize,
@@ -1515,7 +1582,7 @@ impl Ctx<'_> {
             (packet.bytes, packet.class)
         };
         // Service time: enforcement lookups + store-and-forward transmit.
-        let service = qp.lookup_cycles * CYCLE_TIME + tx_time_ps(bytes, LINK_GBPS);
+        let service = qp.lookup_cycles * CYCLE_TIME + wire_time_ps(bytes);
         let tx_end = now + service;
         self.dom.switches[ls].out_busy_until[out_port] = tx_end;
         match peer {
@@ -1587,9 +1654,6 @@ impl Ctx<'_> {
         // The queue we popped from has a new head that may want a
         // *different* output port — wake that port, or packets behind a
         // departed head would wait for an unrelated arrival (HOL stall).
-        let next_out = self.dom.switches[ls].in_q[in_port * NUM_VLS + vl]
-            .front()
-            .map(|next| next.out_port as usize);
         if let Some(next_out) = next_out {
             if next_out != out_port {
                 self.schedule_forward(switch, next_out, now);
@@ -1602,7 +1666,7 @@ impl Ctx<'_> {
     /// Return one credit to whatever feeds `(switch, in_port)`.
     fn return_credit(&mut self, switch: usize, in_port: usize, vl: u8) {
         let at = self.dom.now + PROPAGATION_DELAY;
-        match self.sh.topo.peer(switch, in_port) {
+        match self.sh.peer(switch, in_port) {
             Peer::Hca { node } => {
                 self.push(Origin::Switch(switch), at, Event::HcaCredit { node, vl })
             }
@@ -1740,7 +1804,8 @@ impl Ctx<'_> {
 
 /// The serial driver — the parallel engine's correctness oracle. One
 /// merged [`EventQueue`]; events pop in global `(time, seq)` order and
-/// dispatch into their target domain's `Ctx`.
+/// dispatch into their target domain's `Ctx`, whose handlers push what
+/// they schedule straight back into it.
 pub struct Simulator {
     core: SimCore,
     queue: EventQueue,
@@ -1774,28 +1839,30 @@ impl Simulator {
         }
     }
 
-    /// Handle one event in its target domain, then route whatever it
-    /// staged back into the merged queue and surface completions.
+    /// Handle one event in its target domain, scheduling into the merged
+    /// queue directly, then surface completions.
     fn dispatch(&mut self, key: EventKey, ev: Event) {
         debug_assert!(key.time >= self.now, "time went backwards");
         self.now = key.time;
         let d = target_domain(&self.core.shared, &ev);
         let core = &mut self.core;
         let dom = &mut core.domains[d];
-        dom.now = key.time;
-        dom.events += 1;
+        dom.begin(key.time, &ev);
         Ctx {
             sh: &core.shared,
             dom,
+            queue: Some(&mut self.queue),
         }
         .handle(ev);
-        for m in dom.out.drain(..) {
-            self.queue.push_keyed(m.at, m.seq, m.ev);
+        debug_assert!(dom.out.is_empty(), "a handler staged instead of pushing");
+        if !dom.flow_done.is_empty() {
+            for (f, at) in dom.flow_done.drain(..) {
+                core.flows[f as usize].completed_at = Some(at);
+            }
         }
-        for (f, at) in dom.flow_done.drain(..) {
-            core.flows[f as usize].completed_at = Some(at);
+        if !dom.host_inbox.is_empty() {
+            self.host_inbox.append(&mut dom.host_inbox);
         }
-        self.host_inbox.append(&mut dom.host_inbox);
     }
 
     /// Run to completion and return the report.
@@ -1876,6 +1943,13 @@ impl Simulator {
     /// Events handled so far (the scale experiments' cost denominator).
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed()
+    }
+
+    /// Events handled so far, per [`Event`] kind, by kind name (the mix
+    /// behind [`events_processed`](Self::events_processed), which is
+    /// their sum).
+    pub fn events_by_kind(&self) -> [(&'static str, u64); EVENT_KINDS.len()] {
+        self.core.events_by_kind()
     }
 
     /// The report accumulated so far (final numbers come from

@@ -1,40 +1,42 @@
-//! The discrete-event core: event kinds, a free-listed event arena, and a
-//! calendar-queue scheduler ordering compact `(time, seq, idx)` keys.
+//! The discrete-event core: event kinds and a calendar-queue scheduler
+//! that stores each event inline under one packed `(time, seq)` key.
 //!
 //! ## Why not a plain `BinaryHeap<(SimTime, u64, Event)>`
 //!
-//! The original queue carried every `Event` — including a full inline
-//! [`SimPacket`] with its `Option<Trap>` — *inside* the heap, so each
-//! sift-up/sift-down memcpy'd ~100 bytes per level. Under the paper's
-//! P_Key-flooding regime (the event-count maximum of every figure), the
-//! scheduler was the simulator's single hottest path. The rebuilt queue
-//! splits storage from ordering:
+//! A single heap over every pending event sifts through `log n` levels on
+//! each push and pop, and under the paper's P_Key-flooding regime (the
+//! event-count maximum of every figure) the scheduler is the simulator's
+//! hottest path. The queue here is a calendar queue (Brown, CACM 1988):
 //!
-//! * events live once in `EventArena`, a free-listed slab that recycles
-//!   slots, and
-//! * the priority structure orders only 20-byte [`EventKey`]s — a
-//!   calendar queue (Brown, CACM 1988): a bucketed timing wheel for the
-//!   near future plus a binary-heap overflow for far-future events
+//! * each entry is the event itself beside a packed `u128` key
+//!   `(time << 64) | seq`, so one integer compare orders two entries and
+//!   the event moves with its key — there is no second store to index
+//!   into (packet-carrying events hold a 4-byte `PacketRef`, keeping
+//!   entries small);
+//! * a bucketed timing wheel holds the near future, with one occupancy
+//!   bit per bucket, and a binary-heap overflow holds far-future events
 //!   (attack-window starts, key-exchange RTTs, end-of-run timers).
 //!
-//! Keys due inside the cursor's window — the only ones a pop can return
-//! — sit in a small binary min-heap, built in O(b) when the cursor
-//! reaches a bucket holding b keys. Push is O(1) onto an unsorted future
-//! bucket (O(log b) into the cursor window); pop is O(log b) over the
-//! *window's* population, not the queue's: a handful of keys on the
-//! paper's mesh, and still logarithmic when 1024 HCAs inject inside one
-//! 16.4 ns window (a per-pop scan of that bucket would be quadratic per
-//! burst).
+//! Entries due inside the cursor's window — the only ones a pop can
+//! return — sit in a small binary min-heap, built in O(b) when the cursor
+//! reaches a bucket holding b entries. When that heap empties, the cursor
+//! jumps straight to the next occupied bucket (`trailing_zeros` over the
+//! bitmap words) instead of stepping one 16.4 ns bucket at a time. Push is
+//! O(1) onto an unsorted future bucket (O(log b) into the cursor window);
+//! pop is O(log b) over the *window's* population, not the queue's: a
+//! handful of entries on the paper's mesh, and still logarithmic when
+//! 1024 HCAs inject inside one window (a per-pop scan of that bucket would
+//! be quadratic per burst).
 //!
 //! ## Determinism contract
 //!
 //! Ties in time break by `seq`, so runs with the same seed replay
 //! identically — the hard correctness contract behind every
-//! `BENCH_fig*.json` byte-identity gate. [`EventKey`] derives its
-//! lexicographic `(time, seq, idx)` order (`seq` is unique, so `idx`
-//! never decides), and both schedulers — the calendar [`EventQueue`] and
-//! the reference [`HeapQueue`] oracle — pop the exact same key stream for
-//! the same pushes, a property enforced by `tests/event_scheduler.rs`.
+//! `BENCH_fig*.json` byte-identity gate. The packed key's integer order is
+//! the lexicographic `(time, seq)` order [`EventKey`] derives, and both
+//! schedulers — the calendar [`EventQueue`] and the reference
+//! [`HeapQueue`] oracle — pop the exact same key stream for the same
+//! pushes, a property enforced by `tests/event_scheduler.rs`.
 //!
 //! `seq` comes in two flavours. The legacy [`EventQueue::push`] assigns a
 //! per-queue insertion counter — fine for a single global queue. The
@@ -46,7 +48,7 @@
 //! domain) pop identical per-domain `(time, seq)` streams — the
 //! foundation of the bit-identical-at-any-thread-count guarantee.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use ib_mgmt::trap::Trap;
@@ -129,8 +131,8 @@ impl SimPacket {
 }
 
 /// Events the engine processes. Packet-carrying variants hold an arena
-/// index, keeping the enum small enough that arena slots and the (rare)
-/// overflow-heap sifts stay cheap.
+/// index, keeping the enum small enough that queue entries stay cheap to
+/// move through the wheel and the heaps.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// A traffic source at `node` fires (class decides what happens next).
@@ -175,71 +177,105 @@ pub enum Event {
     HcaReceiveRemote { node: usize, packet: Box<SimPacket> },
 }
 
-/// Compact scheduling key: the only thing the priority structures move.
-/// The derived lexicographic order *is* the scheduling order — time
-/// first, then insertion sequence (the determinism tie-break); `seq` is
-/// unique per queue so `idx` never participates in a real comparison.
+/// Names of the [`Event`] kinds, in the order of the engine's per-kind
+/// event counters.
+pub(crate) const EVENT_KINDS: [&str; 11] = [
+    "Generate",
+    "TryInject",
+    "SwitchArrive",
+    "TryForward",
+    "HcaReceive",
+    "SwitchCredit",
+    "HcaCredit",
+    "TrapDeliver",
+    "FilterProgram",
+    "SwitchArriveRemote",
+    "HcaReceiveRemote",
+];
+
+impl Event {
+    /// This event's index into [`EVENT_KINDS`].
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Event::Generate { .. } => 0,
+            Event::TryInject { .. } => 1,
+            Event::SwitchArrive { .. } => 2,
+            Event::TryForward { .. } => 3,
+            Event::HcaReceive { .. } => 4,
+            Event::SwitchCredit { .. } => 5,
+            Event::HcaCredit { .. } => 6,
+            Event::TrapDeliver { .. } => 7,
+            Event::FilterProgram { .. } => 8,
+            Event::SwitchArriveRemote { .. } => 9,
+            Event::HcaReceiveRemote { .. } => 10,
+        }
+    }
+}
+
+/// A scheduling key as the queues report it: time first, then the
+/// tie-break sequence (the determinism contract), which is also the
+/// derived order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Absolute due time.
     pub time: SimTime,
-    /// Insertion sequence number (1-based, unique).
+    /// Tie-break sequence number (unique per queue).
     pub seq: u64,
-    /// Arena slot holding the event payload.
-    pub(crate) idx: u32,
 }
 
-/// Free-listed slab: events are stored exactly once and slots recycle, so
-/// steady-state scheduling allocates nothing.
+impl EventKey {
+    /// `(time << 64) | seq`: one integer whose order is the key order.
+    fn pack(self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.seq)
+    }
+}
+
+/// One scheduled event, stored inline beside its packed key. Entries
+/// order by key alone and in reverse, so a [`BinaryHeap`] (a max-heap)
+/// pops the earliest.
 #[derive(Debug)]
-struct EventArena<T> {
-    slots: Vec<Slot<T>>,
-    free_head: u32,
+struct Entry<T> {
+    key: u128,
+    ev: T,
 }
 
-#[derive(Debug)]
-enum Slot<T> {
-    Full(T),
-    Free { next: u32 },
-}
-
-/// Free-list terminator.
-const NIL: u32 = u32::MAX;
-
-impl<T> EventArena<T> {
-    fn new() -> Self {
-        EventArena {
-            slots: Vec::new(),
-            free_head: NIL,
+impl<T> Entry<T> {
+    fn new(at: SimTime, seq: u64, ev: T) -> Self {
+        Entry {
+            key: EventKey { time: at, seq }.pack(),
+            ev,
         }
     }
 
-    fn insert(&mut self, value: T) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            match std::mem::replace(&mut self.slots[idx as usize], Slot::Full(value)) {
-                Slot::Free { next } => self.free_head = next,
-                Slot::Full(_) => unreachable!("free list points at an occupied slot"),
-            }
-            idx
-        } else {
-            self.slots.push(Slot::Full(value));
-            (self.slots.len() - 1) as u32
-        }
+    fn time(&self) -> SimTime {
+        (self.key >> 64) as SimTime
     }
 
-    fn take(&mut self, idx: u32) -> T {
-        let slot = std::mem::replace(
-            &mut self.slots[idx as usize],
-            Slot::Free {
-                next: self.free_head,
-            },
-        );
-        self.free_head = idx;
-        match slot {
-            Slot::Full(value) => value,
-            Slot::Free { .. } => unreachable!("scheduled key points at a free slot"),
+    fn event_key(&self) -> EventKey {
+        EventKey {
+            time: self.time(),
+            seq: self.key as u64,
         }
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
     }
 }
 
@@ -253,6 +289,8 @@ const WHEEL_BITS: u32 = 10;
 /// The wheel's horizon, ps (≈ 16.8 µs): events due further out than this
 /// from the cursor wait in the overflow heap.
 pub const HORIZON_PS: SimTime = (WHEEL_BUCKETS as SimTime) << BUCKET_BITS;
+/// Words in the wheel's occupancy bitmap, one bit per bucket.
+const OCCUPANCY_WORDS: usize = WHEEL_BUCKETS / 64;
 
 /// The wheel slot covering absolute time `t`.
 fn bucket_of(t: SimTime) -> usize {
@@ -263,28 +301,27 @@ fn bucket_of(t: SimTime) -> usize {
 /// sequence, so runs with the same seed replay identically.
 ///
 /// Implemented as a calendar queue: a `WHEEL_BUCKETS`-bucket timing
-/// wheel of unsorted [`EventKey`] vectors covering the next
-/// [`HORIZON_PS`] picoseconds, a binary min-heap over the keys due in the
-/// cursor bucket's window, and a binary-heap fallback for far-future
-/// events that migrate onto the wheel as the cursor advances. Event
-/// payloads live in the internal arena; only keys move.
+/// wheel of unsorted entry vectors covering the next [`HORIZON_PS`]
+/// picoseconds with an occupancy bit per bucket, a binary min-heap over
+/// the entries due in the cursor bucket's window, and a binary-heap
+/// fallback for far-future events that migrate onto the wheel as the
+/// cursor advances. Each event is stored once, inline with its key.
 #[derive(Debug)]
 pub struct EventQueue<T = Event> {
-    arena: EventArena<T>,
     /// Future buckets, unsorted. The cursor's own slot stays empty: its
-    /// keys live in `due`.
-    wheel: Vec<Vec<Reverse<EventKey>>>,
-    /// Every key due before the cursor window's end, heap-ordered — the
+    /// entries live in `due`.
+    wheel: Vec<Vec<Entry<T>>>,
+    /// Bit `b % 64` of word `b / 64` is set exactly when bucket `b` of
+    /// `wheel` is non-empty.
+    occupied: [u64; OCCUPANCY_WORDS],
+    /// Every entry due before the cursor window's end, heap-ordered — the
     /// queue's minimum is always its top once `locate_min` returns.
-    due: BinaryHeap<Reverse<EventKey>>,
-    /// Keys in `wheel` (so empty-wheel runs can jump the cursor straight
-    /// to the overflow minimum).
-    in_wheel: usize,
+    due: BinaryHeap<Entry<T>>,
     /// Start of the cursor bucket's window (multiple of the bucket width;
     /// never decreases).
     wheel_start: SimTime,
-    /// Far-future keys (due at or past `wheel_start + HORIZON_PS`).
-    overflow: BinaryHeap<Reverse<EventKey>>,
+    /// Far-future entries (due at or past `wheel_start + HORIZON_PS`).
+    overflow: BinaryHeap<Entry<T>>,
     seq: u64,
     len: usize,
 }
@@ -299,10 +336,9 @@ impl<T> EventQueue<T> {
     /// Empty queue.
     pub fn new() -> Self {
         EventQueue {
-            arena: EventArena::new(),
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: [0; OCCUPANCY_WORDS],
             due: BinaryHeap::new(),
-            in_wheel: 0,
             wheel_start: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -324,30 +360,27 @@ impl<T> EventQueue<T> {
     /// `push_keyed` on one queue is only sound if the key spaces are
     /// disjoint.
     pub fn push_keyed(&mut self, at: SimTime, seq: u64, event: T) {
-        let key = EventKey {
-            time: at,
-            seq,
-            idx: self.arena.insert(event),
-        };
         self.len += 1;
-        self.place(key);
+        let entry = Entry::new(at, seq, event);
+        // Entries due before the cursor window's end — inside it, or
+        // behind `wheel_start` when a peek or a jump advanced the cursor
+        // past the caller's clock (the co-simulation's `post_host` and
+        // the parallel driver's mailboxes both do this) — join the heap,
+        // whose full-key order pops them first.
+        if at < self.wheel_start + BUCKET_WIDTH_PS {
+            self.due.push(entry);
+        } else if at < self.wheel_start + HORIZON_PS {
+            self.file(entry);
+        } else {
+            self.overflow.push(entry);
+        }
     }
 
-    /// File a key in the cursor heap, on the wheel or in the overflow
-    /// heap. Keys due before the cursor window's end — inside it, or
-    /// behind `wheel_start` when a peek or a far jump advanced the cursor
-    /// past the caller's clock (the co-simulation's `post_host` and the
-    /// parallel driver's mailboxes both do this) — join the heap, whose
-    /// full-key order pops them first.
-    fn place(&mut self, key: EventKey) {
-        if key.time < self.wheel_start + BUCKET_WIDTH_PS {
-            self.due.push(Reverse(key));
-        } else if key.time < self.wheel_start + HORIZON_PS {
-            self.wheel[bucket_of(key.time)].push(Reverse(key));
-            self.in_wheel += 1;
-        } else {
-            self.overflow.push(Reverse(key));
-        }
+    /// Put an entry due inside the horizon on the wheel.
+    fn file(&mut self, entry: Entry<T>) {
+        let b = bucket_of(entry.time());
+        self.wheel[b].push(entry);
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 
     /// Pop the earliest event (ties by key order).
@@ -360,10 +393,9 @@ impl<T> EventQueue<T> {
     /// domain queues.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, T)> {
         self.locate_min()?;
-        let Reverse(key) = self.due.pop().expect("locate_min filled the cursor heap");
+        let entry = self.due.pop().expect("locate_min filled the cursor heap");
         self.len -= 1;
-        let ev = self.arena.take(key.idx);
-        Some((key, ev))
+        Some((entry.event_key(), entry.ev))
     }
 
     /// The earliest pending key without removing it (`&mut` because the
@@ -374,46 +406,89 @@ impl<T> EventQueue<T> {
         self.locate_min()
     }
 
-    /// Advance the wheel until the cursor heap holds the minimum pending
-    /// key; return it.
+    /// Make the cursor heap hold the minimum pending entry; return its
+    /// key.
     fn locate_min(&mut self) -> Option<EventKey> {
         if self.len == 0 {
             return None;
         }
-        while self.due.is_empty() {
-            // Nothing due in this window: advance the wheel — bucket by
-            // bucket while keys remain on it, else jump the cursor
-            // straight to the earliest overflow key's bucket.
-            if self.in_wheel == 0 {
-                let Reverse(next) = *self
+        if self.due.is_empty() {
+            self.advance();
+        }
+        self.due.peek().map(Entry::event_key)
+    }
+
+    /// Move the cursor to the earliest pending bucket and heapify it.
+    /// Only called with nothing due in the cursor window.
+    ///
+    /// Invariant, true after every advance and kept by every push: each
+    /// overflow entry is due at or beyond `wheel_start + HORIZON_PS`, and
+    /// each wheel entry before it. So the next occupied wheel bucket
+    /// precedes every overflow entry, and the cursor can jump straight
+    /// there; the overflow entries the jump brings inside the horizon
+    /// then land in the ring slots the jump just passed.
+    fn advance(&mut self) {
+        let cursor = bucket_of(self.wheel_start);
+        match self.next_occupied(cursor) {
+            Some(b) => {
+                let skip = b.wrapping_sub(cursor) & (WHEEL_BUCKETS - 1);
+                debug_assert!(
+                    (1..skip).all(|k| self.wheel[(cursor + k) % WHEEL_BUCKETS].is_empty()),
+                    "the wheel jumped over an occupied bucket"
+                );
+                self.wheel_start += skip as SimTime * BUCKET_WIDTH_PS;
+            }
+            // Nothing on the wheel: jump to the earliest overflow entry's
+            // bucket.
+            None => {
+                let next = self
                     .overflow
                     .peek()
-                    .expect("len > 0 with an empty wheel implies overflow keys");
-                self.wheel_start = (next.time >> BUCKET_BITS) << BUCKET_BITS;
-            } else {
-                self.wheel_start += BUCKET_WIDTH_PS;
-            }
-            // Keys now inside the horizon migrate onto the wheel.
-            while let Some(&Reverse(key)) = self.overflow.peek() {
-                if key.time >= self.wheel_start + HORIZON_PS {
-                    break;
-                }
-                self.overflow.pop();
-                self.wheel[bucket_of(key.time)].push(Reverse(key));
-                self.in_wheel += 1;
-            }
-            // Heapify the bucket the cursor reached, in place: its vector
-            // becomes the heap's storage and the drained heap's vector
-            // becomes the empty bucket, so capacity circulates.
-            let cursor = bucket_of(self.wheel_start);
-            if !self.wheel[cursor].is_empty() {
-                let spare = std::mem::take(&mut self.due).into_vec();
-                let bucket = std::mem::replace(&mut self.wheel[cursor], spare);
-                self.in_wheel -= bucket.len();
-                self.due = BinaryHeap::from(bucket);
+                    .expect("pending entries with an empty wheel sit in overflow");
+                self.wheel_start = (next.time() >> BUCKET_BITS) << BUCKET_BITS;
             }
         }
-        self.due.peek().map(|&Reverse(key)| key)
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|e| e.time() < self.wheel_start + HORIZON_PS)
+        {
+            let entry = self.overflow.pop().expect("peeked");
+            self.file(entry);
+        }
+        // Heapify the bucket the cursor reached, in place: its vector
+        // becomes the heap's storage and the drained heap's vector
+        // becomes the empty bucket, so capacity circulates.
+        let cursor = bucket_of(self.wheel_start);
+        debug_assert!(
+            !self.wheel[cursor].is_empty(),
+            "the cursor landed on an empty bucket"
+        );
+        let spare = std::mem::take(&mut self.due).into_vec();
+        let bucket = std::mem::replace(&mut self.wheel[cursor], spare);
+        self.occupied[cursor / 64] &= !(1 << (cursor % 64));
+        self.due = BinaryHeap::from(bucket);
+    }
+
+    /// The first occupied bucket after `cursor`, cyclically (the cursor's
+    /// own bucket last), by `trailing_zeros` over the bitmap words.
+    fn next_occupied(&self, cursor: usize) -> Option<usize> {
+        let from = (cursor + 1) % WHEEL_BUCKETS;
+        let (w0, bit) = (from / 64, from % 64);
+        let head = self.occupied[w0] & (!0u64 << bit);
+        if head != 0 {
+            return Some(w0 * 64 + head.trailing_zeros() as usize);
+        }
+        (1..=OCCUPANCY_WORDS).find_map(|k| {
+            let w = (w0 + k) % OCCUPANCY_WORDS;
+            // Back at the starting word: only the bits before `from`.
+            let bits = if k == OCCUPANCY_WORDS {
+                self.occupied[w] & !(!0u64 << bit)
+            } else {
+                self.occupied[w]
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
     }
 
     /// Number of pending events.
@@ -426,24 +501,25 @@ impl<T> EventQueue<T> {
         self.len == 0
     }
 
-    /// High-water arena capacity (slots ever allocated) — the recycling
-    /// witness: steady-state scheduling reuses freed slots instead of
-    /// growing.
+    /// Entries the queue's vectors can hold without reallocating — the
+    /// recycling witness: steady-state scheduling reuses capacity
+    /// instead of growing.
     #[cfg(test)]
-    fn arena_capacity(&self) -> usize {
-        self.arena.slots.len()
+    fn capacity(&self) -> usize {
+        self.wheel.iter().map(Vec::capacity).sum::<usize>()
+            + self.due.capacity()
+            + self.overflow.capacity()
     }
 }
 
-/// Reference scheduler: a binary heap over the same compact [`EventKey`]s
-/// and the same arena. Kept as the oracle for the scheduler-equivalence
-/// property test (`tests/event_scheduler.rs`) and as the baseline arm of
-/// the `sim_engine` bench gate — the calendar queue must pop the exact
-/// same `(time, seq)` stream and must not be slower.
+/// Reference scheduler: a binary heap over the same inline entries. Kept
+/// as the oracle for the scheduler-equivalence property test
+/// (`tests/event_scheduler.rs`) and as the baseline arm of the
+/// `sim_engine` bench gate — the calendar queue must pop the exact same
+/// `(time, seq)` stream and must not be slower.
 #[derive(Debug)]
 pub struct HeapQueue<T = Event> {
-    heap: BinaryHeap<Reverse<EventKey>>,
-    arena: EventArena<T>,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
 }
 
@@ -458,7 +534,6 @@ impl<T> HeapQueue<T> {
     pub fn new() -> Self {
         HeapQueue {
             heap: BinaryHeap::new(),
-            arena: EventArena::new(),
             seq: 0,
         }
     }
@@ -473,12 +548,7 @@ impl<T> HeapQueue<T> {
     /// Schedule `event` under a caller-composed tie-break `seq` (see
     /// [`EventQueue::push_keyed`]).
     pub fn push_keyed(&mut self, at: SimTime, seq: u64, event: T) {
-        let key = EventKey {
-            time: at,
-            seq,
-            idx: self.arena.insert(event),
-        };
-        self.heap.push(Reverse(key));
+        self.heap.push(Entry::new(at, seq, event));
     }
 
     /// Pop the earliest event (ties by key order).
@@ -488,10 +558,7 @@ impl<T> HeapQueue<T> {
 
     /// Pop the earliest event with its full scheduling key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, T)> {
-        self.heap.pop().map(|Reverse(key)| {
-            let ev = self.arena.take(key.idx);
-            (key, ev)
-        })
+        self.heap.pop().map(|e| (e.event_key(), e.ev))
     }
 
     /// Number of pending events.
@@ -549,21 +616,23 @@ mod tests {
 
     #[test]
     fn event_key_orders_lexicographically() {
-        // The satellite fix for the old degenerate `EventBox` shims: the
-        // compact key's derived orderings are *real* — time first, then
-        // insertion sequence, then slot index.
-        let k = |time, seq, idx| EventKey { time, seq, idx };
-        assert!(k(1, 9, 9) < k(2, 0, 0), "time dominates");
-        assert!(k(5, 1, 9) < k(5, 2, 0), "seq breaks time ties");
-        assert!(k(5, 1, 0) < k(5, 1, 1), "idx is a total-order backstop");
-        assert_eq!(k(5, 1, 2), k(5, 1, 2));
-        assert_eq!(k(5, 1, 2).cmp(&k(5, 1, 2)), std::cmp::Ordering::Equal);
-        let mut v = [k(3, 1, 0), k(1, 2, 1), k(1, 1, 2), k(2, 5, 3)];
+        // Time first, then the tie-break sequence — and the packed key
+        // the queues compare is the same order as one integer.
+        let k = |time, seq| EventKey { time, seq };
+        assert!(k(1, 9) < k(2, 0), "time dominates");
+        assert!(k(5, 1) < k(5, 2), "seq breaks time ties");
+        assert_eq!(k(5, 1).cmp(&k(5, 1)), std::cmp::Ordering::Equal);
+        let mut v = [k(3, 1), k(1, 2), k(1, 1), k(2, 5), k(1, u64::MAX)];
         v.sort();
         assert_eq!(
             v.iter().map(|key| (key.time, key.seq)).collect::<Vec<_>>(),
-            vec![(1, 1), (1, 2), (2, 5), (3, 1)]
+            vec![(1, 1), (1, 2), (1, u64::MAX), (2, 5), (3, 1)]
         );
+        for pair in v.windows(2) {
+            assert!(pair[0].pack() < pair[1].pack(), "packing keeps the order");
+        }
+        let e = Entry::new(SimTime::MAX, 7, ());
+        assert_eq!(e.event_key(), k(SimTime::MAX, 7));
     }
 
     /// The regression the rewrite must not introduce: equal-time events
@@ -623,19 +692,29 @@ mod tests {
     }
 
     #[test]
-    fn arena_slots_recycle() {
+    fn entry_storage_recycles() {
+        // 64 entries in every fourth bucket, each re-pushed 16 buckets on
+        // when popped: the cursor jumps four buckets at a time and every
+        // bucket it reaches holds 16 entries. Once the cursor has been
+        // round the ring, the vectors circulating between the wheel and
+        // the cursor heap hold every entry without growing.
         let mut q: EventQueue<u64> = EventQueue::new();
-        // A push/pop churn an order of magnitude past the live set: the
-        // arena must stop growing once the steady-state size is reached.
-        for i in 0..8u64 {
-            q.push(i, i);
+        for i in 0..64u64 {
+            q.push((i % 4) * 4 * BUCKET_WIDTH_PS + i, i);
         }
-        for round in 0..100u64 {
-            let (t, _) = q.pop().unwrap();
-            q.push(t + 100 + round, round);
-        }
-        assert_eq!(q.len(), 8);
-        assert_eq!(q.arena_capacity(), 8, "free-listed slots must recycle");
+        let rotation = WHEEL_BUCKETS / 4 * 16;
+        let churn = |q: &mut EventQueue<u64>| {
+            for _ in 0..rotation {
+                let (t, v) = q.pop().unwrap();
+                q.push(t + 16 * BUCKET_WIDTH_PS, v);
+            }
+        };
+        churn(&mut q);
+        churn(&mut q);
+        let warm = q.capacity();
+        churn(&mut q);
+        assert_eq!(q.len(), 64);
+        assert_eq!(q.capacity(), warm, "entry storage must recycle");
     }
 
     #[test]

@@ -192,13 +192,8 @@ impl ParSimulator {
             }
             let (key, ev) = self.queues[d].pop_keyed().unwrap();
             let dom = &mut self.core.domains[d];
-            dom.now = key.time;
-            dom.events += 1;
-            Ctx {
-                sh: &self.core.shared,
-                dom,
-            }
-            .handle(ev);
+            dom.begin(key.time, &ev);
+            Ctx::staged(&self.core.shared, dom).handle(ev);
             for m in dom.out.drain(..) {
                 let t = m.target;
                 let prev = self.queues[t].peek_key();
@@ -294,9 +289,8 @@ impl ParSimulator {
                             break;
                         }
                         let (key, ev) = queue.pop_keyed().unwrap();
-                        dom.now = key.time;
-                        dom.events += 1;
-                        Ctx { sh, dom }.handle(ev);
+                        dom.begin(key.time, &ev);
+                        Ctx::staged(sh, dom).handle(ev);
                         for m in dom.out.drain(..) {
                             if m.target == d {
                                 queue.push_keyed(m.at, m.seq, m.ev);

@@ -16,14 +16,13 @@ pub const US: SimTime = 1_000_000;
 /// One millisecond in ps.
 pub const MS: SimTime = 1_000_000_000;
 
-/// Time to put one byte on a 2.5 Gbps link (Table 1), in ps.
-#[cfg(test)]
+/// Time to put one byte on a 2.5 Gbps link (Table 1's
+/// [`LINK_GBPS`](crate::config::LINK_GBPS)), in ps.
 pub(crate) const BYTE_TIME_PS: SimTime = 3_200;
 
-/// Transmission time of `bytes` at `gbps` (supports the ablation sweeps
-/// that vary link speed), in ps.
-pub fn tx_time_ps(bytes: usize, gbps: f64) -> SimTime {
-    ((bytes as f64 * 8.0 / gbps) * 1_000.0).round() as SimTime
+/// Transmission time of `bytes` on a Table 1 link, in ps.
+pub fn wire_time_ps(bytes: usize) -> SimTime {
+    bytes as SimTime * BYTE_TIME_PS
 }
 
 /// Convert ps to fractional microseconds (for reporting).
@@ -37,16 +36,15 @@ mod tests {
 
     #[test]
     fn byte_time_matches_formula() {
-        assert_eq!(tx_time_ps(1, 2.5), BYTE_TIME_PS);
+        // 8 bits at 2.5 Gb/s.
+        assert_eq!(
+            BYTE_TIME_PS as f64,
+            8.0 / crate::config::LINK_GBPS * NS as f64
+        );
+        assert_eq!(wire_time_ps(1), BYTE_TIME_PS);
         // A 1024-byte MTU takes 3.2768 µs on a 1x link.
-        assert_eq!(tx_time_ps(1024, 2.5), 1024 * BYTE_TIME_PS);
-        assert_eq!(ps_to_us(tx_time_ps(1024, 2.5)), 3.2768);
-    }
-
-    #[test]
-    fn faster_links_are_faster() {
-        assert!(tx_time_ps(1024, 10.0) < tx_time_ps(1024, 2.5));
-        assert_eq!(tx_time_ps(1024, 10.0), 1024 * BYTE_TIME_PS / 4);
+        assert_eq!(wire_time_ps(1024), 1024 * BYTE_TIME_PS);
+        assert_eq!(ps_to_us(wire_time_ps(1024)), 3.2768);
     }
 
     #[test]

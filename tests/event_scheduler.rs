@@ -2,10 +2,11 @@
 //! and peeks the exact same `(time, seq, payload)` stream as the reference
 //! binary-heap [`HeapQueue`] under randomized interleavings — same-tick
 //! bursts (the determinism tie-break), pushes landing exactly on bucket
-//! boundaries, far-future times that traverse the overflow heap and
-//! migrate back onto the wheel, peeks that advance the cursor, pushes that
-//! then land *behind* it, scrambled intrinsic keys, and thousands of keys
-//! inside one bucket window.
+//! boundaries, gaps of hundreds of empty buckets that the cursor jumps
+//! (across bitmap words and round the ring), far-future times that
+//! traverse the overflow heap and migrate back onto the wheel, peeks that
+//! advance the cursor, pushes that then land *behind* it, scrambled
+//! intrinsic keys, and thousands of keys inside one bucket window.
 //!
 //! Driven by `ib_runtime::check`: cases generate from a deterministic
 //! seed (override with `CHECK_SEED=<u64>` to replay a failure), failing
@@ -51,15 +52,28 @@ enum Op {
     },
 }
 
+/// Buckets on the wheel.
+const BUCKETS: u64 = HORIZON_PS / BUCKET_WIDTH_PS;
+
 /// Delta families the wheel must handle: same-tick, sub-bucket, exact
-/// bucket boundaries, near-horizon, and past-horizon (overflow path).
+/// bucket boundaries, near-horizon, past-horizon (overflow path), and
+/// gaps of many empty buckets for the cursor to jump — whole 64-bucket
+/// bitmap words among them, and gaps that wrap the ring.
 fn gen_delta(g: &mut check::Gen) -> SimTime {
-    match g.u64_in(0..6) {
+    match g.u64_in(0..7) {
         0 => 0,
         1 => g.u64_in(1..64),
         2 => BUCKET_WIDTH_PS * g.u64_in(0..3),
         3 => g.u64_in(0..4 * BUCKET_WIDTH_PS),
         4 => HORIZON_PS - g.u64_in(0..2 * BUCKET_WIDTH_PS),
+        5 => {
+            let buckets = if g.u64_in(0..3) == 0 {
+                64 * g.u64_in(1..BUCKETS / 64 + 1)
+            } else {
+                g.u64_in(5..BUCKETS + 1)
+            };
+            buckets * BUCKET_WIDTH_PS + g.u64_in(0..BUCKET_WIDTH_PS)
+        }
         _ => HORIZON_PS + g.u64_in(0..3 * HORIZON_PS),
     }
 }
