@@ -48,12 +48,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 # and the fig_* set) must match its second run *and* the copy committed
 # under tests/golden/smoke/, so "simulated behaviour unchanged" is a
 # gate: a change that moves a figure on purpose re-captures the golden in
-# the same commit. fig_scale records the host's CPU count, the one field
-# allowed to differ. `golden_diff <bin> full` compares against
+# the same commit. `golden_diff <bin> full` compares against
 # tests/golden/full/ instead (fig_rekey's 1024-QP run).
 golden_diff() {
-  diff <(sed -E 's/"host_cpus":[0-9]+,//' "tests/golden/${2:-smoke}/$1.json") \
-       <(sed -E 's/"host_cpus":[0-9]+,//' "BENCH_$1.json")
+  diff "tests/golden/${2:-smoke}/$1.json" "BENCH_$1.json"
 }
 smoke_twice() {
   echo "== $1 smoke (twice: byte-identical to each other and to the golden) =="
@@ -75,11 +73,13 @@ echo "== every bench binary rejects an argument it does not take =="
 # Each binary but jsonck (which takes file paths) parses its command line
 # through bench::parse_args. An unknown flag must fail the run before it
 # writes anything, so a misspelled or retired flag never runs the default
-# grid as if asked.
+# grid as if asked. The list is every crates/bench/src/bin/*.rs, so a
+# binary added later is checked without anyone listing it here.
 reject_dir=$(mktemp -d)
 bin_dir="$PWD/target/release"
-for bin in ablations fig1 fig5 fig6 fig_rdma fig_rekey fig_replay fig_scale \
-           mac_table4 sim_engine table1 table2 table3 table4; do
+for src in crates/bench/src/bin/*.rs; do
+  bin=$(basename "$src" .rs)
+  [ "$bin" = jsonck ] && continue
   if (cd "$reject_dir" && "$bin_dir/$bin" --no-such-flag) > /dev/null 2>&1; then
     echo "$bin accepted --no-such-flag"; exit 1
   fi
@@ -161,29 +161,13 @@ echo "== fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to
 cargo run -q --release --offline -p bench --bin fig_rekey
 golden_diff fig_rekey full
 
-# The scale-out gate: generated mesh and fat-tree fabrics, ECMP
-# routing, packet vs flow-level engines. The binary's own asserts require
-# every flow to complete on every fabric (a routing or credit bug
-# deadlocks or strands flows) and the two engines to agree on the
-# calibration mesh; the byte-diff pins topology generation, ECMP hashing
-# and the max-min solver to the seed (wall-clock fields are zeroed in
+# The scale-out gate: generated mesh and fat-tree fabrics with ECMP
+# routing on the packet engine. The binary's own asserts require every
+# flow to complete on every fabric (a routing or credit bug deadlocks or
+# strands flows); the byte-diff pins topology generation, ECMP hashing
+# and every completion time to the seed (wall-clock fields are zeroed in
 # smoke mode so the diff can hold).
 smoke_twice fig_scale
-
-echo "== parallel engine vs serial (fig_scale smoke at IB_THREADS=1 and 4) =="
-# fig_scale runs every packet arm through both engines and asserts
-# identical completions, event counts and arena high-waters in-binary;
-# across the two IB_THREADS runs the only JSON deltas allowed are the
-# recorded thread axis itself, which the filter strips.
-IB_THREADS=1 cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
-mv BENCH_fig_scale.json BENCH_fig_scale.t1.json
-IB_THREADS=4 cargo run -q --release --offline -p bench --bin fig_scale -- --smoke
-strip_thread_axis() {
-  sed -E 's/"threads":\[?[0-9]+\]?,//g; s/"ib_threads_env":("[^"]*"|null),//g' "$1"
-}
-diff <(strip_thread_axis BENCH_fig_scale.t1.json) \
-     <(strip_thread_axis BENCH_fig_scale.json)
-rm BENCH_fig_scale.t1.json
 
 echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gates) =="
 # The binary's own asserts gate (a) both scheduler arms popping the

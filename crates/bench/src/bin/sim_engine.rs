@@ -14,10 +14,11 @@
 //! * `scheduler/burst-B` — B keys inside one bucket window, drained with
 //!   a same-window push after every fourth pop, for B = 64 and 1024: the
 //!   1024-HCA fabric's injection burst, the wheel's worst case.
-//! * `engine/*` — `Simulator::run_counted` over figure-sized cells
-//!   (baseline, attack with no filtering / DPT / SIF), reporting
-//!   simulator events per wall-second; the JSON config records each
-//!   cell's event mix (events handled per event kind).
+//! * `engine/*` — `Simulator::run_counted`, the serial engine every
+//!   figure runs on, over figure-sized cells (baseline, attack with no
+//!   filtering / DPT / SIF), reporting simulator events per
+//!   wall-second; the JSON config records each cell's event mix (events
+//!   handled per event kind).
 //!
 //! Both arms replay the identical op script and must pop the identical
 //! `(time, payload)` stream (asserted before anything is timed).
@@ -39,7 +40,6 @@ use ib_runtime::{Json, ToJson};
 use ib_sim::config::SimConfig;
 use ib_sim::engine::Simulator;
 use ib_sim::event::{EventQueue, HeapQueue, BUCKET_WIDTH_PS, HORIZON_PS};
-use ib_sim::parallel::ParSimulator;
 use ib_sim::time::{SimTime, MS, US};
 
 /// Scheduler arms, baseline-last display order (calendar is the product).
@@ -257,61 +257,28 @@ fn main() {
     }
 
     // ---- engine timing: whole simulations, events per wall-second ----
-    // `threads == 0` is the serial driver; non-zero cells run the same
-    // config through the sharded windowed engine (`ParSimulator`) and
-    // are asserted report-identical to their serial counterpart before
-    // their throughput is recorded.
     let cells = [
-        ("baseline", EnforcementKind::NoFiltering, 0usize, 0usize),
-        ("attack-nofilter", EnforcementKind::NoFiltering, 4, 0),
-        ("attack-dpt", EnforcementKind::Dpt, 4, 0),
-        ("attack-sif", EnforcementKind::Sif, 4, 0),
-        ("baseline-par4", EnforcementKind::NoFiltering, 0, 4),
-        ("attack-sif-par4", EnforcementKind::Sif, 4, 4),
+        ("baseline", EnforcementKind::NoFiltering, 0usize),
+        ("attack-nofilter", EnforcementKind::NoFiltering, 4),
+        ("attack-dpt", EnforcementKind::Dpt, 4),
+        ("attack-sif", EnforcementKind::Sif, 4),
     ];
     let mut engine_events: Vec<u64> = Vec::new();
     let mut engine_mix: Vec<Json> = Vec::new();
-    let mut serial_reports: Vec<(EnforcementKind, usize, String)> = Vec::new();
-    for &(label, kind, attackers, threads) in &cells {
+    for &(label, kind, attackers) in &cells {
         let mut events = 0u64;
         let mut ns: Vec<f64> = Vec::new();
-        let mut report_json = String::new();
         for _ in 0..engine_reps {
-            let cfg = engine_cfg(kind, attackers, engine_ps);
-            if threads == 0 {
-                let sim = Simulator::new(cfg);
-                let start = Instant::now();
-                let (report, n) = sim.run_counted();
-                ns.push(start.elapsed().as_nanos() as f64);
-                report_json = report.to_json().to_string();
-                std::hint::black_box(report);
-                events = n; // identical every rep (determinism)
-            } else {
-                let mut sim = ParSimulator::with_threads(cfg, threads);
-                let start = Instant::now();
-                let report = sim.run();
-                ns.push(start.elapsed().as_nanos() as f64);
-                report_json = report.to_json().to_string();
-                std::hint::black_box(report);
-                events = sim.events_processed();
-            }
+            let sim = Simulator::new(engine_cfg(kind, attackers, engine_ps));
+            let start = Instant::now();
+            let (report, n) = sim.run_counted();
+            ns.push(start.elapsed().as_nanos() as f64);
+            std::hint::black_box(report);
+            events = n; // identical every rep (determinism)
         }
-        if threads == 0 {
-            serial_reports.push((kind, attackers, report_json));
-        } else {
-            let (_, _, serial) = serial_reports
-                .iter()
-                .find(|(k, a, _)| *k == kind && *a == attackers)
-                .expect("parallel cells follow their serial counterpart");
-            assert_eq!(
-                serial, &report_json,
-                "{label}: sharded engine report diverged from serial"
-            );
-        }
-        // The event mix, from one more untimed serial run: `run_counted`
+        // The event mix, from one more untimed run: `run_counted`
         // consumes its simulator, so this one drains through the
-        // co-simulation call, which leaves it readable. Both drivers count
-        // the same events.
+        // co-simulation call, which leaves it readable.
         let mut sim = Simulator::new(engine_cfg(kind, attackers, engine_ps));
         sim.run_hosts_until(SimTime::MAX);
         assert_eq!(sim.events_processed(), events, "{label}: event count");
@@ -379,11 +346,7 @@ fn main() {
             ("burst_keys", (burst_keys as u64).to_json()),
             (
                 "engine_cells",
-                Json::arr(cells.iter().map(|&(l, _, _, _)| l.to_json())),
-            ),
-            (
-                "engine_threads",
-                Json::arr(cells.iter().map(|&(_, _, _, t)| (t as u64).to_json())),
+                Json::arr(cells.iter().map(|&(l, _, _)| l.to_json())),
             ),
             (
                 "engine_events",

@@ -7,8 +7,8 @@
 //!
 //! [`scope_map_dynamic`] spawns scoped threads once per sweep: its cells
 //! each simulate for milliseconds, so the spawn is noise. The parallel
-//! packet engine (`ib_sim::parallel`) spawns its own scoped workers once
-//! per run; every lookahead window of that run executes inside them.
+//! packet engine (`ib_sim::ParSimulator`) spawns its own scoped workers
+//! once per run; every lookahead window of that run executes inside them.
 
 use std::sync::Mutex;
 
@@ -69,8 +69,8 @@ where
 }
 
 /// A sensible worker count for [`scope_map_dynamic`] sweeps: the
-/// `IB_THREADS` env var when set to a positive integer (CI and
-/// benchmarking control), otherwise the machine's available parallelism,
+/// `IB_THREADS` env var when set to a positive integer (to pin a
+/// sweep's worker count), otherwise the machine's available parallelism,
 /// falling back to 4.
 pub fn default_threads() -> usize {
     if let Some(n) = std::env::var("IB_THREADS")

@@ -11,21 +11,24 @@
 //! * [`Simulator`] — the serial oracle: one merged event queue, events
 //!   popped in global `(time, seq)` key order; its handlers schedule
 //!   straight into that queue.
-//! * [`crate::ParSimulator`] — conservative parallel execution: handlers
-//!   stage, and the driver routes each staged event to its domain's own
-//!   queue or a peer's mailbox. Domains synchronize in lookahead windows
-//!   `[T, T+W)` where `W` is the minimum cross-domain latency
-//!   (propagation delay, trap latency, filter-program latency) and `T` is
-//!   the global minimum pending-event time. Any event a domain emits at
-//!   `now` lands at `≥ now + W` when it crosses a domain boundary, so
+//! * [`crate::ParSimulator`] — conservative parallel execution, run by
+//!   its own tests and the end-to-end benchmark package (every figure
+//!   runs on `Simulator`): handlers stage, and the driver routes each
+//!   staged event to its domain's own queue or a peer's mailbox. Domains
+//!   synchronize in lookahead windows `[T, T+W)` where `W` is the
+//!   minimum cross-domain latency (propagation delay, trap latency,
+//!   filter-program latency; unbounded on a one-domain fabric) and `T`
+//!   is the global minimum pending-event time. Any event a domain emits
+//!   at `now` lands at `≥ now + W` when it crosses a domain boundary, so
 //!   processing each window independently per domain is exact, not
 //!   approximate.
 //!
 //! Determinism is engine-independent: every event carries an *intrinsic*
 //! key `(time, origin_entity_id << 32 | per-origin seq)` and every RNG
 //! draw comes from a per-node stream, so the two drivers produce
-//! bit-identical reports at any thread count — the contract the
-//! `ci.sh` byte-diff gates and `tests/parallel_equivalence.rs` enforce.
+//! bit-identical reports at any thread count — the contract
+//! `tests/parallel_equivalence.rs` and the `parallel` module's tests
+//! enforce.
 //!
 //! ## Model summary
 //!
@@ -318,11 +321,11 @@ pub(crate) struct Shared {
     pub(crate) local_node: Vec<u32>,
     /// The domain hosting the SM ([`SM_NODE`]'s domain).
     pub(crate) sm_domain: usize,
-    /// Conservative lookahead window `W` ([`LOOKAHEAD`]): every
-    /// cross-domain emission is due at least `W` after the emitting
-    /// domain's clock. `None` when a single domain exists — drivers then
-    /// run a plain merge.
-    pub(crate) lookahead: Option<SimTime>,
+    /// Conservative lookahead window `W`: [`LOOKAHEAD`] with more than
+    /// one domain, so every cross-domain emission is due at least `W`
+    /// after the emitting domain's clock; unbounded with one, whose run
+    /// is then a single window.
+    pub(crate) lookahead: SimTime,
     /// Precomputed half-open attack windows, sorted and disjoint.
     pub(crate) attack_windows: Vec<(SimTime, SimTime)>,
     /// Directed-link index → index into its owning domain's fault
@@ -466,7 +469,7 @@ pub(crate) fn push_ev(
         ev
     } else {
         debug_assert!(
-            sh.lookahead.is_none_or(|w| at >= dom.now + w),
+            at >= dom.now.saturating_add(sh.lookahead),
             "cross-domain event due inside the lookahead window"
         );
         match ev {
@@ -634,7 +637,7 @@ impl SimCore {
             node_count[d] += 1;
         }
         let sm_domain = dom_of_node[SM_NODE];
-        let lookahead = (nd > 1).then_some(LOOKAHEAD);
+        let lookahead = if nd > 1 { LOOKAHEAD } else { SimTime::MAX };
 
         // ---- switches, grouped into their domains ----
         let all_pkeys: Vec<PKey> = (0..partitions.len()).map(pkey_of).collect();

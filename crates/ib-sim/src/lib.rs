@@ -35,7 +35,7 @@ pub mod event;
 pub(crate) mod fattree;
 pub(crate) mod fault;
 pub(crate) mod metrics;
-pub mod parallel;
+pub(crate) mod parallel;
 pub mod time;
 pub mod topology;
 pub(crate) mod traffic;

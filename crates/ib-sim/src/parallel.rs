@@ -5,7 +5,7 @@
 //! domains on scoped worker threads, spawned once per `run()` and
 //! synchronized in **lookahead windows** (Chandy–Misra–Bryant-style
 //! conservative synchronization, specialized to barrier-synchronous
-//! rounds):
+//! rounds). `run` has one loop:
 //!
 //! 1. `T` = the global minimum pending-event time (over every domain
 //!    queue and in-flight mailbox) — the horizon jump, so idle stretches
@@ -14,13 +14,15 @@
 //!    intrinsic key order, where `W` is `Shared::lookahead` — the
 //!    minimum latency any cross-domain event carries (link propagation
 //!    for packet handoffs and credit returns, trap/program latency for
-//!    the SM loop). Events bound for another domain are pushed into that
-//!    domain's mailbox under a short lock.
+//!    the SM loop), or unbounded on a one-domain fabric, whose whole run
+//!    is then one window. Events bound for another domain are pushed
+//!    into that domain's mailbox under a short lock.
 //! 3. A barrier; worker 0 recomputes `T` and opens the next round.
 //!
 //! Every window of a run executes inside the same workers, on an atomic
 //! spin barrier; each worker owns its slice of the domains by value and
-//! hands it back when it joins.
+//! hands it back when it joins. One thread, or one domain, is the same
+//! loop on one worker.
 //!
 //! Because a cross-domain event emitted at `t` is due no earlier than
 //! `t + W ≥ T + W`, nothing a peer does during a window can affect this
@@ -32,8 +34,9 @@
 //! The domain decomposition, every event's intrinsic key, every per-node
 //! RNG draw, and the fixed-order report merge are all identical to the
 //! serial engine, so `run()` returns bit-identical results at any thread
-//! count — a property `tests/parallel_equivalence.rs` and the `ci.sh`
-//! byte-diff gates enforce.
+//! count — the property this module's tests and
+//! `tests/parallel_equivalence.rs` check. No figure runs on this driver;
+//! its callers are those tests and the end-to-end benchmark package.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -87,9 +90,8 @@ fn relax(spins: &mut u32) {
 
 /// The parallel driver. Construction, posting and reporting mirror
 /// [`Simulator`]; only `run` differs — it executes the domains on scoped
-/// worker threads (or falls back to an in-place D-way merge
-/// when parallelism can't help: one thread, one domain, or zero
-/// lookahead).
+/// worker threads, `threads` of them at most and never more than there
+/// are domains.
 pub struct ParSimulator {
     core: SimCore,
     /// One calendar queue per domain, index-aligned with `core.domains`.
@@ -99,8 +101,8 @@ pub struct ParSimulator {
 }
 
 impl ParSimulator {
-    /// Build with an explicit thread-count cap. `threads == 1` is the
-    /// serial D-way merge — still the sharded core, just no threads.
+    /// Build with an explicit thread-count cap. `threads == 1` runs the
+    /// same windows on one worker.
     pub fn with_threads(cfg: SimConfig, threads: usize) -> ParSimulator {
         let core = SimCore::new(cfg);
         let queues = (0..core.shared.num_domains)
@@ -139,11 +141,7 @@ impl ParSimulator {
     pub fn run(&mut self) -> SimReport {
         assert!(!self.finished, "run called twice");
         self.finished = true;
-        let workers = self.threads.min(self.core.shared.num_domains);
-        match self.core.shared.lookahead {
-            Some(w) if workers > 1 => self.run_windowed(workers, w),
-            _ => self.run_merged(),
-        }
+        self.run_windowed(self.threads.min(self.core.shared.num_domains));
         self.core.finalize_flows();
         if cfg!(debug_assertions) {
             self.core.assert_quiescent();
@@ -166,52 +164,10 @@ impl ParSimulator {
         &self.core.flows
     }
 
-    /// Fallback driver: pop the globally minimal key across the per-domain
-    /// queues. Exactly the serial engine's order (each event lives in its
-    /// target's queue, and per-domain key order is a refinement of the
-    /// global one), without threads or windows.
-    ///
-    /// The per-domain heads are tracked in a lazy min-heap rather than a
-    /// linear scan: an entry is pushed whenever a domain's head changes
-    /// (after a pop, or when a routed event becomes the new head), and a
-    /// popped entry that no longer matches its domain's head is simply
-    /// discarded — every current head always has a live entry.
-    fn run_merged(&mut self) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heads: BinaryHeap<Reverse<(crate::event::EventKey, usize)>> = self
-            .queues
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(d, q)| q.peek_key().map(|k| Reverse((k, d))))
-            .collect();
-        while let Some(Reverse((key, d))) = heads.pop() {
-            match self.queues[d].peek_key() {
-                Some(cur) if cur == key => {}
-                _ => continue, // stale entry; the real head has its own
-            }
-            let (key, ev) = self.queues[d].pop_keyed().unwrap();
-            let dom = &mut self.core.domains[d];
-            dom.begin(key.time, &ev);
-            Ctx::staged(&self.core.shared, dom).handle(ev);
-            for m in dom.out.drain(..) {
-                let t = m.target;
-                let prev = self.queues[t].peek_key();
-                self.queues[t].push_keyed(m.at, m.seq, m.ev);
-                let now_head = self.queues[t].peek_key().unwrap();
-                if prev != Some(now_head) {
-                    heads.push(Reverse((now_head, t)));
-                }
-            }
-            if let Some(next) = self.queues[d].peek_key() {
-                heads.push(Reverse((next, d)));
-            }
-        }
-    }
-
     /// The windowed parallel protocol described in the module docs.
-    fn run_windowed(&mut self, workers: usize, w: SimTime) {
+    fn run_windowed(&mut self, workers: usize) {
         let nd = self.core.shared.num_domains;
+        let w = self.core.shared.lookahead;
         let mut t0 = SimTime::MAX;
         for q in self.queues.iter_mut() {
             if let Some(k) = q.peek_key() {
@@ -395,8 +351,18 @@ mod tests {
 
     #[test]
     fn mesh_matches_serial_at_many_thread_counts() {
-        for threads in [1, 2, 4, 7] {
-            assert_identical(quick_cfg(), threads);
+        // The 2×2 mesh is one tile, so one domain: its whole run is a
+        // single unbounded window on one worker, whatever the thread cap.
+        // One partition gives its four hosts peers to send to.
+        let one_domain = SimConfig {
+            mesh_dim: 2,
+            num_partitions: 1,
+            ..quick_cfg()
+        };
+        for cfg in [quick_cfg(), one_domain] {
+            for threads in [1, 2, 4, 7] {
+                assert_identical(cfg.clone(), threads);
+            }
         }
     }
 
@@ -437,14 +403,20 @@ mod tests {
         let mut serial = Simulator::new(cfg.clone());
         post(&mut |s, d, b| serial.post_flow(s, d, b));
         serial.run_hosts_until(SimTime::MAX);
-        let mut par = ParSimulator::with_threads(cfg, 4);
-        post(&mut |s, d, b| par.post_flow(s, d, b));
-        par.run();
         let sf: Vec<_> = serial.flows().iter().map(|f| f.completed_at).collect();
-        let pf: Vec<_> = par.flows().iter().map(|f| f.completed_at).collect();
-        assert_eq!(sf, pf, "flow completion times diverged");
         assert!(sf.iter().all(|c| c.is_some()));
-        assert_eq!(serial.peak_packets(), par.peak_packets());
+        for threads in [1, 4] {
+            let mut par = ParSimulator::with_threads(cfg.clone(), threads);
+            post(&mut |s, d, b| par.post_flow(s, d, b));
+            par.run();
+            let pf: Vec<_> = par.flows().iter().map(|f| f.completed_at).collect();
+            assert_eq!(
+                sf, pf,
+                "flow completion times diverged at {threads} threads"
+            );
+            assert_eq!(serial.peak_packets(), par.peak_packets());
+            assert_eq!(serial.events_processed(), par.events_processed());
+        }
     }
 
     #[test]

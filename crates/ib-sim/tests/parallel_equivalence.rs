@@ -40,7 +40,7 @@ fn gen_case(g: &mut Gen) -> Case {
     Case {
         seed: g.u64(),
         topo: gen_topo(g),
-        mesh_dim: g.usize_in(3..5),
+        mesh_dim: g.usize_in(2..5),
         attackers: g.usize_in(0..3),
         keys: match g.usize_in(0..3) {
             0 => AttackKeys::RandomInvalid,
