@@ -36,8 +36,9 @@ pub struct Gen {
 }
 
 impl Gen {
-    /// Build from a seed (the driver does this; tests rarely need to).
-    pub(crate) fn new(seed: Seed) -> Self {
+    /// Build from a seed. The driver does this per case; a lock that
+    /// replays a fixed list of generated cases does it per line.
+    pub fn new(seed: Seed) -> Self {
         Gen { rng: seed.rng() }
     }
 
