@@ -32,6 +32,13 @@ echo "== test with IB_SIMD=off (the portable kernels, on hosts that never dispat
 # only harness with many endpoints sharing one node's keyed MACs).
 IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
+echo "== engine lock, every line (release) =="
+# tests/golden/lock/engine.txt pins Simulator::run's report on 1024
+# random topology / attack / enforcement / trap / fault configurations.
+# The plain test run above checks its first 64 lines; this leg checks
+# all of them.
+cargo test -q --release --offline -p ib-sim --test engine_lock -- --ignored full
+
 echo "== fmt =="
 cargo fmt --check
 
@@ -128,8 +135,8 @@ rm BENCH_mac_throughput.simd.json
 
 # The scheduler/arena determinism gate: a calendar-queue or packet-arena
 # bug that perturbs event order changes the averaged figure rows, so two
-# same-seed runs diverging fails CI immediately. (Serial vs parallel
-# engine on this grid is a cargo test: tests/experiment_shapes.rs.)
+# same-seed runs diverging fails CI immediately. (The engine lock leg
+# above pins the engine on random configurations beyond this grid.)
 smoke_twice fig1
 
 # The paper's enforcement and authentication figures on the same mesh:

@@ -2,8 +2,8 @@
 //! grows. A seeded random permutation of bulk flows crosses each
 //! generated fabric (2-D mesh, k-ary fat-tree) on the serial packet
 //! engine (credits, arbitration, store-and-forward), reporting flow
-//! completion percentiles, makespan, events handled and the packet
-//! arena's high-water.
+//! completion percentiles, makespan, events handled and the most packets
+//! in flight at once.
 //!
 //! Full mode climbs to 1024 HCAs (fat-tree k=16 → 1024 hosts) and
 //! reports wall time and events per wall-second. Smoke mode keeps the
@@ -89,7 +89,8 @@ struct Run {
     completions_ps: Vec<f64>,
     /// Scheduler events handled.
     events: u64,
-    /// Packet-arena high-water slots.
+    /// The most packets in flight at once (`Simulator::peak_packets`,
+    /// the packet arena's high-water mark).
     peak_mem_items: u64,
     wall_ms: f64,
 }

@@ -6,9 +6,8 @@
 //! scoped-thread dependency with the standard library's scoped threads.
 //!
 //! [`scope_map_dynamic`] spawns scoped threads once per sweep: its cells
-//! each simulate for milliseconds, so the spawn is noise. The parallel
-//! packet engine (`ib_sim::ParSimulator`) spawns its own scoped workers
-//! once per run; every lookahead window of that run executes inside them.
+//! each simulate for milliseconds, so the spawn is noise. One simulation
+//! runs on one thread.
 
 use std::sync::Mutex;
 

@@ -166,7 +166,7 @@ impl ArbitrationPolicy {
 pub enum AuthMode {
     /// No authentication ("No Key").
     None,
-    /// Partition-level key management: secrets pre-distributed by the SM,
+    /// Key management per partition: secrets pre-distributed by the SM,
     /// so only the per-message MAC cycles are charged.
     PartitionLevel,
     /// QP-level key management: additionally one round-trip key exchange

@@ -1,34 +1,17 @@
 //! The discrete-event simulation engine.
 //!
-//! The simulation state is sharded into **event domains** — one calendar
-//! queue's worth of switches and HCAs per topology partition (fat-tree
-//! pod, mesh 2×2 tile; see [`Topology::partition`]).
-//! Handlers (`Ctx`) mutate exactly one `Domain` and hand every event they
-//! schedule to `push_ev`, which either pushes it into the queue the `Ctx`
-//! carries or stages it in `Domain::out` for a *driver* to route. Two
-//! drivers share the core:
+//! One core runs every simulation: [`Simulator`] owns one calendar
+//! queue, one packet arena, one stats record and the switch and HCA
+//! state vectors, indexed by global switch and node id. Handlers (`Ctx`)
+//! read the immutable `Shared` tables, mutate the `State`, and push what
+//! they schedule straight into the queue through `Ctx::push`.
 //!
-//! * [`Simulator`] — the serial oracle: one merged event queue, events
-//!   popped in global `(time, seq)` key order; its handlers schedule
-//!   straight into that queue.
-//! * [`crate::ParSimulator`] — conservative parallel execution, run by
-//!   its own tests and the end-to-end benchmark package (every figure
-//!   runs on `Simulator`): handlers stage, and the driver routes each
-//!   staged event to its domain's own queue or a peer's mailbox. Domains
-//!   synchronize in lookahead windows `[T, T+W)` where `W` is the
-//!   minimum cross-domain latency (propagation delay, trap latency,
-//!   filter-program latency; unbounded on a one-domain fabric) and `T`
-//!   is the global minimum pending-event time. Any event a domain emits
-//!   at `now` lands at `≥ now + W` when it crosses a domain boundary, so
-//!   processing each window independently per domain is exact, not
-//!   approximate.
-//!
-//! Determinism is engine-independent: every event carries an *intrinsic*
-//! key `(time, origin_entity_id << 32 | per-origin seq)` and every RNG
-//! draw comes from a per-node stream, so the two drivers produce
-//! bit-identical reports at any thread count — the contract
-//! `tests/parallel_equivalence.rs` and the `parallel` module's tests
-//! enforce.
+//! Determinism: every event carries an *intrinsic* key `(time,
+//! origin_entity_id << 32 | per-origin seq)`, every runtime RNG draw
+//! comes from a per-node stream and every fault decision from a
+//! per-link stream, so the same seed replays the same report bit for
+//! bit, and no draw depends on how unrelated events interleave.
+//! `tests/engine_lock.rs` pins the reports of 1024 random configurations.
 //!
 //! ## Model summary
 //!
@@ -53,10 +36,9 @@
 //! * **Attack schedule** — precomputed at construction into half-open
 //!   `[start, end)` windows from a dedicated seed stream; attacker
 //!   `Generate` chains start at each window's opening and die at its
-//!   close. No global toggle event exists, so domains never need to
-//!   agree on shared mutable attack state.
+//!   close. No toggle event exists.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ib_runtime::{Json, Rng, ToJson};
 
@@ -79,25 +61,16 @@ use crate::event::{Event, EventKey, EventQueue, SimPacket, EVENT_KINDS};
 use crate::fault::{FaultInjector, FaultOutcome};
 use crate::metrics::ClassStats;
 use crate::time::{wire_time_ps, SimTime};
-use crate::topology::{flow_hash, Partition, Peer, Topology};
+use crate::topology::{flow_hash, Peer, Topology};
 use crate::traffic::{exp_gap, TrafficClass};
 
 /// Seed-stream index for the attack-window schedule. Node streams use
 /// indices `0..n` and `n ≤ 0xFFFE` (16-bit LIDs), so this never collides.
 const ATTACK_WINDOW_STREAM: u64 = 0x0002_0000;
 
-/// Conservative lookahead `W`: the smallest latency any cross-domain
-/// event class can carry. Propagation bounds SwitchArrive and the credit
-/// returns; the trap and program latencies bound the SM loop.
-const LOOKAHEAD: SimTime = PROPAGATION_DELAY;
-const _: () = assert!(
-    LOOKAHEAD > 0 && LOOKAHEAD <= TRAP_LATENCY && LOOKAHEAD <= PROGRAM_LATENCY,
-    "the lookahead must be the smallest cross-domain latency"
-);
-
 /// Per-switch runtime state. The per-(port, VL) tables are flat,
 /// indexed `[port * NUM_VLS + vl]`.
-pub(crate) struct SwitchState {
+struct SwitchState {
     /// Input buffers, by input port and VL.
     in_q: Vec<VecDeque<QueuedPacket>>,
     /// By output port and VL: the set of input ports (bit `in_port`)
@@ -116,9 +89,8 @@ pub(crate) struct SwitchState {
     /// Consecutive high-priority grants per output port (weighted
     /// arbitration state).
     high_grants: Vec<u32>,
-    /// The partition-enforcement engine this switch runs (`Send` so whole
-    /// domains can migrate onto worker threads).
-    enforcement: Box<dyn PartitionEnforcer + Send>,
+    /// The partition-enforcement engine this switch runs.
+    enforcement: Box<dyn PartitionEnforcer>,
     /// Per-origin event sequence counter (intrinsic-key tie-break).
     oseq: u32,
 }
@@ -133,7 +105,7 @@ struct QueuedPacket {
 }
 
 /// Per-HCA runtime state.
-pub(crate) struct HcaState {
+struct HcaState {
     /// Per-VL send queues (paired with each packet's earliest-ready time,
     /// which models the QP-level key-exchange hold).
     send_q: Vec<VecDeque<(PacketRef, SimTime)>>,
@@ -150,7 +122,7 @@ pub(crate) struct HcaState {
     backoff_skips: u64,
     /// This node's private RNG stream (`seed.stream(node)`): jitter,
     /// inter-arrival gaps, peer choice, attack targeting. Node-local
-    /// streams make every draw independent of cross-domain event order.
+    /// streams make every draw independent of other nodes' event order.
     rng: Rng,
     /// Per-origin event sequence counter (intrinsic-key tie-break).
     oseq: u32,
@@ -209,24 +181,6 @@ impl SimReport {
         s.stddev()
     }
 
-    /// Merge another report's accumulators into this one (domain-order
-    /// merge of per-domain stats; `attack_active_fraction` is derived by
-    /// the caller, not summed).
-    pub(crate) fn merge(&mut self, other: &SimReport) {
-        self.realtime.merge(&other.realtime);
-        self.best_effort.merge(&other.best_effort);
-        self.attack.merge(&other.attack);
-        self.mgmt_delivered += other.mgmt_delivered;
-        self.filter_drops += other.filter_drops;
-        self.hca_blocked += other.hca_blocked;
-        self.traps += other.traps;
-        self.backoff_skips += other.backoff_skips;
-        self.generated += other.generated;
-        self.lookup_cycles += other.lookup_cycles;
-        self.link_drops += other.link_drops;
-        self.corrupt_drops += other.corrupt_drops;
-    }
-
     /// JSON object form (for `BENCH_*.json`-style result files).
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -263,6 +217,8 @@ pub struct FlowRecord {
     /// Delivery time of the flow's last packet; `None` while in flight
     /// (or forever, if a fault dropped one of its packets).
     pub completed_at: Option<SimTime>,
+    /// Packets not yet delivered.
+    remaining: usize,
 }
 
 /// A host-injected packet delivered at its destination HCA: the wire
@@ -281,57 +237,35 @@ pub struct HostDelivery {
     pub bytes: Vec<u8>,
 }
 
-// --------------------------------------------------------------- sharded core
+// ------------------------------------------------------------------- core
 
-/// Immutable state every domain reads: config, topology, layout tables,
-/// the partition/attacker assignment, the domain decomposition and the
-/// precomputed attack schedule. Shared by reference across worker threads.
-pub(crate) struct Shared {
-    pub(crate) cfg: SimConfig,
-    pub(crate) topo: Box<dyn Topology>,
-    pub(crate) n_nodes: usize,
-    pub(crate) n_switches: usize,
-    pub(crate) radix: usize,
+/// Immutable state every handler reads: config, topology, layout tables,
+/// the partition/attacker assignment and the precomputed attack schedule.
+struct Shared {
+    cfg: SimConfig,
+    topo: Box<dyn Topology>,
+    n_nodes: usize,
+    n_switches: usize,
+    radix: usize,
     /// node → its `(switch, port)` attachment.
-    pub(crate) attach: Vec<(usize, usize)>,
+    attach: Vec<(usize, usize)>,
     /// Flattened `[switch * radix + port]` — true where an HCA hangs off
     /// the port (the enforcement layer's edge/ingress distinction).
-    pub(crate) is_host_port: Vec<bool>,
+    is_host_port: Vec<bool>,
     /// Flattened `[switch * radix + port]` — what the port connects to
     /// (the topology's `peer`, looked up once instead of on every hop).
-    pub(crate) peers: Vec<Peer>,
-    pub(crate) attackers: Vec<usize>,
+    peers: Vec<Peer>,
+    attackers: Vec<usize>,
     /// Per-attacker invalid P_Key(s).
-    pub(crate) attacker_pkey: Vec<PKey>,
+    attacker_pkey: Vec<PKey>,
     /// partition id → member nodes.
-    pub(crate) partitions: Vec<Vec<usize>>,
+    partitions: Vec<Vec<usize>>,
     /// node → partition id.
-    pub(crate) node_partition: Vec<usize>,
-    pub(crate) mtu_tx: SimTime,
-    pub(crate) auth_delay: SimTime,
-    /// Number of event domains (the topology's *natural* partition —
-    /// both engines always use it, so thread count never changes the
-    /// decomposition or any result derived from it).
-    pub(crate) num_domains: usize,
-    pub(crate) dom_of_switch: Vec<usize>,
-    pub(crate) dom_of_node: Vec<usize>,
-    /// switch → index within its domain's `switches`.
-    pub(crate) local_switch: Vec<u32>,
-    /// node → index within its domain's `hcas`.
-    pub(crate) local_node: Vec<u32>,
-    /// The domain hosting the SM ([`SM_NODE`]'s domain).
-    pub(crate) sm_domain: usize,
-    /// Conservative lookahead window `W`: [`LOOKAHEAD`] with more than
-    /// one domain, so every cross-domain emission is due at least `W`
-    /// after the emitting domain's clock; unbounded with one, whose run
-    /// is then a single window.
-    pub(crate) lookahead: SimTime,
+    node_partition: Vec<usize>,
+    mtu_tx: SimTime,
+    auth_delay: SimTime,
     /// Precomputed half-open attack windows, sorted and disjoint.
-    pub(crate) attack_windows: Vec<(SimTime, SimTime)>,
-    /// Directed-link index → index into its owning domain's fault
-    /// injectors (empty when the fault layer is off). Global stream
-    /// indices are preserved, so fault decisions are partition-invariant.
-    pub(crate) fault_local: Vec<u32>,
+    attack_windows: Vec<(SimTime, SimTime)>,
 }
 
 impl Shared {
@@ -347,162 +281,48 @@ impl Shared {
     }
 }
 
-/// One event domain's mutable state: its switches and HCAs (dense local
-/// indexing), its own packet arena, stats shard, and the staging buffer
-/// for events scheduled outside the serial driver's dispatch.
-pub(crate) struct Domain {
-    pub(crate) idx: usize,
-    /// This domain's clock: the time of the event currently being handled.
-    pub(crate) now: SimTime,
-    pub(crate) switches: Vec<SwitchState>,
-    pub(crate) hcas: Vec<HcaState>,
-    /// The subnet manager lives in exactly one domain (`sm_domain`).
-    pub(crate) sm: Option<SubnetManager>,
-    pub(crate) arena: PacketArena,
-    /// Fault injectors owned by this domain (`None` ⇔ fault layer off).
-    pub(crate) faults: Option<Vec<FaultInjector>>,
-    pub(crate) stats: SimReport,
-    /// Packets that reached a legitimate receive or the host hook here,
+/// The simulation's mutable state: every switch and HCA (indexed by
+/// global id), the SM, the packet arena, the fault streams, the stats
+/// record, the flow records and the host inbox.
+struct State {
+    /// The time of the event being handled (or, between
+    /// [`Simulator::run_hosts_until`] calls, the horizon reached).
+    now: SimTime,
+    switches: Vec<SwitchState>,
+    hcas: Vec<HcaState>,
+    sm: SubnetManager,
+    arena: PacketArena,
+    /// One injector per directed link, indexed as `Shared::switch_link`
+    /// counts (`None` ⇔ fault layer off).
+    faults: Option<Vec<FaultInjector>>,
+    stats: SimReport,
+    /// Packets that reached a legitimate receive or the host hook,
     /// warm-up included (a VL15 host delivery counts in
     /// `stats.mgmt_delivered` instead): the delivery term of the packet
-    /// ledger [`SimCore::assert_quiescent`] checks. Not reported.
+    /// ledger [`Simulator::assert_quiescent`] checks. Not reported.
     delivered: u64,
-    /// Events staged by handlers that have no queue to push into (the
-    /// parallel driver's, priming, `post_*`); the driver routes them
-    /// (serial: its merged queue; parallel: own queue or a peer domain's
-    /// mailbox).
-    pub(crate) out: Vec<OutMsg>,
-    /// Events handled in this domain, by kind (indexed like
-    /// [`EVENT_KINDS`]).
+    /// Events handled, by kind (indexed like [`EVENT_KINDS`]).
     events: [u64; EVENT_KINDS.len()],
     /// SM-origin event sequence counter.
     sm_oseq: u32,
-    /// flow id → packets still undelivered (registered at the
-    /// *destination's* domain, where every packet of the flow terminates).
-    flow_progress: HashMap<u32, usize>,
-    /// Flows that completed here, with their delivery times; drivers
-    /// drain this into [`FlowRecord::completed_at`].
-    pub(crate) flow_done: Vec<(u32, SimTime)>,
-    /// Host deliveries landed in this domain; the serial driver drains
-    /// them into its global inbox.
-    pub(crate) host_inbox: VecDeque<HostDelivery>,
-}
-
-impl Domain {
-    /// Advance this domain's clock to `ev`'s due time and count it.
-    pub(crate) fn begin(&mut self, now: SimTime, ev: &Event) {
-        self.now = now;
-        self.events[ev.kind()] += 1;
-    }
-}
-
-/// A staged event: absolute due time, intrinsic tie-break key, target
-/// domain. `ev` is already in cross-domain form (packet payload inlined)
-/// when `target` differs from the staging domain.
-pub(crate) struct OutMsg {
-    pub(crate) target: usize,
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) ev: Event,
+    /// Flows in posting order; a handler fills in `completed_at`.
+    flows: Vec<FlowRecord>,
+    /// Host deliveries not yet taken.
+    host_inbox: VecDeque<HostDelivery>,
 }
 
 /// Who schedules an event — determines the intrinsic key's origin id
 /// (`node`, `n_nodes + switch`, or `n_nodes + n_switches` for the SM).
 #[derive(Clone, Copy)]
-pub(crate) enum Origin {
+enum Origin {
     Node(usize),
     Switch(usize),
     Sm,
 }
 
-/// The domain an event must be handled in (the domain owning the entity
-/// it mutates).
-pub(crate) fn target_domain(sh: &Shared, ev: &Event) -> usize {
-    match *ev {
-        Event::Generate { node, .. }
-        | Event::TryInject { node }
-        | Event::HcaReceive { node, .. }
-        | Event::HcaReceiveRemote { node, .. }
-        | Event::HcaCredit { node, .. } => sh.dom_of_node[node],
-        Event::SwitchArrive { switch, .. }
-        | Event::SwitchArriveRemote { switch, .. }
-        | Event::TryForward { switch, .. }
-        | Event::SwitchCredit { switch, .. }
-        | Event::FilterProgram { switch, .. } => sh.dom_of_switch[switch],
-        Event::TrapDeliver { .. } => sh.sm_domain,
-    }
-}
-
-/// Schedule one event: compose its intrinsic key from the origin's
-/// counter, convert packet-carrying events to their `*Remote` form when
-/// they cross a domain boundary (releasing the packet from the source
-/// arena — the target inserts it into *its* arena at handling time,
-/// keeping per-domain arena high-water marks engine-independent), and
-/// push it straight into `queue` when the caller has one (the serial
-/// driver's merged queue), else stage it on `dom.out`.
-pub(crate) fn push_ev(
-    sh: &Shared,
-    dom: &mut Domain,
-    queue: Option<&mut EventQueue>,
-    origin: Origin,
-    at: SimTime,
-    ev: Event,
-) {
-    let seq = match origin {
-        Origin::Node(node) => {
-            let h = &mut dom.hcas[sh.local_node[node] as usize];
-            h.oseq += 1;
-            ((node as u64) << 32) | h.oseq as u64
-        }
-        Origin::Switch(s) => {
-            let sw = &mut dom.switches[sh.local_switch[s] as usize];
-            sw.oseq += 1;
-            (((sh.n_nodes + s) as u64) << 32) | sw.oseq as u64
-        }
-        Origin::Sm => {
-            dom.sm_oseq += 1;
-            (((sh.n_nodes + sh.n_switches) as u64) << 32) | dom.sm_oseq as u64
-        }
-    };
-    let target = target_domain(sh, &ev);
-    let ev = if target == dom.idx {
-        ev
-    } else {
-        debug_assert!(
-            at >= dom.now.saturating_add(sh.lookahead),
-            "cross-domain event due inside the lookahead window"
-        );
-        match ev {
-            Event::SwitchArrive {
-                switch,
-                port,
-                packet,
-            } => Event::SwitchArriveRemote {
-                switch,
-                port,
-                packet: Box::new(dom.arena.release(packet)),
-            },
-            Event::HcaReceive { node, packet } => Event::HcaReceiveRemote {
-                node,
-                packet: Box::new(dom.arena.release(packet)),
-            },
-            other => other,
-        }
-    };
-    match queue {
-        Some(queue) => queue.push_keyed(at, seq, ev),
-        None => dom.out.push(OutMsg {
-            target,
-            at,
-            seq,
-            ev,
-        }),
-    }
-}
-
 /// Whether the attack schedule is active at `t` (binary search over the
 /// sorted, disjoint half-open windows).
-pub(crate) fn attack_active(sh: &Shared, t: SimTime) -> bool {
+fn attack_active(sh: &Shared, t: SimTime) -> bool {
     match sh.attack_windows.binary_search_by(|w| w.0.cmp(&t)) {
         Ok(_) => true,
         Err(i) => i > 0 && t < sh.attack_windows[i - 1].1,
@@ -541,19 +361,733 @@ fn compute_attack_windows(cfg: &SimConfig) -> Vec<(SimTime, SimTime)> {
     }
 }
 
-/// The engine-agnostic simulation core: immutable [`Shared`] state plus
-/// one [`Domain`] per topology partition. Both drivers are thin loops
-/// over this — the serial one merges every domain into a single queue,
-/// the parallel one gives each domain its own and synchronizes on
-/// lookahead windows.
-pub(crate) struct SimCore {
-    pub(crate) shared: Shared,
-    pub(crate) domains: Vec<Domain>,
-    pub(crate) flows: Vec<FlowRecord>,
+/// A handler's view: the shared tables, the mutable state, and the queue
+/// everything it schedules goes into.
+struct Ctx<'a> {
+    sh: &'a Shared,
+    st: &'a mut State,
+    queue: &'a mut EventQueue,
 }
 
-impl SimCore {
-    pub(crate) fn new(cfg: SimConfig) -> SimCore {
+impl Ctx<'_> {
+    /// Schedule one event under its intrinsic key, composed from the
+    /// origin's id and per-origin counter.
+    fn push(&mut self, origin: Origin, at: SimTime, ev: Event) {
+        let st = &mut *self.st;
+        let (id, oseq) = match origin {
+            Origin::Node(node) => (node, &mut st.hcas[node].oseq),
+            Origin::Switch(s) => (self.sh.n_nodes + s, &mut st.switches[s].oseq),
+            Origin::Sm => (self.sh.n_nodes + self.sh.n_switches, &mut st.sm_oseq),
+        };
+        *oseq += 1;
+        self.queue
+            .push_keyed(at, ((id as u64) << 32) | u64::from(*oseq), ev);
+    }
+
+    /// Fate of one packet crossing directed link `link` (clean delivery
+    /// when the fault layer is disabled).
+    fn link_fault(&mut self, link: usize) -> FaultOutcome {
+        match &mut self.st.faults {
+            Some(inj) => inj[link].decide(),
+            None => FaultOutcome::Deliver {
+                corrupt: false,
+                extra_delay_ps: 0,
+            },
+        }
+    }
+
+    /// The output port the topology routes the referenced packet to at
+    /// `switch`, derived afresh — the grant-time cross-check of the port
+    /// `on_switch_arrive` stored with the queued packet.
+    fn route_of(&self, switch: usize, pref: PacketRef) -> usize {
+        let p = self.st.arena.get(pref);
+        self.sh
+            .topo
+            .route_flow(switch, p.dst, flow_hash(p.src, p.dst))
+    }
+
+    fn class_stats(&mut self, class: TrafficClass) -> &mut ClassStats {
+        match class {
+            TrafficClass::Realtime => &mut self.st.stats.realtime,
+            // Management shares the attack bucket for drop accounting; its
+            // deliveries are tracked separately in `mgmt_delivered`.
+            TrafficClass::BestEffort => &mut self.st.stats.best_effort,
+            TrafficClass::Attack | TrafficClass::Management => &mut self.st.stats.attack,
+        }
+    }
+
+    fn handle(&mut self, ev: Event) {
+        match ev {
+            Event::Generate { node, class } => self.on_generate(node, class),
+            Event::TryInject { node } => self.on_try_inject(node),
+            Event::SwitchArrive {
+                switch,
+                port,
+                packet,
+            } => self.on_switch_arrive(switch, port, packet),
+            Event::TryForward { switch, port } => self.on_try_forward(switch, port),
+            Event::HcaReceive { node, packet } => self.on_hca_receive(node, packet),
+            Event::SwitchCredit { switch, port, vl } => {
+                self.st.switches[switch].out_credits[port * NUM_VLS + vl as usize] += 1;
+                let now = self.st.now;
+                self.schedule_forward(switch, port, now);
+            }
+            Event::HcaCredit { node, vl } => {
+                self.st.hcas[node].credits[vl as usize] += 1;
+                let now = self.st.now;
+                self.schedule_inject(node, now);
+            }
+            Event::TrapDeliver { trap } => self.on_trap_deliver(trap),
+            Event::FilterProgram { switch, port, pkey } => {
+                let now = self.st.now;
+                self.st.switches[switch]
+                    .enforcement
+                    .register_invalid(now, port, pkey);
+            }
+        }
+    }
+
+    fn on_trap_deliver(&mut self, trap: Trap) {
+        self.st.stats.traps += 1;
+        if let Some(action) = self.st.sm.handle_trap(&trap) {
+            let at = self.st.now + PROGRAM_LATENCY;
+            self.push(
+                Origin::Sm,
+                at,
+                Event::FilterProgram {
+                    switch: action.switch,
+                    port: action.port,
+                    pkey: action.pkey,
+                },
+            );
+        }
+    }
+
+    // ---------------------------------------------------------------- traffic
+
+    fn on_generate(&mut self, node: usize, class: TrafficClass) {
+        let sh = self.sh;
+        let now = self.st.now;
+        match class {
+            // Management traffic is event-driven (traps), never a source.
+            TrafficClass::Management => {}
+            TrafficClass::Realtime => {
+                let gap = sh.cfg.interarrival_ps(sh.cfg.traffic.realtime_load) as SimTime;
+                if now + gap <= sh.cfg.duration {
+                    self.push(
+                        Origin::Node(node),
+                        now + gap,
+                        Event::Generate { node, class },
+                    );
+                }
+                // Back-off: a realtime source checks network headroom via
+                // its local queue depth before emitting.
+                let vl = class.vl() as usize;
+                if self.st.hcas[node].send_q[vl].len() >= sh.cfg.traffic.realtime_backoff_queue {
+                    self.st.hcas[node].backoff_skips += 1;
+                    return;
+                }
+                if let Some(dst) = self.pick_partition_peer(node) {
+                    self.emit(node, dst, class);
+                }
+            }
+            TrafficClass::BestEffort => {
+                let mean = sh.cfg.interarrival_ps(sh.cfg.traffic.best_effort_load);
+                let gap = exp_gap(&mut self.st.hcas[node].rng, mean);
+                if now + gap <= sh.cfg.duration {
+                    self.push(
+                        Origin::Node(node),
+                        now + gap,
+                        Event::Generate { node, class },
+                    );
+                }
+                if let Some(dst) = self.pick_partition_peer(node) {
+                    self.emit(node, dst, class);
+                }
+            }
+            TrafficClass::Attack => {
+                if !attack_active(sh, now) || now > sh.cfg.duration {
+                    return; // the window closed: the chain stops
+                }
+                // Full speed: next generation exactly one MTU time later.
+                self.push(
+                    Origin::Node(node),
+                    now + sh.mtu_tx,
+                    Event::Generate { node, class },
+                );
+                // Bound the attacker's own backlog so an over-driven source
+                // doesn't consume unbounded memory (its queue depth is not a
+                // measured quantity).
+                let backlog: usize = self.st.hcas[node].send_q.iter().map(VecDeque::len).sum();
+                if backlog >= 32 {
+                    return;
+                }
+                match sh.cfg.attack_keys {
+                    AttackKeys::RandomInvalid => {
+                        let n = sh.n_nodes;
+                        let mut dst = self.st.hcas[node].rng.gen_range(0..n);
+                        if dst == node {
+                            dst = (dst + 1) % n;
+                        }
+                        let idx = sh.attackers.iter().position(|a| *a == node).unwrap_or(0);
+                        let pkey = sh.attacker_pkey[idx];
+                        self.emit_with_pkey(node, dst, class, pkey);
+                    }
+                    // §7's residual attack: flood *within the attacker's own
+                    // partition* with its valid key — every check passes, so
+                    // "any ingress filtering is useless".
+                    AttackKeys::Valid => {
+                        if let Some(dst) = self.pick_partition_peer(node) {
+                            let pkey = PKey(0x8000 | (sh.node_partition[node] as u16 + 1));
+                            self.emit_with_pkey(node, dst, class, pkey);
+                        }
+                    }
+                    // §7's SM DoS: dump MAD-sized management packets at the
+                    // SM node on VL15 — they cross every partition check.
+                    AttackKeys::SmFlood => {
+                        let dst = SM_NODE;
+                        if dst != node {
+                            self.emit_management(node, dst, TrafficClass::Attack, None);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn pick_partition_peer(&mut self, node: usize) -> Option<usize> {
+        let sh = self.sh;
+        let members = &sh.partitions[sh.node_partition[node]];
+        // Peers exclude only self: victims don't know which partition
+        // members are compromised, so attacker nodes still *receive*
+        // legitimate traffic (they just don't send any, per §3.1). The
+        // sender is always a member, so it has `len - 1` peers; the draw
+        // indexes them in member order, skipping the sender.
+        let peers = members.len() - 1;
+        if peers == 0 {
+            return None;
+        }
+        let rng = &mut self.st.hcas[node].rng;
+        let i = rng.gen_range(0..peers);
+        members.iter().copied().filter(|&m| m != node).nth(i)
+    }
+
+    fn emit(&mut self, src: usize, dst: usize, class: TrafficClass) {
+        let pkey = PKey(0x8000 | (self.sh.node_partition[src] as u16 + 1));
+        self.emit_with_pkey(src, dst, class, pkey);
+    }
+
+    fn emit_with_pkey(&mut self, src: usize, dst: usize, class: TrafficClass, pkey: PKey) {
+        let sh = self.sh;
+        let now = self.st.now;
+        // Attackers spray across both data VLs ("dump tremendous traffic")
+        // so realtime and best-effort both feel the flood; legitimate
+        // traffic stays on its class VL.
+        let vl = if class == TrafficClass::Attack {
+            self.st.hcas[src].rng.gen_range(0..2)
+        } else {
+            class.vl()
+        };
+        self.st.stats.generated += 1;
+        let packet = SimPacket::new(src, dst, class, pkey, vl, sh.cfg.mtu_bytes, now);
+        // QP-level key management: first contact with a peer pays one RTT
+        // before the packet may leave (§4.3 / Figure 6).
+        let keyed = &mut self.st.hcas[src].keyed_peers;
+        let ready =
+            if sh.cfg.auth == AuthMode::QpLevel && class != TrafficClass::Attack && !keyed[dst] {
+                keyed[dst] = true;
+                now + KEY_EXCHANGE_RTT
+            } else {
+                now
+            };
+        let qvl = packet.vl as usize;
+        let pref = self.st.arena.insert(packet);
+        self.st.hcas[src].send_q[qvl].push_back((pref, ready));
+        self.schedule_inject(src, ready);
+    }
+
+    /// Emit a 256-byte MAD (+ headers) on VL15. `class` distinguishes
+    /// legitimate management traffic from an SM flood; `trap` carries the
+    /// notice for in-band trap delivery.
+    fn emit_management(&mut self, src: usize, dst: usize, class: TrafficClass, trap: Option<Trap>) {
+        let now = self.st.now;
+        self.st.stats.generated += 1;
+        // MAD payload + LRH/BTH/DETH + ICRC/VCRC.
+        let bytes = ib_packet::mad::MAD_LEN + 8 + 12 + 8 + 6;
+        let packet = SimPacket {
+            trap,
+            ..SimPacket::new(src, dst, class, PKey::DEFAULT, 15, bytes, now)
+        };
+        let pref = self.st.arena.insert(packet);
+        self.st.hcas[src].send_q[15].push_back((pref, now));
+        self.schedule_inject(src, now);
+    }
+
+    // ---------------------------------------------------------------- HCA TX
+
+    fn schedule_inject(&mut self, node: usize, at: SimTime) {
+        if !self.st.hcas[node].inject_pending {
+            self.st.hcas[node].inject_pending = true;
+            let at = at.max(self.st.now);
+            self.push(Origin::Node(node), at, Event::TryInject { node });
+        }
+    }
+
+    fn on_try_inject(&mut self, node: usize) {
+        let sh = self.sh;
+        let now = self.st.now;
+        self.st.hcas[node].inject_pending = false;
+        if now < self.st.hcas[node].tx_busy_until {
+            let at = self.st.hcas[node].tx_busy_until;
+            self.schedule_inject(node, at);
+            return;
+        }
+        // VL priority: scan data VLs from highest to lowest.
+        let mut chosen: Option<usize> = None;
+        let mut earliest_block: Option<SimTime> = None;
+        for vl in (0..NUM_VLS).rev() {
+            let Some(&(_, ready)) = self.st.hcas[node].send_q[vl].front() else {
+                continue;
+            };
+            if ready > now {
+                earliest_block = Some(earliest_block.map_or(ready, |e: SimTime| e.min(ready)));
+                continue;
+            }
+            if self.st.hcas[node].credits[vl] == 0 {
+                continue; // blocked on credits; a credit event will retry
+            }
+            chosen = Some(vl);
+            break;
+        }
+        let Some(vl) = chosen else {
+            if let Some(at) = earliest_block {
+                self.schedule_inject(node, at);
+            }
+            return;
+        };
+        let (pref, _) = self.st.hcas[node].send_q[vl].pop_front().unwrap();
+        self.st.hcas[node].credits[vl] -= 1;
+        // MAC generation occupies the sender before the first byte (§6:
+        // "one additional stage at each end node per message").
+        let start = now + sh.auth_delay;
+        let (bytes, class, pvl) = {
+            let packet = self.st.arena.get_mut(pref);
+            packet.inject_time = start;
+            (packet.bytes, packet.class, packet.vl)
+        };
+        let tx_end = start + wire_time_ps(bytes);
+        self.st.hcas[node].tx_busy_until = tx_end;
+        let arrival = tx_end + PROPAGATION_DELAY;
+        match self.link_fault(node) {
+            FaultOutcome::Drop => {
+                // The switch never sees the packet, so it can't return the
+                // buffer credit — model the slot as freeing on arrival.
+                self.st.stats.link_drops += 1;
+                self.class_stats(class).dropped += 1;
+                self.st.arena.release(pref);
+                self.push(
+                    Origin::Node(node),
+                    arrival,
+                    Event::HcaCredit { node, vl: pvl },
+                );
+            }
+            FaultOutcome::Deliver {
+                corrupt,
+                extra_delay_ps,
+            } => {
+                self.st.arena.get_mut(pref).corrupted |= corrupt;
+                let (att_sw, att_port) = sh.attach[node];
+                self.push(
+                    Origin::Node(node),
+                    arrival + extra_delay_ps,
+                    Event::SwitchArrive {
+                        switch: att_sw,
+                        port: att_port,
+                        packet: pref,
+                    },
+                );
+            }
+        }
+        // Re-evaluate once the link frees.
+        self.schedule_inject(node, tx_end);
+    }
+
+    // ------------------------------------------------------------- switching
+
+    fn on_switch_arrive(&mut self, switch: usize, port: usize, pref: PacketRef) {
+        let sh = self.sh;
+        let now = self.st.now;
+        let (pvl, src, dst, pkey, class) = {
+            let packet = self.st.arena.get(pref);
+            (packet.vl, packet.src, packet.dst, packet.pkey, packet.class)
+        };
+        let is_edge = sh.is_host_port[switch * sh.radix + port];
+        // Management packets cross partition enforcement unchecked — "a
+        // management packet can reach SM regardless of its partition" (§7),
+        // which is precisely what makes the SM-flood attack possible.
+        let check = if pvl == 15 {
+            FilterCheck {
+                decision: FilterDecision::Pass,
+                lookup_cycles: 0,
+            }
+        } else {
+            self.st.switches[switch].enforcement.check(
+                now,
+                port,
+                is_edge,
+                sh.topo.lid_of(src),
+                pkey,
+            )
+        };
+        self.st.stats.lookup_cycles += check.lookup_cycles;
+        if check.decision == FilterDecision::Drop {
+            self.st.stats.filter_drops += 1;
+            self.class_stats(class).dropped += 1;
+            self.st.arena.release(pref);
+            self.return_credit(switch, port, pvl);
+            return;
+        }
+        let vl = pvl as usize;
+        // Routed once, here: the flow hash keeps every packet of a
+        // (src, dst) flow on one path while distinct flows spread across
+        // the fabric's path diversity.
+        let out_port = sh.topo.route_flow(switch, dst, flow_hash(src, dst));
+        let sw = &mut self.st.switches[switch];
+        let q = &mut sw.in_q[port * NUM_VLS + vl];
+        q.push_back(QueuedPacket {
+            packet: pref,
+            out_port: out_port as u32,
+            lookup_cycles: check.lookup_cycles,
+        });
+        if q.len() == 1 {
+            sw.heads[out_port * NUM_VLS + vl] |= 1 << port;
+        }
+        self.schedule_forward(switch, out_port, now + SWITCH_LATENCY);
+    }
+
+    fn schedule_forward(&mut self, switch: usize, port: usize, at: SimTime) {
+        if !self.st.switches[switch].forward_pending[port] {
+            self.st.switches[switch].forward_pending[port] = true;
+            let at = at.max(self.st.now);
+            self.push(
+                Origin::Switch(switch),
+                at,
+                Event::TryForward { switch, port },
+            );
+        }
+    }
+
+    fn on_try_forward(&mut self, switch: usize, out_port: usize) {
+        let sh = self.sh;
+        let now = self.st.now;
+        self.st.switches[switch].forward_pending[out_port] = false;
+        if now < self.st.switches[switch].out_busy_until[out_port] {
+            let at = self.st.switches[switch].out_busy_until[out_port];
+            self.schedule_forward(switch, out_port, at);
+            return;
+        }
+        let peer = sh.peer(switch, out_port);
+        // Arbitrate: find the best candidate per VL (round-robin over input
+        // ports within a VL), then apply the VL arbitration policy.
+        let nports = sh.radix;
+        let sw = &self.st.switches[switch];
+        let mut best_high: Option<(usize, usize)> = None; // highest VL > 0
+        let mut best_low: Option<(usize, usize)> = None; // VL 0
+        for vl in (0..NUM_VLS).rev() {
+            if vl > 0 && best_high.is_some() {
+                continue;
+            }
+            // No queue on this VL has a head routed here.
+            let heads = sw.heads[out_port * NUM_VLS + vl];
+            if heads == 0 {
+                continue;
+            }
+            // Credit check applies to switch-to-switch hops; HCA receive
+            // buffers are modeled as ample (the HCA drains at line rate).
+            if let Peer::Switch { .. } = peer {
+                if sw.out_credits[out_port * NUM_VLS + vl] == 0 {
+                    continue;
+                }
+            }
+            // Round-robin: the first such input port at or after the
+            // cursor, wrapping.
+            let from_rr = heads & (!0u64 << sw.rr[out_port]);
+            let in_port = if from_rr != 0 { from_rr } else { heads }.trailing_zeros() as usize;
+            if vl > 0 {
+                best_high = Some((in_port, vl));
+            } else {
+                best_low = Some((in_port, vl));
+            }
+        }
+        let selected = match (sh.cfg.arbitration, best_high, best_low) {
+            (_, None, low) => low,
+            (ArbitrationPolicy::StrictPriority, high, _) => high,
+            (ArbitrationPolicy::Weighted { high_limit }, high, low) => {
+                // IBA-style weighted tables: after `high_limit` consecutive
+                // high-priority grants, a pending low-priority packet gets
+                // one slot (prevents total starvation of VL0).
+                if self.st.switches[switch].high_grants[out_port] >= high_limit && low.is_some() {
+                    low
+                } else {
+                    high
+                }
+            }
+        };
+        let Some((in_port, vl)) = selected else {
+            return;
+        };
+        if vl > 0 {
+            self.st.switches[switch].high_grants[out_port] += 1;
+        } else {
+            self.st.switches[switch].high_grants[out_port] = 0;
+        }
+        self.st.switches[switch].rr[out_port] = (in_port + 1) % nports;
+        let sw = &mut self.st.switches[switch];
+        let q = &mut sw.in_q[in_port * NUM_VLS + vl];
+        let qp = q.pop_front().unwrap();
+        // The queue's new head, if any, bids for the output it was routed
+        // to; the port we popped from no longer bids here.
+        let next_out = q.front().map(|next| next.out_port as usize);
+        sw.heads[out_port * NUM_VLS + vl] &= !(1 << in_port);
+        if let Some(next_out) = next_out {
+            sw.heads[next_out * NUM_VLS + vl] |= 1 << in_port;
+        }
+        let pref = qp.packet;
+        debug_assert_eq!(
+            qp.out_port as usize,
+            self.route_of(switch, pref),
+            "route stored at arrival diverged from the topology's"
+        );
+        let (bytes, class) = {
+            let packet = self.st.arena.get(pref);
+            (packet.bytes, packet.class)
+        };
+        // Service time: enforcement lookups + store-and-forward transmit.
+        let service = qp.lookup_cycles * CYCLE_TIME + wire_time_ps(bytes);
+        let tx_end = now + service;
+        self.st.switches[switch].out_busy_until[out_port] = tx_end;
+        match peer {
+            Peer::Switch {
+                switch: next,
+                port: next_port,
+            } => {
+                self.st.switches[switch].out_credits[out_port * NUM_VLS + vl] -= 1;
+                let arrival = tx_end + PROPAGATION_DELAY;
+                match self.link_fault(sh.switch_link(switch, out_port)) {
+                    FaultOutcome::Drop => {
+                        // Downstream never sees the packet; its buffer slot
+                        // credit comes back as if freed on arrival.
+                        self.st.stats.link_drops += 1;
+                        self.class_stats(class).dropped += 1;
+                        self.st.arena.release(pref);
+                        self.push(
+                            Origin::Switch(switch),
+                            arrival,
+                            Event::SwitchCredit {
+                                switch,
+                                port: out_port,
+                                vl: vl as u8,
+                            },
+                        );
+                    }
+                    FaultOutcome::Deliver {
+                        corrupt,
+                        extra_delay_ps,
+                    } => {
+                        self.st.arena.get_mut(pref).corrupted |= corrupt;
+                        self.push(
+                            Origin::Switch(switch),
+                            arrival + extra_delay_ps,
+                            Event::SwitchArrive {
+                                switch: next,
+                                port: next_port,
+                                packet: pref,
+                            },
+                        );
+                    }
+                }
+            }
+            Peer::Hca { node } => {
+                let arrival = tx_end + PROPAGATION_DELAY;
+                match self.link_fault(sh.switch_link(switch, out_port)) {
+                    FaultOutcome::Drop => {
+                        self.st.stats.link_drops += 1;
+                        self.class_stats(class).dropped += 1;
+                        self.st.arena.release(pref);
+                    }
+                    FaultOutcome::Deliver {
+                        corrupt,
+                        extra_delay_ps,
+                    } => {
+                        self.st.arena.get_mut(pref).corrupted |= corrupt;
+                        self.push(
+                            Origin::Switch(switch),
+                            arrival + extra_delay_ps,
+                            Event::HcaReceive { node, packet: pref },
+                        );
+                    }
+                }
+            }
+            Peer::None => unreachable!("routing never selects an edge port"),
+        }
+        // The input buffer slot frees now: return a credit upstream.
+        self.return_credit(switch, in_port, vl as u8);
+        // The queue we popped from has a new head that may want a
+        // *different* output port — wake that port, or packets behind a
+        // departed head would wait for an unrelated arrival (HOL stall).
+        if let Some(next_out) = next_out {
+            if next_out != out_port {
+                self.schedule_forward(switch, next_out, now);
+            }
+        }
+        // The port may have more work the instant it frees.
+        self.schedule_forward(switch, out_port, tx_end);
+    }
+
+    /// Return one credit to whatever feeds `(switch, in_port)`.
+    fn return_credit(&mut self, switch: usize, in_port: usize, vl: u8) {
+        let at = self.st.now + PROPAGATION_DELAY;
+        match self.sh.peer(switch, in_port) {
+            Peer::Hca { node } => {
+                self.push(Origin::Switch(switch), at, Event::HcaCredit { node, vl })
+            }
+            Peer::Switch {
+                switch: up,
+                port: up_port,
+            } => self.push(
+                Origin::Switch(switch),
+                at,
+                Event::SwitchCredit {
+                    switch: up,
+                    port: up_port,
+                    vl,
+                },
+            ),
+            Peer::None => {}
+        }
+    }
+
+    // ------------------------------------------------------------- receiving
+
+    fn on_hca_receive(&mut self, node: usize, pref: PacketRef) {
+        let sh = self.sh;
+        let now = self.st.now;
+        // The HCA is the packet's terminal point on every path below:
+        // take it out of the arena and recycle the slot.
+        let packet = self.st.arena.release(pref);
+        // Host-injected packets skip the abstract receive path entirely:
+        // the wire image goes back to the host, with transit corruption
+        // applied as a byte flip (mirroring the point-to-point harness),
+        // for the host transport's own VCRC/MAC verification to judge.
+        if let Some(mut bytes) = packet.wire {
+            if packet.corrupted && !bytes.is_empty() {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xFF;
+            }
+            if packet.vl == 15 {
+                self.st.stats.mgmt_delivered += 1;
+            } else {
+                self.st.delivered += 1;
+            }
+            self.st.host_inbox.push_back(HostDelivery {
+                at: now,
+                node,
+                bytes,
+            });
+            return;
+        }
+        // CRC check before anything else looks at the packet (VCRC/ICRC
+        // precede all header processing). The fault layer's corruption is
+        // a one-byte flip, which CRC-32 always detects (every burst of
+        // ≤ 32 bits), so the flag alone decides.
+        if packet.corrupted {
+            self.st.stats.corrupt_drops += 1;
+            self.class_stats(packet.class).dropped += 1;
+            return;
+        }
+        // Management datagrams: no partition check, no data statistics.
+        if packet.vl == 15 {
+            self.st.stats.mgmt_delivered += 1;
+            if node == SM_NODE {
+                if let Some(trap) = packet.trap {
+                    // In-band trap reached the SM: same handling as the
+                    // out-of-band TrapDeliver path.
+                    self.on_trap_deliver(trap);
+                }
+                // Trap-less VL15 packets at the SM are the §7 flood: they
+                // consumed fabric + SM capacity and are dropped here.
+            }
+            return;
+        }
+        // MAC verification stage at the receiver.
+        let delivered_at = now + sh.auth_delay;
+        let (ok, _) = self.st.hcas[node].table.check(packet.pkey);
+        if !ok {
+            self.st.stats.hca_blocked += 1;
+            // Receive-side P_Key violation: maybe raise a trap (§3.3).
+            let reporter = sh.topo.lid_of(node);
+            let violator = sh.topo.lid_of(packet.src);
+            if let Some(trap) =
+                self.st.hcas[node]
+                    .throttle
+                    .offer(now, reporter, packet.pkey, violator)
+            {
+                match sh.cfg.trap_transport {
+                    TrapTransport::OutOfBand => {
+                        self.push(
+                            Origin::Node(node),
+                            now + TRAP_LATENCY,
+                            Event::TrapDeliver { trap },
+                        );
+                    }
+                    TrapTransport::InBand => {
+                        let sm = SM_NODE;
+                        if sm == node {
+                            self.on_trap_deliver(trap);
+                        } else {
+                            self.emit_management(node, sm, TrafficClass::Management, Some(trap));
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        if packet.class == TrafficClass::Attack {
+            // Valid-key floods land here; count them, keep them out of the
+            // legitimate-traffic statistics.
+            self.st.stats.attack.delivered += 1;
+            return;
+        }
+        if let Some(flow) = packet.flow {
+            let record = &mut self.st.flows[flow as usize];
+            record.remaining -= 1;
+            if record.remaining == 0 {
+                record.completed_at = Some(delivered_at);
+            }
+        }
+        self.st.delivered += 1;
+        if packet.gen_time >= sh.cfg.warmup {
+            let queuing = packet.inject_time - packet.gen_time;
+            let network = delivered_at - packet.inject_time;
+            self.class_stats(packet.class).record(queuing, network);
+        }
+    }
+}
+// ------------------------------------------------------------------ driver
+
+/// The simulator: one event queue; events pop in `(time, seq)` key order
+/// and dispatch into a `Ctx`, whose handlers push what they schedule
+/// straight back into it.
+pub struct Simulator {
+    sh: Shared,
+    st: State,
+    queue: EventQueue,
+}
+
+impl Simulator {
+    /// Build the simulation: topology, partition layout, attackers, SM,
+    /// and the initial event population.
+    pub fn new(cfg: SimConfig) -> Simulator {
         let topo = cfg.build_topology();
         let n = topo.num_nodes();
         let n_sw = topo.num_switches();
@@ -613,33 +1147,7 @@ impl SimCore {
             .map(|_| PKey(0x8000 | rng.gen_range(0x100..0x7FFF)))
             .collect();
 
-        // ---- event domains: the topology's NATURAL partition, always ----
-        // Thread count only chooses how domains map onto workers; the
-        // decomposition itself is fixed, so every derived quantity (event
-        // keys, arena high-waters, stat merge order) is identical at any
-        // parallelism — including 1.
-        let part = Partition::of(&*topo, usize::MAX);
-        let nd = part.num_domains;
-        let dom_of_switch = part.domain_of;
-        let mut local_switch = vec![0u32; n_sw];
-        let mut sw_count = vec![0u32; nd];
-        for s in 0..n_sw {
-            let d = dom_of_switch[s];
-            local_switch[s] = sw_count[d];
-            sw_count[d] += 1;
-        }
-        let dom_of_node: Vec<usize> = (0..n).map(|node| dom_of_switch[attach[node].0]).collect();
-        let mut local_node = vec![0u32; n];
-        let mut node_count = vec![0u32; nd];
-        for node in 0..n {
-            let d = dom_of_node[node];
-            local_node[node] = node_count[d];
-            node_count[d] += 1;
-        }
-        let sm_domain = dom_of_node[SM_NODE];
-        let lookahead = if nd > 1 { LOOKAHEAD } else { SimTime::MAX };
-
-        // ---- switches, grouped into their domains ----
+        // ---- switches ----
         let all_pkeys: Vec<PKey> = (0..partitions.len()).map(pkey_of).collect();
         // Ingress filtering is configured per host port: each attachment
         // admits only its node's partition key.
@@ -647,40 +1155,41 @@ impl SimCore {
         for (node, &(s, p)) in attach.iter().enumerate() {
             if_ports[s][p] = Some(vec![pkey_of(node_partition[node])]);
         }
-        let mut dom_switches: Vec<Vec<SwitchState>> = (0..nd).map(|_| Vec::new()).collect();
-        for (s, ports) in if_ports.iter_mut().enumerate() {
-            let ports = std::mem::take(ports);
-            let enforcement: Box<dyn PartitionEnforcer + Send> = match cfg.enforcement {
-                EnforcementKind::NoFiltering => Box::new(NoEnforcer),
-                EnforcementKind::Dpt => Box::new(DptEnforcer::new(all_pkeys.iter().copied())),
-                EnforcementKind::If => Box::new(IfEnforcer::new(ports)),
-                EnforcementKind::Sif => Box::new(SifEnforcer::new(
-                    radix,
-                    SIF_IDLE_TIMEOUT,
-                    // Cap the invalid table at a small multiple of the host
-                    // partition table (paper: stop growing once it would
-                    // exceed the partition table; with 1 membership we allow
-                    // a few entries so multi-key attackers are still caught).
-                    8,
-                )),
-            };
-            dom_switches[dom_of_switch[s]].push(SwitchState {
-                in_q: (0..radix * NUM_VLS).map(|_| VecDeque::new()).collect(),
-                heads: vec![0; radix * NUM_VLS],
-                out_busy_until: vec![0; radix],
-                out_credits: vec![VL_BUFFER_PACKETS; radix * NUM_VLS],
-                forward_pending: vec![false; radix],
-                rr: vec![0; radix],
-                high_grants: vec![0; radix],
-                enforcement,
-                oseq: 0,
-            });
-        }
+        let switches: Vec<SwitchState> = if_ports
+            .into_iter()
+            .map(|ports| {
+                let enforcement: Box<dyn PartitionEnforcer> = match cfg.enforcement {
+                    EnforcementKind::NoFiltering => Box::new(NoEnforcer),
+                    EnforcementKind::Dpt => Box::new(DptEnforcer::new(all_pkeys.iter().copied())),
+                    EnforcementKind::If => Box::new(IfEnforcer::new(ports)),
+                    EnforcementKind::Sif => Box::new(SifEnforcer::new(
+                        radix,
+                        SIF_IDLE_TIMEOUT,
+                        // Cap the invalid table at a small multiple of the
+                        // host partition table (paper: stop growing once it
+                        // would exceed the partition table; with 1
+                        // membership we allow a few entries so multi-key
+                        // attackers are still caught).
+                        8,
+                    )),
+                };
+                SwitchState {
+                    in_q: (0..radix * NUM_VLS).map(|_| VecDeque::new()).collect(),
+                    heads: vec![0; radix * NUM_VLS],
+                    out_busy_until: vec![0; radix],
+                    out_credits: vec![VL_BUFFER_PACKETS; radix * NUM_VLS],
+                    forward_pending: vec![false; radix],
+                    rr: vec![0; radix],
+                    high_grants: vec![0; radix],
+                    enforcement,
+                    oseq: 0,
+                }
+            })
+            .collect();
 
-        // ---- HCAs, grouped into their attachment switch's domain ----
-        let mut dom_hcas: Vec<Vec<HcaState>> = (0..nd).map(|_| Vec::new()).collect();
-        for node in 0..n {
-            dom_hcas[dom_of_node[node]].push(HcaState {
+        // ---- HCAs ----
+        let hcas: Vec<HcaState> = (0..n)
+            .map(|node| HcaState {
                 send_q: (0..NUM_VLS).map(|_| VecDeque::new()).collect(),
                 tx_busy_until: 0,
                 inject_pending: false,
@@ -691,33 +1200,21 @@ impl SimCore {
                 backoff_skips: 0,
                 rng: cfg.seed.stream(node as u64).rng(),
                 oseq: 0,
-            });
-        }
+            })
+            .collect();
 
         let mtu_tx = wire_time_ps(cfg.mtu_bytes);
         let auth_delay = match cfg.auth {
             AuthMode::None => 0,
             _ => AUTH_CYCLES_PER_MESSAGE * CYCLE_TIME,
         };
-        // Each directed link keeps its *global* seed stream regardless of
-        // which domain owns it, so fault decisions are partition-invariant.
-        let mut fault_local = Vec::new();
-        let mut dom_faults: Vec<Vec<FaultInjector>> = (0..nd).map(|_| Vec::new()).collect();
-        let faults_active = cfg.fault.is_active();
-        if faults_active {
+        // One seed stream per directed link, by link index.
+        let faults = cfg.fault.is_active().then(|| {
             let fseed = cfg.seed ^ 0xFA17_FA17;
-            let links = n + n_sw * radix;
-            fault_local = vec![0u32; links];
-            for i in 0..links {
-                let d = if i < n {
-                    dom_of_node[i]
-                } else {
-                    dom_of_switch[(i - n) / radix]
-                };
-                fault_local[i] = dom_faults[d].len() as u32;
-                dom_faults[d].push(FaultInjector::new(cfg.fault, fseed.stream(i as u64)));
-            }
-        }
+            (0..n + n_sw * radix)
+                .map(|i| FaultInjector::new(cfg.fault, fseed.stream(i as u64)))
+                .collect()
+        });
 
         let attack_windows = if attackers.is_empty() {
             Vec::new()
@@ -725,7 +1222,7 @@ impl SimCore {
             compute_attack_windows(&cfg)
         };
 
-        let shared = Shared {
+        let sh = Shared {
             topo,
             n_nodes: n,
             n_switches: n_sw,
@@ -739,68 +1236,52 @@ impl SimCore {
             node_partition,
             mtu_tx,
             auth_delay,
-            num_domains: nd,
-            dom_of_switch,
-            dom_of_node,
-            local_switch,
-            local_node,
-            sm_domain,
-            lookahead,
             attack_windows,
-            fault_local,
             cfg,
         };
-        let mut sm_opt = Some(sm);
-        let domains: Vec<Domain> = dom_switches
-            .into_iter()
-            .zip(dom_hcas)
-            .zip(dom_faults)
-            .enumerate()
-            .map(|(d, ((switches, hcas), faults))| Domain {
-                idx: d,
-                now: 0,
-                switches,
-                hcas,
-                sm: if d == sm_domain { sm_opt.take() } else { None },
-                arena: PacketArena::new(),
-                faults: faults_active.then_some(faults),
-                stats: SimReport::default(),
-                delivered: 0,
-                out: Vec::new(),
-                events: [0; EVENT_KINDS.len()],
-                sm_oseq: 0,
-                flow_progress: HashMap::new(),
-                flow_done: Vec::new(),
-                host_inbox: VecDeque::new(),
-            })
-            .collect();
-        let mut core = SimCore {
-            shared,
-            domains,
+        let st = State {
+            now: 0,
+            switches,
+            hcas,
+            sm,
+            arena: PacketArena::new(),
+            faults,
+            stats: SimReport::default(),
+            delivered: 0,
+            events: [0; EVENT_KINDS.len()],
+            sm_oseq: 0,
             flows: Vec::new(),
+            host_inbox: VecDeque::new(),
         };
-        core.prime();
-        core
+        let mut sim = Simulator {
+            sh,
+            st,
+            queue: EventQueue::new(),
+        };
+        sim.prime();
+        sim
     }
 
-    /// Schedule the initial traffic and the attack-window openers. The
-    /// staged events stay in each domain's `out` buffer for the driver to
-    /// route into its queue structure.
+    fn ctx(&mut self) -> Ctx<'_> {
+        Ctx {
+            sh: &self.sh,
+            st: &mut self.st,
+            queue: &mut self.queue,
+        }
+    }
+
+    /// Schedule the initial traffic and the attack-window openers.
     fn prime(&mut self) {
-        let sh = &self.shared;
+        let mut ctx = self.ctx();
+        let sh = ctx.sh;
         for node in 0..sh.n_nodes {
             if sh.attackers.contains(&node) {
                 continue; // attacker nodes send only attack traffic (§3.1)
             }
-            let dom = &mut self.domains[sh.dom_of_node[node]];
-            let ln = sh.local_node[node] as usize;
             if sh.cfg.traffic.realtime_load > 0.0 {
                 let gap = sh.cfg.interarrival_ps(sh.cfg.traffic.realtime_load) as SimTime;
-                let jitter = dom.hcas[ln].rng.gen_range(0..gap.max(1));
-                push_ev(
-                    sh,
-                    dom,
-                    None,
+                let jitter = ctx.st.hcas[node].rng.gen_range(0..gap.max(1));
+                ctx.push(
                     Origin::Node(node),
                     jitter,
                     Event::Generate {
@@ -811,11 +1292,8 @@ impl SimCore {
             }
             if sh.cfg.traffic.best_effort_load > 0.0 {
                 let mean = sh.cfg.interarrival_ps(sh.cfg.traffic.best_effort_load);
-                let gap = exp_gap(&mut dom.hcas[ln].rng, mean);
-                push_ev(
-                    sh,
-                    dom,
-                    None,
+                let gap = exp_gap(&mut ctx.st.hcas[node].rng, mean);
+                ctx.push(
                     Origin::Node(node),
                     gap,
                     Event::Generate {
@@ -829,11 +1307,7 @@ impl SimCore {
         // each opener starts dies at the window's close.
         for &(start, _) in &sh.attack_windows {
             for &a in &sh.attackers {
-                let dom = &mut self.domains[sh.dom_of_node[a]];
-                push_ev(
-                    sh,
-                    dom,
-                    None,
+                ctx.push(
                     Origin::Node(a),
                     start,
                     Event::Generate {
@@ -845,147 +1319,50 @@ impl SimCore {
         }
     }
 
-    /// Merge every domain's report shard (fixed domain order, so the
-    /// closed-form Welford combines are deterministic) and fill in the
-    /// derived whole-run fields.
-    pub(crate) fn merged_report(&self) -> SimReport {
-        let mut report = SimReport::default();
-        for dom in &self.domains {
-            report.merge(&dom.stats);
+    /// Handle one event, scheduling into the queue directly.
+    fn dispatch(&mut self, key: EventKey, ev: Event) {
+        debug_assert!(key.time >= self.st.now, "time went backwards");
+        self.st.now = key.time;
+        self.st.events[ev.kind()] += 1;
+        self.ctx().handle(ev);
+    }
+
+    /// Run to completion and return the report.
+    pub fn run(mut self) -> SimReport {
+        self.run_in_place()
+    }
+
+    /// Run to completion, also returning the number of events processed
+    /// (the `sim_engine` bench divides by wall-clock for events/sec).
+    pub fn run_counted(mut self) -> (SimReport, u64) {
+        let report = self.run_in_place();
+        (report, self.events_processed())
+    }
+
+    /// Drain the queue, check the conservation laws (debug builds) and
+    /// return the report; the flow records stay readable.
+    fn run_in_place(&mut self) -> SimReport {
+        while let Some((key, ev)) = self.queue.pop_keyed() {
+            self.dispatch(key, ev);
         }
-        report.backoff_skips = self
-            .domains
-            .iter()
-            .flat_map(|d| d.hcas.iter())
-            .map(|h| h.backoff_skips)
-            .sum();
-        report.attack_active_fraction = if self.shared.cfg.duration > 0 {
-            let active: SimTime = self
-                .shared
-                .attack_windows
-                .iter()
-                .map(|&(s, e)| e.min(self.shared.cfg.duration).saturating_sub(s))
-                .sum();
-            active as f64 / self.shared.cfg.duration as f64
-        } else {
-            0.0
-        };
-        report
-    }
-
-    /// Events handled across all domains.
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.events_by_kind().iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Events handled across all domains, per [`Event`] kind.
-    pub(crate) fn events_by_kind(&self) -> [(&'static str, u64); EVENT_KINDS.len()] {
-        std::array::from_fn(|k| {
-            (
-                EVENT_KINDS[k],
-                self.domains.iter().map(|d| d.events[k]).sum(),
-            )
-        })
-    }
-
-    /// Sum of the per-domain arena high-water marks (deterministic: the
-    /// deferred-insertion rule keeps every domain's arena history
-    /// identical under both drivers).
-    pub(crate) fn peak_packets(&self) -> usize {
-        self.domains.iter().map(|d| d.arena.capacity()).sum()
-    }
-
-    /// Queue a host wire image at `src`'s HCA (see [`Simulator::post_host`]).
-    pub(crate) fn post_host_at(
-        &mut self,
-        now: SimTime,
-        src: usize,
-        dst: usize,
-        vl: u8,
-        bytes: Vec<u8>,
-    ) {
-        let sh = &self.shared;
-        assert!(src < sh.n_nodes && dst < sh.n_nodes);
-        let dom = &mut self.domains[sh.dom_of_node[src]];
-        let ln = sh.local_node[src] as usize;
-        dom.stats.generated += 1;
-        let pkey = PKey(0x8000 | (sh.node_partition[src] as u16 + 1));
-        let class = if vl == 15 {
-            TrafficClass::Management
-        } else {
-            TrafficClass::BestEffort
-        };
-        let len = bytes.len();
-        let packet = SimPacket {
-            wire: Some(bytes),
-            ..SimPacket::new(src, dst, class, pkey, vl, len, now)
-        };
-        let qvl = vl as usize;
-        let pref = dom.arena.insert(packet);
-        dom.hcas[ln].send_q[qvl].push_back((pref, now));
-        Ctx::staged(sh, dom).schedule_inject(src, now);
-    }
-
-    /// Queue a finite transfer (see [`Simulator::post_flow`]). The flow's
-    /// outstanding-packet count registers in the *destination's* domain —
-    /// where every packet of the flow terminates — before any packet is
-    /// created, so same-domain flows can't race their own completion.
-    pub(crate) fn post_flow_at(
-        &mut self,
-        now: SimTime,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-    ) -> usize {
-        let sh = &self.shared;
-        assert!(src < sh.n_nodes && dst < sh.n_nodes && src != dst);
-        let flow = self.flows.len() as u32;
-        let mtu = sh.cfg.mtu_bytes as u64;
-        let npkts = bytes.div_ceil(mtu).max(1) as usize;
-        let pkey = PKey(0x8000 | (sh.node_partition[src] as u16 + 1));
-        self.domains[sh.dom_of_node[dst]]
-            .flow_progress
-            .insert(flow, npkts);
-        let dom = &mut self.domains[sh.dom_of_node[src]];
-        let ln = sh.local_node[src] as usize;
-        let qvl = TrafficClass::BestEffort.vl() as usize;
-        let mut left = bytes;
-        for _ in 0..npkts {
-            let size = left.min(mtu).max(1) as usize;
-            left = left.saturating_sub(mtu);
-            dom.stats.generated += 1;
-            let class = TrafficClass::BestEffort;
-            let packet = SimPacket {
-                flow: Some(flow),
-                ..SimPacket::new(src, dst, class, pkey, class.vl(), size, now)
-            };
-            let pref = dom.arena.insert(packet);
-            dom.hcas[ln].send_q[qvl].push_back((pref, now));
+        if cfg!(debug_assertions) {
+            self.assert_quiescent();
         }
-        Ctx::staged(sh, dom).schedule_inject(src, now);
-        self.flows.push(FlowRecord {
-            #[cfg(test)]
-            posted_at: now,
-            completed_at: None,
-        });
-        flow as usize
+        self.stats()
     }
 
-    /// The conservation laws, checked by both drivers in debug/test
-    /// builds once a run has drained its queue (no credit event or packet
-    /// is then in flight): every head mask equals a recount from the input
-    /// queues' fronts, each link's sender-side credits plus the receiving
-    /// input queue's occupancy equal `VL_BUFFER_PACKETS`, no arena holds a
+    /// The conservation laws, checked in debug/test builds once a run
+    /// has drained its queue (no credit event or packet is then in
+    /// flight): every head mask equals a recount from the input queues'
+    /// fronts, each link's sender-side credits plus the receiving input
+    /// queue's occupancy equal `VL_BUFFER_PACKETS`, the arena holds no
     /// live packet, and every generated packet met exactly one terminal
     /// outcome (a class drop, an attack or management delivery, an HCA
     /// P_Key block, or a legitimate or host-hook delivery).
-    pub(crate) fn assert_quiescent(&self) {
-        let sh = &self.shared;
+    fn assert_quiescent(&self) {
+        let (sh, st) = (&self.sh, &self.st);
         let full = VL_BUFFER_PACKETS as usize;
-        let switch =
-            |s: usize| &self.domains[sh.dom_of_switch[s]].switches[sh.local_switch[s] as usize];
-        for s in 0..sh.n_switches {
-            let sw = switch(s);
+        for (s, sw) in st.switches.iter().enumerate() {
             let mut recount = vec![0u64; sw.heads.len()];
             for (i, q) in sw.in_q.iter().enumerate() {
                 if let Some(head) = q.front() {
@@ -1004,7 +1381,7 @@ impl SimCore {
                 for vl in 0..NUM_VLS {
                     assert_eq!(
                         sw.out_credits[port * NUM_VLS + vl] as usize
-                            + switch(next).in_q[next_port * NUM_VLS + vl].len(),
+                            + st.switches[next].in_q[next_port * NUM_VLS + vl].len(),
                         full,
                         "switch {s} port {port} VL {vl}: credits leaked or duplicated"
                     );
@@ -1012,877 +1389,28 @@ impl SimCore {
             }
         }
         for (node, &(s, port)) in sh.attach.iter().enumerate() {
-            let hca = &self.domains[sh.dom_of_node[node]].hcas[sh.local_node[node] as usize];
             for vl in 0..NUM_VLS {
                 assert_eq!(
-                    hca.credits[vl] as usize + switch(s).in_q[port * NUM_VLS + vl].len(),
+                    st.hcas[node].credits[vl] as usize
+                        + st.switches[s].in_q[port * NUM_VLS + vl].len(),
                     full,
                     "node {node} VL {vl}: host-link credits leaked or duplicated"
                 );
             }
         }
-        let mut ended = 0;
-        let mut generated = 0;
-        for (d, dom) in self.domains.iter().enumerate() {
-            assert_eq!(dom.arena.live(), 0, "domain {d}: packets left in flight");
-            let r = &dom.stats;
-            generated += r.generated;
-            ended += r.realtime.dropped
+        assert_eq!(st.arena.live(), 0, "packets left in flight");
+        let r = &st.stats;
+        assert_eq!(
+            r.generated,
+            r.realtime.dropped
                 + r.best_effort.dropped
                 + r.attack.dropped
                 + r.attack.delivered
                 + r.mgmt_delivered
                 + r.hca_blocked
-                + dom.delivered;
-        }
-        assert_eq!(
-            generated, ended,
+                + st.delivered,
             "packet ledger: generated vs terminal outcomes"
         );
-    }
-
-    /// Drain every domain's completion log into the flow records (the
-    /// parallel driver calls this once after the run; the serial driver
-    /// drains incrementally and finds nothing left here).
-    pub(crate) fn finalize_flows(&mut self) {
-        let flows = &mut self.flows;
-        for dom in &mut self.domains {
-            for (f, at) in dom.flow_done.drain(..) {
-                flows[f as usize].completed_at = Some(at);
-            }
-        }
-    }
-}
-
-/// A handler's view: the shared tables plus exactly one domain. Every
-/// event mutates only its target domain; everything it schedules goes
-/// through [`push_ev`], straight into `queue` when there is one, else
-/// staged on `Domain::out` until the driver routes it.
-pub(crate) struct Ctx<'a> {
-    pub(crate) sh: &'a Shared,
-    pub(crate) dom: &'a mut Domain,
-    /// The serial driver's merged queue; `None` stages instead.
-    pub(crate) queue: Option<&'a mut EventQueue>,
-}
-
-impl<'a> Ctx<'a> {
-    /// A view that stages what its handlers schedule on `Domain::out`.
-    pub(crate) fn staged(sh: &'a Shared, dom: &'a mut Domain) -> Self {
-        Ctx {
-            sh,
-            dom,
-            queue: None,
-        }
-    }
-
-    fn push(&mut self, origin: Origin, at: SimTime, ev: Event) {
-        push_ev(self.sh, self.dom, self.queue.as_deref_mut(), origin, at, ev);
-    }
-
-    /// Fate of one packet crossing directed link `link` (clean delivery
-    /// when the fault layer is disabled).
-    fn link_fault(&mut self, link: usize) -> FaultOutcome {
-        match &mut self.dom.faults {
-            Some(inj) => inj[self.sh.fault_local[link] as usize].decide(),
-            None => FaultOutcome::Deliver {
-                corrupt: false,
-                extra_delay_ps: 0,
-            },
-        }
-    }
-
-    /// The output port the topology routes the referenced packet to at
-    /// `switch`, derived afresh — the grant-time cross-check of the port
-    /// `on_switch_arrive` stored with the queued packet.
-    fn route_of(&self, switch: usize, pref: PacketRef) -> usize {
-        let p = self.dom.arena.get(pref);
-        self.sh
-            .topo
-            .route_flow(switch, p.dst, flow_hash(p.src, p.dst))
-    }
-
-    fn class_stats(&mut self, class: TrafficClass) -> &mut ClassStats {
-        match class {
-            TrafficClass::Realtime => &mut self.dom.stats.realtime,
-            // Management shares the attack bucket for drop accounting; its
-            // deliveries are tracked separately in `mgmt_delivered`.
-            TrafficClass::BestEffort => &mut self.dom.stats.best_effort,
-            TrafficClass::Attack | TrafficClass::Management => &mut self.dom.stats.attack,
-        }
-    }
-
-    pub(crate) fn handle(&mut self, ev: Event) {
-        match ev {
-            Event::Generate { node, class } => self.on_generate(node, class),
-            Event::TryInject { node } => self.on_try_inject(node),
-            Event::SwitchArrive {
-                switch,
-                port,
-                packet,
-            } => self.on_switch_arrive(switch, port, packet),
-            Event::SwitchArriveRemote {
-                switch,
-                port,
-                packet,
-            } => {
-                // A packet handed over from another domain: it enters this
-                // domain's arena at the same instant it would have entered
-                // a global one, so high-water marks stay engine-independent.
-                let pref = self.dom.arena.insert(*packet);
-                self.on_switch_arrive(switch, port, pref);
-            }
-            Event::TryForward { switch, port } => self.on_try_forward(switch, port),
-            Event::HcaReceive { node, packet } => self.on_hca_receive(node, packet),
-            Event::HcaReceiveRemote { node, packet } => {
-                let pref = self.dom.arena.insert(*packet);
-                self.on_hca_receive(node, pref);
-            }
-            Event::SwitchCredit { switch, port, vl } => {
-                let ls = self.sh.local_switch[switch] as usize;
-                self.dom.switches[ls].out_credits[port * NUM_VLS + vl as usize] += 1;
-                let now = self.dom.now;
-                self.schedule_forward(switch, port, now);
-            }
-            Event::HcaCredit { node, vl } => {
-                let ln = self.sh.local_node[node] as usize;
-                self.dom.hcas[ln].credits[vl as usize] += 1;
-                let now = self.dom.now;
-                self.schedule_inject(node, now);
-            }
-            Event::TrapDeliver { trap } => self.on_trap_deliver(trap),
-            Event::FilterProgram { switch, port, pkey } => {
-                let ls = self.sh.local_switch[switch] as usize;
-                let now = self.dom.now;
-                self.dom.switches[ls]
-                    .enforcement
-                    .register_invalid(now, port, pkey);
-            }
-        }
-    }
-
-    fn on_trap_deliver(&mut self, trap: Trap) {
-        self.dom.stats.traps += 1;
-        let sm = self
-            .dom
-            .sm
-            .as_mut()
-            .expect("TrapDeliver routed to the SM's domain");
-        if let Some(action) = sm.handle_trap(&trap) {
-            let at = self.dom.now + PROGRAM_LATENCY;
-            self.push(
-                Origin::Sm,
-                at,
-                Event::FilterProgram {
-                    switch: action.switch,
-                    port: action.port,
-                    pkey: action.pkey,
-                },
-            );
-        }
-    }
-
-    // ---------------------------------------------------------------- traffic
-
-    fn on_generate(&mut self, node: usize, class: TrafficClass) {
-        let sh = self.sh;
-        let now = self.dom.now;
-        let ln = sh.local_node[node] as usize;
-        match class {
-            // Management traffic is event-driven (traps), never a source.
-            TrafficClass::Management => {}
-            TrafficClass::Realtime => {
-                let gap = sh.cfg.interarrival_ps(sh.cfg.traffic.realtime_load) as SimTime;
-                if now + gap <= sh.cfg.duration {
-                    self.push(
-                        Origin::Node(node),
-                        now + gap,
-                        Event::Generate { node, class },
-                    );
-                }
-                // Back-off: a realtime source checks network headroom via
-                // its local queue depth before emitting.
-                let vl = class.vl() as usize;
-                if self.dom.hcas[ln].send_q[vl].len() >= sh.cfg.traffic.realtime_backoff_queue {
-                    self.dom.hcas[ln].backoff_skips += 1;
-                    return;
-                }
-                if let Some(dst) = self.pick_partition_peer(node) {
-                    self.emit(node, dst, class);
-                }
-            }
-            TrafficClass::BestEffort => {
-                let mean = sh.cfg.interarrival_ps(sh.cfg.traffic.best_effort_load);
-                let gap = exp_gap(&mut self.dom.hcas[ln].rng, mean);
-                if now + gap <= sh.cfg.duration {
-                    self.push(
-                        Origin::Node(node),
-                        now + gap,
-                        Event::Generate { node, class },
-                    );
-                }
-                if let Some(dst) = self.pick_partition_peer(node) {
-                    self.emit(node, dst, class);
-                }
-            }
-            TrafficClass::Attack => {
-                if !attack_active(sh, now) || now > sh.cfg.duration {
-                    return; // the window closed: the chain stops
-                }
-                // Full speed: next generation exactly one MTU time later.
-                self.push(
-                    Origin::Node(node),
-                    now + sh.mtu_tx,
-                    Event::Generate { node, class },
-                );
-                // Bound the attacker's own backlog so an over-driven source
-                // doesn't consume unbounded memory (its queue depth is not a
-                // measured quantity).
-                let backlog: usize = self.dom.hcas[ln].send_q.iter().map(VecDeque::len).sum();
-                if backlog >= 32 {
-                    return;
-                }
-                match sh.cfg.attack_keys {
-                    AttackKeys::RandomInvalid => {
-                        let n = sh.n_nodes;
-                        let mut dst = self.dom.hcas[ln].rng.gen_range(0..n);
-                        if dst == node {
-                            dst = (dst + 1) % n;
-                        }
-                        let idx = sh.attackers.iter().position(|a| *a == node).unwrap_or(0);
-                        let pkey = sh.attacker_pkey[idx];
-                        self.emit_with_pkey(node, dst, class, pkey);
-                    }
-                    // §7's residual attack: flood *within the attacker's own
-                    // partition* with its valid key — every check passes, so
-                    // "any ingress filtering is useless".
-                    AttackKeys::Valid => {
-                        if let Some(dst) = self.pick_partition_peer(node) {
-                            let pkey = PKey(0x8000 | (sh.node_partition[node] as u16 + 1));
-                            self.emit_with_pkey(node, dst, class, pkey);
-                        }
-                    }
-                    // §7's SM DoS: dump MAD-sized management packets at the
-                    // SM node on VL15 — they cross every partition check.
-                    AttackKeys::SmFlood => {
-                        let dst = SM_NODE;
-                        if dst != node {
-                            self.emit_management(node, dst, TrafficClass::Attack, None);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn pick_partition_peer(&mut self, node: usize) -> Option<usize> {
-        let sh = self.sh;
-        let members = &sh.partitions[sh.node_partition[node]];
-        // Peers exclude only self: victims don't know which partition
-        // members are compromised, so attacker nodes still *receive*
-        // legitimate traffic (they just don't send any, per §3.1). The
-        // sender is always a member, so it has `len - 1` peers; the draw
-        // indexes them in member order, skipping the sender.
-        let peers = members.len() - 1;
-        if peers == 0 {
-            return None;
-        }
-        let rng = &mut self.dom.hcas[sh.local_node[node] as usize].rng;
-        let i = rng.gen_range(0..peers);
-        members.iter().copied().filter(|&m| m != node).nth(i)
-    }
-
-    fn emit(&mut self, src: usize, dst: usize, class: TrafficClass) {
-        let pkey = PKey(0x8000 | (self.sh.node_partition[src] as u16 + 1));
-        self.emit_with_pkey(src, dst, class, pkey);
-    }
-
-    fn emit_with_pkey(&mut self, src: usize, dst: usize, class: TrafficClass, pkey: PKey) {
-        let sh = self.sh;
-        let now = self.dom.now;
-        let ln = sh.local_node[src] as usize;
-        // Attackers spray across both data VLs ("dump tremendous traffic")
-        // so realtime and best-effort both feel the flood; legitimate
-        // traffic stays on its class VL.
-        let vl = if class == TrafficClass::Attack {
-            self.dom.hcas[ln].rng.gen_range(0..2)
-        } else {
-            class.vl()
-        };
-        self.dom.stats.generated += 1;
-        let packet = SimPacket::new(src, dst, class, pkey, vl, sh.cfg.mtu_bytes, now);
-        // QP-level key management: first contact with a peer pays one RTT
-        // before the packet may leave (§4.3 / Figure 6).
-        let keyed = &mut self.dom.hcas[ln].keyed_peers;
-        let ready =
-            if sh.cfg.auth == AuthMode::QpLevel && class != TrafficClass::Attack && !keyed[dst] {
-                keyed[dst] = true;
-                now + KEY_EXCHANGE_RTT
-            } else {
-                now
-            };
-        let qvl = packet.vl as usize;
-        let pref = self.dom.arena.insert(packet);
-        self.dom.hcas[ln].send_q[qvl].push_back((pref, ready));
-        self.schedule_inject(src, ready);
-    }
-
-    /// Emit a 256-byte MAD (+ headers) on VL15. `class` distinguishes
-    /// legitimate management traffic from an SM flood; `trap` carries the
-    /// notice for in-band trap delivery.
-    fn emit_management(&mut self, src: usize, dst: usize, class: TrafficClass, trap: Option<Trap>) {
-        let now = self.dom.now;
-        let ln = self.sh.local_node[src] as usize;
-        self.dom.stats.generated += 1;
-        // MAD payload + LRH/BTH/DETH + ICRC/VCRC.
-        let bytes = ib_packet::mad::MAD_LEN + 8 + 12 + 8 + 6;
-        let packet = SimPacket {
-            trap,
-            ..SimPacket::new(src, dst, class, PKey::DEFAULT, 15, bytes, now)
-        };
-        let pref = self.dom.arena.insert(packet);
-        self.dom.hcas[ln].send_q[15].push_back((pref, now));
-        self.schedule_inject(src, now);
-    }
-
-    // ---------------------------------------------------------------- HCA TX
-
-    fn schedule_inject(&mut self, node: usize, at: SimTime) {
-        let ln = self.sh.local_node[node] as usize;
-        if !self.dom.hcas[ln].inject_pending {
-            self.dom.hcas[ln].inject_pending = true;
-            let at = at.max(self.dom.now);
-            self.push(Origin::Node(node), at, Event::TryInject { node });
-        }
-    }
-
-    fn on_try_inject(&mut self, node: usize) {
-        let sh = self.sh;
-        let now = self.dom.now;
-        let ln = sh.local_node[node] as usize;
-        self.dom.hcas[ln].inject_pending = false;
-        if now < self.dom.hcas[ln].tx_busy_until {
-            let at = self.dom.hcas[ln].tx_busy_until;
-            self.schedule_inject(node, at);
-            return;
-        }
-        // VL priority: scan data VLs from highest to lowest.
-        let mut chosen: Option<usize> = None;
-        let mut earliest_block: Option<SimTime> = None;
-        for vl in (0..NUM_VLS).rev() {
-            let Some(&(_, ready)) = self.dom.hcas[ln].send_q[vl].front() else {
-                continue;
-            };
-            if ready > now {
-                earliest_block = Some(earliest_block.map_or(ready, |e: SimTime| e.min(ready)));
-                continue;
-            }
-            if self.dom.hcas[ln].credits[vl] == 0 {
-                continue; // blocked on credits; a credit event will retry
-            }
-            chosen = Some(vl);
-            break;
-        }
-        let Some(vl) = chosen else {
-            if let Some(at) = earliest_block {
-                self.schedule_inject(node, at);
-            }
-            return;
-        };
-        let (pref, _) = self.dom.hcas[ln].send_q[vl].pop_front().unwrap();
-        self.dom.hcas[ln].credits[vl] -= 1;
-        // MAC generation occupies the sender before the first byte (§6:
-        // "one additional stage at each end node per message").
-        let start = now + sh.auth_delay;
-        let (bytes, class, pvl) = {
-            let packet = self.dom.arena.get_mut(pref);
-            packet.inject_time = start;
-            (packet.bytes, packet.class, packet.vl)
-        };
-        let tx_end = start + wire_time_ps(bytes);
-        self.dom.hcas[ln].tx_busy_until = tx_end;
-        let arrival = tx_end + PROPAGATION_DELAY;
-        match self.link_fault(node) {
-            FaultOutcome::Drop => {
-                // The switch never sees the packet, so it can't return the
-                // buffer credit — model the slot as freeing on arrival.
-                self.dom.stats.link_drops += 1;
-                self.class_stats(class).dropped += 1;
-                self.dom.arena.release(pref);
-                self.push(
-                    Origin::Node(node),
-                    arrival,
-                    Event::HcaCredit { node, vl: pvl },
-                );
-            }
-            FaultOutcome::Deliver {
-                corrupt,
-                extra_delay_ps,
-            } => {
-                self.dom.arena.get_mut(pref).corrupted |= corrupt;
-                let (att_sw, att_port) = sh.attach[node];
-                self.push(
-                    Origin::Node(node),
-                    arrival + extra_delay_ps,
-                    Event::SwitchArrive {
-                        switch: att_sw,
-                        port: att_port,
-                        packet: pref,
-                    },
-                );
-            }
-        }
-        // Re-evaluate once the link frees.
-        self.schedule_inject(node, tx_end);
-    }
-
-    // ------------------------------------------------------------- switching
-
-    fn on_switch_arrive(&mut self, switch: usize, port: usize, pref: PacketRef) {
-        let sh = self.sh;
-        let now = self.dom.now;
-        let ls = sh.local_switch[switch] as usize;
-        let (pvl, src, dst, pkey, class) = {
-            let packet = self.dom.arena.get(pref);
-            (packet.vl, packet.src, packet.dst, packet.pkey, packet.class)
-        };
-        let is_edge = sh.is_host_port[switch * sh.radix + port];
-        // Management packets cross partition enforcement unchecked — "a
-        // management packet can reach SM regardless of its partition" (§7),
-        // which is precisely what makes the SM-flood attack possible.
-        let check = if pvl == 15 {
-            FilterCheck {
-                decision: FilterDecision::Pass,
-                lookup_cycles: 0,
-            }
-        } else {
-            self.dom.switches[ls]
-                .enforcement
-                .check(now, port, is_edge, sh.topo.lid_of(src), pkey)
-        };
-        self.dom.stats.lookup_cycles += check.lookup_cycles;
-        if check.decision == FilterDecision::Drop {
-            self.dom.stats.filter_drops += 1;
-            self.class_stats(class).dropped += 1;
-            self.dom.arena.release(pref);
-            self.return_credit(switch, port, pvl);
-            return;
-        }
-        let vl = pvl as usize;
-        // Routed once, here: the flow hash keeps every packet of a
-        // (src, dst) flow on one path while distinct flows spread across
-        // the fabric's path diversity.
-        let out_port = sh.topo.route_flow(switch, dst, flow_hash(src, dst));
-        let sw = &mut self.dom.switches[ls];
-        let q = &mut sw.in_q[port * NUM_VLS + vl];
-        q.push_back(QueuedPacket {
-            packet: pref,
-            out_port: out_port as u32,
-            lookup_cycles: check.lookup_cycles,
-        });
-        if q.len() == 1 {
-            sw.heads[out_port * NUM_VLS + vl] |= 1 << port;
-        }
-        self.schedule_forward(switch, out_port, now + SWITCH_LATENCY);
-    }
-
-    fn schedule_forward(&mut self, switch: usize, port: usize, at: SimTime) {
-        let ls = self.sh.local_switch[switch] as usize;
-        if !self.dom.switches[ls].forward_pending[port] {
-            self.dom.switches[ls].forward_pending[port] = true;
-            let at = at.max(self.dom.now);
-            self.push(
-                Origin::Switch(switch),
-                at,
-                Event::TryForward { switch, port },
-            );
-        }
-    }
-
-    fn on_try_forward(&mut self, switch: usize, out_port: usize) {
-        let sh = self.sh;
-        let now = self.dom.now;
-        let ls = sh.local_switch[switch] as usize;
-        self.dom.switches[ls].forward_pending[out_port] = false;
-        if now < self.dom.switches[ls].out_busy_until[out_port] {
-            let at = self.dom.switches[ls].out_busy_until[out_port];
-            self.schedule_forward(switch, out_port, at);
-            return;
-        }
-        let peer = sh.peer(switch, out_port);
-        // Arbitrate: find the best candidate per VL (round-robin over input
-        // ports within a VL), then apply the VL arbitration policy.
-        let nports = sh.radix;
-        let sw = &self.dom.switches[ls];
-        let mut best_high: Option<(usize, usize)> = None; // highest VL > 0
-        let mut best_low: Option<(usize, usize)> = None; // VL 0
-        for vl in (0..NUM_VLS).rev() {
-            if vl > 0 && best_high.is_some() {
-                continue;
-            }
-            // No queue on this VL has a head routed here.
-            let heads = sw.heads[out_port * NUM_VLS + vl];
-            if heads == 0 {
-                continue;
-            }
-            // Credit check applies to switch-to-switch hops; HCA receive
-            // buffers are modeled as ample (the HCA drains at line rate).
-            if let Peer::Switch { .. } = peer {
-                if sw.out_credits[out_port * NUM_VLS + vl] == 0 {
-                    continue;
-                }
-            }
-            // Round-robin: the first such input port at or after the
-            // cursor, wrapping.
-            let from_rr = heads & (!0u64 << sw.rr[out_port]);
-            let in_port = if from_rr != 0 { from_rr } else { heads }.trailing_zeros() as usize;
-            if vl > 0 {
-                best_high = Some((in_port, vl));
-            } else {
-                best_low = Some((in_port, vl));
-            }
-        }
-        let selected = match (sh.cfg.arbitration, best_high, best_low) {
-            (_, None, low) => low,
-            (ArbitrationPolicy::StrictPriority, high, _) => high,
-            (ArbitrationPolicy::Weighted { high_limit }, high, low) => {
-                // IBA-style weighted tables: after `high_limit` consecutive
-                // high-priority grants, a pending low-priority packet gets
-                // one slot (prevents total starvation of VL0).
-                if self.dom.switches[ls].high_grants[out_port] >= high_limit && low.is_some() {
-                    low
-                } else {
-                    high
-                }
-            }
-        };
-        let Some((in_port, vl)) = selected else {
-            return;
-        };
-        if vl > 0 {
-            self.dom.switches[ls].high_grants[out_port] += 1;
-        } else {
-            self.dom.switches[ls].high_grants[out_port] = 0;
-        }
-        self.dom.switches[ls].rr[out_port] = (in_port + 1) % nports;
-        let sw = &mut self.dom.switches[ls];
-        let q = &mut sw.in_q[in_port * NUM_VLS + vl];
-        let qp = q.pop_front().unwrap();
-        // The queue's new head, if any, bids for the output it was routed
-        // to; the port we popped from no longer bids here.
-        let next_out = q.front().map(|next| next.out_port as usize);
-        sw.heads[out_port * NUM_VLS + vl] &= !(1 << in_port);
-        if let Some(next_out) = next_out {
-            sw.heads[next_out * NUM_VLS + vl] |= 1 << in_port;
-        }
-        let pref = qp.packet;
-        debug_assert_eq!(
-            qp.out_port as usize,
-            self.route_of(switch, pref),
-            "route stored at arrival diverged from the topology's"
-        );
-        let (bytes, class) = {
-            let packet = self.dom.arena.get(pref);
-            (packet.bytes, packet.class)
-        };
-        // Service time: enforcement lookups + store-and-forward transmit.
-        let service = qp.lookup_cycles * CYCLE_TIME + wire_time_ps(bytes);
-        let tx_end = now + service;
-        self.dom.switches[ls].out_busy_until[out_port] = tx_end;
-        match peer {
-            Peer::Switch {
-                switch: next,
-                port: next_port,
-            } => {
-                self.dom.switches[ls].out_credits[out_port * NUM_VLS + vl] -= 1;
-                let arrival = tx_end + PROPAGATION_DELAY;
-                match self.link_fault(sh.switch_link(switch, out_port)) {
-                    FaultOutcome::Drop => {
-                        // Downstream never sees the packet; its buffer slot
-                        // credit comes back as if freed on arrival.
-                        self.dom.stats.link_drops += 1;
-                        self.class_stats(class).dropped += 1;
-                        self.dom.arena.release(pref);
-                        self.push(
-                            Origin::Switch(switch),
-                            arrival,
-                            Event::SwitchCredit {
-                                switch,
-                                port: out_port,
-                                vl: vl as u8,
-                            },
-                        );
-                    }
-                    FaultOutcome::Deliver {
-                        corrupt,
-                        extra_delay_ps,
-                    } => {
-                        self.dom.arena.get_mut(pref).corrupted |= corrupt;
-                        self.push(
-                            Origin::Switch(switch),
-                            arrival + extra_delay_ps,
-                            Event::SwitchArrive {
-                                switch: next,
-                                port: next_port,
-                                packet: pref,
-                            },
-                        );
-                    }
-                }
-            }
-            Peer::Hca { node } => {
-                let arrival = tx_end + PROPAGATION_DELAY;
-                match self.link_fault(sh.switch_link(switch, out_port)) {
-                    FaultOutcome::Drop => {
-                        self.dom.stats.link_drops += 1;
-                        self.class_stats(class).dropped += 1;
-                        self.dom.arena.release(pref);
-                    }
-                    FaultOutcome::Deliver {
-                        corrupt,
-                        extra_delay_ps,
-                    } => {
-                        self.dom.arena.get_mut(pref).corrupted |= corrupt;
-                        self.push(
-                            Origin::Switch(switch),
-                            arrival + extra_delay_ps,
-                            Event::HcaReceive { node, packet: pref },
-                        );
-                    }
-                }
-            }
-            Peer::None => unreachable!("routing never selects an edge port"),
-        }
-        // The input buffer slot frees now: return a credit upstream.
-        self.return_credit(switch, in_port, vl as u8);
-        // The queue we popped from has a new head that may want a
-        // *different* output port — wake that port, or packets behind a
-        // departed head would wait for an unrelated arrival (HOL stall).
-        if let Some(next_out) = next_out {
-            if next_out != out_port {
-                self.schedule_forward(switch, next_out, now);
-            }
-        }
-        // The port may have more work the instant it frees.
-        self.schedule_forward(switch, out_port, tx_end);
-    }
-
-    /// Return one credit to whatever feeds `(switch, in_port)`.
-    fn return_credit(&mut self, switch: usize, in_port: usize, vl: u8) {
-        let at = self.dom.now + PROPAGATION_DELAY;
-        match self.sh.peer(switch, in_port) {
-            Peer::Hca { node } => {
-                self.push(Origin::Switch(switch), at, Event::HcaCredit { node, vl })
-            }
-            Peer::Switch {
-                switch: up,
-                port: up_port,
-            } => self.push(
-                Origin::Switch(switch),
-                at,
-                Event::SwitchCredit {
-                    switch: up,
-                    port: up_port,
-                    vl,
-                },
-            ),
-            Peer::None => {}
-        }
-    }
-
-    // ------------------------------------------------------------- receiving
-
-    fn on_hca_receive(&mut self, node: usize, pref: PacketRef) {
-        let sh = self.sh;
-        let now = self.dom.now;
-        let ln = sh.local_node[node] as usize;
-        // The HCA is the packet's terminal point on every path below:
-        // take it out of the arena and recycle the slot.
-        let packet = self.dom.arena.release(pref);
-        // Host-injected packets skip the abstract receive path entirely:
-        // the wire image goes back to the host, with transit corruption
-        // applied as a byte flip (mirroring the point-to-point harness),
-        // for the host transport's own VCRC/MAC verification to judge.
-        if let Some(mut bytes) = packet.wire {
-            if packet.corrupted && !bytes.is_empty() {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0xFF;
-            }
-            if packet.vl == 15 {
-                self.dom.stats.mgmt_delivered += 1;
-            } else {
-                self.dom.delivered += 1;
-            }
-            self.dom.host_inbox.push_back(HostDelivery {
-                at: now,
-                node,
-                bytes,
-            });
-            return;
-        }
-        // CRC check before anything else looks at the packet (VCRC/ICRC
-        // precede all header processing). The fault layer's corruption is
-        // a one-byte flip, which CRC-32 always detects (every burst of
-        // ≤ 32 bits), so the flag alone decides.
-        if packet.corrupted {
-            self.dom.stats.corrupt_drops += 1;
-            self.class_stats(packet.class).dropped += 1;
-            return;
-        }
-        // Management datagrams: no partition check, no data statistics.
-        if packet.vl == 15 {
-            self.dom.stats.mgmt_delivered += 1;
-            if node == SM_NODE {
-                if let Some(trap) = packet.trap {
-                    // In-band trap reached the SM: same handling as the
-                    // out-of-band TrapDeliver path (the SM node's domain is
-                    // the SM's domain, so this stays local).
-                    self.on_trap_deliver(trap);
-                }
-                // Trap-less VL15 packets at the SM are the §7 flood: they
-                // consumed fabric + SM capacity and are dropped here.
-            }
-            return;
-        }
-        // MAC verification stage at the receiver.
-        let delivered_at = now + sh.auth_delay;
-        let (ok, _) = self.dom.hcas[ln].table.check(packet.pkey);
-        if !ok {
-            self.dom.stats.hca_blocked += 1;
-            // Receive-side P_Key violation: maybe raise a trap (§3.3).
-            let reporter = sh.topo.lid_of(node);
-            let violator = sh.topo.lid_of(packet.src);
-            if let Some(trap) =
-                self.dom.hcas[ln]
-                    .throttle
-                    .offer(now, reporter, packet.pkey, violator)
-            {
-                match sh.cfg.trap_transport {
-                    TrapTransport::OutOfBand => {
-                        self.push(
-                            Origin::Node(node),
-                            now + TRAP_LATENCY,
-                            Event::TrapDeliver { trap },
-                        );
-                    }
-                    TrapTransport::InBand => {
-                        let sm = SM_NODE;
-                        if sm == node {
-                            self.on_trap_deliver(trap);
-                        } else {
-                            self.emit_management(node, sm, TrafficClass::Management, Some(trap));
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        if packet.class == TrafficClass::Attack {
-            // Valid-key floods land here; count them, keep them out of the
-            // legitimate-traffic statistics.
-            self.dom.stats.attack.delivered += 1;
-            return;
-        }
-        if let Some(flow) = packet.flow {
-            let remaining = self
-                .dom
-                .flow_progress
-                .get_mut(&flow)
-                .expect("flow registered in the destination's domain");
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.dom.flow_progress.remove(&flow);
-                self.dom.flow_done.push((flow, delivered_at));
-            }
-        }
-        self.dom.delivered += 1;
-        if packet.gen_time >= sh.cfg.warmup {
-            let queuing = packet.inject_time - packet.gen_time;
-            let network = delivered_at - packet.inject_time;
-            self.class_stats(packet.class).record(queuing, network);
-        }
-    }
-}
-
-// ------------------------------------------------------------ serial driver
-
-/// The serial driver — the parallel engine's correctness oracle. One
-/// merged [`EventQueue`]; events pop in global `(time, seq)` order and
-/// dispatch into their target domain's `Ctx`, whose handlers push what
-/// they schedule straight back into it.
-pub struct Simulator {
-    core: SimCore,
-    queue: EventQueue,
-    now: SimTime,
-    host_inbox: VecDeque<HostDelivery>,
-}
-
-impl Simulator {
-    /// Build the simulation: topology, partition layout, attackers, SM,
-    /// and the initial event population.
-    pub fn new(cfg: SimConfig) -> Simulator {
-        let core = SimCore::new(cfg);
-        let mut sim = Simulator {
-            core,
-            queue: EventQueue::new(),
-            now: 0,
-            host_inbox: VecDeque::new(),
-        };
-        sim.drain_staged();
-        sim
-    }
-
-    /// Move every staged event (from construction or a `post_*` call)
-    /// into the merged queue.
-    fn drain_staged(&mut self) {
-        let queue = &mut self.queue;
-        for dom in &mut self.core.domains {
-            for m in dom.out.drain(..) {
-                queue.push_keyed(m.at, m.seq, m.ev);
-            }
-        }
-    }
-
-    /// Handle one event in its target domain, scheduling into the merged
-    /// queue directly, then surface completions.
-    fn dispatch(&mut self, key: EventKey, ev: Event) {
-        debug_assert!(key.time >= self.now, "time went backwards");
-        self.now = key.time;
-        let d = target_domain(&self.core.shared, &ev);
-        let core = &mut self.core;
-        let dom = &mut core.domains[d];
-        dom.begin(key.time, &ev);
-        Ctx {
-            sh: &core.shared,
-            dom,
-            queue: Some(&mut self.queue),
-        }
-        .handle(ev);
-        debug_assert!(dom.out.is_empty(), "a handler staged instead of pushing");
-        if !dom.flow_done.is_empty() {
-            for (f, at) in dom.flow_done.drain(..) {
-                core.flows[f as usize].completed_at = Some(at);
-            }
-        }
-        if !dom.host_inbox.is_empty() {
-            self.host_inbox.append(&mut dom.host_inbox);
-        }
-    }
-
-    /// Run to completion and return the report.
-    pub fn run(self) -> SimReport {
-        self.run_counted().0
-    }
-
-    /// Run to completion, also returning the number of events processed
-    /// (the `sim_engine` bench divides by wall-clock for events/sec).
-    pub fn run_counted(mut self) -> (SimReport, u64) {
-        while let Some((key, ev)) = self.queue.pop_keyed() {
-            self.dispatch(key, ev);
-        }
-        if cfg!(debug_assertions) {
-            self.core.assert_quiescent();
-        }
-        (self.core.merged_report(), self.core.events_processed())
     }
 
     // ------------------------------------------------------------- host hook
@@ -1904,9 +1432,23 @@ impl Simulator {
     /// queueing behind it — the property that keeps failover and
     /// re-keying latency bounded under load.
     pub fn post_host(&mut self, src: usize, dst: usize, vl: u8, bytes: Vec<u8>) {
-        let now = self.now;
-        self.core.post_host_at(now, src, dst, vl, bytes);
-        self.drain_staged();
+        let now = self.st.now;
+        assert!(src < self.sh.n_nodes && dst < self.sh.n_nodes);
+        self.st.stats.generated += 1;
+        let pkey = PKey(0x8000 | (self.sh.node_partition[src] as u16 + 1));
+        let class = if vl == 15 {
+            TrafficClass::Management
+        } else {
+            TrafficClass::BestEffort
+        };
+        let len = bytes.len();
+        let packet = SimPacket {
+            wire: Some(bytes),
+            ..SimPacket::new(src, dst, class, pkey, vl, len, now)
+        };
+        let pref = self.st.arena.insert(packet);
+        self.st.hcas[src].send_q[vl as usize].push_back((pref, now));
+        self.ctx().schedule_inject(src, now);
     }
 
     /// Advance the simulation until a host delivery is ready, the event
@@ -1915,9 +1457,9 @@ impl Simulator {
     /// first pending delivery's time and never regresses. The event popped
     /// past `limit` goes back into the queue under its own key.
     pub fn run_hosts_until(&mut self, limit: SimTime) -> SimTime {
-        while self.host_inbox.is_empty() {
+        while self.st.host_inbox.is_empty() {
             let Some((key, ev)) = self.queue.pop_keyed() else {
-                self.now = self.now.max(limit);
+                self.st.now = self.st.now.max(limit);
                 break;
             };
             if key.time > limit {
@@ -1925,52 +1467,67 @@ impl Simulator {
                 // `(time, seq)` is unique, so the next pop returns this
                 // event in global order, after anything posted at `limit`.
                 self.queue.push_keyed(key.time, key.seq, ev);
-                self.now = self.now.max(limit);
+                self.st.now = self.st.now.max(limit);
                 break;
             }
             self.dispatch(key, ev);
         }
-        self.now
+        self.st.now
     }
 
     /// Pop the oldest pending host delivery, if any.
     pub fn take_host_delivery(&mut self) -> Option<HostDelivery> {
-        self.host_inbox.pop_front()
+        self.st.host_inbox.pop_front()
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.st.now
     }
 
     /// Events handled so far (the scale experiments' cost denominator).
     pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
+        self.st.events.iter().sum()
     }
 
     /// Events handled so far, per [`Event`] kind, by kind name (the mix
     /// behind [`events_processed`](Self::events_processed), which is
     /// their sum).
     pub fn events_by_kind(&self) -> [(&'static str, u64); EVENT_KINDS.len()] {
-        self.core.events_by_kind()
+        std::array::from_fn(|k| (EVENT_KINDS[k], self.st.events[k]))
     }
 
     /// The report accumulated so far (final numbers come from
     /// [`run`](Self::run); this view serves co-simulation drivers).
     pub fn stats(&self) -> SimReport {
-        self.core.merged_report()
+        let mut report = self.st.stats.clone();
+        report.backoff_skips = self.st.hcas.iter().map(|h| h.backoff_skips).sum();
+        let duration = self.sh.cfg.duration;
+        report.attack_active_fraction = if duration > 0 {
+            let active: SimTime = self
+                .sh
+                .attack_windows
+                .iter()
+                .map(|&(s, e)| e.min(duration).saturating_sub(s))
+                .sum();
+            active as f64 / duration as f64
+        } else {
+            0.0
+        };
+        report
     }
 
     /// The fabric this simulator runs on.
     pub fn topology(&self) -> &dyn Topology {
-        &*self.core.shared.topo
+        &*self.sh.topo
     }
 
-    /// High-water mark of in-flight packets — a deterministic peak-memory
-    /// proxy (multiply by `size_of::<SimPacket>()` for bytes; same number
-    /// on every same-seed run and at every thread count, unlike RSS).
+    /// The most packets alive at once so far: the packet arena's
+    /// high-water mark, a deterministic peak-memory proxy (multiply by
+    /// `size_of::<SimPacket>()` for bytes; the same number on every
+    /// same-seed run, unlike RSS).
     pub fn peak_packets(&self) -> usize {
-        self.core.peak_packets()
+        self.st.arena.capacity()
     }
 
     /// Post a finite `bytes`-sized transfer from `src` to `dst`: the flow
@@ -1982,15 +1539,76 @@ impl Simulator {
     /// at `dst`'s HCA; cross-partition flows never complete (the receive
     /// P_Key check blocks them), so scale experiments run one partition.
     pub fn post_flow(&mut self, src: usize, dst: usize, bytes: u64) -> usize {
-        let now = self.now;
-        let flow = self.core.post_flow_at(now, src, dst, bytes);
-        self.drain_staged();
+        let now = self.st.now;
+        let sh = &self.sh;
+        assert!(src < sh.n_nodes && dst < sh.n_nodes && src != dst);
+        let flow = self.st.flows.len();
+        let mtu = sh.cfg.mtu_bytes as u64;
+        let npkts = bytes.div_ceil(mtu).max(1) as usize;
+        let pkey = PKey(0x8000 | (sh.node_partition[src] as u16 + 1));
+        let class = TrafficClass::BestEffort;
+        let mut left = bytes;
+        for _ in 0..npkts {
+            let size = left.min(mtu).max(1) as usize;
+            left = left.saturating_sub(mtu);
+            self.st.stats.generated += 1;
+            let packet = SimPacket {
+                flow: Some(flow as u32),
+                ..SimPacket::new(src, dst, class, pkey, class.vl(), size, now)
+            };
+            let pref = self.st.arena.insert(packet);
+            self.st.hcas[src].send_q[class.vl() as usize].push_back((pref, now));
+        }
+        self.st.flows.push(FlowRecord {
+            #[cfg(test)]
+            posted_at: now,
+            completed_at: None,
+            remaining: npkts,
+        });
+        self.ctx().schedule_inject(src, now);
         flow
     }
 
     /// Flow records in posting order (see [`post_flow`](Self::post_flow)).
     pub fn flows(&self) -> &[FlowRecord] {
-        &self.core.flows
+        &self.st.flows
+    }
+}
+
+/// The serial engine under the name the frozen benchmark package calls
+/// it by; the thread count is unused. ROADMAP item 1 deletes it with
+/// that package's last call.
+pub struct ParSimulator(Simulator);
+
+impl ParSimulator {
+    /// [`Simulator::new`]; `_threads` is ignored.
+    pub fn with_threads(cfg: SimConfig, _threads: usize) -> ParSimulator {
+        ParSimulator(Simulator::new(cfg))
+    }
+
+    /// [`Simulator::post_flow`].
+    pub fn post_flow(&mut self, src: usize, dst: usize, bytes: u64) -> usize {
+        self.0.post_flow(src, dst, bytes)
+    }
+
+    /// [`Simulator::run`], keeping the flow records readable.
+    pub fn run(&mut self) -> SimReport {
+        self.0.run_in_place()
+    }
+
+    /// [`Simulator::events_processed`].
+    pub fn events_processed(&self) -> u64 {
+        self.0.events_processed()
+    }
+
+    /// [`Simulator::peak_packets`].
+    pub fn peak_packets(&self) -> usize {
+        self.0.peak_packets()
+    }
+
+    /// [`Simulator::flows`].
+    pub fn flows(&self) -> &[FlowRecord] {
+        self.0.flows()
     }
 }
 
@@ -2366,7 +1984,7 @@ mod tests {
     }
 
     /// Credits and occupancy counts balance exactly once a run drains, on
-    /// every topology and under wire loss, on both drivers; debug builds also cross-check
+    /// every topology and under wire loss; debug builds also cross-check
     /// every grant's stored route against the topology.
     #[test]
     fn switch_state_is_conserved_on_every_topology() {
@@ -2377,13 +1995,10 @@ mod tests {
             let mut cfg = quick_cfg();
             cfg.topology = topology;
             cfg.fault.drop_prob = 0.02;
-            let mut sim = Simulator::new(cfg.clone());
+            let mut sim = Simulator::new(cfg);
             sim.run_hosts_until(SimTime::MAX);
             assert!(sim.stats().best_effort.delivered > 100, "{topology:?}");
-            sim.core.assert_quiescent();
-            let mut par = crate::ParSimulator::with_threads(cfg, 2);
-            par.run();
-            assert_eq!(par.events_processed(), sim.events_processed());
+            sim.assert_quiescent();
         }
     }
 

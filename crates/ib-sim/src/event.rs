@@ -38,15 +38,13 @@
 //! [`HeapQueue`] oracle — pop the exact same key stream for the same
 //! pushes, a property enforced by `tests/event_scheduler.rs`.
 //!
-//! `seq` comes in two flavours. The legacy [`EventQueue::push`] assigns a
-//! per-queue insertion counter — fine for a single global queue. The
-//! sharded engine instead composes an *intrinsic* key via
+//! `seq` comes in two flavours. [`EventQueue::push`] assigns a per-queue
+//! insertion counter. The engine instead composes an *intrinsic* key via
 //! [`EventQueue::push_keyed`]: `seq = origin_entity_id << 32 | oseq`,
-//! where `oseq` is a per-origin counter. Intrinsic keys are independent
-//! of which queue an event lands in and of arrival order, so the serial
-//! engine (one merged queue) and the parallel engine (one queue per event
-//! domain) pop identical per-domain `(time, seq)` streams — the
-//! foundation of the bit-identical-at-any-thread-count guarantee.
+//! where `oseq` is a per-origin counter. An intrinsic key depends only
+//! on who scheduled the event and how many events that origin scheduled
+//! before it, not on when the push happened relative to other origins'
+//! pushes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -161,25 +159,11 @@ pub enum Event {
         port: usize,
         pkey: PKey,
     },
-    /// [`SwitchArrive`](Event::SwitchArrive) crossing an event-domain
-    /// boundary: the packet left the source domain's arena at emission and
-    /// rides in the event itself; the target domain inserts it into *its*
-    /// arena when the event is handled. Both engines use this path for
-    /// every cross-domain hop, so per-domain arena high-water marks are
-    /// identical serial vs parallel.
-    SwitchArriveRemote {
-        switch: usize,
-        port: usize,
-        packet: Box<SimPacket>,
-    },
-    /// [`HcaReceive`](Event::HcaReceive) crossing an event-domain
-    /// boundary (see [`SwitchArriveRemote`](Event::SwitchArriveRemote)).
-    HcaReceiveRemote { node: usize, packet: Box<SimPacket> },
 }
 
 /// Names of the [`Event`] kinds, in the order of the engine's per-kind
 /// event counters.
-pub(crate) const EVENT_KINDS: [&str; 11] = [
+pub(crate) const EVENT_KINDS: [&str; 9] = [
     "Generate",
     "TryInject",
     "SwitchArrive",
@@ -189,8 +173,6 @@ pub(crate) const EVENT_KINDS: [&str; 11] = [
     "HcaCredit",
     "TrapDeliver",
     "FilterProgram",
-    "SwitchArriveRemote",
-    "HcaReceiveRemote",
 ];
 
 impl Event {
@@ -206,8 +188,6 @@ impl Event {
             Event::HcaCredit { .. } => 6,
             Event::TrapDeliver { .. } => 7,
             Event::FilterProgram { .. } => 8,
-            Event::SwitchArriveRemote { .. } => 9,
-            Event::HcaReceiveRemote { .. } => 10,
         }
     }
 }
@@ -354,7 +334,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedule `event` at `at` under a caller-composed tie-break `seq`
-    /// (the sharded engine's `origin << 32 | oseq` intrinsic keys). The
+    /// (the engine's `origin << 32 | oseq` intrinsic keys). The
     /// caller owns uniqueness of `(at, seq)` pairs; the internal
     /// auto-sequence counter is untouched, so mixing `push` and
     /// `push_keyed` on one queue is only sound if the key spaces are
@@ -364,9 +344,9 @@ impl<T> EventQueue<T> {
         let entry = Entry::new(at, seq, event);
         // Entries due before the cursor window's end — inside it, or
         // behind `wheel_start` when a peek or a jump advanced the cursor
-        // past the caller's clock (the co-simulation's `post_host` and
-        // the parallel driver's mailboxes both do this) — join the heap,
-        // whose full-key order pops them first.
+        // past the caller's clock (the co-simulation's `post_host` after
+        // `run_hosts_until` does this) — join the heap, whose full-key
+        // order pops them first.
         if at < self.wheel_start + BUCKET_WIDTH_PS {
             self.due.push(entry);
         } else if at < self.wheel_start + HORIZON_PS {
@@ -388,9 +368,9 @@ impl<T> EventQueue<T> {
         self.pop_keyed().map(|(key, ev)| (key.time, ev))
     }
 
-    /// Pop the earliest event with its full scheduling key — the sharded
-    /// engine needs `(time, seq)` to merge and compare streams across
-    /// domain queues.
+    /// Pop the earliest event with its full scheduling key — what
+    /// `Simulator::run_hosts_until` needs to put an event popped past its
+    /// horizon back under the same key.
     pub fn pop_keyed(&mut self) -> Option<(EventKey, T)> {
         self.locate_min()?;
         let entry = self.due.pop().expect("locate_min filled the cursor heap");
@@ -400,8 +380,7 @@ impl<T> EventQueue<T> {
 
     /// The earliest pending key without removing it (`&mut` because the
     /// search may advance the wheel cursor past empty windows — a
-    /// time-monotonic, order-preserving operation). The parallel engine's
-    /// coordinator uses this to compute the global horizon each window.
+    /// time-monotonic, order-preserving operation).
     pub fn peek_key(&mut self) -> Option<EventKey> {
         self.locate_min()
     }
@@ -747,8 +726,8 @@ mod tests {
     }
 
     /// A peek may jump the cursor far past the caller's clock (the
-    /// co-simulation's `post_host` and the parallel driver's mailboxes
-    /// then push behind it): such keys still pop first, in key order.
+    /// co-simulation's `post_host` then pushes behind it): such keys
+    /// still pop first, in key order.
     #[test]
     fn pushes_behind_an_advanced_cursor_pop_first() {
         let mut q: EventQueue<u32> = EventQueue::new();
@@ -770,8 +749,7 @@ mod tests {
         );
     }
 
-    /// Intrinsic keys pop by `(time, seq)` regardless of insertion order
-    /// — the property that makes serial and sharded queues agree.
+    /// Intrinsic keys pop by `(time, seq)` regardless of insertion order.
     #[test]
     fn keyed_pushes_pop_by_key_not_insertion_order() {
         let compose = |origin: u64, oseq: u64| (origin << 32) | oseq;

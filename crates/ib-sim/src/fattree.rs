@@ -175,23 +175,6 @@ impl Topology for FatTree {
         // edge → agg → core → agg → edge.
         5
     }
-
-    /// One domain per pod; core switch `c` joins pod `c % k`, spreading
-    /// the core layer evenly. Every edge↔agg link is internal; only the
-    /// agg↔core links cross (and even a core's link to "its" pod stays
-    /// internal).
-    fn partition(&self, max_domains: usize) -> Vec<usize> {
-        let cap = max_domains.max(1);
-        (0..self.num_switches())
-            .map(|s| {
-                let d = match self.layer(s) {
-                    Layer::Edge { pod, .. } | Layer::Agg { pod, .. } => pod,
-                    Layer::Core { c } => c % self.k,
-                };
-                d % cap
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -268,25 +251,6 @@ mod tests {
             })
             .collect();
         assert!(cores.len() > 8, "ECMP too narrow: {cores:?}");
-    }
-
-    #[test]
-    fn partition_is_per_pod() {
-        use crate::topology::Partition;
-        let t = FatTree::new(4);
-        let p = Partition::of(&t, usize::MAX);
-        assert_eq!(p.num_domains, 4);
-        // Edge and agg switches of one pod share a domain; pods differ.
-        assert_eq!(p.domain_of[t.edge(2, 0)], p.domain_of[t.agg(2, 1)]);
-        assert_ne!(p.domain_of[t.edge(0, 0)], p.domain_of[t.edge(1, 0)]);
-        // Core c joins pod c % k, so its home-pod link stays internal.
-        assert_eq!(p.domain_of[t.core(1)], p.domain_of[t.edge(1, 0)]);
-        let (internal, cross) = p.link_census(&t);
-        // All 32 directed edge↔agg links are internal; of the 32 directed
-        // agg↔core links each core keeps its home pod's pair.
-        assert_eq!(internal, 32 + 8);
-        assert_eq!(cross, 24);
-        assert_eq!(p.min_cross_delay(&t, &|_, _| 7), Some(7));
     }
 
     #[test]

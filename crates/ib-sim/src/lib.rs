@@ -27,6 +27,10 @@
 //! wait before first byte hits the wire) and **network latency** (wire
 //! entry to delivery), split by traffic class, with mean and standard
 //! deviation.
+//!
+//! One engine runs every simulation: [`Simulator`], a single event queue
+//! over the whole fabric. [`ParSimulator`] is that engine under the name
+//! the frozen `benchmark/` package still calls.
 
 pub(crate) mod arena;
 pub mod config;
@@ -35,19 +39,17 @@ pub mod event;
 pub(crate) mod fattree;
 pub(crate) mod fault;
 pub(crate) mod metrics;
-pub(crate) mod parallel;
 pub mod time;
 pub mod topology;
 pub(crate) mod traffic;
 
 pub use config::{AttackKeys, SimConfig, TopoSpec};
-pub use engine::{HostDelivery, SimReport, Simulator};
+pub use engine::{HostDelivery, ParSimulator, SimReport, Simulator};
 pub use fattree::FatTree;
 pub use fault::FaultConfig;
 pub use metrics::OnlineStats;
-pub use parallel::ParSimulator;
 pub use time::SimTime;
-pub use topology::{flow_hash, MeshTopology, Partition, Peer, Topology};
+pub use topology::{flow_hash, MeshTopology, Peer, Topology};
 
 /// What every `*_json_round_trip` test in this crate means by a round
 /// trip: the emitted text parses, and the parsed value re-emits the same

@@ -57,7 +57,7 @@ impl OnlineStats {
         self.max
     }
 
-    /// Merge another accumulator (parallel sweeps combine shards).
+    /// Merge another accumulator (a closed-form Welford combine).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.count == 0 {
             return;
@@ -107,17 +107,6 @@ impl ClassStats {
         self.queuing.push(ps_to_us(queuing_ps));
         self.network.push(ps_to_us(network_ps));
         self.delivered += 1;
-    }
-
-    /// Merge another class's accumulators (the sharded engine combines
-    /// per-domain stats in domain order; [`OnlineStats::merge`] is a
-    /// closed-form Welford combine, so merging in a fixed order is
-    /// deterministic).
-    pub(crate) fn merge(&mut self, other: &ClassStats) {
-        self.queuing.merge(&other.queuing);
-        self.network.merge(&other.network);
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
     }
 
     /// JSON object form.

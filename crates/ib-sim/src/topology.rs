@@ -55,7 +55,7 @@ pub fn flow_hash(src: usize, dst: usize) -> u64 {
 /// * from any switch, following `route_flow` toward any node reaches its
 ///   attachment without revisiting a switch, traversing at most
 ///   [`diameter`](Topology::diameter) switches — for every flow hash.
-pub trait Topology: Send + Sync {
+pub trait Topology {
     /// Short label for reports (`"mesh"`, `"fat-tree"`).
     fn name(&self) -> &'static str;
 
@@ -83,22 +83,6 @@ pub trait Topology: Send + Sync {
     /// Upper bound on switches traversed by any route the topology can
     /// produce (the conformance tests' loop-freedom budget).
     fn diameter(&self) -> usize;
-
-    /// Event-domain assignment for the sharded engine: a domain id per
-    /// switch (indexed by switch id), at most `max_domains` distinct
-    /// values. Implementations should cut along the fabric's natural
-    /// locality seams — per pod (fat-tree), per switch tile (mesh) — so
-    /// most links stay domain-internal and only cross-domain hops pay
-    /// synchronization. The default is one domain (the serial special
-    /// case). Ids need not be dense; [`Partition::of`] compacts them.
-    ///
-    /// Both engines derive the partition with `max_domains = usize::MAX`
-    /// (the natural cut), so the domain structure — and therefore event
-    /// ordering — is independent of thread count.
-    fn partition(&self, max_domains: usize) -> Vec<usize> {
-        let _ = max_domains;
-        vec![0; self.num_switches()]
-    }
 
     /// LID of node `i` (SM assigns 1-based LIDs).
     fn lid_of(&self, node: usize) -> Lid {
@@ -247,98 +231,6 @@ impl Topology for MeshTopology {
 
     fn diameter(&self) -> usize {
         2 * (self.dim - 1) + 1
-    }
-
-    /// 2×2 switch tiles: each domain keeps its intra-tile links internal
-    /// and touches at most four neighbor tiles. A 2×2 mesh collapses to
-    /// one domain.
-    fn partition(&self, max_domains: usize) -> Vec<usize> {
-        let cap = max_domains.max(1);
-        let tiles_x = self.dim.div_ceil(2);
-        (0..MeshTopology::num_switches(self))
-            .map(|s| {
-                let (x, y) = self.coords(s);
-                ((y / 2) * tiles_x + x / 2) % cap
-            })
-            .collect()
-    }
-}
-
-/// A compacted event-domain assignment plus the link census the parallel
-/// engine and its property tests need: which switch lives in which
-/// domain, how many switch-to-switch links stay internal versus cross
-/// domains, and the minimum propagation delay over the crossing links —
-/// the conservative lookahead bound.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Per-switch domain id, dense in `0..num_domains` (first-appearance
-    /// order of the raw ids, so numbering is deterministic).
-    pub domain_of: Vec<usize>,
-    /// Number of distinct domains.
-    pub num_domains: usize,
-}
-
-impl Partition {
-    /// Compute `topo.partition(max_domains)` and compact the ids to a
-    /// dense `0..num_domains` range.
-    pub fn of(topo: &dyn Topology, max_domains: usize) -> Self {
-        let raw = topo.partition(max_domains);
-        assert_eq!(
-            raw.len(),
-            topo.num_switches(),
-            "{}: partition must assign every switch exactly once",
-            topo.name()
-        );
-        let mut remap = std::collections::HashMap::new();
-        let mut domain_of = Vec::with_capacity(raw.len());
-        for d in raw {
-            let next = remap.len();
-            domain_of.push(*remap.entry(d).or_insert(next));
-        }
-        Partition {
-            num_domains: remap.len(),
-            domain_of,
-        }
-    }
-
-    /// Directed switch-to-switch link counts `(internal, cross)`.
-    pub fn link_census(&self, topo: &dyn Topology) -> (usize, usize) {
-        let (mut internal, mut cross) = (0, 0);
-        for s in 0..topo.num_switches() {
-            for p in 0..topo.radix() {
-                if let Peer::Switch { switch, .. } = topo.peer(s, p) {
-                    if self.domain_of[s] == self.domain_of[switch] {
-                        internal += 1;
-                    } else {
-                        cross += 1;
-                    }
-                }
-            }
-        }
-        (internal, cross)
-    }
-
-    /// Minimum delay over cross-domain links per `delay_of(switch, port)`
-    /// — the largest lookahead window that is still conservative. `None`
-    /// when no link crosses a domain boundary (one effective domain, so
-    /// no synchronization is needed at all).
-    pub fn min_cross_delay(
-        &self,
-        topo: &dyn Topology,
-        delay_of: &dyn Fn(usize, usize) -> crate::time::SimTime,
-    ) -> Option<crate::time::SimTime> {
-        let mut min = None;
-        for s in 0..topo.num_switches() {
-            for p in 0..topo.radix() {
-                if let Peer::Switch { switch, .. } = topo.peer(s, p) {
-                    if self.domain_of[s] != self.domain_of[switch] {
-                        let d = delay_of(s, p);
-                        min = Some(min.map_or(d, |m: crate::time::SimTime| m.min(d)));
-                    }
-                }
-            }
-        }
-        min
     }
 }
 
@@ -568,40 +460,6 @@ mod tests {
         // The trait-level walk agrees with the closed form (single path,
         // so the hash is irrelevant).
         assert_eq!(t.hops_on_path(0, 15, 0xDEAD), 7);
-    }
-
-    #[test]
-    fn mesh_partition_is_two_by_two_tiles() {
-        let t = MeshTopology::new(4);
-        let p = Partition::of(&t, usize::MAX);
-        assert_eq!(p.num_domains, 4);
-        // (0,0) and (1,1) share a tile; (2,1) is the next tile east.
-        assert_eq!(
-            p.domain_of[t.switch_at(0, 0)],
-            p.domain_of[t.switch_at(1, 1)]
-        );
-        assert_ne!(
-            p.domain_of[t.switch_at(1, 1)],
-            p.domain_of[t.switch_at(2, 1)]
-        );
-        // Intra-tile links stay internal; tile borders cross.
-        let (internal, cross) = p.link_census(&t);
-        assert_eq!(internal, 4 * 4 * 2, "4 tiles × 4 intra-tile links × 2 dirs");
-        assert_eq!(cross, 2 * 4 * 2, "2 border seams × 4 links × 2 dirs");
-        // The 2×2 mesh collapses to a single domain; a cap folds tiles.
-        assert_eq!(
-            Partition::of(&MeshTopology::new(2), usize::MAX).num_domains,
-            1
-        );
-        assert_eq!(Partition::of(&t, 2).num_domains, 2);
-        // Uniform delays make the lookahead the delay itself when any
-        // link crosses, and None when nothing does.
-        assert_eq!(p.min_cross_delay(&t, &|_, _| 10), Some(10));
-        let single = Partition::of(&MeshTopology::new(2), usize::MAX);
-        assert_eq!(
-            single.min_cross_delay(&MeshTopology::new(2), &|_, _| 10),
-            None
-        );
     }
 
     #[test]

@@ -6,12 +6,10 @@
 
 use ib_mgmt::enforcement::EnforcementKind;
 use ib_security::experiments::{
-    fig1_config, fig5_config, fig6_config, run_many, run_seed_averaged, FigureRun,
-    FIG1_MAX_ATTACKERS,
+    fig1_config, fig5_config, fig6_config, run_many, run_seed_averaged,
 };
 use ib_sim::config::{AuthMode, SimConfig};
 use ib_sim::time::{MS, US};
-use ib_sim::{ParSimulator, Simulator};
 
 fn quick(mut cfg: SimConfig) -> SimConfig {
     cfg.duration = 3 * MS;
@@ -186,31 +184,4 @@ fn sweeps_are_reproducible() {
     assert_eq!(a[1].generated, b[0].generated);
     assert_eq!(a[0].hca_blocked, b[1].hca_blocked);
     assert!((a[1].legit_queuing_mean() - b[0].legit_queuing_mean()).abs() < 1e-12);
-}
-
-/// The sharded-engine gate on a real figure: every cell of `fig1 --smoke`'s
-/// grid (every attacker count × the smoke run's seeds, derived as
-/// `run_grid_seed_averaged` derives them) gives the byte-identical report from the serial engine
-/// and from the windowed parallel engine at one and at four threads — any
-/// divergence in cross-domain merge order, RNG decomposition or stats
-/// merging shows up here.
-#[test]
-fn fig1_smoke_grid_is_identical_on_the_parallel_engine() {
-    let run = FigureRun::fig1(true);
-    for attackers in 0..=FIG1_MAX_ATTACKERS {
-        let base = run.cell(fig1_config(attackers), SimConfig::default().seed);
-        for s in 0..run.seeds {
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.stream(s);
-            let serial = Simulator::new(cfg.clone()).run().to_json().to_string();
-            for threads in [1, 4] {
-                let par = ParSimulator::with_threads(cfg.clone(), threads).run();
-                assert_eq!(
-                    par.to_json().to_string(),
-                    serial,
-                    "{attackers} attackers, seed stream {s}, {threads} threads"
-                );
-            }
-        }
-    }
 }
