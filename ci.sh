@@ -4,7 +4,41 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== every crate inherits the workspace lint table =="
+# Each `leg` starts a timed leg. When the script ends, on success or on
+# failure, it prints every leg's wall time and status, and names the leg
+# that failed.
+legs=()
+leg_name=""
+leg_start=0
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+leg_end() {
+  if [ -n "$leg_name" ]; then
+    local ms=$(( $(now_ms) - leg_start ))
+    legs+=("$leg_name|$((ms / 1000)).$(printf %03d $((ms % 1000)))|$1")
+  fi
+  leg_name=""
+}
+leg() {
+  leg_end ok
+  leg_name=$1
+  leg_start=$(now_ms)
+  echo "== $1 =="
+}
+leg_table() {
+  local status=$? failed=""
+  if [ "$status" -eq 0 ]; then leg_end ok; else failed=$leg_name; leg_end FAILED; fi
+  echo "== legs =="
+  printf '%-72s %9s  %s\n' leg seconds status
+  local row name secs st
+  for row in "${legs[@]}"; do
+    IFS='|' read -r name secs st <<< "$row"
+    printf '%-72s %9s  %s\n' "$name" "$secs" "$st"
+  done
+  if [ "$status" -ne 0 ]; then echo "CI FAILED in leg: ${failed:-before the first leg} (exit $status)"; fi
+}
+trap leg_table EXIT
+
+leg "every crate inherits the workspace lint table"
 # The root Cargo.toml's [workspace.lints] (unreachable_pub, unsafe_code,
 # undocumented unsafe blocks) binds only the crates that opt in, so a
 # crate without `[lints] workspace = true` escapes the clippy leg below.
@@ -15,13 +49,13 @@ for manifest in crates/*/Cargo.toml; do
   fi
 done
 
-echo "== build (release, offline) =="
+leg "build (release, offline)"
 cargo build --release --offline
 
-echo "== test (offline) =="
+leg "test (offline)"
 cargo test -q --offline
 
-echo "== test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them) =="
+leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them)"
 # On a host with PCLMULQDQ/AVX2 the plain test run above only ever takes
 # the dispatched kernels. The same tests under IB_SIMD=off put the
 # slice-by-8 CRCs and scalar NH through every CRC/packet/security/
@@ -32,20 +66,20 @@ echo "== test with IB_SIMD=off (the portable kernels, on hosts that never dispat
 # only harness with many endpoints sharing one node's keyed MACs).
 IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
-echo "== engine lock, every line (release) =="
+leg "engine lock, every line (release)"
 # tests/golden/lock/engine.txt pins Simulator::run's report on 1024
 # random topology / attack / enforcement / trap / fault configurations.
 # The plain test run above checks its first 64 lines; this leg checks
 # all of them.
 cargo test -q --release --offline -p ib-sim --test engine_lock -- --ignored full
 
-echo "== fmt =="
+leg "fmt"
 cargo fmt --check
 
-echo "== clippy =="
+leg "clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== rustdoc links (no broken or private intra-doc links) =="
+leg "rustdoc links (no broken or private intra-doc links)"
 # A deleted or renamed item leaves `[`links`]` to it in the docs of
 # whatever mentioned it; this leg is what catches them.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
@@ -61,7 +95,7 @@ golden_diff() {
   diff "tests/golden/${2:-smoke}/$1.json" "BENCH_$1.json"
 }
 smoke_twice() {
-  echo "== $1 smoke (twice: byte-identical to each other and to the golden) =="
+  leg "$1 smoke (twice: byte-identical to each other and to the golden)"
   cargo run -q --release --offline -p bench --bin "$1" -- --smoke
   mv "BENCH_$1.json" "BENCH_$1.first.json"
   cargo run -q --release --offline -p bench --bin "$1" -- --smoke
@@ -76,7 +110,7 @@ smoke_twice() {
 # replays with the window and admitted ones without it.
 smoke_twice fig_replay
 
-echo "== every bench binary rejects an argument it does not take =="
+leg "every bench binary rejects an argument it does not take"
 # Each binary but jsonck (which takes file paths) parses its command line
 # through bench::parse_args. An unknown flag must fail the run before it
 # writes anything, so a misspelled or retired flag never runs the default
@@ -96,17 +130,19 @@ for src in crates/bench/src/bin/*.rs; do
 done
 rmdir "$reject_dir"
 
-echo "== table1-table4 and ablations smoke (their in-binary asserts must hold) =="
+leg "table1-table4 and ablations smoke (their in-binary asserts must hold)"
 # These print tables and write no BENCH_*.json, so nothing is diffed:
 # the leg exists for their asserts (Table 4's CRC < UMAC < HMAC-MD5 <
 # HMAC-SHA1 ordering and the §6 link-speed check among them), which
-# would otherwise only ever be compiled. table4 and ablations time
-# through the same sampler as mac_table4 and sim_engine.
+# would otherwise only ever be compiled. table4 and ablations time one
+# arm at a time through bench::sample_arms, the sampler mac_table4 and
+# sim_engine interleave their arms through, and derive every rate from
+# each cell's median.
 for bin in table1 table2 table3 table4 ablations; do
   cargo run -q --release --offline -p bench --bin "$bin" -- --smoke > /dev/null
 done
 
-echo "== mac_table4 smoke (twice: structure must be stable, asserts must hold) =="
+leg "mac_table4 smoke (twice: structure must be stable, asserts must hold)"
 # The binary's own asserts gate tag equality across the two message
 # paths (hard, single-shot) and its wall-clock floors (each re-measures
 # its own cell up to 3 times and prints tries=n); across runs the numbers
@@ -120,7 +156,7 @@ diff <(normalize_numbers BENCH_mac_throughput.first.json) \
      <(normalize_numbers BENCH_mac_throughput.json)
 rm BENCH_mac_throughput.first.json
 
-echo "== mac_table4 smoke with IB_SIMD=off (scalar fallback: structure must match) =="
+leg "mac_table4 smoke with IB_SIMD=off (scalar fallback: structure must match)"
 # The dispatched kernels must be observationally interchangeable with
 # the scalar fallback: forcing IB_SIMD=off flips only numbers (timings,
 # speedup ratios, the simd_active flag), never the document structure,
@@ -160,7 +196,7 @@ smoke_twice fig_rdma
 # the replica election and MAD exchange to the seed.
 smoke_twice fig_rekey
 
-echo "== fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to the golden) =="
+leg "fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to the golden)"
 # The point the benchmark's rekey_1024qp workload times. The smoke run
 # above is 48 lossless flows; this one is the fleet the wake-set
 # scheduling exists for (sub-second since PR 18, 7 s before it), so a
@@ -176,7 +212,7 @@ golden_diff fig_rekey full
 # smoke mode so the diff can hold).
 smoke_twice fig_scale
 
-echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gates) =="
+leg "sim_engine smoke (scheduler equivalence + calendar-vs-heap gates)"
 # The binary's own asserts gate (a) both scheduler arms popping the
 # identical event stream on the hold-model and same-window burst scripts,
 # (b) the calendar queue (inline entries, jumping wheel) keeping pace
@@ -184,10 +220,10 @@ echo "== sim_engine smoke (scheduler equivalence + calendar-vs-heap gates) =="
 # (c) staying within 2x of it on every burst.
 cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 
-echo "== jsonck: emitted results parse back through ib_runtime::json =="
+leg "jsonck: emitted results parse back through ib_runtime::json"
 cargo run -q --release --offline -p bench --bin jsonck -- BENCH_*.json
 
-echo "== benchmark package (builds against the workspace, old-loop oracle agrees, smoke set runs clean) =="
+leg "benchmark package (builds against the workspace, old-loop oracle agrees, smoke set runs clean)"
 # benchmark/ is frozen between [benchmark] PRs but calls library names
 # directly (probes, the traced fabric loop), so a deletion in crates/ can
 # break it without touching it. Its traced fabric loop is a call-for-call

@@ -11,11 +11,10 @@
 //!
 //! Usage: `ablations [--smoke] [--seed S]`
 
-use bench::{parse_args, render_table};
+use bench::{parse_args, render_table, sample_arms, BenchConfig, Summary};
 use ib_crypto::partial_mac::PartialMac;
 use ib_crypto::umac::Umac;
 use ib_mgmt::enforcement::EnforcementKind;
-use ib_runtime::bench::{BenchConfig, Harness};
 use ib_runtime::Seed;
 use ib_security::experiments::{fig5_config, run_seed_averaged};
 use ib_sim::config::{ArbitrationPolicy, AttackKeys, SimConfig, TrafficConfig};
@@ -170,13 +169,13 @@ fn ablation_partial_mac(quick: bool) {
     println!("Ablation 4: partial-coverage MAC (§7 strength/speed trade-off)");
     let key = [7u8; 16];
     let msg = vec![0xA5u8; 8192];
-    let mut harness = Harness::new(BenchConfig::new(quick));
+    let config = BenchConfig::new(quick);
     // One timed cell: Gb/s of `f` over the 8 KiB message.
-    let mut gbps = |id: &str, f: &mut dyn FnMut()| -> f64 {
-        let mut group = harness.group("partial-mac");
-        group.throughput_bytes(msg.len() as u64).bench(id, f);
-        let m = harness.results().last().expect("just measured");
-        m.bytes_per_sec().expect("throughput declared") * 8.0 / 1e9
+    let gbps = |id: &str, f: &mut dyn FnMut()| -> f64 {
+        let sample_ns = &sample_arms(&config, &mut [f])[0];
+        let m = Summary::new(format!("partial-mac/{id}"), sample_ns, msg.len() as u64);
+        println!("{m}");
+        m.bytes_per_sec() * 8.0 / 1e9
     };
     let mut rows = Vec::new();
 

@@ -8,8 +8,8 @@
 //!
 //! Usage: `fig1 [--smoke] [--seed S]`.
 
-use bench::{parse_args, render_table, write_bench_json};
-use ib_runtime::{bench::bench_doc, Json, ToJson};
+use bench::{bench_doc, parse_args, render_table, write_bench_json};
+use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{fig1_rows, Fig1Row, FigureRun, FIG1_MAX_ATTACKERS};
 
 fn main() {

@@ -9,8 +9,8 @@
 //! Usage: `fig5 [--smoke] [--seed S]`. The attack-probability sweep is
 //! ablation 1 (`ablations`).
 
-use bench::{parse_args, render_table, write_bench_json};
-use ib_runtime::{bench::bench_doc, Json, ToJson};
+use bench::{bench_doc, parse_args, render_table, write_bench_json};
+use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{fig5_rows, Fig5Row, FigureRun, FIG5_ATTACK_PROBABILITY};
 
 fn main() {

@@ -10,8 +10,8 @@
 //!
 //! Usage: `fig6 [--smoke] [--seed S]`.
 
-use bench::{parse_args, render_table, write_bench_json};
-use ib_runtime::{bench::bench_doc, Json, ToJson};
+use bench::{bench_doc, parse_args, render_table, write_bench_json};
+use ib_runtime::{Json, ToJson};
 use ib_security::experiments::{fig6_rows, Fig6Row, FigureRun};
 use ib_sim::config::AuthMode;
 

@@ -13,8 +13,8 @@
 //!
 //! Usage: `fig_rekey [--smoke] [--seed S]`
 
-use bench::{parse_args, render_table, write_bench_json};
-use ib_runtime::{bench::bench_doc, Json, ToJson};
+use bench::{bench_doc, parse_args, render_table, write_bench_json};
+use ib_runtime::{Json, ToJson};
 use ib_sim::time::{MS, US};
 use ib_sim::SimTime;
 use ib_sm::{run_rekey_sim, RekeyConfig, RekeyReport};

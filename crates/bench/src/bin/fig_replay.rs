@@ -19,8 +19,8 @@
 //!
 //! Usage: `fig_replay [--smoke] [--seed S]`
 
-use bench::{parse_args, render_table, write_bench_json};
-use ib_runtime::{bench::bench_doc, Json, ToJson};
+use bench::{bench_doc, parse_args, render_table, write_bench_json};
+use ib_runtime::{Json, ToJson};
 use ib_security::ChannelSecurity;
 use ib_sim::time::MS;
 use ib_sim::FaultConfig;

@@ -5,18 +5,23 @@
 //! completion percentiles, makespan, events handled and the most packets
 //! in flight at once.
 //!
-//! Full mode climbs to 1024 HCAs (fat-tree k=16 → 1024 hosts) and
-//! reports wall time and events per wall-second. Smoke mode keeps the
-//! fabrics small and zeroes the wall-clock fields so two same-seed runs
-//! emit byte-identical `BENCH_fig_scale.json` (the ci.sh determinism
-//! gate).
+//! Full mode climbs to 1024 HCAs (fat-tree k=16 → 1024 hosts), runs
+//! each arm `WALL_RUNS` (5) times and reports the median wall time (with
+//! its quartiles in the printed table) and events per wall-second at
+//! that median. Smoke mode keeps the fabrics small, runs each arm once
+//! and zeroes the wall-clock fields so two same-seed runs emit
+//! byte-identical `BENCH_fig_scale.json` (the ci.sh determinism gate).
 //!
 //! Usage: `fig_scale [--smoke] [--seed S]`
 
-use bench::{parse_args, render_table, write_bench_json};
-use ib_runtime::{bench::bench_doc, Json, Rng, Seed, ToJson};
+use bench::{bench_doc, parse_args, render_table, write_bench_json, Summary};
+use ib_runtime::{Json, Rng, Seed, ToJson};
 use ib_sim::{SimConfig, SimTime, Simulator, TopoSpec};
 use std::time::Instant;
+
+/// Full-mode runs per arm: one run's wall time moves by up to 2× on an
+/// unchanged build, so the table reports the median of these.
+const WALL_RUNS: usize = 5;
 
 /// One swept fabric.
 struct Arm {
@@ -92,7 +97,7 @@ struct Run {
     /// The most packets in flight at once (`Simulator::peak_packets`,
     /// the packet arena's high-water mark).
     peak_mem_items: u64,
-    wall_ms: f64,
+    wall_ns: f64,
 }
 
 fn run_packet(cfg: &SimConfig, flows: &[(usize, usize, u64)]) -> Run {
@@ -102,7 +107,7 @@ fn run_packet(cfg: &SimConfig, flows: &[(usize, usize, u64)]) -> Run {
         sim.post_flow(src, dst, bytes);
     }
     sim.run_hosts_until(SimTime::MAX);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let wall_ns = start.elapsed().as_nanos() as f64;
     let completions_ps: Vec<f64> = sim
         .flows()
         .iter()
@@ -115,25 +120,20 @@ fn run_packet(cfg: &SimConfig, flows: &[(usize, usize, u64)]) -> Run {
         completions_ps,
         events: sim.events_processed(),
         peak_mem_items: sim.peak_packets() as u64,
-        wall_ms,
+        wall_ns,
     }
 }
 
-fn point_json(arm: &Arm, cfg: &SimConfig, run: &Run, smoke: bool) -> Json {
+/// `wall` summarises full mode's wall times (`bytes_per_iter` counting
+/// events); smoke mode has none and zeroes the wall-clock fields so the
+/// double-run byte-diff gate can hold.
+fn point_json(arm: &Arm, cfg: &SimConfig, run: &Run, wall: Option<&Summary>) -> Json {
     let mut fct = run.completions_ps.clone();
     fct.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let makespan_ps = fct.last().copied().unwrap_or(0.0);
     let topo = cfg.build_topology();
-    // Smoke zeroes the wall-clock-derived fields so the double-run
-    // byte-diff gate can hold; full mode reports the real numbers.
-    let (wall_ms, events_per_sec) = if smoke {
-        (0.0, 0.0)
-    } else {
-        (
-            run.wall_ms,
-            run.events as f64 / (run.wall_ms / 1e3).max(1e-9),
-        )
-    };
+    let (wall_ms, events_per_sec) =
+        wall.map_or((0.0, 0.0), |w| (w.median_ns / 1e6, w.bytes_per_sec()));
     Json::obj([
         ("arm", arm.label.to_json()),
         ("topology", topo.name().to_json()),
@@ -166,8 +166,18 @@ fn main() {
         let cfg = config_for(seed, arm);
         let n = cfg.num_nodes();
         biggest = biggest.max(n);
-        let run = run_packet(&cfg, &permutation_flows(n, flow_bytes, seed));
-        let p = point_json(arm, &cfg, &run, smoke);
+        let flows = permutation_flows(n, flow_bytes, seed);
+        let run = run_packet(&cfg, &flows);
+        let wall = (!smoke).then(|| {
+            let mut wall_ns = vec![run.wall_ns];
+            for _ in 1..WALL_RUNS {
+                let again = run_packet(&cfg, &flows);
+                assert_eq!(again.events, run.events, "{}: a re-run diverged", arm.label);
+                wall_ns.push(again.wall_ns);
+            }
+            Summary::new(arm.label, &wall_ns, run.events)
+        });
+        let p = point_json(arm, &cfg, &run, wall.as_ref());
         let us = |key| format!("{:.1}", p.get(key).unwrap().as_f64().unwrap());
         table.push(vec![
             arm.label.to_string(),
@@ -178,11 +188,14 @@ fn main() {
             us("makespan_us"),
             run.events.to_string(),
             run.peak_mem_items.to_string(),
-            if smoke {
-                "-".into()
-            } else {
-                format!("{:.0}", run.wall_ms)
-            },
+            wall.map_or("-".into(), |w| {
+                format!(
+                    "{:.1} ({:.1}–{:.1})",
+                    w.median_ns / 1e6,
+                    w.q1_ns / 1e6,
+                    w.q3_ns / 1e6
+                )
+            }),
         ]);
         points.push(p);
     }
@@ -203,7 +216,7 @@ fn main() {
                 "makespan (us)",
                 "events",
                 "peak mem",
-                "wall (ms)",
+                "wall ms, median (Q1–Q3)",
             ],
             &table
         )

@@ -15,14 +15,16 @@
 //!
 //! Usage: `mac_table4 [--smoke] [--seed S]`
 
-use bench::{estimate_cpu_hz, parse_args, render_table, write_bench_json};
+use bench::{
+    bench_doc, estimate_cpu_hz, paired_ratio, parse_args, render_table, sample_arms,
+    write_bench_json, BenchConfig, Summary,
+};
 use ib_crypto::crc::{Crc16, Crc32};
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_crypto::umac::Umac;
 use ib_crypto::AesGcm32;
 use ib_packet::types::{Lid, PKey, Psn, Qpn};
 use ib_packet::{OpCode, Packet, PacketBuilder};
-use ib_runtime::bench::{bench_doc, paired_ratio, sample_arms, BenchConfig, Harness};
 use ib_runtime::{Json, ToJson};
 
 /// Payload sizes under test: minimum-ish, the UMAC NH chunk size, and a
@@ -159,26 +161,35 @@ fn main() {
     );
 
     // ---- timed runs ----
-    let mut harness = Harness::new(config);
+    // Every timed cell with the packets one iteration MACs (the
+    // multi-buffer cells below MAC four at a time), in print order.
+    let mut results: Vec<(Summary, u64)> = Vec::new();
+    let mut record = |id: String, sample_ns: &[f64], bytes_per_iter: usize, pkts: u64| {
+        let m = Summary::new(id, sample_ns, bytes_per_iter as u64);
+        println!("{m}");
+        results.push((m, pkts));
+    };
     // (alg, payload_len, msg_len) per Table 4 measurement, in push order —
     // ids are display-only (algorithm names contain '/').
     let mut meta: Vec<(AuthAlgorithm, usize, usize)> = Vec::new();
-    // Packets processed per iteration, one entry per recorded point (the
-    // multi-buffer cells below MAC four at a time).
-    let mut pkts_per_iter: Vec<u64> = Vec::new();
     for alg in AuthAlgorithm::ALL {
         let mac = AnyMac::new(alg, &key);
         for (packet, (&size, &msg_len)) in packets.iter().zip(SIZES.iter().zip(&msg_lens)) {
             let mut scratch = Vec::new();
-            harness.group("mac").throughput_bytes(msg_len as u64).bench(
-                &format!("{}-{size}B", alg.name()),
-                || {
+            let sample_ns = sample_arms(
+                &config,
+                &mut [|| {
                     packet.icrc_message_into(&mut scratch);
-                    mac.tag32(NONCE, &scratch)
-                },
+                    std::hint::black_box(mac.tag32(NONCE, &scratch));
+                }],
+            );
+            record(
+                format!("mac/{}-{size}B", alg.name()),
+                &sample_ns[0],
+                msg_len,
+                1,
             );
             meta.push((alg, size, msg_len));
-            pkts_per_iter.push(1);
         }
     }
 
@@ -190,9 +201,7 @@ fn main() {
     // seconds, so the arms of each comparison are interleaved *sample by
     // sample*: a
     // frequency dip lands on all arms of the adjacent sample tuple, not
-    // on whichever arm happened to run in that window. The raw samples
-    // then flow through the harness's normal statistics pipeline
-    // (Tukey fences, bootstrap CI) via `Group::record`.
+    // on whichever arm happened to run in that window.
     let msgs: Vec<Vec<u8>> = packets.iter().map(|p| p.icrc_message()).collect();
     let umac = Umac::new(&key);
     let gcm = AesGcm32::new(&key);
@@ -224,31 +233,22 @@ fn main() {
         let msg_len = msg_lens[i];
         for (group, scalar, auto) in CRC_KERNELS {
             let samples = crc_cell(&config, scalar, auto, msg);
-            for (a, arm) in ["scalar", "simd"].iter().enumerate() {
-                harness
-                    .group(group)
-                    .throughput_bytes(msg_len as u64)
-                    .record(&format!("{arm}-{size}B"), &samples[a]);
-                pkts_per_iter.push(1);
+            for (arm, ns) in ["scalar", "simd"].iter().zip(&samples) {
+                record(format!("{group}/{arm}-{size}B"), ns, msg_len, 1);
             }
             simd_raw.push((group, size, samples));
         }
         {
             let samples = umac_cell(&config, &umac, msg);
-            for (a, arm) in ["scalar", "simd", "x4"].iter().enumerate() {
-                let id = format!("{arm}-{size}B");
-                let mut group = harness.group("umac");
-                if *arm == "x4" {
-                    // Four messages per iteration: carry the true total so
-                    // bytes/s stays comparable with the single cells.
-                    group.record_with_bytes(&id, &samples[a], 4 * msg_len as u64);
-                    pkts_per_iter.push(4);
-                } else {
-                    group
-                        .throughput_bytes(msg_len as u64)
-                        .record(&id, &samples[a]);
-                    pkts_per_iter.push(1);
-                }
+            // The x4 lane MACs four messages per iteration: it carries the
+            // true total so bytes/s stays comparable with the single cells.
+            for ((arm, pkts), ns) in [("scalar", 1), ("simd", 1), ("x4", 4)].iter().zip(&samples) {
+                record(
+                    format!("umac/{arm}-{size}B"),
+                    ns,
+                    *pkts as usize * msg_len,
+                    *pkts,
+                );
             }
             simd_raw.push(("umac", size, samples));
         }
@@ -269,19 +269,13 @@ fn main() {
             ];
             let samples = sample_arms(&config, &mut arms);
             drop(arms);
-            for (a, arm) in ["seal", "open"].iter().enumerate() {
-                harness
-                    .group("aead")
-                    .throughput_bytes(msg_len as u64)
-                    .record(&format!("{arm}-{size}B"), &samples[a]);
-                pkts_per_iter.push(1);
+            for (arm, ns) in ["seal", "open"].iter().zip(&samples) {
+                record(format!("aead/{arm}-{size}B"), ns, msg_len, 1);
             }
         }
     }
 
     let cpu_hz = estimate_cpu_hz();
-    let results = harness.results().to_vec();
-    assert_eq!(results.len(), pkts_per_iter.len());
     assert!(results.len() > meta.len());
     // ---- Table 4, throughput form ----
     println!(
@@ -291,9 +285,9 @@ fn main() {
     let trows: Vec<Vec<String>> = meta
         .iter()
         .zip(&results)
-        .map(|(&(alg, size, msg_len), m)| {
-            let mbps = m.bytes_per_sec().unwrap_or(0.0) / 1e6;
-            let cpb = m.mean_ns * 1e-9 * cpu_hz / msg_len as f64;
+        .map(|(&(alg, size, msg_len), (m, _))| {
+            let mbps = m.bytes_per_sec() / 1e6;
+            let cpb = m.median_ns * 1e-9 * cpu_hz / msg_len as f64;
             vec![
                 alg.name().to_string(),
                 size.to_string(),
@@ -312,15 +306,12 @@ fn main() {
         "\nSIMD dispatch vs scalar (Gbps over the ICRC message; link rate {LINK_RATE_GBPS} Gbps):"
     );
     let mut srows: Vec<Vec<String>> = Vec::new();
-    for (m, &ppi) in results[meta.len()..]
-        .iter()
-        .zip(&pkts_per_iter[meta.len()..])
-    {
-        let gbps = m.bytes_per_sec().unwrap_or(0.0) * 8.0 / 1e9;
+    for (m, ppi) in &results[meta.len()..] {
+        let gbps = m.bytes_per_sec() * 8.0 / 1e9;
         srows.push(vec![
             m.id.clone(),
             format!("{gbps:.2}"),
-            format!("{:.0}", ppi as f64 * 1e9 / m.mean_ns),
+            format!("{:.0}", *ppi as f64 * 1e9 / m.median_ns),
             format!("{:.2}", gbps / LINK_RATE_GBPS),
         ]);
     }
@@ -386,15 +377,15 @@ fn main() {
 
     // ---- BENCH_mac_throughput.json: every point gains the line-rate
     // headline fields (gbps, pkts_per_sec, vs_link_rate_2_5gbps) ----
-    let points = results.iter().zip(&pkts_per_iter).map(|(m, &ppi)| {
-        let gbps = m.bytes_per_sec().unwrap_or(0.0) * 8.0 / 1e9;
+    let points = results.iter().map(|(m, ppi)| {
+        let gbps = m.bytes_per_sec() * 8.0 / 1e9;
         let Json::Obj(mut fields) = m.to_json() else {
-            unreachable!("a measurement is an object")
+            unreachable!("a summary row is an object")
         };
         fields.push(("gbps".to_string(), gbps.to_json()));
         fields.push((
             "pkts_per_sec".to_string(),
-            (ppi as f64 * 1e9 / m.mean_ns).to_json(),
+            (*ppi as f64 * 1e9 / m.median_ns).to_json(),
         ));
         fields.push((
             "vs_link_rate_2_5gbps".to_string(),
@@ -405,7 +396,7 @@ fn main() {
     let doc = bench_doc(
         "mac_throughput",
         seed,
-        harness.config_json([
+        config.to_json([
             (
                 "payload_sizes",
                 Json::arr(SIZES.iter().map(|&s| (s as u64).to_json())),

@@ -33,9 +33,10 @@
 
 use std::time::Instant;
 
-use bench::{parse_args, write_bench_json};
+use bench::{
+    bench_doc, paired_ratio, parse_args, sample_arms, write_bench_json, BenchConfig, Summary,
+};
 use ib_mgmt::enforcement::EnforcementKind;
-use ib_runtime::bench::{bench_doc, paired_ratio, sample_arms, BenchConfig, Harness, Measurement};
 use ib_runtime::{Json, ToJson};
 use ib_sim::config::SimConfig;
 use ib_sim::engine::Simulator;
@@ -224,20 +225,22 @@ fn main() {
     // on whichever arm happened to run in that window (same idiom as
     // mac_table4). Each replay builds its queue inside the timed closure:
     // microseconds against a replay of milliseconds.
-    let mut harness = Harness::new(config);
+    // Every timed cell, in print order. "Bytes" are scheduler ops or
+    // simulator events: the rate reads as operations per second.
+    let mut results: Vec<Summary> = Vec::new();
+    let mut record = |id: String, sample_ns: &[f64], per_iter: u64| {
+        let m = Summary::new(id, sample_ns, per_iter);
+        println!("{m}");
+        results.push(m);
+    };
     let sample_ns = sample_arms(
         &config,
         &mut sched_arms(&|q| {
             std::hint::black_box(run_workload(q, &prefill, &deltas));
         }),
     );
-    for (a, &arm) in ARMS.iter().enumerate() {
-        // "Bytes" are scheduler ops: the throughput column reads as
-        // operations per second.
-        harness
-            .group("scheduler")
-            .throughput_bytes(total_ops)
-            .record(arm, &sample_ns[a]);
+    for (arm, ns) in ARMS.iter().zip(&sample_ns) {
+        record(format!("scheduler/{arm}"), ns, total_ops);
     }
     let mut burst_ratios: Vec<f64> = Vec::new();
     for (&b, (offsets, rounds, ops)) in BURSTS.iter().zip(&bursts) {
@@ -247,11 +250,8 @@ fn main() {
                 std::hint::black_box(run_burst(q, offsets, *rounds));
             }),
         );
-        for (a, &arm) in ARMS.iter().enumerate() {
-            harness
-                .group(&format!("scheduler/burst-{b}"))
-                .throughput_bytes(*ops)
-                .record(arm, &ns[a]);
+        for (arm, arm_ns) in ARMS.iter().zip(&ns) {
+            record(format!("scheduler/burst-{b}/{arm}"), arm_ns, *ops);
         }
         burst_ratios.push(paired_ratio(&ns[0], &ns[1]).0);
     }
@@ -286,10 +286,7 @@ fn main() {
             sim.events_by_kind().map(|(k, n)| (k, n.to_json())),
         ));
         engine_events.push(events);
-        harness
-            .group("engine")
-            .throughput_bytes(events)
-            .record(label, &ns);
+        record(format!("engine/{label}"), &ns, events);
     }
 
     // ---- acceptance gate: calendar ≥ heap on the hold workload ----
@@ -334,7 +331,7 @@ fn main() {
     let doc = bench_doc(
         "sim_engine",
         seed,
-        harness.config_json([
+        config.to_json([
             ("arms", Json::arr(ARMS.iter().map(|a| a.to_json()))),
             ("prefill", (prefill_n as u64).to_json()),
             ("steps", (steps as u64).to_json()),
@@ -356,7 +353,7 @@ fn main() {
             ("engine_duration_ps", engine_ps.to_json()),
             ("smoke", smoke.to_json()),
         ]),
-        harness.results().iter().map(Measurement::to_json).collect(),
+        results.iter().map(Summary::to_json).collect(),
     );
     let path = write_bench_json("sim_engine", &doc).expect("write BENCH_sim_engine.json");
     println!("wrote {}", path.display());

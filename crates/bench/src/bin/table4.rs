@@ -12,7 +12,7 @@
 //!
 //! Usage: `table4 [--smoke] [--seed S]` (the seed is not used).
 
-use bench::{estimate_cpu_hz, parse_args, render_table};
+use bench::{estimate_cpu_hz, parse_args, render_table, sample_arms, BenchConfig, Summary};
 use ib_crypto::crc::crc32_ieee;
 use ib_crypto::hmac::Hmac;
 use ib_crypto::mac::AuthAlgorithm;
@@ -21,7 +21,6 @@ use ib_crypto::pmac::Pmac;
 use ib_crypto::sha1::Sha1;
 use ib_crypto::stream_mac::StreamMac;
 use ib_crypto::umac::Umac;
-use ib_runtime::bench::{BenchConfig, Harness};
 use ib_security::analysis::macs::{
     cycles_per_byte_from_throughput, expected_forgery_attempts, gbps_from_cycles_per_byte,
     paper_table4, umac_link_speed_check, TABLE4_CLOCK_MHZ,
@@ -121,15 +120,16 @@ fn main() {
         }),
     ];
 
-    let mut harness = Harness::new(config);
     let mut mrows = Vec::new();
     for (alg, mut f) in cases {
-        let mut group = harness.group("table4");
-        group
-            .throughput_bytes(MSG_BYTES as u64)
-            .bench(alg.name(), &mut *f);
-        let m = harness.results().last().expect("just measured");
-        let bytes_per_sec = m.bytes_per_sec().expect("throughput declared");
+        let sample_ns = &sample_arms(&config, &mut [&mut *f])[0];
+        let m = Summary::new(
+            format!("table4/{}", alg.name()),
+            sample_ns,
+            MSG_BYTES as u64,
+        );
+        println!("{m}");
+        let bytes_per_sec = m.bytes_per_sec();
         let cpb = cycles_per_byte_from_throughput(bytes_per_sec, cpu_hz);
         let gbps_here = bytes_per_sec * 8.0 / 1e9;
         let gbps_350 = gbps_from_cycles_per_byte(cpb, TABLE4_CLOCK_MHZ);

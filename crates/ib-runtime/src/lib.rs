@@ -14,15 +14,11 @@
 //!   (embarrassingly parallel simulator instances, MAC lanes).
 //! * `json` — a minimal JSON value, writer and parser for result
 //!   emission and for checking that what was emitted parses back.
-//! * [`bench`](mod@bench) — a micro-benchmark harness (one interleaved
-//!   sampler with warmup and adaptive batch size, mean/stddev/throughput
-//!   reporting, the standard result document) for the bench binaries.
 //! * [`check`] — a seeded property-test driver with failure-case
 //!   shrinking.
 //! * [`hash`] — a multiply-rotate hasher for the integer-keyed tables on
 //!   per-packet paths (no SipHash per packet).
 
-pub mod bench;
 pub mod check;
 pub mod hash;
 pub(crate) mod json;

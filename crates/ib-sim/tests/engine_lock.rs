@@ -4,13 +4,13 @@
 //!
 //! A fixed master seed draws configuration `i` (topology, mesh size,
 //! attackers and their keys, enforcement, trap transport, attack
-//! schedule, link faults) for line `i`. Each line holds:
+//! schedule, link faults, partition count) for line `i`. Each line holds:
 //!
 //! * the configuration seed (`MASTER.stream(i)`; [`gen_case`] draws the
 //!   configuration from it);
-//! * an FNV-64 digest of the report's JSON with every float written at
-//!   9 significant digits, so the order in which Welford accumulators
-//!   were combined — arithmetic, not behaviour — cannot move it;
+//! * an FNV-64 digest of the report's JSON with every float rounded to
+//!   28 mantissa bits, so the order in which Welford accumulators were
+//!   combined — arithmetic, not behaviour — cannot move it;
 //! * the number of events the run handled;
 //! * `delivered/generated/dropped`: legitimate deliveries, packets
 //!   generated, and drops over every class.
@@ -47,6 +47,7 @@ struct Case {
     transport: TrapTransport,
     schedule: AttackSchedule,
     faults: bool,
+    partitions: usize,
 }
 
 fn gen_case(g: &mut Gen) -> Case {
@@ -80,6 +81,7 @@ fn gen_case(g: &mut Gen) -> Case {
             AttackSchedule::DutyCycle
         },
         faults: g.bool(),
+        partitions: g.usize_in(1..5),
     }
 }
 
@@ -98,6 +100,11 @@ fn build_cfg(seed: u64, case: &Case) -> SimConfig {
         warmup: 100 * US,
         ..SimConfig::default()
     };
+    // At most half as many partitions as hosts, so no host sits alone
+    // in its partition with no one to send legitimate traffic to: the
+    // 2×2 mesh takes at most 2, and at most 4 partitions over 9 or 16
+    // hosts leave every partition at least 3.
+    cfg.num_partitions = case.partitions.min(cfg.num_nodes() / 2);
     if case.faults {
         cfg.fault.drop_prob = 0.02;
         cfg.fault.corrupt_prob = 0.01;
@@ -107,10 +114,27 @@ fn build_cfg(seed: u64, case: &Case) -> SimConfig {
     cfg
 }
 
-/// `j` as JSON text with every float at 9 significant digits.
+/// Low mantissa bits [`round_mantissa`] rounds away: it keeps 28 of
+/// f64's 52, about 8 significant decimal digits.
+const DROPPED_BITS: u32 = 24;
+
+/// `x` rounded half-up to 28 mantissa bits. Rounding in binary, not to
+/// decimal digits: delays are whole picoseconds, so a mean is often
+/// exact at ten decimal digits and sits on a decimal rounding tie,
+/// where an ulp of summation-order noise flips the rounded digit. A
+/// binary tie needs the low 24 bits to read exactly `1000…0`.
+fn round_mantissa(x: f64) -> f64 {
+    if !x.is_finite() {
+        return x;
+    }
+    let half = 1u64 << (DROPPED_BITS - 1);
+    f64::from_bits((x.to_bits() + half) & !((half << 1) - 1))
+}
+
+/// `j` as JSON text with every float rounded by [`round_mantissa`].
 fn write_rounded(j: &Json, out: &mut String) {
     match j {
-        Json::F64(x) => write!(out, "{x:.8e}").unwrap(),
+        Json::F64(x) => write!(out, "{:e}", round_mantissa(*x)).unwrap(),
         Json::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
