@@ -62,16 +62,20 @@ leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch t
 # transport check: ib-crypto carries tests/simd_equivalence.rs,
 # ib-security the one-shot seal and admission bodies (tags byte-identical
 # to the reference in crates/core/tests/one_pass_identity.rs),
-# ib-transport tests/alloc_free_hotpath.rs, ib-sm the rekey goldens (the
-# only harness with many endpoints sharing one node's keyed MACs).
+# ib-transport tests/alloc_free_hotpath.rs, ib-sm the rekey lock's first
+# lines (the only harness with many endpoints sharing one node's keyed
+# MACs).
 IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
-leg "engine lock, every line (release)"
-# tests/golden/lock/engine.txt pins Simulator::run's report on 1024
-# random topology / attack / enforcement / trap / fault configurations.
-# The plain test run above checks its first 64 lines; this leg checks
-# all of them.
-cargo test -q --release --offline -p ib-sim --test engine_lock -- --ignored full
+leg "behaviour locks, every line (release)"
+# tests/golden/lock/{engine,fabric,rekey}.txt pin Simulator::run,
+# run_fabric_sim and run_rekey_sim, 1024 configurations each: random
+# topology / attack / enforcement / trap / fault draws for the engine,
+# hand-picked hostile points then random transport / loss / attacker /
+# key-plane draws for the other two, every fabric and rekey line also
+# holding the harness's safety claims. The plain test run above checks
+# each lock's first lines; this leg checks all of them.
+cargo test -q --release --offline -p ib-sm --test behaviour_lock -- --ignored full
 
 leg "fmt"
 cargo fmt --check
@@ -171,7 +175,7 @@ rm BENCH_mac_throughput.simd.json
 
 # The scheduler/arena determinism gate: a calendar-queue or packet-arena
 # bug that perturbs event order changes the averaged figure rows, so two
-# same-seed runs diverging fails CI immediately. (The engine lock leg
+# same-seed runs diverging fails CI immediately. (The behaviour lock leg
 # above pins the engine on random configurations beyond this grid.)
 smoke_twice fig1
 

@@ -107,11 +107,12 @@ impl ReplayWindow {
     /// Wrap-aware `offer` over a raw 24-bit PSN: the window
     /// unwraps it against the current top using shortest-distance logic (a
     /// PSN less than half the space ahead counts as forward progress,
-    /// otherwise as a late/replayed packet from just behind).
+    /// otherwise as a late/replayed packet from just behind). The first
+    /// PSN is unwrapped one modulus up, so "behind" never reaches below 0.
     pub fn offer_psn(&mut self, psn: u32) -> ReplayVerdict {
         let psn = psn as u64 & (PSN_MOD - 1);
         let seq = match self.top {
-            None => psn,
+            None => PSN_MOD + psn,
             Some(top) => {
                 let top_phase = top % PSN_MOD;
                 // Forward distance from top's phase to this PSN, 0..2^24.
@@ -121,9 +122,7 @@ impl ReplayWindow {
                 } else if d <= PSN_MOD / 2 {
                     top + d // forward progress (possibly across a wrap)
                 } else {
-                    // Nearer behind top: back off by the complement; if the
-                    // unwrapped sequence would precede 0, treat as forward.
-                    top.checked_sub(PSN_MOD - d).unwrap_or(top + d)
+                    top - (PSN_MOD - d) // nearer behind top: a late arrival
                 }
             }
         };
@@ -298,6 +297,14 @@ mod tests {
         assert_eq!(w2.offer_psn(0xFF_FFF0), ReplayVerdict::Fresh);
         assert_eq!(w2.offer_psn(0x00_0010), ReplayVerdict::Fresh);
         assert_eq!(w2.offer_psn(0xFF_FFF0), ReplayVerdict::Stale);
+    }
+
+    #[test]
+    fn pre_wrap_psn_after_a_post_wrap_first_arrival_keeps_the_bitmap() {
+        let mut w = ReplayWindow::new(64);
+        assert_eq!(w.offer_psn(1), ReplayVerdict::Fresh);
+        assert_eq!(w.offer_psn(0xFF_FFFF), ReplayVerdict::Fresh);
+        assert_eq!(w.offer_psn(1), ReplayVerdict::Duplicate);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! comes from a per-node stream and every fault decision from a
 //! per-link stream, so the same seed replays the same report bit for
 //! bit, and no draw depends on how unrelated events interleave.
-//! `tests/engine_lock.rs` pins the reports of 1024 random configurations.
+//! `tests/golden/lock/engine.txt` pins the reports of 1024 random ones.
 //!
 //! ## Model summary
 //!

@@ -31,10 +31,8 @@
 //! window, and packets caught mid-rotation heal through ordinary RC
 //! retransmission — so 100% eventual delivery holds through rotations
 //! and failover. Everything is bit-deterministic in `seed`;
-//! `tests/golden/rekey/*.json` holds six lossy, RNR-storming,
-//! retry-exhausting reports (`tests/rekey_golden.rs` compares byte for
-//! byte), and the unit tests bound the driver's poll count by the run's
-//! activity.
+//! `tests/golden/lock/rekey.txt` pins 1024 reports, and the unit tests
+//! bound the driver's poll count by the run's activity.
 
 use ib_crypto::toyrsa::{generate_keypair, PrivateKey, PublicKey};
 use ib_mgmt::{KeyEpoch, SecretKey};

@@ -66,12 +66,11 @@
 //!    arrival or a timeout on one of its two endpoints, and each of those
 //!    wakes it, so judging completion at the poll misses nothing.
 //!
-//! All of it is gated byte for byte: `tests/golden/rekey/*.json` (six
-//! lossy, RNR-storming, retry-exhausting fleets) and
-//! `tests/golden/fabric/*.json` (twelve hostile single flows) were
-//! produced by loops that swept every endpoint on every step, and the
-//! frozen `benchmark/` package carries a call-for-call copy of the old
-//! two-endpoint loop that `ib-benchmark trace` compares with this one.
+//! All of it is gated byte for byte: the heads of
+//! `tests/golden/lock/{fabric,rekey}.txt` digest reports of loops that
+//! swept every endpoint on every step, and the frozen `benchmark/`
+//! package carries a call-for-call copy of the old two-endpoint loop
+//! that `ib-benchmark trace` compares with this one.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
