@@ -146,6 +146,14 @@ for bin in table1 table2 table3 table4 ablations; do
   cargo run -q --release --offline -p bench --bin "$bin" -- --smoke > /dev/null
 done
 
+leg "examples (release: their asserts must hold)"
+# `cargo test` compiles the four examples but never runs them, so their
+# asserts (the Table 3 rows refused, the R_Key forgery refused, the SIF
+# ordering) would otherwise never execute.
+for ex in quickstart key_attacks secure_rdma dos_attack_defense; do
+  cargo run -q --release --offline -p ib-security --example "$ex" > /dev/null
+done
+
 leg "mac_table4 smoke (twice: structure must be stable, asserts must hold)"
 # The binary's own asserts gate tag equality across the two message
 # paths (hard, single-shot) and its wall-clock floors (each re-measures

@@ -11,7 +11,7 @@ use bench::{parse_args, render_table};
 use ib_crypto::mac::AuthAlgorithm;
 use ib_mgmt::keys::VULNERABILITIES;
 use ib_packet::{PKey, QKey};
-use ib_security::auth::KeyScope;
+use ib_security::auth::{AuthError, KeyScope};
 use ib_security::fabric::{FabricError, SecureFabric};
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
         .send_unauthenticated(2, 1, p1, QKey(1), b"stolen-P_Key injection")
         .unwrap();
     let verdict = fabric.deliver(1, &forged);
-    assert_eq!(verdict, Err(FabricError::PolicyViolation));
+    assert_eq!(verdict, Err(FabricError::Auth(AuthError::AuthRequired)));
     println!("with ICRC-as-MAC enabled: same forgery rejected ({verdict:?})");
 
     // And a member with the secret still communicates.

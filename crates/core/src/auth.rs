@@ -1,16 +1,28 @@
-//! The ICRC-as-MAC authentication layer (§5 of the paper), operating on
-//! real [`ib_packet::Packet`]s.
+//! The ICRC-as-MAC authentication layer (§5 of the paper) and the one
+//! admission rule every receiver applies.
 //!
 //! Tagging: compute a 32-bit MAC over exactly the bytes the ICRC covers
 //! (invariant fields, variant fields masked), store it in the ICRC slot,
 //! and put the algorithm selector in BTH `Resv8a`. The MAC runs one-shot
 //! over one contiguous masked image, never streamed slice by slice: a
 //! masked copy of the freshly written wire bytes on send
-//! ([`Packet::write_sealed`]), of the checked received bytes on receive
-//! ([`WireView::masked_image_into`]).
-//! Verification reverses this. Selector 0 falls back to the plain CRC-32
-//! check, which is what makes the scheme wire-compatible with
-//! non-upgraded IBA gear.
+//! ([`Authenticator::seal_into`], through [`Packet::write_sealed`]), of
+//! the checked received bytes on receive ([`WireView::masked_image_into`]).
+//!
+//! Receiving: one function, `admission`, reads the selector and decides
+//! which check an arrival gets. An authenticator verifies only under its
+//! **own** algorithm; any other selector is rejected, so the sender never
+//! picks the MAC. Selector 0 is checked as plain CRC-32 — what keeps the
+//! scheme wire-compatible with non-upgraded IBA gear — only where the
+//! receiver requires no tag; where it requires one (an authenticating
+//! channel, or a scope the on-demand policy enrolled) a selector-0
+//! arrival is [`AuthError::AuthRequired`].
+//!
+//! One seal door, [`Authenticator::seal_into`], and one receive door,
+//! `admission` (MAC arm: the private `Authenticator::verify_tag`), which
+//! `SecureChannel::check` and `SecureFabric::deliver` both call.
+//! [`Authenticator::verify_view`] is only its public wrapper (tag
+//! required) for standalone authenticators in tests and examples.
 //!
 //! The MAC nonce is `(SLID << 24) | PSN`: the PSN gives per-flow
 //! freshness, the SLID disambiguates senders sharing a partition secret
@@ -39,7 +51,8 @@ pub enum KeyScope {
 /// Why tagging or verification failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuthError {
-    /// BTH selector byte names no registered algorithm.
+    /// BTH selector byte names an algorithm the receiver does not verify
+    /// under: an unregistered one, or a registered one other than its own.
     UnknownSelector(u8),
     /// No secret key on file for this packet's scope index — for a
     /// receiver this is indistinguishable from a forgery by an outsider.
@@ -48,8 +61,8 @@ pub enum AuthError {
     BadTag,
     /// Packet uses plain ICRC (selector 0) and the CRC check failed.
     BadIcrc,
-    /// Policy demands authentication for this packet but it carries plain
-    /// ICRC.
+    /// The receiver requires a tag (an authenticating channel, or a scope
+    /// the on-demand policy enrolled) and the packet carries plain ICRC.
     AuthRequired,
     /// QP-level scope needs a DETH (datagram) or a connection entry and
     /// the packet offers neither.
@@ -66,11 +79,11 @@ pub enum AuthError {
 impl fmt::Display for AuthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AuthError::UnknownSelector(s) => write!(f, "unknown auth selector {s}"),
+            AuthError::UnknownSelector(s) => write!(f, "auth selector {s} is not the receiver's"),
             AuthError::NoKey => write!(f, "no secret key for this packet's scope"),
             AuthError::BadTag => write!(f, "authentication tag mismatch"),
             AuthError::BadIcrc => write!(f, "ICRC check failed"),
-            AuthError::AuthRequired => write!(f, "policy requires an authenticated packet"),
+            AuthError::AuthRequired => write!(f, "the receiver requires an authenticated packet"),
             AuthError::NoScopeIndex => write!(f, "packet carries no usable key index"),
             AuthError::StaleEpoch(e) => write!(f, "key epoch {e} is past its grace window"),
             AuthError::FutureEpoch(e) => write!(f, "key epoch {e} is not yet installed"),
@@ -80,13 +93,41 @@ impl fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-/// The plain-ICRC check over a masked image (selector 0, and every packet
-/// of a channel that does not authenticate).
-pub(crate) fn check_icrc(image: &[u8], icrc: u32) -> Result<(), AuthError> {
-    if AnyMac::Icrc.tag32(0, image) == icrc {
-        Ok(())
-    } else {
-        Err(AuthError::BadIcrc)
+/// The admission rule: the integrity check a received view gets at a
+/// receiver holding `auth` (none for a channel that does not
+/// authenticate) that does or does not require a tag. The view's VCRC was
+/// checked when it was parsed; `image` is the caller's scratch for the
+/// masked image.
+///
+/// * Selector 0 where a tag is required → [`AuthError::AuthRequired`].
+/// * Selector 0 elsewhere → the plain CRC-32 check (legacy IBA).
+/// * The authenticator's own selector → its MAC under the packet-indexed
+///   secret.
+/// * Any other selector → [`AuthError::UnknownSelector`]: the receiver
+///   picks the MAC, never the sender.
+/// * Without an authenticator a tag cannot be judged, and is let through:
+///   such a receiver has no protection against an adversary.
+pub(crate) fn admission(
+    auth: Option<&Authenticator>,
+    tag_required: bool,
+    view: &WireView,
+    image: &mut Vec<u8>,
+) -> Result<(), AuthError> {
+    match (view.bth.resv8a, auth) {
+        (0, _) if tag_required => Err(AuthError::AuthRequired),
+        (0, _) => {
+            view.masked_image_into(image);
+            if AnyMac::Icrc.tag32(0, image) == view.icrc {
+                Ok(())
+            } else {
+                Err(AuthError::BadIcrc)
+            }
+        }
+        (selector, Some(auth)) if selector == auth.algorithm.selector() => {
+            auth.verify_tag(view, image)
+        }
+        (selector, Some(_)) => Err(AuthError::UnknownSelector(selector)),
+        (_, None) => Ok(()),
     }
 }
 
@@ -168,11 +209,6 @@ pub struct Authenticator {
     mac_cache: RefCell<Vec<(MacKey, Rc<AnyMac>)>>,
     /// The node's shared keyed MACs.
     node: Rc<MacStore>,
-    /// Wire and masked-image buffers of the `&Packet` entry points
-    /// ([`Self::tag_packet`], [`Self::verify_packet`]); capacity retained.
-    /// A channel passes its own.
-    wire: RefCell<Vec<u8>>,
-    image: RefCell<Vec<u8>>,
 }
 
 impl Authenticator {
@@ -194,8 +230,6 @@ impl Authenticator {
             scope,
             mac_cache: RefCell::new(Vec::new()),
             node: Rc::clone(node),
-            wire: RefCell::new(Vec::new()),
-            image: RefCell::new(Vec::new()),
         }
     }
 
@@ -293,15 +327,11 @@ impl Authenticator {
         }
     }
 
-    /// Run `f` with the cached keyed MAC for `(algorithm, secret)`,
-    /// fetching it from the node's store on first use.
-    fn with_mac<R>(
-        &self,
-        algorithm: AuthAlgorithm,
-        secret: SecretKey,
-        f: impl FnOnce(&AnyMac) -> R,
-    ) -> R {
-        let key = (algorithm, secret);
+    /// Run `f` with the cached keyed MAC of this authenticator's
+    /// algorithm under `secret`, fetching it from the node's store on
+    /// first use.
+    fn with_mac<R>(&self, secret: SecretKey, f: impl FnOnce(&AnyMac) -> R) -> R {
+        let key = (self.algorithm, secret);
         let mut cache = self.mac_cache.borrow_mut();
         let idx = match cache.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
@@ -330,71 +360,32 @@ impl Authenticator {
         packet.bth.key_epoch = epoch.wire_id();
         packet.bth.resv8a = self.algorithm.selector();
         let nonce = Self::nonce(packet);
-        self.with_mac(self.algorithm, secret, |mac| {
+        self.with_mac(secret, |mac| {
             packet.write_sealed(wire, image, |masked| mac.tag32(nonce, masked));
         });
         Ok(())
     }
 
-    /// [`Self::seal_into`] on the authenticator's own buffers: the packet
-    /// comes back tagged, VCRC refreshed.
-    pub fn tag_packet(&self, packet: &mut Packet) -> Result<(), AuthError> {
-        self.seal_into(
-            packet,
-            &mut self.wire.borrow_mut(),
-            &mut self.image.borrow_mut(),
-        )
+    /// Verify a received view whose receiver requires a tag: the
+    /// admission rule (module docs) with this authenticator. `image` is the
+    /// caller's scratch for the masked image.
+    pub fn verify_view(&self, view: &WireView, image: &mut Vec<u8>) -> Result<(), AuthError> {
+        admission(Some(self), true, view, image)
     }
 
-    /// Verify `tag` over a contiguous masked `image` whose header fields
-    /// are `bth` / `deth` — the MAC half of every admission.
-    ///
-    /// * Selector 0 → plain ICRC check (compatibility mode).
-    /// * Known selector → recompute the MAC under the packet-indexed secret
-    ///   and compare with the stored tag.
-    fn verify_image(
-        &self,
-        bth: &Bth,
-        deth: Option<&Deth>,
-        nonce: u64,
-        image: &[u8],
-        tag: u32,
-    ) -> Result<(), AuthError> {
-        let selector = bth.resv8a;
-        let algorithm =
-            AuthAlgorithm::from_selector(selector).ok_or(AuthError::UnknownSelector(selector))?;
-        if algorithm == AuthAlgorithm::Icrc {
-            return check_icrc(image, tag);
-        }
-        let secret = self.receive_key(bth, deth)?;
-        if self.with_mac(algorithm, secret, |mac| mac.verify(nonce, image, tag)) {
+    /// The MAC half of admission, for a view carrying this
+    /// authenticator's selector: recompute the MAC under the
+    /// packet-indexed secret over the masked image built in `image` and
+    /// compare it with the stored tag.
+    fn verify_tag(&self, view: &WireView, image: &mut Vec<u8>) -> Result<(), AuthError> {
+        let secret = self.receive_key(&view.bth, view.deth.as_ref())?;
+        view.masked_image_into(image);
+        let nonce = Self::nonce_of(view.lrh.slid, view.bth.psn);
+        if self.with_mac(secret, |mac| mac.verify(nonce, image, view.icrc)) {
             Ok(())
         } else {
             Err(AuthError::BadTag)
         }
-    }
-
-    /// Verify a received view: the MAC (or, under selector 0, the plain
-    /// CRC-32) over its masked image, built in `image` (the caller's
-    /// scratch). The view's VCRC was checked when it was parsed.
-    pub fn verify_view(&self, view: &WireView, image: &mut Vec<u8>) -> Result<(), AuthError> {
-        view.masked_image_into(image);
-        let nonce = Self::nonce_of(view.lrh.slid, view.bth.psn);
-        self.verify_image(&view.bth, view.deth.as_ref(), nonce, image, view.icrc)
-    }
-
-    /// Verify an in-memory packet the same way, over its masked image.
-    /// The VCRC is not this layer's concern.
-    pub fn verify_packet(&self, packet: &Packet) -> Result<(), AuthError> {
-        let mut image = self.image.borrow_mut();
-        packet.icrc_message_into(&mut image);
-        self.verify_image(
-            &packet.bth,
-            packet.deth.as_ref(),
-            Self::nonce(packet),
-            &image,
-            packet.icrc,
-        )
     }
 }
 
@@ -415,6 +406,19 @@ mod tests {
             .build()
     }
 
+    /// Seal `pkt` in place (tag, selector, epoch and VCRC land in it).
+    fn tag(auth: &Authenticator, pkt: &mut Packet) -> Result<(), AuthError> {
+        auth.seal_into(pkt, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// Verify `pkt` as it arrives: serialized, viewed (VCRC checked once),
+    /// then through the verify door.
+    fn verify(auth: &Authenticator, pkt: &Packet) -> Result<(), AuthError> {
+        let wire = pkt.to_bytes();
+        let view = Packet::parse_view(&wire).expect("the VCRC holds");
+        auth.verify_view(&view, &mut Vec::new())
+    }
+
     fn partition_pair() -> (Authenticator, Authenticator, PKey, SecretKey) {
         let pkey = PKey(0x8001);
         let secret = SecretKey::from_seed(42);
@@ -429,29 +433,29 @@ mod tests {
     fn partition_level_roundtrip() {
         let (sender, receiver, pkey, _) = partition_pair();
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 100, b"authenticated payload");
-        sender.tag_packet(&mut pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
         assert_eq!(pkt.bth.resv8a, AuthAlgorithm::Umac32.selector());
         assert!(pkt.vcrc_ok(), "tagging refreshes the VCRC");
-        receiver.verify_packet(&pkt).unwrap();
+        verify(&receiver, &pkt).unwrap();
     }
 
     #[test]
     fn wire_roundtrip_preserves_tag() {
         let (sender, receiver, pkey, _) = partition_pair();
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 5, b"over the wire");
-        sender.tag_packet(&mut pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
         let parsed = Packet::parse(&pkt.to_bytes()).unwrap();
-        receiver.verify_packet(&parsed).unwrap();
+        verify(&receiver, &parsed).unwrap();
     }
 
     #[test]
     fn payload_tamper_detected() {
         let (sender, receiver, pkey, _) = partition_pair();
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 5, b"original payload");
-        sender.tag_packet(&mut pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
         pkt.payload[0] ^= 1;
         pkt.vcrc = pkt.compute_vcrc(); // attacker can fix the plain CRC…
-        assert_eq!(receiver.verify_packet(&pkt), Err(AuthError::BadTag));
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::BadTag));
     }
 
     #[test]
@@ -465,8 +469,8 @@ mod tests {
         let forged_secret = SecretKey::from_seed(999); // guess
         attacker.keys.install_partition_secret(pkey, forged_secret);
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 8, b"forged with stolen P_Key");
-        attacker.tag_packet(&mut pkt).unwrap();
-        assert_eq!(receiver.verify_packet(&pkt), Err(AuthError::BadTag));
+        tag(&attacker, &mut pkt).unwrap();
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::BadTag));
     }
 
     #[test]
@@ -478,10 +482,10 @@ mod tests {
         let mut receiver = receiver;
         receiver.keys.install_partition_secret(other, secret);
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 5, b"partition I data");
-        sender.tag_packet(&mut pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
         pkt.bth.pkey = other; // in-flight partition swap
         pkt.vcrc = pkt.compute_vcrc();
-        assert_eq!(receiver.verify_packet(&pkt), Err(AuthError::BadTag));
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::BadTag));
     }
 
     #[test]
@@ -489,32 +493,51 @@ mod tests {
         let (sender, _, pkey, _) = partition_pair();
         let mut p1 = ud_packet(pkey, QKey(7), Qpn(3), 5, b"same bytes");
         let mut p2 = ud_packet(pkey, QKey(7), Qpn(3), 6, b"same bytes");
-        sender.tag_packet(&mut p1).unwrap();
-        sender.tag_packet(&mut p2).unwrap();
+        tag(&sender, &mut p1).unwrap();
+        tag(&sender, &mut p2).unwrap();
         assert_ne!(p1.icrc, p2.icrc, "PSN is the nonce: tags must differ");
     }
 
+    /// Selector 0 is plain ICRC where no tag is required and refused where
+    /// one is; the verify door always requires one.
     #[test]
     fn selector_zero_is_plain_icrc() {
         let (_, receiver, pkey, _) = partition_pair();
         let pkt = ud_packet(pkey, QKey(7), Qpn(3), 5, b"legacy packet");
-        // Built by the builder in plain-ICRC mode: verifies as legacy.
-        receiver.verify_packet(&pkt).unwrap();
         let mut corrupted = pkt.clone();
         corrupted.payload[2] ^= 4;
         corrupted.vcrc = corrupted.compute_vcrc();
-        assert_eq!(receiver.verify_packet(&corrupted), Err(AuthError::BadIcrc));
+        let rule = |p: &Packet, tag_required: bool| {
+            let wire = p.to_bytes();
+            let view = Packet::parse_view(&wire).unwrap();
+            admission(Some(&receiver), tag_required, &view, &mut Vec::new())
+        };
+        assert_eq!(rule(&pkt, false), Ok(()));
+        assert_eq!(rule(&corrupted, false), Err(AuthError::BadIcrc));
+        assert_eq!(rule(&pkt, true), Err(AuthError::AuthRequired));
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::AuthRequired));
     }
 
     #[test]
     fn unknown_selector_rejected() {
-        let (_, receiver, pkey, _) = partition_pair();
+        let (_, receiver, pkey, secret) = partition_pair();
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 5, b"x");
         pkt.set_auth_tag(0x77, 0);
         assert_eq!(
-            receiver.verify_packet(&pkt),
+            verify(&receiver, &pkt),
             Err(AuthError::UnknownSelector(0x77))
         );
+        // A registered algorithm other than the receiver's, under the
+        // receiver's own secret: the sender does not pick the MAC.
+        let mut md5 = Authenticator::new(AuthAlgorithm::HmacMd5, KeyScope::Partition);
+        md5.keys.install_partition_secret(pkey, secret);
+        tag(&md5, &mut pkt).unwrap();
+        let selector = AuthAlgorithm::HmacMd5.selector();
+        assert_eq!(
+            verify(&receiver, &pkt),
+            Err(AuthError::UnknownSelector(selector))
+        );
+        assert_eq!(receiver.cached_macs(), 0, "nothing keyed for it");
     }
 
     #[test]
@@ -522,8 +545,8 @@ mod tests {
         let (sender, _, pkey, _) = partition_pair();
         let receiver = Authenticator::new(AuthAlgorithm::Umac32, KeyScope::Partition);
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 5, b"x");
-        sender.tag_packet(&mut pkt).unwrap();
-        assert_eq!(receiver.verify_packet(&pkt), Err(AuthError::NoKey));
+        tag(&sender, &mut pkt).unwrap();
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::NoKey));
     }
 
     #[test]
@@ -537,13 +560,13 @@ mod tests {
         receiver.keys.install_datagram_secret(qkey, src_qp, secret);
 
         let mut pkt = ud_packet(PKey(0x8001), qkey, src_qp, 9, b"qp-scoped");
-        sender.tag_packet(&mut pkt).unwrap();
-        receiver.verify_packet(&pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
+        verify(&receiver, &pkt).unwrap();
 
         // A different source QP using the same Q_Key doesn't verify —
         // that's the Figure 3 (Q_Key, src QP) index working.
         let mut other = ud_packet(PKey(0x8001), qkey, Qpn(5), 9, b"qp-scoped");
-        assert_eq!(sender.tag_packet(&mut other), Err(AuthError::NoKey));
+        assert_eq!(tag(&sender, &mut other), Err(AuthError::NoKey));
     }
 
     #[test]
@@ -562,8 +585,8 @@ mod tests {
             .psn(Psn(33))
             .payload(b"connected".to_vec())
             .build();
-        sender.tag_packet(&mut pkt).unwrap();
-        receiver.verify_packet(&pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
+        verify(&receiver, &pkt).unwrap();
     }
 
     #[test]
@@ -576,10 +599,8 @@ mod tests {
             let mut receiver = Authenticator::new(*alg, KeyScope::Partition);
             receiver.keys.install_partition_secret(pkey, secret);
             let mut pkt = ud_packet(pkey, QKey(1), Qpn(1), 77, b"alg sweep");
-            sender.tag_packet(&mut pkt).unwrap();
-            receiver
-                .verify_packet(&pkt)
-                .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
+            tag(&sender, &mut pkt).unwrap();
+            verify(&receiver, &pkt).unwrap_or_else(|e| panic!("{alg:?}: {e}"));
         }
     }
 
@@ -597,7 +618,7 @@ mod tests {
 
         // A packet tagged under epoch 0 before the rotation.
         let mut old_pkt = ud_packet(pkey, QKey(7), Qpn(3), 10, b"epoch 0 traffic");
-        old_sender.tag_packet(&mut old_pkt).unwrap();
+        tag(&old_sender, &mut old_pkt).unwrap();
         assert_eq!(old_pkt.bth.key_epoch, 0);
 
         // Rotation: the sender learns epoch 1 first (lazy re-keying order
@@ -607,28 +628,22 @@ mod tests {
             .keys
             .install_partition_epoch(pkey, KeyEpoch(1), s1);
         let mut new_pkt = ud_packet(pkey, QKey(7), Qpn(3), 11, b"epoch 1 traffic");
-        new_sender.tag_packet(&mut new_pkt).unwrap();
+        tag(&new_sender, &mut new_pkt).unwrap();
         assert_eq!(new_pkt.bth.key_epoch, 1, "send side switches immediately");
 
         // Receiver hasn't installed epoch 1 yet: a *recoverable* miss.
-        assert_eq!(
-            receiver.verify_packet(&new_pkt),
-            Err(AuthError::FutureEpoch(1))
-        );
+        assert_eq!(verify(&receiver, &new_pkt), Err(AuthError::FutureEpoch(1)));
 
         // Key-update MAD lands: both epochs verify during the grace window.
         receiver.keys.install_partition_epoch(pkey, KeyEpoch(1), s1);
-        receiver.verify_packet(&new_pkt).unwrap();
-        receiver.verify_packet(&old_pkt).unwrap();
+        verify(&receiver, &new_pkt).unwrap();
+        verify(&receiver, &old_pkt).unwrap();
 
         // Grace expires: the old version is retired and its traffic is
         // rejected for good — the zero-stale-admissions property.
         receiver.keys.retire_partition_below(pkey, KeyEpoch(1));
-        assert_eq!(
-            receiver.verify_packet(&old_pkt),
-            Err(AuthError::StaleEpoch(0))
-        );
-        receiver.verify_packet(&new_pkt).unwrap();
+        assert_eq!(verify(&receiver, &old_pkt), Err(AuthError::StaleEpoch(0)));
+        verify(&receiver, &new_pkt).unwrap();
     }
 
     #[test]
@@ -639,13 +654,13 @@ mod tests {
         sender.keys.install_partition_epoch(pkey, KeyEpoch(1), s1);
         receiver.keys.install_partition_epoch(pkey, KeyEpoch(1), s1);
         let mut pkt = ud_packet(pkey, QKey(7), Qpn(3), 3, b"swap my epoch");
-        sender.tag_packet(&mut pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
         // In-flight epoch downgrade: both versions are live at the
         // receiver, so the lookup succeeds — but the MAC covered the
         // original epoch id, so verification still fails.
         pkt.bth.key_epoch = 0;
         pkt.vcrc = pkt.compute_vcrc();
-        assert_eq!(receiver.verify_packet(&pkt), Err(AuthError::BadTag));
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::BadTag));
     }
 
     #[test]
@@ -668,12 +683,12 @@ mod tests {
             .psn(Psn(33))
             .payload(b"connected rotation".to_vec())
             .build();
-        sender.tag_packet(&mut pkt).unwrap();
+        tag(&sender, &mut pkt).unwrap();
         assert_eq!(pkt.bth.key_epoch, 1);
-        assert_eq!(receiver.verify_packet(&pkt), Err(AuthError::FutureEpoch(1)));
+        assert_eq!(verify(&receiver, &pkt), Err(AuthError::FutureEpoch(1)));
         receiver
             .keys
             .install_connection_epoch(Qpn(9), KeyEpoch(1), s1);
-        receiver.verify_packet(&pkt).unwrap();
+        verify(&receiver, &pkt).unwrap();
     }
 }

@@ -23,6 +23,17 @@
 //! is window sizing: its in-flight window must not exceed the replay
 //! window ([`SecureChannel::window_depth`]), or a genuine retransmit could
 //! age out and be rejected as [`ReplayVerdict::Stale`].
+//!
+//! ## Integrity first, through the one admission rule
+//!
+//! Before the window, every arrival passes [`crate::auth`]'s admission
+//! rule. An authenticating arm ([`ChannelSecurity::Auth`],
+//! [`ChannelSecurity::AuthReplay`]) requires a tag: a selector-0 packet —
+//! what a keyless attacker who sniffed the P_Key, QPN and PSN can always
+//! build — is [`AuthError::AuthRequired`], and a selector other than the
+//! channel's own (UMAC) is refused without keying that algorithm.
+//! [`ChannelSecurity::NoAuth`] requires none and checks selector 0 as
+//! plain CRC-32.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -33,7 +44,7 @@ use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::PKey;
 use ib_packet::{Packet, WireView};
 
-use crate::auth::{check_icrc, AuthError, Authenticator, KeyScope, MacStore};
+use crate::auth::{admission, AuthError, Authenticator, KeyScope, MacStore};
 use crate::replay::{ReplayVerdict, ReplayWindow};
 
 /// Security posture of a channel — the three arms of the fig_replay
@@ -76,8 +87,8 @@ pub enum ChannelError {
     /// the `&Packet` entry points, whose serialization did not parse; a
     /// [`WireView`] has passed this check already.
     BadVcrc,
-    /// Authentication failure (forged, unkeyed, or corrupted inside the
-    /// VCRC's blind spot).
+    /// The admission rule refused the packet: forged, unkeyed, untagged on
+    /// an authenticating arm, or corrupted inside the VCRC's blind spot.
     Auth(AuthError),
     /// The PSN fell off the replay window — too old to judge, rejected
     /// conservatively.
@@ -298,21 +309,11 @@ impl SecureChannel {
     }
 
     /// The uncounted integrity check of an arrival whose VCRC
-    /// [`Packet::parse_view`] already checked: the one-shot MAC (or plain
-    /// ICRC) over a masked copy of the received bytes.
+    /// [`Packet::parse_view`] already checked: the [`admission`] rule, with
+    /// a tag required exactly when the channel authenticates.
     fn check(&mut self, view: &WireView) -> Result<(), ChannelError> {
-        let image = self.image.get_mut();
-        match &self.auth {
-            Some(auth) => auth.verify_view(view, image),
-            // No adversarial protection, but line noise still fails the
-            // plain CRC when no tag replaced it.
-            None if view.bth.resv8a == 0 => {
-                view.masked_image_into(image);
-                check_icrc(image, view.icrc)
-            }
-            None => Ok(()),
-        }
-        .map_err(ChannelError::Auth)
+        let auth = self.auth.as_ref();
+        admission(auth, auth.is_some(), view, self.image.get_mut()).map_err(ChannelError::Auth)
     }
 
     /// Bump the stats counter matching an integrity rejection.
@@ -365,7 +366,7 @@ impl SecureChannel {
         }
     }
 
-    /// Inbound side, the one admission body: MAC (or plain ICRC) over the
+    /// Inbound side, the one admission body: the admission rule over the
     /// view's masked image, then the replay window. The view's VCRC was
     /// checked when it was parsed and is not checked again. Counts every
     /// outcome in [`Self::stats`].

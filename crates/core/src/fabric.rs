@@ -4,9 +4,11 @@
 //! created through the SM, which mints partition secrets and distributes
 //! them under each member's (toy-RSA) public key — §4.2's flow, for real,
 //! over real envelopes. Datagram sends build genuine IBA wire packets
-//! (`ib-packet`), tag them through the ICRC-as-MAC path, and delivery
-//! parses the raw bytes, applies on-demand policy, verifies the tag, and
-//! enforces replay freshness.
+//! (`ib-packet`) and seal them with [`Authenticator::seal_into`]; delivery
+//! views the raw bytes ([`Packet::parse_view`]), checks the P_Key table,
+//! applies the admission rule with a tag required where the node's
+//! on-demand policy enrolled the scope, offers tagged PSNs to the flow's
+//! replay window, and copies the payload out once, at the end.
 //!
 //! This is the crate's quickstart API; the examples and the cross-crate
 //! integration tests drive it.
@@ -20,18 +22,18 @@ use ib_mgmt::partition::{PartitionConfig, PartitionTable};
 use ib_mgmt::sm::SubnetManager;
 use ib_packet::{Lid, OpCode, PKey, Packet, PacketBuilder, ParseError, Psn, QKey, Qpn};
 
-use crate::auth::{AuthError, Authenticator, KeyScope};
+use crate::auth::{admission, AuthError, Authenticator, KeyScope};
 use crate::ondemand::OnDemandPolicy;
-use crate::replay::ReplayWindow;
+use crate::replay::{ReplayVerdict, ReplayWindow};
 
 /// Why a delivery was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
     /// The raw bytes are not a valid IBA packet.
     Parse(ParseError),
-    /// The on-demand policy demands authentication and the packet has none.
-    PolicyViolation,
-    /// Tag/ICRC verification failed.
+    /// The admission rule refused the packet: a bad tag or ICRC, or
+    /// ([`AuthError::AuthRequired`]) plain ICRC where the on-demand policy
+    /// requires a tag.
     Auth(AuthError),
     /// Valid tag but stale nonce — a replay.
     Replay,
@@ -197,8 +199,11 @@ impl SecureFabric {
         payload: &[u8],
     ) -> Result<Vec<u8>, FabricError> {
         let mut packet = self.build_datagram(src, dst, pkey, qkey, payload)?;
-        self.nodes[src].auth.tag_packet(&mut packet)?;
-        Ok(packet.to_bytes())
+        let mut wire = Vec::new();
+        self.nodes[src]
+            .auth
+            .seal_into(&mut packet, &mut wire, &mut Vec::new())?;
+        Ok(wire)
     }
 
     /// Send *without* authentication (plain ICRC) — what a legacy or
@@ -215,37 +220,32 @@ impl SecureFabric {
         Ok(packet.to_bytes())
     }
 
-    /// Receive raw wire bytes at node `dst`: parse, partition check,
-    /// policy check, authentication, replay check. Returns the payload.
+    /// Receive raw wire bytes at node `dst`: view them (the VCRC check),
+    /// P_Key table, the admission rule, replay check. Returns the payload.
     pub fn deliver(&mut self, dst: usize, bytes: &[u8]) -> Result<Vec<u8>, FabricError> {
         let node = self.nodes.get_mut(dst).ok_or(FabricError::NoSuchNode)?;
-        let packet = Packet::parse(bytes)?;
+        let view = Packet::parse_view(bytes)?;
         // Stock-IBA receive checks first: P_Key table.
-        let (pkey_ok, _) = node.table.check(packet.bth.pkey);
+        let (pkey_ok, _) = node.table.check(view.bth.pkey);
         if !pkey_ok {
             return Err(FabricError::PKeyViolation);
         }
-        // On-demand policy.
-        if !node.policy.admits(&packet) {
-            return Err(FabricError::PolicyViolation);
-        }
-        // Authentication (or legacy ICRC for selector 0).
-        node.auth.verify_packet(&packet)?;
-        // Replay freshness per (sender LID, sender QP) flow.
-        if packet.bth.resv8a != 0 {
-            let flow = (
-                packet.lrh.slid,
-                packet.deth.as_ref().map_or(Qpn(0), |d| d.src_qp),
-            );
+        let tag_required = node.policy.requires_auth(&view.bth);
+        admission(Some(&node.auth), tag_required, &view, &mut Vec::new())?;
+        // Replay freshness per (sender LID, sender QP) flow, for verified
+        // tags only: a plain-ICRC packet's PSN vouches for nothing, and
+        // must not move an authenticated flow's window.
+        if view.bth.resv8a != 0 {
+            let flow = (view.lrh.slid, view.deth.map_or(Qpn(0), |d| d.src_qp));
             let window = node
                 .replay
                 .entry(flow)
                 .or_insert_with(|| ReplayWindow::new(64));
-            if !window.accept_psn(packet.bth.psn.0) {
+            if window.offer_psn(view.bth.psn.0) != ReplayVerdict::Fresh {
                 return Err(FabricError::Replay);
             }
         }
-        Ok(packet.payload)
+        Ok(view.payload.to_vec())
     }
 
     /// The number of secrets node `i` holds (observability for examples).
@@ -306,7 +306,10 @@ mod tests {
         let wire = f
             .send_unauthenticated(3, 1, P1, QKey(1), b"forged")
             .unwrap();
-        assert_eq!(f.deliver(1, &wire), Err(FabricError::PolicyViolation));
+        assert_eq!(
+            f.deliver(1, &wire),
+            Err(FabricError::Auth(AuthError::AuthRequired))
+        );
     }
 
     #[test]
@@ -319,7 +322,10 @@ mod tests {
         );
         f.require_auth_for_partition(P1);
         let wire = f.send_unauthenticated(0, 1, P1, QKey(1), b"plain").unwrap();
-        assert_eq!(f.deliver(1, &wire), Err(FabricError::PolicyViolation));
+        assert_eq!(
+            f.deliver(1, &wire),
+            Err(FabricError::Auth(AuthError::AuthRequired))
+        );
     }
 
     #[test]

@@ -20,15 +20,19 @@
 //!
 //! ## Crate layout
 //!
-//! * [`auth`] — tagging/verification of real [`ib_packet::Packet`]s, keyed
-//!   from [`ib_mgmt::keymgmt`] tables; the end-to-end functional path.
+//! * [`auth`] — sealing real [`ib_packet::Packet`]s and verifying received
+//!   wire views, keyed from [`ib_mgmt::keymgmt`] tables, and the one
+//!   admission rule every receiver applies: a receiver verifies under its
+//!   own algorithm only, and takes selector 0 (plain ICRC) only where it
+//!   requires no tag.
 //! * [`replay`] — §7's nonce/sliding-window replay defense (PSN as nonce).
-//! * [`channel`] — authentication + replay window composed into one
+//! * [`channel`] — the admission rule + replay window composed into one
 //!   receive path, reconciled with reliable-transport retransmission (the
 //!   delivered-vs-lost duplicate distinction `ib-transport` builds on).
-//! * [`ondemand`] — §5.1's per-partition / per-QP on-demand enablement.
+//! * [`ondemand`] — §5.1's per-partition / per-QP on-demand enablement:
+//!   which scopes require a tag.
 //! * [`fabric`] — an in-memory secure fabric tying SM, key distribution,
-//!   tagging and verification together; what the examples drive.
+//!   sealing and the admission rule together; what the examples drive.
 //! * [`analysis`] — the closed-form models: Table 2 (enforcement overhead)
 //!   and Table 4 (MAC time & forgery complexity).
 //! * [`experiments`] — configured parameter sweeps that regenerate

@@ -3,16 +3,21 @@
 //! authentication only for that partition. Since the authentication can be
 //! disabled and enabled anytime, our mechanism provides very flexible
 //! authentication service."
+//!
+//! The policy only says *whether* a packet must carry a tag; the
+//! admission rule ([`crate::auth`]) is what refuses a selector-0 packet
+//! for an enrolled scope, as [`crate::AuthError::AuthRequired`], and what
+//! verifies the tag of every other.
 
 use std::collections::HashSet;
 
 use ib_packet::types::{PKey, Qpn};
-use ib_packet::Packet;
+use ib_packet::Bth;
 
 /// Which packets must arrive authenticated. A packet is *required* to be
 /// authenticated if its partition or its destination QP is enrolled (or
 /// `default_required` is on). Unauthenticated packets for enrolled scopes
-/// are policy violations even when their plain ICRC is fine.
+/// are refused even when their plain ICRC is fine.
 #[derive(Debug, Clone, Default)]
 pub struct OnDemandPolicy {
     partitions: HashSet<PKey>,
@@ -45,18 +50,12 @@ impl OnDemandPolicy {
         self
     }
 
-    /// Does policy demand that this packet carry an authentication tag?
-    pub(crate) fn requires_auth(&self, packet: &Packet) -> bool {
+    /// Does policy demand that the packet with this BTH carry an
+    /// authentication tag?
+    pub(crate) fn requires_auth(&self, bth: &Bth) -> bool {
         self.default_required
-            || self.partitions.contains(&packet.bth.pkey)
-            || self.qps.contains(&packet.bth.dest_qp)
-    }
-
-    /// Is this packet acceptable? (Either policy doesn't care, or the
-    /// packet carries a non-zero selector — tag *validity* is the
-    /// authenticator's job, separation of concerns.)
-    pub fn admits(&self, packet: &Packet) -> bool {
-        !self.requires_auth(packet) || packet.bth.resv8a != 0
+            || self.partitions.contains(&bth.pkey)
+            || self.qps.contains(&bth.dest_qp)
     }
 
     /// Number of enrolled scopes (metrics).
@@ -71,26 +70,21 @@ mod tests {
     use super::*;
     use ib_packet::{Lid, OpCode, PacketBuilder, Psn};
 
-    fn packet(pkey: PKey, dest_qp: Qpn, selector: u8) -> Packet {
-        let mut p = PacketBuilder::new(OpCode::RC_SEND_ONLY)
+    fn bth(pkey: PKey, dest_qp: Qpn) -> Bth {
+        PacketBuilder::new(OpCode::RC_SEND_ONLY)
             .slid(Lid(1))
             .dlid(Lid(2))
             .pkey(pkey)
             .dest_qp(dest_qp)
             .psn(Psn(1))
-            .payload(vec![1, 2, 3])
-            .build();
-        if selector != 0 {
-            p.set_auth_tag(selector, 0xDEAD_BEEF);
-        }
-        p
+            .build()
+            .bth
     }
 
     #[test]
     fn allow_all_admits_everything() {
         let policy = OnDemandPolicy::allow_all();
-        assert!(policy.admits(&packet(PKey(0x8001), Qpn(1), 0)));
-        assert!(policy.admits(&packet(PKey(0x8001), Qpn(1), 1)));
+        assert!(!policy.requires_auth(&bth(PKey(0x8001), Qpn(1))));
         assert_eq!(policy.enrolled(), 0);
     }
 
@@ -99,12 +93,11 @@ mod tests {
         let mut policy = OnDemandPolicy::allow_all();
         policy.require_partition(PKey(0x8001));
         assert!(
-            !policy.admits(&packet(PKey(0x8001), Qpn(1), 0)),
+            policy.requires_auth(&bth(PKey(0x8001), Qpn(1))),
             "needs a tag"
         );
-        assert!(policy.admits(&packet(PKey(0x8001), Qpn(1), 1)), "tagged ok");
         assert!(
-            policy.admits(&packet(PKey(0x8002), Qpn(1), 0)),
+            !policy.requires_auth(&bth(PKey(0x8002), Qpn(1))),
             "other partition free"
         );
     }
@@ -113,24 +106,23 @@ mod tests {
     fn enable_disable_anytime() {
         let mut policy = OnDemandPolicy::allow_all();
         policy.require_partition(PKey(0x8001));
-        assert!(!policy.admits(&packet(PKey(0x8001), Qpn(1), 0)));
+        assert!(policy.requires_auth(&bth(PKey(0x8001), Qpn(1))));
         policy.release_partition(PKey(0x8001));
-        assert!(policy.admits(&packet(PKey(0x8001), Qpn(1), 0)));
+        assert!(!policy.requires_auth(&bth(PKey(0x8001), Qpn(1))));
     }
 
     #[test]
     fn qp_enrollment() {
         let mut policy = OnDemandPolicy::allow_all();
         policy.require_qp(Qpn(42));
-        assert!(!policy.admits(&packet(PKey(0x8001), Qpn(42), 0)));
-        assert!(policy.admits(&packet(PKey(0x8001), Qpn(43), 0)));
+        assert!(policy.requires_auth(&bth(PKey(0x8001), Qpn(42))));
+        assert!(!policy.requires_auth(&bth(PKey(0x8001), Qpn(43))));
     }
 
     #[test]
     fn default_required_lockdown() {
         let mut policy = OnDemandPolicy::allow_all();
         policy.default_required = true;
-        assert!(!policy.admits(&packet(PKey(0x8009), Qpn(9), 0)));
-        assert!(policy.admits(&packet(PKey(0x8009), Qpn(9), 1)));
+        assert!(policy.requires_auth(&bth(PKey(0x8009), Qpn(9))));
     }
 }

@@ -9,10 +9,9 @@
 //! 2401 appendix C style), sized for out-of-order arrival in a multipath
 //! fabric.
 
-/// Sliding-window replay tracker over 24-bit PSNs (tracked internally as
-/// monotonically increasing u64 to sidestep wrap ambiguity; callers feed
-/// [`ReplayWindow::accept`] the unwrapped sequence — see
-/// `ReplayWindow::accept_psn` for the wrap-aware convenience).
+/// Sliding-window replay tracker over 24-bit PSNs: callers offer raw PSNs
+/// ([`ReplayWindow::offer_psn`]), tracked internally as a monotonically
+/// increasing u64 to sidestep wrap ambiguity.
 #[derive(Debug, Clone)]
 pub struct ReplayWindow {
     /// Highest sequence accepted so far (None until the first packet).
@@ -98,12 +97,6 @@ impl ReplayWindow {
         }
     }
 
-    /// Offer an unwrapped sequence number. Returns true if fresh (and
-    /// records it); false if a replay or older than the window.
-    pub fn accept(&mut self, seq: u64) -> bool {
-        self.offer(seq) == ReplayVerdict::Fresh
-    }
-
     /// Wrap-aware `offer` over a raw 24-bit PSN: the window
     /// unwraps it against the current top using shortest-distance logic (a
     /// PSN less than half the space ahead counts as forward progress,
@@ -129,11 +122,6 @@ impl ReplayWindow {
         self.offer(seq)
     }
 
-    /// Boolean form of [`offer_psn`](Self::offer_psn).
-    pub(crate) fn accept_psn(&mut self, psn: u32) -> bool {
-        self.offer_psn(psn) == ReplayVerdict::Fresh
-    }
-
     /// The out-of-order depth this window tolerates.
     pub(crate) fn window(&self) -> u32 {
         self.window
@@ -143,15 +131,16 @@ impl ReplayWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ReplayVerdict::Fresh;
 
     #[test]
     fn in_order_accepted_once() {
         let mut w = ReplayWindow::new(64);
         for s in 0..100 {
-            assert!(w.accept(s), "fresh {s}");
+            assert_eq!(w.offer(s), Fresh, "fresh {s}");
         }
         for s in 90..100 {
-            assert!(!w.accept(s), "replay {s}");
+            assert_ne!(w.offer(s), Fresh, "replay {s}");
         }
         assert_eq!(w.rejected, 10);
     }
@@ -159,65 +148,69 @@ mod tests {
     #[test]
     fn out_of_order_within_window() {
         let mut w = ReplayWindow::new(16);
-        assert!(w.accept(10));
-        assert!(w.accept(12));
-        assert!(w.accept(11), "late but fresh");
-        assert!(!w.accept(11), "now a replay");
-        assert!(!w.accept(12));
-        assert!(!w.accept(10));
+        assert_eq!(w.offer(10), Fresh);
+        assert_eq!(w.offer(12), Fresh);
+        assert_eq!(w.offer(11), Fresh, "late but fresh");
+        assert_ne!(w.offer(11), Fresh, "now a replay");
+        assert_ne!(w.offer(12), Fresh);
+        assert_ne!(w.offer(10), Fresh);
     }
 
     #[test]
     fn too_old_rejected() {
         let mut w = ReplayWindow::new(8);
-        assert!(w.accept(100));
-        assert!(!w.accept(92), "exactly window-old is out");
-        assert!(w.accept(93), "window-1 old is in");
+        assert_eq!(w.offer(100), Fresh);
+        assert_ne!(w.offer(92), Fresh, "exactly window-old is out");
+        assert_eq!(w.offer(93), Fresh, "window-1 old is in");
     }
 
     #[test]
     fn large_jump_clears_bitmap() {
         let mut w = ReplayWindow::new(64);
-        assert!(w.accept(5));
-        assert!(w.accept(5 + 100));
-        assert!(!w.accept(5 + 100));
+        assert_eq!(w.offer(5), Fresh);
+        assert_eq!(w.offer(5 + 100), Fresh);
+        assert_ne!(w.offer(5 + 100), Fresh);
         // 5 is far below the window now.
-        assert!(!w.accept(5));
+        assert_ne!(w.offer(5), Fresh);
     }
 
     #[test]
     fn first_packet_any_sequence() {
         let mut w = ReplayWindow::new(32);
-        assert!(w.accept(123_456));
-        assert!(!w.accept(123_456));
+        assert_eq!(w.offer(123_456), Fresh);
+        assert_ne!(w.offer(123_456), Fresh);
     }
 
     #[test]
     fn psn_wrap_forward() {
         let mut w = ReplayWindow::new(32);
-        assert!(w.accept_psn(0xFF_FFFE));
-        assert!(w.accept_psn(0xFF_FFFF));
-        assert!(w.accept_psn(0x00_0000), "wraps forward");
-        assert!(w.accept_psn(0x00_0001));
-        assert!(!w.accept_psn(0x00_0000), "replay after wrap");
-        assert!(!w.accept_psn(0xFF_FFFF), "pre-wrap replay still caught");
+        assert_eq!(w.offer_psn(0xFF_FFFE), Fresh);
+        assert_eq!(w.offer_psn(0xFF_FFFF), Fresh);
+        assert_eq!(w.offer_psn(0x00_0000), Fresh, "wraps forward");
+        assert_eq!(w.offer_psn(0x00_0001), Fresh);
+        assert_ne!(w.offer_psn(0x00_0000), Fresh, "replay after wrap");
+        assert_ne!(
+            w.offer_psn(0xFF_FFFF),
+            Fresh,
+            "pre-wrap replay still caught"
+        );
     }
 
     #[test]
     fn psn_slightly_behind_is_late_not_wrap() {
         let mut w = ReplayWindow::new(32);
-        assert!(w.accept_psn(100));
-        assert!(w.accept_psn(102));
-        assert!(w.accept_psn(101), "late delivery");
-        assert!(!w.accept_psn(101));
+        assert_eq!(w.offer_psn(100), Fresh);
+        assert_eq!(w.offer_psn(102), Fresh);
+        assert_eq!(w.offer_psn(101), Fresh, "late delivery");
+        assert_ne!(w.offer_psn(101), Fresh);
     }
 
     #[test]
     fn rejected_counter() {
         let mut w = ReplayWindow::new(8);
-        w.accept(1);
-        w.accept(1);
-        w.accept(1);
+        for _ in 0..3 {
+            w.offer(1);
+        }
         assert_eq!(w.rejected, 2);
     }
 

@@ -175,8 +175,9 @@ impl Reference {
             }
         };
         match (self.security, p.bth.resv8a) {
-            (_, 0) => plain(),
+            (ChannelSecurity::NoAuth, 0) => plain(),
             (ChannelSecurity::NoAuth, _) => Ok(()),
+            (_, 0) => Err(AuthError::AuthRequired),
             (_, 1) if p.bth.pkey != PKEY => Err(AuthError::NoKey),
             (_, 1) => {
                 let wire = p.bth.key_epoch;

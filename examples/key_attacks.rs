@@ -8,7 +8,7 @@
 use ib_crypto::mac::AuthAlgorithm;
 use ib_mgmt::keys::{KeyClass, VULNERABILITIES};
 use ib_packet::{PKey, QKey};
-use ib_security::auth::KeyScope;
+use ib_security::auth::{AuthError, KeyScope};
 use ib_security::fabric::{FabricError, SecureFabric};
 
 fn banner(class: KeyClass) {
@@ -48,7 +48,7 @@ fn main() {
         .unwrap();
     let secured = fabric.deliver(1, &wire);
     println!("   with ICRC-as-MAC:                            -> {secured:?}");
-    assert_eq!(secured, Err(FabricError::PolicyViolation));
+    assert_eq!(secured, Err(FabricError::Auth(AuthError::AuthRequired)));
     println!();
 
     // ---------- Q_Key row ----------

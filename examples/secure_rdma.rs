@@ -15,8 +15,8 @@
 use ib_crypto::mac::AuthAlgorithm;
 use ib_crypto::toyrsa;
 use ib_mgmt::keymgmt::QpKeyManager;
-use ib_packet::{Lid, OpCode, PKey, Packet, PacketBuilder, Psn, Qpn, RKey};
-use ib_security::auth::{Authenticator, KeyScope};
+use ib_packet::{Lid, OpCode, PKey, Packet, PacketBuilder, Psn, Qpn, RKey, WireView};
+use ib_security::auth::{AuthError, Authenticator, KeyScope};
 
 /// A toy RDMA-capable memory region guarded by an R_Key.
 struct MemoryRegion {
@@ -26,8 +26,8 @@ struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    /// Apply an RDMA write if the packet's RETH authorizes it.
-    fn apply_write(&mut self, pkt: &Packet) -> Result<(), String> {
+    /// Apply an arrived RDMA write if its RETH authorizes it.
+    fn apply_write(&mut self, pkt: &WireView) -> Result<(), String> {
         let reth = pkt.reth.as_ref().ok_or("not an RDMA packet")?;
         if reth.rkey != self.rkey {
             return Err(format!("R_Key mismatch: {}", reth.rkey));
@@ -40,7 +40,7 @@ impl MemoryRegion {
         if end > self.data.len() {
             return Err("write past region end".into());
         }
-        self.data[off..end].copy_from_slice(&pkt.payload);
+        self.data[off..end].copy_from_slice(pkt.payload);
         Ok(())
     }
 }
@@ -78,24 +78,28 @@ fn main() {
     initiator.keys.install_connection_secret(dest_qp, secret);
     let mut target = Authenticator::new(AuthAlgorithm::Umac32, KeyScope::QpLevel);
     target.keys.install_connection_secret(dest_qp, received);
+    let mut image = Vec::new();
 
     // ---- legitimate RDMA write ----
     let mut pkt = rdma_write(1, rkey, 0x10010, dest_qp, b"RDMA payload");
+    let mut wire = Vec::new();
     initiator
-        .tag_packet(&mut pkt)
+        .seal_into(&mut pkt, &mut wire, &mut image)
         .expect("keyed initiator tags");
-    let wire = pkt.to_bytes();
     println!("RDMA write-only packet: {} bytes on the wire", wire.len());
 
-    let arrived = Packet::parse(&wire).expect("valid wire packet");
-    target.verify_packet(&arrived).expect("tag verifies");
+    let arrived = Packet::parse_view(&wire).expect("valid wire packet");
+    target
+        .verify_view(&arrived, &mut image)
+        .expect("tag verifies");
     region.apply_write(&arrived).expect("write applies");
     assert_eq!(&region.data[0x10..0x10 + 12], b"RDMA payload");
     println!("keyed peer: tag verified, memory written at +0x10.");
 
     // ---- attacker captured the R_Key off the wire ----
     // Stock IBA check is R_Key-only: the forged write WOULD apply.
-    let forged = rdma_write(2, rkey, 0x10000, dest_qp, b"OWNED!");
+    let forged = rdma_write(2, rkey, 0x10000, dest_qp, b"OWNED!").to_bytes();
+    let forged = Packet::parse_view(&forged).expect("valid wire packet");
     assert!(
         region.apply_write(&forged).is_ok(),
         "stock IBA: captured R_Key is sufficient — the vulnerability"
@@ -104,28 +108,23 @@ fn main() {
     region.data[..6].fill(0); // undo for the secured run
 
     // Under the scheme the target verifies *before* the write. The forged
-    // packet carries selector 0 (plain ICRC) — verification passes as
-    // *legacy*, which is why an auth-required connection also needs the
-    // on-demand policy gate:
-    use ib_security::ondemand::OnDemandPolicy;
-    let mut policy = OnDemandPolicy::allow_all();
-    policy.require_qp(dest_qp);
-    assert!(
-        !policy.admits(&forged),
-        "plain-ICRC packet rejected by policy"
-    );
-    println!("with ICRC-as-MAC + policy: selector-0 forgery -> rejected by OnDemandPolicy");
+    // packet carries selector 0 (plain ICRC), and an authenticated
+    // connection requires a tag: refused without any policy gate.
+    let verdict = target.verify_view(&forged, &mut image);
+    assert_eq!(verdict, Err(AuthError::AuthRequired));
+    println!("with ICRC-as-MAC: selector-0 forgery -> {verdict:?}");
 
     // The forger's alternative is to claim authentication and guess the
     // 32-bit tag (success probability ~2^-30 per attempt):
     let mut guessed = rdma_write(3, rkey, 0x10000, dest_qp, b"OWNED!");
-    guessed.set_auth_tag(1, 0xDEAD_BEEF); // a guess
-    assert!(
-        policy.admits(&guessed),
-        "claims authentication, so policy admits…"
+    guessed.set_auth_tag(AuthAlgorithm::Umac32.selector(), 0xDEAD_BEEF); // a guess
+    let guessed = guessed.to_bytes();
+    let verdict = target.verify_view(&Packet::parse_view(&guessed).unwrap(), &mut image);
+    println!("claimed UMAC with a guessed tag -> {verdict:?}");
+    assert_eq!(
+        verdict,
+        Err(AuthError::BadTag),
+        "guessed tag must not verify"
     );
-    let verdict = target.verify_packet(&guessed);
-    println!("…but tag verification -> {verdict:?}");
-    assert!(verdict.is_err(), "guessed tag must not verify");
     println!("secure_rdma complete: R_Key exposure closed by QP-level keys.");
 }

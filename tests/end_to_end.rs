@@ -10,8 +10,21 @@ use ib_mgmt::partition::PartitionConfig;
 use ib_mgmt::sm::SubnetManager;
 use ib_mgmt::trap::Trap;
 use ib_packet::{Lid, OpCode, PKey, Packet, PacketBuilder, Psn, QKey, Qpn};
-use ib_security::auth::{Authenticator, KeyScope};
+use ib_security::auth::{AuthError, Authenticator, KeyScope};
 use ib_security::fabric::{FabricError, SecureFabric};
+
+/// Seal `pkt` in place (tag, selector, epoch and VCRC land in it).
+fn tag(auth: &Authenticator, pkt: &mut Packet) -> Result<(), AuthError> {
+    auth.seal_into(pkt, &mut Vec::new(), &mut Vec::new())
+}
+
+/// Verify `pkt` as it arrives: serialized, viewed (VCRC checked once),
+/// then through the verify door.
+fn verify(auth: &Authenticator, pkt: &Packet) -> Result<(), AuthError> {
+    let wire = pkt.to_bytes();
+    let view = Packet::parse_view(&wire).expect("the VCRC holds");
+    auth.verify_view(&view, &mut Vec::new())
+}
 
 /// The full §4.2 + §5 pipeline with no shortcuts: SM mints a partition
 /// secret, distributes it via real toy-RSA envelopes, members build real
@@ -52,11 +65,11 @@ fn sm_key_distribution_to_verified_delivery() {
         .qkey(QKey(0x42), Qpn(5))
         .payload(b"distributed-key payload".to_vec())
         .build();
-    alice.tag_packet(&mut pkt).unwrap();
+    tag(&alice, &mut pkt).unwrap();
     let wire = pkt.to_bytes();
 
     let arrived = Packet::parse(&wire).unwrap();
-    bob.verify_packet(&arrived).unwrap();
+    verify(&bob, &arrived).unwrap();
     assert_eq!(arrived.payload, b"distributed-key payload");
 }
 
@@ -113,36 +126,29 @@ fn tags_survive_switch_hops_break_under_tamper_all_algorithms() {
             .qkey(QKey(9), Qpn(4))
             .payload(vec![0xAB; 100])
             .build();
-        auth.tag_packet(&mut pkt).unwrap();
+        tag(&auth, &mut pkt).unwrap();
 
         // Two VL rewrites en route (switch behaviour): tag still verifies.
         pkt.rewrite_vl(ib_packet::VirtualLane(3));
         pkt.rewrite_vl(ib_packet::VirtualLane(9));
         let hop = Packet::parse(&pkt.to_bytes()).unwrap();
-        auth.verify_packet(&hop)
-            .unwrap_or_else(|e| panic!("{alg:?} after VL rewrite: {e}"));
+        verify(&auth, &hop).unwrap_or_else(|e| panic!("{alg:?} after VL rewrite: {e}"));
 
         // Tampers an attacker would try: each must break verification.
         let mut payload_tamper = hop.clone();
         payload_tamper.payload[50] ^= 0x01;
         payload_tamper.vcrc = payload_tamper.compute_vcrc();
-        assert!(
-            auth.verify_packet(&payload_tamper).is_err(),
-            "{alg:?} payload"
-        );
+        assert!(verify(&auth, &payload_tamper).is_err(), "{alg:?} payload");
 
         let mut qkey_tamper = hop.clone();
         qkey_tamper.deth.as_mut().unwrap().qkey = QKey(0xFFFF);
         qkey_tamper.vcrc = qkey_tamper.compute_vcrc();
-        assert!(auth.verify_packet(&qkey_tamper).is_err(), "{alg:?} Q_Key");
+        assert!(verify(&auth, &qkey_tamper).is_err(), "{alg:?} Q_Key");
 
         let mut psn_tamper = hop.clone();
         psn_tamper.bth.psn = Psn(2);
         psn_tamper.vcrc = psn_tamper.compute_vcrc();
-        assert!(
-            auth.verify_packet(&psn_tamper).is_err(),
-            "{alg:?} PSN/nonce"
-        );
+        assert!(verify(&auth, &psn_tamper).is_err(), "{alg:?} PSN/nonce");
     }
 }
 
@@ -177,7 +183,10 @@ fn mixed_legacy_and_upgraded_nodes() {
     let wire = fabric
         .send_unauthenticated(0, 1, pkey, QKey(1), b"legacy")
         .unwrap();
-    assert_eq!(fabric.deliver(1, &wire), Err(FabricError::PolicyViolation));
+    assert_eq!(
+        fabric.deliver(1, &wire),
+        Err(FabricError::Auth(AuthError::AuthRequired))
+    );
 }
 
 /// A keyed MAC instance agrees with itself across crate boundaries: the
@@ -201,7 +210,7 @@ fn authenticator_matches_direct_mac_composition() {
         .build();
 
     let mut tagged = pkt.clone();
-    auth.tag_packet(&mut tagged).unwrap();
+    tag(&auth, &mut tagged).unwrap();
     let direct = ib_crypto::umac::Umac::new(&secret.0)
         .tag32(Authenticator::nonce(&pkt), &pkt.icrc_message());
     assert_eq!(tagged.icrc, direct);

@@ -15,7 +15,7 @@ use ib_mgmt::keymgmt::{KeyEnvelope, SecretKey};
 use ib_packet::{Grh, Lid, OpCode, PKey, Packet, PacketBuilder, Psn, QKey, Qpn, VirtualLane};
 use ib_runtime::check;
 use ib_security::auth::{Authenticator, KeyScope};
-use ib_security::replay::ReplayWindow;
+use ib_security::replay::{ReplayVerdict, ReplayWindow};
 
 const OPCODES: [OpCode; 5] = [
     OpCode::RC_SEND_ONLY,
@@ -286,9 +286,79 @@ fn replay_window_never_accepts_twice() {
             let mut w = ReplayWindow::new(*window);
             let mut accepted = std::collections::HashSet::new();
             for &s in seqs {
-                if w.accept(s) {
+                if w.offer_psn(s as u32) == ReplayVerdict::Fresh {
                     assert!(accepted.insert(s), "sequence {s} accepted twice");
                 }
+            }
+        },
+    );
+}
+
+/// One hostile RC image: its selector, a tag (or, when `plain_crc`, the
+/// correct plain CRC-32, the one tag a keyless sender can always compute),
+/// its PSN and its key-epoch id.
+#[derive(Debug, Clone)]
+struct HostileImage {
+    selector: u8,
+    tag: u32,
+    plain_crc: bool,
+    psn: u32,
+    epoch: u8,
+}
+
+/// Aim 3 against a hostile sender: RC images under every BTH selector
+/// 0–255, with random tags, PSNs and key-epoch ids and a valid VCRC,
+/// offered to every keyed channel arm. Nothing is admitted, and the
+/// channel's rejection counters account for every image.
+#[test]
+fn hostile_selectors_are_never_admitted() {
+    use ib_security::{ChannelSecurity, SecureChannel};
+    check::run(
+        "hostile_selectors_are_never_admitted",
+        32,
+        |g| {
+            (0..=255u8)
+                .map(|selector| HostileImage {
+                    selector,
+                    tag: g.u64() as u32,
+                    plain_crc: g.bool(),
+                    psn: g.u32_in(0..1 << 24),
+                    epoch: g.u8() & 0x7F,
+                })
+                .collect::<Vec<_>>()
+        },
+        |images| {
+            let n = images.len();
+            if n > 1 {
+                vec![images[..n / 2].to_vec(), images[n / 2..].to_vec()]
+            } else {
+                Vec::new()
+            }
+        },
+        |images| {
+            let secret = SecretKey::from_seed(0x5E1E_C702);
+            for arm in [ChannelSecurity::Auth, ChannelSecurity::AuthReplay] {
+                let mut rx = SecureChannel::new(arm, PKey(0x8001), secret, 64);
+                for h in images {
+                    let mut pkt = build(OpCode::RC_SEND_ONLY, 1, 2, 0x8001, h.psn, vec![7; 32]);
+                    pkt.bth.key_epoch = h.epoch;
+                    let tag = if h.plain_crc {
+                        pkt.compute_icrc()
+                    } else {
+                        h.tag
+                    };
+                    pkt.set_auth_tag(h.selector, tag);
+                    let verdict = rx.admit(&pkt);
+                    assert!(verdict.is_err(), "{arm:?} admitted {h:?}: {verdict:?}");
+                }
+                let s = rx.stats;
+                assert_eq!(s.fresh + s.duplicates, 0, "{arm:?}");
+                let rejected = s.rejected_vcrc
+                    + s.rejected_auth
+                    + s.rejected_stale
+                    + s.rejected_stale_epoch
+                    + s.rejected_future_epoch;
+                assert_eq!(rejected, images.len() as u64, "{arm:?}: {s:?}");
             }
         },
     );
@@ -315,10 +385,11 @@ fn tagged_packet_wire_invariants() {
             auth.keys
                 .install_partition_secret(pkey, SecretKey::from_seed(11));
             let mut pkt = build(OpCode::UD_SEND_ONLY, 1, 2, 0x8001, psn, payload.clone());
-            auth.tag_packet(&mut pkt).unwrap();
-            let wire = pkt.to_bytes();
-            let parsed = Packet::parse(&wire).unwrap();
-            assert!(auth.verify_packet(&parsed).is_ok());
+            let (mut wire, mut image) = (Vec::new(), Vec::new());
+            auth.seal_into(&mut pkt, &mut wire, &mut image).unwrap();
+            assert_eq!(wire, pkt.to_bytes());
+            let view = Packet::parse_view(&wire).unwrap();
+            assert!(auth.verify_view(&view, &mut image).is_ok());
         },
     );
 }

@@ -9,7 +9,8 @@
 //! apart.
 
 use ib_mgmt::keymgmt::SecretKey;
-use ib_packet::types::{Lid, PKey, Qpn};
+use ib_packet::types::{Lid, PKey, Psn, Qpn};
+use ib_packet::{OpCode, PacketBuilder};
 use ib_security::ChannelSecurity;
 use ib_sim::time::US;
 use ib_sim::{FaultConfig, SimTime};
@@ -109,6 +110,28 @@ fn without_window_the_same_replay_is_delivered_twice() {
             "{arm:?}: replayed payload delivered again"
         );
         assert_eq!(b.stats.dup_admitted_fresh, 1, "{arm:?}");
+    }
+}
+
+/// A keyless attacker who sniffed the P_Key, the destination QP and the
+/// next PSN sends a stock-IBA SEND (selector 0, correct plain ICRC and
+/// VCRC): an authenticating endpoint refuses it for carrying no tag.
+#[test]
+fn keyless_selector_zero_send_is_not_delivered() {
+    for arm in [ChannelSecurity::Auth, ChannelSecurity::AuthReplay] {
+        let (_, mut b) = endpoint_pair(arm);
+        let forged = PacketBuilder::new(OpCode::RC_SEND_ONLY)
+            .slid(Lid(1))
+            .dlid(Lid(2))
+            .pkey(PKEY)
+            .dest_qp(Qpn(3))
+            .psn(Psn(0))
+            .payload(b"wire transfer: $1,000,000".to_vec())
+            .build();
+        b.handle_wire(0, &forged.to_bytes());
+        assert!(b.take_delivered().is_empty(), "{arm:?}: forged payload");
+        assert_eq!(b.channel().stats.rejected_auth, 1, "{arm:?}");
+        assert_eq!(b.channel().stats.fresh, 0, "{arm:?}");
     }
 }
 
