@@ -74,8 +74,17 @@ leg "behaviour locks, every line (release)"
 # hand-picked hostile points then random transport / loss / attacker /
 # key-plane draws for the other two, every fabric and rekey line also
 # holding the harness's safety claims. The plain test run above checks
-# each lock's first lines; this leg checks all of them.
+# each lock's first lines; this leg checks all of them. The next leg
+# shows that the locks still catch the bugs they were built against.
 cargo test -q --release --offline -p ib-sm --test behaviour_lock -- --ignored full
+
+leg "mutant catalogue (every tests/mutants patch applies at HEAD and is killed)"
+# Each patch is a bug an earlier check was shown to catch (the locks, the
+# admission rule's tests); mutants.sh re-applies it to a fresh export of
+# HEAD (committed files, not this working tree) and requires its killing
+# command to fail, so a weakened check no longer passes unnoticed. About
+# 2 min on 2 CPUs from a cold target/mutants, most of it the two builds.
+./mutants.sh
 
 leg "fmt"
 cargo fmt --check

@@ -15,15 +15,13 @@ use ib_packet::types::{PKey, Qpn};
 use ib_packet::Bth;
 
 /// Which packets must arrive authenticated. A packet is *required* to be
-/// authenticated if its partition or its destination QP is enrolled (or
-/// `default_required` is on). Unauthenticated packets for enrolled scopes
-/// are refused even when their plain ICRC is fine.
+/// authenticated if its partition or its destination QP is enrolled.
+/// Unauthenticated packets for enrolled scopes are refused even when
+/// their plain ICRC is fine.
 #[derive(Debug, Clone, Default)]
 pub struct OnDemandPolicy {
     partitions: HashSet<PKey>,
     qps: HashSet<Qpn>,
-    /// Require authentication for everything (subnet-wide lockdown).
-    pub(crate) default_required: bool,
 }
 
 impl OnDemandPolicy {
@@ -53,15 +51,7 @@ impl OnDemandPolicy {
     /// Does policy demand that the packet with this BTH carry an
     /// authentication tag?
     pub(crate) fn requires_auth(&self, bth: &Bth) -> bool {
-        self.default_required
-            || self.partitions.contains(&bth.pkey)
-            || self.qps.contains(&bth.dest_qp)
-    }
-
-    /// Number of enrolled scopes (metrics).
-    #[cfg(test)]
-    pub(crate) fn enrolled(&self) -> usize {
-        self.partitions.len() + self.qps.len()
+        self.partitions.contains(&bth.pkey) || self.qps.contains(&bth.dest_qp)
     }
 }
 
@@ -85,7 +75,6 @@ mod tests {
     fn allow_all_admits_everything() {
         let policy = OnDemandPolicy::allow_all();
         assert!(!policy.requires_auth(&bth(PKey(0x8001), Qpn(1))));
-        assert_eq!(policy.enrolled(), 0);
     }
 
     #[test]
@@ -117,12 +106,5 @@ mod tests {
         policy.require_qp(Qpn(42));
         assert!(policy.requires_auth(&bth(PKey(0x8001), Qpn(42))));
         assert!(!policy.requires_auth(&bth(PKey(0x8001), Qpn(43))));
-    }
-
-    #[test]
-    fn default_required_lockdown() {
-        let mut policy = OnDemandPolicy::allow_all();
-        policy.default_required = true;
-        assert!(policy.requires_auth(&bth(PKey(0x8009), Qpn(9))));
     }
 }

@@ -20,8 +20,6 @@ pub struct ReplayWindow {
     /// bit k set ⇒ (top - k) seen.
     bitmap: u64,
     window: u32,
-    /// Count of rejected (replayed or too-old) packets.
-    pub(crate) rejected: u64,
 }
 
 /// 24-bit PSN modulus.
@@ -58,13 +56,12 @@ impl ReplayWindow {
             top: None,
             bitmap: 0,
             window: window.clamp(1, 64),
-            rejected: 0,
         }
     }
 
     /// Offer an unwrapped sequence number and learn its delivery status:
-    /// [`ReplayVerdict::Fresh`] records it, the other verdicts count a
-    /// rejection.
+    /// [`ReplayVerdict::Fresh`] records it, the other verdicts leave the
+    /// window as it was.
     pub(crate) fn offer(&mut self, seq: u64) -> ReplayVerdict {
         match self.top {
             None => {
@@ -82,12 +79,10 @@ impl ReplayWindow {
             Some(top) => {
                 let age = top - seq;
                 if age >= self.window as u64 {
-                    self.rejected += 1;
                     return ReplayVerdict::Stale; // too old to judge
                 }
                 let bit = 1u64 << age;
                 if self.bitmap & bit != 0 {
-                    self.rejected += 1;
                     ReplayVerdict::Duplicate
                 } else {
                     self.bitmap |= bit;
@@ -131,7 +126,7 @@ impl ReplayWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ReplayVerdict::Fresh;
+    use ReplayVerdict::{Duplicate, Fresh};
 
     #[test]
     fn in_order_accepted_once() {
@@ -140,9 +135,8 @@ mod tests {
             assert_eq!(w.offer(s), Fresh, "fresh {s}");
         }
         for s in 90..100 {
-            assert_ne!(w.offer(s), Fresh, "replay {s}");
+            assert_eq!(w.offer(s), Duplicate, "replay {s}");
         }
-        assert_eq!(w.rejected, 10);
     }
 
     #[test]
@@ -206,15 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_counter() {
-        let mut w = ReplayWindow::new(8);
-        for _ in 0..3 {
-            w.offer(1);
-        }
-        assert_eq!(w.rejected, 2);
-    }
-
-    #[test]
     fn verdicts_distinguish_duplicate_from_stale() {
         let mut w = ReplayWindow::new(8);
         assert_eq!(w.offer(100), ReplayVerdict::Fresh);
@@ -223,7 +208,6 @@ mod tests {
         assert_eq!(w.offer(92), ReplayVerdict::Stale);
         // Inside the window but never delivered: fresh.
         assert_eq!(w.offer(95), ReplayVerdict::Fresh);
-        assert_eq!(w.rejected, 2);
     }
 
     /// The §7 subtlety: a retransmit of a *lost* (never-delivered) PSN and

@@ -156,7 +156,9 @@ pub struct RekeyReport {
     pub expected: u64,
     /// Any endpoint exhausted its retries.
     pub failed: bool,
-    /// Run hit `MAX_SIM_TIME` before completing.
+    /// Run hit `MAX_SIM_TIME` before completing. A run the limit stops
+    /// after every message was delivered and acknowledged (a stale packet
+    /// still pending, say) reports `false`.
     pub timed_out: bool,
     /// Instant the last flow completed (excludes the drain tail), µs.
     pub(crate) completion_us: f64,

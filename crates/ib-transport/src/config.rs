@@ -34,11 +34,13 @@ pub(crate) const RTO_MAX: SimTime = 2 * MS;
 const _: () = assert!(RTO < RTO_MAX);
 /// Coalesced ACKs: a straggler is acknowledged after this delay, ps.
 pub(crate) const ACK_DELAY: SimTime = 10 * US;
-/// Receiver-not-ready back-off the RNR NAK asks the sender to wait, ps.
-pub(crate) const RNR_TIMER: SimTime = 50 * US;
 
 /// Reliable-connection transport parameters (the timers are the
 /// constants above).
+///
+/// There is no receive-buffer budget: a delivered SEND waits in the
+/// responder's queue until [`crate::endpoint::SecureRcEndpoint::take_delivered`]
+/// drains it, so the responder never answers receiver-not-ready.
 ///
 /// The one security-critical field is [`window`](RcConfig::window): it
 /// must not exceed the receive channel's replay-window depth, or a
@@ -56,9 +58,6 @@ pub struct RcConfig {
     pub ack_coalesce: u32,
     /// First PSN of the connection.
     pub initial_psn: u32,
-    /// Receive-side buffer budget (messages held undrained before the
-    /// receiver answers RNR NAK).
-    pub rx_capacity: usize,
     /// Path MTU in bytes: messages longer than this are segmented into
     /// First/Middle/Last packets sharing one MSN.
     pub mtu: usize,
@@ -73,7 +72,6 @@ impl Default for RcConfig {
             max_retries: 10,
             ack_coalesce: 4,
             initial_psn: 0,
-            rx_capacity: 1024,
             mtu: 1024,
             retransmit: RetransmitMode::GoBackN,
         }
@@ -90,9 +88,7 @@ impl RcConfig {
             ("max_retries", self.max_retries.to_json()),
             ("ack_coalesce", self.ack_coalesce.to_json()),
             ("ack_delay_ps", ACK_DELAY.to_json()),
-            ("rnr_timer_ps", RNR_TIMER.to_json()),
             ("initial_psn", self.initial_psn.to_json()),
-            ("rx_capacity", (self.rx_capacity as u64).to_json()),
             ("mtu", (self.mtu as u64).to_json()),
             ("retransmit", self.retransmit.label().to_json()),
         ])

@@ -52,11 +52,11 @@
 //!
 //! 1. [`SecureRcEndpoint::poll_into`] changes nothing unless a verb was
 //!    posted, `handle_wire` ran, or the QP's `next_deadline()` came due
-//!    since the last poll: the retransmission timeout (`on_timeout`), the
-//!    delayed ACK (`poll_ack`) and `poll_tx`'s RNR back-off are that
-//!    deadline; its rewound resend cursor, queued selective-repeat
-//!    retransmits and opened window are consequences of an arrival or a
-//!    timeout; its pending queue grows only by a post.
+//!    since the last poll: the retransmission timeout (`on_timeout`) and
+//!    the delayed ACK (`poll_ack`) are that deadline; its rewound resend
+//!    cursor, queued selective-repeat retransmits and opened window are
+//!    consequences of an arrival or a timeout; its pending queue grows
+//!    only by a post.
 //! 2. The only other effect of a poll, `channel.advance_time(now)`, is
 //!    also the first statement of `handle_view` — the only place a
 //!    retired epoch is observable — and of `install_epoch`, so key
@@ -401,7 +401,9 @@ pub struct Cosim {
     done_at: Option<SimTime>,
     /// An endpoint exhausted its retries (QP error state).
     pub failed: bool,
-    /// The run hit `max_sim_time` before every flow completed.
+    /// The run hit `max_sim_time` before every flow completed. A run the
+    /// limit stops after every flow completed (a replay still pending at
+    /// the tap, say) reports `false`.
     pub timed_out: bool,
     /// Loop iterations; deterministic, so tests can bound them.
     pub steps: u64,

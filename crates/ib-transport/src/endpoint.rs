@@ -7,7 +7,8 @@
 //! ([`crate::qp`]) and reassembled here:
 //!
 //! * **SEND** — [`SecureRcEndpoint::post`]: delivered to the peer's receive queue
-//!   ([`SecureRcEndpoint::take_delivered`]), one receive-buffer slot per message.
+//!   ([`SecureRcEndpoint::take_delivered`]). The queue has no budget, so the
+//!   responder never answers receiver-not-ready.
 //! * **RDMA WRITE** — [`SecureRcEndpoint::post_write`]: lands directly in the peer's
 //!   registered memory region ([`SecureRcEndpoint::configure_memory`]) after an
 //!   R_Key + bounds check; completion surfaces via
@@ -39,9 +40,7 @@
 //!   what the NAK did not name, so an in-window ahead packet is admitted
 //!   through the replay window immediately and buffered; when the gap
 //!   heals, buffered segments apply **without** a second admission.
-//! * **In order** → check receive-buffer budget first for SEND segments
-//!   (an RNR'd packet must not be recorded either — it was not
-//!   delivered), then [`SecureChannel::admit`]: `Fresh` applies the
+//! * **In order** → [`SecureChannel::admit`]: `Fresh` applies the
 //!   segment, and only then does the window remember the PSN.
 //! * **Behind** expected → some already-received PSN. The transport
 //!   re-ACKs (cumulative ACKs are idempotent; a sender whose ACK was
@@ -108,13 +107,8 @@ use ib_runtime::hash::FxHashMap;
 use ib_security::{Admit, ChannelSecurity, MacStore, SecureChannel};
 use ib_sim::SimTime;
 
-use crate::config::{RcConfig, RetransmitMode, RNR_TIMER};
+use crate::config::{RcConfig, RetransmitMode};
 use crate::qp::{psn_sub, RcQp, RxClass, RxReply};
-
-/// RNR timer code placed in the AETH (the 5-bit IBA encoding is a table
-/// lookup; both ends of this connection share an [`RcConfig`], so the
-/// code is advisory and the sender backs off by `RNR_TIMER`).
-const RNR_TIMER_CODE: u8 = 0;
 
 /// Upper bound on pooled wire buffers; excess recycles are dropped so a
 /// burst cannot pin memory forever.
@@ -123,8 +117,6 @@ const POOL_CAP: usize = 64;
 /// Per-endpoint transport/security counters (the fig_replay metrics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EndpointStats {
-    /// SEND messages delivered to the application for the first time.
-    pub(crate) delivered: u64,
     /// Behind-expected packets the channel suppressed as duplicates
     /// (lost-ACK retransmits and attacker replays alike).
     pub dup_suppressed: u64,
@@ -138,10 +130,6 @@ pub struct EndpointStats {
     pub ooo_buffered: u64,
     /// Wire buffers that failed to parse (corruption caught by the VCRC).
     pub parse_drops: u64,
-    /// ACK/NAK/RNR packets processed.
-    pub(crate) acks_rx: u64,
-    /// RNR NAKs sent because the receive buffer was full.
-    pub(crate) rnr_sent: u64,
     /// RDMA ops refused: R_Key mismatch, out-of-bounds address range, or
     /// a Middle/Last segment with no open transaction.
     pub rdma_faults: u64,
@@ -174,7 +162,7 @@ pub struct SecureRcEndpoint {
     /// Sealed data-packet template: addressing fixed at construction;
     /// operation / PSN / RETH / payload change per send.
     tx_pkt: Packet,
-    /// Sealed ACK/NAK/RNR template: only PSN / AETH / seal change.
+    /// Sealed ACK/NAK template: only PSN / AETH / seal change.
     ack_pkt: Packet,
     /// Recycled wire buffers (see [`Self::recycle`]).
     pool: Vec<Vec<u8>>,
@@ -375,14 +363,9 @@ impl SecureRcEndpoint {
         self.qp.next_deadline()
     }
 
-    /// Drain SEND messages delivered since the last call, releasing
-    /// their receive-buffer slots.
+    /// Drain SEND messages delivered since the last call.
     pub fn take_delivered(&mut self) -> Vec<Vec<u8>> {
-        let out: Vec<Vec<u8>> = self.delivered.drain(..).collect();
-        for _ in &out {
-            self.qp.rx_release();
-        }
-        out
+        self.delivered.drain(..).collect()
     }
 
     /// Drain completed RDMA READ payloads, in request order.
@@ -508,15 +491,14 @@ impl SecureRcEndpoint {
             self.stats.parse_drops += 1; // reserved syndrome encoding
             return;
         };
-        self.stats.acks_rx += 1;
         let psn = packet.bth.psn.0;
         match kind {
             AethKind::Ack { .. } => self.qp.on_ack(now, psn),
             AethKind::Nak(NakCode::PsnSequenceError) => self.qp.on_nak(now, psn),
-            // The fatal NAK classes put a real QP in the error state; this
-            // transport never generates them, so treat as unhandled.
-            AethKind::Nak(_) => {}
-            AethKind::Rnr { .. } => self.qp.on_rnr(now, psn, RNR_TIMER),
+            // The fatal NAK classes put a real QP in the error state, and
+            // an RNR NAK asks for a back-off; this transport generates
+            // neither, so treat them as unhandled.
+            AethKind::Nak(_) | AethKind::Rnr { .. } => {}
         }
     }
 
@@ -557,22 +539,6 @@ impl SecureRcEndpoint {
                 }
             }
             RxClass::InOrder => {
-                let is_send = matches!(
-                    op,
-                    Operation::SendFirst
-                        | Operation::SendMiddle
-                        | Operation::SendLast
-                        | Operation::SendOnly
-                );
-                if is_send && !self.qp.rx_has_budget() {
-                    // Not deliverable, so not recorded: the retransmit
-                    // after the RNR back-off must still verdict Fresh.
-                    // RDMA ops bypass receive buffers entirely.
-                    self.stats.rnr_sent += 1;
-                    let reply = self.qp.rx_not_ready();
-                    self.queue_reply(reply);
-                    return;
-                }
                 match self.channel.admit_view(packet) {
                     Ok(Admit::Fresh) => {
                         self.accept_and_drain(now, op, packet.reth, packet.payload);
@@ -596,7 +562,6 @@ impl SecureRcEndpoint {
                         // is the replay attack succeeding.
                         self.stats.dup_admitted_fresh += 1;
                         if op == Operation::SendOnly {
-                            self.qp.rx_reserve();
                             self.delivered.push_back(packet.payload.to_vec());
                         }
                         // Replayed segments of multi-packet messages and
@@ -662,9 +627,7 @@ impl SecureRcEndpoint {
     ) -> Option<RxReply> {
         match op {
             Operation::SendOnly => {
-                self.qp.rx_reserve();
                 self.delivered.push_back(payload.into_owned());
-                self.stats.delivered += 1;
             }
             Operation::SendFirst => {
                 self.rx_msg.clear();
@@ -675,9 +638,7 @@ impl SecureRcEndpoint {
             }
             Operation::SendLast => {
                 self.rx_msg.extend_from_slice(&payload);
-                self.qp.rx_reserve();
                 self.delivered.push_back(std::mem::take(&mut self.rx_msg));
-                self.stats.delivered += 1;
             }
             Operation::RdmaWriteOnly => {
                 if let Some(reth) = reth {
@@ -788,7 +749,6 @@ impl SecureRcEndpoint {
         let (psn, aeth) = match reply {
             RxReply::Ack { psn, msn } => (psn, Aeth::ack(msn)),
             RxReply::Nak { psn, msn } => (psn, Aeth::nak(NakCode::PsnSequenceError, msn)),
-            RxReply::Rnr { psn, msn } => (psn, Aeth::rnr(RNR_TIMER_CODE, msn)),
         };
         self.ack_pkt.bth.psn = Psn(psn);
         *self
@@ -892,7 +852,6 @@ mod tests {
         a.post(msg.clone());
         pump(&mut a, &mut b, 0);
         assert_eq!(b.take_delivered(), vec![msg]);
-        assert_eq!(b.stats.delivered, 1);
         assert_eq!(b.rx_msn(), 1, "four segments, one MSN");
     }
 
@@ -1049,30 +1008,28 @@ mod tests {
         assert!(a.retransmits() >= 1);
     }
 
+    /// The receive queue has no budget: 1,100 single-packet SENDs all
+    /// land, without one retransmit, while nothing drains the responder.
     #[test]
-    fn rnr_backpressure_recovers_without_window_pollution() {
-        let cfg = RcConfig {
-            rx_capacity: 1,
-            ack_coalesce: 1,
-            ..RcConfig::default()
-        };
-        let (mut a, mut b) = pair(ChannelSecurity::AuthReplay, cfg);
-        a.post(vec![1]);
-        a.post(vec![2]);
-        for bytes in a.poll(0) {
-            b.handle_wire(0, &bytes);
+    fn undrained_responder_takes_every_send() {
+        let (mut a, mut b) = pair(ChannelSecurity::AuthReplay, RcConfig::default());
+        for i in 0..1100u16 {
+            a.post(i.to_le_bytes().to_vec());
         }
-        // Slot 1 took the first message; the second drew an RNR NAK.
-        assert_eq!(b.stats.rnr_sent, 1);
-        for bytes in b.poll(0) {
-            a.handle_wire(0, &bytes);
+        for round in 0..200 {
+            let now = round * US;
+            for bytes in a.poll(now) {
+                b.handle_wire(now, &bytes);
+            }
+            for bytes in b.poll(now) {
+                a.handle_wire(now, &bytes);
+            }
         }
-        // Sender pauses, app drains, retransmit after back-off delivers.
-        assert!(a.poll(US).is_empty(), "RNR back-off holds the sender");
-        assert_eq!(b.take_delivered(), vec![vec![1u8]]);
-        pump(&mut a, &mut b, US);
-        assert_eq!(b.take_delivered(), vec![vec![2u8]]);
-        assert_eq!(b.stats.dup_admitted_fresh, 0, "RNR'd PSN never recorded");
+        let got = b.take_delivered();
+        assert_eq!((got.len(), a.retransmits()), (1100, 0));
+        let in_order = (0..1100u16).map(|i| i.to_le_bytes().to_vec());
+        assert!(got.into_iter().eq(in_order));
+        assert!(a.tx_idle());
     }
 
     #[test]

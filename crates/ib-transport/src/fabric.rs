@@ -125,7 +125,9 @@ pub struct FabricReport {
     pub expected: u64,
     /// Either sender half exhausted its retries (QP error state).
     pub failed: bool,
-    /// Run hit `max_sim_time` before completing.
+    /// Run hit `max_sim_time` before completing. A run the limit stops
+    /// after every message was delivered and acknowledged (a replay still
+    /// pending at the tap, say) reports `false`.
     pub timed_out: bool,
     /// Instant the transfer completed (excludes the replay-drain tail), µs.
     pub completion_us: f64,

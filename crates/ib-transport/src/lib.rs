@@ -10,8 +10,8 @@
 //!
 //! * `qp` — the RC queue-pair state machine: PSN assignment, a bounded
 //!   in-flight window, cumulative ACKs with coalescing, NAK(PSN sequence
-//!   error) triggering go-back-N, RNR back-off, and retransmission on
-//!   timeout with exponential back-off up to a retry-exhausted dead state.
+//!   error) triggering go-back-N, and retransmission on timeout with
+//!   exponential back-off up to a retry-exhausted dead state.
 //! * `endpoint` — [`endpoint::SecureRcEndpoint`] marries an
 //!   `qp::RcQp` to an [`ib_security::SecureChannel`]: data packets are
 //!   sealed (tagged) once per PSN so retransmits reproduce identical

@@ -24,8 +24,8 @@
 //! gap and draws one NAK per gap; a packet *behind* is a duplicate
 //! (lost-ACK retransmit or replay — the transport cannot tell, and
 //! [`crate::endpoint`] explains why it does not need to) and draws an
-//! immediate re-ACK. When the receive buffer is exhausted the receiver
-//! answers RNR NAK instead of silently dropping.
+//! immediate re-ACK. The receiver has no buffer budget, so it never
+//! answers receiver-not-ready: every in-order message is delivered.
 //!
 //! Retransmissions reuse the **original PSN** — [`TxItem::psn`] is fixed
 //! at first transmission. That single fact is what makes the replay
@@ -73,11 +73,6 @@ pub(crate) struct TxItem {
     pub(crate) reth: Option<Reth>,
     /// Segment payload.
     pub(crate) payload: Vec<u8>,
-    /// True when this segment completes its message (Only/Last — the
-    /// receiver advances MSN exactly on these).
-    pub(crate) msg_end: bool,
-    /// True when this PSN has been on the wire before.
-    pub(crate) retransmit: bool,
     /// Selective repeat: queued for retransmission by a NAK or timeout,
     /// cleared when [`RcQp::poll_tx`] serves it.
     retx_queued: bool,
@@ -89,7 +84,6 @@ struct Seg {
     op: Operation,
     reth: Option<Reth>,
     payload: Vec<u8>,
-    msg_end: bool,
 }
 
 /// Verb family, for mapping segment position to the BTH operation.
@@ -137,19 +131,6 @@ pub(crate) enum RxReply {
     Ack { psn: u32, msn: u32 },
     /// NAK(PSN sequence error): resume from `psn` (the expected PSN).
     Nak { psn: u32, msn: u32 },
-    /// Receiver not ready: retry `psn` after the RNR timer.
-    Rnr { psn: u32, msn: u32 },
-}
-
-/// What a retransmission-timer expiry produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TimeoutAction {
-    /// Deadline not reached or nothing outstanding.
-    None,
-    /// Retransmission queued; the next [`RcQp::poll_tx`] calls re-emit.
-    Rewind,
-    /// Retries exhausted: the QP is dead (IBA error state).
-    Failed,
 }
 
 /// Both halves of one RC queue pair.
@@ -169,7 +150,6 @@ pub(crate) struct RcQp {
     rto_deadline: Option<SimTime>,
     backoff_exp: u32,
     retries: u32,
-    rnr_until: Option<SimTime>,
     dead: bool,
     /// Total retransmissions performed (fig_replay metric).
     pub(crate) retransmits: u64,
@@ -182,7 +162,6 @@ pub(crate) struct RcQp {
     since_ack: u32,
     ack_deadline: Option<SimTime>,
     nak_outstanding: bool,
-    rx_in_use: usize,
 }
 
 impl RcQp {
@@ -199,7 +178,6 @@ impl RcQp {
             rto_deadline: None,
             backoff_exp: 0,
             retries: 0,
-            rnr_until: None,
             dead: false,
             retransmits: 0,
             expected_psn: cfg.initial_psn & PSN_MASK,
@@ -207,7 +185,6 @@ impl RcQp {
             since_ack: 0,
             ack_deadline: None,
             nak_outstanding: false,
-            rx_in_use: 0,
             cfg,
         }
     }
@@ -250,7 +227,6 @@ impl RcQp {
                 dma_len: len,
             }),
             payload: Vec::new(),
-            msg_end: true,
         });
     }
 
@@ -270,7 +246,6 @@ impl RcQp {
                 op: kind.op(true, true),
                 reth,
                 payload,
-                msg_end: true,
             });
             return;
         }
@@ -282,7 +257,6 @@ impl RcQp {
                 op: kind.op(first, last),
                 reth: if first { reth } else { None },
                 payload: chunk.to_vec(),
-                msg_end: last,
             });
         }
     }
@@ -304,9 +278,9 @@ impl RcQp {
             .min(RTO_MAX)
     }
 
-    /// Next packet to put on the wire, if the window, RNR back-off and
-    /// error state allow one. Retransmissions are served before new
-    /// admissions. Arms the retransmission timer.
+    /// Next packet to put on the wire, if the window and error state
+    /// allow one. Retransmissions are served before new admissions. Arms
+    /// the retransmission timer.
     ///
     /// Returns a borrow of the window entry — posted payloads move into
     /// the in-flight window and are never cloned, so the steady-state
@@ -314,12 +288,6 @@ impl RcQp {
     pub(crate) fn poll_tx(&mut self, now: SimTime) -> Option<&TxItem> {
         if self.dead {
             return None;
-        }
-        if let Some(until) = self.rnr_until {
-            if now < until {
-                return None;
-            }
-            self.rnr_until = None;
         }
         let retx = match self.cfg.retransmit {
             RetransmitMode::GoBackN if self.resend_cursor < self.in_flight.len() => {
@@ -334,9 +302,7 @@ impl RcQp {
         };
         let idx = match retx {
             Some(idx) => {
-                let item = &mut self.in_flight[idx];
-                item.retransmit = true;
-                item.retx_queued = false;
+                self.in_flight[idx].retx_queued = false;
                 self.retransmits += 1;
                 idx
             }
@@ -347,8 +313,6 @@ impl RcQp {
                     op: seg.op,
                     reth: seg.reth,
                     payload: seg.payload,
-                    msg_end: seg.msg_end,
-                    retransmit: false,
                     retx_queued: false,
                 });
                 self.next_psn = psn_add(self.next_psn, 1);
@@ -380,7 +344,6 @@ impl RcQp {
         self.resend_cursor = self.resend_cursor.saturating_sub(released);
         self.backoff_exp = 0;
         self.retries = 0;
-        self.rnr_until = None;
         self.rto_deadline = if self.in_flight.is_empty() {
             None
         } else {
@@ -395,16 +358,6 @@ impl RcQp {
     pub(crate) fn on_nak(&mut self, now: SimTime, psn: u32) {
         self.on_ack(now, psn_sub(psn, 1));
         self.queue_retx_from(psn);
-        if !self.in_flight.is_empty() {
-            self.rto_deadline = Some(now + self.current_rto());
-        }
-    }
-
-    /// RNR NAK: receiver wants `psn` again but not before `delay` elapses.
-    pub(crate) fn on_rnr(&mut self, now: SimTime, psn: u32, delay: SimTime) {
-        self.on_ack(now, psn_sub(psn, 1));
-        self.queue_retx_from(psn);
-        self.rnr_until = Some(now + delay);
         if !self.in_flight.is_empty() {
             self.rto_deadline = Some(now + self.current_rto());
         }
@@ -427,19 +380,19 @@ impl RcQp {
     /// outstanding under selective repeat, since a timeout says nothing
     /// about *which* packet was lost) — or declare the QP dead once
     /// `max_retries` consecutive timeouts pass without progress.
-    pub(crate) fn on_timeout(&mut self, now: SimTime) -> TimeoutAction {
+    pub(crate) fn on_timeout(&mut self, now: SimTime) {
         if self.dead || self.in_flight.is_empty() {
-            return TimeoutAction::None;
+            return;
         }
         match self.rto_deadline {
             Some(deadline) if now >= deadline => {}
-            _ => return TimeoutAction::None,
+            _ => return,
         }
         self.retries += 1;
         if self.retries > self.cfg.max_retries {
             self.dead = true;
             self.rto_deadline = None;
-            return TimeoutAction::Failed;
+            return;
         }
         // Cap the exponent: current_rto saturates at RTO_MAX anyway.
         self.backoff_exp = (self.backoff_exp + 1).min(32);
@@ -452,15 +405,11 @@ impl RcQp {
             }
         }
         self.rto_deadline = Some(now + self.current_rto());
-        TimeoutAction::Rewind
     }
 
-    /// Earliest instant the sender half needs waking (RTO or RNR expiry).
+    /// Earliest instant the sender half needs waking (the RTO).
     pub(crate) fn tx_deadline(&self) -> Option<SimTime> {
-        match (self.rto_deadline, self.rnr_until) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.rto_deadline
     }
 
     // ------------------------------------------------------------------
@@ -486,22 +435,6 @@ impl RcQp {
     /// Messages fully received in order so far (the AETH MSN).
     pub(crate) fn msn(&self) -> u32 {
         self.msn
-    }
-
-    /// True while the receive buffer can take another message.
-    pub(crate) fn rx_has_budget(&self) -> bool {
-        self.rx_in_use < self.cfg.rx_capacity
-    }
-
-    /// Reserve one receive-buffer slot (the endpoint pairs this with a
-    /// delivered message).
-    pub(crate) fn rx_reserve(&mut self) {
-        self.rx_in_use += 1;
-    }
-
-    /// Release a receive-buffer slot once the application drains a message.
-    pub(crate) fn rx_release(&mut self) {
-        self.rx_in_use = self.rx_in_use.saturating_sub(1);
     }
 
     /// The cumulative ACK for everything received so far.
@@ -556,15 +489,6 @@ impl RcQp {
         })
     }
 
-    /// Receive buffer full: ask the sender to back off and retry the
-    /// expected PSN.
-    pub(crate) fn rx_not_ready(&self) -> RxReply {
-        RxReply::Rnr {
-            psn: self.expected_psn,
-            msn: self.msn,
-        }
-    }
-
     /// Fire the delayed-ACK timer: flush a coalesced straggler ACK.
     pub(crate) fn poll_ack(&mut self, now: SimTime) -> Option<RxReply> {
         match self.ack_deadline {
@@ -594,7 +518,6 @@ impl RcQp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ib_sim::time::US;
 
     fn qp(window: u32) -> RcQp {
         RcQp::new(RcConfig {
@@ -628,12 +551,9 @@ mod tests {
         for i in 0..10u8 {
             q.post_send(vec![i]);
         }
-        let mut sent = Vec::new();
-        while let Some(item) = q.poll_tx(0) {
-            assert!(!item.retransmit);
-            sent.push(item.psn);
-        }
+        let sent: Vec<u32> = std::iter::from_fn(|| q.poll_tx(0).map(|t| t.psn)).collect();
         assert_eq!(sent, vec![0, 1, 2, 3], "window caps the burst");
+        assert_eq!(q.retransmits, 0);
         // Cumulative ACK of PSN 1 opens two slots.
         q.on_ack(10, 1);
         assert_eq!(q.poll_tx(10).unwrap().psn, 4);
@@ -649,13 +569,13 @@ mod tests {
         }
         while q.poll_tx(0).is_some() {}
         let rto = q.current_rto();
-        assert_eq!(q.on_timeout(rto - 1), TimeoutAction::None);
-        assert_eq!(q.on_timeout(rto), TimeoutAction::Rewind);
+        q.on_timeout(rto - 1);
+        assert_eq!(q.tx_deadline(), Some(rto), "deadline not reached");
+        q.on_timeout(rto);
         // Retransmits carry the original PSNs, in order.
-        let r0 = q.poll_tx(rto).unwrap().clone();
-        let r1 = q.poll_tx(rto).unwrap().clone();
-        assert!(r0.retransmit && r1.retransmit);
-        assert_eq!((r0.psn, r1.psn), (0, 1));
+        let r0 = q.poll_tx(rto).unwrap().psn;
+        let r1 = q.poll_tx(rto).unwrap().psn;
+        assert_eq!((r0, r1), (0, 1));
         assert_eq!(q.retransmits, 2);
         // Back-off doubled the deadline.
         assert!(q.current_rto() >= 2 * RTO);
@@ -674,22 +594,17 @@ mod tests {
         q.post_send(vec![1]);
         let mut now = 0;
         q.poll_tx(now);
-        let mut failed = false;
-        for _ in 0..4 {
+        for retries in 1..=2 {
             now = q.tx_deadline().unwrap();
-            match q.on_timeout(now) {
-                TimeoutAction::Failed => {
-                    failed = true;
-                    break;
-                }
-                TimeoutAction::Rewind => {
-                    q.poll_tx(now);
-                }
-                TimeoutAction::None => unreachable!("deadline reached"),
-            }
+            q.on_timeout(now);
+            assert!(!q.is_dead());
+            assert!(q.poll_tx(now).is_some());
+            assert_eq!(q.retransmits, retries);
         }
-        assert!(failed, "third consecutive timeout kills the QP");
-        assert!(q.is_dead());
+        now = q.tx_deadline().unwrap();
+        q.on_timeout(now);
+        assert!(q.is_dead(), "third consecutive timeout kills the QP");
+        assert_eq!(q.tx_deadline(), None);
         assert!(q.poll_tx(now).is_none(), "dead QP transmits nothing");
     }
 
@@ -702,10 +617,9 @@ mod tests {
         while q.poll_tx(0).is_some() {}
         // Receiver got 0,1 then a gap: NAK asks for 2.
         q.on_nak(10, 2);
-        let next = q.poll_tx(10).unwrap();
-        assert_eq!(next.psn, 2);
-        assert!(next.retransmit);
+        assert_eq!(q.poll_tx(10).unwrap().psn, 2);
         assert_eq!(q.poll_tx(10).unwrap().psn, 3);
+        assert_eq!(q.retransmits, 2);
     }
 
     #[test]
@@ -718,9 +632,7 @@ mod tests {
         // Receiver got 0,1 then a gap: NAK asks for 2. Under SR only
         // PSN 2 goes back on the wire; 3 and 4 stay buffered remotely.
         q.on_nak(10, 2);
-        let next = q.poll_tx(10).unwrap();
-        assert_eq!(next.psn, 2);
-        assert!(next.retransmit);
+        assert_eq!(q.poll_tx(10).unwrap().psn, 2);
         assert!(q.poll_tx(10).is_none(), "3 and 4 are not resent");
         assert_eq!(q.retransmits, 1);
         // The cumulative ACK after the gap heals releases everything.
@@ -736,7 +648,7 @@ mod tests {
         }
         while q.poll_tx(0).is_some() {}
         let rto = q.current_rto();
-        assert_eq!(q.on_timeout(rto), TimeoutAction::Rewind);
+        q.on_timeout(rto);
         let psns: Vec<u32> = std::iter::from_fn(|| q.poll_tx(rto).map(|t| t.psn)).collect();
         assert_eq!(psns, vec![0, 1, 2], "timeout blinds SR: resend all");
         assert_eq!(q.retransmits, 3);
@@ -753,18 +665,14 @@ mod tests {
         assert_eq!(items[0].op, Operation::SendFirst);
         assert_eq!(items[1].op, Operation::SendMiddle);
         assert_eq!(items[2].op, Operation::SendLast);
-        assert!(!items[0].msg_end && !items[1].msg_end && items[2].msg_end);
         assert_eq!(items[0].payload.len(), mtu);
         assert_eq!(items[2].payload.len(), mtu / 2);
         // Receiver: MSN advances once, on the Last segment.
         let mut r = qp(8);
-        r.rx_accept(0, items[0].msg_end);
-        r.rx_accept(0, items[1].msg_end);
+        r.rx_accept(0, false);
+        r.rx_accept(0, false);
         assert_eq!(r.msn(), 0, "mid-message: MSN unchanged");
-        assert_eq!(
-            r.rx_accept(0, items[2].msg_end),
-            Some(RxReply::Ack { psn: 2, msn: 1 })
-        );
+        assert_eq!(r.rx_accept(0, true), Some(RxReply::Ack { psn: 2, msn: 1 }));
     }
 
     #[test]
@@ -798,7 +706,6 @@ mod tests {
         assert_eq!(req.op, Operation::RdmaReadRequest);
         assert!(req.payload.is_empty());
         assert_eq!(req.reth.unwrap().dma_len, (mtu * 3) as u32);
-        assert!(req.msg_end);
         // Responder side: 3 MTUs of response data -> First, Middle, Last
         // (Middle being the opcode this PR adds).
         let mut r = qp(8);
@@ -816,19 +723,6 @@ mod tests {
 
     fn q_next_op(q: &mut RcQp) -> Option<Operation> {
         q.poll_tx(0).map(|t| t.op)
-    }
-
-    #[test]
-    fn rnr_pauses_transmission() {
-        let mut q = qp(2);
-        q.post_send(vec![1]);
-        q.post_send(vec![2]);
-        q.poll_tx(0);
-        q.on_rnr(5, 0, 50 * US);
-        assert!(q.poll_tx(6).is_none(), "paused during RNR back-off");
-        let resumed = q.poll_tx(5 + 50 * US).unwrap();
-        assert_eq!(resumed.psn, 0);
-        assert!(resumed.retransmit);
     }
 
     #[test]
@@ -861,21 +755,6 @@ mod tests {
         // The gap heals (expected packet arrives): NAK state resets.
         q.rx_accept(0, true);
         assert!(q.rx_gap().is_some());
-    }
-
-    #[test]
-    fn rx_budget_tracks_reservations() {
-        let mut q = RcQp::new(RcConfig {
-            rx_capacity: 2,
-            ..RcConfig::default()
-        });
-        assert!(q.rx_has_budget());
-        q.rx_reserve();
-        q.rx_reserve();
-        assert!(!q.rx_has_budget());
-        assert_eq!(q.rx_not_ready(), RxReply::Rnr { psn: 0, msn: 0 });
-        q.rx_release();
-        assert!(q.rx_has_budget());
     }
 
     #[test]

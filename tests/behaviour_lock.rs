@@ -53,7 +53,7 @@ const ENGINE: Lock = Lock {
 const FABRIC: Lock = Lock {
     name: "fabric",
     run: fabric_line,
-    floors: &[ALL, DEAD, LIMIT, "reordered", "RNR", REJECTED, WRAP],
+    floors: &[ALL, DEAD, LIMIT, "reordered", REJECTED, WRAP],
 };
 
 const REKEY: Lock = Lock {
@@ -243,16 +243,22 @@ fn mesh_case(g: &mut Gen) -> SimConfig {
     }
 }
 
-/// A generated line's transport. The harnesses drain every arrival at
-/// once, so only `rx_capacity` 0 answers RNR (to every SEND, forever).
-fn rc_case(g: &mut Gen, rx_capacities: &[usize]) -> RcConfig {
+/// A generated line's transport. `capacity_draws` is the length of the
+/// receive-buffer capacity list the lock was captured with.
+fn rc_case(g: &mut Gen, capacity_draws: usize) -> RcConfig {
     let near_wrap = PSN_MAX - g.u32_in(0..64);
+    let window = g.u32_in(1..65);
+    let max_retries = g.u32_in(1..11);
+    let ack_coalesce = g.u32_in(1..9);
+    let initial_psn = *g.choose(&[0, 0, PSN_MAX, near_wrap]);
+    // The transport has no receive-buffer budget any more; the draw stays
+    // so every later draw, and so every line, stays where it was.
+    g.index(capacity_draws);
     RcConfig {
-        window: g.u32_in(1..65),
-        max_retries: g.u32_in(1..11),
-        ack_coalesce: g.u32_in(1..9),
-        initial_psn: *g.choose(&[0, 0, PSN_MAX, near_wrap]),
-        rx_capacity: *g.choose(rx_capacities),
+        window,
+        max_retries,
+        ack_coalesce,
+        initial_psn,
         retransmit: either(g, GBN, SR),
         ..RcConfig::default()
     }
@@ -273,7 +279,7 @@ fn cosim_run(
     context: String,
     admitted: Option<&str>,
     wraps: bool,
-    reached: [(bool, &'static str); 3],
+    reached: &[(bool, &'static str)],
 ) -> Run {
     let doc = format!("{report}\n");
     let context = format!("{context}\nreport {doc}");
@@ -294,7 +300,7 @@ fn cosim_run(
     let digest = fnv64(doc.as_bytes());
     let wrap = (all && wraps, WRAP);
     let ends = [(all, ALL), (failed, DEAD), (timed_out, LIMIT), wrap];
-    let ends = ends.into_iter().chain(reached);
+    let ends = ends.into_iter().chain(reached.iter().copied());
     Run {
         line: format!("{seed:#018x} {digest:016x} {delivered}/{expected} {exit}"),
         context,
@@ -312,7 +318,7 @@ const FABRIC_POINTS: [(&str, u64, RdmaOp, RetransmitMode, f64); 12] = [
     ("read_gbn", 35, Read, GBN, 0.05),
     ("read_sr_no_tap", 36, Read, SR, 0.03),
     ("segmented_sr_attacked", 37, Send, SR, 0.03),
-    ("rnr_storm", 38, Send, GBN, 0.02),
+    ("ack_every_packet", 38, Send, GBN, 0.02),
     ("dead_qp", 39, Write, GBN, 0.3),
     ("late_replay", 40, Send, GBN, 0.0),
     ("no_auth", 41, Send, GBN, 0.02),
@@ -335,7 +341,7 @@ fn fabric_point(seed: u64, op: RdmaOp, mode: RetransmitMode, loss: f64) -> Fabri
             cfg.payload_len = 2 * cfg.rc.mtu + cfg.rc.mtu / 2;
             (cfg.sim.num_attackers, cfg.sim.attack_keys) = (4, Valid);
         }
-        38 => (cfg.rc.rx_capacity, cfg.rc.ack_coalesce) = (1, 1),
+        38 => cfg.rc.ack_coalesce = 1,
         39 => cfg.rc.max_retries = 2,
         // Every arrival at the tap is re-captured, replays included, so
         // one is always pending when the run ends at the time limit.
@@ -353,7 +359,7 @@ fn fabric_case(seed: u64) -> FabricSimConfig {
     let nodes = sim.num_nodes();
     let src = g.index(nodes);
     let dst = (src + 1 + g.index(nodes - 1)) % nodes;
-    let rc = rc_case(g, &[0, 1, 2, 1024, 1024, 1024, 1024, 1024]);
+    let rc = rc_case(g, 8);
     FabricSimConfig {
         seed,
         security: *g.choose(&[NoAuth, Auth, AuthReplay]),
@@ -381,7 +387,6 @@ fn fabric_line(i: usize) -> Run {
     let r = run_fabric_sim(&cfg);
     let window = cfg.security == AuthReplay;
     let ooo = r.ooo_buffered > 0;
-    let rnr = cfg.rc.rx_capacity == 0 && cfg.op == Send && r.retransmits > 0;
     let rejected = window && r.replays_injected > 0 && r.dup_suppressed + r.rejected_stale > 0;
     cosim_run(
         cfg.seed,
@@ -389,26 +394,26 @@ fn fabric_line(i: usize) -> Run {
         format!("{name} config {}", cfg.to_json()),
         window.then_some("replays_admitted"),
         crosses_wrap(&cfg.rc, cfg.messages, cfg.payload_len),
-        [(ooo, "reordered"), (rnr, "RNR"), (rejected, REJECTED)],
+        &[(ooo, "reordered"), (rejected, REJECTED)],
     )
 }
 
-/// The fixed head of the rekey lock: lossy, RNR-sized, retry-exhausting
-/// fleets under rotation, a leader kill and the stale-epoch attacker.
+/// The fixed head of the rekey lock: lossy, retry-exhausting fleets
+/// under rotation, a leader kill and the stale-epoch attacker.
 const REKEY_POINTS: [RekeyPoint; 6] = [
-    (21, 64, 20, 0.02, 64, 7, GBN, 256),
-    (22, 64, 20, 0.05, 2, 7, SR, 3000),
-    (23, 100, 10, 0.3, 64, 2, GBN, 256),
-    (24, 200, 8, 0.01, 1, 7, GBN, 256),
-    (25, 33, 16, 0.03, 64, 7, SR, 5000),
-    (26, 128, 10, 0.0, 1, 7, GBN, 2500),
+    (21, 64, 20, 0.02, 7, GBN, 256),
+    (22, 64, 20, 0.05, 7, SR, 3000),
+    (23, 100, 10, 0.3, 2, GBN, 256),
+    (24, 200, 8, 0.01, 7, GBN, 256),
+    (25, 33, 16, 0.03, 7, SR, 5000),
+    (26, 128, 10, 0.0, 7, GBN, 2500),
 ];
 
-/// (seed, flows, messages, loss, rx_capacity, max_retries, mode, payload).
-type RekeyPoint = (u64, usize, usize, f64, usize, u32, RetransmitMode, usize);
+/// (seed, flows, messages, loss, max_retries, mode, payload).
+type RekeyPoint = (u64, usize, usize, f64, u32, RetransmitMode, usize);
 
 fn rekey_point(point: RekeyPoint) -> RekeyConfig {
-    let (seed, flows, messages, loss, rx_capacity, max_retries, mode, payload_len) = point;
+    let (seed, flows, messages, loss, max_retries, mode, payload_len) = point;
     let mut cfg = RekeyConfig {
         seed,
         flows,
@@ -424,7 +429,7 @@ fn rekey_point(point: RekeyPoint) -> RekeyConfig {
         sim: mesh(loss),
         ..RekeyConfig::default()
     };
-    (cfg.rc.rx_capacity, cfg.rc.max_retries, cfg.rc.retransmit) = (rx_capacity, max_retries, mode);
+    (cfg.rc.max_retries, cfg.rc.retransmit) = (max_retries, mode);
     cfg
 }
 
@@ -432,7 +437,7 @@ fn rekey_case(seed: u64) -> RekeyConfig {
     let g = &mut Gen::new(Seed(seed));
     let sim = mesh_case(g);
     let replicas = g.usize_in(1..(sim.num_nodes() - 2).min(4) + 1);
-    let rc = rc_case(g, &[1, 2, 1024]);
+    let rc = rc_case(g, 3);
     RekeyConfig {
         seed,
         security: *g.choose(&[NoAuth, Auth, AuthReplay]),
@@ -466,7 +471,7 @@ fn rekey_line(i: usize) -> Run {
         format!("config {}", cfg.to_json()),
         window.then_some("stale_admitted"),
         crosses_wrap(&cfg.rc, cfg.messages, cfg.payload_len),
-        [
+        &[
             (window && r.stale_injected > 0 && rejects > 0, REJECTED),
             (r.rejected_stale_epoch > 0, "stale epoch"),
             (r.leader_kills > 0 && r.takeovers > 0, "takeover"),
