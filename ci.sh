@@ -4,10 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Each `leg` starts a timed leg. When the script ends, on success or on
-# failure, it prints every leg's wall time and status, and names the leg
-# that failed.
+# Each leg is timed. The first three (the lint table, the build, the
+# test run) stop the script when they fail: no later leg means anything
+# without them. Every later leg runs through `run_leg`, so a failing one
+# is recorded and the script goes on to the next. When the script ends,
+# on success or on failure, it prints every leg's wall time and status,
+# names every leg that failed, and exits non-zero if any did.
 legs=()
+failed=()
 leg_name=""
 leg_start=0
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
@@ -24,9 +28,26 @@ leg() {
   leg_start=$(now_ms)
   echo "== $1 =="
 }
+# `run_leg <name> <command> [args...]`: the command runs in a subshell
+# under errexit, so its first failing step ends the leg, not the script.
+run_leg() {
+  leg "$1"
+  shift
+  local status
+  set +e
+  ( set -e; "$@" )
+  status=$?
+  set -e
+  if [ "$status" -ne 0 ]; then
+    failed+=("$leg_name")
+    leg_end "FAILED (exit $status)"
+  fi
+}
 leg_table() {
-  local status=$? failed=""
-  if [ "$status" -eq 0 ]; then leg_end ok; else failed=$leg_name; leg_end FAILED; fi
+  local status=$?
+  if [ -n "$leg_name" ]; then
+    if [ "$status" -eq 0 ]; then leg_end ok; else failed+=("$leg_name"); leg_end FAILED; fi
+  fi
   echo "== legs =="
   printf '%-72s %9s  %s\n' leg seconds status
   local row name secs st
@@ -34,7 +55,12 @@ leg_table() {
     IFS='|' read -r name secs st <<< "$row"
     printf '%-72s %9s  %s\n' "$name" "$secs" "$st"
   done
-  if [ "$status" -ne 0 ]; then echo "CI FAILED in leg: ${failed:-before the first leg} (exit $status)"; fi
+  if [ "${#failed[@]}" -gt 0 ]; then
+    echo "CI FAILED in ${#failed[@]} leg(s):"
+    printf '  %s\n' "${failed[@]}"
+  elif [ "$status" -ne 0 ]; then
+    echo "CI FAILED before the first leg (exit $status)"
+  fi
 }
 trap leg_table EXIT
 
@@ -55,7 +81,8 @@ cargo build --release --offline
 leg "test (offline)"
 cargo test -q --offline
 
-leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them)"
+# From here on a failing leg does not stop the script.
+
 # On a host with PCLMULQDQ/AVX2 the plain test run above only ever takes
 # the dispatched kernels. The same tests under IB_SIMD=off put the
 # slice-by-8 CRCs and scalar NH through every CRC/packet/security/
@@ -65,9 +92,9 @@ leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch t
 # ib-transport tests/alloc_free_hotpath.rs, ib-sm the rekey lock's first
 # lines (the only harness with many endpoints sharing one node's keyed
 # MACs).
-IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
+run_leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them)" \
+  env IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
-leg "behaviour locks, every line (release)"
 # tests/golden/lock/{engine,fabric,rekey}.txt pin Simulator::run,
 # run_fabric_sim and run_rekey_sim, 1024 configurations each: random
 # topology / attack / enforcement / trap / fault draws for the engine,
@@ -76,26 +103,24 @@ leg "behaviour locks, every line (release)"
 # holding the harness's safety claims. The plain test run above checks
 # each lock's first lines; this leg checks all of them. The next leg
 # shows that the locks still catch the bugs they were built against.
-cargo test -q --release --offline -p ib-sm --test behaviour_lock -- --ignored full
+run_leg "behaviour locks, every line (release)" \
+  cargo test -q --release --offline -p ib-sm --test behaviour_lock -- --ignored full
 
-leg "mutant catalogue (every tests/mutants patch applies at HEAD and is killed)"
 # Each patch is a bug an earlier check was shown to catch (the locks, the
 # admission rule's tests); mutants.sh re-applies it to a fresh export of
 # HEAD (committed files, not this working tree) and requires its killing
 # command to fail, so a weakened check no longer passes unnoticed. About
 # 2 min on 2 CPUs from a cold target/mutants, most of it the two builds.
-./mutants.sh
+run_leg "mutant catalogue (every tests/mutants patch applies at HEAD and is killed)" ./mutants.sh
 
-leg "fmt"
-cargo fmt --check
+run_leg "fmt" cargo fmt --check
 
-leg "clippy"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+run_leg "clippy" cargo clippy --offline --workspace --all-targets -- -D warnings
 
-leg "rustdoc links (no broken or private intra-doc links)"
 # A deleted or renamed item leaves `[`links`]` to it in the docs of
 # whatever mentioned it; this leg is what catches them.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+run_leg "rustdoc links (no broken or private intra-doc links)" \
+  env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
   cargo doc --workspace --no-deps --offline
 
 # Every figure binary that has a smoke_twice leg below (fig1, fig5, fig6
@@ -107,14 +132,16 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 golden_diff() {
   diff "tests/golden/${2:-smoke}/$1.json" "BENCH_$1.json"
 }
-smoke_twice() {
-  leg "$1 smoke (twice: byte-identical to each other and to the golden)"
+smoke_twice_body() {
   cargo run -q --release --offline -p bench --bin "$1" -- --smoke
   mv "BENCH_$1.json" "BENCH_$1.first.json"
   cargo run -q --release --offline -p bench --bin "$1" -- --smoke
   diff "BENCH_$1.first.json" "BENCH_$1.json"
   golden_diff "$1"
   rm "BENCH_$1.first.json"
+}
+smoke_twice() {
+  run_leg "$1 smoke (twice: byte-identical to each other and to the golden)" smoke_twice_body "$1"
 }
 
 # The replay-defence gate: both sweeps (quiet 2x2 mesh, loaded 4x4 mesh)
@@ -123,27 +150,29 @@ smoke_twice() {
 # replays with the window and admitted ones without it.
 smoke_twice fig_replay
 
-leg "every bench binary rejects an argument it does not take"
 # Each binary but jsonck (which takes file paths) parses its command line
 # through bench::parse_args. An unknown flag must fail the run before it
 # writes anything, so a misspelled or retired flag never runs the default
 # grid as if asked. The list is every crates/bench/src/bin/*.rs, so a
 # binary added later is checked without anyone listing it here.
-reject_dir=$(mktemp -d)
-bin_dir="$PWD/target/release"
-for src in crates/bench/src/bin/*.rs; do
-  bin=$(basename "$src" .rs)
-  [ "$bin" = jsonck ] && continue
-  if (cd "$reject_dir" && "$bin_dir/$bin" --no-such-flag) > /dev/null 2>&1; then
-    echo "$bin accepted --no-such-flag"; exit 1
-  fi
-  if [ -n "$(ls -A "$reject_dir")" ]; then
-    echo "$bin wrote into its directory before rejecting --no-such-flag"; exit 1
-  fi
-done
-rmdir "$reject_dir"
+reject_unknown_flags() {
+  local reject_dir bin_dir src bin
+  reject_dir=$(mktemp -d)
+  bin_dir="$PWD/target/release"
+  for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    [ "$bin" = jsonck ] && continue
+    if (cd "$reject_dir" && "$bin_dir/$bin" --no-such-flag) > /dev/null 2>&1; then
+      echo "$bin accepted --no-such-flag"; exit 1
+    fi
+    if [ -n "$(ls -A "$reject_dir")" ]; then
+      echo "$bin wrote into its directory before rejecting --no-such-flag"; exit 1
+    fi
+  done
+  rmdir "$reject_dir"
+}
+run_leg "every bench binary rejects an argument it does not take" reject_unknown_flags
 
-leg "table1-table4 and ablations smoke (their in-binary asserts must hold)"
 # These print tables and write no BENCH_*.json, so nothing is diffed:
 # the leg exists for their asserts (Table 4's CRC < UMAC < HMAC-MD5 <
 # HMAC-SHA1 ordering and the §6 link-speed check among them), which
@@ -151,44 +180,54 @@ leg "table1-table4 and ablations smoke (their in-binary asserts must hold)"
 # arm at a time through bench::sample_arms, the sampler mac_table4 and
 # sim_engine interleave their arms through, and derive every rate from
 # each cell's median.
-for bin in table1 table2 table3 table4 ablations; do
-  cargo run -q --release --offline -p bench --bin "$bin" -- --smoke > /dev/null
-done
+tables_smoke() {
+  for bin in table1 table2 table3 table4 ablations; do
+    cargo run -q --release --offline -p bench --bin "$bin" -- --smoke > /dev/null
+  done
+}
+run_leg "table1-table4 and ablations smoke (their in-binary asserts must hold)" tables_smoke
 
-leg "examples (release: their asserts must hold)"
 # `cargo test` compiles the four examples but never runs them, so their
 # asserts (the Table 3 rows refused, the R_Key forgery refused, the SIF
 # ordering) would otherwise never execute.
-for ex in quickstart key_attacks secure_rdma dos_attack_defense; do
-  cargo run -q --release --offline -p ib-security --example "$ex" > /dev/null
-done
+examples_run() {
+  for ex in quickstart key_attacks secure_rdma dos_attack_defense; do
+    cargo run -q --release --offline -p ib-security --example "$ex" > /dev/null
+  done
+}
+run_leg "examples (release: their asserts must hold)" examples_run
 
-leg "mac_table4 smoke (twice: structure must be stable, asserts must hold)"
 # The binary's own asserts gate tag equality across the two message
 # paths (hard, single-shot) and its wall-clock floors (each re-measures
 # its own cell up to 3 times and prints tries=n); across runs the numbers
 # move with the clock, so compare the *structure* with numerics
 # normalized away.
-cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
-mv BENCH_mac_throughput.json BENCH_mac_throughput.first.json
-cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
 normalize_numbers() { sed -E 's/-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?/N/g' "$1"; }
-diff <(normalize_numbers BENCH_mac_throughput.first.json) \
-     <(normalize_numbers BENCH_mac_throughput.json)
-rm BENCH_mac_throughput.first.json
+mac_table4_twice() {
+  cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
+  mv BENCH_mac_throughput.json BENCH_mac_throughput.first.json
+  cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
+  diff <(normalize_numbers BENCH_mac_throughput.first.json) \
+       <(normalize_numbers BENCH_mac_throughput.json)
+  rm BENCH_mac_throughput.first.json
+}
+run_leg "mac_table4 smoke (twice: structure must be stable, asserts must hold)" mac_table4_twice
 
-leg "mac_table4 smoke with IB_SIMD=off (scalar fallback: structure must match)"
 # The dispatched kernels must be observationally interchangeable with
 # the scalar fallback: forcing IB_SIMD=off flips only numbers (timings,
 # speedup ratios, the simd_active flag), never the document structure,
 # the rows emitted, or which in-binary asserts run. The binary's own
 # equivalence gates re-run under the fallback too, so this leg also
-# proves the scalar path *passes* them byte-identically.
-mv BENCH_mac_throughput.json BENCH_mac_throughput.simd.json
-IB_SIMD=off cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
-diff <(normalize_numbers BENCH_mac_throughput.simd.json) \
-     <(normalize_numbers BENCH_mac_throughput.json)
-rm BENCH_mac_throughput.simd.json
+# proves the scalar path *passes* them byte-identically. It compares
+# against the document the leg before left, so it fails with that leg.
+mac_table4_scalar() {
+  mv BENCH_mac_throughput.json BENCH_mac_throughput.simd.json
+  IB_SIMD=off cargo run -q --release --offline -p bench --bin mac_table4 -- --smoke
+  diff <(normalize_numbers BENCH_mac_throughput.simd.json) \
+       <(normalize_numbers BENCH_mac_throughput.json)
+  rm BENCH_mac_throughput.simd.json
+}
+run_leg "mac_table4 smoke with IB_SIMD=off (scalar fallback: structure must match)" mac_table4_scalar
 
 # The scheduler/arena determinism gate: a calendar-queue or packet-arena
 # bug that perturbs event order changes the averaged figure rows, so two
@@ -217,13 +256,16 @@ smoke_twice fig_rdma
 # the replica election and MAD exchange to the seed.
 smoke_twice fig_rekey
 
-leg "fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to the golden)"
 # The point the benchmark's rekey_1024qp workload times. The smoke run
 # above is 48 lossless flows; this one is the fleet the wake-set
 # scheduling exists for (sub-second since PR 18, 7 s before it), so a
 # scheduling change that only shows at scale fails here.
-cargo run -q --release --offline -p bench --bin fig_rekey
-golden_diff fig_rekey full
+fig_rekey_full() {
+  cargo run -q --release --offline -p bench --bin fig_rekey
+  golden_diff fig_rekey full
+}
+run_leg "fig_rekey full mode (512 flows = 1024 QPs, five arms: byte-identical to the golden)" \
+  fig_rekey_full
 
 # The scale-out gate: generated mesh and fat-tree fabrics with ECMP
 # routing on the packet engine. The binary's own asserts require every
@@ -233,18 +275,17 @@ golden_diff fig_rekey full
 # smoke mode so the diff can hold).
 smoke_twice fig_scale
 
-leg "sim_engine smoke (scheduler equivalence + calendar-vs-heap gates)"
 # The binary's own asserts gate (a) both scheduler arms popping the
 # identical event stream on the hold-model and same-window burst scripts,
 # (b) the calendar queue (inline entries, jumping wheel) keeping pace
 # with the reference heap over the same entries on the hold model and
 # (c) staying within 2x of it on every burst.
-cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
+run_leg "sim_engine smoke (scheduler equivalence + calendar-vs-heap gates)" \
+  cargo run -q --release --offline -p bench --bin sim_engine -- --smoke
 
-leg "jsonck: emitted results parse back through ib_runtime::json"
-cargo run -q --release --offline -p bench --bin jsonck -- BENCH_*.json
+run_leg "jsonck: emitted results parse back through ib_runtime::json" \
+  cargo run -q --release --offline -p bench --bin jsonck -- BENCH_*.json
 
-leg "benchmark package (builds against the workspace, old-loop oracle agrees, smoke set runs clean)"
 # benchmark/ is frozen between [benchmark] PRs but calls library names
 # directly (probes, the traced fabric loop), so a deletion in crates/ can
 # break it without touching it. Its traced fabric loop is a call-for-call
@@ -253,9 +294,15 @@ leg "benchmark package (builds against the workspace, old-loop oracle agrees, sm
 # three points and `trace --smoke` on all 18 smoke points, failing the
 # operation on any difference - an independent differential check of the
 # driver. Both runs exit non-zero on any failed operation.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- trace --smoke
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+benchmark_package() {
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- trace --smoke
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+}
+run_leg "benchmark package (builds against the workspace, old-loop oracle agrees, smoke set runs clean)" \
+  benchmark_package
 
+leg_end ok
+if [ "${#failed[@]}" -gt 0 ]; then exit 1; fi
 echo "CI OK"

@@ -1,14 +1,15 @@
 //! An in-memory secure fabric: the whole stack wired together.
 //!
-//! [`SecureFabric`] owns a Subnet Manager and N nodes. Partitions are
-//! created through the SM, which mints partition secrets and distributes
-//! them under each member's (toy-RSA) public key — §4.2's flow, for real,
-//! over real envelopes. Datagram sends build genuine IBA wire packets
-//! (`ib-packet`) and seal them with [`Authenticator::seal_into`]; delivery
-//! views the raw bytes ([`Packet::parse_view`]), checks the P_Key table,
-//! applies the admission rule with a tag required where the node's
-//! on-demand policy enrolled the scope, offers tagged PSNs to the flow's
-//! replay window, and copies the payload out once, at the end.
+//! [`SecureFabric`] owns a Subnet Manager and N nodes. The SM holds each
+//! node's LID and public key; partitions are created through it, and it
+//! mints partition secrets and distributes them under each member's
+//! (toy-RSA) public key — §4.2's flow, for real, over real envelopes.
+//! Datagram sends build genuine IBA wire packets (`ib-packet`) and seal
+//! them with [`Authenticator::seal_into`]; delivery views the raw bytes
+//! ([`Packet::parse_view`]), checks the P_Key table, applies the
+//! admission rule with a tag required where the node's on-demand policy
+//! enrolled the scope, offers tagged PSNs to the flow's replay window,
+//! and copies the payload out once, at the end.
 //!
 //! This is the crate's quickstart API; the examples and the cross-crate
 //! integration tests drive it.
@@ -16,7 +17,7 @@
 use std::collections::HashMap;
 
 use ib_crypto::mac::AuthAlgorithm;
-use ib_crypto::toyrsa::{self, PrivateKey, PublicKey};
+use ib_crypto::toyrsa::{self, PrivateKey};
 use ib_mgmt::keymgmt::QpKeyManager;
 use ib_mgmt::partition::{PartitionConfig, PartitionTable};
 use ib_mgmt::sm::SubnetManager;
@@ -56,8 +57,6 @@ impl From<AuthError> for FabricError {
 }
 
 struct FabricNode {
-    lid: Lid,
-    public: PublicKey,
     private: PrivateKey,
     auth: Authenticator,
     qp_mgr: QpKeyManager,
@@ -79,17 +78,16 @@ pub struct SecureFabric {
 
 impl SecureFabric {
     /// Build a fabric of `n` nodes using `algorithm`/`scope` for
-    /// authentication. Node `i` gets LID `i+1` and datagram QP `10·i + 1`.
+    /// authentication. Delivery is direct, as through one switch: node `i`
+    /// hangs off its port `i`, holds the SM's LID for it and datagram QP
+    /// `10·i + 1`.
     pub fn new(n: usize, algorithm: AuthAlgorithm, scope: KeyScope, seed: u64) -> Self {
-        let mut sm = SubnetManager::new(n, seed);
+        let mut sm = SubnetManager::new((0..n).map(|i| (0, i)).collect(), seed);
         let nodes = (0..n)
             .map(|i| {
                 let (public, private) = toyrsa::generate_keypair(seed ^ (i as u64 + 1) << 8);
-                let lid = Lid(i as u16 + 1);
-                sm.register_public_key(lid, public);
+                sm.register_public_key(i, public);
                 FabricNode {
-                    lid,
-                    public,
                     private,
                     auth: Authenticator::new(algorithm, scope),
                     qp_mgr: QpKeyManager::new(seed ^ qp_seed(i)),
@@ -127,7 +125,7 @@ impl SecureFabric {
     /// public key. Both sides install under (Q_Key, requester's QP).
     pub fn request_qkey(&mut self, requester: usize, responder: usize) -> QKey {
         let requester_qp = self.nodes[requester].dg_qp;
-        let requester_pub = self.nodes[requester].public;
+        let requester_pub = self.sm.public_key(requester).expect("every key is on file");
         let responder_qp = self.nodes[responder].dg_qp;
         let (qkey, secret, envelope) = self.nodes[responder]
             .qp_mgr
@@ -177,8 +175,8 @@ impl SecureFabric {
         let psn = self.next_psn(src, dst);
         let src_node = &self.nodes[src];
         Ok(PacketBuilder::new(OpCode::UD_SEND_ONLY)
-            .slid(src_node.lid)
-            .dlid(self.nodes[dst].lid)
+            .slid(self.sm.lid_of(src))
+            .dlid(self.sm.lid_of(dst))
             .pkey(pkey)
             .psn(psn)
             .dest_qp(self.nodes[dst].dg_qp)

@@ -17,8 +17,10 @@
 //!   partition-level (one secret per partition, distributed by the SM under
 //!   each CA's public key) and QP-level (per-connection secrets, indexed by
 //!   `(Q_Key, source QP)` exactly as Figure 3 shows).
-//! * [`sm`] — a Subnet Manager that assigns LIDs, owns partition
-//!   membership, receives traps, and programs switch filters.
+//! * [`sm`] — the Subnet Manager, sole owner of LIDs, attachments,
+//!   membership, public keys, M_Keys and partition secrets. It receives
+//!   traps and programs switch filters, refusing a trap that names a
+//!   partition of the violator's own.
 //!
 //! Everything here is pure protocol logic — `ib-sim` drives these state
 //! machines inside the discrete-event simulation, and `ib-security` uses

@@ -1,10 +1,12 @@
 //! Boundary-value tests across the trap → SM → SIF pipeline: the exact
 //! instants where the trap throttle re-admits, where an idle SIF port
-//! self-disables, and where the Invalid_P_Key_Table starts evicting.
+//! self-disables, where the Invalid_P_Key_Table starts evicting, and
+//! which traps the SM refuses.
 
 use ib_mgmt::enforcement::{FilterDecision, PartitionEnforcer, SifEnforcer};
+use ib_mgmt::partition::PartitionConfig;
 use ib_mgmt::sm::ProgramFilter;
-use ib_mgmt::trap::TrapThrottle;
+use ib_mgmt::trap::{Trap, TrapThrottle};
 use ib_mgmt::SubnetManager;
 use ib_packet::types::{Lid, PKey};
 
@@ -132,8 +134,9 @@ fn zero_capacity_clamps_to_one_entry() {
 /// and the throttle's mute window never reaches the SM at all.
 #[test]
 fn trap_to_sm_to_sif_programs_the_right_port() {
-    let mut sm = SubnetManager::new(8, 7);
-    sm.attach(Lid(5), 2, 3); // violator node 4 hangs off switch 2 port 3
+    let mut attachments = vec![(0, 0); 8];
+    attachments[4] = (2, 3); // violator node 4 (LID 5) hangs off switch 2 port 3
+    let mut sm = SubnetManager::new(attachments, 7);
     let mut th = TrapThrottle::new(50);
     let mut sif = SifEnforcer::new(8, 10_000, 4);
 
@@ -153,4 +156,38 @@ fn trap_to_sm_to_sif_programs_the_right_port() {
         FilterDecision::Pass,
         "only the programmed port filters"
     );
+}
+
+/// A trap that names a partition member and that member's own P_Key —
+/// one any node can forge when traps travel in band. Were the SM to
+/// program it, SIF would drop the member's valid packets, and each drop
+/// refreshes the idle clock, so a member sending faster than the idle
+/// timeout stays blocked for good. The SM holds the membership, so it
+/// refuses the trap and counts the refusal.
+#[test]
+fn trap_naming_a_members_own_pkey_is_refused() {
+    const IDLE: u64 = 1_000_000;
+    let member_key = PKey(0x8001);
+    let mut attachments = vec![(0, 0); 4];
+    attachments[2] = (1, 3); // the member, node 2 (LID 3), on switch 1 port 3
+    let mut sm = SubnetManager::new(attachments, 7);
+    sm.define_partition(PartitionConfig {
+        pkey: member_key,
+        members: vec![0, 2],
+    });
+    let mut sif = SifEnforcer::new(4, IDLE, 8);
+
+    let forged = Trap::pkey_violation(Lid(2), member_key, Lid(3), 1);
+    if let Some(ProgramFilter { port, pkey, .. }) = sm.handle_trap(&forged) {
+        sif.register_invalid(0, port, pkey);
+    }
+    let dropped = (1..=10_000u64)
+        .filter(|i| {
+            let at = i * (IDLE / 50);
+            sif.check(at, 3, EDGE, Lid(3), member_key).decision == FilterDecision::Drop
+        })
+        .count();
+    assert_eq!(dropped, 0, "the member's valid packets were blocked");
+    assert_eq!((sm.traps_handled, sm.traps_rejected), (1, 1));
+    assert!(!sif.is_enabled(3));
 }

@@ -10,6 +10,18 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Lid(pub u16);
 
+impl Lid {
+    /// The LID the Subnet Manager assigns node `node`: dense and 1-based.
+    pub fn of_node(node: usize) -> Lid {
+        Lid(node as u16 + 1)
+    }
+
+    /// The node [`Lid::of_node`] gave this LID (`None` for reserved LID 0).
+    pub fn node(self) -> Option<usize> {
+        (self.0 as usize).checked_sub(1)
+    }
+}
+
 impl fmt::Display for Lid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "LID:{:#06x}", self.0)
@@ -24,6 +36,11 @@ pub struct PKey(pub u16);
 impl PKey {
     /// The default partition key every port starts in (full membership).
     pub const DEFAULT: PKey = PKey(0xFFFF);
+
+    /// The full-member P_Key of the partition with 15-bit key base `base`.
+    pub fn full_member(base: u16) -> PKey {
+        PKey(0x8000 | base)
+    }
 
     /// 15-bit key base (ignores the membership bit). Two P_Keys *match*
     /// when their bases are equal and at least one is a full member.
@@ -153,9 +170,18 @@ mod tests {
     fn pkey_base_and_membership() {
         assert_eq!(PKey(0x8001).base(), 1);
         assert!(PKey(0x8001).is_full_member());
+        assert_eq!(PKey::full_member(1), PKey(0x8001));
         assert!(!PKey(0x0001).is_full_member());
         assert_eq!(PKey::DEFAULT.base(), 0x7FFF);
         assert!(PKey::DEFAULT.is_full_member());
+    }
+
+    #[test]
+    fn lids_are_one_based() {
+        assert_eq!(Lid::of_node(0), Lid(1));
+        assert_eq!(Lid::of_node(15), Lid(16));
+        assert_eq!(Lid(16).node(), Some(15));
+        assert_eq!(Lid(0).node(), None);
     }
 
     #[test]

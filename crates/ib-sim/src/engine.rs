@@ -49,7 +49,7 @@ use ib_mgmt::enforcement::{
 use ib_mgmt::partition::{PartitionConfig, PartitionTable};
 use ib_mgmt::sm::SubnetManager;
 use ib_mgmt::trap::{Trap, TrapThrottle};
-use ib_packet::types::PKey;
+use ib_packet::types::{Lid, PKey};
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::config::{
@@ -240,15 +240,15 @@ pub struct HostDelivery {
 // ------------------------------------------------------------------- core
 
 /// Immutable state every handler reads: config, topology, layout tables,
-/// the partition/attacker assignment and the precomputed attack schedule.
+/// the attacker assignment and the precomputed attack schedule. Where
+/// nodes attach and who belongs to which partition is the SM's (in
+/// `State`).
 struct Shared {
     cfg: SimConfig,
     topo: Box<dyn Topology>,
     n_nodes: usize,
     n_switches: usize,
     radix: usize,
-    /// node → its `(switch, port)` attachment.
-    attach: Vec<(usize, usize)>,
     /// Flattened `[switch * radix + port]` — true where an HCA hangs off
     /// the port (the enforcement layer's edge/ingress distinction).
     is_host_port: Vec<bool>,
@@ -258,10 +258,6 @@ struct Shared {
     attackers: Vec<usize>,
     /// Per-attacker invalid P_Key(s).
     attacker_pkey: Vec<PKey>,
-    /// partition id → member nodes.
-    partitions: Vec<Vec<usize>>,
-    /// node → partition id.
-    node_partition: Vec<usize>,
     mtu_tx: SimTime,
     auth_delay: SimTime,
     /// Precomputed half-open attack windows, sorted and disjoint.
@@ -538,7 +534,7 @@ impl Ctx<'_> {
                     // "any ingress filtering is useless".
                     AttackKeys::Valid => {
                         if let Some(dst) = self.pick_partition_peer(node) {
-                            let pkey = PKey(0x8000 | (sh.node_partition[node] as u16 + 1));
+                            let pkey = self.st.sm.pkey_of(node);
                             self.emit_with_pkey(node, dst, class, pkey);
                         }
                     }
@@ -556,8 +552,7 @@ impl Ctx<'_> {
     }
 
     fn pick_partition_peer(&mut self, node: usize) -> Option<usize> {
-        let sh = self.sh;
-        let members = &sh.partitions[sh.node_partition[node]];
+        let members = self.st.sm.home_members(node);
         // Peers exclude only self: victims don't know which partition
         // members are compromised, so attacker nodes still *receive*
         // legitimate traffic (they just don't send any, per §3.1). The
@@ -573,7 +568,7 @@ impl Ctx<'_> {
     }
 
     fn emit(&mut self, src: usize, dst: usize, class: TrafficClass) {
-        let pkey = PKey(0x8000 | (self.sh.node_partition[src] as u16 + 1));
+        let pkey = self.st.sm.pkey_of(src);
         self.emit_with_pkey(src, dst, class, pkey);
     }
 
@@ -696,7 +691,7 @@ impl Ctx<'_> {
                 extra_delay_ps,
             } => {
                 self.st.arena.get_mut(pref).corrupted |= corrupt;
-                let (att_sw, att_port) = sh.attach[node];
+                let (att_sw, att_port) = self.st.sm.attachments()[node];
                 self.push(
                     Origin::Node(node),
                     arrival + extra_delay_ps,
@@ -731,13 +726,9 @@ impl Ctx<'_> {
                 lookup_cycles: 0,
             }
         } else {
-            self.st.switches[switch].enforcement.check(
-                now,
-                port,
-                is_edge,
-                sh.topo.lid_of(src),
-                pkey,
-            )
+            self.st.switches[switch]
+                .enforcement
+                .check(now, port, is_edge, Lid::of_node(src), pkey)
         };
         self.st.stats.lookup_cycles += check.lookup_cycles;
         if check.decision == FilterDecision::Drop {
@@ -1025,8 +1016,8 @@ impl Ctx<'_> {
         if !ok {
             self.st.stats.hca_blocked += 1;
             // Receive-side P_Key violation: maybe raise a trap (§3.3).
-            let reporter = sh.topo.lid_of(node);
-            let violator = sh.topo.lid_of(packet.src);
+            let reporter = Lid::of_node(node);
+            let violator = Lid::of_node(packet.src);
             if let Some(trap) =
                 self.st.hcas[node]
                     .throttle
@@ -1094,9 +1085,12 @@ impl Simulator {
         let radix = topo.radix();
         // Arbitration keeps one bit per input port in a `u64`.
         assert!(radix <= 64, "switch radix {radix} exceeds 64 ports");
-        let attach: Vec<(usize, usize)> = (0..n).map(|node| topo.host_attachment(node)).collect();
+        let mut sm = SubnetManager::new(
+            (0..n).map(|node| topo.host_attachment(node)).collect(),
+            (cfg.seed ^ 0x5151).0,
+        );
         let mut is_host_port = vec![false; n_sw * radix];
-        for &(s, p) in &attach {
+        for &(s, p) in sm.attachments() {
             is_host_port[s * radix + p] = true;
         }
         let peers: Vec<Peer> = (0..n_sw)
@@ -1108,31 +1102,14 @@ impl Simulator {
         // per-node stream so results can't depend on event order.
         let mut rng = cfg.seed.rng();
 
-        // ---- random partitioning into num_partitions groups ----
+        // ---- random partitioning into num_partitions groups (base pid + 1) ----
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
         let per = n.div_ceil(cfg.num_partitions.max(1));
-        let mut partitions: Vec<Vec<usize>> = Vec::new();
-        let mut node_partition = vec![0usize; n];
         for (pid, chunk) in order.chunks(per).enumerate() {
-            for &node in chunk {
-                node_partition[node] = pid;
-            }
-            partitions.push(chunk.to_vec());
-        }
-        let pkey_of = |pid: usize| PKey(0x8000 | (pid as u16 + 1));
-
-        // ---- subnet manager ----
-        let mut sm = SubnetManager::new(n, (cfg.seed ^ 0x5151).0);
-        for (node, &(s, p)) in attach.iter().enumerate() {
-            sm.attach(topo.lid_of(node), s, p);
-        }
-        for (pid, members) in partitions.iter().enumerate() {
-            // Key distribution itself is exercised in ib-mgmt; the sim only
-            // needs membership, so no public keys are registered here.
-            let _ = sm.create_partition(PartitionConfig {
-                pkey: pkey_of(pid),
-                members: members.clone(),
+            sm.define_partition(PartitionConfig {
+                pkey: PKey::full_member(pid as u16 + 1),
+                members: chunk.to_vec(),
             });
         }
 
@@ -1144,16 +1121,16 @@ impl Simulator {
         // legitimate partition uses it (base outside 1..=num_partitions).
         let attacker_pkey: Vec<PKey> = attackers
             .iter()
-            .map(|_| PKey(0x8000 | rng.gen_range(0x100..0x7FFF)))
+            .map(|_| PKey::full_member(rng.gen_range(0x100..0x7FFF)))
             .collect();
 
         // ---- switches ----
-        let all_pkeys: Vec<PKey> = (0..partitions.len()).map(pkey_of).collect();
+        let all_pkeys: Vec<PKey> = sm.partitions().iter().map(|p| p.pkey).collect();
         // Ingress filtering is configured per host port: each attachment
-        // admits only its node's partition key.
+        // admits only its node's partition keys.
         let mut if_ports: Vec<Vec<Option<Vec<PKey>>>> = vec![vec![None; radix]; n_sw];
-        for (node, &(s, p)) in attach.iter().enumerate() {
-            if_ports[s][p] = Some(vec![pkey_of(node_partition[node])]);
+        for (node, &(s, p)) in sm.attachments().iter().enumerate() {
+            if_ports[s][p] = Some(sm.pkeys_of(node).collect());
         }
         let switches: Vec<SwitchState> = if_ports
             .into_iter()
@@ -1194,7 +1171,7 @@ impl Simulator {
                 tx_busy_until: 0,
                 inject_pending: false,
                 credits: vec![VL_BUFFER_PACKETS; NUM_VLS],
-                table: PartitionTable::from_keys([pkey_of(node_partition[node])]),
+                table: PartitionTable::from_keys(sm.pkeys_of(node)),
                 throttle: TrapThrottle::new(50 * crate::time::US),
                 keyed_peers: vec![false; n],
                 backoff_skips: 0,
@@ -1227,13 +1204,10 @@ impl Simulator {
             n_nodes: n,
             n_switches: n_sw,
             radix,
-            attach,
             is_host_port,
             peers,
             attackers,
             attacker_pkey,
-            partitions,
-            node_partition,
             mtu_tx,
             auth_delay,
             attack_windows,
@@ -1388,7 +1362,7 @@ impl Simulator {
                 }
             }
         }
-        for (node, &(s, port)) in sh.attach.iter().enumerate() {
+        for (node, &(s, port)) in st.sm.attachments().iter().enumerate() {
             for vl in 0..NUM_VLS {
                 assert_eq!(
                     st.hcas[node].credits[vl] as usize
@@ -1435,7 +1409,7 @@ impl Simulator {
         let now = self.st.now;
         assert!(src < self.sh.n_nodes && dst < self.sh.n_nodes);
         self.st.stats.generated += 1;
-        let pkey = PKey(0x8000 | (self.sh.node_partition[src] as u16 + 1));
+        let pkey = self.st.sm.pkey_of(src);
         let class = if vl == 15 {
             TrafficClass::Management
         } else {
@@ -1545,7 +1519,7 @@ impl Simulator {
         let flow = self.st.flows.len();
         let mtu = sh.cfg.mtu_bytes as u64;
         let npkts = bytes.div_ceil(mtu).max(1) as usize;
-        let pkey = PKey(0x8000 | (sh.node_partition[src] as u16 + 1));
+        let pkey = self.st.sm.pkey_of(src);
         let class = TrafficClass::BestEffort;
         let mut left = bytes;
         for _ in 0..npkts {

@@ -1,5 +1,6 @@
 //! Fabric topologies: the [`Topology`] trait abstracting what the engine
-//! needs from a fabric (ports, peers, LID assignment, per-hop routing),
+//! needs from a fabric (ports, peers, host attachments, per-hop routing;
+//! LIDs are the subnet manager's),
 //! plus the concrete generators — the paper's §3.1 2-D mesh here, and the
 //! scale-out [`crate::fattree::FatTree`] in its own module.
 //!
@@ -8,8 +9,6 @@
 //! `(switch, dst, flow_hash)` triple, so a flow's packets stay in order
 //! while distinct flows spread across the path diversity (ECMP over
 //! fat-tree cores). Single-path topologies ignore the hash.
-
-use ib_packet::types::Lid;
 
 /// Port roles on a 5-port mesh switch.
 pub(crate) const PORT_EAST: usize = 0;
@@ -83,19 +82,6 @@ pub trait Topology {
     /// Upper bound on switches traversed by any route the topology can
     /// produce (the conformance tests' loop-freedom budget).
     fn diameter(&self) -> usize;
-
-    /// LID of node `i` (SM assigns 1-based LIDs).
-    fn lid_of(&self, node: usize) -> Lid {
-        debug_assert!(node < self.num_nodes());
-        Lid(node as u16 + 1)
-    }
-
-    /// Node for a LID.
-    fn node_of(&self, lid: Lid) -> Option<usize> {
-        (lid.0 as usize)
-            .checked_sub(1)
-            .filter(|n| *n < self.num_nodes())
-    }
 
     /// Switches traversed by the flow-hash-selected path from node `a` to
     /// node `b` (own edge switch included, so the minimum is 1).
@@ -324,24 +310,11 @@ pub mod conformance {
         }
     }
 
-    /// LIDs are 1-based, dense, and invert correctly.
-    pub fn lids_round_trip(t: &dyn Topology) {
-        use ib_packet::types::Lid;
-        for node in 0..t.num_nodes() {
-            let lid = t.lid_of(node);
-            assert!(lid.0 as usize == node + 1, "LIDs are dense and 1-based");
-            assert_eq!(t.node_of(lid), Some(node));
-        }
-        assert_eq!(t.node_of(Lid(0)), None);
-        assert_eq!(t.node_of(Lid(t.num_nodes() as u16 + 1)), None);
-    }
-
     /// The full conformance suite (all-pairs routing over `hashes`).
     #[cfg(test)]
     pub(crate) fn check_all(t: &dyn Topology, hashes: &[u64]) {
         peers_are_symmetric(t);
         hosts_attach_uniquely(t);
-        lids_round_trip(t);
         routing_reaches_everyone(t, hashes);
     }
 }
@@ -440,15 +413,6 @@ mod tests {
         assert_eq!(t.route(0, 15), PORT_EAST);
         // From (3,0) to (3,3): X equal, go NORTH.
         assert_eq!(t.route(3, 15), PORT_NORTH);
-    }
-
-    #[test]
-    fn lids_are_one_based() {
-        let t = MeshTopology::new(4);
-        assert_eq!(t.lid_of(0), Lid(1));
-        assert_eq!(t.node_of(Lid(16)), Some(15));
-        assert_eq!(t.node_of(Lid(0)), None);
-        assert_eq!(t.node_of(Lid(17)), None);
     }
 
     #[test]

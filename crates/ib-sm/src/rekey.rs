@@ -9,10 +9,13 @@
 //!
 //! * **SM replicas** ([`SmReplica`]) on the first `replicas` nodes,
 //!   heartbeating and rotating over VL-15 MADs posted through the same
-//!   [`Simulator::post_host`] path the data plane uses. Key updates reach
-//!   each member CA as toy-RSA envelopes; the key plane opens them with
-//!   the node's private key and installs the epoch into every endpoint
-//!   resident on that node ([`SecureRcEndpoint::install_epoch`]).
+//!   [`Simulator::post_host`] path the data plane uses. Each holds its
+//!   own `SubnetManager` (`ib_mgmt::sm`): one partition whose members are
+//!   the flows' endpoints in node order, every node's public key, and
+//!   the agreed epoch-0 secret, installed rather than minted. Key updates
+//!   reach each member CA as toy-RSA envelopes; the key plane opens them
+//!   with the node's private key and installs the epoch into every
+//!   endpoint resident on that node ([`SecureRcEndpoint::install_epoch`]).
 //! * **A leader-kill fault** — at `kill_leader_at` the current leader
 //!   goes silent; the staggered election elects the next rank, whose
 //!   healing rotation supersedes any partially distributed epoch.
@@ -34,8 +37,9 @@
 //! `tests/golden/lock/rekey.txt` pins 1024 reports, and the unit tests
 //! bound the driver's poll count by the run's activity.
 
-use ib_crypto::toyrsa::{generate_keypair, PrivateKey, PublicKey};
-use ib_mgmt::{KeyEpoch, SecretKey};
+use ib_crypto::toyrsa::{generate_keypair, PrivateKey};
+use ib_mgmt::partition::PartitionConfig;
+use ib_mgmt::{KeyEpoch, SecretKey, SubnetManager};
 use ib_packet::mad::Mad;
 use ib_packet::types::{Lid, PKey, Qpn};
 use ib_packet::WireView;
@@ -47,7 +51,7 @@ use ib_sim::{HostDelivery, SimConfig, SimTime, Simulator};
 use ib_transport::cosim::{Cosim, Flow, Host, Tap, Workload};
 use ib_transport::{RcConfig, RdmaOp, SecureRcEndpoint};
 
-use crate::replica::{CaMember, PeerReplica, ReplicaConfig, ReplicaStats, SmReplica};
+use crate::replica::{PeerReplica, ReplicaConfig, ReplicaStats, SmReplica};
 use crate::wire::{mad_of, mad_packet, SmMessage, MGMT_VL, SM_QPN};
 
 /// The single partition every flow lives in.
@@ -269,8 +273,8 @@ impl RekeyReport {
 /// the fault that kills its leader, and every CA's key-update handler.
 struct KeyPlane {
     replicas: Vec<SmReplica>,
-    /// Per-node toy-RSA keypairs the SM seals key updates to.
-    node_keys: Vec<(PublicKey, PrivateKey)>,
+    /// Per-node toy-RSA private keys a CA opens its key updates with.
+    node_keys: Vec<PrivateKey>,
     /// Highest epoch each CA node installed.
     node_epoch: Vec<KeyEpoch>,
     /// 0 = no fault.
@@ -286,7 +290,7 @@ struct KeyPlane {
 /// Post the MADs a host on node `from` queued in `out`.
 fn send_mads(out: &mut Vec<(usize, Mad)>, from: usize, sim: &mut Simulator) {
     for (dst, mad) in out.drain(..) {
-        let pkt = mad_packet(Lid(from as u16 + 1), Lid(dst as u16 + 1), &mad);
+        let pkt = mad_packet(Lid::of_node(from), Lid::of_node(dst), &mad);
         sim.post_host(from, dst, MGMT_VL, pkt.to_bytes());
     }
 }
@@ -361,7 +365,7 @@ impl Host for KeyPlane {
             ..
         }) = SmMessage::decode(&mad)
         {
-            if let Some(secret) = envelope.open(&self.node_keys[d.node].1) {
+            if let Some(secret) = envelope.open(&self.node_keys[d.node]) {
                 for f in flows.iter_mut() {
                     if f.src == d.node {
                         f.a.install_epoch(d.at, epoch, secret);
@@ -413,9 +417,9 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
     // Epoch-0 partition secret, agreed at bring-up; per-node toy-RSA
     // keypairs the SM seals key updates to.
     let secret0 = SecretKey::from_seed(cfg.seed ^ 0x005E_C2E7);
-    let node_keys: Vec<(PublicKey, PrivateKey)> = (0..nodes)
+    let (node_public, node_keys): (Vec<_>, Vec<_>) = (0..nodes)
         .map(|n| generate_keypair(cfg.seed ^ ((n as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))))
-        .collect();
+        .unzip();
 
     // --- Data-plane flows --------------------------------------------
     let specs: Vec<(usize, usize, RdmaOp, SimTime)> = (0..cfg.flows)
@@ -447,35 +451,41 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
     };
 
     // --- SM replica group --------------------------------------------
-    let mut member_nodes: Vec<usize> = specs.iter().flat_map(|s| [s.0, s.1]).collect();
-    member_nodes.sort_unstable();
-    member_nodes.dedup();
-    let members: Vec<CaMember> = member_nodes
-        .iter()
-        .map(|&n| CaMember {
-            node: n,
-            pubkey: node_keys[n].0,
-        })
+    // Each replica holds its own copy of the subnet: the partition's
+    // members are every flow's endpoints, in node order; every node's
+    // public key is on file; the epoch-0 secret is installed, not minted.
+    let sim = Simulator::new(sim_cfg);
+    let attachments: Vec<(usize, usize)> = (0..nodes)
+        .map(|n| sim.topology().host_attachment(n))
         .collect();
+    let mut members: Vec<usize> = specs.iter().flat_map(|s| [s.0, s.1]).collect();
+    members.sort_unstable();
+    members.dedup();
     let replicas: Vec<SmReplica> = (0..cfg.replicas)
         .map(|id| {
+            let mut sm =
+                SubnetManager::new(attachments.clone(), cfg.seed ^ ((id as u64 + 1) << 40));
+            for (node, public) in node_public.iter().enumerate() {
+                sm.register_public_key(node, *public);
+            }
+            sm.define_partition(PartitionConfig {
+                pkey: REKEY_PKEY,
+                members: members.clone(),
+            });
+            sm.keys.install_version(REKEY_PKEY, KeyEpoch::ZERO, secret0);
             let peers = (0..cfg.replicas)
                 .filter(|&p| p != id)
                 .map(|p| PeerReplica {
                     id: p as u8,
                     node: p,
-                    pubkey: node_keys[p].0,
                 })
                 .collect();
             let rcfg = ReplicaConfig {
                 id: id as u8,
                 node: id,
-                key_seed: cfg.seed ^ ((id as u64 + 1) << 40),
                 rotation_period: cfg.rotation_period,
             };
-            let mut r = SmReplica::new(rcfg, peers, members.clone(), node_keys[id].1);
-            r.bootstrap_partition(REKEY_PKEY, secret0);
-            r
+            SmReplica::new(rcfg, peers, sm, node_keys[id])
         })
         .collect();
 
@@ -513,7 +523,7 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
         leader_changes: 0,
         mad_out: Vec::new(),
     };
-    let mut run = Cosim::new(Simulator::new(sim_cfg), load, tap, specs, make);
+    let mut run = Cosim::new(sim, load, tap, specs, make);
     run.run(&mut plane);
     (run, plane)
 }
@@ -758,7 +768,8 @@ mod tests {
         assert_eq!(run.sim.topology().num_nodes(), 16);
         let member = cfg.replicas;
         let secret = SecretKey::from_seed(7);
-        let sealed = |node: usize| KeyEnvelope::seal(&secret, &plane.node_keys[node].0);
+        let directory = &plane.replicas[0].sm;
+        let sealed = |node| KeyEnvelope::seal(&secret, &directory.public_key(node).unwrap());
         let epoch = KeyEpoch(1000);
         let mads = [
             (

@@ -12,6 +12,13 @@
 //! and all peers iterated in rank order, the whole protocol is
 //! bit-deterministic.
 //!
+//! The state a replica replicates is one [`SubnetManager`]: the
+//! partitions it rotates and their members, the CA public-key directory
+//! key versions are sealed from, and the `PartitionKeyManager` the
+//! versions live in. A key update goes to the rotated partition's
+//! members in their definition order, and a replicated version to every
+//! peer in rank order, so no send follows a hash map's order.
+//!
 //! A new leader cannot know how far its predecessor's rotation got, so
 //! its first act is a fresh rotation of every partition it manages —
 //! superseding any partially distributed epoch rather than trying to
@@ -20,9 +27,9 @@
 //! member CA acks, which tolerates management-datagram loss on the
 //! fabric.
 
-use ib_crypto::toyrsa::{PrivateKey, PublicKey};
+use ib_crypto::toyrsa::PrivateKey;
 use ib_mgmt::keymgmt::KeyEnvelope;
-use ib_mgmt::{KeyEpoch, PartitionKeyManager, SecretKey};
+use ib_mgmt::{KeyEpoch, SecretKey, SubnetManager};
 use ib_packet::mad::Mad;
 use ib_packet::types::PKey;
 use ib_sim::time::US;
@@ -30,24 +37,15 @@ use ib_sim::SimTime;
 
 use crate::wire::SmMessage;
 
-/// A fellow replica, as seen from one replica's configuration.
-#[derive(Debug, Clone)]
+/// A fellow replica, as seen from one replica's configuration. The
+/// public key replicated versions are sealed to is its node's, in the
+/// SM's directory.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PeerReplica {
     /// Election rank (lower wins); doubles as the replica's identity.
     pub(crate) id: u8,
     /// HCA node index the peer lives on.
     pub(crate) node: usize,
-    /// Public key replicated key versions are sealed to.
-    pub(crate) pubkey: PublicKey,
-}
-
-/// A channel adapter the key plane re-keys on rotation.
-#[derive(Debug, Clone)]
-pub(crate) struct CaMember {
-    /// HCA node index.
-    pub(crate) node: usize,
-    /// Public key `SM_KEY_UPDATE` envelopes are sealed to.
-    pub(crate) pubkey: PublicKey,
 }
 
 /// Leader: beacon period.
@@ -60,29 +58,17 @@ const STAGGER: SimTime = 100 * US;
 const RESEND_INTERVAL: SimTime = 100 * US;
 
 /// Identity and rotation knobs for one replica (the other timers are
-/// fixed constants).
+/// fixed constants). The seed its keys are minted from is its
+/// `SubnetManager`'s, and must differ between replicas so successive
+/// leaders never re-mint the same secret.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplicaConfig {
     /// Election rank / identity; rank 0 is the bring-up leader.
     pub(crate) id: u8,
     /// HCA node index this replica lives on.
     pub(crate) node: usize,
-    /// Seed for this replica's own key minting (must differ between
-    /// replicas so successive leaders never re-mint the same secret).
-    pub(crate) key_seed: u64,
     /// Leader: rotate every partition this often (0 disables rotation).
     pub(crate) rotation_period: SimTime,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            id: 0,
-            node: 0,
-            key_seed: 1,
-            rotation_period: 300 * US,
-        }
-    }
 }
 
 /// Counters one replica accumulates (all messages it originated).
@@ -107,8 +93,9 @@ struct Distribution {
     secret: SecretKey,
     /// Per-[`SmReplica::peers`] index: follower mirrored the version.
     peer_acked: Vec<bool>,
-    /// Per-[`SmReplica::members`] index: CA installed the version.
-    member_acked: Vec<bool>,
+    /// The partition's members that have not yet installed the version,
+    /// in definition order.
+    unacked: Vec<usize>,
     last_send: SimTime,
 }
 
@@ -118,7 +105,7 @@ impl Distribution {
     /// not gate completion: a killed replica would otherwise pin its
     /// successor's distribution open forever.
     fn complete(&self) -> bool {
-        self.member_acked.iter().all(|&a| a)
+        self.unacked.is_empty()
     }
 }
 
@@ -126,11 +113,10 @@ impl Distribution {
 #[derive(Debug)]
 pub(crate) struct SmReplica {
     cfg: ReplicaConfig,
-    keys: PartitionKeyManager,
+    /// The replicated state: partitions, members, directory, key versions.
+    pub(crate) sm: SubnetManager,
     privkey: PrivateKey,
     peers: Vec<PeerReplica>,
-    members: Vec<CaMember>,
-    pkeys: Vec<PKey>,
     term: u64,
     leader: Option<u8>,
     alive: bool,
@@ -144,21 +130,20 @@ pub(crate) struct SmReplica {
 }
 
 impl SmReplica {
-    /// A replica at bring-up: everyone agrees rank 0 leads term 0, and
-    /// only rank 0 arms its rotation timer.
+    /// A replica at bring-up, managing every partition `sm` defines with
+    /// the epoch-0 secrets installed in it: everyone agrees rank 0 leads
+    /// term 0, and only rank 0 arms its rotation timer.
     pub(crate) fn new(
         cfg: ReplicaConfig,
         peers: Vec<PeerReplica>,
-        members: Vec<CaMember>,
+        sm: SubnetManager,
         privkey: PrivateKey,
     ) -> Self {
         let next_rotation = (cfg.id == 0 && cfg.rotation_period > 0).then_some(cfg.rotation_period);
         SmReplica {
-            keys: PartitionKeyManager::new(cfg.key_seed),
+            sm,
             privkey,
             peers,
-            members,
-            pkeys: Vec::new(),
             term: 0,
             leader: Some(0),
             alive: true,
@@ -169,15 +154,6 @@ impl SmReplica {
             tid: u64::from(cfg.id) << 56,
             stats: ReplicaStats::default(),
             cfg,
-        }
-    }
-
-    /// Register a managed partition with its agreed epoch-0 secret
-    /// (distributed out of band at fabric bring-up).
-    pub(crate) fn bootstrap_partition(&mut self, pkey: PKey, secret: SecretKey) {
-        self.keys.install_version(pkey, KeyEpoch::ZERO, secret);
-        if !self.pkeys.contains(&pkey) {
-            self.pkeys.push(pkey);
         }
     }
 
@@ -270,8 +246,9 @@ impl SmReplica {
     /// Rotate every managed partition to a fresh epoch and start
     /// distributing it (sealed per recipient).
     fn rotate_all(&mut self, now: SimTime, out: &mut Vec<(usize, Mad)>) {
-        for pkey in self.pkeys.clone() {
-            let Some((epoch, secret)) = self.keys.rotate(pkey) else {
+        for p in 0..self.sm.partitions().len() {
+            let pkey = self.sm.partitions()[p].pkey;
+            let Some((epoch, secret)) = self.sm.keys.rotate(pkey) else {
                 continue;
             };
             self.stats.rotations += 1;
@@ -283,7 +260,7 @@ impl SmReplica {
                 epoch,
                 secret,
                 peer_acked: vec![false; self.peers.len()],
-                member_acked: vec![false; self.members.len()],
+                unacked: self.sm.partitions()[p].members.clone(),
                 last_send: now,
             });
             self.send_distribution(self.dist.len() - 1, out);
@@ -301,32 +278,38 @@ impl SmReplica {
             if self.dist[idx].peer_acked[p] {
                 continue;
             }
-            let peer = self.peers[p].clone();
+            let node = self.peers[p].node;
             let msg = SmMessage::ReplicateKey {
                 term,
                 pkey,
                 epoch,
-                envelope: KeyEnvelope::seal(&secret, &peer.pubkey),
+                envelope: self.seal_to(node, &secret),
             };
             let tid = self.next_tid();
-            out.push((peer.node, msg.encode(tid)));
+            out.push((node, msg.encode(tid)));
             self.stats.replicates_tx += 1;
         }
-        for m in 0..self.members.len() {
-            if self.dist[idx].member_acked[m] {
-                continue;
-            }
-            let member = self.members[m].clone();
+        for m in 0..self.dist[idx].unacked.len() {
+            let node = self.dist[idx].unacked[m];
             let msg = SmMessage::KeyUpdate {
                 term,
                 pkey,
                 epoch,
-                envelope: KeyEnvelope::seal(&secret, &member.pubkey),
+                envelope: self.seal_to(node, &secret),
             };
             let tid = self.next_tid();
-            out.push((member.node, msg.encode(tid)));
+            out.push((node, msg.encode(tid)));
             self.stats.key_updates_tx += 1;
         }
+    }
+
+    /// `secret` sealed to `node`'s public key from the SM's directory.
+    fn seal_to(&self, node: usize, secret: &SecretKey) -> KeyEnvelope {
+        let key = self
+            .sm
+            .public_key(node)
+            .expect("a recipient's key is on file");
+        KeyEnvelope::seal(secret, &key)
     }
 
     /// Become leader of the next term: claim it, beacon immediately, and
@@ -423,7 +406,7 @@ impl SmReplica {
                 let Some(secret) = envelope.open(&self.privkey) else {
                     return;
                 };
-                self.keys.install_version(pkey, epoch, secret);
+                self.sm.keys.install_version(pkey, epoch, secret);
                 let ack = SmMessage::ReplicateAck {
                     term,
                     pkey,
@@ -450,15 +433,9 @@ impl SmReplica {
             }
             SmMessage::KeyUpdateAck { pkey, epoch, node } => {
                 self.stats.key_update_acks_rx += 1;
-                if let Some(m) = self
-                    .members
-                    .iter()
-                    .position(|m| m.node == usize::from(node))
-                {
-                    for d in &mut self.dist {
-                        if d.pkey == pkey && d.epoch == epoch {
-                            d.member_acked[m] = true;
-                        }
+                for d in &mut self.dist {
+                    if d.pkey == pkey && d.epoch == epoch {
+                        d.unacked.retain(|&m| m != usize::from(node));
                     }
                 }
             }
@@ -472,6 +449,7 @@ impl SmReplica {
 mod tests {
     use super::*;
     use ib_crypto::toyrsa::generate_keypair;
+    use ib_mgmt::partition::PartitionConfig;
 
     const PKEY: PKey = PKey(0x8001);
 
@@ -480,10 +458,6 @@ mod tests {
     fn group() -> (Vec<SmReplica>, PrivateKey) {
         let keypairs: Vec<_> = (0..3u64).map(|i| generate_keypair(100 + i)).collect();
         let (member_pub, member_priv) = generate_keypair(999);
-        let member = CaMember {
-            node: 8,
-            pubkey: member_pub,
-        };
         let secret0 = SecretKey::from_seed(0xBEEF);
         let replicas = (0..3u8)
             .map(|id| {
@@ -492,19 +466,25 @@ mod tests {
                     .map(|p| PeerReplica {
                         id: p,
                         node: p as usize,
-                        pubkey: keypairs[p as usize].0,
                     })
                     .collect();
                 let cfg = ReplicaConfig {
                     id,
                     node: id as usize,
-                    key_seed: 1000 + u64::from(id),
-                    ..ReplicaConfig::default()
+                    rotation_period: 300 * US,
                 };
-                let mut r =
-                    SmReplica::new(cfg, peers, vec![member.clone()], keypairs[id as usize].1);
-                r.bootstrap_partition(PKEY, secret0);
-                r
+                // Replicas on nodes 0-2, the member CA on node 8.
+                let mut sm = SubnetManager::new(vec![(0, 0); 9], 1000 + u64::from(id));
+                for (node, (public, _)) in keypairs.iter().enumerate() {
+                    sm.register_public_key(node, *public);
+                }
+                sm.register_public_key(8, member_pub);
+                sm.define_partition(PartitionConfig {
+                    pkey: PKEY,
+                    members: vec![8],
+                });
+                sm.keys.install_version(PKEY, KeyEpoch::ZERO, secret0);
+                SmReplica::new(cfg, peers, sm, keypairs[id as usize].1)
             })
             .collect();
         (replicas, member_priv)
@@ -581,12 +561,12 @@ mod tests {
         // Followers mirrored the version.
         for r in &reps[1..] {
             assert_eq!(
-                r.keys.current(PKEY).map(|(e, _)| e),
+                r.sm.keys.current(PKEY).map(|(e, _)| e),
                 Some(KeyEpoch(1)),
                 "rank {}",
                 r.id()
             );
-            assert_eq!(r.keys.secret_at(PKEY, KeyEpoch(1)), Some(secret));
+            assert_eq!(r.sm.keys.secret_at(PKEY, KeyEpoch(1)), Some(secret));
         }
     }
 
@@ -629,6 +609,6 @@ mod tests {
         reps[0].kill();
         let timeout = ELECTION_TIMEOUT + STAGGER;
         let (_, s2) = settle(&mut reps, period + timeout, &member_priv).unwrap();
-        assert_ne!(s1, s2, "distinct key_seed per replica prevents reuse");
+        assert_ne!(s1, s2, "a distinct SM seed per replica prevents reuse");
     }
 }

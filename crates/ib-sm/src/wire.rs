@@ -225,14 +225,14 @@ pub fn mad_packet(src: Lid, dst: Lid, mad: &Mad) -> Packet {
 }
 
 /// Recognize an SM-plane delivery: a packet addressed to QP0 whose
-/// payload parses as a MAD. Returns the sender's node index (SLID − 1)
-/// and the MAD.
+/// payload parses as a MAD. Returns the sender's node index (the SLID's
+/// [`Lid::node`]) and the MAD.
 pub(crate) fn mad_of(p: &WireView) -> Option<(usize, Mad)> {
     if p.bth.dest_qp != SM_QPN {
         return None;
     }
     let mad = Mad::parse(p.payload).ok()?;
-    Some(((p.lrh.slid.0 as usize).checked_sub(1)?, mad))
+    Some((p.lrh.slid.node()?, mad))
 }
 
 /// `mad_of` on wire bytes.

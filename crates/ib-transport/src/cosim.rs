@@ -435,7 +435,7 @@ impl Cosim {
             .zip(specs)
             .map(|(qpn, (src, dst, op, first_post))| {
                 assert_ne!(src, dst, "a flow needs two distinct HCAs");
-                let (sl, dl) = (Lid(src as u16 + 1), Lid(dst as u16 + 1));
+                let (sl, dl) = (Lid::of_node(src), Lid::of_node(dst));
                 let mut b = make(Qpn(qpn), dl, sl, &node_macs[dst]);
                 if op != RdmaOp::Send {
                     b.configure_memory(load.messages * load.payload_len, COSIM_RKEY);

@@ -31,11 +31,11 @@ fn verify(auth: &Authenticator, pkt: &Packet) -> Result<(), AuthError> {
 /// wire packets, tag them, ship bytes, parse, verify.
 #[test]
 fn sm_key_distribution_to_verified_delivery() {
-    let mut sm = SubnetManager::new(2, 99);
+    let mut sm = SubnetManager::new(vec![(0, 0), (0, 1)], 99);
     let (pk0, sk0) = toyrsa::generate_keypair(1);
     let (pk1, sk1) = toyrsa::generate_keypair(2);
-    sm.register_public_key(Lid(1), pk0);
-    sm.register_public_key(Lid(2), pk1);
+    sm.register_public_key(0, pk0);
+    sm.register_public_key(1, pk1);
     let pkey = PKey(0x8001);
     let (_, envelopes) = sm.create_partition(PartitionConfig {
         pkey,
@@ -79,9 +79,8 @@ fn sm_key_distribution_to_verified_delivery() {
 /// legitimate traffic still passes.
 #[test]
 fn trap_to_sif_programming_loop() {
-    let mut sm = SubnetManager::new(4, 5);
-    // Attacker = node 2, attached to switch 2 port 4.
-    sm.attach(Lid(3), 2, 4);
+    // Attacker = node 2 (LID 3), attached to switch 2 port 4.
+    let mut sm = SubnetManager::new(vec![(0, 1), (1, 4), (2, 4), (3, 4)], 5);
     let mut sif = SifEnforcer::new(5, 1_000_000, 8);
     let bad = PKey(0x8666);
 

@@ -90,7 +90,6 @@ fn generated_fabrics_route_soundly() {
             let t: &dyn Topology = &*t;
             conformance::peers_are_symmetric(t);
             conformance::hosts_attach_uniquely(t);
-            conformance::lids_round_trip(t);
             let n = t.num_nodes();
             if n * n * case.hashes.len() <= 200_000 {
                 // Small instance: every (src, dst, hash) triple.
