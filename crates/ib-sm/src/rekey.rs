@@ -51,7 +51,7 @@ use ib_sim::{HostDelivery, SimConfig, SimTime, Simulator};
 use ib_transport::cosim::{Cosim, Flow, Host, Tap, Workload};
 use ib_transport::{RcConfig, RdmaOp, SecureRcEndpoint};
 
-use crate::replica::{PeerReplica, ReplicaConfig, ReplicaStats, SmReplica};
+use crate::replica::{node_of, ReplicaConfig, ReplicaStats, SmReplica};
 use crate::wire::{mad_of, mad_packet, SmMessage, MGMT_VL, SM_QPN};
 
 /// The single partition every flow lives in.
@@ -461,10 +461,10 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
     let mut members: Vec<usize> = specs.iter().flat_map(|s| [s.0, s.1]).collect();
     members.sort_unstable();
     members.dedup();
-    let replicas: Vec<SmReplica> = (0..cfg.replicas)
+    let replicas: Vec<SmReplica> = (0..cfg.replicas as u8)
         .map(|id| {
             let mut sm =
-                SubnetManager::new(attachments.clone(), cfg.seed ^ ((id as u64 + 1) << 40));
+                SubnetManager::new(attachments.clone(), cfg.seed ^ ((u64::from(id) + 1) << 40));
             for (node, public) in node_public.iter().enumerate() {
                 sm.register_public_key(node, *public);
             }
@@ -473,19 +473,12 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
                 members: members.clone(),
             });
             sm.keys.install_version(REKEY_PKEY, KeyEpoch::ZERO, secret0);
-            let peers = (0..cfg.replicas)
-                .filter(|&p| p != id)
-                .map(|p| PeerReplica {
-                    id: p as u8,
-                    node: p,
-                })
-                .collect();
+            let peers = (0..cfg.replicas as u8).filter(|&p| p != id).collect();
             let rcfg = ReplicaConfig {
-                id: id as u8,
-                node: id,
+                id,
                 rotation_period: cfg.rotation_period,
             };
-            SmReplica::new(rcfg, peers, sm, node_keys[id])
+            SmReplica::new(rcfg, peers, sm, node_keys[node_of(id)])
         })
         .collect();
 

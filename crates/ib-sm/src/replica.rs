@@ -37,17 +37,6 @@ use ib_sim::SimTime;
 
 use crate::wire::SmMessage;
 
-/// A fellow replica, as seen from one replica's configuration. The
-/// public key replicated versions are sealed to is its node's, in the
-/// SM's directory.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PeerReplica {
-    /// Election rank (lower wins); doubles as the replica's identity.
-    pub(crate) id: u8,
-    /// HCA node index the peer lives on.
-    pub(crate) node: usize,
-}
-
 /// Leader: beacon period.
 const HEARTBEAT_INTERVAL: SimTime = 50 * US;
 /// Follower: silence tolerated before claiming, before staggering.
@@ -63,12 +52,17 @@ const RESEND_INTERVAL: SimTime = 100 * US;
 /// leaders never re-mint the same secret.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplicaConfig {
-    /// Election rank / identity; rank 0 is the bring-up leader.
+    /// Election rank and identity; rank 0 is the bring-up leader. The
+    /// replica of rank `r` lives on HCA node `r` ([`node_of`]).
     pub(crate) id: u8,
-    /// HCA node index this replica lives on.
-    pub(crate) node: usize,
     /// Leader: rotate every partition this often (0 disables rotation).
     pub(crate) rotation_period: SimTime,
+}
+
+/// The HCA node the replica of rank `id` lives on: replicas occupy the
+/// first nodes of the fabric, in rank order.
+pub(crate) fn node_of(id: u8) -> usize {
+    usize::from(id)
 }
 
 /// Counters one replica accumulates (all messages it originated).
@@ -116,7 +110,10 @@ pub(crate) struct SmReplica {
     /// The replicated state: partitions, members, directory, key versions.
     pub(crate) sm: SubnetManager,
     privkey: PrivateKey,
-    peers: Vec<PeerReplica>,
+    /// The other replicas' ranks, in rank order. The public key a
+    /// replicated version is sealed to is the peer's node's, in the SM's
+    /// directory.
+    peers: Vec<u8>,
     term: u64,
     leader: Option<u8>,
     alive: bool,
@@ -135,7 +132,7 @@ impl SmReplica {
     /// term 0, and only rank 0 arms its rotation timer.
     pub(crate) fn new(
         cfg: ReplicaConfig,
-        peers: Vec<PeerReplica>,
+        peers: Vec<u8>,
         sm: SubnetManager,
         privkey: PrivateKey,
     ) -> Self {
@@ -182,7 +179,7 @@ impl SmReplica {
     }
 
     pub(crate) fn node(&self) -> usize {
-        self.cfg.node
+        node_of(self.cfg.id)
     }
 
     /// Leader only: every started distribution is fully acked.
@@ -278,7 +275,7 @@ impl SmReplica {
             if self.dist[idx].peer_acked[p] {
                 continue;
             }
-            let node = self.peers[p].node;
+            let node = node_of(self.peers[p]);
             let msg = SmMessage::ReplicateKey {
                 term,
                 pkey,
@@ -326,7 +323,7 @@ impl SmReplica {
         };
         for p in self.peers.clone() {
             let tid = self.next_tid();
-            out.push((p.node, claim.encode(tid)));
+            out.push((node_of(p), claim.encode(tid)));
             self.stats.claims_tx += 1;
         }
         self.beacon(now, out);
@@ -345,7 +342,7 @@ impl SmReplica {
         };
         for p in self.peers.clone() {
             let tid = self.next_tid();
-            out.push((p.node, hb.encode(tid)));
+            out.push((node_of(p), hb.encode(tid)));
             self.stats.heartbeats_tx += 1;
         }
     }
@@ -423,7 +420,7 @@ impl SmReplica {
                 ..
             } => {
                 self.stats.replicate_acks_rx += 1;
-                if let Some(p) = self.peers.iter().position(|p| p.id == replica) {
+                if let Some(p) = self.peers.iter().position(|&p| p == replica) {
                     for d in &mut self.dist {
                         if d.pkey == pkey && d.epoch == epoch {
                             d.peer_acked[p] = true;
@@ -461,16 +458,9 @@ mod tests {
         let secret0 = SecretKey::from_seed(0xBEEF);
         let replicas = (0..3u8)
             .map(|id| {
-                let peers = (0..3u8)
-                    .filter(|&p| p != id)
-                    .map(|p| PeerReplica {
-                        id: p,
-                        node: p as usize,
-                    })
-                    .collect();
+                let peers = (0..3u8).filter(|&p| p != id).collect();
                 let cfg = ReplicaConfig {
                     id,
-                    node: id as usize,
                     rotation_period: 300 * US,
                 };
                 // Replicas on nodes 0-2, the member CA on node 8.
