@@ -1,6 +1,7 @@
 //! Behaviour locks for the three harnesses, `Simulator::run`,
-//! `run_fabric_sim` and `run_rekey_sim`, in
-//! `tests/golden/lock/{engine,fabric,rekey}.txt`. Line `i` runs the
+//! `run_fabric_sim` and `run_rekey_sim`, and for flows posted into a
+//! running `Simulator`, in `tests/golden/lock/{engine,fabric,rekey,flows}.txt`.
+//! Line `i` runs the
 //! configuration a lock's master seed draws through `stream(i)` (the
 //! fabric and rekey locks open with hand-picked hostile points) and holds
 //! its seed, an FNV-64 digest of the report and a summary. The engine's
@@ -19,7 +20,7 @@ use ib_runtime::check::Gen;
 use ib_runtime::{Json, Seed};
 use ib_security::ChannelSecurity::{Auth, AuthReplay, NoAuth};
 use ib_sim::config::{AttackSchedule, TrapTransport};
-use ib_sim::time::{MS, US};
+use ib_sim::time::{SimTime, MS, US};
 use ib_sim::AttackKeys::{self, RandomInvalid, SmFlood, Valid};
 use ib_sim::{FaultConfig, SimConfig, Simulator, TopoSpec};
 use ib_sm::{run_rekey_sim, RekeyConfig};
@@ -60,6 +61,12 @@ const REKEY: Lock = Lock {
     name: "rekey",
     run: rekey_line,
     floors: &[ALL, DEAD, REJECTED, "stale epoch", "takeover", WRAP],
+};
+
+const FLOWS: Lock = Lock {
+    name: "flows",
+    run: flows_line,
+    floors: &["every flow completed", "a flow lost", "a zero-byte flow"],
 };
 
 /// The floor half the checked lines must reach, not just one.
@@ -117,10 +124,15 @@ fn rekey_first_lines_match_the_lock() {
 }
 
 #[test]
+fn flows_first_lines_match_the_lock() {
+    check(&FLOWS, 64);
+}
+
+#[test]
 #[ignore = "every line of every lock; a release leg of ci.sh runs it"]
 fn full() {
     std::thread::scope(|s| {
-        for lock in [&ENGINE, &FABRIC, &REKEY] {
+        for lock in [&ENGINE, &FABRIC, &REKEY, &FLOWS] {
             s.spawn(|| check(lock, LOCK_LINES));
         }
     });
@@ -129,7 +141,7 @@ fn full() {
 #[test]
 #[ignore = "writes tests/golden/lock/*.txt; run on purpose"]
 fn regenerate() {
-    for lock in [&ENGINE, &FABRIC, &REKEY] {
+    for lock in [&ENGINE, &FABRIC, &REKEY, &FLOWS] {
         let text: String = (0..LOCK_LINES).map(|i| (lock.run)(i).line + "\n").collect();
         std::fs::write(lock_path(lock), text).unwrap();
     }
@@ -139,6 +151,7 @@ fn regenerate() {
 const ENGINE_MASTER: Seed = Seed(0xE9_61_7E_10_C4_00_00_01);
 const FABRIC_MASTER: Seed = Seed(0xFA_B1_2C_10_C4_00_00_01);
 const REKEY_MASTER: Seed = Seed(0x8E_1E_70_10_C4_00_00_01);
+const FLOWS_MASTER: Seed = Seed(0xF1_0E_50_10_C4_00_00_01);
 
 const ATTACK_KEYS: [AttackKeys; 3] = [RandomInvalid, Valid, SmFlood];
 const GBN: RetransmitMode = RetransmitMode::GoBackN;
@@ -217,6 +230,97 @@ fn engine_line(i: usize) -> Run {
         line: format!("{seed:#018x} {digest:016x} {events} {delivered}/{generated}/{dropped}"),
         context: format!("config {}\nreport {doc}", cfg.to_json()),
         reached: Vec::new(),
+    }
+}
+
+/// A flows line's fabric: an engine configuration with background load
+/// drawn from none to moderate on both classes, warm-up short enough
+/// that flow packets reach the delay statistics, and on two lines in
+/// three one partition, so that no flow is blocked at its receiver.
+fn flows_cfg(g: &mut Gen, seed: u64) -> SimConfig {
+    let mut cfg = engine_cfg(seed);
+    cfg.num_partitions = *g.choose(&[1, 1, cfg.num_partitions]);
+    cfg.traffic.realtime_load = *g.choose(&[0.0, 0.1, 0.3]);
+    cfg.traffic.best_effort_load = *g.choose(&[0.0, 0.1, 0.3]);
+    cfg.warmup = 20 * US;
+    cfg
+}
+
+/// Flows posted into a running `Simulator` in rounds, with
+/// `run_hosts_until` between them, beside the configuration's background
+/// load, attackers and link faults; some rounds also post a host packet
+/// from a flow's source. The digest covers the report (floats rounded),
+/// every flow's completion time and every host delivery.
+fn flows_line(i: usize) -> Run {
+    let seed = FLOWS_MASTER.stream(i as u64).0;
+    let g = &mut Gen::new(Seed(seed ^ 0xF10E));
+    let cfg = flows_cfg(g, seed);
+    let mtu = cfg.mtu_bytes as u64;
+    let nodes = cfg.num_nodes();
+    let mut sim = Simulator::new(cfg.clone());
+    let mut trail = String::new();
+    // Take every pending host delivery into the trail; whether any was.
+    let drain = |sim: &mut Simulator, trail: &mut String| {
+        let mut any = false;
+        while let Some(d) = sim.take_host_delivery() {
+            trail.push_str(&format!(
+                "host {} {} {:016x}\n",
+                d.at,
+                d.node,
+                fnv64(&d.bytes)
+            ));
+            any = true;
+        }
+        any
+    };
+    let mut zero = false;
+    let mut at = 0;
+    for _ in 0..g.usize_in(1..5) {
+        at += g.u64_in(0..400) * US;
+        while sim.now() < at {
+            sim.run_hosts_until(at);
+            drain(&mut sim, &mut trail);
+        }
+        for _ in 0..g.usize_in(1..5) {
+            let src = g.index(nodes);
+            let dst = (src + 1 + g.index(nodes - 1)) % nodes;
+            let long = g.u64_in(1..24 * mtu);
+            let bytes = *g.choose(&[0, 1, mtu - 1, mtu, mtu + 1, long]);
+            zero |= bytes == 0;
+            sim.post_flow(src, dst, bytes);
+            if g.index(3) == 0 {
+                let to = (src + 1 + g.index(nodes - 1)) % nodes;
+                let vl = *g.choose(&[0, 1, 15]);
+                sim.post_host(src, to, vl, g.bytes(1..300));
+            }
+        }
+    }
+    loop {
+        sim.run_hosts_until(SimTime::MAX);
+        if !drain(&mut sim, &mut trail) {
+            break;
+        }
+    }
+    let flows = sim.flows();
+    for f in flows {
+        trail.push_str(&format!("flow {:?}\n", f.completed_at));
+    }
+    let doc = rounded(&sim.stats().to_json());
+    let digest = fnv64(format!("{doc}\n{trail}").as_bytes());
+    let events = sim.events_processed();
+    let done = flows.iter().filter(|f| f.completed_at.is_some()).count();
+    let reached = [
+        (done == flows.len(), "every flow completed"),
+        (done < flows.len(), "a flow lost"),
+        (zero, "a zero-byte flow"),
+    ];
+    Run {
+        line: format!("{seed:#018x} {digest:016x} {events} {done}/{}", flows.len()),
+        context: format!("config {}\nreport {doc}\n{trail}", cfg.to_json()),
+        reached: reached
+            .into_iter()
+            .filter_map(|(hit, r)| hit.then_some(r))
+            .collect(),
     }
 }
 
