@@ -1,20 +1,22 @@
-//! Recycled storage for in-flight packets.
+//! Recycled storage for in-flight packets and their side data.
 //!
 //! Hop-by-hop forwarding used to clone ~100-byte [`SimPacket`] structs
 //! through every switch `VecDeque` and event. The arena stores each
-//! packet exactly once for its wire lifetime; queues and events pass
-//! 4-byte [`PacketRef`] indices instead. Slots recycle through a free
-//! list, so steady-state forwarding allocates nothing — the arena's
-//! high-water mark is the peak number of packets simultaneously in
-//! flight.
+//! packet exactly once for its wire lifetime, in a 48-byte slot; queues
+//! and events pass 4-byte [`PacketRef`] indices instead. Slots recycle
+//! through a free list, so steady-state forwarding allocates nothing —
+//! the arena's high-water mark is the peak number of packets
+//! simultaneously alive. A posted flow's packets are not among them
+//! until the sending HCA cuts each one at injection.
 //!
 //! ## Recycling rules
 //!
-//! * [`PacketArena::insert`] on generation (or on fault-layer
-//!   duplication) returns the ref that travels with the packet.
+//! * [`PacketArena::insert`] on generation (or on cutting a flow's next
+//!   packet) returns the ref that travels with the packet.
 //! * Exactly one [`PacketArena::release`] per ref, at the packet's
 //!   terminal point: delivery, drop (credit exhaustion, filter,
-//!   corruption discard), or end-of-run queue teardown.
+//!   corruption discard), or end-of-run queue teardown. The engine
+//!   releases through one path that also frees the packet's side slot.
 //! * A released ref must never be dereferenced again; debug builds catch
 //!   stale refs via the free-slot sentinel.
 
@@ -26,13 +28,70 @@ use crate::event::SimPacket;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRef(u32);
 
-/// Free-listed slab of in-flight packets.
-#[derive(Debug, Default)]
-pub(crate) struct PacketArena {
-    slots: Vec<Option<SimPacket>>,
+/// A free-listed slab: `insert` fills a recycled slot (or a new one) and
+/// returns its index, `take` empties it.
+#[derive(Debug)]
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
     live: usize,
 }
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Store `value`; its slot stays filled until taken.
+    pub(crate) fn insert(&mut self, value: T) -> u32 {
+        self.live += 1;
+        if let Some(slot) = self.free.pop() {
+            debug_assert!(self.slots[slot as usize].is_none());
+            self.slots[slot as usize] = Some(value);
+            slot
+        } else {
+            self.slots.push(Some(value));
+            (self.slots.len() - 1) as u32
+        }
+    }
+
+    fn get(&self, slot: u32) -> &T {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("stale slot: already taken")
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut T {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("stale slot: already taken")
+    }
+
+    /// Take the value out and recycle its slot.
+    pub(crate) fn take(&mut self, slot: u32) -> T {
+        let value = self.slots[slot as usize]
+            .take()
+            .expect("double release: slot already taken");
+        self.free.push(slot);
+        self.live -= 1;
+        value
+    }
+
+    /// Slots filled now.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+}
+
+/// Free-listed slab of in-flight packets, indexed by [`PacketRef`].
+#[derive(Debug, Default)]
+pub(crate) struct PacketArena(Slab<SimPacket>);
 
 impl PacketArena {
     /// Empty arena.
@@ -42,50 +101,33 @@ impl PacketArena {
 
     /// Store a packet; the returned ref is valid until released.
     pub(crate) fn insert(&mut self, packet: SimPacket) -> PacketRef {
-        self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            debug_assert!(self.slots[idx as usize].is_none());
-            self.slots[idx as usize] = Some(packet);
-            PacketRef(idx)
-        } else {
-            self.slots.push(Some(packet));
-            PacketRef((self.slots.len() - 1) as u32)
-        }
+        PacketRef(self.0.insert(packet))
     }
 
     /// Borrow the packet behind `r`.
     pub(crate) fn get(&self, r: PacketRef) -> &SimPacket {
-        self.slots[r.0 as usize]
-            .as_ref()
-            .expect("stale PacketRef: slot already released")
+        self.0.get(r.0)
     }
 
     /// Mutably borrow the packet behind `r`.
     pub(crate) fn get_mut(&mut self, r: PacketRef) -> &mut SimPacket {
-        self.slots[r.0 as usize]
-            .as_mut()
-            .expect("stale PacketRef: slot already released")
+        self.0.get_mut(r.0)
     }
 
     /// Take the packet out and recycle its slot. Terminal: `r` is dead
     /// after this call.
     pub(crate) fn release(&mut self, r: PacketRef) -> SimPacket {
-        let packet = self.slots[r.0 as usize]
-            .take()
-            .expect("double release of PacketRef");
-        self.free.push(r.0);
-        self.live -= 1;
-        packet
+        self.0.take(r.0)
     }
 
     /// Packets currently in flight.
     pub(crate) fn live(&self) -> usize {
-        self.live
+        self.0.live()
     }
 
     /// High-water slot count (peak simultaneous in-flight packets).
     pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
+        self.0.slots.len()
     }
 }
 
@@ -96,7 +138,7 @@ mod tests {
     use ib_packet::types::PKey;
 
     /// A packet told apart from its neighbours by its wire size.
-    fn packet(bytes: usize) -> SimPacket {
+    fn packet(bytes: u32) -> SimPacket {
         SimPacket::new(0, 1, TrafficClass::BestEffort, PKey(0x8001), 0, bytes, 0)
     }
 
