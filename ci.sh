@@ -95,12 +95,14 @@ cargo test -q --offline
 run_leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them)" \
   env IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
-# tests/golden/lock/{engine,fabric,rekey}.txt pin Simulator::run,
-# run_fabric_sim and run_rekey_sim, 1024 configurations each: random
-# topology / attack / enforcement / trap / fault draws for the engine,
-# hand-picked hostile points then random transport / loss / attacker /
-# key-plane draws for the other two, every fabric and rekey line also
-# holding the harness's safety claims. The plain test run above checks
+# tests/golden/lock/{engine,fabric,rekey,flows}.txt pin Simulator::run,
+# run_fabric_sim, run_rekey_sim and flows posted into a running
+# Simulator, 1024 configurations each: random topology / attack /
+# enforcement / trap / fault draws for the engine (and, with posting
+# rounds and host packets, for the flows), hand-picked hostile points
+# then random transport / loss / attacker / key-plane draws for fabric
+# and rekey, every fabric and rekey line also holding the harness's
+# safety claims. The plain test run above checks
 # each lock's first lines; this leg checks all of them. The next leg
 # shows that the locks still catch the bugs they were built against.
 run_leg "behaviour locks, every line (release)" \
