@@ -308,11 +308,10 @@ struct Shared {
     n_nodes: usize,
     n_switches: usize,
     radix: usize,
-    /// Flattened `[switch * radix + port]` — true where an HCA hangs off
-    /// the port (the enforcement layer's edge/ingress distinction).
-    is_host_port: Vec<bool>,
     /// Flattened `[switch * radix + port]` — what the port connects to
     /// (the topology's `peer`, looked up once instead of on every hop).
+    /// A port facing an HCA is an edge port, where ingress enforcement
+    /// applies.
     peers: Vec<Peer>,
     attackers: Vec<usize>,
     /// Per-attacker invalid P_Key(s).
@@ -462,16 +461,51 @@ impl Ctx<'_> {
             .push_keyed(at, ((id as u64) << 32) | u64::from(*oseq), ev);
     }
 
-    /// Fate of one packet crossing directed link `link` (clean delivery
-    /// when the fault layer is disabled).
-    fn link_fault(&mut self, link: usize) -> FaultOutcome {
-        match &mut self.st.faults {
+    /// Send packet `pref` from `from` across directed link `link`, due
+    /// at `arrival`; the fault layer, when on, decides its fate. A packet
+    /// that crosses arrives as `arrive` (later by any reorder delay,
+    /// marked if corrupted). A lost one is dropped here, and `credit`,
+    /// if any, is pushed at `arrival`: the receiver never sees the
+    /// packet, so its buffer slot frees as if on arrival.
+    fn cross_link(
+        &mut self,
+        from: Origin,
+        link: usize,
+        pref: PacketRef,
+        arrival: SimTime,
+        arrive: Event,
+        credit: Option<Event>,
+    ) {
+        let outcome = match &mut self.st.faults {
             Some(inj) => inj[link].decide(),
             None => FaultOutcome::Deliver {
                 corrupt: false,
                 extra_delay_ps: 0,
             },
+        };
+        match outcome {
+            FaultOutcome::Drop => {
+                self.st.stats.link_drops += 1;
+                self.drop_packet(pref);
+                if let Some(credit) = credit {
+                    self.push(from, arrival, credit);
+                }
+            }
+            FaultOutcome::Deliver {
+                corrupt,
+                extra_delay_ps,
+            } => {
+                self.st.arena.get_mut(pref).corrupted |= corrupt;
+                self.push(from, arrival + extra_delay_ps, arrive);
+            }
         }
+    }
+
+    /// A packet's drop in the fabric: release it and count its class
+    /// drop. The caller counts the reason (`filter_drops`, `link_drops`).
+    fn drop_packet(&mut self, pref: PacketRef) {
+        let (packet, _) = self.st.release(pref);
+        self.class_stats(packet.class).dropped += 1;
     }
 
     /// The output port the topology routes the referenced packet to at
@@ -559,14 +593,7 @@ impl Ctx<'_> {
             TrafficClass::Realtime => {
                 let gap = sh.cfg.interarrival_ps(sh.cfg.traffic.realtime_load) as SimTime;
                 if now + gap <= sh.cfg.duration {
-                    self.push(
-                        Origin::Node(node),
-                        now + gap,
-                        Event::Generate {
-                            node: node as u32,
-                            class,
-                        },
-                    );
+                    self.generate_at(node, class, now + gap);
                 }
                 // Back-off: a realtime source checks network headroom via
                 // its local queue depth before emitting.
@@ -583,14 +610,7 @@ impl Ctx<'_> {
                 let mean = sh.cfg.interarrival_ps(sh.cfg.traffic.best_effort_load);
                 let gap = exp_gap(&mut self.st.hcas[node].rng, mean);
                 if now + gap <= sh.cfg.duration {
-                    self.push(
-                        Origin::Node(node),
-                        now + gap,
-                        Event::Generate {
-                            node: node as u32,
-                            class,
-                        },
-                    );
+                    self.generate_at(node, class, now + gap);
                 }
                 if let Some(dst) = self.pick_partition_peer(node) {
                     self.emit(node, dst, class);
@@ -601,14 +621,7 @@ impl Ctx<'_> {
                     return; // the window closed: the chain stops
                 }
                 // Full speed: next generation exactly one MTU time later.
-                self.push(
-                    Origin::Node(node),
-                    now + sh.mtu_tx,
-                    Event::Generate {
-                        node: node as u32,
-                        class,
-                    },
-                );
+                self.generate_at(node, class, now + sh.mtu_tx);
                 // Bound the attacker's own backlog so an over-driven source
                 // doesn't consume unbounded memory (its queue depth is not a
                 // measured quantity).
@@ -649,6 +662,15 @@ impl Ctx<'_> {
         }
     }
 
+    /// Schedule `node`'s next generation of `class` at `at`.
+    fn generate_at(&mut self, node: usize, class: TrafficClass, at: SimTime) {
+        let ev = Event::Generate {
+            node: node as u32,
+            class,
+        };
+        self.push(Origin::Node(node), at, ev);
+    }
+
     fn pick_partition_peer(&mut self, node: usize) -> Option<usize> {
         let members = self.st.sm.home_members(node);
         // Peers exclude only self: victims don't know which partition
@@ -681,7 +703,6 @@ impl Ctx<'_> {
         } else {
             class.vl()
         };
-        self.st.stats.generated += 1;
         let packet = SimPacket::new(src, dst, class, pkey, vl, sh.cfg.mtu_bytes as u32, now);
         // QP-level key management: first contact with a peer pays one RTT
         // before the packet may leave (§4.3 / Figure 6).
@@ -693,9 +714,7 @@ impl Ctx<'_> {
             } else {
                 now
             };
-        let pref = self.st.arena.insert(packet);
-        self.st.hcas[src].enqueue(vl as usize, SendEntry::Packet(pref), 1, ready);
-        self.schedule_inject(src, ready);
+        self.enqueue_new(packet, ready);
     }
 
     /// Emit a 256-byte MAD (+ headers) on VL15. `class` distinguishes
@@ -703,7 +722,6 @@ impl Ctx<'_> {
     /// notice for in-band trap delivery.
     fn emit_management(&mut self, src: usize, dst: usize, class: TrafficClass, trap: Option<Trap>) {
         let now = self.st.now;
-        self.st.stats.generated += 1;
         // MAD payload + LRH/BTH/DETH + ICRC/VCRC.
         let bytes = (ib_packet::mad::MAD_LEN + 8 + 12 + 8 + 6) as u32;
         let side = trap.map_or(NONE, |trap| self.st.sides.insert(Side::Trap(trap)));
@@ -711,9 +729,17 @@ impl Ctx<'_> {
             side,
             ..SimPacket::new(src, dst, class, PKey::DEFAULT, 15, bytes, now)
         };
+        self.enqueue_new(packet, now);
+    }
+
+    /// A new packet at its source HCA: count it as generated, store it
+    /// and queue it on its VL, leaving no earlier than `ready`.
+    fn enqueue_new(&mut self, packet: SimPacket, ready: SimTime) {
+        let (src, vl) = (packet.src as usize, packet.vl as usize);
+        self.st.stats.generated += 1;
         let pref = self.st.arena.insert(packet);
-        self.st.hcas[src].enqueue(15, SendEntry::Packet(pref), 1, now);
-        self.schedule_inject(src, now);
+        self.st.hcas[src].enqueue(vl, SendEntry::Packet(pref), 1, ready);
+        self.schedule_inject(src, ready);
     }
 
     // ---------------------------------------------------------------- HCA TX
@@ -804,47 +830,29 @@ impl Ctx<'_> {
         // MAC generation occupies the sender before the first byte (§6:
         // "one additional stage at each end node per message").
         let start = now + sh.auth_delay;
-        let (bytes, class, pvl) = {
-            let packet = self.st.arena.get_mut(pref);
-            packet.inject_time = start;
-            (packet.bytes, packet.class, packet.vl)
-        };
-        let tx_end = start + wire_time_ps(bytes as usize);
+        let packet = self.st.arena.get_mut(pref);
+        packet.inject_time = start;
+        let tx_end = start + wire_time_ps(packet.bytes as usize);
         self.st.hcas[node].tx_busy_until = tx_end;
+        let (att_sw, att_port) = self.st.sm.attachments()[node];
+        let arrive = Event::SwitchArrive {
+            switch: att_sw as u32,
+            port: att_port as u32,
+            packet: pref,
+        };
+        let credit = Event::HcaCredit {
+            node: node as u32,
+            vl: vl as u8,
+        };
         let arrival = tx_end + PROPAGATION_DELAY;
-        match self.link_fault(node) {
-            FaultOutcome::Drop => {
-                // The switch never sees the packet, so it can't return the
-                // buffer credit — model the slot as freeing on arrival.
-                self.st.stats.link_drops += 1;
-                self.class_stats(class).dropped += 1;
-                self.st.release(pref);
-                self.push(
-                    Origin::Node(node),
-                    arrival,
-                    Event::HcaCredit {
-                        node: node as u32,
-                        vl: pvl,
-                    },
-                );
-            }
-            FaultOutcome::Deliver {
-                corrupt,
-                extra_delay_ps,
-            } => {
-                self.st.arena.get_mut(pref).corrupted |= corrupt;
-                let (att_sw, att_port) = self.st.sm.attachments()[node];
-                self.push(
-                    Origin::Node(node),
-                    arrival + extra_delay_ps,
-                    Event::SwitchArrive {
-                        switch: att_sw as u32,
-                        port: att_port as u32,
-                        packet: pref,
-                    },
-                );
-            }
-        }
+        self.cross_link(
+            Origin::Node(node),
+            node,
+            pref,
+            arrival,
+            arrive,
+            Some(credit),
+        );
         // Re-evaluate once the link frees.
         self.schedule_inject(node, tx_end);
     }
@@ -854,12 +862,12 @@ impl Ctx<'_> {
     fn on_switch_arrive(&mut self, switch: usize, port: usize, pref: PacketRef) {
         let sh = self.sh;
         let now = self.st.now;
-        let (pvl, src, dst, pkey, class) = {
+        let (pvl, src, dst, pkey) = {
             let packet = self.st.arena.get(pref);
             let (src, dst) = (packet.src as usize, packet.dst as usize);
-            (packet.vl, src, dst, packet.pkey, packet.class)
+            (packet.vl, src, dst, packet.pkey)
         };
-        let is_edge = sh.is_host_port[switch * sh.radix + port];
+        let is_edge = matches!(sh.peer(switch, port), Peer::Hca { .. });
         // Management packets cross partition enforcement unchecked — "a
         // management packet can reach SM regardless of its partition" (§7),
         // which is precisely what makes the SM-flood attack possible.
@@ -876,8 +884,7 @@ impl Ctx<'_> {
         self.st.stats.lookup_cycles += check.lookup_cycles;
         if check.decision == FilterDecision::Drop {
             self.st.stats.filter_drops += 1;
-            self.class_stats(class).dropped += 1;
-            self.st.release(pref);
+            self.drop_packet(pref);
             self.return_credit(switch, port, pvl);
             return;
         }
@@ -1007,81 +1014,42 @@ impl Ctx<'_> {
             self.route_of(switch, pref),
             "route stored at arrival diverged from the topology's"
         );
-        let (bytes, class) = {
-            let packet = self.st.arena.get(pref);
-            (packet.bytes, packet.class)
-        };
+        let bytes = self.st.arena.get(pref).bytes;
         // Service time: enforcement lookups + store-and-forward transmit.
         let service = qp.lookup_cycles * CYCLE_TIME + wire_time_ps(bytes as usize);
         let tx_end = now + service;
         self.st.switches[switch].ports[out_port].busy_until = tx_end;
-        match peer {
+        // A switch downstream holds the packet in a credited buffer; an
+        // HCA's receive buffer is modeled as ample, so no credit returns.
+        let (arrive, credit) = match peer {
             Peer::Switch {
                 switch: next,
                 port: next_port,
             } => {
                 self.st.switches[switch].out_credits[sh.pv(out_port, vl)] -= 1;
-                let arrival = tx_end + PROPAGATION_DELAY;
-                match self.link_fault(sh.switch_link(switch, out_port)) {
-                    FaultOutcome::Drop => {
-                        // Downstream never sees the packet; its buffer slot
-                        // credit comes back as if freed on arrival.
-                        self.st.stats.link_drops += 1;
-                        self.class_stats(class).dropped += 1;
-                        self.st.release(pref);
-                        self.push(
-                            Origin::Switch(switch),
-                            arrival,
-                            Event::SwitchCredit {
-                                switch: switch as u32,
-                                port: out_port as u32,
-                                vl: vl as u8,
-                            },
-                        );
-                    }
-                    FaultOutcome::Deliver {
-                        corrupt,
-                        extra_delay_ps,
-                    } => {
-                        self.st.arena.get_mut(pref).corrupted |= corrupt;
-                        self.push(
-                            Origin::Switch(switch),
-                            arrival + extra_delay_ps,
-                            Event::SwitchArrive {
-                                switch: next as u32,
-                                port: next_port as u32,
-                                packet: pref,
-                            },
-                        );
-                    }
-                }
+                let arrive = Event::SwitchArrive {
+                    switch: next as u32,
+                    port: next_port as u32,
+                    packet: pref,
+                };
+                let credit = Event::SwitchCredit {
+                    switch: switch as u32,
+                    port: out_port as u32,
+                    vl: vl as u8,
+                };
+                (arrive, Some(credit))
             }
             Peer::Hca { node } => {
-                let arrival = tx_end + PROPAGATION_DELAY;
-                match self.link_fault(sh.switch_link(switch, out_port)) {
-                    FaultOutcome::Drop => {
-                        self.st.stats.link_drops += 1;
-                        self.class_stats(class).dropped += 1;
-                        self.st.release(pref);
-                    }
-                    FaultOutcome::Deliver {
-                        corrupt,
-                        extra_delay_ps,
-                    } => {
-                        self.st.arena.get_mut(pref).corrupted |= corrupt;
-                        self.push(
-                            Origin::Switch(switch),
-                            arrival + extra_delay_ps,
-                            Event::HcaReceive {
-                                node: node as u32,
-                                packet: pref,
-                            },
-                        );
-                    }
-                }
+                let arrive = Event::HcaReceive {
+                    node: node as u32,
+                    packet: pref,
+                };
+                (arrive, None)
             }
             Peer::None => unreachable!("routing never selects an edge port"),
-        }
+        };
+        let (link, arrival) = (sh.switch_link(switch, out_port), tx_end + PROPAGATION_DELAY);
+        self.cross_link(Origin::Switch(switch), link, pref, arrival, arrive, credit);
         // The input buffer slot frees now: return a credit upstream.
         self.return_credit(switch, in_port, vl as u8);
         // The queue we popped from has a new head that may want a
@@ -1256,10 +1224,6 @@ impl Simulator {
             (0..n).map(|node| topo.host_attachment(node)).collect(),
             (cfg.seed ^ 0x5151).0,
         );
-        let mut is_host_port = vec![false; n_sw * radix];
-        for &(s, p) in sm.attachments() {
-            is_host_port[s * radix + p] = true;
-        }
         let peers: Vec<Peer> = (0..n_sw)
             .flat_map(|s| (0..radix).map(move |p| (s, p)))
             .map(|(s, p)| topo.peer(s, p))
@@ -1376,7 +1340,6 @@ impl Simulator {
             n_nodes: n,
             n_switches: n_sw,
             radix,
-            is_host_port,
             peers,
             attackers,
             attacker_pkey,
@@ -1429,40 +1392,19 @@ impl Simulator {
             if sh.cfg.traffic.realtime_load > 0.0 {
                 let gap = sh.cfg.interarrival_ps(sh.cfg.traffic.realtime_load) as SimTime;
                 let jitter = ctx.st.hcas[node].rng.gen_range(0..gap.max(1));
-                ctx.push(
-                    Origin::Node(node),
-                    jitter,
-                    Event::Generate {
-                        node: node as u32,
-                        class: TrafficClass::Realtime,
-                    },
-                );
+                ctx.generate_at(node, TrafficClass::Realtime, jitter);
             }
             if sh.cfg.traffic.best_effort_load > 0.0 {
                 let mean = sh.cfg.interarrival_ps(sh.cfg.traffic.best_effort_load);
                 let gap = exp_gap(&mut ctx.st.hcas[node].rng, mean);
-                ctx.push(
-                    Origin::Node(node),
-                    gap,
-                    Event::Generate {
-                        node: node as u32,
-                        class: TrafficClass::BestEffort,
-                    },
-                );
+                ctx.generate_at(node, TrafficClass::BestEffort, gap);
             }
         }
         // One opener per attacker per window; the per-MTU Generate chain
         // each opener starts dies at the window's close.
         for &(start, _) in &sh.attack_windows {
             for &a in &sh.attackers {
-                ctx.push(
-                    Origin::Node(a),
-                    start,
-                    Event::Generate {
-                        node: a as u32,
-                        class: TrafficClass::Attack,
-                    },
-                );
+                ctx.generate_at(a, TrafficClass::Attack, start);
             }
         }
     }
@@ -1619,7 +1561,6 @@ impl Simulator {
     pub fn post_host(&mut self, src: usize, dst: usize, vl: u8, bytes: Vec<u8>) {
         let now = self.st.now;
         assert!(src < self.sh.n_nodes && dst < self.sh.n_nodes);
-        self.st.stats.generated += 1;
         let pkey = self.st.sm.pkey_of(src);
         let class = if vl == 15 {
             TrafficClass::Management
@@ -1631,9 +1572,7 @@ impl Simulator {
             side: self.st.sides.insert(Side::Wire(bytes)),
             ..SimPacket::new(src, dst, class, pkey, vl, len, now)
         };
-        let pref = self.st.arena.insert(packet);
-        self.st.hcas[src].enqueue(vl as usize, SendEntry::Packet(pref), 1, now);
-        self.ctx().schedule_inject(src, now);
+        self.ctx().enqueue_new(packet, now);
     }
 
     /// Advance the simulation until a host delivery is ready, the event
