@@ -65,7 +65,7 @@ use crate::traffic::TrafficClass;
 /// image, waits in the engine's side slab under the packet's `side`
 /// slot.
 #[derive(Debug, Clone)]
-pub struct SimPacket {
+pub(crate) struct SimPacket {
     /// Source node index.
     pub(crate) src: u32,
     /// Destination node index.
