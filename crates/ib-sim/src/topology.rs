@@ -245,8 +245,10 @@ pub mod conformance {
         }
     }
 
-    /// Each node's attachment port faces exactly that node's HCA, and no
-    /// two nodes share a `(switch, port)`.
+    /// Each node's attachment port faces exactly that node's HCA, no two
+    /// nodes share a `(switch, port)`, and conversely every port facing
+    /// an HCA is that node's attachment (the engine tells edge ports from
+    /// `peer` alone).
     pub fn hosts_attach_uniquely(t: &dyn Topology) {
         let mut seen = std::collections::BTreeSet::new();
         for node in 0..t.num_nodes() {
@@ -259,6 +261,19 @@ pub mod conformance {
                 t.name()
             );
             assert!(seen.insert((s, p)), "shared attachment {s}:{p}");
+        }
+        for s in 0..t.num_switches() {
+            for p in 0..t.radix() {
+                if let Peer::Hca { node } = t.peer(s, p) {
+                    assert!(node < t.num_nodes(), "port {s}:{p} faces no node");
+                    assert_eq!(
+                        t.host_attachment(node),
+                        (s, p),
+                        "port {s}:{p} faces node {node}, which attaches elsewhere on {}",
+                        t.name()
+                    );
+                }
+            }
         }
     }
 
