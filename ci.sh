@@ -125,6 +125,13 @@ run_leg "rustdoc links (no broken or private intra-doc links)" \
   env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
   cargo doc --workspace --no-deps --offline
 
+# The leg above documents public items only, so a broken link in a
+# private item's docs (most of the engine's) passes it. This one renders
+# every item and denies every rustdoc warning.
+run_leg "rustdoc with private items (every doc warning denied)" \
+  env RUSTDOCFLAGS="-D warnings" \
+  cargo doc --workspace --no-deps --offline --document-private-items
+
 # Every figure binary that has a smoke_twice leg below (fig1, fig5, fig6
 # and the fig_* set) must match its second run *and* the copy committed
 # under tests/golden/smoke/, so "simulated behaviour unchanged" is a

@@ -15,7 +15,7 @@ const S: [u32; 64] = [
     6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
 ];
 
-/// K[i] = floor(2^32 * abs(sin(i+1))) — the RFC 1321 constant table.
+/// K\[i\] = floor(2^32 * abs(sin(i+1))) — the RFC 1321 constant table.
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
     0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
