@@ -840,19 +840,12 @@ impl Ctx<'_> {
             port: att_port as u32,
             packet: pref,
         };
-        let credit = Event::HcaCredit {
+        let credit = Some(Event::HcaCredit {
             node: node as u32,
             vl: vl as u8,
-        };
+        });
         let arrival = tx_end + PROPAGATION_DELAY;
-        self.cross_link(
-            Origin::Node(node),
-            node,
-            pref,
-            arrival,
-            arrive,
-            Some(credit),
-        );
+        self.cross_link(Origin::Node(node), node, pref, arrival, arrive, credit);
         // Re-evaluate once the link frees.
         self.schedule_inject(node, tx_end);
     }
