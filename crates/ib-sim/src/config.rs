@@ -14,7 +14,8 @@ use crate::topology::{MeshTopology, Topology};
 pub const LINK_GBPS: f64 = 2.5;
 /// Ports per switch (4 mesh + 1 host).
 pub const PORTS_PER_SWITCH: usize = 5;
-/// Virtual lanes per physical link.
+/// Virtual lanes per physical link, as Table 1 prints it. The engine
+/// provisions the three its traffic uses: VLs 0, 1 and 15.
 pub const NUM_VLS: usize = 16;
 
 // ---- fabric ----
@@ -29,8 +30,6 @@ pub const PROPAGATION_DELAY: SimTime = 10 * NS;
 pub(crate) const CYCLE_TIME: SimTime = 5 * NS;
 
 // ---- partitioning / attack ----
-/// Length of one attack on/off epoch.
-pub(crate) const ATTACK_EPOCH: SimTime = 100 * US;
 /// HCA → SM trap delivery latency (MAD through the fabric + SM wakeup)
 /// when `trap_transport` is out-of-band.
 pub(crate) const TRAP_LATENCY: SimTime = 5 * US;
@@ -112,29 +111,6 @@ impl TrapTransport {
         match self {
             TrapTransport::OutOfBand => "out-of-band",
             TrapTransport::InBand => "in-band",
-        }
-    }
-}
-
-/// How attack activity is scheduled over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackSchedule {
-    /// Each `ATTACK_EPOCH`, attackers are active with
-    /// `attack_probability` (memoryless on/off).
-    Probabilistic,
-    /// Exactly one active window of `attack_probability × duration`,
-    /// placed after warmup — every seed sees the same attack duty cycle,
-    /// which is how §6's "probability of DoS attack \[set\] to 1 %" enters
-    /// the time-averaged delays.
-    DutyCycle,
-}
-
-impl AttackSchedule {
-    /// Stable string form used in JSON configs and reports.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            AttackSchedule::Probabilistic => "probabilistic",
-            AttackSchedule::DutyCycle => "duty-cycle",
         }
     }
 }
@@ -247,11 +223,12 @@ pub struct SimConfig {
     pub num_attackers: usize,
     /// Which P_Keys the flood carries (invalid vs the §7 valid-key attack).
     pub attack_keys: AttackKeys,
-    /// Probabilistic epochs or a deterministic duty-cycle window.
-    pub attack_schedule: AttackSchedule,
     /// Output-port VL arbitration policy.
     pub arbitration: ArbitrationPolicy,
-    /// Probability that any given attack epoch is active (§6: 1 %).
+    /// Share of the run the attackers flood (§6: "probability of DoS
+    /// attack \[set\] to 1 %"): one window of `attack_probability ×
+    /// duration`, opening at twice the warm-up, or early enough to close
+    /// by the end of the run. Every seed sees the same exposure.
     pub attack_probability: f64,
     /// Which switch-side enforcement runs.
     pub enforcement: EnforcementKind,
@@ -288,7 +265,6 @@ impl Default for SimConfig {
             num_partitions: 4,
             num_attackers: 0,
             attack_keys: AttackKeys::RandomInvalid,
-            attack_schedule: AttackSchedule::Probabilistic,
             arbitration: ArbitrationPolicy::StrictPriority,
             attack_probability: 1.0,
             enforcement: EnforcementKind::NoFiltering,
@@ -347,10 +323,8 @@ impl SimConfig {
             ("num_partitions", self.num_partitions.to_json()),
             ("num_attackers", self.num_attackers.to_json()),
             ("attack_keys", self.attack_keys.label().to_json()),
-            ("attack_schedule", self.attack_schedule.label().to_json()),
             ("arbitration", self.arbitration.to_json()),
             ("attack_probability", self.attack_probability.to_json()),
-            ("attack_epoch", ATTACK_EPOCH.to_json()),
             ("enforcement", self.enforcement.label().to_json()),
             ("trap_latency", TRAP_LATENCY.to_json()),
             ("trap_transport", self.trap_transport.label().to_json()),
@@ -421,8 +395,6 @@ mod tests {
             AttackKeys::SmFlood.label(),
             TrapTransport::OutOfBand.label(),
             TrapTransport::InBand.label(),
-            AttackSchedule::Probabilistic.label(),
-            AttackSchedule::DutyCycle.label(),
             AuthMode::None.label(),
             AuthMode::PartitionLevel.label(),
             AuthMode::QpLevel.label(),
@@ -452,7 +424,6 @@ mod tests {
         let mut cfg = SimConfig {
             num_attackers: 4,
             attack_keys: AttackKeys::Valid,
-            attack_schedule: AttackSchedule::DutyCycle,
             arbitration: ArbitrationPolicy::Weighted { high_limit: 10 },
             enforcement: EnforcementKind::Sif,
             trap_transport: TrapTransport::InBand,
@@ -472,7 +443,6 @@ mod tests {
         assert_eq!(back.get("num_attackers").and_then(Json::as_u64), Some(4));
         assert_eq!(back.get("link_gbps").and_then(Json::as_f64), Some(2.5));
         assert_eq!(str_at("attack_keys"), Some("valid"));
-        assert_eq!(str_at("attack_schedule"), Some("duty-cycle"));
         assert_eq!(str_at("enforcement"), Some("SIF"));
         assert_eq!(str_at("trap_transport"), Some("in-band"));
         assert_eq!(str_at("auth"), Some("With Key (QP)"));

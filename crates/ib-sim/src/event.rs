@@ -166,10 +166,11 @@ pub enum Event {
     TryForward { switch: u32, port: u32 },
     /// A packet finishes arriving at its destination HCA.
     HcaReceive { node: u32, packet: PacketRef },
-    /// A credit returns to `switch`'s output `port` for `vl`.
-    SwitchCredit { switch: u32, port: u32, vl: u8 },
-    /// A credit returns to the HCA at `node` for `vl`.
-    HcaCredit { node: u32, vl: u8 },
+    /// A credit returns to `switch`'s output `port` for `lane` (the
+    /// engine's index of a provisioned VL).
+    SwitchCredit { switch: u32, port: u32, lane: u8 },
+    /// A credit returns to the HCA at `node` for `lane`.
+    HcaCredit { node: u32, lane: u8 },
     /// A trap MAD reaches the SM; `slot` names the trap's slot in the
     /// engine's side slab, which the delivery empties.
     TrapDeliver { slot: u32 },

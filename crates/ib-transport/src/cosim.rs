@@ -133,7 +133,8 @@ fn payload_for(i: usize, len: usize) -> Vec<u8> {
 pub struct Workload {
     /// Flow `i`'s endpoints were built on QPN `qpn0 + i`.
     pub qpn0: u32,
-    /// Virtual lane the flows and the tap's re-injections ride.
+    /// Virtual lane the flows and the tap's re-injections ride: 0, 1 or
+    /// 15, the VLs the engine provisions.
     pub vl: u8,
     /// Messages (or RDMA ops) each requester posts.
     pub messages: usize,

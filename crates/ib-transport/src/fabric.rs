@@ -55,7 +55,8 @@ pub struct FabricSimConfig {
     pub dst: usize,
     /// Node the attacker re-injects captured packets from.
     pub replay_node: usize,
-    /// Virtual lane the host flow rides (1 = the realtime-priority VL).
+    /// Virtual lane the host flow rides: 0, 1 (the realtime-priority
+    /// VL) or 15, the VLs the engine provisions.
     pub vl: u8,
     /// Attacker replays every n-th captured data packet (0 = off).
     pub replay_every: u64,

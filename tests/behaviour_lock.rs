@@ -19,7 +19,7 @@ use ib_mgmt::enforcement::EnforcementKind::{Dpt, If, NoFiltering, Sif};
 use ib_runtime::check::Gen;
 use ib_runtime::{Json, Seed};
 use ib_security::ChannelSecurity::{Auth, AuthReplay, NoAuth};
-use ib_sim::config::{AttackSchedule, TrapTransport};
+use ib_sim::config::TrapTransport;
 use ib_sim::time::{SimTime, MS, US};
 use ib_sim::AttackKeys::{self, RandomInvalid, SmFlood, Valid};
 use ib_sim::{FaultConfig, SimConfig, Simulator, TopoSpec};
@@ -164,8 +164,8 @@ fn either<T: Copy>(g: &mut Gen, a: T, b: T) -> T {
 }
 
 /// Topology, mesh size, attackers and their keys, enforcement, trap
-/// transport, attack schedule, link faults and partition count, drawn
-/// in that order.
+/// transport, a retired coin, link faults and partition count, drawn in
+/// that order.
 fn engine_cfg(seed: u64) -> SimConfig {
     let g = &mut Gen::new(Seed(seed));
     let mut cfg = SimConfig {
@@ -176,12 +176,14 @@ fn engine_cfg(seed: u64) -> SimConfig {
         attack_keys: *g.choose(&ATTACK_KEYS),
         enforcement: *g.choose(&[NoFiltering, Dpt, If, Sif]),
         trap_transport: either(g, TrapTransport::OutOfBand, TrapTransport::InBand),
-        attack_schedule: either(g, AttackSchedule::Probabilistic, AttackSchedule::DutyCycle),
         attack_probability: 1.0,
         duration: MS,
         warmup: 100 * US,
         ..SimConfig::default()
     };
+    // This coin once picked the attack schedule; it is still drawn so
+    // every later draw, and so every locked line, stays where it was.
+    g.bool();
     if g.bool() {
         cfg.fault.drop_prob = 0.02;
         cfg.fault.corrupt_prob = 0.01;
