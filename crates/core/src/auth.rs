@@ -28,12 +28,11 @@
 //! freshness, the SLID disambiguates senders sharing a partition secret
 //! (partition-level keys are shared by every QP in the partition — §4.2).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
-use std::rc::Rc;
 
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
-use ib_mgmt::keymgmt::{KeyEpoch, NodeKeyTable, SecretKey};
+use ib_mgmt::keymgmt::{KeyEpoch, KeyVersion, NodeKeyTable, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn};
 use ib_packet::{Bth, Deth, Packet, WireView};
 
@@ -131,95 +130,40 @@ pub(crate) fn admission(
     }
 }
 
-/// A keyed MAC's identity: the same pair always derives the same MAC.
-type MacKey = (AuthAlgorithm, SecretKey);
-
-/// One CA node's keyed MACs, shared through an `Rc` by every
-/// [`Authenticator`] on the node. Deriving an [`AnyMac`] runs the AES key
-/// schedule (and, for UMAC, the ~1 KiB KDF, ≈ 3 µs); the paper keys a
-/// whole CA with one partition secret (§4.2), so every channel on a node
-/// needs the same MAC and the node derives it once. The store is a memo
-/// of a deterministic function: sharing changes no tag and no key's
-/// lifetime, which stays with each channel's own key table. It holds a
-/// MAC only while some authenticator's cache does: entries nobody else
-/// references are dropped when a channel retires a key version and before
-/// the store grows.
-#[derive(Default)]
-pub struct MacStore {
-    macs: RefCell<Vec<(MacKey, Rc<AnyMac>)>>,
-    /// `AnyMac::new` calls made through this store.
-    derivations: Cell<u64>,
-}
-
-impl MacStore {
-    /// The keyed MAC for `key`, derived on its first request.
-    fn mac(&self, key: MacKey) -> Rc<AnyMac> {
-        let mut macs = self.macs.borrow_mut();
-        if let Some((_, mac)) = macs.iter().find(|(k, _)| *k == key) {
-            return Rc::clone(mac);
-        }
-        Self::drop_unheld(&mut macs);
-        self.derivations.set(self.derivations.get() + 1);
-        let mac = Rc::new(AnyMac::new(key.0, &key.1 .0));
-        macs.push((key, Rc::clone(&mac)));
-        mac
-    }
-
-    /// Drop every MAC no authenticator's cache holds any more.
-    fn release(&self) {
-        Self::drop_unheld(&mut self.macs.borrow_mut());
-    }
-
-    fn drop_unheld(macs: &mut Vec<(MacKey, Rc<AnyMac>)>) {
-        macs.retain(|(_, mac)| Rc::strong_count(mac) > 1);
-    }
-
-    /// Keyed MACs derived through this store so far.
-    pub fn derivations(&self) -> u64 {
-        self.derivations.get()
-    }
-
-    /// Whether the store holds the keyed MAC for `(algorithm, secret)`.
-    #[cfg(test)]
-    pub(crate) fn holds(&self, algorithm: AuthAlgorithm, secret: SecretKey) -> bool {
-        self.macs
-            .borrow()
-            .iter()
-            .any(|(k, _)| *k == (algorithm, secret))
-    }
-}
-
-/// One channel's authentication engine: a key table, the configured
-/// algorithm and scope, and the keyed MACs its live key versions need,
-/// drawn from its node's [`MacStore`].
+/// One CA node's authentication engine: its key table, the configured
+/// algorithm and scope, and the retirement schedule of the partition key
+/// versions the key plane rotates. The paper keys a whole CA with one
+/// partition secret (§4.2), so every channel on a node shares the node's
+/// authenticator (`Rc<RefCell<Authenticator>>`; a fabric node owns one
+/// outright): each version's keyed MAC is derived once per node, on the
+/// first seal or verify that needs it ([`KeyVersion::mac`]), and every
+/// channel sees the same versions retire at the same instant.
+///
+/// [`Default`] is what a [`crate::SecureChannel`] authenticates with:
+/// UMAC-32 (§5.2) under partition scope (§4.2).
 pub struct Authenticator {
-    /// This channel's secrets (installed by the key-management flows).
+    /// This node's secrets (installed by the key-management flows), each
+    /// version carrying its keyed MAC once derived.
     pub keys: NodeKeyTable,
     algorithm: AuthAlgorithm,
     scope: KeyScope,
-    /// This channel's keyed MACs, searched per packet without touching the
-    /// node's store. Keyed by `(algorithm, secret)` so secret rotation
-    /// naturally misses; a miss asks `node`, which derives only
-    /// if no other authenticator on the node has. Entries are only ever
-    /// added for secrets in `keys`, and [`Self::retire_partition_below`]
-    /// drops those whose secret has left it, so the cache is bounded by
-    /// the *live* key versions, not by how many rotations the channel has
-    /// seen. A `RefCell` keeps tagging and verification callable through
-    /// `&self` (nothing here is shared across threads).
-    mac_cache: RefCell<Vec<(MacKey, Rc<AnyMac>)>>,
-    /// The node's shared keyed MACs.
-    node: Rc<MacStore>,
+    /// Scheduled retirements: at `.0`, drop every version of partition
+    /// `.1` below epoch `.2`.
+    pub(crate) pending_retire: Vec<(u64, PKey, KeyEpoch)>,
+    /// `AnyMac::new` calls made for this node's key versions.
+    derivations: Cell<u64>,
+}
+
+impl Default for Authenticator {
+    fn default() -> Self {
+        Authenticator::new(AuthAlgorithm::Umac32, KeyScope::Partition)
+    }
 }
 
 impl Authenticator {
     /// An authenticator using `algorithm` and `scope` with an empty key
-    /// table, alone on a node of its own.
+    /// table.
     pub fn new(algorithm: AuthAlgorithm, scope: KeyScope) -> Self {
-        Self::on_node(algorithm, scope, &Rc::default())
-    }
-
-    /// [`Self::new`] on the node whose keyed MACs `node` holds.
-    pub(crate) fn on_node(algorithm: AuthAlgorithm, scope: KeyScope, node: &Rc<MacStore>) -> Self {
         assert!(
             algorithm.is_authenticating(),
             "selector 0 (plain ICRC) is the absence of authentication"
@@ -228,29 +172,70 @@ impl Authenticator {
             keys: NodeKeyTable::new(),
             algorithm,
             scope,
-            mac_cache: RefCell::new(Vec::new()),
-            node: Rc::clone(node),
+            pending_retire: Vec::new(),
+            derivations: Cell::new(0),
         }
     }
 
-    /// Retire partition key versions older than `epoch` (grace expiry)
-    /// and evict every cached keyed MAC whose secret is no longer in the
-    /// key table; the node's store then drops those no other channel
-    /// holds, so a ~1.2 KiB keyed UMAC per rotation does not stay behind.
-    /// Runs on the (rare) retirement path so tagging and verification pay
-    /// nothing.
-    pub(crate) fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
-        self.keys.retire_partition_below(pkey, epoch);
-        let keys = &self.keys;
-        self.mac_cache
-            .get_mut()
-            .retain(|((_, secret), _)| keys.holds_secret(secret));
-        self.node.release();
+    /// Install a partition key version learned from a key-update MAD at
+    /// `now`. Retirements already due at `now` run first; the send side
+    /// switches to the newest epoch at once (the next seal stamps it);
+    /// when `epoch` is newer than the current one, every older version
+    /// is scheduled to retire once `grace` has elapsed from `now` (0 = a
+    /// hard cutover). A node that carries no traffic while the SM keeps
+    /// rotating thus holds a bounded ring and schedule, and ends in the
+    /// state of a node polled at every instant.
+    pub fn install_epoch(
+        &mut self,
+        now: u64,
+        grace: u64,
+        pkey: PKey,
+        epoch: KeyEpoch,
+        secret: SecretKey,
+    ) {
+        self.advance_time(now);
+        let newer = self
+            .keys
+            .partition_current(pkey)
+            .is_none_or(|(cur, _)| epoch > cur);
+        self.keys.install_partition_epoch(pkey, epoch, secret);
+        if newer {
+            self.pending_retire
+                .push((now.saturating_add(grace), pkey, epoch));
+        }
     }
 
-    /// Keyed MACs currently cached (memory accounting).
-    pub(crate) fn cached_macs(&self) -> usize {
-        self.mac_cache.borrow().len()
+    /// Retire the key versions whose grace window has expired by `now`,
+    /// keyed MACs and all. Every endpoint entry point calls this (through
+    /// its channel) before it uses a key; after it runs, traffic under a
+    /// retired epoch is rejected as [`AuthError::StaleEpoch`].
+    pub(crate) fn advance_time(&mut self, now: u64) {
+        if self.pending_retire.is_empty() {
+            return;
+        }
+        let keys = &mut self.keys;
+        self.pending_retire.retain(|&(at, pkey, below)| {
+            if at <= now {
+                keys.retire_partition_below(pkey, below);
+                false
+            } else {
+                true
+            }
+        });
+    }
+
+    /// Keyed MACs derived for this node so far.
+    pub fn derivations(&self) -> u64 {
+        self.derivations.get()
+    }
+
+    /// The keyed MAC of `version` under this authenticator's algorithm,
+    /// derived (and counted) on first use.
+    fn mac<'a>(&self, version: &'a KeyVersion) -> &'a AnyMac {
+        version.mac(|secret| {
+            self.derivations.set(self.derivations.get() + 1);
+            AnyMac::new(self.algorithm, &secret.0)
+        })
     }
 
     /// The MAC nonce for a packet (see module docs).
@@ -263,18 +248,22 @@ impl Authenticator {
         ((slid.0 as u64) << 24) | psn.0 as u64
     }
 
-    /// Send side, one key-table lookup: the *current* `(epoch, secret)`
+    /// Send side, one key-table lookup: the *current* `(epoch, version)`
     /// for the packet's scope index. The index is derived purely from
     /// header fields, so sender and receiver agree. Datagram secrets are
     /// minted fresh per Q_Key request, so they stay at epoch 0.
-    fn send_key(&self, bth: &Bth, deth: Option<&Deth>) -> Result<(KeyEpoch, SecretKey), AuthError> {
+    fn send_key(
+        &self,
+        bth: &Bth,
+        deth: Option<&Deth>,
+    ) -> Result<(KeyEpoch, &KeyVersion), AuthError> {
         match self.scope {
             KeyScope::Partition => self.keys.partition_current(bth.pkey),
             KeyScope::QpLevel => match deth {
                 Some(d) => self
                     .keys
-                    .datagram_secret(d.qkey, d.src_qp)
-                    .map(|s| (KeyEpoch::ZERO, s)),
+                    .datagram_key(d.qkey, d.src_qp)
+                    .map(|v| (KeyEpoch::ZERO, v)),
                 None if bth.opcode.service.is_connected() => {
                     self.keys.connection_current(bth.dest_qp)
                 }
@@ -285,7 +274,7 @@ impl Authenticator {
     }
 
     /// Classify a wire epoch id that matched no live key version.
-    fn epoch_miss(wire: u8, current: Option<(KeyEpoch, SecretKey)>) -> AuthError {
+    fn epoch_miss(wire: u8, current: Option<(KeyEpoch, &KeyVersion)>) -> AuthError {
         let Some((current, _)) = current else {
             return AuthError::NoKey;
         };
@@ -300,47 +289,31 @@ impl Authenticator {
     /// Misses split into [`AuthError::StaleEpoch`] (version graced out —
     /// reject for good) and [`AuthError::FutureEpoch`] (version not yet
     /// installed — recoverable once the key-update MAD lands).
-    fn receive_key(&self, bth: &Bth, deth: Option<&Deth>) -> Result<SecretKey, AuthError> {
+    fn receive_key(&self, bth: &Bth, deth: Option<&Deth>) -> Result<&KeyVersion, AuthError> {
         let wire = bth.key_epoch;
         match self.scope {
             KeyScope::Partition => {
                 let pkey = bth.pkey;
-                match self.keys.partition_secret_by_wire(pkey, wire) {
-                    Some((_, s)) => Ok(s),
+                match self.keys.partition_by_wire(pkey, wire) {
+                    Some((_, v)) => Ok(v),
                     None => Err(Self::epoch_miss(wire, self.keys.partition_current(pkey))),
                 }
             }
             KeyScope::QpLevel => match deth {
                 Some(d) => self
                     .keys
-                    .datagram_secret(d.qkey, d.src_qp)
+                    .datagram_key(d.qkey, d.src_qp)
                     .ok_or(AuthError::NoKey),
                 None if bth.opcode.service.is_connected() => {
                     let qp = bth.dest_qp;
-                    match self.keys.connection_secret_by_wire(qp, wire) {
-                        Some((_, s)) => Ok(s),
+                    match self.keys.connection_by_wire(qp, wire) {
+                        Some((_, v)) => Ok(v),
                         None => Err(Self::epoch_miss(wire, self.keys.connection_current(qp))),
                     }
                 }
                 None => Err(AuthError::NoScopeIndex),
             },
         }
-    }
-
-    /// Run `f` with the cached keyed MAC of this authenticator's
-    /// algorithm under `secret`, fetching it from the node's store on
-    /// first use.
-    fn with_mac<R>(&self, secret: SecretKey, f: impl FnOnce(&AnyMac) -> R) -> R {
-        let key = (self.algorithm, secret);
-        let mut cache = self.mac_cache.borrow_mut();
-        let idx = match cache.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                cache.push((key, self.node.mac(key)));
-                cache.len() - 1
-            }
-        };
-        f(&cache[idx].1)
     }
 
     /// Tag a packet while serializing it into `wire`: current key epoch
@@ -356,13 +329,12 @@ impl Authenticator {
         wire: &mut Vec<u8>,
         image: &mut Vec<u8>,
     ) -> Result<(), AuthError> {
-        let (epoch, secret) = self.send_key(&packet.bth, packet.deth.as_ref())?;
+        let (epoch, version) = self.send_key(&packet.bth, packet.deth.as_ref())?;
+        let mac = self.mac(version);
         packet.bth.key_epoch = epoch.wire_id();
         packet.bth.resv8a = self.algorithm.selector();
         let nonce = Self::nonce(packet);
-        self.with_mac(secret, |mac| {
-            packet.write_sealed(wire, image, |masked| mac.tag32(nonce, masked));
-        });
+        packet.write_sealed(wire, image, |masked| mac.tag32(nonce, masked));
         Ok(())
     }
 
@@ -378,10 +350,10 @@ impl Authenticator {
     /// packet-indexed secret over the masked image built in `image` and
     /// compare it with the stored tag.
     fn verify_tag(&self, view: &WireView, image: &mut Vec<u8>) -> Result<(), AuthError> {
-        let secret = self.receive_key(&view.bth, view.deth.as_ref())?;
+        let version = self.receive_key(&view.bth, view.deth.as_ref())?;
         view.masked_image_into(image);
         let nonce = Self::nonce_of(view.lrh.slid, view.bth.psn);
-        if self.with_mac(secret, |mac| mac.verify(nonce, image, view.icrc)) {
+        if self.mac(version).verify(nonce, image, view.icrc) {
             Ok(())
         } else {
             Err(AuthError::BadTag)
@@ -537,7 +509,8 @@ mod tests {
             verify(&receiver, &pkt),
             Err(AuthError::UnknownSelector(selector))
         );
-        assert_eq!(receiver.cached_macs(), 0, "nothing keyed for it");
+        assert_eq!(receiver.keys.keyed_macs(), 0, "nothing keyed for it");
+        assert_eq!(receiver.derivations(), 0);
     }
 
     #[test]

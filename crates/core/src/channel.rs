@@ -39,12 +39,14 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use ib_crypto::mac::{AnyMac, AuthAlgorithm};
-use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
+use ib_crypto::mac::AnyMac;
+#[cfg(test)]
+use ib_mgmt::keymgmt::KeyEpoch;
+use ib_mgmt::keymgmt::SecretKey;
 use ib_packet::types::PKey;
 use ib_packet::{Packet, WireView};
 
-use crate::auth::{admission, AuthError, Authenticator, KeyScope, MacStore};
+use crate::auth::{admission, AuthError, Authenticator};
 use crate::replay::{ReplayVerdict, ReplayWindow};
 
 /// Security posture of a channel — the three arms of the fig_replay
@@ -139,19 +141,14 @@ pub struct ChannelStats {
     pub rejected_future_epoch: u64,
 }
 
-/// One receive direction's security state: optional authenticator,
-/// optional replay window, and counters.
+/// One receive direction's security state: its node's authenticator
+/// (none when the channel does not authenticate), optional replay window,
+/// and counters.
 pub struct SecureChannel {
-    auth: Option<Authenticator>,
+    /// The CA node's keys, shared with every other channel on the node:
+    /// key versions with their keyed MACs, and the retirement schedule.
+    auth: Option<Rc<RefCell<Authenticator>>>,
     window: Option<ReplayWindow>,
-    /// The partition this channel authenticates under (its epoch ring's
-    /// scope index).
-    pkey: PKey,
-    /// How long a superseded key epoch keeps verifying after the next one
-    /// is installed, in the caller's clock units. 0 = hard cutover.
-    epoch_grace: u64,
-    /// Scheduled retirements: at `.0`, drop every version below `.1`.
-    pending_retire: Vec<(u64, KeyEpoch)>,
     /// Wire buffer of the `&Packet` entry points ([`Self::seal`],
     /// [`Self::admit`]). Capacity retained, like `image`'s.
     wire: RefCell<Vec<u8>>,
@@ -165,28 +162,34 @@ pub struct SecureChannel {
 impl SecureChannel {
     /// A channel at `security` level for partition `pkey`, keyed with
     /// `secret` (ignored under [`ChannelSecurity::NoAuth`]); `window` is
-    /// the replay-window depth for [`ChannelSecurity::AuthReplay`].
+    /// the replay-window depth for [`ChannelSecurity::AuthReplay`]. The
+    /// channel sits alone on a node of its own.
     pub fn new(security: ChannelSecurity, pkey: PKey, secret: SecretKey, window: u32) -> Self {
         Self::on_node(security, pkey, secret, window, &Rc::default())
     }
 
-    /// [`Self::new`] for a channel on the node whose keyed MACs `node`
-    /// holds: every channel built on one store derives each
-    /// `(algorithm, secret)` MAC once between them.
+    /// [`Self::new`] for a channel on the CA node whose keys `node`
+    /// holds: every channel on one node seals and verifies under the
+    /// node's key versions, derives each keyed MAC once between them, and
+    /// sees the key plane's installs and retirements together
+    /// ([`Authenticator::install_epoch`]). `secret` seeds the node's
+    /// epoch 0 for `pkey` only if the node holds no key for `pkey` yet; a
+    /// node that has rotated keeps its versions.
     pub fn on_node(
         security: ChannelSecurity,
         pkey: PKey,
         secret: SecretKey,
         window: u32,
-        node: &Rc<MacStore>,
+        node: &Rc<RefCell<Authenticator>>,
     ) -> Self {
         let auth = match security {
             ChannelSecurity::NoAuth => None,
             ChannelSecurity::Auth | ChannelSecurity::AuthReplay => {
-                let mut a =
-                    Authenticator::on_node(AuthAlgorithm::Umac32, KeyScope::Partition, node);
-                a.keys.install_partition_secret(pkey, secret);
-                Some(a)
+                let keys = &mut node.borrow_mut().keys;
+                if keys.partition_current(pkey).is_none() {
+                    keys.install_partition_secret(pkey, secret);
+                }
+                Some(Rc::clone(node))
             }
         };
         let window = match security {
@@ -196,83 +199,30 @@ impl SecureChannel {
         SecureChannel {
             auth,
             window,
-            pkey,
-            epoch_grace: 0,
-            pending_retire: Vec::new(),
             wire: RefCell::new(Vec::new()),
             image: RefCell::new(Vec::new()),
             stats: ChannelStats::default(),
         }
     }
 
-    /// Configure the rotation grace window: after a newer epoch is
-    /// installed, superseded versions keep verifying for this long (in
-    /// whatever clock units the caller feeds [`Self::install_epoch`] and
-    /// [`Self::advance_time`]). The default, 0, is a hard cutover.
-    pub fn set_epoch_grace(&mut self, grace: u64) {
-        self.epoch_grace = grace;
-    }
-
-    /// The epoch the send side currently seals under.
+    /// The epoch the send side currently seals under for `pkey`.
     #[cfg(test)]
-    pub(crate) fn send_epoch(&self) -> KeyEpoch {
+    pub(crate) fn send_epoch(&self, pkey: PKey) -> KeyEpoch {
         self.auth
             .as_ref()
-            .and_then(|a| a.keys.partition_current(self.pkey))
-            .map_or(KeyEpoch::ZERO, |(epoch, _)| epoch)
+            .and_then(|a| a.borrow().keys.partition_current(pkey).map(|(e, _)| e))
+            .unwrap_or(KeyEpoch::ZERO)
     }
 
-    /// Install a key version learned from a key-update MAD. The send side
-    /// switches to the newest epoch immediately (the next [`Self::seal`]
-    /// stamps it); every older version is scheduled to retire once the
-    /// grace window elapses from `now`. Retirements already due at `now`
-    /// run first, so a channel that carries no traffic — and is therefore
-    /// never polled — while the SM keeps rotating holds a bounded ring and
-    /// schedule, and ends in the state a channel polled at every instant
-    /// would. No-op under [`ChannelSecurity::NoAuth`].
-    pub fn install_epoch(&mut self, now: u64, epoch: KeyEpoch, secret: SecretKey) {
-        self.advance_time(now);
-        let Some(auth) = &mut self.auth else { return };
-        let newer = auth
-            .keys
-            .partition_current(self.pkey)
-            .is_none_or(|(cur, _)| epoch > cur);
-        auth.keys.install_partition_epoch(self.pkey, epoch, secret);
-        if newer {
-            self.pending_retire
-                .push((now.saturating_add(self.epoch_grace), epoch));
+    /// Retire the node's key versions whose grace window has expired by
+    /// `now` ([`Authenticator::install_epoch`] schedules them). Endpoints
+    /// call this from their time-advancing entry points, before any key
+    /// is used; after it runs, traffic under a retired epoch is rejected
+    /// as [`AuthError::StaleEpoch`].
+    pub fn advance_time(&self, now: u64) {
+        if let Some(auth) = &self.auth {
+            auth.borrow_mut().advance_time(now);
         }
-    }
-
-    /// Retire key versions whose grace window has expired by `now`,
-    /// together with this channel's hold on their keyed MACs. Endpoints
-    /// call this from their time-advancing entry points; after it runs,
-    /// traffic under a retired epoch is rejected as
-    /// [`AuthError::StaleEpoch`].
-    pub fn advance_time(&mut self, now: u64) {
-        if self.pending_retire.is_empty() {
-            return;
-        }
-        let Some(auth) = &mut self.auth else { return };
-        self.pending_retire.retain(|&(at, below)| {
-            if at <= now {
-                auth.retire_partition_below(self.pkey, below);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Keyed MACs this channel's authenticator has cached.
-    pub fn cached_macs(&self) -> usize {
-        self.auth.as_ref().map_or(0, Authenticator::cached_macs)
-    }
-
-    /// Key versions currently live (current plus any inside the grace
-    /// window) — the bound [`Self::cached_macs`] must respect.
-    pub fn live_key_versions(&self) -> usize {
-        self.auth.as_ref().map_or(0, |a| a.keys.len())
     }
 
     /// Replay-window depth, if one is active. A transport stacked on this
@@ -294,7 +244,7 @@ impl SecureChannel {
     pub fn seal_into(&self, packet: &mut Packet, wire: &mut Vec<u8>) -> Result<(), AuthError> {
         let image = &mut self.image.borrow_mut();
         match &self.auth {
-            Some(auth) => auth.seal_into(packet, wire, image),
+            Some(auth) => auth.borrow().seal_into(packet, wire, image),
             None => {
                 packet.write_sealed(wire, image, |masked| AnyMac::Icrc.tag32(0, masked));
                 Ok(())
@@ -312,8 +262,9 @@ impl SecureChannel {
     /// [`Packet::parse_view`] already checked: the [`admission`] rule, with
     /// a tag required exactly when the channel authenticates.
     fn check(&mut self, view: &WireView) -> Result<(), ChannelError> {
-        let auth = self.auth.as_ref();
-        admission(auth, auth.is_some(), view, self.image.get_mut()).map_err(ChannelError::Auth)
+        let auth = self.auth.as_ref().map(|a| a.borrow());
+        admission(auth.as_deref(), auth.is_some(), view, self.image.get_mut())
+            .map_err(ChannelError::Auth)
     }
 
     /// Bump the stats counter matching an integrity rejection.
@@ -563,26 +514,46 @@ mod tests {
         assert_eq!(rx.stats.rejected_stale, 1);
     }
 
+    /// A fresh CA node's keys.
+    fn node() -> Rc<RefCell<Authenticator>> {
+        Rc::default()
+    }
+
+    /// A channel at `security` on `node`, seeded like [`pair`]'s.
+    fn on(node: &Rc<RefCell<Authenticator>>, security: ChannelSecurity) -> SecureChannel {
+        SecureChannel::on_node(security, PKEY, SecretKey::from_seed(77), 64, node)
+    }
+
+    /// The key plane's install on `node`: epoch `epoch` under `secret` at
+    /// `now`, the superseded versions retiring `grace` later.
+    fn install(node: &Rc<RefCell<Authenticator>>, now: u64, grace: u64, epoch: u32, secret: u64) {
+        let secret = SecretKey::from_seed(secret);
+        node.borrow_mut()
+            .install_epoch(now, grace, PKEY, KeyEpoch(epoch), secret);
+    }
+
+    fn sealed(tx: &SecureChannel, psn: u32) -> Packet {
+        let mut p = rc_packet(psn, b"sealed");
+        tx.seal(&mut p).unwrap();
+        p
+    }
+
     /// The lazy re-keying lifecycle at channel level: send side switches
     /// on install, old epoch verifies through the grace window, then is
     /// rejected — counted separately from forgeries.
     #[test]
     fn epoch_rotation_grace_window_lifecycle() {
-        use ib_mgmt::keymgmt::KeyEpoch;
-        let (tx, mut rx) = pair(ChannelSecurity::AuthReplay);
-        let mut tx = tx;
-        rx.set_epoch_grace(100);
+        let (tx_node, rx_node) = (node(), node());
+        let tx = on(&tx_node, ChannelSecurity::AuthReplay);
+        let mut rx = on(&rx_node, ChannelSecurity::AuthReplay);
 
-        let mut old_pkt = rc_packet(0, b"sealed pre-rotation");
-        tx.seal(&mut old_pkt).unwrap();
+        let old_pkt = sealed(&tx, 0);
         assert_eq!(old_pkt.bth.key_epoch, 0);
 
         // Rotation at t=50: sender first (stamps epoch 1 immediately).
-        let s1 = SecretKey::from_seed(1234);
-        tx.install_epoch(50, KeyEpoch(1), s1);
-        assert_eq!(tx.send_epoch(), KeyEpoch(1));
-        let mut new_pkt = rc_packet(1, b"sealed post-rotation");
-        tx.seal(&mut new_pkt).unwrap();
+        install(&tx_node, 50, 100, 1, 1234);
+        assert_eq!(tx.send_epoch(PKEY), KeyEpoch(1));
+        let new_pkt = sealed(&tx, 1);
         assert_eq!(new_pkt.bth.key_epoch, 1);
 
         // Receiver still at epoch 0: future-epoch miss, recoverable.
@@ -593,19 +564,16 @@ mod tests {
         assert_eq!(rx.stats.rejected_future_epoch, 1);
 
         // Key-update lands at t=60; both epochs verify until t=160.
-        rx.install_epoch(60, KeyEpoch(1), s1);
+        install(&rx_node, 60, 100, 1, 1234);
         rx.advance_time(70);
         assert_eq!(rx.admit(&new_pkt).unwrap(), Admit::Fresh);
         assert_eq!(rx.admit(&old_pkt).unwrap(), Admit::Fresh);
 
         // Grace expires: a held-back epoch-0 capture is dead for good.
         rx.advance_time(160);
-        let mut held = rc_packet(2, b"attacker held this");
-        // (sealed under epoch 0 by a pre-rotation sender)
         let (old_tx, _) = pair(ChannelSecurity::AuthReplay);
-        old_tx.seal(&mut held).unwrap();
         assert!(matches!(
-            rx.admit(&held),
+            rx.admit(&sealed(&old_tx, 2)),
             Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
         ));
         assert_eq!(rx.stats.rejected_stale_epoch, 1);
@@ -616,12 +584,11 @@ mod tests {
     /// advances past the install.
     #[test]
     fn zero_grace_hard_cutover() {
-        use ib_mgmt::keymgmt::KeyEpoch;
-        let (tx, mut rx) = pair(ChannelSecurity::Auth);
-        let mut old_pkt = rc_packet(0, b"in flight");
-        tx.seal(&mut old_pkt).unwrap();
-        let s1 = SecretKey::from_seed(9);
-        rx.install_epoch(10, KeyEpoch(1), s1);
+        let (tx, _) = pair(ChannelSecurity::Auth);
+        let rx_node = node();
+        let mut rx = on(&rx_node, ChannelSecurity::Auth);
+        let old_pkt = sealed(&tx, 0);
+        install(&rx_node, 10, 0, 1, 9);
         rx.advance_time(10);
         assert!(matches!(
             rx.admit(&old_pkt),
@@ -629,121 +596,140 @@ mod tests {
         ));
     }
 
-    /// A channel that only ever hears from the SM (its flow finished; the
-    /// key plane keeps rotating) is never polled: `install_epoch` alone
-    /// must keep the key ring, the retirement schedule and the keyed-MAC
-    /// cache bounded by the live versions, not by the rotation count.
+    /// A node whose channels only ever hear from the SM (their flows
+    /// finished; the key plane keeps rotating) is never polled: the
+    /// installs alone must keep the node's key ring and retirement
+    /// schedule bounded by the live versions, not by the rotation count,
+    /// and each version's keyed MAC is derived only if traffic needs it.
     #[test]
     fn rotations_leave_no_keyed_macs_or_schedule_behind() {
-        use ib_mgmt::keymgmt::KeyEpoch;
-        let (mut tx, mut rx) = pair(ChannelSecurity::AuthReplay);
-        tx.set_epoch_grace(30);
-        rx.set_epoch_grace(30);
+        let (tx_node, rx_node) = (node(), node());
+        let tx = on(&tx_node, ChannelSecurity::AuthReplay);
+        let mut rx = on(&rx_node, ChannelSecurity::AuthReplay);
         for round in 1..=200u32 {
             let now = u64::from(round) * 100;
-            let secret = SecretKey::from_seed(5000 + u64::from(round));
-            tx.install_epoch(now, KeyEpoch(round), secret);
-            rx.install_epoch(now, KeyEpoch(round), secret);
+            for n in [&tx_node, &rx_node] {
+                install(n, now, 30, round, 5000 + u64::from(round));
+            }
             // Traffic on the polled half of the rounds only; `rx` is
             // advanced explicitly, `tx` never is.
             if round % 2 == 0 {
-                let mut pkt = rc_packet(round, b"keeps both caches warm");
-                tx.seal(&mut pkt).unwrap();
+                let pkt = sealed(&tx, round);
                 rx.advance_time(now + 50);
                 assert_eq!(rx.admit(&pkt).unwrap(), Admit::Fresh, "round {round}");
             }
-            for ch in [&tx, &rx] {
-                assert!(ch.live_key_versions() <= 2, "round {round}");
-                assert!(ch.cached_macs() <= ch.live_key_versions(), "round {round}");
-                assert!(ch.pending_retire.len() <= 1, "round {round}");
+            for n in [&tx_node, &rx_node] {
+                let auth = n.borrow();
+                assert!(auth.keys.len() <= 2, "round {round}");
+                assert!(auth.keys.keyed_macs() <= auth.keys.len(), "round {round}");
+                assert!(auth.pending_retire.len() <= 1, "round {round}");
             }
         }
-        assert!(rx.cached_macs() >= 1, "the cache is still doing its job");
+        let derived = [&tx_node, &rx_node].map(|n| n.borrow().derivations());
+        assert_eq!(derived, [100, 100], "one MAC per version traffic used");
     }
 
-    /// Three channels on one node share each keyed MAC but keep their own
-    /// key lifetimes: (a) the node derives each `(algorithm, secret)`
-    /// once; (b) a channel that has retired an epoch rejects its traffic
-    /// while a sibling still inside its grace window admits it; (c) once
-    /// every channel has retired the epoch its MAC leaves the store.
+    /// Three channels on one node share each keyed MAC: (a) the node
+    /// derives each version's MAC once, whichever channel needs it first;
+    /// (c) when the version retires, its MAC leaves with it.
     #[test]
-    fn channels_on_one_node_share_macs_not_key_lifetimes() {
-        use ib_mgmt::keymgmt::KeyEpoch;
-        let node = Rc::new(MacStore::default());
-        let s0 = SecretKey::from_seed(77);
-        let s1 = SecretKey::from_seed(1234);
+    fn channels_on_one_node_derive_each_keyed_mac_once() {
+        let n = node();
         let mut chans: Vec<SecureChannel> = (0..3)
-            .map(|_| {
-                let mut c =
-                    SecureChannel::on_node(ChannelSecurity::AuthReplay, PKEY, s0, 64, &node);
-                c.set_epoch_grace(100);
-                c
-            })
+            .map(|_| on(&n, ChannelSecurity::AuthReplay))
             .collect();
         let (old_tx, _) = pair(ChannelSecurity::AuthReplay);
-        let (mut new_tx, _) = pair(ChannelSecurity::AuthReplay);
-        new_tx.install_epoch(50, KeyEpoch(1), s1);
-        let sealed = |tx: &SecureChannel, psn: u32| {
-            let mut p = rc_packet(psn, b"shared node");
-            tx.seal(&mut p).unwrap();
-            p
-        };
+        let new_node = node();
+        let new_tx = on(&new_node, ChannelSecurity::AuthReplay);
+        install(&new_node, 50, 0, 1, 1234);
 
         for c in &mut chans {
             assert_eq!(c.admit(&sealed(&old_tx, 0)), Ok(Admit::Fresh));
         }
-        assert_eq!(node.derivations(), 1, "(a) epoch 0 derived once per node");
+        assert_eq!(
+            n.borrow().derivations(),
+            1,
+            "(a) epoch 0 derived once per node"
+        );
 
         // Rotation at t=50: both epochs verify on every channel.
+        install(&n, 50, 100, 1, 1234);
         for c in &mut chans {
-            c.install_epoch(50, KeyEpoch(1), s1);
             assert_eq!(c.admit(&sealed(&new_tx, 1)), Ok(Admit::Fresh));
             assert_eq!(c.admit(&sealed(&old_tx, 2)), Ok(Admit::Fresh));
         }
-        assert_eq!(node.derivations(), 2, "(a) epoch 1 derived once per node");
-
-        // (b) Channel 0's grace expires; channels 1 and 2 are not advanced.
-        chans[0].advance_time(150);
         assert_eq!(
-            chans[0].admit(&sealed(&old_tx, 3)),
-            Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
+            n.borrow().derivations(),
+            2,
+            "(a) epoch 1 derived once per node"
         );
-        assert_eq!(chans[1].admit(&sealed(&old_tx, 3)), Ok(Admit::Fresh));
-        assert!(
-            node.holds(AuthAlgorithm::Umac32, s0),
-            "channels 1 and 2 hold it"
-        );
+        assert_eq!(n.borrow().keys.keyed_macs(), 2);
 
-        // (c) The last two retire epoch 0 too.
+        // (c) The grace expires: epoch 0 retires, its MAC with it.
         chans[1].advance_time(150);
-        assert!(node.holds(AuthAlgorithm::Umac32, s0), "channel 2 holds it");
+        assert_eq!(n.borrow().keys.len(), 1);
+        assert_eq!(n.borrow().keys.keyed_macs(), 1, "(c) epoch 0's MAC is gone");
+        for c in &mut chans {
+            assert_eq!(c.admit(&sealed(&new_tx, 3)), Ok(Admit::Fresh));
+        }
+        assert_eq!(n.borrow().derivations(), 2);
+    }
+
+    /// One schedule per node: when any channel on it advances past the
+    /// grace, epoch-0 traffic is rejected on every channel of the node,
+    /// however long ago the others were last polled.
+    #[test]
+    fn one_channel_past_the_grace_retires_the_epoch_on_every_channel() {
+        let n = node();
+        let mut chans: Vec<SecureChannel> = (0..3)
+            .map(|_| on(&n, ChannelSecurity::AuthReplay))
+            .collect();
+        let (old_tx, _) = pair(ChannelSecurity::AuthReplay);
+        install(&n, 50, 100, 1, 1234);
+        for c in &mut chans {
+            assert_eq!(c.admit(&sealed(&old_tx, 0)), Ok(Admit::Fresh), "in grace");
+        }
         chans[2].advance_time(150);
-        assert!(
-            !node.holds(AuthAlgorithm::Umac32, s0),
-            "(c) nobody holds epoch 0"
-        );
-        assert!(node.holds(AuthAlgorithm::Umac32, s1));
         for c in &mut chans {
             assert_eq!(
-                c.admit(&sealed(&old_tx, 4)),
+                c.admit(&sealed(&old_tx, 1)),
                 Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
             );
-            assert_eq!(c.admit(&sealed(&new_tx, 5)), Ok(Admit::Fresh));
         }
-        assert_eq!(node.derivations(), 2);
+    }
+
+    /// A channel built on a node after a rotation joins the node's
+    /// versions: it seals under the newest epoch, and the epoch-0 secret
+    /// it was built with does not bring the retired epoch back.
+    #[test]
+    fn a_channel_built_after_a_rotation_seals_under_the_nodes_epoch() {
+        let n = node();
+        let first = on(&n, ChannelSecurity::AuthReplay);
+        install(&n, 50, 0, 1, 1234);
+        first.advance_time(50);
+        let mut late = on(&n, ChannelSecurity::AuthReplay);
+        assert_eq!(late.send_epoch(PKEY), KeyEpoch(1));
+        assert_eq!(sealed(&late, 0).bth.key_epoch, 1);
+        assert_eq!(n.borrow().keys.len(), 1, "epoch 0 is not re-installed");
+        let (old_tx, _) = pair(ChannelSecurity::AuthReplay);
+        assert_eq!(
+            late.admit(&sealed(&old_tx, 1)),
+            Err(ChannelError::Auth(AuthError::StaleEpoch(0)))
+        );
+        assert_eq!(late.admit(&sealed(&first, 2)), Ok(Admit::Fresh));
     }
 
     /// NoAuth channels ignore the whole epoch plane.
     #[test]
     fn noauth_ignores_epochs() {
-        use ib_mgmt::keymgmt::KeyEpoch;
-        let (tx, mut rx) = pair(ChannelSecurity::NoAuth);
-        let mut pkt = rc_packet(0, b"plain");
-        tx.seal(&mut pkt).unwrap();
-        rx.install_epoch(0, KeyEpoch(5), SecretKey::from_seed(1));
+        let (tx, _) = pair(ChannelSecurity::NoAuth);
+        let rx_node = node();
+        let mut rx = on(&rx_node, ChannelSecurity::NoAuth);
+        let pkt = sealed(&tx, 0);
+        install(&rx_node, 0, 0, 5, 1);
         rx.advance_time(1_000_000);
         assert_eq!(rx.admit(&pkt).unwrap(), Admit::Fresh);
-        assert_eq!(rx.send_epoch(), KeyEpoch::ZERO);
+        assert_eq!(rx.send_epoch(PKEY), KeyEpoch::ZERO);
     }
 
     #[test]

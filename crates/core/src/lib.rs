@@ -47,6 +47,6 @@ pub mod fabric;
 pub mod ondemand;
 pub mod replay;
 
-pub use auth::{AuthError, Authenticator, KeyScope, MacStore};
+pub use auth::{AuthError, Authenticator, KeyScope};
 pub use channel::{Admit, ChannelError, ChannelSecurity, SecureChannel};
 pub use replay::{ReplayVerdict, ReplayWindow};

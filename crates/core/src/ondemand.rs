@@ -20,6 +20,9 @@ use ib_packet::Bth;
 /// their plain ICRC is fine.
 #[derive(Debug, Clone, Default)]
 pub struct OnDemandPolicy {
+    /// Enrolled partitions by their full-member P_Key: the receive-side
+    /// P_Key check matches by key base, so the membership bit must not
+    /// decide whether a packet needs a tag.
     partitions: HashSet<PKey>,
     qps: HashSet<Qpn>,
 }
@@ -32,13 +35,13 @@ impl OnDemandPolicy {
 
     /// Enable authentication for a partition ("only for that partition").
     pub(crate) fn require_partition(&mut self, pkey: PKey) -> &mut Self {
-        self.partitions.insert(pkey);
+        self.partitions.insert(PKey::full_member(pkey.0));
         self
     }
 
     /// Disable authentication for a partition (can happen "anytime").
     pub fn release_partition(&mut self, pkey: PKey) -> &mut Self {
-        self.partitions.remove(&pkey);
+        self.partitions.remove(&PKey::full_member(pkey.0));
         self
     }
 
@@ -51,7 +54,7 @@ impl OnDemandPolicy {
     /// Does policy demand that the packet with this BTH carry an
     /// authentication tag?
     pub(crate) fn requires_auth(&self, bth: &Bth) -> bool {
-        self.partitions.contains(&bth.pkey) || self.qps.contains(&bth.dest_qp)
+        self.partitions.contains(&PKey::full_member(bth.pkey.0)) || self.qps.contains(&bth.dest_qp)
     }
 }
 
@@ -88,6 +91,10 @@ mod tests {
         assert!(
             !policy.requires_auth(&bth(PKey(0x8002), Qpn(1))),
             "other partition free"
+        );
+        assert!(
+            policy.requires_auth(&bth(PKey(0x0001), Qpn(1))),
+            "a limited member of it needs one too"
         );
     }
 

@@ -11,6 +11,7 @@
 //! selector names another algorithm than the receiver's is refused
 //! without the receiver keying that algorithm.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use ib_crypto::mac::AuthAlgorithm;
@@ -18,8 +19,7 @@ use ib_mgmt::keymgmt::SecretKey;
 use ib_packet::{Lid, OpCode, PKey, Packet, PacketBuilder, Psn, QKey, Qpn};
 use ib_security::fabric::{FabricError, SecureFabric};
 use ib_security::{
-    Admit, AuthError, Authenticator, ChannelError, ChannelSecurity, KeyScope, MacStore,
-    SecureChannel,
+    Admit, AuthError, Authenticator, ChannelError, ChannelSecurity, KeyScope, SecureChannel,
 };
 
 const PKEY: PKey = PKey(0x8001);
@@ -95,16 +95,36 @@ fn fabric_requires_a_tag_only_where_the_policy_enrolled_the_partition() {
     assert_eq!(f.deliver(1, &tagged).unwrap(), b"tagged");
 }
 
+/// The receive-side P_Key check matches by key base (`PKey::matches`), so
+/// a limited-member P_Key names the enrolled partition too: a keyless
+/// non-member that clears the membership bit still needs a tag.
+#[test]
+fn clearing_the_membership_bit_does_not_step_around_the_policy() {
+    let mut f = SecureFabric::new(4, AuthAlgorithm::Umac32, KeyScope::Partition, 77);
+    f.create_partition(PKEY, &[0, 1]);
+    f.require_auth_for_partition(PKEY);
+    for pkey in [PKEY, PKey(PKEY.0 & 0x7FFF)] {
+        let forged = f
+            .send_unauthenticated(3, 1, pkey, QKey(1), b"forged")
+            .unwrap();
+        assert_eq!(
+            f.deliver(1, &forged),
+            Err(FabricError::Auth(AuthError::AuthRequired)),
+            "{pkey}"
+        );
+    }
+}
+
 #[test]
 fn a_tag_under_another_algorithm_is_rejected_without_keying_it() {
     let secret = SecretKey::from_seed(77);
-    let node = Rc::new(MacStore::default());
+    let node: Rc<RefCell<Authenticator>> = Rc::default();
     let mut rx = SecureChannel::on_node(ChannelSecurity::Auth, PKEY, secret, 64, &node);
     let umac = SecureChannel::new(ChannelSecurity::Auth, PKEY, secret, 64);
     let mut genuine = keyless_send_only(0);
     umac.seal(&mut genuine).unwrap();
     assert_eq!(rx.admit(&genuine), Ok(Admit::Fresh));
-    assert_eq!(node.derivations(), 1);
+    assert_eq!(node.borrow().derivations(), 1);
 
     // The receiver's own secret, but HMAC-MD5 under its selector.
     let mut md5 = Authenticator::new(AuthAlgorithm::HmacMd5, KeyScope::Partition);
@@ -116,5 +136,9 @@ fn a_tag_under_another_algorithm_is_rejected_without_keying_it() {
     assert!(matches!(rx.admit(&other), Err(ChannelError::Auth(_))));
     assert_eq!(rx.stats.rejected_auth, 1);
     assert_eq!(rx.stats.fresh, 1);
-    assert_eq!(node.derivations(), 1, "the receiver keyed no second MAC");
+    assert_eq!(
+        node.borrow().derivations(),
+        1,
+        "the receiver keyed no second MAC"
+    );
 }

@@ -21,6 +21,9 @@
 //!   that all header and trailer bits and every [`PAYLOAD_BIT_STRIDE`]th
 //!   payload bit, so the debug-build suite stays fast).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ib_crypto::crc::{crc16_iba, crc32_ieee};
 use ib_crypto::mac::{AnyMac, AuthAlgorithm};
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
@@ -114,9 +117,11 @@ fn build(op: Operation, aeth: Option<Aeth>, grh: bool, psn: u32, len: usize) -> 
 
 /// The sender's view of a security arm at key epoch `e`.
 fn sender(security: ChannelSecurity, e: u32) -> SecureChannel {
-    let mut tx = SecureChannel::new(security, PKEY, secret(0), WINDOW);
+    let node: Rc<RefCell<Authenticator>> = Rc::default();
+    let tx = SecureChannel::on_node(security, PKEY, secret(0), WINDOW, &node);
     if e > 0 {
-        tx.install_epoch(0, KeyEpoch(e), secret(e));
+        node.borrow_mut()
+            .install_epoch(0, 0, PKEY, KeyEpoch(e), secret(e));
     }
     tx
 }
@@ -237,14 +242,18 @@ impl Reference {
 /// version, or a version and its successor inside the grace window),
 /// beside its reference twin.
 fn receiver(security: ChannelSecurity, live: &[u32]) -> (SecureChannel, Reference) {
-    let mut rx = SecureChannel::new(security, PKEY, secret(0), WINDOW);
-    rx.set_epoch_grace(100);
+    let node: Rc<RefCell<Authenticator>> = Rc::default();
+    let rx = SecureChannel::on_node(security, PKEY, secret(0), WINDOW, &node);
+    let install = |now, e| {
+        node.borrow_mut()
+            .install_epoch(now, 100, PKEY, KeyEpoch(e), secret(e));
+    };
     if live[0] > 0 {
-        rx.install_epoch(0, KeyEpoch(live[0]), secret(live[0]));
+        install(0, live[0]);
         rx.advance_time(100);
     }
     for &e in &live[1..] {
-        rx.install_epoch(200, KeyEpoch(e), secret(e));
+        install(200, e);
     }
     (rx, Reference::new(security, live))
 }

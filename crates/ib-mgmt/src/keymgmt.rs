@@ -18,8 +18,11 @@
 //! Public-key transport uses [`ib_crypto::toyrsa`] (a documented
 //! simulation of the paper's PKI assumption).
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::fmt;
 
+use ib_crypto::mac::AnyMac;
 use ib_crypto::toyrsa::{self, PrivateKey, PublicKey};
 use ib_packet::types::{PKey, QKey, Qpn};
 use ib_runtime::hash::FxHashMap;
@@ -84,34 +87,43 @@ impl KeyEpoch {
     }
 }
 
-/// A small ordered set of live `(epoch, key)` versions for one scope index
-/// — the receive side holds epoch N and (inside the grace window) N−1; the
-/// send side always uses the newest.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EpochRing {
+/// A small ordered set of live key versions for one scope index — the
+/// receive side holds epoch N and (inside the grace window) N−1; the
+/// send side always uses the newest. The SM's rings hold bare secrets; a
+/// CA's hold [`KeyVersion`]s.
+#[derive(Debug)]
+pub(crate) struct EpochRing<V> {
     /// Sorted ascending by epoch; the last entry is current. Never empty
     /// once a key is installed.
-    entries: Vec<(KeyEpoch, SecretKey)>,
+    entries: Vec<(KeyEpoch, V)>,
 }
 
-impl EpochRing {
-    /// A ring holding `secret` at [`KeyEpoch::ZERO`].
-    pub(crate) fn new(secret: SecretKey) -> Self {
+impl<V> Default for EpochRing<V> {
+    fn default() -> Self {
         EpochRing {
-            entries: vec![(KeyEpoch::ZERO, secret)],
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> EpochRing<V> {
+    /// A ring holding `key` at [`KeyEpoch::ZERO`].
+    pub(crate) fn new(key: V) -> Self {
+        EpochRing {
+            entries: vec![(KeyEpoch::ZERO, key)],
         }
     }
 
-    /// The newest `(epoch, key)` version, if any key is installed.
-    pub(crate) fn current(&self) -> Option<(KeyEpoch, SecretKey)> {
-        self.entries.last().copied()
+    /// The newest version, if any key is installed.
+    pub(crate) fn current(&self) -> Option<(KeyEpoch, &V)> {
+        self.entries.last().map(|(e, k)| (*e, k))
     }
 
     /// Install (or replace) the key for `epoch`, keeping the ring sorted.
-    pub(crate) fn install(&mut self, epoch: KeyEpoch, secret: SecretKey) {
+    pub(crate) fn install(&mut self, epoch: KeyEpoch, key: V) {
         match self.entries.binary_search_by_key(&epoch, |e| e.0) {
-            Ok(i) => self.entries[i].1 = secret,
-            Err(i) => self.entries.insert(i, (epoch, secret)),
+            Ok(i) => self.entries[i].1 = key,
+            Err(i) => self.entries.insert(i, (epoch, key)),
         }
     }
 
@@ -121,31 +133,61 @@ impl EpochRing {
     }
 
     /// The key installed for exactly `epoch`.
-    pub(crate) fn secret_at(&self, epoch: KeyEpoch) -> Option<SecretKey> {
+    pub(crate) fn at(&self, epoch: KeyEpoch) -> Option<&V> {
         self.entries
             .binary_search_by_key(&epoch, |e| e.0)
             .ok()
-            .map(|i| self.entries[i].1)
+            .map(|i| &self.entries[i].1)
     }
 
     /// Find the live version matching a 7-bit wire id, newest first (the
     /// verify path: current epoch matches instantly, graced ones next).
-    pub(crate) fn secret_by_wire(&self, wire: u8) -> Option<(KeyEpoch, SecretKey)> {
+    pub(crate) fn by_wire(&self, wire: u8) -> Option<(KeyEpoch, &V)> {
         self.entries
             .iter()
             .rev()
             .find(|e| e.0.wire_id() == wire)
-            .copied()
+            .map(|(e, k)| (*e, k))
     }
 
-    /// Whether any live version carries exactly `secret`.
-    fn holds_secret(&self, secret: &SecretKey) -> bool {
-        self.entries.iter().any(|e| e.1 == *secret)
+    /// The live versions, oldest first.
+    fn keys(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().map(|e| &e.1)
+    }
+}
+
+/// One key version a CA holds: the secret the SM sent and, from the first
+/// seal or verify that needs it, the keyed MAC derived from it. The MAC
+/// lives and dies with the version, so retiring a version is all it
+/// takes to drop its MAC.
+pub struct KeyVersion {
+    /// The secret installed for this version.
+    pub secret: SecretKey,
+    mac: OnceCell<AnyMac>,
+}
+
+impl KeyVersion {
+    fn new(secret: SecretKey) -> Self {
+        KeyVersion {
+            secret,
+            mac: OnceCell::new(),
+        }
     }
 
-    /// Number of live versions.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+    /// The keyed MAC under this version's secret: built by `derive` on
+    /// the first call; every later call returns that one and ignores its
+    /// `derive`. A table's owner keys every version under one algorithm.
+    pub fn mac(&self, derive: impl FnOnce(&SecretKey) -> AnyMac) -> &AnyMac {
+        self.mac.get_or_init(|| derive(&self.secret))
+    }
+}
+
+impl fmt::Debug for KeyVersion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyVersion")
+            .field("secret", &self.secret)
+            .field("keyed", &self.mac.get().is_some())
+            .finish()
     }
 }
 
@@ -178,7 +220,7 @@ impl KeyEnvelope {
 /// through [`Self::install_version`].
 #[derive(Debug, Default)]
 pub struct PartitionKeyManager {
-    secrets: HashMap<PKey, EpochRing>,
+    secrets: HashMap<PKey, EpochRing<SecretKey>>,
     counter: u64,
     seed: u64,
 }
@@ -203,7 +245,7 @@ impl PartitionKeyManager {
     /// the partition's *current* secret.
     pub(crate) fn create_partition(&mut self, pkey: PKey) -> SecretKey {
         if let Some((_, s)) = self.secrets.get(&pkey).and_then(EpochRing::current) {
-            return s;
+            return *s;
         }
         let s = self.mint(pkey);
         self.secrets.insert(pkey, EpochRing::new(s));
@@ -213,17 +255,18 @@ impl PartitionKeyManager {
     /// The current secret for `pkey`, if the partition exists.
     #[cfg(test)]
     pub(crate) fn secret(&self, pkey: PKey) -> Option<SecretKey> {
-        Some(self.secrets.get(&pkey)?.current()?.1)
+        Some(*self.secrets.get(&pkey)?.current()?.1)
     }
 
     /// The current `(epoch, secret)` version for `pkey`.
     pub fn current(&self, pkey: PKey) -> Option<(KeyEpoch, SecretKey)> {
-        self.secrets.get(&pkey)?.current()
+        let (epoch, secret) = self.secrets.get(&pkey)?.current()?;
+        Some((epoch, *secret))
     }
 
     /// The secret `pkey` had at exactly `epoch`, if still retained.
     pub fn secret_at(&self, pkey: PKey, epoch: KeyEpoch) -> Option<SecretKey> {
-        self.secrets.get(&pkey)?.secret_at(epoch)
+        self.secrets.get(&pkey)?.at(epoch).copied()
     }
 
     /// Mint the next epoch's secret for `pkey` — the leader's rotation
@@ -252,18 +295,20 @@ impl PartitionKeyManager {
 /// CA-side key tables — the per-node tables of Figures 2 and 3 combined.
 /// Partition and connection scopes hold epoch-versioned rings (the lazy
 /// re-keying state); datagram secrets stay single-version — they are
-/// already minted fresh per Q_Key request. Every seal and verify looks a
-/// key up here, so the maps hash with [`FxHashMap`]'s one multiply, not
-/// SipHash; a lookup returns epoch and secret together.
+/// already minted fresh per Q_Key request. Every version carries the
+/// keyed MAC its first seal or verify derived ([`KeyVersion`]). Every
+/// seal and verify looks a key up here, so the maps hash with
+/// [`FxHashMap`]'s one multiply, not SipHash; a lookup returns epoch and
+/// version together.
 #[derive(Debug, Default)]
 pub struct NodeKeyTable {
     /// Figure 2: P_Key → epoch-versioned partition secrets.
-    partition: FxHashMap<PKey, EpochRing>,
+    partition: FxHashMap<PKey, EpochRing<KeyVersion>>,
     /// Figure 3 (datagram): (my Q_Key, peer source QP) → secret.
-    datagram: FxHashMap<(QKey, Qpn), SecretKey>,
+    datagram: FxHashMap<(QKey, Qpn), KeyVersion>,
     /// Connected service: local QP → epoch-versioned secrets shared with
     /// its bound peer.
-    connection: FxHashMap<Qpn, EpochRing>,
+    connection: FxHashMap<Qpn, EpochRing<KeyVersion>>,
 }
 
 impl NodeKeyTable {
@@ -283,21 +328,22 @@ impl NodeKeyTable {
         self.partition
             .entry(pkey)
             .or_default()
-            .install(epoch, secret);
+            .install(epoch, KeyVersion::new(secret));
     }
 
     /// Look up by P_Key (partition-level authentication): the *current*
-    /// `(epoch, secret)` version — what the send side stamps and keys.
-    pub fn partition_current(&self, pkey: PKey) -> Option<(KeyEpoch, SecretKey)> {
+    /// version — what the send side stamps and keys.
+    pub fn partition_current(&self, pkey: PKey) -> Option<(KeyEpoch, &KeyVersion)> {
         self.partition.get(&pkey)?.current()
     }
 
     /// Resolve a 7-bit wire epoch id to a live partition key version.
-    pub fn partition_secret_by_wire(&self, pkey: PKey, wire: u8) -> Option<(KeyEpoch, SecretKey)> {
-        self.partition.get(&pkey)?.secret_by_wire(wire)
+    pub fn partition_by_wire(&self, pkey: PKey, wire: u8) -> Option<(KeyEpoch, &KeyVersion)> {
+        self.partition.get(&pkey)?.by_wire(wire)
     }
 
-    /// Drop partition key versions older than `epoch` (grace expiry).
+    /// Drop partition key versions older than `epoch` (grace expiry),
+    /// their keyed MACs with them.
     pub fn retire_partition_below(&mut self, pkey: PKey, epoch: KeyEpoch) {
         if let Some(ring) = self.partition.get_mut(&pkey) {
             ring.retire_below(epoch);
@@ -306,13 +352,14 @@ impl NodeKeyTable {
 
     /// Install a per-(Q_Key, source QP) datagram secret.
     pub fn install_datagram_secret(&mut self, qkey: QKey, src_qp: Qpn, secret: SecretKey) {
-        self.datagram.insert((qkey, src_qp), secret);
+        self.datagram
+            .insert((qkey, src_qp), KeyVersion::new(secret));
     }
 
     /// Figure 3 lookup: "to index a secret key, both Q_Key and source QP
     /// are necessary."
-    pub fn datagram_secret(&self, qkey: QKey, src_qp: Qpn) -> Option<SecretKey> {
-        self.datagram.get(&(qkey, src_qp)).copied()
+    pub fn datagram_key(&self, qkey: QKey, src_qp: Qpn) -> Option<&KeyVersion> {
+        self.datagram.get(&(qkey, src_qp))
     }
 
     /// Install a connection secret for a bound QP (at [`KeyEpoch::ZERO`]).
@@ -325,41 +372,41 @@ impl NodeKeyTable {
         self.connection
             .entry(local_qp)
             .or_default()
-            .install(epoch, secret);
+            .install(epoch, KeyVersion::new(secret));
     }
 
-    /// The current connection `(epoch, secret)` version for a bound QP.
-    pub fn connection_current(&self, local_qp: Qpn) -> Option<(KeyEpoch, SecretKey)> {
+    /// The current connection version for a bound QP.
+    pub fn connection_current(&self, local_qp: Qpn) -> Option<(KeyEpoch, &KeyVersion)> {
         self.connection.get(&local_qp)?.current()
     }
 
     /// Resolve a 7-bit wire epoch id to a live connection key version.
-    pub fn connection_secret_by_wire(
-        &self,
-        local_qp: Qpn,
-        wire: u8,
-    ) -> Option<(KeyEpoch, SecretKey)> {
-        self.connection.get(&local_qp)?.secret_by_wire(wire)
+    pub fn connection_by_wire(&self, local_qp: Qpn, wire: u8) -> Option<(KeyEpoch, &KeyVersion)> {
+        self.connection.get(&local_qp)?.by_wire(wire)
     }
 
-    /// Whether `secret` is still installed under any scope index — what
-    /// decides if state derived from it (a keyed MAC) may be dropped.
-    pub fn holds_secret(&self, secret: &SecretKey) -> bool {
-        self.partition.values().any(|r| r.holds_secret(secret))
-            || self.connection.values().any(|r| r.holds_secret(secret))
-            || self.datagram.values().any(|s| s == secret)
+    /// Every live version, of every scope.
+    fn versions(&self) -> impl Iterator<Item = &KeyVersion> {
+        let rings = self.partition.values().chain(self.connection.values());
+        rings
+            .flat_map(EpochRing::keys)
+            .chain(self.datagram.values())
     }
 
     /// Total stored secrets across all live epochs (memory accounting).
     pub fn len(&self) -> usize {
-        self.partition.values().map(EpochRing::len).sum::<usize>()
-            + self.datagram.len()
-            + self.connection.values().map(EpochRing::len).sum::<usize>()
+        self.versions().count()
     }
 
     /// Whether no secrets are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Live versions whose keyed MAC has been derived (memory accounting:
+    /// a retired version's MAC is gone with it).
+    pub fn keyed_macs(&self) -> usize {
+        self.versions().filter(|v| v.mac.get().is_some()).count()
     }
 }
 
@@ -530,11 +577,12 @@ mod tests {
         node_c.install_partition_secret(p2, sm.distribute(p2, &pk_c).unwrap().open(&sk_c).unwrap());
 
         // A and B agree on S_K1; A and C on S_K2; B knows nothing of II.
-        assert_eq!(node_a.partition_current(p1), Some((KeyEpoch::ZERO, s_k1)));
-        assert_eq!(node_b.partition_current(p1), Some((KeyEpoch::ZERO, s_k1)));
-        assert_eq!(node_a.partition_current(p2), Some((KeyEpoch::ZERO, s_k2)));
-        assert_eq!(node_c.partition_current(p2), Some((KeyEpoch::ZERO, s_k2)));
-        assert_eq!(node_b.partition_current(p2), None);
+        let current = |t: &NodeKeyTable, p| t.partition_current(p).map(|(e, v)| (e, v.secret));
+        assert_eq!(current(&node_a, p1), Some((KeyEpoch::ZERO, s_k1)));
+        assert_eq!(current(&node_b, p1), Some((KeyEpoch::ZERO, s_k1)));
+        assert_eq!(current(&node_a, p2), Some((KeyEpoch::ZERO, s_k2)));
+        assert_eq!(current(&node_c, p2), Some((KeyEpoch::ZERO, s_k2)));
+        assert_eq!(current(&node_b, p2), None);
     }
 
     #[test]
@@ -557,10 +605,9 @@ mod tests {
         let mut table_b = NodeKeyTable::new();
         table_a.install_connection_secret(Qpn(1), secret);
         table_b.install_connection_secret(Qpn(9), received);
-        assert_eq!(
-            table_a.connection_current(Qpn(1)),
-            table_b.connection_current(Qpn(9))
-        );
+        let current = |t: &NodeKeyTable, qp| t.connection_current(qp).map(|(e, v)| (e, v.secret));
+        assert_eq!(current(&table_a, Qpn(1)), Some((KeyEpoch::ZERO, secret)));
+        assert_eq!(current(&table_b, Qpn(9)), Some((KeyEpoch::ZERO, secret)));
     }
 
     #[test]
@@ -579,9 +626,10 @@ mod tests {
 
         assert_eq!(qk2, qk2_again, "same QP keeps its Q_Key");
         assert_ne!(s_k2, s_k3, "fresh secret per request");
-        assert_eq!(table_a.datagram_secret(qk2, Qpn(4)), Some(s_k2));
-        assert_eq!(table_a.datagram_secret(qk2, Qpn(5)), Some(s_k3));
-        assert_eq!(table_a.datagram_secret(qk2, Qpn(6)), None);
+        let secret = |src| table_a.datagram_key(qk2, src).map(|v| v.secret);
+        assert_eq!(secret(Qpn(4)), Some(s_k2));
+        assert_eq!(secret(Qpn(5)), Some(s_k3));
+        assert_eq!(secret(Qpn(6)), None);
 
         // Requesters decrypt their copies.
         assert_eq!(env_b.open(&sk_b), Some(s_k2));
@@ -612,6 +660,29 @@ mod tests {
         assert_eq!(t.len(), 4);
         t.retire_partition_below(PKey(1), KeyEpoch(1));
         assert_eq!(t.len(), 3);
+    }
+
+    /// A version's keyed MAC is derived once, on first use, and leaves
+    /// with the version.
+    #[test]
+    fn keyed_macs_live_and_die_with_their_versions() {
+        use ib_crypto::mac::AuthAlgorithm;
+        let mut t = NodeKeyTable::new();
+        let pkey = PKey(0x8001);
+        t.install_partition_secret(pkey, SecretKey::from_seed(1));
+        t.install_partition_epoch(pkey, KeyEpoch(1), SecretKey::from_seed(2));
+        assert_eq!(t.keyed_macs(), 0, "nothing derived before first use");
+        let mut derived = 0;
+        for _ in 0..3 {
+            let (_, v) = t.partition_by_wire(pkey, 0).unwrap();
+            v.mac(|s| {
+                derived += 1;
+                AnyMac::new(AuthAlgorithm::Umac32, &s.0)
+            });
+        }
+        assert_eq!((derived, t.keyed_macs()), (1, 1));
+        t.retire_partition_below(pkey, KeyEpoch(1));
+        assert_eq!((t.len(), t.keyed_macs()), (1, 0));
     }
 
     #[test]
@@ -649,22 +720,22 @@ mod tests {
             SecretKey::from_seed(3),
         );
         let mut ring = EpochRing::new(s0);
-        assert_eq!(ring.current(), Some((KeyEpoch::ZERO, s0)));
+        assert_eq!(ring.current(), Some((KeyEpoch::ZERO, &s0)));
         // Out-of-order install keeps the ring sorted.
         ring.install(KeyEpoch(2), s2);
         ring.install(KeyEpoch(1), s1);
-        assert_eq!(ring.current(), Some((KeyEpoch(2), s2)));
-        assert_eq!(ring.secret_at(KeyEpoch(1)), Some(s1));
-        assert_eq!(ring.secret_by_wire(0), Some((KeyEpoch::ZERO, s0)));
-        assert_eq!(ring.secret_by_wire(2), Some((KeyEpoch(2), s2)));
-        assert_eq!(ring.secret_by_wire(3), None);
+        assert_eq!(ring.current(), Some((KeyEpoch(2), &s2)));
+        assert_eq!(ring.at(KeyEpoch(1)), Some(&s1));
+        assert_eq!(ring.by_wire(0), Some((KeyEpoch::ZERO, &s0)));
+        assert_eq!(ring.by_wire(2), Some((KeyEpoch(2), &s2)));
+        assert_eq!(ring.by_wire(3), None);
         ring.retire_below(KeyEpoch(2));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.secret_by_wire(0), None, "graced-out version is gone");
+        assert_eq!(ring.keys().count(), 1);
+        assert_eq!(ring.by_wire(0), None, "graced-out version is gone");
         // Re-install replaces in place.
         ring.install(KeyEpoch(2), s0);
-        assert_eq!(ring.current(), Some((KeyEpoch(2), s0)));
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.current(), Some((KeyEpoch(2), &s0)));
+        assert_eq!(ring.keys().count(), 1);
     }
 
     #[test]

@@ -77,7 +77,7 @@ const LANES: usize = 3;
 /// The lane of virtual lane `vl`, in VL priority order: VL 0
 /// (best-effort and attack) is lane 0, VL 1 (realtime) lane 1 and VL 15
 /// (management) lane 2. Panics on any other VL, which no lane models.
-fn lane_of(vl: u8) -> usize {
+pub(crate) fn lane_of(vl: u8) -> usize {
     match vl {
         0 => 0,
         1 => 1,
@@ -2066,7 +2066,7 @@ mod tests {
     /// stopped every microsecond on the mesh and the fat-tree, under
     /// attack with in-band traps, wire loss and flows being cut.
     #[test]
-    fn occupancy_masks_hold_mid_run() {
+    fn head_masks_and_lane_counts_hold_mid_run() {
         for topology in [
             crate::config::TopoSpec::Mesh,
             crate::config::TopoSpec::FatTree { k: 4 },

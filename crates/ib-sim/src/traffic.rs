@@ -27,16 +27,6 @@ impl TrafficClass {
             TrafficClass::Management => 15,
         }
     }
-
-    /// Arbitration priority (higher wins).
-    #[cfg(test)]
-    pub(crate) fn priority(self) -> u8 {
-        match self {
-            TrafficClass::Management => 2,
-            TrafficClass::Realtime => 1,
-            TrafficClass::BestEffort | TrafficClass::Attack => 0,
-        }
-    }
 }
 
 /// Sample an exponential inter-arrival gap with the given mean (ps), for
@@ -49,14 +39,23 @@ pub(crate) fn exp_gap(rng: &mut Rng, mean_ps: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::lane_of;
     use ib_runtime::rng::Seed;
 
+    /// Each class's VL, and the lane the engine serves it on: lanes are
+    /// served highest first, so realtime outranks best-effort and attack
+    /// traffic, and management outranks both.
     #[test]
     fn vls_and_priorities() {
         assert_eq!(TrafficClass::Realtime.vl(), 1);
         assert_eq!(TrafficClass::BestEffort.vl(), 0);
         assert_eq!(TrafficClass::Attack.vl(), 0);
-        assert!(TrafficClass::Realtime.priority() > TrafficClass::BestEffort.priority());
+        assert_eq!(TrafficClass::Management.vl(), 15);
+        assert_eq!([0, 1, 15].map(lane_of), [0, 1, 2]);
+        let lane = |class: TrafficClass| lane_of(class.vl());
+        assert!(lane(TrafficClass::Realtime) > lane(TrafficClass::BestEffort));
+        assert_eq!(lane(TrafficClass::Attack), lane(TrafficClass::BestEffort));
+        assert!(lane(TrafficClass::Management) > lane(TrafficClass::Realtime));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   the flows' endpoints in node order, every node's public key, and
 //!   the agreed epoch-0 secret, installed rather than minted. Key updates
 //!   reach each member CA as toy-RSA envelopes; the key plane opens them
-//!   with the node's private key and installs the epoch into every
-//!   endpoint resident on that node ([`SecureRcEndpoint::install_epoch`]).
+//!   with the node's private key and installs the epoch once, into the
+//!   node's key table, which every endpoint resident on the node shares
+//!   ([`Authenticator::install_epoch`]).
 //! * **A leader-kill fault** — at `kill_leader_at` the current leader
 //!   goes silent; the staggered election elects the next rank, whose
 //!   healing rotation supersedes any partially distributed epoch.
@@ -44,8 +45,11 @@ use ib_packet::mad::Mad;
 use ib_packet::types::{Lid, PKey, Qpn};
 use ib_packet::WireView;
 use ib_runtime::{Json, Seed, ToJson};
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ib_security::channel::ChannelStats;
-use ib_security::ChannelSecurity;
+use ib_security::{Authenticator, ChannelSecurity};
 use ib_sim::time::{ps_to_us, MS, US};
 use ib_sim::{HostDelivery, SimConfig, SimTime, Simulator};
 use ib_transport::cosim::{Cosim, Flow, Host, Tap, Workload};
@@ -275,8 +279,8 @@ struct KeyPlane {
     replicas: Vec<SmReplica>,
     /// Per-node toy-RSA private keys a CA opens its key updates with.
     node_keys: Vec<PrivateKey>,
-    /// Highest epoch each CA node installed.
-    node_epoch: Vec<KeyEpoch>,
+    /// How long a superseded epoch keeps verifying on a CA.
+    grace: SimTime,
     /// 0 = no fault.
     kill_leader_at: SimTime,
     killed_at: Option<SimTime>,
@@ -336,7 +340,8 @@ impl Host for KeyPlane {
 
     /// Everything addressed to QP0 is the management plane's: MADs to a
     /// replica's node go to the replica; on a member CA a `KeyUpdate`
-    /// re-keys every endpoint resident on the node and is acked. A MAD
+    /// re-keys the node's key table, and with it every endpoint resident
+    /// on the node, and is acked. A MAD
     /// whose SLID names no node of the fabric is dropped unread: its ack
     /// would have nowhere to go.
     fn offer(
@@ -344,7 +349,7 @@ impl Host for KeyPlane {
         d: &HostDelivery,
         pkt: &WireView,
         sim: &mut Simulator,
-        flows: &mut [Flow],
+        nodes: &[Rc<RefCell<Authenticator>>],
     ) -> bool {
         if pkt.bth.dest_qp != SM_QPN {
             return false;
@@ -366,15 +371,9 @@ impl Host for KeyPlane {
         }) = SmMessage::decode(&mad)
         {
             if let Some(secret) = envelope.open(&self.node_keys[d.node]) {
-                for f in flows.iter_mut() {
-                    if f.src == d.node {
-                        f.a.install_epoch(d.at, epoch, secret);
-                    }
-                    if f.dst == d.node {
-                        f.b.install_epoch(d.at, epoch, secret);
-                    }
-                }
-                self.node_epoch[d.node] = self.node_epoch[d.node].max(epoch);
+                nodes[d.node]
+                    .borrow_mut()
+                    .install_epoch(d.at, self.grace, pkey, epoch, secret);
                 let ack = SmMessage::KeyUpdateAck {
                     pkey,
                     epoch,
@@ -435,7 +434,7 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
         })
         .collect();
     let make = |qpn, lid, peer, node: &_| {
-        let mut ep = SecureRcEndpoint::on_node(
+        SecureRcEndpoint::on_node(
             cfg.security,
             REKEY_PKEY,
             secret0,
@@ -445,9 +444,7 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
             peer,
             qpn,
             node,
-        );
-        ep.set_epoch_grace(cfg.grace);
-        ep
+        )
     };
 
     // --- SM replica group --------------------------------------------
@@ -507,7 +504,7 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
     let mut plane = KeyPlane {
         replicas,
         node_keys,
-        node_epoch: vec![KeyEpoch::ZERO; nodes],
+        grace: cfg.grace,
         kill_leader_at: cfg.kill_leader_at,
         killed_at: None,
         term_at_kill: 0,
@@ -519,6 +516,19 @@ fn run_driver(cfg: &RekeyConfig) -> (Cosim, KeyPlane) {
     let mut run = Cosim::new(sim, load, tap, specs, make);
     run.run(&mut plane);
     (run, plane)
+}
+
+/// The highest epoch any CA node installed.
+fn newest_epoch(run: &Cosim) -> KeyEpoch {
+    let current = |n: &Rc<RefCell<Authenticator>>| {
+        let auth = n.borrow();
+        auth.keys.partition_current(REKEY_PKEY).map(|(e, _)| e)
+    };
+    run.nodes
+        .iter()
+        .filter_map(current)
+        .max()
+        .unwrap_or_default()
 }
 
 /// Read the [`RekeyReport`] off a finished run.
@@ -551,7 +561,7 @@ fn report(cfg: &RekeyConfig, run: &Cosim, plane: &KeyPlane) -> RekeyReport {
         completion_us: ps_to_us(run.completion_ps()),
         goodput_gbps: run.goodput_gbps(),
         rotations: replicas(|s| s.rotations),
-        final_epoch: u64::from(plane.node_epoch.iter().max().map_or(0, |e| e.0)),
+        final_epoch: u64::from(newest_epoch(run).0),
         key_updates_tx: replicas(|s| s.key_updates_tx),
         key_update_acks_rx: replicas(|s| s.key_update_acks_rx),
         replicates_tx: replicas(|s| s.replicates_tx),
@@ -726,15 +736,14 @@ mod tests {
                 r.expected
             );
             assert!(r.rotations >= 20, "{flows} flows: the key plane rotated");
-            // Keyed MACs still cached beyond each channel's live key
-            // versions, summed over all channels.
-            let stale_macs: usize = run
-                .flows
-                .iter()
-                .flat_map(|f| [f.a.channel(), f.b.channel()])
-                .map(|c| c.cached_macs().saturating_sub(c.live_key_versions()))
-                .sum();
-            assert_eq!(stale_macs, 0, "{flows} flows: retired keys' MACs evicted");
+            // Every node's retirement schedule kept its key table to the
+            // live versions: the current one and the one inside its grace
+            // window. A keyed MAC lives in its version, so none outlives it.
+            let live = run.nodes.iter().map(|n| n.borrow().keys.len());
+            assert!(
+                live.max() <= Some(2),
+                "{flows} flows: retired versions linger"
+            );
             // Each member CA derives each epoch's keyed MAC once, however
             // many endpoints it carries (one per endpoint would be 5 560
             // at 512 flows).
@@ -742,10 +751,10 @@ mod tests {
             members.sort_unstable();
             members.dedup();
             let bound = members.len() as u64 * (r.final_epoch + 1);
+            let derivations: u64 = run.nodes.iter().map(|n| n.borrow().derivations()).sum();
             assert!(
-                run.mac_derivations() <= bound,
-                "{flows} flows: {} keyed-MAC derivations, bound {bound}",
-                run.mac_derivations()
+                derivations <= bound,
+                "{flows} flows: {derivations} keyed-MAC derivations, bound {bound}"
             );
         }
     }
@@ -793,12 +802,9 @@ mod tests {
             };
             let generated = run.sim.stats().generated;
             let view = Packet::parse_view(&d.bytes).expect("clean image");
-            assert!(plane.offer(&d, &view, &mut run.sim, &mut run.flows));
+            assert!(plane.offer(&d, &view, &mut run.sim, &run.nodes));
             assert_eq!(run.sim.stats().generated, generated, "nothing posted");
         }
-        assert!(
-            plane.node_epoch.iter().all(|&e| e < epoch),
-            "no key installed"
-        );
+        assert!(newest_epoch(&run) < epoch, "no key installed");
     }
 }

@@ -4,8 +4,10 @@
 //! [`crate::fabric::run_fabric_sim`], `fig_rekey` through
 //! `ib_sm::rekey::run_rekey_sim` — is a configuration of this one loop.
 //!
-//! A [`Cosim`] owns the fabric, the [`Flow`]s (flow `i` owns QPN `qpn0 +
-//! i`, so a delivery finds its flow by index), one [`Ledger`], one [`Tap`]
+//! A [`Cosim`] owns the fabric, one key table per node (an
+//! [`Authenticator`] every endpoint on the node's HCA shares), the
+//! [`Flow`]s (flow `i` owns QPN `qpn0 + i`, so a delivery finds its flow
+//! by index), one [`Ledger`], one [`Tap`]
 //! (the §7 replay attacker and the stale-epoch attacker are the same code
 //! with different delays) and the rule for when a run is over. Hosts that
 //! are not RC endpoints — the SM replicas and the CAs' key-update handler
@@ -59,9 +61,12 @@
 //!    only by a post.
 //! 2. The only other effect of a poll, `channel.advance_time(now)`, is
 //!    also the first statement of `handle_view` — the only place a
-//!    retired epoch is observable — and of `install_epoch`, so key
-//!    versions retire before anything can look at them whether or not
-//!    the endpoint is ever polled again.
+//!    retired epoch is observable — and of
+//!    [`Authenticator::install_epoch`], so key versions retire before
+//!    anything can look at them whether or not the endpoint is ever
+//!    polled again. The schedule is its node's, shared by every endpoint
+//!    on the node, and simulated time only moves forward, so whichever
+//!    endpoint advances it retires exactly what each would have.
 //! 3. Everything a flow's completion reads changes only with a post, an
 //!    arrival or a timeout on one of its two endpoints, and each of those
 //!    wakes it, so judging completion at the poll misses nothing.
@@ -72,13 +77,14 @@
 //! package carries a call-for-call copy of the old two-endpoint loop
 //! that `ib-benchmark trace` compares with this one.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use ib_packet::types::{Lid, Qpn, RKey};
 use ib_packet::{Operation, Packet, WireView};
-use ib_security::MacStore;
+use ib_security::Authenticator;
 use ib_sim::time::{ps_to_us, MS};
 use ib_sim::{HostDelivery, OnlineStats, SimTime, Simulator};
 
@@ -291,14 +297,15 @@ pub trait Host {
     fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
         None
     }
-    /// A parsed arrival, before the tap and the flows see it. `true`
-    /// claims it.
+    /// A parsed arrival, before the tap and the flows see it, with every
+    /// node's key table (a CA's key-update handler installs into its
+    /// node's). `true` claims it.
     fn offer(
         &mut self,
         _d: &HostDelivery,
         _pkt: &WireView,
         _sim: &mut Simulator,
-        _flows: &mut [Flow],
+        _nodes: &[Rc<RefCell<Authenticator>>],
     ) -> bool {
         false
     }
@@ -410,26 +417,25 @@ pub struct Cosim {
     pub steps: u64,
     /// [`SecureRcEndpoint::poll_into`] calls.
     pub polls: u64,
-    /// One keyed-MAC store per fabric node, shared by every endpoint on
-    /// that node's HCA.
-    node_macs: Vec<Rc<MacStore>>,
+    /// One key table per fabric node, shared by every endpoint on that
+    /// node's HCA.
+    pub nodes: Vec<Rc<RefCell<Authenticator>>>,
 }
 
 impl Cosim {
     /// One flow per `(src, dst, op, first_post)` of `specs`; `make(qpn,
     /// lid, peer_lid, node)` builds each endpoint on the QPN the driver
-    /// will look its flow up by, on the keyed-MAC store of the node it
-    /// sits on.
+    /// will look its flow up by, on the key table of the node it sits on.
     pub fn new(
         sim: Simulator,
         load: Workload,
         tap: Tap,
         specs: impl IntoIterator<Item = (usize, usize, RdmaOp, SimTime)>,
-        make: impl Fn(Qpn, Lid, Lid, &Rc<MacStore>) -> SecureRcEndpoint,
+        make: impl Fn(Qpn, Lid, Lid, &Rc<RefCell<Authenticator>>) -> SecureRcEndpoint,
     ) -> Cosim {
         assert!(load.payload_len >= 8, "payload must hold the 8-byte index");
         assert!(load.messages >= 1);
-        let node_macs: Vec<Rc<MacStore>> = (0..sim.topology().num_nodes())
+        let nodes: Vec<Rc<RefCell<Authenticator>>> = (0..sim.topology().num_nodes())
             .map(|_| Rc::default())
             .collect();
         let flows: Vec<Flow> = (load.qpn0..)
@@ -437,7 +443,7 @@ impl Cosim {
             .map(|(qpn, (src, dst, op, first_post))| {
                 assert_ne!(src, dst, "a flow needs two distinct HCAs");
                 let (sl, dl) = (Lid::of_node(src), Lid::of_node(dst));
-                let mut b = make(Qpn(qpn), dl, sl, &node_macs[dst]);
+                let mut b = make(Qpn(qpn), dl, sl, &nodes[dst]);
                 if op != RdmaOp::Send {
                     b.configure_memory(load.messages * load.payload_len, COSIM_RKEY);
                 }
@@ -449,7 +455,7 @@ impl Cosim {
                 Flow {
                     src,
                     dst,
-                    a: make(Qpn(qpn), sl, dl, &node_macs[src]),
+                    a: make(Qpn(qpn), sl, dl, &nodes[src]),
                     b,
                     op,
                     first_post,
@@ -483,14 +489,8 @@ impl Cosim {
             timed_out: false,
             steps: 0,
             polls: 0,
-            node_macs,
+            nodes,
         }
-    }
-
-    /// Keyed MACs derived in the whole fleet: the UMAC KDF runs once per
-    /// `(algorithm, secret)` per node, not once per endpoint.
-    pub fn mac_derivations(&self) -> u64 {
-        self.node_macs.iter().map(|n| n.derivations()).sum()
     }
 
     /// Instant the last flow completed (the drain tail excluded), or where
@@ -599,7 +599,7 @@ impl Cosim {
             self.ledger.unparseable += 1;
             return;
         };
-        if host.offer(d, &view, &mut self.sim, &mut self.flows) {
+        if host.offer(d, &view, &mut self.sim, &self.nodes) {
             return;
         }
         let tap = self.tap;

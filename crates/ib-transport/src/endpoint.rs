@@ -95,16 +95,17 @@
 //! buffer-return API the frozen benchmark loop would have to call).
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
+use ib_mgmt::keymgmt::SecretKey;
 use ib_packet::types::{Lid, PKey, Psn, Qpn, RKey};
 use ib_packet::{
     Aeth, AethKind, NakCode, OpCode, Operation, Packet, PacketBuilder, Reth, WireView,
 };
 use ib_runtime::hash::FxHashMap;
-use ib_security::{Admit, ChannelSecurity, MacStore, SecureChannel};
+use ib_security::{Admit, Authenticator, ChannelSecurity, SecureChannel};
 use ib_sim::SimTime;
 
 use crate::config::{RcConfig, RetransmitMode};
@@ -225,8 +226,8 @@ impl SecureRcEndpoint {
         )
     }
 
-    /// [`Self::new`] for an endpoint on the CA whose keyed MACs `node`
-    /// holds, shared with every other endpoint built on it (see
+    /// [`Self::new`] for an endpoint on the CA whose keys `node` holds,
+    /// shared with every other endpoint built on it (see
     /// [`SecureChannel::on_node`]).
     #[allow(clippy::too_many_arguments)]
     pub fn on_node(
@@ -238,7 +239,7 @@ impl SecureRcEndpoint {
         lid: Lid,
         peer_lid: Lid,
         qpn: Qpn,
-        node: &Rc<MacStore>,
+        node: &Rc<RefCell<Authenticator>>,
     ) -> Self {
         let channel = SecureChannel::on_node(security, pkey, secret, replay_window, node);
         if let Some(depth) = channel.window_depth() {
@@ -337,20 +338,6 @@ impl SecureRcEndpoint {
     /// The security channel (for its admission counters).
     pub fn channel(&self) -> &SecureChannel {
         &self.channel
-    }
-
-    /// Configure how long a superseded key epoch keeps verifying after
-    /// its successor is installed (see [`SecureChannel::set_epoch_grace`]).
-    pub fn set_epoch_grace(&mut self, grace: SimTime) {
-        self.channel.set_epoch_grace(grace);
-    }
-
-    /// Install a key version learned from the SM's key-update MAD: the
-    /// next [`Self::poll_into`] seals (and re-seals retransmits) under the
-    /// newest epoch, while inbound traffic under older epochs keeps
-    /// verifying until the grace window runs out.
-    pub fn install_epoch(&mut self, now: SimTime, epoch: KeyEpoch, secret: SecretKey) {
-        self.channel.install_epoch(now, epoch, secret);
     }
 
     /// Messages fully received in order (the receiver half's MSN).

@@ -14,6 +14,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,7 +22,7 @@ use ib_crypto::mac::AuthAlgorithm;
 use ib_mgmt::keymgmt::{KeyEpoch, SecretKey};
 use ib_packet::types::{Lid, PKey, Psn, Qpn};
 use ib_packet::{OpCode, Packet, PacketBuilder};
-use ib_security::{Admit, Authenticator, ChannelSecurity, KeyScope, MacStore, SecureChannel};
+use ib_security::{Admit, Authenticator, ChannelSecurity, KeyScope, SecureChannel};
 use ib_transport::{RcConfig, SecureRcEndpoint};
 
 /// Counts allocation events (alloc + realloc; frees are irrelevant to
@@ -163,13 +164,13 @@ fn steady_state_hot_paths_do_not_allocate() {
         "channel seal_into + parse_view + admit_view steady state"
     );
 
-    // --- two channels per node store, both directions ---------------
-    // The nodes' keyed MACs are shared: once each channel's cache holds
-    // its `Rc`, sealing and admission never touch the store, so steady
-    // state stays allocation-free. Only a miss (here, the first packet
-    // after a rotation) reaches the store's `Vec`.
-    let node_a = Rc::new(MacStore::default());
-    let node_b = Rc::new(MacStore::default());
+    // --- two channels per node, both directions ---------------------
+    // The nodes' key tables are shared: each version's keyed MAC is
+    // derived into the version on its first use (here, the first packet
+    // after a rotation) and every channel on the node seals and verifies
+    // under it, so steady state stays allocation-free.
+    let node_a: Rc<RefCell<Authenticator>> = Rc::default();
+    let node_b: Rc<RefCell<Authenticator>> = Rc::default();
     let on = |node| SecureChannel::on_node(ChannelSecurity::AuthReplay, PKEY, secret, 64, node);
     let mut a_side = [on(&node_a), on(&node_a)];
     let mut b_side = [on(&node_b), on(&node_b)];
@@ -184,18 +185,17 @@ fn steady_state_hot_paths_do_not_allocate() {
         }
     };
     let n = steady_state_allocs(|| shared_round(&mut a_side, &mut b_side));
-    assert_eq!(
-        n, 0,
-        "two channels per node store: seal + admit steady state"
-    );
-    assert_eq!((node_a.derivations(), node_b.derivations()), (1, 1));
+    assert_eq!(n, 0, "two channels per node: seal + admit steady state");
+    let derivations = || (node_a.borrow().derivations(), node_b.borrow().derivations());
+    assert_eq!(derivations(), (1, 1));
     let rotated = SecretKey::from_seed(12);
-    for ch in a_side.iter_mut().chain(b_side.iter_mut()) {
-        ch.install_epoch(0, KeyEpoch(1), rotated);
+    for node in [&node_a, &node_b] {
+        node.borrow_mut()
+            .install_epoch(0, 0, PKEY, KeyEpoch(1), rotated);
     }
     let n = steady_state_allocs(|| shared_round(&mut a_side, &mut b_side));
-    assert_eq!(n, 0, "two channels per node store after a rotation");
-    assert_eq!((node_a.derivations(), node_b.derivations()), (2, 2));
+    assert_eq!(n, 0, "two channels per node after a rotation");
+    assert_eq!(derivations(), (2, 2));
 
     // --- AEAD seal + open (in-place, tag-only expansion) ------------
     let aead = ib_crypto::AesGcm32::new(&[0x42; 16]);
