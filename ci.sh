@@ -90,8 +90,8 @@ cargo test -q --offline
 # ib-security the one-shot seal and admission bodies (tags byte-identical
 # to the reference in crates/core/tests/one_pass_identity.rs),
 # ib-transport tests/alloc_free_hotpath.rs, ib-sm the rekey lock's first
-# lines (the only harness with many endpoints sharing one node's keyed
-# MACs).
+# lines (the only harness with many endpoints sharing one node's key
+# table).
 run_leg "test with IB_SIMD=off (the portable kernels, on hosts that never dispatch to them)" \
   env IB_SIMD=off cargo test -q --offline -p ib-crypto -p ib-packet -p ib-security -p ib-transport -p ib-sm
 
